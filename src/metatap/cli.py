@@ -34,10 +34,13 @@ from .knotdata import BUNDLED, presentation as bundled_presentation
 from .metabelian import (
     MetaGroup,
     a4_group,
+    conjugate_by_relabeling,
     find_homs,
+    generates,
     group_from_name,
     obstruction_passes,
     perm_rep,
+    unit_classes,
 )
 from .twisted import NoUsableColumnError, check_factorization, twisted_alexander
 from .twinring import NotInH3Error, twisted_via_recursion
@@ -94,24 +97,45 @@ def _assignment_str(images: dict, p: Presentation) -> str:
     return "; ".join(f"{g}={images[g]}" for g in p.generators)
 
 
-def _closure_surjective(group: MetaGroup, images: dict) -> bool:
-    from .metabelian import _closure_size
-
-    return _closure_size(group, list(images.values())) == group.order()
-
-
 def _compute_records(p: Presentation, group: MetaGroup, delta: LaurentPoly,
                      assignments, input_name: str, cross_check: bool,
                      recursion_value=None) -> list[dict]:
+    """One record per assignment, with one determinant per class.
+
+    The first assignment of each class (see `unit_classes`) goes through
+    perm_rep, twisted_alexander and check_factorization.  A later member
+    reuses its class's result only after `conjugate_by_relabeling` has
+    shown, on the coset tables, that its permutation representation is
+    conjugate to the representative's by a permutation matrix.
+    """
+    classes = unit_classes(group, [images for images, _ in assignments])
+    verdicts = {}
     records = []
-    for images, surjective in assignments:
+    for i, ((images, surjective), (rep, unit)) in enumerate(
+            zip(assignments, classes)):
         t0 = time.monotonic()
-        rho = perm_rep(images, group, p)
-        result = twisted_alexander(p, rho)
-        if result.invariant is None:
-            raise ExactnessError(
-                f"non-polynomial determinant ratio for {input_name}")
-        verdict = check_factorization(result.invariant, delta, group.n)
+        if rep == i:
+            rho = perm_rep(images, group, p)
+            result = twisted_alexander(p, rho)
+            if result.invariant is None:
+                if not surjective:
+                    raise InputError(
+                        f"assignment {_assignment_str(images, p)} is not "
+                        f"surjective onto {group.name()}: its determinant "
+                        f"ratio for {input_name} is not a polynomial")
+                raise ExactnessError(
+                    f"non-polynomial determinant ratio for {input_name}")
+            verdicts[i] = (result.invariant,
+                           check_factorization(result.invariant, delta, group.n))
+        else:
+            rep_images, rep_surjective = assignments[rep]
+            if surjective != rep_surjective or not conjugate_by_relabeling(
+                    group, rep_images, images, unit):
+                raise ExactnessError(
+                    f"assignment {_assignment_str(images, p)} of {input_name} "
+                    f"is not conjugate to its class representative "
+                    f"{_assignment_str(rep_images, p)}")
+        invariant, verdict = verdicts[rep]
         cross = None
         if cross_check and recursion_value is not None and verdict.phi is not None:
             cross = verdict.phi == recursion_value
@@ -123,7 +147,7 @@ def _compute_records(p: Presentation, group: MetaGroup, delta: LaurentPoly,
             "surjective": surjective,
             "n": group.n,
             "delta": str(delta),
-            "twisted": str(result.invariant),
+            "twisted": str(invariant),
             "phi": str(verdict.phi) if verdict.phi is not None else None,
             "holds": verdict.holds,
             "cross_path_match": cross,
@@ -132,11 +156,23 @@ def _compute_records(p: Presentation, group: MetaGroup, delta: LaurentPoly,
     return records
 
 
+def _cross_path_status(records: list[dict]) -> int:
+    """EXIT_INTERNAL, with a one-line stderr summary, when the two
+    computation paths disagree on any record; else EXIT_OK."""
+    bad = [rec for rec in records if rec["cross_path_match"] is False]
+    if not bad:
+        return EXIT_OK
+    print(f"internal consistency failure: the Fox-calculus and recursion "
+          f"paths disagree on {len(bad)} of {len(records)} records "
+          f"(first: {bad[0]['input']})", file=sys.stderr)
+    return EXIT_INTERNAL
+
+
 def _gather_assignments(p, group, args):
     """Either the explicit --assign, or the find_homs results."""
     if args.assign:
         images = _parse_assignment(args.assign, group, p)
-        return [(images, _closure_surjective(group, images))]
+        return [(images, generates(group, list(images.values())))]
     homs = find_homs(p, group, fix=args.fix)
     chosen = [(h.images, h.surjective) for h in homs
               if h.surjective or args.all]
@@ -175,15 +211,18 @@ def cmd_compute(args) -> int:
                                args.cross_check, recursion_value)
     for rec in records:
         print(json.dumps(rec))
-    return EXIT_OK
+    return _cross_path_status(records)
 
 
 def _scan_one(packed):
-    """Worker for scan: the record for one fraction (picklable).
+    """Worker for scan: the records for one fraction (picklable).
 
-    All surjective assignments found by the search are conjugate and share
-    one invariant, so the scan emits a single row per fraction, labeled with
-    the lexicographically smallest assignment.
+    The surjections found by the search are grouped into classes under the
+    automorphisms phi_U (`unit_classes`), taking them in label order so that
+    each class is represented by its lexicographically smallest assignment.
+    Every member is checked to be conjugate to its representative, and the
+    scan emits one row per class, labeled with that representative; no
+    class is dropped.
     """
     beta, alpha, group_key, h3_only, cross_check = packed
     group = group_from_name(group_key)
@@ -196,19 +235,24 @@ def _scan_one(packed):
         return []
     p = wirtinger_presentation(r)
     homs = find_homs(p, group)
-    surjective = [h.images for h in homs if h.surjective]
+    surjective = sorted((h.images for h in homs if h.surjective),
+                        key=lambda images: _assignment_str(images, p))
     if not surjective:
         return []
-    chosen = min(surjective, key=lambda images: _assignment_str(images, p))
     recursion_value = None
     if cross_check and group == a4_group() and form is not None:
         recursion_value = twisted_via_recursion(r)
-    return _compute_records(p, group, delta, [(chosen, True)], str(r),
-                            cross_check, recursion_value)
+    records = _compute_records(p, group, delta,
+                               [(images, True) for images in surjective],
+                               str(r), cross_check, recursion_value)
+    reps = sorted({rep for rep, _ in unit_classes(group, surjective)})
+    return [records[i] for i in reps]
 
 
 def cmd_scan(args) -> int:
     group = group_from_name(args.group)  # validate early
+    if args.jobs < 1:
+        raise InputError(f"--jobs must be at least 1, got {args.jobs}")
     jobs = []
     for r in enumerate_fractions(args.alpha_max):
         jobs.append((r.beta, r.alpha, args.group, args.h3_only,
@@ -225,7 +269,7 @@ def cmd_scan(args) -> int:
     _write_rows(rows, args.out, jsonl=args.jsonl)
     print(f"scan: {len(rows)} rows for {group.name()} up to alpha = "
           f"{args.alpha_max} -> {args.out}", file=sys.stderr)
-    return EXIT_OK
+    return _cross_path_status(rows)
 
 
 def _write_rows(rows: list[dict], out: str, jsonl: bool) -> None:

@@ -21,13 +21,14 @@ which drives the whole t^3-support story for 2-bridge knots.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 from typing import Iterator, Optional
 
 from .exactalg import LaurentPoly, canonical, poly_from_coeffs, exact_div, resultant
 from .groupcalc import Presentation, Word
-from .intmat import Mat, identity, mat, mat_inverse, mat_mul
+from .intmat import (
+    Mat, identity, mat, mat_add, mat_inverse, mat_mul, mat_scale, zeros)
 
 
 def is_prime(p: int) -> bool:
@@ -79,6 +80,21 @@ def multiplicative_order(a: int, n: int) -> int:
         power = power * a % n
         order += 1
     return order
+
+
+def _invertible_mod(m: Mat, p: int) -> bool:
+    """Whether a square matrix is invertible over F_p (Gaussian elimination)."""
+    rows = [list(row) for row in m]
+    for col in range(len(rows)):
+        pivot = next((r for r in range(col, len(rows)) if rows[r][col] % p), None)
+        if pivot is None:
+            return False
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        inv = pow(rows[col][col], -1, p)
+        for r in range(col + 1, len(rows)):
+            factor = rows[r][col] * inv % p
+            rows[r] = [(x - factor * y) % p for x, y in zip(rows[r], rows[col])]
+    return True
 
 
 def _companion_mod(coeffs: tuple[int, ...], p: int) -> Mat:
@@ -154,6 +170,26 @@ class MetaGroup:
     def T_power(self, e: int) -> Mat:
         return self._T_pow[e % self.n]
 
+    @cached_property
+    def units(self) -> list[Mat]:
+        """The invertible elements U = f(T) mod p of F_p[T], identity first.
+
+        T^0, ..., T^(k-1) is a basis of F_p[T] because T is a companion
+        matrix of degree k.  Each U commutes with T, so s^ell b^vec ->
+        s^ell b^(vec U) is an automorphism of the group that fixes s
+        (`apply_unit`).
+        """
+        out = []
+        for idx in range(1, self.p**self.k):
+            coeffs = reversed(self.vec_of_index(idx))  # constant term first
+            u = zeros(self.k)
+            for c, power in zip(coeffs, self._T_pow):
+                u = mat_add(u, mat_scale(c, power))
+            u = self._mat_mod(u)
+            if _invertible_mod(u, self.p):
+                out.append(u)
+        return out
+
     # -- construction of elements ------------------------------------------
 
     def name(self) -> str:
@@ -195,12 +231,14 @@ class MetaGroup:
 
     # -- group law ----------------------------------------------------------
 
-    def _vec_act(self, vec: tuple[int, ...], t_exp: int) -> tuple[int, ...]:
-        m = self.T_power(t_exp)
+    def _vec_times(self, vec: tuple[int, ...], m: Mat) -> tuple[int, ...]:
         return tuple(
             sum(vec[i] * m[i][j] for i in range(self.k)) % self.p
             for j in range(self.k)
         )
+
+    def _vec_act(self, vec: tuple[int, ...], t_exp: int) -> tuple[int, ...]:
+        return self._vec_times(vec, self.T_power(t_exp))
 
     def mul(self, g: MetaElem, h: MetaElem) -> MetaElem:
         if g.group != self or h.group != self:
@@ -273,6 +311,19 @@ class MetaGroup:
             image = tuple((x + y) % self.p for x, y in zip(moved, g.vec))
             perm.append(self.coset_index(image))
         return tuple(perm)
+
+    def apply_unit(self, g: MetaElem, unit: Mat) -> MetaElem:
+        """phi_U(s^ell b^vec) = s^ell b^(vec U) for a unit U of F_p[T]."""
+        return self.elem(g.ell, self._vec_times(g.vec, unit))
+
+    def coset_relabeling(self, unit: Mat) -> tuple[int, ...]:
+        """sigma_U: <s> a -> <s> a U as an index table.
+
+        phi_U fixes s and U commutes with T, so the coset tables satisfy
+        pi_{phi_U(g)} = sigma_U pi_g sigma_U^-1.
+        """
+        return tuple(self.coset_index(self._vec_times(self.vec_of_index(i), unit))
+                     for i in range(self.p**self.k))
 
     def perm_matrix(self, g: MetaElem) -> Mat:
         """Permutation matrix with rows indexed by source coset: P[i][pi(i)] = 1.
@@ -424,7 +475,7 @@ def a4_irreducible_rep(assignment: dict[str, MetaElem],
             raise MixedGroupError("assignment must land in M(3|2,2)")
         elems.append(e)
         images[p.gen_index(name)] = xi0(e)
-    if _closure_size(group, elems) != group.order():
+    if not generates(group, elems):
         raise ValueError("assigned elements do not generate the full group")
     label = ", ".join(f"f({g}) = {assignment[g]}" for g in p.generators)
     return Representation(p, 3, images, label=label)
@@ -448,7 +499,8 @@ class HomAssignment:
         return f"{body}  [{flag}]"
 
 
-def _closure_size(group: MetaGroup, elems) -> int:
+def generates(group: MetaGroup, elems) -> bool:
+    """Whether the elements generate the whole group."""
     seen = {(e.ell, e.vec) for e in elems}
     frontier = list(elems)
     gens = list(elems)
@@ -460,7 +512,7 @@ def _closure_size(group: MetaGroup, elems) -> int:
                 if key not in seen:
                     seen.add(key)
                     frontier.append(prod)
-    return len(seen)
+    return len(seen) == group.order()
 
 
 def find_homs(p: Presentation, group: MetaGroup,
@@ -474,7 +526,7 @@ def find_homs(p: Presentation, group: MetaGroup,
     """
     fixed_name = fix if fix is not None else p.generators[0]
     if fixed_name not in p.generators:
-        raise KeyError(f"no generator named {fixed_name!r}")
+        raise ValueError(f"no generator named {fixed_name!r}")
     others = [g for g in p.generators if g != fixed_name]
     size = group.p**group.k
     results = []
@@ -488,7 +540,7 @@ def find_homs(p: Presentation, group: MetaGroup,
             group.word_image(rel, by_index) == group.identity_elem()
             for rel in p.relators
         ):
-            surjective = _closure_size(group, list(images.values())) == group.order()
+            surjective = generates(group, list(images.values()))
             results.append(HomAssignment(images, surjective))
         # odometer over the vector indices of the non-fixed generators
         pos = len(counters) - 1
@@ -501,6 +553,61 @@ def find_homs(p: Presentation, group: MetaGroup,
         if pos < 0:
             break
     return results
+
+
+# ---------------------------------------------------------------------------
+# Representation classes under the units of F_p[T]
+# ---------------------------------------------------------------------------
+
+
+def unit_classes(group: MetaGroup,
+                 assignments: list[dict[str, MetaElem]]) -> list[tuple[int, Mat]]:
+    """Group assignments into classes under the automorphisms phi_U.
+
+    Returns, for each assignment, a pair (i, U): i indexes its class
+    representative, the first assignment of the class in the given order,
+    and U is a unit with assignment = phi_U(representative).  The
+    permutation representations of one class are conjugate by a permutation
+    matrix, which `conjugate_by_relabeling` checks for each member.
+    """
+    def key(images):
+        return tuple((g, e.ell, e.vec) for g, e in images.items())
+
+    owner: dict[tuple, tuple[int, Mat]] = {}
+    out = []
+    for i, images in enumerate(assignments):
+        if key(images) not in owner:
+            for unit in group.units:
+                image = {g: group.apply_unit(e, unit) for g, e in images.items()}
+                owner.setdefault(key(image), (i, unit))
+        out.append(owner[key(images)])
+    return out
+
+
+def conjugate_by_relabeling(group: MetaGroup, rep: dict[str, MetaElem],
+                            member: dict[str, MetaElem], unit: Mat) -> bool:
+    """Check on the coset tables that `member` relabels `rep` through U.
+
+    With sigma = sigma_U^-1, which takes the member's cosets to the
+    representative's, this tests pi_rep(g)(sigma(i)) == sigma(pi_member(g)(i))
+    for every generator g and every coset i.  When it holds,
+    P(member(g)) = Q P(rep(g)) Q^-1 for the permutation matrix Q of sigma,
+    so both representations give the same twisted numerator and
+    denominator determinants exactly.
+    """
+    forward = group.coset_relabeling(unit)
+    size = len(forward)
+    if rep.keys() != member.keys() or len(set(forward)) != size:
+        return False
+    sigma = [0] * size
+    for i, j in enumerate(forward):
+        sigma[j] = i
+    for g in rep:
+        pi_rep = group.coset_permutation(rep[g])
+        pi_member = group.coset_permutation(member[g])
+        if any(pi_rep[sigma[i]] != sigma[pi_member[i]] for i in range(size)):
+            return False
+    return True
 
 
 def obstruction_passes(delta: LaurentPoly, n: int, p: int) -> bool:

@@ -5,8 +5,20 @@ import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
+
+from metatap import cli
 from metatap.cli import main
 from metatap.exactalg import canonical, parse_poly
+from metatap.knotdata import presentation
+from metatap.metabelian import MetaGroup, find_homs, group_from_name, perm_rep
+from metatap.twisted import TwistedResult, check_factorization, twisted_alexander
+from metatap.twobridge import (
+    FractionR,
+    alexander_poly,
+    two_bridge_alexander,
+    wirtinger_presentation,
+)
 
 P = parse_poly
 
@@ -77,6 +89,120 @@ def test_exit_code_1_on_bad_input():
     assert run_cli("compute", "--r", "1/3", "--pres", "8_5",
                    "--group", "A4")[0] == 1
     assert run_cli("compute", "--group", "A4")[0] == 1
+
+
+def test_compute_unknown_fixed_generator_exit_1():
+    code, out, err = run_cli("compute", "--r", "5/27", "--group", "A4",
+                             "--fix", "q")
+    assert code == 1 and not out
+    assert err.startswith("input error:") and "'q'" in err
+    assert "Traceback" not in err
+
+
+def test_compute_non_surjective_assignment_exit_1():
+    code, out, err = run_cli("compute", "--r", "5/27", "--group", "A4",
+                             "--assign", "x=s;y=s")
+    assert code == 1 and not out
+    assert "input error" in err
+    assert "x=s; y=s is not surjective" in err
+
+
+def test_compute_non_polynomial_surjective_exit_3(monkeypatch):
+    def no_polynomial(p, rho):
+        result = twisted_alexander(p, rho)
+        return TwistedResult(result.numerator, result.denominator, None,
+                             result.deleted_generator)
+
+    monkeypatch.setattr(cli, "twisted_alexander", no_polynomial)
+    code, out, err = run_cli("compute", "--r", "5/27", "--group", "A4",
+                             "--assign", "x=s; y=s b1")
+    assert code == 3 and not out
+    assert "non-polynomial determinant ratio" in err
+
+
+def test_compute_cross_path_disagreement_exit_3(monkeypatch):
+    monkeypatch.setattr(cli, "twisted_via_recursion", lambda r: P("1"))
+    code, out, err = run_cli("compute", "--r", "5/27", "--group", "A4",
+                             "--cross-check")
+    assert code == 3
+    records = [json.loads(line) for line in out.splitlines()]
+    assert len(records) == 3
+    assert all(rec["cross_path_match"] is False for rec in records)
+    assert err.count("\n") == 1
+    assert "disagree on 3 of 3 records (first: 5/27)" in err
+
+
+def test_compute_tampered_class_member_exit_3(monkeypatch):
+    # claim that every assignment is its own representative's image under
+    # the identity unit: the coset-table check must refuse the reuse
+    def one_class(group, assignments):
+        return [(0, group.units[0]) for _ in assignments]
+
+    monkeypatch.setattr(cli, "unit_classes", one_class)
+    code, out, err = run_cli("compute", "--r", "3/5", "--group", "M(4|3,2)")
+    assert code == 3 and not out
+    assert "is not conjugate to its class representative" in err
+
+
+def test_compute_wrong_relabeling_exit_3(monkeypatch):
+    monkeypatch.setattr(MetaGroup, "coset_relabeling",
+                        lambda self, unit: tuple(range(self.p**self.k)))
+    code, out, err = run_cli("compute", "--r", "5/27", "--group", "A4")
+    assert code == 3 and not out
+    assert "internal consistency failure" in err and "not conjugate" in err
+
+
+# Every golden input of the suite.  compute takes one determinant per class;
+# the reference runs perm_rep + twisted_alexander on each assignment alone,
+# which takes 10-35 s for each of the inputs marked slow (run with -m slow).
+_SLOW = pytest.mark.slow
+ORACLE_INPUTS = [
+    *(("--r", f, "A4") for f in ("1/3", "1/9", "5/27", "7/39", "29/75",
+                                 "227/777")),
+    *(("--pres", k, "A4") for k in ("8_5", "10_159")),
+    *(("--r", f, "M(4|3,2)") for f in ("3/5", "3/7", "5/13", "11/17",
+                                       "13/23")),
+    ("--r", "1/5", "M(5|2,4)"),
+    ("--r", "3/7", "M(3|5,2)"),
+    ("--r", "5/9", "M(4|5,2)"),
+    *(pytest.param("--pres", k, "M(5|2,4)", marks=_SLOW)
+      for k in ("10_145", "10_159")),
+    *(pytest.param("--r", f, "M(3|5,2)", marks=_SLOW)
+      for f in ("7/11", "9/23", "9/31")),
+]
+
+
+@pytest.mark.parametrize("source, name, group_name", ORACLE_INPUTS)
+def test_compute_matches_per_assignment_path(source, name, group_name):
+    code, out, _ = run_cli("compute", source, name, "--group", group_name)
+    assert code == 0
+    records = strip_millis([json.loads(line) for line in out.splitlines()])
+    group = group_from_name(group_name)
+    if source == "--r":
+        r = FractionR.parse(name)
+        p, delta = wirtinger_presentation(r), two_bridge_alexander(r)
+    else:
+        p = presentation(name)
+        delta = alexander_poly(p)
+    expected = []
+    for h in find_homs(p, group):
+        if not h.surjective:
+            continue
+        invariant = twisted_alexander(p, perm_rep(h.images, group, p)).invariant
+        verdict = check_factorization(invariant, delta, group.n)
+        expected.append({
+            "input": str(r) if source == "--r" else p.name,
+            "group": group.name(),
+            "assignment": "; ".join(f"{g}={h.images[g]}" for g in p.generators),
+            "surjective": True,
+            "n": group.n,
+            "delta": str(delta),
+            "twisted": str(invariant),
+            "phi": str(verdict.phi),
+            "holds": verdict.holds,
+            "cross_path_match": None,
+        })
+    assert records == expected
 
 
 # -- find-reps ----------------------------------------------------------------
@@ -159,6 +285,29 @@ def test_scan_deterministic_and_parallel(tmp_path):
     def load(path):
         return strip_millis([json.loads(x) for x in path.read_text().splitlines()])
     assert load(a) == load(b) == load(c)
+
+
+def test_scan_jobs_below_one_exit_1(tmp_path):
+    for jobs in ("0", "-2"):
+        code, _, err = run_cli("scan", "--alpha-max", "9", "--group", "A4",
+                               "--out", str(tmp_path / "x.csv"), "--jobs", jobs)
+        assert code == 1
+        assert "input error: --jobs must be at least 1" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_scan_cross_path_disagreement_exit_3(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "twisted_via_recursion", lambda r: P("1"))
+    out_path = tmp_path / "scan.jsonl"
+    code, _, err = run_cli("scan", "--alpha-max", "27", "--group", "A4",
+                           "--h3-only", "--cross-check", "--out", str(out_path))
+    assert code == 3
+    rows = [json.loads(line) for line in out_path.read_text().splitlines()]
+    assert len(rows) >= 4
+    assert all(r["cross_path_match"] is False for r in rows)
+    summary = err.splitlines()[-1]
+    assert summary.startswith("internal consistency failure")
+    assert f"disagree on {len(rows)} of {len(rows)} records (first: 1/3)" in summary
 
 
 def test_scan_json_array(tmp_path):

@@ -16,13 +16,16 @@ from metatap.metabelian import (
     a4_group,
     a4_irreducible_rep,
     build_group,
+    conjugate_by_relabeling,
     cycle_type,
     cyclotomic_coeffs,
     find_homs,
+    generates,
     group_from_name,
     obstruction_passes,
     perm_rep,
     trivial_rep,
+    unit_classes,
     xi0,
 )
 from metatap.twobridge import FractionR, two_bridge_alexander, wirtinger_presentation
@@ -152,6 +155,81 @@ def test_coset_action_is_homomorphism():
                 g.perm_matrix(g.mul(a, b))
 
 
+# -- units of F_p[T] and the coset relabeling ---------------------------------
+
+UNIT_GROUPS = [(3, 2, 3), (4, 3, 8), (5, 2, 15), (3, 5, 24), (4, 5, 16)]
+
+
+def test_units_of_fp_t():
+    # F_4, F_9, F_16, F_25 have q - 1 units; Phi_4 = (z - 2)(z + 3) mod 5,
+    # so F_5[T] = F_5 x F_5 for M(4|5,2) has 16
+    for n, p, count in UNIT_GROUPS:
+        g = build_group(n, p)
+        units = g.units
+        assert len(units) == len(set(units)) == count
+        assert units[0] == identity(g.k)
+        mod = lambda m: tuple(tuple(x % p for x in row) for row in m)
+        for u in units:
+            assert mod(mat_mul(u, g.T)) == mod(mat_mul(g.T, u))
+            for v in units:
+                assert mod(mat_mul(u, v)) in units
+
+
+def test_unit_relabeling_conjugates_perm_matrices():
+    # perm_matrix(phi_U(g)) == Q_U^-1 perm_matrix(g) Q_U, Q_U[i][sigma_U(i)] = 1
+    rng = random.Random(31)
+    for n, p, _ in UNIT_GROUPS:
+        g = build_group(n, p)
+        elems = list(g.elements())
+        size = p**g.k
+        for u in g.units:
+            sigma = g.coset_relabeling(u)
+            q = tuple(tuple(int(sigma[i] == j) for j in range(size))
+                      for i in range(size))
+            q_inv = tuple(zip(*q))
+            for e in rng.sample(elems, 2):
+                assert g.perm_matrix(g.apply_unit(e, u)) == \
+                    mat_mul(mat_mul(q_inv, g.perm_matrix(e)), q)
+
+
+def test_unit_classes_two_bridge():
+    # every surjection of K(3/5) onto M(4|3,2) is phi_U of the first one
+    g = build_group(4, 3)
+    p = wirtinger_presentation(FractionR(3, 5))
+    homs = find_homs(p, g)
+    assignments = [h.images for h in homs]
+    classes = unit_classes(g, assignments)
+    surjective = [i for i, h in enumerate(homs) if h.surjective]
+    assert len(surjective) == 8
+    reps = {classes[i][0] for i in surjective}
+    assert reps == {surjective[0]}
+    for i in surjective:
+        rep, unit = classes[i]
+        assert conjugate_by_relabeling(g, assignments[rep], assignments[i], unit)
+    # the abelian assignment x, y -> s is a class of its own
+    abelian = next(i for i, h in enumerate(homs) if not h.surjective)
+    assert classes[abelian] == (abelian, identity(2))
+
+
+def test_conjugate_by_relabeling_rejects_wrong_unit():
+    g = build_group(5, 2)
+    rep = {"x": g.s(), "y": g.parse_elem("s b1")}
+    unit = g.units[1]
+    member = {name: g.apply_unit(e, unit) for name, e in rep.items()}
+    assert member != rep
+    assert conjugate_by_relabeling(g, rep, member, unit)
+    assert not conjugate_by_relabeling(g, rep, member, g.units[0])
+    assert not conjugate_by_relabeling(g, rep, member, ((0,) * 4,) * 4)
+    assert not conjugate_by_relabeling(g, rep, {"x": g.s()}, g.units[0])
+
+
+def test_generates():
+    g = a4_group()
+    assert generates(g, [g.s(), g.mul(g.s(), g.b(1))])
+    assert not generates(g, [g.s(), g.s()])
+    assert not generates(g, [g.b(1), g.b(2)])
+
+
 # -- representations ----------------------------------------------------------
 
 def test_perm_rep_valid():
@@ -241,6 +319,12 @@ def test_find_homs_fixed_generator_10_145():
     target = {"x": g.parse_elem("s b1 b2 b3 b4"),
               "y": g.parse_elem("s b1"), "z": g.s()}
     assert any(h.images == target and h.surjective for h in homs)
+
+
+def test_find_homs_unknown_fixed_generator():
+    p = wirtinger_presentation(FractionR(1, 3))
+    with pytest.raises(ValueError):
+        find_homs(p, a4_group(), fix="q")
 
 
 def test_find_homs_verification_closure():
