@@ -99,7 +99,8 @@ def _assignment_str(images: dict, p: Presentation) -> str:
 
 def _compute_records(p: Presentation, group: MetaGroup, delta: LaurentPoly,
                      assignments, input_name: str, cross_check: bool,
-                     recursion_value=None) -> list[dict]:
+                     recursion_value=None,
+                     skip_non_polynomial: bool = False) -> list[dict]:
     """One record per assignment, with one determinant per class.
 
     The first assignment of each class (see `unit_classes`) goes through
@@ -107,6 +108,10 @@ def _compute_records(p: Presentation, group: MetaGroup, delta: LaurentPoly,
     reuses its class's result only after `conjugate_by_relabeling` has
     shown, on the coset tables, that its permutation representation is
     conjugate to the representative's by a permutation matrix.
+
+    A non-surjective assignment whose determinant ratio is not a
+    polynomial is an input error, or, with `skip_non_polynomial`, is
+    named on stderr and gets no record.
     """
     classes = unit_classes(group, [images for images, _ in assignments])
     verdicts = {}
@@ -118,15 +123,18 @@ def _compute_records(p: Presentation, group: MetaGroup, delta: LaurentPoly,
             rho = perm_rep(images, group, p)
             result = twisted_alexander(p, rho)
             if result.invariant is None:
-                if not surjective:
+                if surjective:
+                    raise ExactnessError(
+                        f"non-polynomial determinant ratio for {input_name}")
+                if not skip_non_polynomial:
                     raise InputError(
                         f"assignment {_assignment_str(images, p)} is not "
                         f"surjective onto {group.name()}: its determinant "
                         f"ratio for {input_name} is not a polynomial")
-                raise ExactnessError(
-                    f"non-polynomial determinant ratio for {input_name}")
-            verdicts[i] = (result.invariant,
-                           check_factorization(result.invariant, delta, group.n))
+                verdicts[i] = None
+            else:
+                verdicts[i] = (result.invariant, check_factorization(
+                    result.invariant, delta, group.n))
         else:
             rep_images, rep_surjective = assignments[rep]
             if surjective != rep_surjective or not conjugate_by_relabeling(
@@ -135,6 +143,11 @@ def _compute_records(p: Presentation, group: MetaGroup, delta: LaurentPoly,
                     f"assignment {_assignment_str(images, p)} of {input_name} "
                     f"is not conjugate to its class representative "
                     f"{_assignment_str(rep_images, p)}")
+        if verdicts[rep] is None:
+            print(f"skipped: assignment {_assignment_str(images, p)} is not "
+                  f"surjective onto {group.name()} and its determinant ratio "
+                  f"for {input_name} is not a polynomial", file=sys.stderr)
+            continue
         invariant, verdict = verdicts[rep]
         cross = None
         if cross_check and recursion_value is not None and verdict.phi is not None:
@@ -208,7 +221,12 @@ def cmd_compute(args) -> int:
         except NotInH3Error:
             recursion_value = None
     records = _compute_records(p, group, delta, assignments, input_name,
-                               args.cross_check, recursion_value)
+                               args.cross_check, recursion_value,
+                               skip_non_polynomial=args.all and not args.assign)
+    if not records:
+        print(f"no representation of {input_name} onto {group.name()} "
+              f"has a polynomial invariant", file=sys.stderr)
+        return EXIT_NO_REP
     for rec in records:
         print(json.dumps(rec))
     return _cross_path_status(records)
@@ -347,8 +365,16 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_INTERNAL
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports usage errors with the input-error exit code."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise InputError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="metatap",
         description="Exact twisted Alexander polynomials for metabelian "
                     "representations of knot groups.")
@@ -406,8 +432,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except InputError as e:
+        print(f"input error: {e}", file=sys.stderr)
+        return EXIT_INPUT
     if args.command in ("compute", "find-reps"):
         if bool(args.r) == bool(args.pres):
             print("exactly one of --r / --pres is required", file=sys.stderr)

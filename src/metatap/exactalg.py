@@ -516,8 +516,29 @@ def int_charpoly(m: Mat) -> LaurentPoly:
     return PolyMatrix.from_int_matrix(m).charpoly()
 
 
+def _rem_monic(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
+    """Remainder of f modulo the monic polynomial g (nonnegative degrees)."""
+    n = g.degree()
+    rem = [0] * (f.degree() + 1)
+    for d, c in f.terms:
+        rem[d] = c
+    lower = [(d, c) for d, c in g.terms if d < n]
+    for top in range(len(rem) - 1, n - 1, -1):
+        q = rem[top]
+        if q:
+            for d, c in lower:
+                rem[top - n + d] -= q * c
+    return poly_from_coeffs(rem[:n])
+
+
 def resultant(f: LaurentPoly, g: LaurentPoly) -> int:
-    """Resultant of two nonzero integer polynomials (nonnegative degrees)."""
+    """Resultant of two nonzero integer polynomials (nonnegative degrees).
+
+    For monic g with 1 <= deg g < deg f this is
+    (-1)^(deg f * deg g) * Res(g, f mod g), since Res(g, f) is the product
+    of f over the roots of g (von zur Gathen-Gerhard, Modern Computer
+    Algebra, ch. 6).  Otherwise it is the Sylvester-matrix determinant.
+    """
     if f.is_zero() or g.is_zero():
         raise ValueError("resultant of the zero polynomial is undefined here")
     if f.low_degree() < 0 or g.low_degree() < 0:
@@ -527,6 +548,11 @@ def resultant(f: LaurentPoly, g: LaurentPoly) -> int:
         return f.coeff(0) ** n
     if n == 0:
         return g.coeff(0) ** m
+    if m > n and g.coeff(n) == 1:
+        rem = _rem_monic(f, g)
+        if rem.is_zero():
+            return 0
+        return (-1) ** (m * n) * resultant(g, rem)
     size = m + n
     fc = [f.coeff(d) for d in range(m, -1, -1)]
     gc = [g.coeff(d) for d in range(n, -1, -1)]

@@ -8,6 +8,7 @@ polynomials; see exactalg for matrices over Z[t, 1/t].
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 Mat = tuple[tuple[int, ...], ...]
 
@@ -42,9 +43,7 @@ def mat_scale(c: int, a: Mat) -> Mat:
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
     bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
 
 
 def mat_pow(a: Mat, e: int) -> Mat:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import gcd
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .exactalg import LaurentPoly, canonical, poly_from_coeffs, exact_div, resultant
 from .groupcalc import Presentation, Word
@@ -303,14 +303,43 @@ class MetaGroup:
         in lexicographic order: <s> a  ->  <s> (a T^-ell(g) + vec(g))."""
         if g.group != self:
             raise MixedGroupError("element belongs to a different group")
+        return tuple(self.coset_table(g.ell, self.coset_index(g.vec)))
+
+    # -- group law on element indices ----------------------------------------
+
+    @cached_property
+    def index_law(self) -> tuple[list[list[int]], list[list[int]]]:
+        """Tables (act, add) of the group law on element indices.
+
+        The element s^ell b^vec has index ell * p^k + coset_index(vec).
+        act[t][i] is the coset index of vec(i) * T^-t and add[i][j] that of
+        vec(i) + vec(j), so (a, u)(b, v) = (a + b mod n, add[act[b][u]][v]).
+        Built from `_vec_act` and vector addition on first use, once per
+        group object.
+        """
+        vecs = [self.vec_of_index(i) for i in range(self.p**self.k)]
+        act = [[self.coset_index(self._vec_act(v, -t)) for v in vecs]
+               for t in range(self.n)]
+        add = [[self.coset_index(tuple((x + y) % self.p for x, y in zip(v, w)))
+                for w in vecs] for v in vecs]
+        return act, add
+
+    def index(self, g: MetaElem) -> int:
+        if g.group != self:
+            raise MixedGroupError("element belongs to a different group")
+        return g.ell * self.p**self.k + self.coset_index(g.vec)
+
+    def index_mul(self, x: int, y: int) -> int:
+        act, add = self.index_law
         size = self.p**self.k
-        perm = []
-        for idx in range(size):
-            vec = self.vec_of_index(idx)
-            moved = self._vec_act(vec, -g.ell)
-            image = tuple((x + y) % self.p for x, y in zip(moved, g.vec))
-            perm.append(self.coset_index(image))
-        return tuple(perm)
+        a, u = divmod(x, size)
+        b, v = divmod(y, size)
+        return (a + b) % self.n * size + add[act[b][u]][v]
+
+    def coset_table(self, ell: int, v: int) -> list[int]:
+        """The coset permutation of s^ell b^vec(v): i -> add[act[ell][i]][v]."""
+        act, add = self.index_law
+        return [add[i][v] for i in act[ell % self.n]]
 
     def apply_unit(self, g: MetaElem, unit: Mat) -> MetaElem:
         """phi_U(s^ell b^vec) = s^ell b^(vec U) for a unit U of F_p[T]."""
@@ -500,19 +529,29 @@ class HomAssignment:
 
 
 def generates(group: MetaGroup, elems) -> bool:
-    """Whether the elements generate the whole group."""
-    seen = {(e.ell, e.vec) for e in elems}
-    frontier = list(elems)
-    gens = list(elems)
+    """Whether the elements generate the whole group.
+
+    Closes the element indices under right multiplication by the elements;
+    in a finite group that closure is the generated subgroup.
+    """
+    gens = [group.index(e) for e in elems]
+    seen = set(gens)
+    frontier = list(gens)
     while frontier:
-        e = frontier.pop()
+        x = frontier.pop()
         for g in gens:
-            for prod in (group.mul(e, g), group.mul(e, group.inv(g))):
-                key = (prod.ell, prod.vec)
-                if key not in seen:
-                    seen.add(key)
-                    frontier.append(prod)
+            prod = group.index_mul(x, g)
+            if prod not in seen:
+                seen.add(prod)
+                frontier.append(prod)
     return len(seen) == group.order()
+
+
+def _inverse_table(perm: Sequence[int]) -> list[int]:
+    inv = [0] * len(perm)
+    for i, j in enumerate(perm):
+        inv[j] = i
+    return inv
 
 
 def find_homs(p: Presentation, group: MetaGroup,
@@ -523,23 +562,43 @@ def find_homs(p: Presentation, group: MetaGroup,
     Meridian generators of a knot group are all conjugate, so they must land
     in a single conjugacy class; fixing one of them to s is the standard
     normalization.  Results are tagged with a surjectivity flag.
+
+    Relators are evaluated on element indices.  Every image lies in
+    s * (Z/p)^k, so a relator's image has s-exponent equal to its exponent
+    sum for every candidate, and its coset index is found by following the
+    coset 0 through the coset tables of its letters.
     """
     fixed_name = fix if fix is not None else p.generators[0]
     if fixed_name not in p.generators:
         raise ValueError(f"no generator named {fixed_name!r}")
+    if any(sum(1 if letter > 0 else -1 for letter in rel) % group.n
+           for rel in p.relators):
+        return []
     others = [g for g in p.generators if g != fixed_name]
     size = group.p**group.k
+    forward = [group.coset_table(1, v) for v in range(size)]
+    backward = [_inverse_table(table) for table in forward]
+    fixed_index = p.gen_index(fixed_name)
+    other_index = [p.gen_index(name) for name in others]
     results = []
     counters = [0] * len(others)
     while True:
-        images = {fixed_name: group.s()}
-        for name, idx in zip(others, counters):
-            images[name] = group.elem(1, group.vec_of_index(idx))
-        by_index = {p.gen_index(name): images[name] for name in p.generators}
-        if all(
-            group.word_image(rel, by_index) == group.identity_elem()
-            for rel in p.relators
-        ):
+        tables = {fixed_index: forward[0], -fixed_index: backward[0]}
+        for g, idx in zip(other_index, counters):
+            tables[g] = forward[idx]
+            tables[-g] = backward[idx]
+        holds = True
+        for rel in p.relators:
+            u = 0
+            for letter in rel:
+                u = tables[letter][u]
+            if u:
+                holds = False
+                break
+        if holds:
+            images = {fixed_name: group.s()}
+            for name, idx in zip(others, counters):
+                images[name] = group.elem(1, group.vec_of_index(idx))
             surjective = generates(group, list(images.values()))
             results.append(HomAssignment(images, surjective))
         # odometer over the vector indices of the non-fixed generators
@@ -599,9 +658,7 @@ def conjugate_by_relabeling(group: MetaGroup, rep: dict[str, MetaElem],
     size = len(forward)
     if rep.keys() != member.keys() or len(set(forward)) != size:
         return False
-    sigma = [0] * size
-    for i, j in enumerate(forward):
-        sigma[j] = i
+    sigma = _inverse_table(forward)
     for g in rep:
         pi_rep = group.coset_permutation(rep[g])
         pi_member = group.coset_permutation(member[g])

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import ceil, gcd, log2
 from typing import Optional
 
-from .exactalg import LaurentPoly, PolyMatrix, canonical
+from .exactalg import ExactnessError, LaurentPoly, PolyMatrix, canonical
 from .groupcalc import Presentation, Word, fox_derivative
 
 
@@ -133,7 +133,7 @@ def h3_expand(r: FractionR) -> Optional[H3Form]:
     ms = tuple(a // 2 for a in entries[1::2])
     form = H3Form(ks, ms)
     if form.value() != r.as_fraction():
-        raise AssertionError(f"search certificate failed for {r}")
+        raise ExactnessError(f"search certificate failed for {r}")
     return form
 
 

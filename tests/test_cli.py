@@ -4,6 +4,7 @@ import csv
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 
@@ -15,6 +16,7 @@ from metatap.metabelian import MetaGroup, find_homs, group_from_name, perm_rep
 from metatap.twisted import TwistedResult, check_factorization, twisted_alexander
 from metatap.twobridge import (
     FractionR,
+    H3Form,
     alexander_poly,
     two_bridge_alexander,
     wirtinger_presentation,
@@ -105,6 +107,31 @@ def test_compute_non_surjective_assignment_exit_1():
     assert code == 1 and not out
     assert "input error" in err
     assert "x=s; y=s is not surjective" in err
+
+
+def test_compute_all_skips_non_polynomial_non_surjective():
+    code, out, err = run_cli("compute", "--r", "5/27", "--group", "A4", "--all")
+    assert code == 0
+    records = [json.loads(line) for line in out.splitlines()]
+    assert "x=s; y=s" not in [rec["assignment"] for rec in records]
+    assert err.count("\n") == 1
+    assert err.startswith("skipped: assignment x=s; y=s is not surjective")
+    _, plain, _ = run_cli("compute", "--r", "5/27", "--group", "A4")
+    surjective = [rec for rec in records if rec["surjective"]]
+    assert strip_millis(surjective) == strip_millis(
+        [json.loads(line) for line in plain.splitlines()])
+
+
+def test_usage_errors_exit_1():
+    code, out, err = run_cli("scan", "--group", "A4", "--out", "-")
+    assert code == 1 and not out
+    assert "input error" in err and "--alpha-max" in err
+    code, out, err = run_cli("no-such-command")
+    assert code == 1 and not out
+    assert "input error" in err and "invalid choice" in err
+    with pytest.raises(SystemExit) as exc:
+        run_cli("--help")
+    assert exc.value.code == 0
 
 
 def test_compute_non_polynomial_surjective_exit_3(monkeypatch):
@@ -232,6 +259,14 @@ def test_h3_certificate():
     code, out, _ = run_cli("h3", "--r", "5/27")
     assert code == 0
     assert out.strip() == "[6, -2, 3]"
+
+
+def test_h3_certificate_failure_exit_3(monkeypatch):
+    monkeypatch.setattr(H3Form, "value", lambda self: Fraction(0))
+    code, out, err = run_cli("h3", "--r", "5/27")
+    assert code == 3 and not out
+    assert err.startswith("internal consistency failure: search certificate")
+    assert "Traceback" not in err
 
 
 def test_h3_not_found():

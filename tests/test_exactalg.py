@@ -20,6 +20,8 @@ from metatap.exactalg import (
     resultant,
     supported_on_multiples,
 )
+from metatap.intmat import int_det
+from metatap.metabelian import cyclotomic_coeffs
 
 P = parse_poly
 
@@ -226,6 +228,44 @@ def test_resultant_multiplicative():
                 [rng.randint(-4, 4) for _ in range(rng.randint(1, 3))] + [rng.choice([1, -1, 2])])
         f1, f2, g = rp(), rp(), rp()
         assert resultant(f1 * f2, g) == resultant(f1, g) * resultant(f2, g)
+
+
+def sylvester_resultant(f, g):
+    """Res(f, g) as the determinant of the Sylvester matrix, f rows first."""
+    m, n = f.degree(), g.degree()
+    if m == 0 or n == 0:
+        return f.coeff(0) ** n if m == 0 else g.coeff(0) ** m
+    fc = [f.coeff(d) for d in range(m, -1, -1)]
+    gc = [g.coeff(d) for d in range(n, -1, -1)]
+    rows = [[0] * i + fc + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + gc + [0] * (m - 1 - i) for i in range(m)]
+    return int_det(tuple(map(tuple, rows)))
+
+
+def test_resultant_matches_sylvester_oracle():
+    rng = random.Random(11)
+
+    def rp(max_deg, lead):
+        return poly_from_coeffs(
+            [rng.randint(-7, 7) for _ in range(rng.randint(0, max_deg))] + [lead])
+
+    cyclotomics = [poly_from_coeffs(cyclotomic_coeffs(n))
+                   for n in (3, 4, 5, 6, 7, 9, 12)]
+    pairs = []
+    for _ in range(150):
+        f = rp(14, rng.choice([1, -1, 2, -3, 5]))
+        pairs.append((f, rp(5, 1)))                           # monic g
+        pairs.append((f, rp(5, rng.choice([-1, 2, -4, 3]))))  # non-monic g
+        pairs.append((f, rng.choice(cyclotomics)))
+    for phi in cyclotomics:
+        h = poly_from_coeffs([rng.randint(-7, 7) for _ in range(rng.randint(1, 6))]
+                             + [rng.choice([1, -2])])
+        pairs.append((h * phi, phi))                                  # zero remainder
+        pairs.append((h * phi + LaurentPoly.const(rng.randint(2, 9)), phi))  # constant
+    for f, g in pairs:
+        assert resultant(f, g) == sylvester_resultant(f, g)
+        assert resultant(g, f) == sylvester_resultant(g, f)
+    assert any(resultant(f, g) == 0 for f, g in pairs)
 
 
 def test_resultant_trefoil_cyclotomic():

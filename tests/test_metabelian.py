@@ -1,11 +1,13 @@
 """Metabelian groups M(n|p,k), coset permutation representations, the A4
 matrices, homomorphism search, and the resultant obstruction."""
 
+import itertools
 import random
 
 import pytest
 
 from metatap.exactalg import int_charpoly, parse_poly
+from metatap.groupcalc import parse_presentation
 from metatap.intmat import identity, int_det, mat_mul, mat_pow
 from metatap.knotdata import presentation
 from metatap.metabelian import (
@@ -223,6 +225,24 @@ def test_conjugate_by_relabeling_rejects_wrong_unit():
     assert not conjugate_by_relabeling(g, rep, {"x": g.s()}, g.units[0])
 
 
+def test_index_law_matches_mul_and_inv():
+    for n, p in [(3, 2), (4, 3), (5, 2)]:
+        g = build_group(n, p)
+        elems = list(g.elements())
+        assert [g.index(e) for e in elems] == list(range(g.order()))
+        for a in elems:
+            x = g.index(a)
+            assert g.index_mul(x, g.index(g.inv(a))) == 0
+            assert g.index_mul(g.index(g.inv(a)), x) == 0
+            for b in elems:
+                assert g.index_mul(x, g.index(b)) == g.index(g.mul(a, b))
+
+
+def test_index_of_foreign_element_rejected():
+    with pytest.raises(MixedGroupError):
+        build_group(4, 3).index(a4_group().s())
+
+
 def test_generates():
     g = a4_group()
     assert generates(g, [g.s(), g.mul(g.s(), g.b(1))])
@@ -335,6 +355,67 @@ def test_find_homs_verification_closure():
         by_index = {p.gen_index(name): e for name, e in h.images.items()}
         for rel in p.relators:
             assert g.word_image(rel, by_index) == g.identity_elem()
+
+
+def elementwise_generates(group, elems):
+    seen = {(e.ell, e.vec) for e in elems}
+    frontier = list(elems)
+    while frontier:
+        e = frontier.pop()
+        for g in elems:
+            for prod in (group.mul(e, g), group.mul(e, group.inv(g))):
+                if (prod.ell, prod.vec) not in seen:
+                    seen.add((prod.ell, prod.vec))
+                    frontier.append(prod)
+    return len(seen) == group.order()
+
+
+def elementwise_find_homs(p, group, fix=None):
+    """Every candidate in odometer order, each relator through word_image."""
+    fixed = fix or p.generators[0]
+    others = [name for name in p.generators if name != fixed]
+    out = []
+    for combo in itertools.product(range(group.p**group.k), repeat=len(others)):
+        images = {fixed: group.s()}
+        for name, idx in zip(others, combo):
+            images[name] = group.elem(1, group.vec_of_index(idx))
+        by_index = {p.gen_index(name): e for name, e in images.items()}
+        if all(group.word_image(rel, by_index) == group.identity_elem()
+               for rel in p.relators):
+            out.append((images, elementwise_generates(group, list(images.values()))))
+    return out
+
+
+@pytest.mark.parametrize("source, group_args, fix", [
+    (FractionR(1, 3), (3, 2), None),
+    (FractionR(5, 27), (3, 2), None),
+    (FractionR(7, 39), (3, 2), None),
+    ("8_5", (3, 2), None),
+    (FractionR(3, 5), (4, 3), None),
+    (FractionR(13, 23), (4, 3), None),
+    (FractionR(1, 3), (4, 3), None),
+    (FractionR(1, 5), (5, 2), None),
+    ("10_145", (5, 2), None),
+    ("10_145", (5, 2), "z"),
+    (FractionR(5, 9), (4, 5), None),
+    (FractionR(3, 7), (3, 5), None),
+    (FractionR(9, 31), (3, 5), None),
+    # relators with exponent sum 3 (= 0 mod 3) and 2 (no candidate holds)
+    ("gens: x y\nrel: x y x Y x", (3, 2), None),
+    ("gens: x y\nrel: x y", (3, 2), None),
+])
+def test_find_homs_matches_elementwise_search(source, group_args, fix):
+    g = build_group(*group_args)
+    if isinstance(source, FractionR):
+        p = wirtinger_presentation(source)
+    elif source.startswith("gens:"):
+        p = parse_presentation(source)
+    else:
+        p = presentation(source)
+    homs = find_homs(p, g, fix=fix)
+    assert [(h.images, h.surjective) for h in homs] == \
+        elementwise_find_homs(p, g, fix)
+    assert homs or source == "gens: x y\nrel: x y"
 
 
 def test_trivial_rep():
