@@ -29,8 +29,8 @@ from multiprocessing import Pool
 from pathlib import Path
 
 from .exactalg import ExactnessError, LaurentPoly
-from .groupcalc import Presentation, PresentationError, parse_presentation
-from .knotdata import BUNDLED, presentation as bundled_presentation
+from .groupcalc import Presentation, PresentationError
+from .knotdata import BUNDLED, load_presentation
 from .metabelian import (
     MetaGroup,
     a4_group,
@@ -64,16 +64,6 @@ FIELDS = ["input", "group", "assignment", "surjective", "n", "delta",
 
 class InputError(Exception):
     pass
-
-
-def _load_presentation(spec: str) -> Presentation:
-    path = Path(spec)
-    if path.exists():
-        return parse_presentation(path.read_text(), name=path.stem)
-    clean = spec.removesuffix(".pres")
-    if clean in BUNDLED:
-        return bundled_presentation(clean)
-    raise InputError(f"presentation file not found: {spec}")
 
 
 def _parse_assignment(text: str, group: MetaGroup, p: Presentation) -> dict:
@@ -200,7 +190,7 @@ def cmd_compute(args) -> int:
         delta = two_bridge_alexander(r)
         input_name = str(r)
     else:
-        p = _load_presentation(args.pres)
+        p = load_presentation(args.pres)
         delta = alexander_poly(p)
         input_name = p.name or args.pres
     if not args.assign and not obstruction_passes(delta, group.n, group.p):
@@ -329,7 +319,7 @@ def cmd_find_reps(args) -> int:
         delta = two_bridge_alexander(r)
         name = str(r)
     else:
-        p = _load_presentation(args.pres)
+        p = load_presentation(args.pres)
         delta = alexander_poly(p)
         name = p.name or args.pres
     possible = obstruction_passes(delta, group.n, group.p)

@@ -14,7 +14,6 @@ through parse_poly / str.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from typing import Iterable, Optional
 
 from .intmat import Mat, int_det
@@ -87,9 +86,6 @@ class LaurentPoly:
                 return c
         return 0
 
-    def num_terms(self) -> int:
-        return len(self._terms)
-
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
@@ -132,10 +128,6 @@ class LaurentPoly:
     def reversed(self) -> "LaurentPoly":
         """Substitute t -> 1/t."""
         return LaurentPoly(tuple((-d, c) for d, c in self._terms))
-
-    def subst_power(self, n: int) -> "LaurentPoly":
-        """Substitute t -> t^n."""
-        return LaurentPoly(tuple((d * n, c) for d, c in self._terms))
 
     def evaluate(self, x: int) -> int:
         """Evaluate at an integer point; requires no negative degrees."""
@@ -480,17 +472,23 @@ def _interpolation_points(count: int) -> list[int]:
 
 
 def _newton_interpolate(points: list[int], values: list[int]) -> list[int]:
-    """Coefficients (constant first) of the poly through the given points."""
+    """Coefficients (constant first) of the integer polynomial through the points.
+
+    For an integer polynomial at integer nodes every divided difference is
+    an integer, so each step divides exactly; a remainder means no integer
+    polynomial takes these values.
+    """
     n = len(points)
-    divided = [Fraction(v) for v in values]
+    divided = list(values)
     for level in range(1, n):
         for i in range(n - 1, level - 1, -1):
-            divided[i] = (divided[i] - divided[i - 1]) / (
-                points[i] - points[i - level]
-            )
+            q, r = divmod(divided[i] - divided[i - 1], points[i] - points[i - level])
+            if r:
+                raise ExactnessError("interpolated determinant was not integral")
+            divided[i] = q
     # Expand the Newton form into monomial coefficients.
-    coeffs = [Fraction(0)] * n
-    basis = [Fraction(1)] + [Fraction(0)] * (n - 1)  # running product poly
+    coeffs = [0] * n
+    basis = [1] + [0] * (n - 1)  # running product poly
     basis_deg = 0
     for k in range(n):
         ck = divided[k]
@@ -503,12 +501,7 @@ def _newton_interpolate(points: list[int], values: list[int]) -> list[int]:
                 basis[i] = basis[i - 1] - xk * basis[i]
             basis[0] = -xk * basis[0]
             basis_deg += 1
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:
-            raise ExactnessError("interpolated determinant was not integral")
-        out.append(int(c))
-    return out
+    return coeffs
 
 
 def int_charpoly(m: Mat) -> LaurentPoly:

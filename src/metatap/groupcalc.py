@@ -12,7 +12,9 @@ d(uv)/dg = du/dg + u * dv/dg  with  d(g)/dg = 1  and  d(g^-1)/dg = -g^-1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
+
+from .intmat import Mat, identity, mat_mul
 
 
 Letter = int
@@ -196,6 +198,40 @@ def fox_derivative_recursive(w: Word, gen: int) -> GroupRingElem:
     else:
         d_head = GroupRingElem.zero()
     return d_head + fox_derivative_recursive(rest, gen).left_mul_word(Word((head,)))
+
+
+def fox_images(rel: Word, images: Mapping[int, Mat], inv_images: Mapping[int, Mat],
+               dim: int) -> dict[int, dict[int, list[list[int]]]]:
+    """Phi(dR/dg) for every generator g at once, one pass over the relator.
+
+    Phi sends a word w to (its image under `images`) * t^(exponent sum of w).
+    Returns generator -> (degree -> integer matrix) tables; these equal the
+    images of fox_derivative(rel, g) entrywise.
+    """
+    out: dict[int, dict[int, list[list[int]]]] = {}
+    prefix: Mat = identity(dim)
+    deg = 0
+
+    def add(gen: int, sign: int, m: Mat, d: int) -> None:
+        series = out.setdefault(gen, {})
+        acc = series.setdefault(d, [[0] * dim for _ in range(dim)])
+        for i in range(dim):
+            arow = acc[i]
+            mrow = m[i]
+            for j in range(dim):
+                arow[j] += sign * mrow[j]
+
+    for letter in rel:
+        gen = abs(letter)
+        if letter > 0:
+            add(gen, 1, prefix, deg)
+            prefix = mat_mul(prefix, images[gen])
+            deg += 1
+        else:
+            prefix = mat_mul(prefix, inv_images[gen])
+            deg -= 1
+            add(gen, -1, prefix, deg)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ machinery assumes.
 from __future__ import annotations
 
 from importlib import resources
+from pathlib import Path
 
 from .groupcalc import Presentation, parse_presentation
 
@@ -22,3 +23,21 @@ def presentation(name: str) -> Presentation:
         raise KeyError(f"no bundled presentation {name!r}; have {BUNDLED}")
     text = (resources.files("metatap") / "data" / f"{clean}.pres").read_text()
     return parse_presentation(text, name=clean)
+
+
+def load_presentation(spec: str) -> Presentation:
+    """A presentation file, or else a bundled name (with or without .pres).
+
+    Raises ValueError when `spec` is neither or the file cannot be read.
+    """
+    path = Path(spec)
+    if path.exists():
+        try:
+            text = path.read_text()
+        except OSError as e:
+            raise ValueError(f"cannot read presentation file {spec}: {e}") from e
+        return parse_presentation(text, name=path.stem)
+    clean = spec.removesuffix(".pres")
+    if clean in BUNDLED:
+        return presentation(clean)
+    raise ValueError(f"presentation file not found: {spec}")

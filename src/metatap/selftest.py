@@ -1,11 +1,11 @@
-"""Golden-value selftest: recompute every known closed-form answer.
+"""Golden-value selftest: recompute every value of the golden table.
 
 Prints one PASS/FAIL line per check and returns the number of failures.
-Two 16-dimensional reference values for 10_145 and 10_159 are reported as
-KNOWN-DIFF rather than asserted: the recorded products disagree with the
+Two 16-dimensional reference values for 10_145 and 10_159 are reported on
+NOTE lines rather than asserted: the recorded products disagree with the
 invariant computed for every available surjection (they are short by a
 factor (1-t^5)^4, and one coefficient digit); the frozen computed values
-are asserted instead.  See the test suite for the full evidence chain.
+are asserted instead.  See `metatap.golden` and the README.
 """
 
 from __future__ import annotations
@@ -13,26 +13,13 @@ from __future__ import annotations
 import sys
 import time
 
-from .exactalg import canonical, parse_poly
-from .knotdata import presentation as bundled_presentation
-from .metabelian import a4_group, build_group, cycle_type, perm_rep
-from .twisted import check_factorization, standard_a4_assignment, twisted_alexander
+from . import golden
+from .exactalg import canonical
+from .knotdata import presentation
+from .metabelian import build_group, cycle_type, group_from_name
+from .twisted import a4_twisted
 from .twinring import twisted_via_recursion
-from .twobridge import FractionR, alexander_poly, two_bridge_alexander, wirtinger_presentation
-
-P = parse_poly
-
-
-def _phi_for(p, delta, group, images, n):
-    rho = perm_rep(images, group, p)
-    res = twisted_alexander(p, rho)
-    return check_factorization(res.invariant, delta, n)
-
-
-def _std_images(group, p):
-    images = {p.generators[0]: group.s(),
-              p.generators[1]: group.mul(group.s(), group.b(1))}
-    return images
+from .twobridge import FractionR, alexander_poly
 
 
 def run(quick: bool = False, p7: bool = False, out=sys.stdout) -> int:
@@ -45,47 +32,39 @@ def run(quick: bool = False, p7: bool = False, out=sys.stdout) -> int:
             failures += 1
         print(f"{status}  {label}{('  ' + note) if note else ''}", file=out)
 
-    # -- 3-dimensional values for 2-bridge knots, both computation paths ----
-    a4_golden = {
-        "1/3": P("1 - t^3"),
-        "1/9": P("1 - t^3") * P("1 - t^3 + t^6") * P("1 + t^3 + t^6")**2,
-        "5/27": P("1 - t^3") * P("4 + 7*t^3 + 4*t^6"),
-        "7/39": P("1 - t^3") * P("1 - 3*t^3 + t^6") * P("1 + t^3 + t^6")**2,
-        "29/75": P("1 - t^3") * P("4 - t^3") * P("1 - 4*t^3"),
-        "227/777": (P("1 - t^3") * P("1 - 3*t^3 + t^6") * P("1 + t^3 + t^6")
-                    * P("2 - 3*t^3 + 2*t^6")
-                    * P("4 - 36*t^3 - 35*t^6 - 71*t^9 - 35*t^12 - 36*t^15 + 4*t^18")),
-    }
-    A4 = a4_group()
-    for frac, gold in a4_golden.items():
-        r = FractionR.parse(frac)
-        p = wirtinger_presentation(r)
-        from .metabelian import a4_irreducible_rep
+    def check_phi(entry: golden.PhiGolden) -> None:
+        if quick and not entry.quick:
+            return
+        if entry.source in golden.ALEXANDER:
+            report(f"{entry.source} Alexander polynomial",
+                   alexander_poly(presentation(entry.source))
+                   == canonical(golden.ALEXANDER[entry.source]))
+        t0 = time.monotonic()
+        v = entry.verdict()
+        label = entry.label
+        if entry.budget_s is not None:
+            label += f" [{time.monotonic() - t0:.1f}s]"
+        recorded = entry.recorded is not None and v.phi == canonical(entry.recorded)
+        report(label, v.holds and v.phi == canonical(entry.value),
+               note="matches recorded value instead!" if recorded else "")
+        if entry.recorded is not None:
+            print(f"NOTE  {entry.source} recorded reference value differs from the "
+                  f"computed invariant by {entry.discrepancy}; see README", file=out)
 
-        rho3 = a4_irreducible_rep(standard_a4_assignment(p), p)
-        fox = twisted_alexander(p, rho3).invariant
-        rec = twisted_via_recursion(r)
-        want = canonical(gold)
-        report(f"3-dim twisted K({frac}) via Fox calculus", fox == want)
-        report(f"3-dim twisted K({frac}) via cf recursion", rec == want)
+    # -- 3-dimensional values for 2-bridge knots, both computation paths ----
+    for frac, value in golden.A4_3DIM.items():
+        r = FractionR.parse(frac)
+        want = canonical(value)
+        report(f"3-dim twisted K({frac}) via Fox calculus", a4_twisted(r) == want)
+        report(f"3-dim twisted K({frac}) via cf recursion",
+               twisted_via_recursion(r) == want)
 
     # -- torus knots onto M(p|2,p-1) ----------------------------------------
-    cases = [("1/3", a4_group(), 3, P("1 - t^3"))]
-    if not quick:
-        cases.append(("1/5", build_group(5, 2), 5, P("1 - t^5")**5 * P("1 + t^5")**4))
-    for frac, G, n, gold_phi in cases:
-        r = FractionR.parse(frac)
-        p = wirtinger_presentation(r)
-        delta = two_bridge_alexander(r)
-        v = _phi_for(p, delta, G, _std_images(G, p), n)
-        report(f"K({frac}) onto {G.name()}: phi", v.holds and v.phi == canonical(gold_phi))
-    m3 = 2**1 - (2**2 - 1) // 3
-    m5 = 2**3 - (2**4 - 1) // 5
+    for entry in golden.TORUS:
+        check_phi(entry)
     report("torus-knot exponent formula (p=3, p=5)",
-           m3 == 1 and m5 == 5
-           and canonical(P("1 - t^3")**m3 * P("1 + t^3")**(m3 - 1)) == P("1 - t^3")
-           and canonical(P("1 - t^5")**m5 * P("1 + t^5")**(m5 - 1))
-           == canonical(P("1 - t^5")**5 * P("1 + t^5")**4))
+           all(canonical(golden.torus_prediction(group_from_name(e.group).n))
+               == canonical(e.value) for e in golden.TORUS))
 
     # -- conjugation table and coset cycle types ----------------------------
     M524 = build_group(5, 2)
@@ -103,104 +82,18 @@ def run(quick: bool = False, p7: bool = False, out=sys.stdout) -> int:
            cycle_type(M432.coset_permutation(M432.s())) == (1, 4, 4)
            and cycle_type(M432.coset_permutation(sa)) == (1, 4, 4))
 
-    # -- 9-dimensional values -----------------------------------------------
-    m432_golden = [
-        ("3/5", P("1 - t^4")**2),
-        ("3/7", 4 * P("1 - t^4")**2),
-        ("5/13", P("1 - t^12")**2),
-        ("11/17", P("1 - t^4")**4 * P("1 + t^4 + t^8")**3),
-        ("13/23", P("1 - t^4")**2 * P("4 - 13*t^4 - 9*t^8 - 13*t^12 + 4*t^16")),
-    ]
-    for frac, gold in m432_golden:
-        r = FractionR.parse(frac)
-        p = wirtinger_presentation(r)
-        v = _phi_for(p, two_bridge_alexander(r), M432, _std_images(M432, p), 4)
-        report(f"K({frac}) onto M(4|3,2): phi", v.holds and v.phi == canonical(gold))
-
-    # -- 25-dimensional values (skipped with --quick) -----------------------
-    if not quick:
-        M352 = build_group(3, 5)
-        m352_golden = [
-            ("3/7", 16 * P("1 - t^3")**8),
-            ("7/11", P("1 - t^3")**8
-             * P("1 - 3*t^3 - 2*t^6 - 6*t^9 - 5*t^12 - 6*t^15 - 2*t^18 - 3*t^21 + t^24")**2),
-            ("9/23", P("1 - t^3")**8
-             * P("1 - 5*t^6 - 20*t^9 - 28*t^12 - 20*t^15 - 5*t^18 + t^24")**2
-             * P("1 - 5*t^3 + 10*t^6 - 10*t^9 + 7*t^12 - 10*t^15 + 10*t^18 - 5*t^21 + t^24")**2),
-            ("9/31", P("1 - t^3")**8
-             * P("1 + 3*t^3 - 6*t^6 + 15*t^9 - 15*t^12 + 15*t^15 - 6*t^18 + 3*t^21 + t^24")**2
-             * P("4 + 12*t^3 + 36*t^6 + 30*t^9 + 35*t^12 + 30*t^15 + 36*t^18 + 12*t^21 + 4*t^24")**2),
-        ]
-        for frac, gold in m352_golden:
-            r = FractionR.parse(frac)
-            p = wirtinger_presentation(r)
-            t0 = time.monotonic()
-            v = _phi_for(p, two_bridge_alexander(r), M352, _std_images(M352, p), 3)
-            dt = time.monotonic() - t0
-            report(f"K({frac}) onto M(3|5,2): phi [{dt:.1f}s]",
-                   v.holds and v.phi == canonical(gold))
-        M452 = build_group(4, 5)
-        r = FractionR.parse("5/9")
-        p = wirtinger_presentation(r)
-        v = _phi_for(p, two_bridge_alexander(r), M452, _std_images(M452, p), 4)
-        report("K(5/9) onto M(4|5,2): phi (reducible companion)",
-               v.holds and v.phi == canonical(16 * P("1 - t^4")**6))
-
-    # -- non-rational knots --------------------------------------------------
-    p85 = bundled_presentation("8_5")
-    d85 = alexander_poly(p85)
-    report("8_5 Alexander polynomial",
-           d85 == canonical(P("1 - t + t^2") * P("1 - 2*t + t^2 - 2*t^3 + t^4")))
-    img85 = {"x": A4.s(), "y": A4.mul(A4.s(), A4.b(1)), "z": A4.s()}
-    v = _phi_for(p85, d85, A4, img85, 3)
-    report("8_5 onto A4: phi",
-           v.holds and v.phi == canonical(P("1 - t^3") * P("1 - 8*t^3 - 6*t^6 - 8*t^9 + t^12")))
-
-    p159 = bundled_presentation("10_159")
-    d159 = alexander_poly(p159)
-    img159 = {"x": A4.s(), "y": A4.s(), "z": A4.mul(A4.s(), A4.b(1))}
-    v = _phi_for(p159, d159, A4, img159, 3)
-    report("10_159 onto A4: phi",
-           v.holds and v.phi == canonical(P("1 - t^3") * P("1 - 3*t^3 - 3*t^6 - 3*t^9 + t^12")))
-
-    if not quick:
-        p145 = bundled_presentation("10_145")
-        d145 = alexander_poly(p145)
-        report("10_145 Alexander polynomial",
-               d145 == canonical(P("1 + t - 3*t^2 + t^3 + t^4")))
-        img145 = {"x": M524.parse_elem("s b1 b2 b3 b4"),
-                  "y": M524.parse_elem("s b1"), "z": M524.s()}
-        v = _phi_for(p145, d145, M524, img145, 5)
-        frozen = canonical(P("1 - t^5")**5 * P("1 + 14*t^5 + t^10") * P("1 + 30*t^5 + t^10"))
-        recorded = canonical(P("1 - t^5") * P("1 + 14*t^5 + t^10") * P("1 + 3*t^5 + t^10"))
-        report("10_145 onto M(5|2,4): phi (frozen computed value)",
-               v.holds and v.phi == frozen,
-               note="" if v.phi != recorded else "matches recorded value instead!")
-        print(f"NOTE  10_145 recorded reference value differs from the computed"
-              f" invariant by (1-t^5)^4 and one digit; see README", file=out)
-
-        img159b = {"x": M524.s(), "y": M524.parse_elem("s b1 b4"),
-                   "z": M524.parse_elem("s b1")}
-        v = _phi_for(p159, d159, M524, img159b, 5)
-        frozen = canonical(P("1 - t^5")**5 * P("1 + 3*t^5 + t^10")
-                           * P("1 - 31*t^5 + 12*t^10 - 31*t^15 + t^20")
-                           * P("1 + 5*t^5 + 52*t^10 + 5*t^15 + t^20"))
-        report("10_159 onto M(5|2,4): phi (frozen computed value)",
-               v.holds and v.phi == frozen)
-        print(f"NOTE  10_159 recorded reference value differs from the computed"
-              f" invariant by (1-t^5)^4; see README", file=out)
+    # -- the 9-, 16- and 25-dimensional values and the non-rational knots ---
+    for entry in golden.PHI[len(golden.TORUS):]:
+        check_phi(entry)
 
     # -- optional long-running p = 7 torus-knot check -----------------------
     if p7:
-        G = build_group(7, 2)
-        r = FractionR.parse("1/7")
-        p = wirtinger_presentation(r)
+        group = build_group(7, 2)
         t0 = time.monotonic()
-        v = _phi_for(p, two_bridge_alexander(r), G, _std_images(G, p), 7)
+        v = golden.phi_verdict(golden.permutation_rep("1/7", group), group.n)
         dt = time.monotonic() - t0
-        m7 = 2**5 - (2**6 - 1) // 7
-        predicted = canonical(P("1 - t^7")**m7 * P("1 + t^7")**(m7 - 1))
-        agrees = v.phi == predicted
+        m7 = golden.torus_exponent(7)
+        agrees = v.phi == canonical(golden.torus_prediction(7))
         print(f"INFO  K(1/7) onto M(7|2,6) [{dt:.0f}s]: holds={v.holds}; "
               f"exponent-formula prediction (m={m7}) "
               f"{'matches' if agrees else 'does NOT match'}", file=out)

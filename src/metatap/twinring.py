@@ -155,7 +155,6 @@ ONE_A = APoly.one()
 # (exponent sum of w), so x sits at t, y at t, and inverses at t^-1.
 XT = APoly.monomial(X, 1)
 YT = APoly.monomial(Y, 1)
-XINV_T = APoly.monomial(XINV, -1)
 YINV_T = APoly.monomial(YINV, -1)
 
 

@@ -30,10 +30,10 @@ from .exactalg import (
     exact_div,
     supported_on_multiples,
 )
-from .groupcalc import GroupRingElem, Presentation, Word
-from .intmat import Mat, identity, mat_mul
+from .groupcalc import GroupRingElem, Presentation, Word, fox_images
 from .metabelian import (
     MetaElem,
+    MetaGroup,
     Representation,
     a4_group,
     a4_irreducible_rep,
@@ -66,39 +66,6 @@ def _series_to_matrix(series: dict[int, list[list[int]]], dim: int) -> PolyMatri
             row.append(LaurentPoly((deg, m[i][j]) for deg, m in series.items()))
         rows.append(row)
     return PolyMatrix(rows)
-
-
-def _fox_images(rel: Word, rho: Representation) -> dict[int, dict[int, list[list[int]]]]:
-    """Phi(dR/dg) for every generator g at once, one pass over the relator.
-
-    Returns generator -> (degree -> integer matrix) tables; equals
-    phi_map(fox_derivative(rel, g), rho) entrywise.
-    """
-    dim = rho.dim
-    out: dict[int, dict[int, list[list[int]]]] = {}
-    prefix: Mat = identity(dim)
-    deg = 0
-
-    def add(gen: int, sign: int, m: Mat, d: int) -> None:
-        series = out.setdefault(gen, {})
-        acc = series.setdefault(d, [[0] * dim for _ in range(dim)])
-        for i in range(dim):
-            arow = acc[i]
-            mrow = m[i]
-            for j in range(dim):
-                arow[j] += sign * mrow[j]
-
-    for letter in rel:
-        gen = abs(letter)
-        if letter > 0:
-            add(gen, 1, prefix, deg)
-            prefix = mat_mul(prefix, rho.images[gen])
-            deg += 1
-        else:
-            prefix = mat_mul(prefix, rho.inv_images[gen])
-            deg -= 1
-            add(gen, -1, prefix, deg)
-    return out
 
 
 def _phi_generator_minus_one(gen: int, rho: Representation) -> PolyMatrix:
@@ -149,7 +116,8 @@ def twisted_alexander(p: Presentation, rho: Representation,
         order = [p.gen_index(delete)]
     else:
         order = list(range(p.num_generators, 0, -1))
-    fox_tables = [_fox_images(rel, rho) for rel in p.relators]
+    fox_tables = [fox_images(rel, rho.images, rho.inv_images, rho.dim)
+                  for rel in p.relators]
     for gen in order:
         den = _phi_generator_minus_one(gen, rho).det()
         if den.is_zero():
@@ -229,9 +197,9 @@ def check_factorization(twisted: LaurentPoly, delta: LaurentPoly, n: int) -> Ver
     return Verdict(True, phi, n, "")
 
 
-def standard_a4_assignment(p: Presentation) -> dict[str, MetaElem]:
-    """f(x) = s, f(y) = s b1 in M(3|2,2), i.e. the images X and Y of xi0."""
-    group = a4_group()
+def standard_assignment(group: MetaGroup, p: Presentation) -> dict[str, MetaElem]:
+    """f(x) = s, f(y) = s b1 for a 2-generator presentation; over A4 these
+    are the images X and Y of xi0."""
     if p.num_generators != 2:
         raise ValueError("standard assignment applies to 2-generator presentations")
     return {p.generators[0]: group.s(),
@@ -243,7 +211,7 @@ def a4_twisted(r: FractionR) -> LaurentPoly:
     assignment x -> s, y -> s b1; raises NotHomomorphismError when that
     assignment is not a homomorphism for this fraction."""
     p = wirtinger_presentation(r)
-    rho = a4_irreducible_rep(standard_a4_assignment(p), p)
+    rho = a4_irreducible_rep(standard_assignment(a4_group(), p), p)
     result = twisted_alexander(p, rho)
     if result.invariant is None:
         raise ExactnessError("3-dimensional invariant was not polynomial")
@@ -257,7 +225,7 @@ def check_a4_form(r: FractionR) -> Verdict:
     """
     p = wirtinger_presentation(r)
     group = a4_group()
-    std = standard_a4_assignment(p)
+    std = standard_assignment(group, p)
     homs = find_homs(p, group)
     surjective = [h for h in homs if h.surjective]
     if not surjective:

@@ -17,7 +17,8 @@ from math import ceil, gcd, log2
 from typing import Optional
 
 from .exactalg import ExactnessError, LaurentPoly, PolyMatrix, canonical
-from .groupcalc import Presentation, Word, fox_derivative
+from .groupcalc import Presentation, Word, fox_images
+from .intmat import identity
 
 
 class CFError(ValueError):
@@ -197,16 +198,13 @@ def alexander_poly(p: Presentation) -> LaurentPoly:
     if not p.deficiency_one():
         raise ValueError("presentation must have one fewer relator than generators")
     n = p.num_generators
+    trivial = {g: identity(1) for g in range(1, n + 1)}
     rows = []
     for rel in p.relators:
-        row = []
-        for g in range(1, n):  # delete the last generator's column
-            entry = LaurentPoly(
-                (w.exponent_sum(), c)
-                for w, c in fox_derivative(rel, g).terms.items()
-            )
-            row.append(entry)
-        rows.append(row)
+        table = fox_images(rel, trivial, trivial, 1)
+        # delete the last generator's column
+        rows.append([LaurentPoly((d, m[0][0]) for d, m in table.get(g, {}).items())
+                     for g in range(1, n)])
     det = PolyMatrix(rows).det() if n > 1 else LaurentPoly.one()
     if det.is_zero():
         raise NotAKnotGroupError("Alexander matrix is singular")

@@ -1,13 +1,14 @@
 """Acceptance suite: every golden value, the full sweep, and the property
 batteries, each printing one PASS/FAIL line.
 
-All polynomial comparisons are exact equalities of unit-normalized canonical
-forms (invariants are defined up to +-t^k).  Two recorded reference values
-for the 16-dimensional invariants of 10_145 and 10_159 are asserted verbatim
-as strict xfails: they are unattainable — every surjection onto M(5|2,4)
-yields one and the same invariant, which differs from those records by a
-factor (1 - t^5)^4 (and one coefficient digit); the frozen computed values
-are asserted in test_twisted.py.
+The golden values come from `metatap.golden`.  All polynomial comparisons
+are exact equalities of unit-normalized canonical forms (invariants are
+defined up to +-t^k).  Two recorded reference values for the 16-dimensional
+invariants of 10_145 and 10_159 are asserted verbatim as strict xfails:
+they are unattainable — every surjection onto M(5|2,4) yields one and the
+same invariant, which differs from those records by a factor (1 - t^5)^4
+(and one coefficient digit); the frozen computed values are asserted by
+test_nonrational_16_dim_structure.
 """
 
 import random
@@ -16,23 +17,19 @@ from itertools import product
 
 import pytest
 
-from metatap.exactalg import canonical, parse_poly
+from metatap.exactalg import canonical
+from metatap.golden import A4_3DIM, PHI, TORUS, torus_prediction
 from metatap.groupcalc import GroupRingElem, Word, fox_derivative
 from metatap.intmat import identity, mat_add, mat_mul, mat_pow, mat_scale, mat_sub, zeros
-from metatap.knotdata import presentation
 from metatap.metabelian import (
     NotHomomorphismError,
     a4_group,
     a4_irreducible_rep,
     build_group,
     cycle_type,
-    perm_rep,
+    group_from_name,
 )
-from metatap.twisted import (
-    check_factorization,
-    standard_a4_assignment,
-    twisted_alexander,
-)
+from metatap.twisted import a4_twisted, standard_assignment, twisted_alexander
 from metatap.twinring import (
     APoly,
     X,
@@ -55,227 +52,123 @@ from metatap.twinring import (
 from metatap.twobridge import (
     FractionR,
     H3Form,
-    alexander_poly,
     enumerate_fractions,
     h3_expand,
-    two_bridge_alexander,
     wirtinger_presentation,
 )
-
-P = parse_poly
-ONE_MINUS_T = P("1 - t")
 
 
 def report(label):
     print(f"ACCEPTANCE {label}: PASS")
 
 
-def std_images(group, p):
-    return {p.generators[0]: group.s(),
-            p.generators[1]: group.mul(group.s(), group.b(1))}
+def golden_cases(group, bundled=False):
+    """The table's phi entries over `group`, for 2-bridge or bundled knots."""
+    return [e for e in PHI if e.group == group and ("/" not in e.source) == bundled]
 
 
-def phi_of(p, group, images, n, delta=None):
-    rho = perm_rep(images, group, p)
-    res = twisted_alexander(p, rho)
-    if delta is None:
-        delta = alexander_poly(p)
-    v = check_factorization(res.invariant, delta, n)
-    assert v.holds, f"support test failed for {p.name}"
-    return v.phi
+def assert_phi(entries):
+    for entry in entries:
+        t0 = time.monotonic()
+        v = entry.verdict()
+        elapsed = time.monotonic() - t0
+        assert v.holds, f"support test failed for {entry.label}"
+        assert v.phi == canonical(entry.value), entry.label
+        if entry.budget_s is not None:
+            assert elapsed < entry.budget_s, \
+                f"{entry.label} took {elapsed:.0f}s (budget {entry.budget_s:.0f}s)"
 
 
-# -- 1: the five displayed 3-dimensional products ------------------------------
-
-A4_GOLDEN = {
-    "1/9": lambda: P("1 - t^3") * P("1 - t^3 + t^6") * P("1 + t^3 + t^6")**2,
-    "5/27": lambda: P("1 - t^3") * P("4 + 7*t^3 + 4*t^6"),
-    "7/39": lambda: P("1 - t^3") * P("1 - 3*t^3 + t^6") * P("1 + t^3 + t^6")**2,
-    "29/75": lambda: P("1 - t^3") * P("4 - t^3") * P("1 - 4*t^3"),
-    "227/777": lambda: (
-        P("1 - t^3") * P("1 - 3*t^3 + t^6") * P("1 + t^3 + t^6")
-        * P("2 - 3*t^3 + 2*t^6")
-        * P("4 - 36*t^3 - 35*t^6 - 71*t^9 - 35*t^12 - 36*t^15 + 4*t^18")),
-}
+NINE_DIM = golden_cases("M(4|3,2)")
+TWENTY_FIVE_DIM = golden_cases("M(3|5,2)")
+REDUCIBLE = golden_cases("M(4|5,2)")
+NONRATIONAL_A4 = golden_cases("A4", bundled=True)
+SIXTEEN_DIM = golden_cases("M(5|2,4)", bundled=True)
 
 
-def a4_invariant(r: FractionR):
-    p = wirtinger_presentation(r)
-    rho = a4_irreducible_rep(standard_a4_assignment(p), p)
-    return twisted_alexander(p, rho).invariant
+def test_every_golden_entry_is_an_acceptance_case():
+    sections = (TORUS, NINE_DIM, TWENTY_FIVE_DIM, REDUCIBLE, NONRATIONAL_A4,
+                SIXTEEN_DIM)
+    cases = sorted(e.label for section in sections for e in section)
+    assert cases == sorted(e.label for e in PHI)
 
+
+# -- 1: the displayed 3-dimensional products -----------------------------------
 
 def test_two_bridge_a4_goldens():
-    for frac, gold in A4_GOLDEN.items():
-        value = a4_invariant(FractionR.parse(frac))
-        assert value == canonical(gold()), frac
-    report("five displayed 3-dim twisted products")
+    for frac, value in A4_3DIM.items():
+        assert a4_twisted(FractionR.parse(frac)) == canonical(value), frac
+    report("displayed 3-dim twisted products")
 
 
 # -- 2: base anchor -------------------------------------------------------------
 
 def test_base_anchor():
-    assert a4_invariant(FractionR(1, 3)) == P("1 - t^3")
+    assert a4_twisted(FractionR(1, 3)) == canonical(A4_3DIM["1/3"])
     report("base anchor: 3-dim twisted of K(1/3) = 1 - t^3")
 
 
 # -- 3: torus knots onto M(p|2,p-1) and the exponent formula ---------------------
 
 def test_torus_knot_binary_targets():
-    r3 = FractionR(1, 3)
-    p3 = wirtinger_presentation(r3)
-    phi3 = phi_of(p3, a4_group(), std_images(a4_group(), p3), 3,
-                  delta=two_bridge_alexander(r3))
-    assert phi3 == P("1 - t^3")
-
-    g5 = build_group(5, 2)
-    r5 = FractionR(1, 5)
-    p5 = wirtinger_presentation(r5)
-    phi5 = phi_of(p5, g5, std_images(g5, p5), 5,
-                  delta=two_bridge_alexander(r5))
-    assert phi5 == canonical(P("1 - t^5")**5 * P("1 + t^5")**4)
-
+    assert_phi(TORUS)
     # exponent formula m = 2^(p-2) - floor((2^(p-1) - 1)/p) at p = 3 and 5
-    m3 = 2**1 - (2**2 - 1) // 3
-    m5 = 2**3 - (2**4 - 1) // 5
-    assert m3 == 1 and m5 == 5
-    assert phi3 == canonical(P("1 - t^3")**m3 * P("1 + t^3")**(m3 - 1))
-    assert phi5 == canonical(P("1 - t^5")**m5 * P("1 + t^5")**(m5 - 1))
+    for entry in TORUS:
+        n = group_from_name(entry.group).n
+        assert canonical(torus_prediction(n)) == canonical(entry.value), entry.label
     report("torus knots K(1/3), K(1/5) onto M(p|2,p-1) + exponent formula")
 
 
 # -- 4: the nine-dimensional values ----------------------------------------------
 
 def test_nine_dim_values():
-    g = build_group(4, 3)
-    golden = {
-        "3/5": P("1 - t^4")**2,
-        "3/7": 4 * P("1 - t^4")**2,
-        "5/13": P("1 - t^12")**2,
-        "11/17": P("1 - t^4")**4 * P("1 + t^4 + t^8")**3,
-        "13/23": P("1 - t^4")**2 * P("4 - 13*t^4 - 9*t^8 - 13*t^12 + 4*t^16"),
-    }
-    for frac, gold in golden.items():
-        r = FractionR.parse(frac)
-        p = wirtinger_presentation(r)
-        phi = phi_of(p, g, std_images(g, p), 4, delta=two_bridge_alexander(r))
-        assert phi == canonical(gold), frac
+    assert_phi(NINE_DIM)
     report("nine-dimensional phi values for M(4|3,2)")
 
 
 # -- 5: the 25-dimensional stress cases ------------------------------------------
 
 def test_twenty_five_dim_values():
-    g = build_group(3, 5)
-    golden = {
-        "3/7": 16 * P("1 - t^3")**8,
-        "7/11": P("1 - t^3")**8 * P(
-            "1 - 3*t^3 - 2*t^6 - 6*t^9 - 5*t^12 - 6*t^15 - 2*t^18 - 3*t^21 + t^24")**2,
-        "9/23": P("1 - t^3")**8
-        * P("1 - 5*t^6 - 20*t^9 - 28*t^12 - 20*t^15 - 5*t^18 + t^24")**2
-        * P("1 - 5*t^3 + 10*t^6 - 10*t^9 + 7*t^12 - 10*t^15 + 10*t^18 - 5*t^21 + t^24")**2,
-        "9/31": P("1 - t^3")**8
-        * P("1 + 3*t^3 - 6*t^6 + 15*t^9 - 15*t^12 + 15*t^15 - 6*t^18 + 3*t^21 + t^24")**2
-        * P("4 + 12*t^3 + 36*t^6 + 30*t^9 + 35*t^12 + 30*t^15 + 36*t^18 + 12*t^21 + 4*t^24")**2,
-    }
-    for frac, gold in golden.items():
-        r = FractionR.parse(frac)
-        p = wirtinger_presentation(r)
-        t0 = time.monotonic()
-        phi = phi_of(p, g, std_images(g, p), 3, delta=two_bridge_alexander(r))
-        elapsed = time.monotonic() - t0
-        assert phi == canonical(gold), frac
-        assert elapsed < 180, f"{frac} took {elapsed:.0f}s (budget 180s)"
+    assert_phi(TWENTY_FIVE_DIM)
     report("25-dimensional phi values for M(3|5,2) within time budget")
 
 
 # -- 6: reducible companion matrix -----------------------------------------------
 
 def test_reducible_companion_value():
-    g = build_group(4, 5)
-    assert not g.irreducible
-    r = FractionR(5, 9)
-    p = wirtinger_presentation(r)
-    phi = phi_of(p, g, std_images(g, p), 4, delta=two_bridge_alexander(r))
-    assert phi == canonical(16 * P("1 - t^4")**6)
+    assert not build_group(4, 5).irreducible
+    assert_phi(REDUCIBLE)
     report("K(5/9) onto M(4|5,2) despite reducible companion matrix")
 
 
 # -- 7: non-rational knots --------------------------------------------------------
 
 def test_nonrational_a4_values():
-    g = a4_group()
-    p85 = presentation("8_5")
-    phi = phi_of(p85, g, {"x": g.s(), "y": g.parse_elem("s b1"), "z": g.s()}, 3)
-    assert phi == canonical(P("1 - t^3") * P("1 - 8*t^3 - 6*t^6 - 8*t^9 + t^12"))
-
-    p159 = presentation("10_159")
-    phi = phi_of(p159, g, {"x": g.s(), "y": g.s(), "z": g.parse_elem("s b1")}, 3)
-    assert phi == canonical(P("1 - t^3") * P("1 - 3*t^3 - 3*t^6 - 3*t^9 + t^12"))
+    assert_phi(NONRATIONAL_A4)
     report("non-rational knots 8_5 and 10_159 with the 4-dim A4 target")
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="recorded reference value is unattainable: every surjection of the"
-           " 10_145 group onto M(5|2,4) yields the same invariant, which"
-           " exceeds this record by (1 - t^5)^4 and differs in one"
-           " coefficient digit (30 vs 3); see test_twisted.py for the frozen"
-           " computed value and tests below for the evidence")
-def test_nonrational_10_145_m524_recorded_value():
-    g = build_group(5, 2)
-    p = presentation("10_145")
-    imgs = {"x": g.parse_elem("s b1 b2 b3 b4"), "y": g.parse_elem("s b1"),
-            "z": g.s()}
-    phi = phi_of(p, g, imgs, 5)
-    recorded = canonical(P("1 - t^5") * P("1 + 14*t^5 + t^10")
-                         * P("1 + 3*t^5 + t^10"))
-    if phi != recorded:
-        print("ACCEPTANCE 10_145 16-dim recorded value: FAIL (known defect "
-              "in the recorded value; frozen computed value is verified)")
-    assert phi == recorded
-
-
-@pytest.mark.xfail(
-    strict=True,
-    reason="recorded reference value is unattainable: every surjection of the"
-           " 10_159 group onto M(5|2,4) yields the same invariant, which"
-           " exceeds this record by exactly (1 - t^5)^4; see test_twisted.py"
-           " for the frozen computed value")
-def test_nonrational_10_159_m524_recorded_value():
-    g = build_group(5, 2)
-    p = presentation("10_159")
-    imgs = {"x": g.s(), "y": g.parse_elem("s b1 b4"), "z": g.parse_elem("s b1")}
-    phi = phi_of(p, g, imgs, 5)
-    recorded = canonical(P("1 - t^5") * P("1 + 3*t^5 + t^10")
-                         * P("1 - 31*t^5 + 12*t^10 - 31*t^15 + t^20")
-                         * P("1 + 5*t^5 + 52*t^10 + 5*t^15 + t^20"))
-    if phi != recorded:
-        print("ACCEPTANCE 10_159 16-dim recorded value: FAIL (known defect "
-              "in the recorded value; frozen computed value is verified)")
-    assert phi == recorded
+@pytest.mark.parametrize("entry", [
+    pytest.param(e, id=e.source, marks=pytest.mark.xfail(
+        strict=True,
+        reason=f"recorded reference value is unattainable: every surjection of"
+               f" the {e.source} group onto {e.group} yields the same invariant,"
+               f" which differs from this record by {e.discrepancy}; the frozen"
+               f" computed value is asserted by test_nonrational_16_dim_structure"))
+    for e in PHI if e.recorded is not None])
+def test_nonrational_m524_recorded_value(entry):
+    phi = entry.verdict().phi
+    if phi != canonical(entry.recorded):
+        print(f"ACCEPTANCE {entry.source} 16-dim recorded value: FAIL (known "
+              f"defect in the recorded value; frozen computed value is verified)")
+    assert phi == canonical(entry.recorded)
 
 
 def test_nonrational_16_dim_structure():
     """What is machine-checkable about the 16-dim cases holds: the
-    factorization with t^5 support, invariance across all surjections and
-    deleted columns, and agreement with the recorded values on every factor
-    except the (1 - t^5) power (plus one digit for 10_145)."""
-    g = build_group(5, 2)
-    cases = {
-        "10_145": (P("1 - t^5")**5 * P("1 + 14*t^5 + t^10")
-                   * P("1 + 30*t^5 + t^10"),
-                   {"x": "s b1 b2 b3 b4", "y": "s b1", "z": "s"}),
-        "10_159": (P("1 - t^5")**5 * P("1 + 3*t^5 + t^10")
-                   * P("1 - 31*t^5 + 12*t^10 - 31*t^15 + t^20")
-                   * P("1 + 5*t^5 + 52*t^10 + 5*t^15 + t^20"),
-                   {"x": "s", "y": "s b1 b4", "z": "s b1"}),
-    }
-    for name, (frozen, assign) in cases.items():
-        p = presentation(name)
-        imgs = {k: g.parse_elem(v) for k, v in assign.items()}
-        phi = phi_of(p, g, imgs, 5)
-        assert phi == canonical(frozen), name
+    factorization with t^5 support and the frozen computed values (the
+    recorded values differ, see the xfail notes)."""
+    assert_phi(SIXTEEN_DIM)
     report("16-dim factorization holds; frozen values verified (recorded "
            "values differ, see xfail notes)")
 
@@ -290,7 +183,7 @@ def test_h3_sweep_cross_path_alpha_99():
             continue
         p = wirtinger_presentation(r)
         try:
-            rho = a4_irreducible_rep(standard_a4_assignment(p), p)
+            rho = a4_irreducible_rep(standard_assignment(a4_group(), p), p)
         except NotHomomorphismError:
             continue
         members += 1
@@ -406,39 +299,13 @@ def test_properties_fox_500_words():
 
 
 def test_properties_column_independence_acceptance_inputs():
-    g4 = a4_group()
-    g43 = build_group(4, 3)
-    g35 = build_group(3, 5)
-    g45 = build_group(4, 5)
-    g52 = build_group(5, 2)
     inputs = []
-    for frac in A4_GOLDEN:
+    for frac in A4_3DIM:
         p = wirtinger_presentation(FractionR.parse(frac))
-        inputs.append((p, a4_irreducible_rep(standard_a4_assignment(p), p)))
-    for frac in ("3/5", "3/7", "5/13", "11/17", "13/23"):
-        p = wirtinger_presentation(FractionR.parse(frac))
-        inputs.append((p, perm_rep(std_images(g43, p), g43, p)))
-    for frac in ("3/7", "7/11", "9/23", "9/31"):
-        p = wirtinger_presentation(FractionR.parse(frac))
-        inputs.append((p, perm_rep(std_images(g35, p), g35, p)))
-    p = wirtinger_presentation(FractionR(5, 9))
-    inputs.append((p, perm_rep(std_images(g45, p), g45, p)))
-    p = wirtinger_presentation(FractionR(1, 5))
-    inputs.append((p, perm_rep(std_images(g52, p), g52, p)))
-    p85 = presentation("8_5")
-    inputs.append((p85, perm_rep(
-        {"x": g4.s(), "y": g4.parse_elem("s b1"), "z": g4.s()}, g4, p85)))
-    p159 = presentation("10_159")
-    inputs.append((p159, perm_rep(
-        {"x": g4.s(), "y": g4.s(), "z": g4.parse_elem("s b1")}, g4, p159)))
-    inputs.append((p159, perm_rep(
-        {"x": g52.s(), "y": g52.parse_elem("s b1 b4"),
-         "z": g52.parse_elem("s b1")}, g52, p159)))
-    p145 = presentation("10_145")
-    inputs.append((p145, perm_rep(
-        {"x": g52.parse_elem("s b1 b2 b3 b4"), "y": g52.parse_elem("s b1"),
-         "z": g52.s()}, g52, p145)))
-    for p, rho in inputs:
+        inputs.append(a4_irreducible_rep(standard_assignment(a4_group(), p), p))
+    inputs.extend(entry.representation() for entry in PHI)
+    for rho in inputs:
+        p = rho.presentation
         results = [twisted_alexander(p, rho, delete=name)
                    for name in p.generators]
         first = results[0]

@@ -11,6 +11,8 @@ import pytest
 from metatap import cli
 from metatap.cli import main
 from metatap.exactalg import canonical, parse_poly
+from metatap.golden import A4_3DIM, ALEXANDER, PHI, phi_value
+from metatap.groupcalc import print_presentation
 from metatap.knotdata import presentation
 from metatap.metabelian import MetaGroup, find_homs, group_from_name, perm_rep
 from metatap.twisted import TwistedResult, check_factorization, twisted_alexander
@@ -43,7 +45,7 @@ def test_compute_a4_golden():
     assert code == 0
     records = [json.loads(line) for line in out.splitlines()]
     assert records
-    gold = canonical(P("1 - t^3") * P("4 + 7*t^3 + 4*t^6"))
+    gold = canonical(A4_3DIM["5/27"])
     for rec in records:
         assert rec["holds"] is True
         assert P(rec["phi"]) == gold
@@ -65,8 +67,28 @@ def test_compute_with_assignment_and_pres():
     assert code == 0
     rec = json.loads(out.splitlines()[0])
     assert rec["holds"] is True
-    assert P(rec["phi"]) == canonical(
-        P("1 - t^3") * P("1 - 3*t^3 - 3*t^6 - 3*t^9 + t^12"))
+    assert P(rec["phi"]) == canonical(phi_value("10_159", "A4"))
+
+
+def test_compute_pres_file_and_bundled_suffix(tmp_path):
+    path = tmp_path / "knot.pres"
+    path.write_text(print_presentation(presentation("10_159")))
+    _, bundled, _ = run_cli("compute", "--pres", "10_159", "--group", "A4")
+    expected = strip_millis([json.loads(line) for line in bundled.splitlines()])
+    assert expected
+    for spec, name in ((str(path), "knot"), ("10_159.pres", "10_159")):
+        code, out, err = run_cli("compute", "--pres", spec, "--group", "A4")
+        assert code == 0 and not err
+        assert strip_millis([json.loads(line) for line in out.splitlines()]) == \
+            [dict(rec, input=name) for rec in expected]
+
+
+def test_compute_pres_directory_exit_1(tmp_path):
+    for command in ("compute", "find-reps"):
+        code, out, err = run_cli(command, "--pres", str(tmp_path), "--group", "A4")
+        assert code == 1 and not out
+        assert err.startswith("input error: cannot read presentation file")
+        assert "Traceback" not in err
 
 
 def test_compute_cross_check():
@@ -182,20 +204,13 @@ def test_compute_wrong_relabeling_exit_3(monkeypatch):
 # Every golden input of the suite.  compute takes one determinant per class;
 # the reference runs perm_rep + twisted_alexander on each assignment alone,
 # which takes 10-35 s for each of the inputs marked slow (run with -m slow).
-_SLOW = pytest.mark.slow
+_SLOW = {("7/11", "M(3|5,2)"), ("9/23", "M(3|5,2)"), ("9/31", "M(3|5,2)"),
+         ("10_145", "M(5|2,4)"), ("10_159", "M(5|2,4)")}
 ORACLE_INPUTS = [
-    *(("--r", f, "A4") for f in ("1/3", "1/9", "5/27", "7/39", "29/75",
-                                 "227/777")),
-    *(("--pres", k, "A4") for k in ("8_5", "10_159")),
-    *(("--r", f, "M(4|3,2)") for f in ("3/5", "3/7", "5/13", "11/17",
-                                       "13/23")),
-    ("--r", "1/5", "M(5|2,4)"),
-    ("--r", "3/7", "M(3|5,2)"),
-    ("--r", "5/9", "M(4|5,2)"),
-    *(pytest.param("--pres", k, "M(5|2,4)", marks=_SLOW)
-      for k in ("10_145", "10_159")),
-    *(pytest.param("--r", f, "M(3|5,2)", marks=_SLOW)
-      for f in ("7/11", "9/23", "9/31")),
+    pytest.param("--r" if "/" in source else "--pres", source, group,
+                 marks=[pytest.mark.slow] if (source, group) in _SLOW else [])
+    for source, group in dict.fromkeys(
+        [(frac, "A4") for frac in A4_3DIM] + [(e.source, e.group) for e in PHI])
 ]
 
 
@@ -307,8 +322,8 @@ def test_scan_m432_includes_eq_values(tmp_path):
     assert code == 0
     rows = [json.loads(line) for line in out_path.read_text().splitlines()]
     by_input = {r["input"]: r for r in rows}
-    assert P(by_input["3/5"]["phi"]) == canonical(P("1 - t^4")**2)
-    assert P(by_input["3/7"]["phi"]) == canonical(4 * P("1 - t^4")**2)
+    for frac in ("3/5", "3/7"):
+        assert P(by_input[frac]["phi"]) == canonical(phi_value(frac, "M(4|3,2)"))
 
 
 def test_scan_deterministic_and_parallel(tmp_path):
@@ -362,8 +377,30 @@ def test_scan_unwritable_out():
 
 # -- selftest -----------------------------------------------------------------
 
+def selftest_labels(out):
+    return [line[len("PASS  "):].split(" [")[0] for line in out.splitlines()
+            if line.startswith("PASS  ")]
+
+
 def test_selftest_quick():
     code, out, _ = run_cli("selftest", "--quick")
     assert code == 0
     assert "FAIL" not in out
     assert "all checks passed" in out
+    labels = selftest_labels(out)
+    assert [e.label for e in PHI if e.label in labels] == \
+        [e.label for e in PHI if e.quick]
+
+
+def test_selftest_reports_every_golden_entry():
+    code, out, _ = run_cli("selftest")
+    assert code == 0
+    assert "FAIL" not in out
+    labels = selftest_labels(out)
+    for frac in A4_3DIM:
+        assert f"3-dim twisted K({frac}) via Fox calculus" in labels
+        assert f"3-dim twisted K({frac}) via cf recursion" in labels
+    for name in ALEXANDER:
+        assert f"{name} Alexander polynomial" in labels
+    assert all(e.label in labels for e in PHI)
+    assert out.count("\nNOTE  ") == sum(e.recorded is not None for e in PHI)

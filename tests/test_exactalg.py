@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metatap.exactalg import (
+    ExactnessError,
     LaurentPoly,
     PolyMatrix,
     ZERO,
@@ -19,6 +20,7 @@ from metatap.exactalg import (
     poly_from_coeffs,
     resultant,
     supported_on_multiples,
+    _newton_interpolate,
 )
 from metatap.intmat import int_det
 from metatap.metabelian import cyclotomic_coeffs
@@ -190,6 +192,22 @@ def test_det_algorithms_agree():
             assert m.det_bareiss() == d_cof
             assert m.det_interpolate() == d_cof
             assert m.det() == d_cof
+
+
+def test_det_interpolate_matches_bareiss_up_to_dim_9():
+    rng = random.Random(29)
+    for dim in (7, 8, 9):
+        for _ in range(2):
+            m = PolyMatrix([[rand_poly(rng, deg_lo=0, deg_hi=6) for _ in range(dim)]
+                            for _ in range(dim)])
+            assert m.det_interpolate() == m.det_bareiss()
+
+
+def test_newton_interpolate_rejects_non_integer_polynomial():
+    # x(x + 1)/2 takes the values 0, 1, 0 at 0, 1, -1
+    with pytest.raises(ExactnessError):
+        _newton_interpolate([0, 1, -1], [0, 1, 0])
+    assert _newton_interpolate([0, 1, -1], [0, 2, 0]) == [0, 1, 1]
 
 
 def test_det_zero_row_and_singular():

@@ -2,12 +2,9 @@
 
 import pytest
 
-from metatap.exactalg import canonical, parse_poly
-from metatap.metabelian import build_group, perm_rep
-from metatap.twisted import check_factorization, twisted_alexander
-from metatap.twobridge import FractionR, two_bridge_alexander, wirtinger_presentation
-
-P = parse_poly
+from metatap.exactalg import canonical
+from metatap.golden import permutation_rep, phi_verdict, torus_exponent, torus_prediction
+from metatap.metabelian import build_group
 
 
 @pytest.mark.slow
@@ -19,15 +16,9 @@ def test_k17_64_dim_exponent_formula():
     only reported (it is a prediction, not an established value).
     """
     g = build_group(7, 2)
-    r = FractionR(1, 7)
-    p = wirtinger_presentation(r)
-    imgs = {"x": g.s(), "y": g.mul(g.s(), g.b(1))}
-    rho = perm_rep(imgs, g, p)
-    res = twisted_alexander(p, rho)
-    v = check_factorization(res.invariant, two_bridge_alexander(r), 7)
+    v = phi_verdict(permutation_rep("1/7", g), g.n)
     assert v.holds
-    m7 = 2**5 - (2**6 - 1) // 7
-    predicted = canonical(P("1 - t^7")**m7 * P("1 + t^7")**(m7 - 1))
-    print(f"p=7 exponent formula (m={m7}) "
+    predicted = canonical(torus_prediction(7))
+    print(f"p=7 exponent formula (m={torus_exponent(7)}) "
           f"{'matches' if v.phi == predicted else 'does NOT match'}: "
           f"phi = {v.phi}")

@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 
 from metatap.exactalg import LaurentPoly, canonical, parse_poly
+from metatap.golden import A4_3DIM
 from metatap.intmat import identity, mat_add, mat_mul, mat_pow, mat_scale, mat_sub, zeros
 from metatap.twinring import (
     APoly,
@@ -272,13 +273,8 @@ def test_recursion_twin_q_le_2():
 
 
 def test_recursion_golden_values():
-    gold = {
-        "1/3": P("1 - t^3"),
-        "1/9": P("1 - t^3") * P("1 - t^3 + t^6") * P("1 + t^3 + t^6")**2,
-        "7/39": P("1 - t^3") * P("1 - 3*t^3 + t^6") * P("1 + t^3 + t^6")**2,
-    }
-    for frac, value in gold.items():
-        assert twisted_via_recursion(FractionR.parse(frac)) == canonical(value)
+    for frac in ("1/3", "1/9", "7/39"):
+        assert twisted_via_recursion(FractionR.parse(frac)) == canonical(A4_3DIM[frac])
 
 
 def test_recursion_rejects_non_h3():

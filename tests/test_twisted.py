@@ -6,7 +6,8 @@ import random
 import pytest
 
 from metatap.exactalg import ZERO, canonical, equal_up_to_unit, exact_div, parse_poly
-from metatap.groupcalc import GroupRingElem, Word, fox_derivative
+from metatap.golden import A4_3DIM, phi_value
+from metatap.groupcalc import GroupRingElem, Word, fox_derivative, fox_images
 from metatap.knotdata import presentation
 from metatap.metabelian import (
     a4_group,
@@ -16,12 +17,11 @@ from metatap.metabelian import (
     trivial_rep,
 )
 from metatap.twisted import (
-    _fox_images,
     _series_to_matrix,
     check_a4_form,
     check_factorization,
     phi_map,
-    standard_a4_assignment,
+    standard_assignment,
     twisted_alexander,
 )
 from metatap.twobridge import (
@@ -38,7 +38,7 @@ ONE_MINUS_T = P("1 - t")
 
 def a4_rho3(r: FractionR):
     p = wirtinger_presentation(r)
-    return p, a4_irreducible_rep(standard_a4_assignment(p), p)
+    return p, a4_irreducible_rep(standard_assignment(a4_group(), p), p)
 
 
 # -- phi_map ------------------------------------------------------------------
@@ -82,7 +82,7 @@ def test_fused_fox_images_match_phi_of_derivative():
     for r in (FractionR(1, 3), FractionR(3, 5), FractionR(5, 27)):
         p, rho = a4_rho3(r)
         rel = p.relators[0]
-        tables = _fox_images(rel, rho)
+        tables = fox_images(rel, rho.images, rho.inv_images, rho.dim)
         for gen in (1, 2):
             direct = phi_map(fox_derivative(rel, gen), rho)
             fused = _series_to_matrix(tables.get(gen, {}), rho.dim)
@@ -116,10 +116,10 @@ def test_k15_sixteen_dim():
     r = FractionR(1, 5)
     p = wirtinger_presentation(r)
     g = build_group(5, 2)
-    rho = perm_rep({"x": g.s(), "y": g.mul(g.s(), g.b(1))}, g, p)
+    rho = perm_rep(standard_assignment(g, p), g, p)
     res = twisted_alexander(p, rho)
     delta = two_bridge_alexander(r)
-    gold = exact_div(delta * P("1 - t^5")**5 * P("1 + t^5")**4, ONE_MINUS_T)
+    gold = exact_div(delta * phi_value("1/5", "M(5|2,4)"), ONE_MINUS_T)
     assert equal_up_to_unit(res.invariant, gold)
 
 
@@ -132,7 +132,7 @@ def test_column_choice_independence():
     ]
     for p, assign, group in inputs:
         if assign is None:
-            images = standard_a4_assignment(p)
+            images = standard_assignment(group, p)
         else:
             images = {k: group.parse_elem(v) for k, v in assign.items()}
         rho = perm_rep(images, group, p)
@@ -150,7 +150,7 @@ def test_splitting_identity_two_bridge():
     for frac in ("1/3", "1/9", "5/27", "11/27"):
         r = FractionR.parse(frac)
         p = wirtinger_presentation(r)
-        images = standard_a4_assignment(p)
+        images = standard_assignment(g, p)
         inv4 = twisted_alexander(p, perm_rep(images, g, p)).invariant
         inv3 = twisted_alexander(p, a4_irreducible_rep(images, p)).invariant
         delta = two_bridge_alexander(r)
@@ -163,11 +163,11 @@ def test_check_factorization_golden():
     r = FractionR(5, 27)
     p = wirtinger_presentation(r)
     g = a4_group()
-    rho = perm_rep(standard_a4_assignment(p), g, p)
+    rho = perm_rep(standard_assignment(g, p), g, p)
     res = twisted_alexander(p, rho)
     v = check_factorization(res.invariant, two_bridge_alexander(r), 3)
     assert v.holds
-    assert v.phi == canonical(P("1 - t^3") * P("4 + 7*t^3 + 4*t^6"))
+    assert v.phi == canonical(A4_3DIM["5/27"])
 
 
 def test_check_factorization_counterfeit():
@@ -193,39 +193,6 @@ def test_check_factorization_inexact():
 def test_check_a4_form():
     v = check_a4_form(FractionR(1, 9))
     assert v.holds and v.n == 3
-    assert v.phi == canonical(
-        P("1 - t^3") * P("1 - t^3 + t^6") * P("1 + t^3 + t^6")**2)
+    assert v.phi == canonical(A4_3DIM["1/9"])
     with pytest.raises(ValueError):
         check_a4_form(FractionR(1, 5))     # no A4 representation exists
-
-
-# -- frozen 16-dimensional values ----------------------------------------------
-# For these two knots every surjection onto M(5|2,4) yields the same
-# invariant; the values below were computed by this pipeline and double
-# checked through Tietze-moved presentations and all deleted-column choices.
-# They satisfy the factorization with phi a polynomial in t^5 whose degree
-# matches dim * (2*genus - 1) for these fibered knots.
-
-def test_frozen_10_145_m524():
-    g = build_group(5, 2)
-    p = presentation("10_145")
-    imgs = {"x": g.parse_elem("s b1 b2 b3 b4"), "y": g.parse_elem("s b1"),
-            "z": g.s()}
-    res = twisted_alexander(p, perm_rep(imgs, g, p))
-    v = check_factorization(res.invariant, alexander_poly(p), 5)
-    assert v.holds
-    assert v.phi == canonical(
-        P("1 - t^5")**5 * P("1 + 14*t^5 + t^10") * P("1 + 30*t^5 + t^10"))
-
-
-def test_frozen_10_159_m524():
-    g = build_group(5, 2)
-    p = presentation("10_159")
-    imgs = {"x": g.s(), "y": g.parse_elem("s b1 b4"), "z": g.parse_elem("s b1")}
-    res = twisted_alexander(p, perm_rep(imgs, g, p))
-    v = check_factorization(res.invariant, alexander_poly(p), 5)
-    assert v.holds
-    assert v.phi == canonical(
-        P("1 - t^5")**5 * P("1 + 3*t^5 + t^10")
-        * P("1 - 31*t^5 + 12*t^10 - 31*t^15 + t^20")
-        * P("1 + 5*t^5 + 52*t^10 + 5*t^15 + t^20"))

@@ -6,8 +6,10 @@ from itertools import product
 
 import pytest
 
-from metatap.exactalg import canonical, equal_up_to_unit, parse_poly
-from metatap.groupcalc import word_from_string
+from metatap.exactalg import LaurentPoly, PolyMatrix, canonical, equal_up_to_unit, parse_poly
+from metatap.golden import ALEXANDER
+from metatap.groupcalc import fox_derivative, word_from_string
+from metatap.knotdata import BUNDLED, presentation
 from metatap.twobridge import (
     CFError,
     ContinuedFraction,
@@ -123,15 +125,29 @@ def test_alexander_examples():
 
 
 def test_alexander_nonrational():
-    from metatap.knotdata import presentation
-
     gold = {
-        "8_5": P("1 - t + t^2") * P("1 - 2*t + t^2 - 2*t^3 + t^4"),
-        "10_145": P("1 + t - 3*t^2 + t^3 + t^4"),
+        **ALEXANDER,
         "10_159": P("1 - t + t^2") * P("1 - 3*t + 5*t^2 - 3*t^3 + t^4"),
     }
     for name, value in gold.items():
         assert alexander_poly(presentation(name)) == canonical(value)
+
+
+def fox_jacobian_alexander(p):
+    """Delta from the abelianized Fox Jacobian, one fox_derivative per entry,
+    with the last generator's column deleted."""
+    rows = [[LaurentPoly((w.exponent_sum(), c)
+                         for w, c in fox_derivative(rel, g).terms.items())
+             for g in range(1, p.num_generators)]
+            for rel in p.relators]
+    return canonical(PolyMatrix(rows).det())
+
+
+def test_alexander_matches_fox_derivative_jacobian():
+    knots = [wirtinger_presentation(r) for r in enumerate_fractions(99)]
+    knots += [presentation(name) for name in BUNDLED]
+    for p in knots:
+        assert alexander_poly(p) == fox_jacobian_alexander(p), p.name
 
 
 def test_alexander_rejects_non_knot():
