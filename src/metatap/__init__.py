@@ -41,6 +41,7 @@ from .metabelian import (
     group_from_name,
     obstruction_passes,
     perm_rep,
+    representation_blocks,
     xi0,
 )
 from .twisted import (

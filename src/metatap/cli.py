@@ -39,7 +39,7 @@ from .metabelian import (
     generates,
     group_from_name,
     obstruction_passes,
-    perm_rep,
+    representation_blocks,
     unit_classes,
 )
 from .twisted import NoUsableColumnError, check_factorization, twisted_alexander
@@ -94,10 +94,11 @@ def _compute_records(p: Presentation, group: MetaGroup, delta: LaurentPoly,
     """One record per assignment, with one determinant per class.
 
     The first assignment of each class (see `unit_classes`) goes through
-    perm_rep, twisted_alexander and check_factorization.  A later member
-    reuses its class's result only after `conjugate_by_relabeling` has
-    shown, on the coset tables, that its permutation representation is
-    conjugate to the representative's by a permutation matrix.
+    representation_blocks, twisted_alexander and check_factorization.  A
+    later member reuses its class's result only after
+    `conjugate_by_relabeling` has shown, on the coset tables, that its
+    permutation representation is conjugate to the representative's by a
+    permutation matrix.
 
     A non-surjective assignment whose determinant ratio is not a
     polynomial is an input error, or, with `skip_non_polynomial`, is
@@ -110,8 +111,8 @@ def _compute_records(p: Presentation, group: MetaGroup, delta: LaurentPoly,
             zip(assignments, classes)):
         t0 = time.monotonic()
         if rep == i:
-            rho = perm_rep(images, group, p)
-            result = twisted_alexander(p, rho)
+            result = twisted_alexander(
+                p, representation_blocks(images, group, p))
             if result.invariant is None:
                 if surjective:
                     raise ExactnessError(
@@ -261,6 +262,8 @@ def cmd_scan(args) -> int:
     group = group_from_name(args.group)  # validate early
     if args.jobs < 1:
         raise InputError(f"--jobs must be at least 1, got {args.jobs}")
+    if args.alpha_max < 3:
+        raise InputError(f"--alpha-max must be at least 3, got {args.alpha_max}")
     jobs = []
     for r in enumerate_fractions(args.alpha_max):
         jobs.append((r.beta, r.alpha, args.group, args.h3_only,
@@ -416,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="skip the slower high-dimensional cases")
     sp.add_argument("--p7", action="store_true",
                     help="also run the optional 64-dimensional torus-knot "
-                         "check (minutes; reported, not asserted)")
+                         "check (reported, not asserted)")
     sp.set_defaults(func=cmd_selftest)
     return parser
 

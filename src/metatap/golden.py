@@ -14,11 +14,12 @@ stays a documented discrepancy (README, "Known discrepancies").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .exactalg import LaurentPoly, parse_poly as P
 from .knotdata import presentation
-from .metabelian import MetaGroup, Representation, group_from_name, perm_rep
+from .metabelian import (
+    MetaGroup, Representation, group_from_name, representation_blocks)
 from .twisted import Verdict, check_factorization, standard_assignment, twisted_alexander
 from .twobridge import FractionR, alexander_poly, wirtinger_presentation
 
@@ -65,17 +66,19 @@ class PhiGolden:
     quick: bool = True
     budget_s: Optional[float] = None
 
-    def representation(self) -> Representation:
+    def representations(self) -> list[Representation]:
         return permutation_rep(self.source, group_from_name(self.group), self.assignment)
 
     def verdict(self) -> Verdict:
-        return phi_verdict(self.representation(), group_from_name(self.group).n)
+        return phi_verdict(self.representations(), group_from_name(self.group).n)
 
 
 def permutation_rep(source: str, group: MetaGroup,
-                    assignment: Optional[dict[str, str]] = None) -> Representation:
+                    assignment: Optional[dict[str, str]] = None
+                    ) -> list[Representation]:
     """The permutation representation of `source` (a fraction or a bundled
-    name) onto `group` under `assignment` (default: the standard one)."""
+    name) onto `group` under `assignment` (default: the standard one), as
+    the summands `representation_blocks` splits it into."""
     if "/" in source:
         p = wirtinger_presentation(FractionR.parse(source))
     else:
@@ -84,14 +87,14 @@ def permutation_rep(source: str, group: MetaGroup,
         images = standard_assignment(group, p)
     else:
         images = {g: group.parse_elem(e) for g, e in assignment.items()}
-    return perm_rep(images, group, p)
+    return representation_blocks(images, group, p)
 
 
-def phi_verdict(rho: Representation, n: int) -> Verdict:
-    """Factorization verdict of the twisted polynomial of rho: phi must be a
-    polynomial in t^n."""
-    p = rho.presentation
-    result = twisted_alexander(p, rho)
+def phi_verdict(reps: Sequence[Representation], n: int) -> Verdict:
+    """Factorization verdict of the twisted polynomial of the direct sum of
+    `reps`: phi must be a polynomial in t^n."""
+    p = reps[0].presentation
+    result = twisted_alexander(p, reps)
     return check_factorization(result.invariant, alexander_poly(p), n)
 
 

@@ -63,10 +63,6 @@ def transpose(a: Mat) -> Mat:
     return tuple(zip(*a))
 
 
-def is_zero(a: Mat) -> bool:
-    return all(x == 0 for row in a for x in row)
-
-
 def is_permutation_matrix(a: Mat) -> bool:
     n = len(a)
     for row in a:

@@ -25,10 +25,11 @@ from functools import cached_property, lru_cache
 from math import gcd
 from typing import Iterator, Optional, Sequence
 
-from .exactalg import LaurentPoly, canonical, poly_from_coeffs, exact_div, resultant
+from .exactalg import (
+    ExactnessError, LaurentPoly, canonical, poly_from_coeffs, exact_div, resultant)
 from .groupcalc import Presentation, Word
 from .intmat import (
-    Mat, identity, mat, mat_add, mat_inverse, mat_mul, mat_scale, zeros)
+    Mat, identity, mat, mat_add, mat_inverse, mat_mul, mat_scale, transpose, zeros)
 
 
 def is_prime(p: int) -> bool:
@@ -405,13 +406,19 @@ class NotHomomorphismError(ValueError):
 
 @dataclass
 class Representation:
-    """Generator images in GL(dim, Z), checked against the presentation."""
+    """Generator images in GL(dim, Z), checked against the presentation.
+
+    The relators are checked through products of the images unless
+    `check_relators` is False, which the constructors below pass after
+    `check_homomorphism` has checked them on the coset tables.
+    """
 
     presentation: Presentation
     dim: int
     images: dict[int, Mat]
     inv_images: dict[int, Mat] = field(default_factory=dict)
     label: str = ""
+    check_relators: bool = field(default=True, repr=False, compare=False)
 
     def __post_init__(self):
         from .intmat import int_det
@@ -421,12 +428,12 @@ class Representation:
                 raise ValueError(f"image of generator {g} is not in GL(dim, Z)")
             if g not in self.inv_images:
                 self.inv_images[g] = mat_inverse(m)
+        if not self.check_relators:
+            return
         ident = identity(self.dim)
         for i, rel in enumerate(self.presentation.relators):
             if self.word_image(rel) != ident:
-                name = rel.spell(self.presentation.generators)
-                raise NotHomomorphismError(
-                    f"relator {i + 1} ({name}) does not map to the identity")
+                raise NotHomomorphismError(_relator_message(self.presentation, i))
 
     def word_image(self, word: Word) -> Mat:
         out = identity(self.dim)
@@ -436,6 +443,52 @@ class Representation:
         return out
 
 
+def _relator_message(p: Presentation, i: int) -> str:
+    return (f"relator {i + 1} ({p.relators[i].spell(p.generators)}) "
+            f"does not map to the identity")
+
+
+def _coset_walk(word: Word, tables) -> int:
+    """The coset that coset 0 reaches through the coset tables of the
+    word's letters (tables[-g] is the inverse of tables[g])."""
+    u = 0
+    for letter in word:
+        u = tables[letter][u]
+    return u
+
+
+def check_homomorphism(p: Presentation, group: MetaGroup,
+                       assignment: dict[str, MetaElem]) -> None:
+    """Raise NotHomomorphismError naming the first relator of p that the
+    assignment does not send to the identity.
+
+    The image of a word is s^a b^v with a the sum of the s-exponents of
+    its letters, and right multiplication by it takes the coset 0 to the
+    coset of v; so a relator holds when a = 0 mod n and the coset walk
+    from 0 returns to 0.  The coset action is faithful, so this is the
+    same test as the permutation matrices' product being the identity.
+    """
+    tables = {}
+    ells = {}
+    for name in p.generators:
+        if name not in assignment:
+            raise ValueError(f"assignment missing generator {name!r}")
+        e = assignment[name]
+        if e.group != group:
+            raise MixedGroupError("element belongs to a different group")
+        g = p.gen_index(name)
+        tables[g] = group.coset_table(e.ell, group.coset_index(e.vec))
+        tables[-g] = _inverse_table(tables[g])
+        ells[g], ells[-g] = e.ell, -e.ell
+    for i, rel in enumerate(p.relators):
+        if sum(ells[letter] for letter in rel) % group.n or _coset_walk(rel, tables):
+            raise NotHomomorphismError(_relator_message(p, i))
+
+
+def _assignment_label(assignment: dict[str, MetaElem], p: Presentation) -> str:
+    return ", ".join(f"f({g}) = {assignment[g]}" for g in p.generators)
+
+
 def trivial_rep(p: Presentation) -> Representation:
     return Representation(p, 1, {g: ((1,),) for g in range(1, p.num_generators + 1)})
 
@@ -443,13 +496,125 @@ def trivial_rep(p: Presentation) -> Representation:
 def perm_rep(assignment: dict[str, MetaElem], group: MetaGroup,
              p: Presentation) -> Representation:
     """The p^k-dimensional permutation-matrix representation of an assignment."""
-    images = {}
-    for name in p.generators:
-        if name not in assignment:
-            raise ValueError(f"assignment missing generator {name!r}")
-        images[p.gen_index(name)] = group.perm_matrix(assignment[name])
-    label = ", ".join(f"f({g}) = {assignment[g]}" for g in p.generators)
-    return Representation(p, group.p**group.k, images, label=label)
+    check_homomorphism(p, group, assignment)
+    images = {p.gen_index(name): group.perm_matrix(assignment[name])
+              for name in p.generators}
+    return Representation(p, group.p**group.k, images,
+                          label=_assignment_label(assignment, p),
+                          check_relators=False)
+
+
+# ---------------------------------------------------------------------------
+# Walsh blocks for p = 2
+# ---------------------------------------------------------------------------
+
+
+def _walsh_row(row) -> list[int]:
+    """row * H for the Walsh-Hadamard matrix H[w][x] = (-1)^popcount(w & x),
+    by the fast transform (len(row) a power of 2)."""
+    a = list(row)
+    h = 1
+    while h < len(a):
+        for i in range(0, len(a), 2 * h):
+            for j in range(i, i + h):
+                a[j], a[j + h] = a[j] + a[j + h], a[j] - a[j + h]
+        h *= 2
+    return a
+
+
+def walsh_conjugate(m: Mat) -> Mat:
+    """H m H / 2^k = H^-1 m H for a 2^k x 2^k integer matrix m.
+
+    For p = 2, popcount(w & x) is the dot product of the vectors of the
+    cosets w and x, so H is the character table of (Z/2)^k and H H = 2^k I.
+    A remainder in the division is an ExactnessError.
+    """
+    size = len(m)
+    m_h = [_walsh_row(row) for row in m]
+    cols = [_walsh_row(col) for col in zip(*m_h)]  # the columns of H m H
+    out = []
+    for row in zip(*cols):
+        quotients = []
+        for x in row:
+            q, r = divmod(x, size)
+            if r:
+                raise ExactnessError(
+                    f"Walsh conjugate has an entry {x} not divisible by {size}")
+            quotients.append(q)
+        out.append(tuple(quotients))
+    return tuple(out)
+
+
+def walsh_blocks(mats: Sequence[Mat]) -> list[list[int]]:
+    """The connected components of the union of the supports of `mats`:
+    coordinate sets, each in increasing order, ordered by their first."""
+    size = len(mats[0])
+    neighbours = [set() for _ in range(size)]
+    for m in mats:
+        for w, row in enumerate(m):
+            for u, x in enumerate(row):
+                if x:
+                    neighbours[w].add(u)
+                    neighbours[u].add(w)
+    seen = [False] * size
+    blocks = []
+    for start in range(size):
+        if seen[start]:
+            continue
+        seen[start] = True
+        block, frontier = [start], [start]
+        while frontier:
+            for u in neighbours[frontier.pop()]:
+                if not seen[u]:
+                    seen[u] = True
+                    block.append(u)
+                    frontier.append(u)
+        blocks.append(sorted(block))
+    return blocks
+
+
+def split_blocks(m: Mat, blocks: list[list[int]]) -> list[Mat]:
+    """The diagonal blocks of m on the coordinate sets `blocks`.  A nonzero
+    entry outside them is an ExactnessError."""
+    owner = {}
+    for b, coords in enumerate(blocks):
+        for c in coords:
+            owner[c] = b
+    for w, row in enumerate(m):
+        for u, x in enumerate(row):
+            if x and owner[w] != owner[u]:
+                raise ExactnessError(
+                    f"Walsh conjugate has a nonzero entry at ({w}, {u}), "
+                    f"outside the blocks")
+    return [tuple(tuple(m[w][u] for u in coords) for w in coords)
+            for coords in blocks]
+
+
+def representation_blocks(assignment: dict[str, MetaElem], group: MetaGroup,
+                          p: Presentation) -> list[Representation]:
+    """Representations whose twisted numerator and denominator determinants
+    multiply to exactly those of `perm_rep(assignment, group, p)`.
+
+    For p = 2 these are the diagonal blocks of the Walsh conjugates
+    Q(g) = H P(g) H / 2^k: the trivial character and, for a surjection, one
+    n-dimensional block per <s>-orbit of nonzero characters.  Q(g^-1) is the
+    transpose of Q(g), since H is symmetric and P(g)^-1 = P(g)^T.  For odd p
+    the list holds the permutation representation itself.
+    """
+    if group.p != 2:
+        return [perm_rep(assignment, group, p)]
+    check_homomorphism(p, group, assignment)
+    gens = [p.gen_index(name) for name in p.generators]
+    walsh = [walsh_conjugate(group.perm_matrix(assignment[name]))
+             for name in p.generators]
+    blocks = walsh_blocks(walsh)
+    parts = [split_blocks(q, blocks) for q in walsh]
+    label = _assignment_label(assignment, p)
+    return [Representation(p, len(coords),
+                           {g: split[b] for g, split in zip(gens, parts)},
+                           {g: transpose(split[b]) for g, split in zip(gens, parts)},
+                           label=label, check_relators=False)
+            for b, coords in enumerate(blocks)]
 
 
 # The two generating matrices of the 3-dimensional irreducible integral
@@ -491,8 +656,7 @@ def a4_irreducible_rep(assignment: dict[str, MetaElem],
         images[p.gen_index(name)] = xi0(e)
     if not generates(group, elems):
         raise ValueError("assigned elements do not generate the full group")
-    label = ", ".join(f"f({g}) = {assignment[g]}" for g in p.generators)
-    return Representation(p, 3, images, label=label)
+    return Representation(p, 3, images, label=_assignment_label(assignment, p))
 
 
 # ---------------------------------------------------------------------------
@@ -572,15 +736,7 @@ def find_homs(p: Presentation, group: MetaGroup,
         for g, idx in zip(other_index, counters):
             tables[g] = forward[idx]
             tables[-g] = backward[idx]
-        holds = True
-        for rel in p.relators:
-            u = 0
-            for letter in rel:
-                u = tables[letter][u]
-            if u:
-                holds = False
-                break
-        if holds:
+        if not any(_coset_walk(rel, tables) for rel in p.relators):
             images = {fixed_name: group.s()}
             for name, idx in zip(others, counters):
                 images[name] = group.elem(1, group.vec_of_index(idx))

@@ -33,12 +33,10 @@ from .exactalg import LaurentPoly, PolyMatrix, canonical
 from .intmat import (
     Mat,
     identity,
-    is_zero,
     mat_add,
     mat_inverse,
     mat_mul,
     mat_neg,
-    mat_pow,
     mat_scale,
     zeros,
 )
@@ -58,6 +56,37 @@ I3: Mat = identity(3)
 Z3: Mat = zeros(3)
 
 
+def mul3(a: Mat, b: Mat) -> Mat:
+    """The product of two 3x3 matrices, unrolled."""
+    (a0, a1, a2), (a3, a4, a5), (a6, a7, a8) = a
+    (b0, b1, b2), (b3, b4, b5), (b6, b7, b8) = b
+    return ((a0 * b0 + a1 * b3 + a2 * b6, a0 * b1 + a1 * b4 + a2 * b7,
+             a0 * b2 + a1 * b5 + a2 * b8),
+            (a3 * b0 + a4 * b3 + a5 * b6, a3 * b1 + a4 * b4 + a5 * b7,
+             a3 * b2 + a4 * b5 + a5 * b8),
+            (a6 * b0 + a7 * b3 + a8 * b6, a6 * b1 + a7 * b4 + a8 * b7,
+             a6 * b2 + a7 * b5 + a8 * b8))
+
+
+def add3(a: Mat, b: Mat) -> Mat:
+    """The sum of two 3x3 matrices, unrolled."""
+    (a0, a1, a2), (a3, a4, a5), (a6, a7, a8) = a
+    (b0, b1, b2), (b3, b4, b5), (b6, b7, b8) = b
+    return ((a0 + b0, a1 + b1, a2 + b2), (a3 + b3, a4 + b4, a5 + b5),
+            (a6 + b6, a7 + b7, a8 + b8))
+
+
+# YX is the image of an element of order 3 of A4 and XINV_YINV its inverse,
+# so their powers repeat with period 3; the tests check (YX)^3 = I.
+POWERS: dict[Mat, tuple[Mat, Mat, Mat]] = {
+    base: (I3, base, mul3(base, base)) for base in (YX, XINV_YINV)}
+
+
+def power3(base: Mat, e: int) -> Mat:
+    """base^e for base YX or XINV_YINV, from the order-3 power table."""
+    return POWERS[base][e % 3]
+
+
 class APoly:
     """Laurent polynomial in t with 3x3 integer-matrix coefficients.
 
@@ -69,8 +98,8 @@ class APoly:
     def __init__(self, coeffs: Iterable[tuple[int, Mat]] = ()):
         acc: dict[int, Mat] = {}
         for deg, m in coeffs:
-            acc[deg] = mat_add(acc[deg], m) if deg in acc else m
-        self.coeffs = {d: m for d, m in acc.items() if not is_zero(m)}
+            acc[deg] = add3(acc[deg], m) if deg in acc else m
+        self.coeffs = {d: m for d, m in acc.items() if m != Z3}
 
     @staticmethod
     def zero() -> "APoly":
@@ -103,8 +132,8 @@ class APoly:
         for d1, m1 in self.coeffs.items():
             for d2, m2 in other.coeffs.items():
                 d = d1 + d2
-                prod = mat_mul(m1, m2)
-                acc[d] = mat_add(acc[d], prod) if d in acc else prod
+                prod = mul3(m1, m2)
+                acc[d] = add3(acc[d], prod) if d in acc else prod
         return APoly(acc.items())
 
     __rmul__ = __mul__
@@ -165,16 +194,16 @@ def yx_geometric(m: int) -> APoly:
     (x^-1 y^-1)t^-2 + ... + (x^-1 y^-1)^|m| t^(-2|m|).
     """
     if m >= 0:
-        return APoly((2 * j, mat_pow(YX, j)) for j in range(m + 1))
-    return APoly((-2 * j, mat_pow(XINV_YINV, j)) for j in range(1, -m + 1))
+        return APoly((2 * j, power3(YX, j)) for j in range(m + 1))
+    return APoly((-2 * j, power3(XINV_YINV, j)) for j in range(1, -m + 1))
 
 
 def _power_term(base: Mat, exp: int, deg_per: int, tail: Mat = None,
                 tail_deg: int = 0) -> APoly:
-    m = mat_pow(base, exp)
+    m = power3(base, exp)
     deg = deg_per * exp
     if tail is not None:
-        m = mat_mul(m, tail)
+        m = mul3(m, tail)
         deg += tail_deg
     return APoly.monomial(m, deg)
 

@@ -18,11 +18,12 @@ kept as a numerator/denominator pair and `invariant` is None.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence, Union
 
 from .exactalg import (
     ExactnessError,
     LaurentPoly,
+    ONE,
     PolyMatrix,
     ZERO,
     canonical,
@@ -106,29 +107,37 @@ class NoUsableColumnError(RuntimeError):
     """Every candidate denominator det Phi(g - 1) vanished."""
 
 
-def twisted_alexander(p: Presentation, rho: Representation,
+def twisted_alexander(p: Presentation,
+                      rho: Union[Representation, Sequence[Representation]],
                       delete: Optional[str] = None) -> TwistedResult:
     """Wada-style determinant ratio; deletes `delete` (default: the last
-    generator, falling back to any generator with nonzero denominator)."""
+    generator, falling back to any generator with nonzero denominator).
+
+    `rho` is one representation or a sequence of them standing for their
+    direct sum: the invariant is multiplicative over a direct sum, so the
+    numerator and the denominator are the products of the summands'
+    determinants, all with the same deleted generator."""
     if not p.deficiency_one():
         raise ValueError("presentation must have one fewer relator than generators")
+    reps = [rho] if isinstance(rho, Representation) else list(rho)
     if delete is not None:
         order = [p.gen_index(delete)]
     else:
         order = list(range(p.num_generators, 0, -1))
-    fox_tables = [fox_images(rel, rho.images, rho.inv_images, rho.dim)
-                  for rel in p.relators]
+    fox_tables = [[fox_images(rel, r.images, r.inv_images, r.dim)
+                   for rel in p.relators] for r in reps]
     for gen in order:
-        den = _phi_generator_minus_one(gen, rho).det()
+        den = _product(_phi_generator_minus_one(gen, r).det() for r in reps)
         if den.is_zero():
             continue
-        num = _numerator_det(p, rho, fox_tables, gen)
+        num = _product(_numerator_det(p, r, tables, gen)
+                       for r, tables in zip(reps, fox_tables))
         invariant = None
         if not num.is_zero():
             q = exact_div(num, den)
             if q is not None:
                 invariant = canonical(q)
-        elif rho.dim > 1:
+        elif sum(r.dim for r in reps) > 1:
             invariant = ZERO
         name = p.generators[gen - 1]
         return TwistedResult(
@@ -138,6 +147,16 @@ def twisted_alexander(p: Presentation, rho: Representation,
             deleted_generator=name,
         )
     raise NoUsableColumnError("no generator has nonzero det Phi(g - 1)")
+
+
+def _product(factors) -> LaurentPoly:
+    """The product of the factors, stopping at the first zero."""
+    out = ONE
+    for f in factors:
+        if f.is_zero():
+            return ZERO
+        out = out * f
+    return out
 
 
 def _numerator_det(p: Presentation, rho: Representation,

@@ -302,11 +302,11 @@ def test_properties_column_independence_acceptance_inputs():
     inputs = []
     for frac in A4_3DIM:
         p = wirtinger_presentation(FractionR.parse(frac))
-        inputs.append(a4_irreducible_rep(standard_assignment(a4_group(), p), p))
-    inputs.extend(entry.representation() for entry in PHI)
-    for rho in inputs:
-        p = rho.presentation
-        results = [twisted_alexander(p, rho, delete=name)
+        inputs.append([a4_irreducible_rep(standard_assignment(a4_group(), p), p)])
+    inputs.extend(entry.representations() for entry in PHI)
+    for reps in inputs:
+        p = reps[0].presentation
+        results = [twisted_alexander(p, reps, delete=name)
                    for name in p.generators]
         first = results[0]
         for other in results[1:]:

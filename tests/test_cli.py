@@ -7,8 +7,10 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from metatap import cli
+from metatap import cli, metabelian
 from metatap.cli import main
 from metatap.exactalg import canonical, parse_poly
 from metatap.golden import A4_3DIM, ALEXANDER, PHI, phi_value
@@ -129,6 +131,38 @@ def test_compute_non_surjective_assignment_exit_1():
     assert code == 1 and not out
     assert "input error" in err
     assert "x=s; y=s is not surjective" in err
+
+
+def test_compute_non_homomorphic_assign_exit_1_on_both_paths():
+    # M(5|2,4) takes the Walsh block path, M(4|3,2) the permutation path
+    for frac, group, assign in (("1/3", "M(5|2,4)", "x=s; y=s b1"),
+                                ("1/5", "M(5|2,4)", "x=s; y=b1"),
+                                ("1/3", "M(4|3,2)", "x=s; y=s b1")):
+        code, out, err = run_cli("compute", "--r", frac, "--group", group,
+                                 "--assign", assign)
+        assert code == 1 and not out
+        assert err.startswith("input error: relator 1 (x y x ")
+        assert err.endswith(") does not map to the identity\n")
+
+
+def test_compute_tampered_walsh_conjugate_exit_3(monkeypatch):
+    perm_matrix = MetaGroup.perm_matrix
+
+    def odd_entry(self, g):
+        m = perm_matrix(self, g)
+        return ((m[0][0] + 1,) + m[0][1:],) + m[1:]
+
+    monkeypatch.setattr(MetaGroup, "perm_matrix", odd_entry)
+    code, out, err = run_cli("compute", "--r", "1/5", "--group", "M(5|2,4)")
+    assert code == 3 and not out
+    assert err.startswith("internal consistency failure: ")
+    assert "not divisible by 16" in err
+    monkeypatch.undo()
+    monkeypatch.setattr(metabelian, "walsh_blocks",
+                        lambda mats: [[i] for i in range(len(mats[0]))])
+    code, out, err = run_cli("compute", "--r", "1/5", "--group", "M(5|2,4)")
+    assert code == 3 and not out
+    assert "outside the blocks" in err
 
 
 def test_compute_all_skips_non_polynomial_non_surjective():
@@ -346,6 +380,16 @@ def test_scan_jobs_below_one_exit_1(tmp_path):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_scan_alpha_max_below_3_exit_1(tmp_path):
+    for alpha_max in ("2", "0", "-5"):
+        code, out, err = run_cli("scan", "--alpha-max", alpha_max, "--group", "A4",
+                                 "--out", str(tmp_path / "x.jsonl"))
+        assert code == 1 and not out
+        assert err.startswith(
+            f"input error: --alpha-max must be at least 3, got {alpha_max}")
+    assert not (tmp_path / "x.jsonl").exists()
+
+
 def test_scan_cross_path_disagreement_exit_3(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "twisted_via_recursion", lambda r: P("1"))
     out_path = tmp_path / "scan.jsonl"
@@ -404,3 +448,49 @@ def test_selftest_reports_every_golden_entry():
         assert f"{name} Alexander polynomial" in labels
     assert all(e.label in labels for e in PHI)
     assert out.count("\nNOTE  ") == sum(e.recorded is not None for e in PHI)
+
+
+# -- the exit-code contract under fuzzing --------------------------------------
+
+# Every argv names the options its command requires, some optional ones and
+# sometimes a stray token.  The values are small enough that every argv runs
+# in well under a second: --jobs never starts a process pool, and --out
+# writes to stdout only.
+_FUZZ_COMMANDS = {
+    "compute": (("--group",),
+                ("--r", "--pres", "--fix", "--assign", "--all", "--cross-check")),
+    "find-reps": (("--group",), ("--r", "--pres", "--fix", "--all")),
+    "scan": (("--group", "--alpha-max", "--out"),
+             ("--h3-only", "--cross-check", "--jsonl", "--jobs")),
+    "h3": (("--r",), ()),
+}
+_FUZZ_VALUES = {
+    "--r": ["1/3", "5/27", "3/5", "1/5", "2/6", "1/0", "-1/3", "3/1", "x"],
+    "--pres": ["8_5", "10_159.pres", "missing.pres", "."],
+    "--group": ["A4", "M(4|3,2)", "M(5|2,4)", "M(2|3,1)", "M(9|9,9)", "M(3|2,3)", "x"],
+    "--fix": ["x", "y", "q"],
+    "--assign": ["x=s; y=s b1", "x=s;y=s", "x=s", "x=q", "y=s b9", "x=s^-1; y=s"],
+    "--alpha-max": ["-1", "0", "3", "15", "x"],
+    "--out": ["-"],
+    "--jobs": ["-1", "0", "1"],
+}
+_FUZZ_STRAY = [[]] * 5 + [["--nope"], ["--quick"], ["--group"], ["extra"]]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_fuzz_argv_exit_codes(data):
+    command = data.draw(st.sampled_from(sorted(_FUZZ_COMMANDS)))
+    required, optional = _FUZZ_COMMANDS[command]
+    if optional:
+        optional = data.draw(
+            st.lists(st.sampled_from(optional), max_size=3, unique=True))
+    argv = [command]
+    for opt in required + tuple(optional):
+        argv.append(opt)
+        if opt in _FUZZ_VALUES:
+            argv.append(data.draw(st.sampled_from(_FUZZ_VALUES[opt])))
+    argv += data.draw(st.sampled_from(_FUZZ_STRAY))
+    code, _, err = run_cli(*argv)
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err, argv

@@ -13,11 +13,13 @@ from metatap.knotdata import presentation
 from metatap.metabelian import (
     MixedGroupError,
     NotHomomorphismError,
+    Representation,
     XI0_X,
     XI0_Y,
     a4_group,
     a4_irreducible_rep,
     build_group,
+    check_homomorphism,
     conjugate_by_relabeling,
     cycle_type,
     cyclotomic_coeffs,
@@ -267,6 +269,40 @@ def test_perm_rep_rejects_non_homomorphism():
     with pytest.raises(NotHomomorphismError) as e:
         perm_rep({"x": g43.s(), "y": g43.mul(g43.s(), g43.b(1))}, g43, p)
     assert "relator 1" in str(e.value)
+
+
+def test_check_homomorphism_matches_matrix_products():
+    # the coset-table check perm_rep and representation_blocks run, against
+    # the products of permutation matrices it replaces, message included
+    rng = random.Random(5)
+    presentations = [wirtinger_presentation(FractionR.parse(f))
+                     for f in ("1/3", "3/5", "5/27")]
+    presentations += [presentation(name) for name in ("8_5", "10_159")]
+    outcomes = set()
+    for group in (a4_group(), build_group(4, 3), build_group(5, 2)):
+        elems = list(group.elements())
+        for p in presentations:
+            candidates = [h.images for h in find_homs(p, group)]
+            candidates += [{g: rng.choice(elems) for g in p.generators}
+                           for _ in range(12)]
+            candidates += [dict(images, **{p.generators[-1]: rng.choice(elems)})
+                           for images in candidates[:4]]
+            for images in candidates:
+                try:
+                    check_homomorphism(p, group, images)
+                    got = None
+                except NotHomomorphismError as e:
+                    got = str(e)
+                matrices = {p.gen_index(g): group.perm_matrix(e)
+                            for g, e in images.items()}
+                try:
+                    Representation(p, group.p**group.k, matrices)
+                    want = None
+                except NotHomomorphismError as e:
+                    want = str(e)
+                assert got == want, (p.name, group, images)
+                outcomes.add(got and got.split(" (")[0])
+    assert outcomes == {None, "relator 1", "relator 2"}
 
 
 def test_xi0_matrices():

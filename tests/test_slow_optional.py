@@ -1,13 +1,15 @@
-"""Optional long-running checks, deselected by default (run with -m slow)."""
+"""The 64-dimensional torus-knot check; the full permutation-path oracle for
+it is long-running and deselected by default (run with -m slow)."""
 
 import pytest
 
 from metatap.exactalg import canonical
 from metatap.golden import permutation_rep, phi_verdict, torus_exponent, torus_prediction
-from metatap.metabelian import build_group
+from metatap.metabelian import build_group, perm_rep
+from metatap.twisted import standard_assignment, twisted_alexander
+from metatap.twobridge import FractionR, wirtinger_presentation
 
 
-@pytest.mark.slow
 def test_k17_64_dim_exponent_formula():
     """64-dimensional torus-knot case: reported against the conjectured
     exponent formula m = 2^(p-2) - floor((2^(p-1) - 1)/p) at p = 7.
@@ -22,3 +24,15 @@ def test_k17_64_dim_exponent_formula():
     print(f"p=7 exponent formula (m={torus_exponent(7)}) "
           f"{'matches' if v.phi == predicted else 'does NOT match'}: "
           f"phi = {v.phi}")
+
+
+@pytest.mark.slow
+def test_k17_64_dim_blocks_match_full_path():
+    """The nine 7-dimensional Walsh blocks and the trivial one against the
+    64-dimensional permutation representation (about 30 s)."""
+    g = build_group(7, 2)
+    p = wirtinger_presentation(FractionR(1, 7))
+    reps = permutation_rep("1/7", g)
+    assert [rho.dim for rho in reps] == [1] + [7] * 9
+    full = twisted_alexander(p, perm_rep(standard_assignment(g, p), g, p))
+    assert twisted_alexander(p, reps) == full

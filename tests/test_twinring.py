@@ -24,7 +24,10 @@ from metatap.twinring import (
     YINV,
     YT,
     YX,
+    add3,
+    mul3,
     normalized_series,
+    power3,
     recursion_series,
     twin_check,
     twin_decompose,
@@ -113,6 +116,19 @@ def test_yx_geometric():
         assert len(yx_geometric(m).coeffs) == m + 1
     for m in range(1, 6):
         assert len(yx_geometric(-m).coeffs) == m
+
+
+def test_unrolled_product_and_power_table_match_generic():
+    rng = random.Random(17)
+    for _ in range(200):
+        a, b = (tuple(tuple(rng.randint(-9, 9) for _ in range(3)) for _ in range(3))
+                for _ in range(2))
+        assert mul3(a, b) == mat_mul(a, b)
+        assert add3(a, b) == mat_add(a, b)
+    assert mat_pow(YX, 3) == I3
+    for base in (YX, XINV_YINV):
+        for e in range(-7, 12):
+            assert power3(base, e) == mat_pow(base, e)
 
 
 # -- twin decomposition ----------------------------------------------------------

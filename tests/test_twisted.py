@@ -5,18 +5,29 @@ import random
 
 import pytest
 
-from metatap.exactalg import ZERO, canonical, equal_up_to_unit, exact_div, parse_poly
-from metatap.golden import A4_3DIM, phi_value
-from metatap.groupcalc import GroupRingElem, Word, fox_derivative, fox_images
+from metatap.exactalg import (
+    ONE, ZERO, ExactnessError, canonical, equal_up_to_unit, exact_div, parse_poly)
+from metatap.golden import A4_3DIM, PHI, phi_value
+from metatap.groupcalc import (
+    GroupRingElem, Word, fox_derivative, fox_images, parse_presentation)
 from metatap.knotdata import presentation
 from metatap.metabelian import (
     a4_group,
     a4_irreducible_rep,
     build_group,
+    find_homs,
+    group_from_name,
+    obstruction_passes,
     perm_rep,
+    representation_blocks,
+    split_blocks,
     trivial_rep,
+    walsh_blocks,
+    walsh_conjugate,
 )
 from metatap.twisted import (
+    _numerator_det,
+    _phi_generator_minus_one,
     _series_to_matrix,
     check_a4_form,
     check_factorization,
@@ -196,3 +207,139 @@ def test_check_a4_form():
     assert v.phi == canonical(A4_3DIM["1/9"])
     with pytest.raises(ValueError):
         check_a4_form(FractionR(1, 5))     # no A4 representation exists
+
+
+# -- the Walsh block path for p = 2 --------------------------------------------
+
+def assert_blocks_match_full_path(p, group, images):
+    """The block path gives the full permutation path's numerator,
+    denominator, deleted generator and invariant; every block has
+    dimension 1 or n, and the dimensions add up to 2^k."""
+    reps = representation_blocks(images, group, p)
+    assert group.p == 2 and sum(rho.dim for rho in reps) == 2**group.k
+    assert reps[0].dim == 1 and all(rho.dim in (1, group.n) for rho in reps)
+    assert twisted_alexander(p, reps) == twisted_alexander(p, perm_rep(images, group, p))
+
+
+def first_surjections(p, group, fix=None):
+    homs = [h.images for h in find_homs(p, group, fix=fix) if h.surjective]
+    return homs[:1]
+
+
+def two_bridge_surjections(group, alpha_max):
+    """The first surjection onto `group` of every fraction up to alpha_max."""
+    out = []
+    for r in enumerate_fractions(alpha_max):
+        if obstruction_passes(two_bridge_alexander(r), group.n, group.p):
+            p = wirtinger_presentation(r)
+            out.extend((p, images) for images in first_surjections(p, group))
+    return out
+
+
+def test_blocks_match_full_path_golden_entries():
+    cases = []
+    for frac in A4_3DIM:
+        p = wirtinger_presentation(FractionR.parse(frac))
+        cases.append((p, a4_group(), standard_assignment(a4_group(), p)))
+    for entry in PHI:
+        group = group_from_name(entry.group)
+        if group.p != 2:
+            continue
+        p = (wirtinger_presentation(FractionR.parse(entry.source))
+             if "/" in entry.source else presentation(entry.source))
+        images = (standard_assignment(group, p) if entry.assignment is None else
+                  {g: group.parse_elem(e) for g, e in entry.assignment.items()})
+        cases.append((p, group, images))
+    assert len(cases) == 12
+    for p, group, images in cases:
+        assert_blocks_match_full_path(p, group, images)
+
+
+@pytest.mark.parametrize("group_name, alpha_max, count", [
+    ("A4", 99, 336), ("M(5|2,4)", 41, 31)])
+def test_blocks_match_full_path_two_bridge_sweep(group_name, alpha_max, count):
+    group = group_from_name(group_name)
+    cases = two_bridge_surjections(group, alpha_max)
+    assert len(cases) == count
+    for p, images in cases:
+        assert_blocks_match_full_path(p, group, images)
+
+
+def test_blocks_match_full_path_bundled_knots():
+    cases = [("8_5", "A4", None), ("10_159", "A4", None),
+             ("10_145", "M(5|2,4)", None), ("10_145", "M(5|2,4)", "z"),
+             ("10_159", "M(5|2,4)", None)]
+    for name, group_name, fix in cases:
+        p, group = presentation(name), group_from_name(group_name)
+        (images,) = first_surjections(p, group, fix)
+        assert fix is None or images[fix] == group.s()
+        assert_blocks_match_full_path(p, group, images)
+
+
+def test_blocks_match_full_path_abelian_assignment():
+    for frac, group in (("5/27", a4_group()), ("1/5", build_group(5, 2))):
+        p = wirtinger_presentation(FractionR.parse(frac))
+        images = {g: group.s() for g in p.generators}
+        assert twisted_alexander(p, perm_rep(images, group, p)).invariant is None
+        assert_blocks_match_full_path(p, group, images)
+
+
+def test_blocks_match_full_path_zero_invariant():
+    # a freely trivial relator: every numerator block vanishes
+    p = parse_presentation("gens: x y\nrel: x y Y X\n")
+    group = build_group(5, 2)
+    images = {"x": group.s(), "y": group.mul(group.s(), group.b(1))}
+    assert twisted_alexander(p, perm_rep(images, group, p)).invariant == ZERO
+    assert_blocks_match_full_path(p, group, images)
+
+
+def test_block_determinants_multiply_to_full_exactly():
+    # not only up to +-t^k: det H * det H^-1 = 1 and the regrouping of rows
+    # and columns into blocks is one permutation applied to both
+    for frac, group in (("5/27", a4_group()), ("1/5", build_group(5, 2)),
+                        ("3/11", build_group(5, 2))):
+        p = wirtinger_presentation(FractionR.parse(frac))
+        images = standard_assignment(group, p)
+        full = perm_rep(images, group, p)
+        reps = representation_blocks(images, group, p)
+        for gen in (1, 2):
+            den = num = ONE
+            for rho in reps:
+                tables = [fox_images(rel, rho.images, rho.inv_images, rho.dim)
+                          for rel in p.relators]
+                den = den * _phi_generator_minus_one(gen, rho).det()
+                num = num * _numerator_det(p, rho, tables, gen)
+            tables = [fox_images(rel, full.images, full.inv_images, full.dim)
+                      for rel in p.relators]
+            assert den == _phi_generator_minus_one(gen, full).det()
+            assert num == _numerator_det(p, full, tables, gen)
+
+
+def test_odd_p_keeps_the_permutation_representation():
+    group = group_from_name("M(4|3,2)")
+    p = wirtinger_presentation(FractionR(3, 5))
+    (images,) = first_surjections(p, group)
+    (rho,) = representation_blocks(images, group, p)
+    assert rho.images == perm_rep(images, group, p).images
+
+
+def test_walsh_split_rejects_entry_outside_blocks():
+    group = build_group(5, 2)
+    q = walsh_conjugate(group.perm_matrix(group.mul(group.s(), group.b(1))))
+    blocks = walsh_blocks([q])
+    assert [len(b) for b in blocks] == [1, 5, 5, 5]
+    assert len(split_blocks(q, blocks)) == 4
+    w, u = blocks[1][0], blocks[2][0]
+    tampered = tuple(tuple(x + (i == w and j == u) for j, x in enumerate(row))
+                     for i, row in enumerate(q))
+    with pytest.raises(ExactnessError, match="outside the blocks"):
+        split_blocks(tampered, blocks)
+
+
+def test_walsh_conjugate_rejects_odd_entry():
+    group = build_group(5, 2)
+    m = group.perm_matrix(group.s())
+    assert walsh_conjugate(m) != m
+    tampered = ((m[0][0] + 1,) + m[0][1:],) + m[1:]
+    with pytest.raises(ExactnessError, match="not divisible by 16"):
+        walsh_conjugate(tampered)
