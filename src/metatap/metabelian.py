@@ -8,9 +8,10 @@ element has the normal form s^ell * b1^v1 ... bk^vk.
 
 Right multiplication on the right cosets of <s> gives a permutation
 representation on p^k points and hence an integral matrix representation of
-dimension p^k.  For M(3|2,2), which is the alternating group A4, there is
-additionally the faithful irreducible 3-dimensional integral representation
-generated by
+dimension p^k; in an integer basis of the rational characters of (Z/p)^k it
+splits into small blocks (`representation_blocks`).  For M(3|2,2), which is
+the alternating group A4, there is additionally the faithful irreducible
+3-dimensional integral representation generated by
 
     xi0(s) = [[-1,1,0],[-1,0,0],[-1,0,1]]   (the image of the 3-cycle x)
     xi0(s b1) = [[0,0,-1],[0,1,-1],[1,0,-1]]  (the image of y)
@@ -29,7 +30,7 @@ from .exactalg import (
     ExactnessError, LaurentPoly, canonical, poly_from_coeffs, exact_div, resultant)
 from .groupcalc import Presentation, Word
 from .intmat import (
-    Mat, identity, mat, mat_add, mat_inverse, mat_mul, mat_scale, transpose, zeros)
+    Mat, identity, mat, mat_add, mat_inverse, mat_mul, mat_scale, zeros)
 
 
 def is_prime(p: int) -> bool:
@@ -310,6 +311,38 @@ class MetaGroup:
                 for w in vecs] for v in vecs]
         return act, add
 
+    @cached_property
+    def character_tables(self) -> tuple[list[tuple[int, ...]], list[list[int]],
+                                        list[list[tuple[int, int]]]]:
+        """Tables (columns, dots, moves) of the rational characters of (Z/p)^k.
+
+        The lines of F_p^k are numbered l = 0, 1, ... in the order of the
+        coset indices of their normalized vectors u_l (first nonzero entry
+        1).  dots[l][x] is u_l . vec(x) mod p.  `columns` are the columns of
+        the integer basis C: column 0 is all ones and column l(p-1) + j, for
+        j = 1..p-1, is [u_l . x = j] - [u_l . x = 0].  moves[t][l] is the
+        pair (m, r) with u_m . x = r (u_l . x T^-t) for every x: T^-t
+        permutes the lines up to a scalar.  Built on first use, once per
+        group object.
+        """
+        p = self.p
+        vecs = [self.vec_of_index(i) for i in range(p**self.k)]
+        lines = [u for u in vecs[1:] if next(x for x in u if x) == 1]
+        line_of = {u: l for l, u in enumerate(lines)}
+        dots = [[sum(a * b for a, b in zip(u, x)) % p for x in vecs] for u in lines]
+        columns = [(1,) * len(vecs)] + [tuple(int(d == j) - int(d == 0) for d in row)
+                                        for row in dots for j in range(1, p)]
+        moves = []
+        for t in range(self.n):
+            # u . (x M) = x . w with w_i = (row i of M) . u
+            rows = self.T_power(-t)
+            moves.append([])
+            for u in lines:
+                w = [sum(a * b for a, b in zip(row, u)) % p for row in rows]
+                r = pow(next(x for x in w if x), -1, p)
+                moves[t].append((line_of[tuple(r * x % p for x in w)], r))
+        return columns, dots, moves
+
     def index(self, g: MetaElem) -> int:
         if g.group != self:
             raise MixedGroupError("element belongs to a different group")
@@ -350,6 +383,46 @@ class MetaGroup:
         return tuple(
             tuple(1 if perm[i] == j else 0 for j in range(size)) for i in range(size)
         )
+
+    def character_matrix(self, g: MetaElem) -> Mat:
+        """Q(g) = C^-1 P(g) C for the basis C of `character_tables`.
+
+        Right multiplication by g = s^ell b^v sends x to x T^-ell + v, and
+        u_l . (x T^-ell + v) = (u_m . x) / r + d with (m, r) = moves[ell][l]
+        and d = u_l . v.  So P(g) takes column l(p-1) + j of C to
+        [u_m . x = r(j - d)] - [u_m . x = -rd], the difference of columns
+        m(p-1) + r(j - d) and m(p-1) - rd of C (reduced mod p, a column
+        m(p-1) + 0 standing for zero): each column of Q(g) has at most two
+        entries, +1 and -1, and no inverse of C is needed.  P(g) C = C Q(g)
+        is checked exactly; a failure is an ExactnessError.
+        """
+        if g.group != self:
+            raise MixedGroupError("element belongs to a different group")
+        columns, dots, moves = self.character_tables
+        p, size = self.p, len(columns)
+        v = self.coset_index(g.vec)
+        cols = [[0] * size for _ in range(size)]
+        cols[0][0] = 1
+        for l, (m, r) in enumerate(moves[g.ell]):
+            d = dots[l][v]
+            for j in range(1, p):
+                col = cols[l * (p - 1) + j]
+                a, b = r * (j - d) % p, -r * d % p
+                if a:
+                    col[m * (p - 1) + a] += 1
+                if b:
+                    col[m * (p - 1) + b] -= 1
+        # column c of P(g) C is column c of C permuted by the coset table
+        table = self.coset_table(g.ell, v)
+        for c, col in enumerate(cols):
+            combination = [0] * size
+            for row, x in enumerate(col):
+                if x:
+                    combination = [y + x * z for y, z in zip(combination, columns[row])]
+            if combination != [columns[c][i] for i in table]:
+                raise ExactnessError(
+                    f"P(g) C != C Q(g) for the character matrix of {g}")
+        return tuple(zip(*cols))
 
 
 def cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
@@ -406,11 +479,10 @@ class NotHomomorphismError(ValueError):
 
 @dataclass
 class Representation:
-    """Generator images in GL(dim, Z), checked against the presentation.
+    """Generator images in GL(dim, Z) for a presentation.
 
-    The relators are checked through products of the images unless
-    `check_relators` is False, which the constructors below pass after
-    `check_homomorphism` has checked them on the coset tables.
+    The constructors below check the relators on the coset tables
+    (`check_homomorphism`) before they build the images.
     """
 
     presentation: Presentation
@@ -418,7 +490,6 @@ class Representation:
     images: dict[int, Mat]
     inv_images: dict[int, Mat] = field(default_factory=dict)
     label: str = ""
-    check_relators: bool = field(default=True, repr=False, compare=False)
 
     def __post_init__(self):
         from .intmat import int_det
@@ -428,12 +499,6 @@ class Representation:
                 raise ValueError(f"image of generator {g} is not in GL(dim, Z)")
             if g not in self.inv_images:
                 self.inv_images[g] = mat_inverse(m)
-        if not self.check_relators:
-            return
-        ident = identity(self.dim)
-        for i, rel in enumerate(self.presentation.relators):
-            if self.word_image(rel) != ident:
-                raise NotHomomorphismError(_relator_message(self.presentation, i))
 
     def word_image(self, word: Word) -> Mat:
         out = identity(self.dim)
@@ -441,11 +506,6 @@ class Representation:
             m = self.images[letter] if letter > 0 else self.inv_images[-letter]
             out = mat_mul(out, m)
         return out
-
-
-def _relator_message(p: Presentation, i: int) -> str:
-    return (f"relator {i + 1} ({p.relators[i].spell(p.generators)}) "
-            f"does not map to the identity")
 
 
 def _coset_walk(word: Word, tables) -> int:
@@ -482,7 +542,9 @@ def check_homomorphism(p: Presentation, group: MetaGroup,
         ells[g], ells[-g] = e.ell, -e.ell
     for i, rel in enumerate(p.relators):
         if sum(ells[letter] for letter in rel) % group.n or _coset_walk(rel, tables):
-            raise NotHomomorphismError(_relator_message(p, i))
+            raise NotHomomorphismError(
+                f"relator {i + 1} ({rel.spell(p.generators)}) "
+                f"does not map to the identity")
 
 
 def _assignment_label(assignment: dict[str, MetaElem], p: Presentation) -> str:
@@ -500,52 +562,15 @@ def perm_rep(assignment: dict[str, MetaElem], group: MetaGroup,
     images = {p.gen_index(name): group.perm_matrix(assignment[name])
               for name in p.generators}
     return Representation(p, group.p**group.k, images,
-                          label=_assignment_label(assignment, p),
-                          check_relators=False)
+                          label=_assignment_label(assignment, p))
 
 
 # ---------------------------------------------------------------------------
-# Walsh blocks for p = 2
+# Character blocks
 # ---------------------------------------------------------------------------
 
 
-def _walsh_row(row) -> list[int]:
-    """row * H for the Walsh-Hadamard matrix H[w][x] = (-1)^popcount(w & x),
-    by the fast transform (len(row) a power of 2)."""
-    a = list(row)
-    h = 1
-    while h < len(a):
-        for i in range(0, len(a), 2 * h):
-            for j in range(i, i + h):
-                a[j], a[j + h] = a[j] + a[j + h], a[j] - a[j + h]
-        h *= 2
-    return a
-
-
-def walsh_conjugate(m: Mat) -> Mat:
-    """H m H / 2^k = H^-1 m H for a 2^k x 2^k integer matrix m.
-
-    For p = 2, popcount(w & x) is the dot product of the vectors of the
-    cosets w and x, so H is the character table of (Z/2)^k and H H = 2^k I.
-    A remainder in the division is an ExactnessError.
-    """
-    size = len(m)
-    m_h = [_walsh_row(row) for row in m]
-    cols = [_walsh_row(col) for col in zip(*m_h)]  # the columns of H m H
-    out = []
-    for row in zip(*cols):
-        quotients = []
-        for x in row:
-            q, r = divmod(x, size)
-            if r:
-                raise ExactnessError(
-                    f"Walsh conjugate has an entry {x} not divisible by {size}")
-            quotients.append(q)
-        out.append(tuple(quotients))
-    return tuple(out)
-
-
-def walsh_blocks(mats: Sequence[Mat]) -> list[list[int]]:
+def support_blocks(mats: Sequence[Mat]) -> list[list[int]]:
     """The connected components of the union of the supports of `mats`:
     coordinate sets, each in increasing order, ordered by their first."""
     size = len(mats[0])
@@ -584,7 +609,7 @@ def split_blocks(m: Mat, blocks: list[list[int]]) -> list[Mat]:
         for u, x in enumerate(row):
             if x and owner[w] != owner[u]:
                 raise ExactnessError(
-                    f"Walsh conjugate has a nonzero entry at ({w}, {u}), "
+                    f"character matrix has a nonzero entry at ({w}, {u}), "
                     f"outside the blocks")
     return [tuple(tuple(m[w][u] for u in coords) for w in coords)
             for coords in blocks]
@@ -595,25 +620,27 @@ def representation_blocks(assignment: dict[str, MetaElem], group: MetaGroup,
     """Representations whose twisted numerator and denominator determinants
     multiply to exactly those of `perm_rep(assignment, group, p)`.
 
-    For p = 2 these are the diagonal blocks of the Walsh conjugates
-    Q(g) = H P(g) H / 2^k: the trivial character and, for a surjection, one
-    n-dimensional block per <s>-orbit of nonzero characters.  Q(g^-1) is the
-    transpose of Q(g), since H is symmetric and P(g)^-1 = P(g)^T.  For odd p
-    the list holds the permutation representation itself.
+    These are the diagonal blocks of the character matrices
+    Q(g) = C^-1 P(g) C (`MetaGroup.character_matrix`) of the generators
+    and of their inverse elements, cut along the connected components of
+    the generators' supports: the trivial character first, and, for a
+    surjection, one m(p-1)-dimensional block per orbit of m lines under T.
+    C depends only on the group, so conjugating every image by it leaves
+    the determinants unchanged.
     """
-    if group.p != 2:
-        return [perm_rep(assignment, group, p)]
     check_homomorphism(p, group, assignment)
     gens = [p.gen_index(name) for name in p.generators]
-    walsh = [walsh_conjugate(group.perm_matrix(assignment[name]))
-             for name in p.generators]
-    blocks = walsh_blocks(walsh)
-    parts = [split_blocks(q, blocks) for q in walsh]
+    elems = [assignment[name] for name in p.generators]
+    mats = [group.character_matrix(e) for e in elems]
+    blocks = support_blocks(mats)
+    parts = [split_blocks(q, blocks) for q in mats]
+    inv_parts = [split_blocks(group.character_matrix(group.inv(e)), blocks)
+                 for e in elems]
     label = _assignment_label(assignment, p)
     return [Representation(p, len(coords),
                            {g: split[b] for g, split in zip(gens, parts)},
-                           {g: transpose(split[b]) for g, split in zip(gens, parts)},
-                           label=label, check_relators=False)
+                           {g: split[b] for g, split in zip(gens, inv_parts)},
+                           label=label)
             for b, coords in enumerate(blocks)]
 
 
@@ -656,6 +683,7 @@ def a4_irreducible_rep(assignment: dict[str, MetaElem],
         images[p.gen_index(name)] = xi0(e)
     if not generates(group, elems):
         raise ValueError("assigned elements do not generate the full group")
+    check_homomorphism(p, group, assignment)
     return Representation(p, 3, images, label=_assignment_label(assignment, p))
 
 

@@ -324,7 +324,11 @@ def test_properties_perm_rep_homomorphism_200():
             a, b = rng.choice(elems), rng.choice(elems)
             assert mat_mul(g.perm_matrix(a), g.perm_matrix(b)) == \
                 g.perm_matrix(g.mul(a, b))
-    report("permutation representation is a homomorphism "
+            q = g.character_matrix(a)
+            assert mat_mul(q, g.character_matrix(b)) == \
+                g.character_matrix(g.mul(a, b))
+            assert all(sum(1 for x in col if x) <= 2 for col in zip(*q))
+    report("permutation and character representations are homomorphisms "
            "(200 random pairs per group)")
 
 

@@ -134,7 +134,7 @@ def test_compute_non_surjective_assignment_exit_1():
 
 
 def test_compute_non_homomorphic_assign_exit_1_on_both_paths():
-    # M(5|2,4) takes the Walsh block path, M(4|3,2) the permutation path
+    # p = 2 and p = 3: the check runs before any block is built
     for frac, group, assign in (("1/3", "M(5|2,4)", "x=s; y=s b1"),
                                 ("1/5", "M(5|2,4)", "x=s; y=b1"),
                                 ("1/3", "M(4|3,2)", "x=s; y=s b1")):
@@ -145,24 +145,30 @@ def test_compute_non_homomorphic_assign_exit_1_on_both_paths():
         assert err.endswith(") does not map to the identity\n")
 
 
-def test_compute_tampered_walsh_conjugate_exit_3(monkeypatch):
-    perm_matrix = MetaGroup.perm_matrix
+def test_compute_tampered_character_blocks_exit_3(monkeypatch):
+    tables = MetaGroup.character_tables.func
 
-    def odd_entry(self, g):
-        m = perm_matrix(self, g)
-        return ((m[0][0] + 1,) + m[0][1:],) + m[1:]
+    def swapped_lines(self):
+        # T^-1 sends the first two lines where the other should go
+        columns, dots, moves = tables(self)
+        moves = [list(row) for row in moves]
+        moves[1][0], moves[1][1] = moves[1][1], moves[1][0]
+        return columns, dots, moves
 
-    monkeypatch.setattr(MetaGroup, "perm_matrix", odd_entry)
-    code, out, err = run_cli("compute", "--r", "1/5", "--group", "M(5|2,4)")
-    assert code == 3 and not out
-    assert err.startswith("internal consistency failure: ")
-    assert "not divisible by 16" in err
+    cases = (("1/5", "M(5|2,4)"), ("3/5", "M(4|3,2)"))
+    monkeypatch.setattr(MetaGroup, "character_tables", property(swapped_lines))
+    for frac, group in cases:
+        code, out, err = run_cli("compute", "--r", frac, "--group", group)
+        assert code == 3 and not out
+        assert err.startswith("internal consistency failure: ")
+        assert "P(g) C != C Q(g)" in err
     monkeypatch.undo()
-    monkeypatch.setattr(metabelian, "walsh_blocks",
+    monkeypatch.setattr(metabelian, "support_blocks",
                         lambda mats: [[i] for i in range(len(mats[0]))])
-    code, out, err = run_cli("compute", "--r", "1/5", "--group", "M(5|2,4)")
-    assert code == 3 and not out
-    assert "outside the blocks" in err
+    for frac, group in cases:
+        code, out, err = run_cli("compute", "--r", frac, "--group", group)
+        assert code == 3 and not out
+        assert "outside the blocks" in err
 
 
 def test_compute_all_skips_non_polynomial_non_surjective():
@@ -467,9 +473,11 @@ _FUZZ_COMMANDS = {
 _FUZZ_VALUES = {
     "--r": ["1/3", "5/27", "3/5", "1/5", "2/6", "1/0", "-1/3", "3/1", "x"],
     "--pres": ["8_5", "10_159.pres", "missing.pres", "."],
-    "--group": ["A4", "M(4|3,2)", "M(5|2,4)", "M(2|3,1)", "M(9|9,9)", "M(3|2,3)", "x"],
+    "--group": ["A4", "M(4|3,2)", "M(5|2,4)", "M(2|3,1)", "M(2|5,1)", "M(9|9,9)",
+                "M(3|2,3)", "x"],
     "--fix": ["x", "y", "q"],
-    "--assign": ["x=s; y=s b1", "x=s;y=s", "x=s", "x=q", "y=s b9", "x=s^-1; y=s"],
+    "--assign": ["x=s; y=s b1", "x=s;y=s", "x=s", "x=q", "y=s b9", "x=s^-1; y=s",
+                 "x=b1; y=b1", "x=1; y=1"],
     "--alpha-max": ["-1", "0", "3", "15", "x"],
     "--out": ["-"],
     "--jobs": ["-1", "0", "1"],

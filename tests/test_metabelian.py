@@ -293,13 +293,13 @@ def test_check_homomorphism_matches_matrix_products():
                     got = None
                 except NotHomomorphismError as e:
                     got = str(e)
-                matrices = {p.gen_index(g): group.perm_matrix(e)
-                            for g, e in images.items()}
-                try:
-                    Representation(p, group.p**group.k, matrices)
-                    want = None
-                except NotHomomorphismError as e:
-                    want = str(e)
+                rho = Representation(p, group.p**group.k,
+                                     {p.gen_index(g): group.perm_matrix(e)
+                                      for g, e in images.items()})
+                want = next((f"relator {i + 1} ({rel.spell(p.generators)}) "
+                             f"does not map to the identity"
+                             for i, rel in enumerate(p.relators)
+                             if rho.word_image(rel) != identity(rho.dim)), None)
                 assert got == want, (p.name, group, images)
                 outcomes.add(got and got.split(" (")[0])
     assert outcomes == {None, "relator 1", "relator 2"}
@@ -327,6 +327,13 @@ def test_a4_rep_requires_generation():
     g = a4_group()
     with pytest.raises(ValueError):
         a4_irreducible_rep({"x": g.s(), "y": g.s()}, p)  # abelian image
+    # generation is checked before the relators, then the relators on the
+    # coset tables (xi0 is faithful)
+    p5 = wirtinger_presentation(FractionR(1, 5))
+    with pytest.raises(ValueError, match="do not generate"):
+        a4_irreducible_rep({"x": g.s(), "y": g.elem(2, (0, 0))}, p5)
+    with pytest.raises(NotHomomorphismError, match=r"^relator 1 \(x y x y x "):
+        a4_irreducible_rep({"x": g.s(), "y": g.mul(g.s(), g.b(1))}, p5)
 
 
 def test_permutation_rep_splits_off_xi0():

@@ -28,7 +28,7 @@ def test_k17_64_dim_exponent_formula():
 
 @pytest.mark.slow
 def test_k17_64_dim_blocks_match_full_path():
-    """The nine 7-dimensional Walsh blocks and the trivial one against the
+    """The nine 7-dimensional character blocks and the trivial one against the
     64-dimensional permutation representation (about 30 s)."""
     g = build_group(7, 2)
     p = wirtinger_presentation(FractionR(1, 7))

@@ -21,9 +21,8 @@ from metatap.metabelian import (
     perm_rep,
     representation_blocks,
     split_blocks,
+    support_blocks,
     trivial_rep,
-    walsh_blocks,
-    walsh_conjugate,
 )
 from metatap.twisted import (
     _numerator_det,
@@ -209,16 +208,17 @@ def test_check_a4_form():
         check_a4_form(FractionR(1, 5))     # no A4 representation exists
 
 
-# -- the Walsh block path for p = 2 --------------------------------------------
+# -- the character block path --------------------------------------------------
 
 def assert_blocks_match_full_path(p, group, images):
     """The block path gives the full permutation path's numerator,
-    denominator, deleted generator and invariant; every block has
-    dimension 1 or n, and the dimensions add up to 2^k."""
+    denominator, deleted generator and invariant; the block dimensions add
+    up to p^k, and the trivial block comes first."""
     reps = representation_blocks(images, group, p)
-    assert group.p == 2 and sum(rho.dim for rho in reps) == 2**group.k
-    assert reps[0].dim == 1 and all(rho.dim in (1, group.n) for rho in reps)
+    assert sum(rho.dim for rho in reps) == group.p**group.k
+    assert all(m == ((1,),) for m in reps[0].images.values())
     assert twisted_alexander(p, reps) == twisted_alexander(p, perm_rep(images, group, p))
+    return reps
 
 
 def first_surjections(p, group, fix=None):
@@ -237,32 +237,46 @@ def two_bridge_surjections(group, alpha_max):
 
 
 def test_blocks_match_full_path_golden_entries():
+    # every golden entry except three M(3|5,2) ones, whose full path the
+    # slow oracle in test_cli covers
     cases = []
     for frac in A4_3DIM:
         p = wirtinger_presentation(FractionR.parse(frac))
         cases.append((p, a4_group(), standard_assignment(a4_group(), p)))
     for entry in PHI:
-        group = group_from_name(entry.group)
-        if group.p != 2:
+        if entry.group == "M(3|5,2)" and entry.source != "3/7":
             continue
+        group = group_from_name(entry.group)
         p = (wirtinger_presentation(FractionR.parse(entry.source))
              if "/" in entry.source else presentation(entry.source))
         images = (standard_assignment(group, p) if entry.assignment is None else
                   {g: group.parse_elem(e) for g, e in entry.assignment.items()})
         cases.append((p, group, images))
-    assert len(cases) == 12
+    assert len(cases) == 19
     for p, group, images in cases:
         assert_blocks_match_full_path(p, group, images)
 
 
+# K(beta/alpha) maps onto the dihedral group M(2|p,1) exactly when p
+# divides alpha: 57 and 40 of the 211 fractions up to 45
 @pytest.mark.parametrize("group_name, alpha_max, count", [
-    ("A4", 99, 336), ("M(5|2,4)", 41, 31)])
+    ("A4", 99, 336), ("M(5|2,4)", 41, 31), ("M(4|3,2)", 61, 94),
+    ("M(2|3,1)", 45, 57), ("M(2|5,1)", 45, 40)])
 def test_blocks_match_full_path_two_bridge_sweep(group_name, alpha_max, count):
     group = group_from_name(group_name)
     cases = two_bridge_surjections(group, alpha_max)
     assert len(cases) == count
     for p, images in cases:
         assert_blocks_match_full_path(p, group, images)
+
+
+def test_blocks_match_full_path_non_free_orbits():
+    # T fixes two of the eight lines of F_7^2: blocks of 6, not only of 18
+    group = group_from_name("M(3|7,2)")
+    p = wirtinger_presentation(FractionR(5, 9))
+    (images,) = first_surjections(p, group)
+    reps = assert_blocks_match_full_path(p, group, images)
+    assert [rho.dim for rho in reps] == [1, 18, 18, 6, 6]
 
 
 def test_blocks_match_full_path_bundled_knots():
@@ -277,11 +291,15 @@ def test_blocks_match_full_path_bundled_knots():
 
 
 def test_blocks_match_full_path_abelian_assignment():
-    for frac, group in (("5/27", a4_group()), ("1/5", build_group(5, 2))):
+    # s on every generator, and the trivial linear parts b1 and 1
+    for frac, group in (("5/27", a4_group()), ("1/5", build_group(5, 2)),
+                        ("3/5", build_group(4, 3)), ("1/5", build_group(2, 5))):
         p = wirtinger_presentation(FractionR.parse(frac))
         images = {g: group.s() for g in p.generators}
         assert twisted_alexander(p, perm_rep(images, group, p)).invariant is None
         assert_blocks_match_full_path(p, group, images)
+        for elem in (group.b(1), group.identity_elem()):
+            assert_blocks_match_full_path(p, group, {g: elem for g in p.generators})
 
 
 def test_blocks_match_full_path_zero_invariant():
@@ -294,10 +312,11 @@ def test_blocks_match_full_path_zero_invariant():
 
 
 def test_block_determinants_multiply_to_full_exactly():
-    # not only up to +-t^k: det H * det H^-1 = 1 and the regrouping of rows
+    # not only up to +-t^k: det C * det C^-1 = 1 and the regrouping of rows
     # and columns into blocks is one permutation applied to both
     for frac, group in (("5/27", a4_group()), ("1/5", build_group(5, 2)),
-                        ("3/11", build_group(5, 2))):
+                        ("3/11", build_group(5, 2)), ("3/5", build_group(4, 3)),
+                        ("5/9", build_group(4, 5))):
         p = wirtinger_presentation(FractionR.parse(frac))
         images = standard_assignment(group, p)
         full = perm_rep(images, group, p)
@@ -315,18 +334,10 @@ def test_block_determinants_multiply_to_full_exactly():
             assert num == _numerator_det(p, full, tables, gen)
 
 
-def test_odd_p_keeps_the_permutation_representation():
-    group = group_from_name("M(4|3,2)")
-    p = wirtinger_presentation(FractionR(3, 5))
-    (images,) = first_surjections(p, group)
-    (rho,) = representation_blocks(images, group, p)
-    assert rho.images == perm_rep(images, group, p).images
-
-
-def test_walsh_split_rejects_entry_outside_blocks():
+def test_support_split_rejects_entry_outside_blocks():
     group = build_group(5, 2)
-    q = walsh_conjugate(group.perm_matrix(group.mul(group.s(), group.b(1))))
-    blocks = walsh_blocks([q])
+    q = group.character_matrix(group.mul(group.s(), group.b(1)))
+    blocks = support_blocks([q])
     assert [len(b) for b in blocks] == [1, 5, 5, 5]
     assert len(split_blocks(q, blocks)) == 4
     w, u = blocks[1][0], blocks[2][0]
@@ -334,12 +345,3 @@ def test_walsh_split_rejects_entry_outside_blocks():
                      for i, row in enumerate(q))
     with pytest.raises(ExactnessError, match="outside the blocks"):
         split_blocks(tampered, blocks)
-
-
-def test_walsh_conjugate_rejects_odd_entry():
-    group = build_group(5, 2)
-    m = group.perm_matrix(group.s())
-    assert walsh_conjugate(m) != m
-    tampered = ((m[0][0] + 1,) + m[0][1:],) + m[1:]
-    with pytest.raises(ExactnessError, match="not divisible by 16"):
-        walsh_conjugate(tampered)
