@@ -25,7 +25,6 @@ import csv
 import json
 import sys
 import time
-from multiprocessing import Pool
 from pathlib import Path
 
 from .exactalg import ExactnessError, LaurentPoly
@@ -49,7 +48,6 @@ from .twobridge import (
     alexander_poly,
     enumerate_fractions,
     h3_expand,
-    two_bridge_alexander,
     wirtinger_presentation,
 )
 
@@ -188,7 +186,7 @@ def cmd_compute(args) -> int:
     if args.r:
         r = FractionR.parse(args.r)
         p = wirtinger_presentation(r)
-        delta = two_bridge_alexander(r)
+        delta = alexander_poly(p)
         input_name = str(r)
     else:
         p = load_presentation(args.pres)
@@ -239,10 +237,10 @@ def _scan_one(packed):
     form = h3_expand(r)
     if h3_only and form is None:
         return []
-    delta = two_bridge_alexander(r)
+    p = wirtinger_presentation(r)
+    delta = alexander_poly(p)
     if not obstruction_passes(delta, group.n, group.p):
         return []
-    p = wirtinger_presentation(r)
     homs = find_homs(p, group)
     surjective = sorted((h.images for h in homs if h.surjective),
                         key=lambda images: _assignment_str(images, p))
@@ -269,6 +267,8 @@ def cmd_scan(args) -> int:
         jobs.append((r.beta, r.alpha, args.group, args.h3_only,
                      args.cross_check))
     if args.jobs > 1:
+        from multiprocessing import Pool
+
         with Pool(args.jobs) as pool:
             chunks = pool.map(_scan_one, jobs)
     else:
@@ -319,7 +319,7 @@ def cmd_find_reps(args) -> int:
     if args.r:
         r = FractionR.parse(args.r)
         p = wirtinger_presentation(r)
-        delta = two_bridge_alexander(r)
+        delta = alexander_poly(p)
         name = str(r)
     else:
         p = load_presentation(args.pres)

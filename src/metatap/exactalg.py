@@ -43,6 +43,13 @@ class LaurentPoly:
                 acc[deg] = acc.get(deg, 0) + coef
         self._terms = tuple(sorted((d, c) for d, c in acc.items() if c))
 
+    @staticmethod
+    def _from_dense(low: int, coeffs: list[int]) -> "LaurentPoly":
+        """The polynomial sum of coeffs[i] * t^(low + i), with no dict or sort."""
+        f = object.__new__(LaurentPoly)
+        f._terms = tuple((low + i, c) for i, c in enumerate(coeffs) if c)
+        return f
+
     # -- constructors ----------------------------------------------------
 
     @staticmethod
@@ -89,10 +96,25 @@ class LaurentPoly:
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return LaurentPoly(self._terms + other._terms)
+        return self._combine(other, 1)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return LaurentPoly(self._terms + tuple((d, -c) for d, c in other._terms))
+        return self._combine(other, -1)
+
+    def _combine(self, other: "LaurentPoly", sign: int) -> "LaurentPoly":
+        """self + sign * other on a dense coefficient list."""
+        a, b = self._terms, other._terms
+        if not b:
+            return self
+        if not a:
+            return other if sign == 1 else -other
+        low = min(a[0][0], b[0][0])
+        out = [0] * (max(a[-1][0], b[-1][0]) - low + 1)
+        for d, c in a:
+            out[d - low] = c
+        for d, c in b:
+            out[d - low] += sign * c
+        return LaurentPoly._from_dense(low, out)
 
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly(tuple((d, -c) for d, c in self._terms))
@@ -100,12 +122,17 @@ class LaurentPoly:
     def __mul__(self, other):
         if isinstance(other, int):
             return LaurentPoly(tuple((d, c * other) for d, c in self._terms))
-        acc: dict[int, int] = {}
-        for d1, c1 in self._terms:
-            for d2, c2 in other._terms:
-                d = d1 + d2
-                acc[d] = acc.get(d, 0) + c1 * c2
-        return LaurentPoly(acc.items())
+        a, b = self._terms, other._terms
+        if not a or not b:
+            return ZERO
+        alow, blow = a[0][0], b[0][0]
+        out = [0] * (a[-1][0] - alow + b[-1][0] - blow + 1)
+        offsets = [(d - blow, c) for d, c in b]
+        for d1, c1 in a:
+            base = d1 - alow
+            for d2, c2 in offsets:
+                out[base + d2] += c1 * c2
+        return LaurentPoly._from_dense(alow + blow, out)
 
     __rmul__ = __mul__
 
@@ -258,32 +285,31 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> Optional[LaurentPoly]:
         raise ZeroDivisionError("division by the zero polynomial")
     if num.is_zero():
         return ZERO
-    ncan, nsign, nshift = normalize(num)
-    dcan, dsign, dshift = normalize(den)
-    # Long division of ordinary polynomials, descending degree.
-    cur = dict(ncan.terms)
-    dlead_deg = dcan.degree()
-    dlead_coef = dcan.terms[-1][1]
-    qterms: dict[int, int] = {}
-    while cur:
-        deg = max(cur)
-        if deg < dlead_deg:
-            return None
-        lead = cur[deg]
+    # num = t^nlow * f and den = t^dlow * g with f(0), g(0) nonzero, so den
+    # divides num in Z[t, 1/t] exactly when g divides f in Z[t]: long
+    # division on dense coefficient lists, descending degree.
+    nlow, dlow = num.terms[0][0], den.terms[0][0]
+    rem = [0] * (num.degree() - nlow + 1)
+    for d, c in num.terms:
+        rem[d - nlow] = c
+    dterms = [(d - dlow, c) for d, c in den.terms]
+    dlead_deg, dlead_coef = dterms[-1]
+    if len(rem) <= dlead_deg:
+        return None
+    quot = [0] * (len(rem) - dlead_deg)
+    for qdeg in range(len(quot) - 1, -1, -1):
+        lead = rem[qdeg + dlead_deg]
+        if not lead:
+            continue
         q, r = divmod(lead, dlead_coef)
         if r:
             return None
-        qdeg = deg - dlead_deg
-        qterms[qdeg] = q
-        for d, c in dcan.terms:
-            nd = d + qdeg
-            val = cur.get(nd, 0) - q * c
-            if val:
-                cur[nd] = val
-            else:
-                cur.pop(nd, None)
-    quot = LaurentPoly(qterms.items())
-    return (nsign * dsign) * quot.shifted(nshift - dshift)
+        quot[qdeg] = q
+        for d, c in dterms:
+            rem[qdeg + d] -= q * c
+    if any(rem[:dlead_deg]):
+        return None
+    return LaurentPoly._from_dense(nlow - dlow, quot)
 
 
 def supported_on_multiples(f: LaurentPoly, n: int) -> bool:

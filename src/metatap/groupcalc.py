@@ -207,30 +207,54 @@ def fox_images(rel: Word, images: Mapping[int, Mat], inv_images: Mapping[int, Ma
     Phi sends a word w to (its image under `images`) * t^(exponent sum of w).
     Returns generator -> (degree -> integer matrix) tables; these equal the
     images of fox_derivative(rel, g) entrywise.
+
+    Each distinct prefix matrix gets a small id the first time it appears,
+    and the step (id, letter) -> id is memoized, so each product is
+    computed once: a finite image has few prefixes.  The pass tallies the
+    signed count of each prefix id per (generator, degree) and builds each
+    matrix once at the end.  Every (generator, degree) visited keeps its
+    matrix, even when the counts cancel to zero.
     """
-    out: dict[int, dict[int, list[list[int]]]] = {}
-    prefix: Mat = identity(dim)
-    deg = 0
+    prefixes: list[Mat] = [identity(dim)]
+    ids: dict[Mat, int] = {prefixes[0]: 0}
+    steps: dict[tuple[int, int], int] = {}
+    tally: dict[tuple[int, int, int], int] = {}  # (gen, deg, id) -> count
 
-    def add(gen: int, sign: int, m: Mat, d: int) -> None:
-        series = out.setdefault(gen, {})
-        acc = series.setdefault(d, [[0] * dim for _ in range(dim)])
-        for i in range(dim):
-            arow = acc[i]
-            mrow = m[i]
-            for j in range(dim):
-                arow[j] += sign * mrow[j]
+    def advance(cur: int, letter: int) -> int:
+        factor = images[letter] if letter > 0 else inv_images[-letter]
+        m = mat_mul(prefixes[cur], factor)
+        nxt = ids.get(m)
+        if nxt is None:
+            nxt = ids[m] = len(prefixes)
+            prefixes.append(m)
+        steps[cur, letter] = nxt
+        return nxt
 
+    cur = deg = 0
     for letter in rel:
-        gen = abs(letter)
         if letter > 0:
-            add(gen, 1, prefix, deg)
-            prefix = mat_mul(prefix, images[gen])
+            key = (letter, deg, cur)
+            tally[key] = tally.get(key, 0) + 1
             deg += 1
         else:
-            prefix = mat_mul(prefix, inv_images[gen])
             deg -= 1
-            add(gen, -1, prefix, deg)
+        nxt = steps.get((cur, letter))
+        cur = advance(cur, letter) if nxt is None else nxt
+        if letter < 0:
+            key = (-letter, deg, cur)
+            tally[key] = tally.get(key, 0) - 1
+
+    out: dict[int, dict[int, list[list[int]]]] = {}
+    for (gen, d, pid), count in tally.items():
+        series = out.setdefault(gen, {})
+        acc = series.get(d)
+        if acc is None:
+            acc = series[d] = [[0] * dim for _ in range(dim)]
+        if count:
+            for arow, mrow in zip(acc, prefixes[pid]):
+                for j, x in enumerate(mrow):
+                    if x:
+                        arow[j] += count * x
     return out
 
 

@@ -442,7 +442,10 @@ def cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(lengths))
 
 
+@lru_cache(maxsize=None)
 def build_group(n: int, p: int) -> MetaGroup:
+    """The one MetaGroup of (n, p) in this process, so that its cached
+    tables (`units`, `index_law`, `character_tables`) are built once."""
     return MetaGroup(n, p)
 
 

@@ -124,10 +124,13 @@ def h3_expand(r: FractionR) -> Optional[H3Form]:
     magnitude >= 2, any genuine expansion keeps all tails within [-1, 1],
     so branches leaving that interval are pruned.  Absence means "not found
     within bounds", never a proof of non-membership.
+
+    The search runs on integer pairs; only the certificate is evaluated in
+    Fraction.
     """
     max_depth = 2 * ceil(log2(r.alpha)) + 4
     budget = [_SEARCH_NODE_BUDGET]
-    entries = _h3_dfs(r.as_fraction(), position=1, depth=max_depth, budget=budget)
+    entries = _h3_dfs(r.beta, r.alpha, position=1, depth=max_depth, budget=budget)
     if entries is None:
         return None
     ks = tuple(a // 3 for a in entries[0::2])
@@ -138,31 +141,43 @@ def h3_expand(r: FractionR) -> Optional[H3Form]:
     return form
 
 
-def _h3_dfs(target: Fraction, position: int, depth: int,
+def _h3_dfs(num: int, den: int, position: int, depth: int,
             budget: list[int]) -> Optional[list[int]]:
-    if depth <= 0 or budget[0] <= 0 or target == 0:
+    """The search below the reduced tail num/den (den > 0).
+
+    With the reciprocal written as rn/rd (rd > 0), each new tail
+    (rn - a*rd)/rd stays reduced without a gcd, since
+    gcd(rn - a*rd, rd) = gcd(rn, rd) = 1.
+    """
+    if depth <= 0 or budget[0] <= 0 or num == 0:
         return None
     budget[0] -= 1
-    recip = 1 / target
+    rn, rd = (den, num) if num > 0 else (-den, -num)
     step = 3 if position % 2 == 1 else 2
-    if position % 2 == 1 and recip.denominator == 1 and recip % 3 == 0:
-        return [int(recip)]
-    for a in _nearest_candidates(recip, step):
-        tail = recip - a
-        if tail == 0 or abs(tail) > 1:
+    if position % 2 == 1 and rd == 1 and rn % 3 == 0:
+        return [rn]
+    for a in _nearest_candidates(rn, rd, step):
+        tail = rn - a * rd
+        if tail == 0 or abs(tail) > rd:
             continue
-        rest = _h3_dfs(tail, position + 1, depth - 1, budget)
+        rest = _h3_dfs(tail, rd, position + 1, depth - 1, budget)
         if rest is not None:
             return [a] + rest
     return None
 
 
-def _nearest_candidates(value: Fraction, step: int, count: int = 4) -> list[int]:
-    """The `count` nonzero multiples of `step` nearest to value."""
-    base = int(value / step)
+def _nearest_candidates(num: int, den: int, step: int, count: int = 4) -> list[int]:
+    """The `count` nonzero multiples of `step` nearest to num/den (den > 0).
+
+    The base is num/(den*step) truncated toward zero, and ties go to the
+    smaller candidate: |num/den - c| orders as |num - c*den| since den > 0.
+    """
+    base = abs(num) // (den * step)
+    if num < 0:
+        base = -base
     cands = {step * (base + d) for d in range(-3, 4)}
     cands.discard(0)
-    return sorted(cands, key=lambda c: (abs(value - c), c))[:count]
+    return sorted(cands, key=lambda c: (abs(num - c * den), c))[:count]
 
 
 # ---------------------------------------------------------------------------

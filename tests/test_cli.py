@@ -156,6 +156,11 @@ def test_compute_tampered_character_blocks_exit_3(monkeypatch):
         return columns, dots, moves
 
     cases = (("1/5", "M(5|2,4)"), ("3/5", "M(4|3,2)"))
+    # build and cache the genuine tables of the same (per-process) groups
+    # first: the tampered tables must still be the ones used
+    for frac, group in cases:
+        assert run_cli("compute", "--r", frac, "--group", group)[0] == 0
+        assert "character_tables" in vars(group_from_name(group))
     monkeypatch.setattr(MetaGroup, "character_tables", property(swapped_lines))
     for frac, group in cases:
         code, out, err = run_cli("compute", "--r", frac, "--group", group)

@@ -1,11 +1,13 @@
 """Exact Laurent arithmetic, normalization, division, and determinants."""
 
+import doctest
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metatap import exactalg
 from metatap.exactalg import (
     ExactnessError,
     LaurentPoly,
@@ -69,6 +71,55 @@ def test_ring_axioms(f, g, h):
     assert (f * g) * h == f * (g * h)
     assert f * g == g * f
     assert f * (g + h) == f * g + f * h
+
+
+# The dict-based arithmetic the dense lists replace, as an oracle.
+
+def _dict_mul(f, g):
+    acc = {}
+    for d1, c1 in f.terms:
+        for d2, c2 in g.terms:
+            acc[d1 + d2] = acc.get(d1 + d2, 0) + c1 * c2
+    return LaurentPoly(acc.items())
+
+
+def _dict_exact_div(num, den):
+    if num.is_zero():
+        return ZERO
+    ncan, nsign, nshift = normalize(num)
+    dcan, dsign, dshift = normalize(den)
+    cur = dict(ncan.terms)
+    dlead_deg, dlead_coef = dcan.terms[-1]
+    qterms = {}
+    while cur:
+        deg = max(cur)
+        if deg < dlead_deg:
+            return None
+        q, r = divmod(cur[deg], dlead_coef)
+        if r:
+            return None
+        qterms[deg - dlead_deg] = q
+        for d, c in dcan.terms:
+            val = cur.get(d + deg - dlead_deg, 0) - q * c
+            if val:
+                cur[d + deg - dlead_deg] = val
+            else:
+                cur.pop(d + deg - dlead_deg, None)
+    return (nsign * dsign) * LaurentPoly(qterms.items()).shifted(nshift - dshift)
+
+
+@given(small_polys, small_polys, small_polys)
+@settings(max_examples=400, deadline=None)
+def test_dense_arithmetic_matches_dict_oracle(f, g, h):
+    assert f * g == _dict_mul(f, g)
+    assert f + g == LaurentPoly(f.terms + g.terms)
+    assert f - g == LaurentPoly(f.terms + tuple((d, -c) for d, c in g.terms))
+    for result in (f * g, f + g, f - g):
+        assert all(c for _, c in result.terms)
+        assert list(result.terms) == sorted(result.terms)
+    if not g.is_zero():
+        for num in (f, f * g, f * g + h, _dict_mul(f, g).shifted(-7)):
+            assert exact_div(num, g) == _dict_exact_div(num, g)
 
 
 # -- printing / parsing -------------------------------------------------------
@@ -289,3 +340,9 @@ def test_resultant_matches_sylvester_oracle():
 def test_resultant_trefoil_cyclotomic():
     # product of (1 - t + t^2) over the primitive cube roots of unity is 4
     assert resultant(P("1 + t + t^2"), P("1 - t + t^2")) == 4
+
+
+def test_module_doctests():
+    results = doctest.testmod(exactalg)
+    assert results.failed == 0
+    assert results.attempted >= 9

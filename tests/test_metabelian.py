@@ -85,6 +85,13 @@ def test_group_from_name():
         group_from_name("S4")
 
 
+def test_one_group_per_n_p():
+    # build_group caches, so each group's tables are built once per process
+    assert group_from_name("A4") is a4_group()
+    assert group_from_name("M(4|3,2)") is build_group(4, 3)
+    assert build_group(4, 3) is not build_group(4, 5)
+
+
 # -- group law ----------------------------------------------------------------
 
 def test_identity_and_inverse():

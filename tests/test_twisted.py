@@ -10,6 +10,7 @@ from metatap.exactalg import (
 from metatap.golden import A4_3DIM, PHI, phi_value
 from metatap.groupcalc import (
     GroupRingElem, Word, fox_derivative, fox_images, parse_presentation)
+from metatap.intmat import identity, mat_inverse, mat_mul
 from metatap.knotdata import presentation
 from metatap.metabelian import (
     a4_group,
@@ -97,6 +98,78 @@ def test_fused_fox_images_match_phi_of_derivative():
             direct = phi_map(fox_derivative(rel, gen), rho)
             fused = _series_to_matrix(tables.get(gen, {}), rho.dim)
             assert direct == fused
+
+
+def _fox_images_per_letter(rel, images, inv_images, dim):
+    """The pass fox_images replaces: one mat_mul per relator letter."""
+    out = {}
+    prefix = identity(dim)
+    deg = 0
+
+    def add(gen, sign, m, d):
+        acc = out.setdefault(gen, {}).setdefault(d, [[0] * dim for _ in range(dim)])
+        for i in range(dim):
+            for j in range(dim):
+                acc[i][j] += sign * m[i][j]
+
+    for letter in rel:
+        gen = abs(letter)
+        if letter > 0:
+            add(gen, 1, prefix, deg)
+            prefix = mat_mul(prefix, images[gen])
+            deg += 1
+        else:
+            prefix = mat_mul(prefix, inv_images[gen])
+            deg -= 1
+            add(gen, -1, prefix, deg)
+    return out
+
+
+def _assert_same_fox_tables(rel, images, inv_images, dim):
+    new = fox_images(rel, images, inv_images, dim)
+    old = _fox_images_per_letter(rel, images, inv_images, dim)
+    assert new == old
+    assert list(new) == list(old)
+    assert all(list(new[g]) == list(old[g]) for g in old)
+
+
+def test_interned_fox_images_match_per_letter_pass():
+    # the character blocks and perm_rep of the first surjective and the
+    # first other homomorphism of each knot group
+    fractions = list(enumerate_fractions(29))
+    for group_name in ("A4", "M(5|2,4)", "M(4|3,2)"):
+        group = group_from_name(group_name)
+        surjective = 0
+        for r in fractions:
+            p = wirtinger_presentation(r)
+            homs = find_homs(p, group)
+            for onto in (True, False):
+                h = next((h for h in homs if h.surjective == onto), None)
+                if h is None:
+                    continue
+                surjective += onto
+                reps = representation_blocks(h.images, group, p)
+                reps.append(perm_rep(h.images, group, p))
+                for rho in reps:
+                    _assert_same_fox_tables(p.relators[0], rho.images,
+                                            rho.inv_images, rho.dim)
+        assert surjective >= 3
+    # an infinite image: every prefix is new
+    x, y = ((1, 1), (0, 1)), ((1, 0), (1, 1))
+    images = {1: x, 2: y}
+    inv_images = {1: mat_inverse(x), 2: mat_inverse(y)}
+    for r in fractions:
+        _assert_same_fox_tables(wirtinger_presentation(r).relators[0],
+                                images, inv_images, 2)
+
+
+def test_fox_images_keep_keys_that_sum_to_zero():
+    # x y X X: x leaves degree 0 with the prefix 1 and X returns to degree 0
+    # with the prefix 1, so the (x, 0) entry cancels but stays in the table
+    trivial = {1: ((1,),), 2: ((1,),)}
+    tables = fox_images(Word([1, 2, -1, -1]), trivial, trivial, 1)
+    assert tables[1][0] == [[0]]
+    assert tables == _fox_images_per_letter(Word([1, 2, -1, -1]), trivial, trivial, 1)
 
 
 # -- twisted invariants -------------------------------------------------------

@@ -3,12 +3,14 @@ polynomials."""
 
 from fractions import Fraction
 from itertools import product
+from math import ceil, log2
 
 import pytest
 
 from metatap.exactalg import LaurentPoly, PolyMatrix, canonical, equal_up_to_unit, parse_poly
 from metatap.golden import ALEXANDER
 from metatap.groupcalc import fox_derivative, word_from_string
+from metatap import twobridge
 from metatap.knotdata import BUNDLED, presentation
 from metatap.twobridge import (
     CFError,
@@ -92,6 +94,47 @@ def test_h3_round_trip_small_forms():
             found = h3_expand(FractionR(b, a))
             assert found is not None
             assert found.value() == val
+
+
+def test_h3_integer_search_matches_fraction_search():
+    # The search it replaces, on Fraction tails: the same forms (None
+    # included) and the same node-budget use for every fraction.
+    def nearest(value, step, count=4):
+        base = int(value / step)
+        cands = {step * (base + d) for d in range(-3, 4)}
+        cands.discard(0)
+        return sorted(cands, key=lambda c: (abs(value - c), c))[:count]
+
+    def dfs(target, position, depth, budget):
+        if depth <= 0 or budget[0] <= 0 or target == 0:
+            return None
+        budget[0] -= 1
+        recip = 1 / target
+        step = 3 if position % 2 == 1 else 2
+        if position % 2 == 1 and recip.denominator == 1 and recip % 3 == 0:
+            return [int(recip)]
+        for a in nearest(recip, step):
+            tail = recip - a
+            if tail == 0 or abs(tail) > 1:
+                continue
+            rest = dfs(tail, position + 1, depth - 1, budget)
+            if rest is not None:
+                return [a] + rest
+        return None
+
+    found = 0
+    for r in enumerate_fractions(201):
+        depth = 2 * ceil(log2(r.alpha)) + 4
+        old_budget = [twobridge._SEARCH_NODE_BUDGET]
+        new_budget = [twobridge._SEARCH_NODE_BUDGET]
+        entries = dfs(r.as_fraction(), 1, depth, old_budget)
+        assert twobridge._h3_dfs(r.beta, r.alpha, 1, depth, new_budget) == entries
+        assert new_budget == old_budget
+        form = None if entries is None else H3Form(
+            tuple(a // 3 for a in entries[0::2]), tuple(a // 2 for a in entries[1::2]))
+        assert h3_expand(r) == form
+        found += form is not None
+    assert found > 100
 
 
 def test_h3form_validation():
