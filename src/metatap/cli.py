@@ -74,6 +74,8 @@ def _parse_assignment(text: str, group: MetaGroup, p: Presentation) -> dict:
         gen = gen.strip()
         if not eq or gen not in p.generators:
             raise InputError(f"bad assignment chunk {chunk!r}")
+        if gen in images:
+            raise InputError(f"generator {gen!r} is assigned twice")
         images[gen] = group.parse_elem(elem.strip())
     missing = [g for g in p.generators if g not in images]
     if missing:
@@ -86,12 +88,13 @@ def _assignment_str(images: dict, p: Presentation) -> str:
 
 
 def _compute_records(p: Presentation, group: MetaGroup, delta: LaurentPoly,
-                     assignments, input_name: str, cross_check: bool,
+                     assignments, classes, input_name: str, cross_check: bool,
                      recursion_value=None,
                      skip_non_polynomial: bool = False) -> list[dict]:
     """One record per assignment, with one determinant per class.
 
-    The first assignment of each class (see `unit_classes`) goes through
+    `classes` is `unit_classes` of the assignments' images.  The first
+    assignment of each class goes through
     representation_blocks, twisted_alexander and check_factorization.  A
     later member reuses its class's result only after
     `conjugate_by_relabeling` has shown, on the coset tables, that its
@@ -102,7 +105,6 @@ def _compute_records(p: Presentation, group: MetaGroup, delta: LaurentPoly,
     polynomial is an input error, or, with `skip_non_polynomial`, is
     named on stderr and gets no record.
     """
-    classes = unit_classes(group, [images for images, _ in assignments])
     verdicts = {}
     records = []
     for i, ((images, surjective), (rep, unit)) in enumerate(
@@ -181,17 +183,20 @@ def _gather_assignments(p, group, args):
     return chosen
 
 
-def cmd_compute(args) -> int:
-    group = group_from_name(args.group)
+def _load_input(args) -> tuple[Presentation, LaurentPoly, str]:
+    """The presentation, its Alexander polynomial and the input's name,
+    from --r or --pres."""
     if args.r:
         r = FractionR.parse(args.r)
         p = wirtinger_presentation(r)
-        delta = alexander_poly(p)
-        input_name = str(r)
-    else:
-        p = load_presentation(args.pres)
-        delta = alexander_poly(p)
-        input_name = p.name or args.pres
+        return p, alexander_poly(p), str(r)
+    p = load_presentation(args.pres)
+    return p, alexander_poly(p), p.name or args.pres
+
+
+def cmd_compute(args) -> int:
+    group = group_from_name(args.group)
+    p, delta, input_name = _load_input(args)
     if not args.assign and not obstruction_passes(delta, group.n, group.p):
         print(
             f"no representation: the resultant obstruction rules out a "
@@ -209,8 +214,9 @@ def cmd_compute(args) -> int:
             recursion_value = twisted_via_recursion(FractionR.parse(args.r))
         except NotInH3Error:
             recursion_value = None
-    records = _compute_records(p, group, delta, assignments, input_name,
-                               args.cross_check, recursion_value,
+    classes = unit_classes(group, [images for images, _ in assignments])
+    records = _compute_records(p, group, delta, assignments, classes,
+                               input_name, args.cross_check, recursion_value,
                                skip_non_polynomial=args.all and not args.assign)
     if not records:
         print(f"no representation of {input_name} onto {group.name()} "
@@ -249,10 +255,11 @@ def _scan_one(packed):
     recursion_value = None
     if cross_check and group == a4_group() and form is not None:
         recursion_value = twisted_via_recursion(r)
+    classes = unit_classes(group, surjective)
     records = _compute_records(p, group, delta,
                                [(images, True) for images in surjective],
-                               str(r), cross_check, recursion_value)
-    reps = sorted({rep for rep, _ in unit_classes(group, surjective)})
+                               classes, str(r), cross_check, recursion_value)
+    reps = sorted({rep for rep, _ in classes})
     return [records[i] for i in reps]
 
 
@@ -316,15 +323,7 @@ def _dump_rows(rows, handle, jsonl: bool, csv_mode: bool) -> None:
 
 def cmd_find_reps(args) -> int:
     group = group_from_name(args.group)
-    if args.r:
-        r = FractionR.parse(args.r)
-        p = wirtinger_presentation(r)
-        delta = alexander_poly(p)
-        name = str(r)
-    else:
-        p = load_presentation(args.pres)
-        delta = alexander_poly(p)
-        name = p.name or args.pres
+    p, delta, name = _load_input(args)
     possible = obstruction_passes(delta, group.n, group.p)
     if not possible:
         print(f"obstruction: no surjection of G({name}) onto {group.name()} "

@@ -1,10 +1,10 @@
 """Exact Laurent-polynomial arithmetic over Z[t, 1/t] and matrix algebra on top.
 
 Coefficients are Python ints, so nothing ever overflows; all operations are
-exact ring arithmetic.  A LaurentPoly is stored sparsely as a tuple of
-(degree, coefficient) pairs with strictly increasing degrees and no zero
-coefficients.  Values are immutable and hashable, hence safe to share across
-threads and to use as dict keys.
+exact ring arithmetic.  A LaurentPoly is stored densely: its lowest degree
+and the tuple of coefficients from that degree up, with a nonzero first and
+last entry (the zero polynomial is (0, ())).  Values are immutable and
+hashable, hence safe to share across threads and to use as dict keys.
 
 The text form used everywhere in the package lists terms in increasing
 degree, e.g. ``1 - 3*t^3 + t^6`` or ``t^-2 + t``, and round-trips bit-exactly
@@ -14,9 +14,9 @@ through parse_poly / str.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Optional
+from typing import Iterable, Mapping, Optional
 
-from .intmat import Mat, int_det
+from .intmat import Mat, identity, int_det, mat_neg
 
 
 class ExactnessError(RuntimeError):
@@ -34,20 +34,32 @@ class LaurentPoly:
     '-t^-1 + t'
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_low", "_coeffs")
 
-    def __init__(self, terms: Iterable[tuple[int, int]] = ()):
-        acc: dict[int, int] = {}
+    def __new__(cls, terms: Iterable[tuple[int, int]] = ()):
+        terms = tuple(terms)
+        if not terms:
+            return LaurentPoly._from_dense(0, ())
+        low = min(d for d, _ in terms)
+        dense = [0] * (max(d for d, _ in terms) - low + 1)
         for deg, coef in terms:
-            if coef:
-                acc[deg] = acc.get(deg, 0) + coef
-        self._terms = tuple(sorted((d, c) for d, c in acc.items() if c))
+            dense[deg - low] += coef
+        return LaurentPoly._from_dense(low, dense)
 
     @staticmethod
-    def _from_dense(low: int, coeffs: list[int]) -> "LaurentPoly":
-        """The polynomial sum of coeffs[i] * t^(low + i), with no dict or sort."""
+    def _from_dense(low: int, coeffs) -> "LaurentPoly":
+        """The polynomial sum of coeffs[i] * t^(low + i).  Every value is
+        built here: zeros at either end are trimmed, so equal polynomials
+        have equal fields."""
+        hi = len(coeffs)
+        while hi and not coeffs[hi - 1]:
+            hi -= 1
+        lo = 0
+        while lo < hi and not coeffs[lo]:
+            lo += 1
         f = object.__new__(LaurentPoly)
-        f._terms = tuple((low + i, c) for i, c in enumerate(coeffs) if c)
+        f._low = low + lo if hi else 0
+        f._coeffs = tuple(coeffs[lo:hi])
         return f
 
     # -- constructors ----------------------------------------------------
@@ -72,26 +84,26 @@ class LaurentPoly:
 
     @property
     def terms(self) -> tuple[tuple[int, int], ...]:
-        return self._terms
+        """The (degree, coefficient) pairs of the nonzero terms, by degree."""
+        low = self._low
+        return tuple((low + i, c) for i, c in enumerate(self._coeffs) if c)
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._coeffs
 
     def degree(self) -> int:
-        if not self._terms:
+        if not self._coeffs:
             raise ValueError("zero polynomial has no degree")
-        return self._terms[-1][0]
+        return self._low + len(self._coeffs) - 1
 
     def low_degree(self) -> int:
-        if not self._terms:
+        if not self._coeffs:
             raise ValueError("zero polynomial has no degree")
-        return self._terms[0][0]
+        return self._low
 
     def coeff(self, deg: int) -> int:
-        for d, c in self._terms:
-            if d == deg:
-                return c
-        return 0
+        i = deg - self._low
+        return self._coeffs[i] if 0 <= i < len(self._coeffs) else 0
 
     # -- arithmetic -------------------------------------------------------
 
@@ -102,37 +114,39 @@ class LaurentPoly:
         return self._combine(other, -1)
 
     def _combine(self, other: "LaurentPoly", sign: int) -> "LaurentPoly":
-        """self + sign * other on a dense coefficient list."""
-        a, b = self._terms, other._terms
+        """self + sign * other."""
+        a, b = self._coeffs, other._coeffs
         if not b:
             return self
         if not a:
             return other if sign == 1 else -other
-        low = min(a[0][0], b[0][0])
-        out = [0] * (max(a[-1][0], b[-1][0]) - low + 1)
-        for d, c in a:
-            out[d - low] = c
-        for d, c in b:
-            out[d - low] += sign * c
+        low = min(self._low, other._low)
+        out = [0] * (max(self._low + len(a), other._low + len(b)) - low)
+        start = self._low - low
+        out[start:start + len(a)] = a
+        for i, c in enumerate(b, other._low - low):
+            out[i] += sign * c
         return LaurentPoly._from_dense(low, out)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(tuple((d, -c) for d, c in self._terms))
+        return LaurentPoly._from_dense(self._low, [-c for c in self._coeffs])
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return LaurentPoly(tuple((d, c * other) for d, c in self._terms))
-        a, b = self._terms, other._terms
+            return LaurentPoly._from_dense(
+                self._low, [c * other for c in self._coeffs])
+        a, b = self._coeffs, other._coeffs
         if not a or not b:
             return ZERO
-        alow, blow = a[0][0], b[0][0]
-        out = [0] * (a[-1][0] - alow + b[-1][0] - blow + 1)
-        offsets = [(d - blow, c) for d, c in b]
-        for d1, c1 in a:
-            base = d1 - alow
-            for d2, c2 in offsets:
-                out[base + d2] += c1 * c2
-        return LaurentPoly._from_dense(alow + blow, out)
+        # Skip zero coefficients: values supported on multiples of n (every
+        # phi and twisted value for n = 3) are mostly zeros when dense.
+        nonzero = [(j, c) for j, c in enumerate(b) if c]
+        out = [0] * (len(a) + len(b) - 1)
+        for i, c1 in enumerate(a):
+            if c1:
+                for j, c2 in nonzero:
+                    out[i + j] += c1 * c2
+        return LaurentPoly._from_dense(self._low + other._low, out)
 
     __rmul__ = __mul__
 
@@ -150,36 +164,36 @@ class LaurentPoly:
 
     def shifted(self, k: int) -> "LaurentPoly":
         """Multiply by t^k."""
-        return LaurentPoly(tuple((d + k, c) for d, c in self._terms))
-
-    def reversed(self) -> "LaurentPoly":
-        """Substitute t -> 1/t."""
-        return LaurentPoly(tuple((-d, c) for d, c in self._terms))
+        return LaurentPoly._from_dense(self._low + k, self._coeffs)
 
     def evaluate(self, x: int) -> int:
-        """Evaluate at an integer point; requires no negative degrees."""
-        if self._terms and self._terms[0][0] < 0:
+        """Evaluate at an integer point (Horner); requires no negative degrees."""
+        if self._low < 0:
             raise ValueError("cannot evaluate a proper Laurent polynomial at an int")
-        return sum(c * x**d for d, c in self._terms)
+        acc = 0
+        for c in reversed(self._coeffs):
+            acc = acc * x + c
+        return acc * x**self._low
 
     # -- comparison / hashing ----------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, LaurentPoly) and self._terms == other._terms
+        return (isinstance(other, LaurentPoly) and self._low == other._low
+                and self._coeffs == other._coeffs)
 
     def __hash__(self) -> int:
-        return hash(self._terms)
+        return hash((self._low, self._coeffs))
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._coeffs)
 
     # -- printing -----------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._terms:
+        if not self._coeffs:
             return "0"
         parts = []
-        for i, (d, c) in enumerate(self._terms):
+        for i, (d, c) in enumerate(self.terms):
             mag = abs(c)
             if d == 0:
                 body = str(mag)
@@ -198,7 +212,6 @@ class LaurentPoly:
 
 ZERO = LaurentPoly.zero()
 ONE = LaurentPoly.one()
-T = LaurentPoly.term(1, 1)
 
 _TERM_RE = re.compile(r"^(?:(\d+)\*?)?(t(?:\^(-?\d+))?)?$")
 
@@ -257,8 +270,9 @@ def normalize(f: LaurentPoly) -> tuple[LaurentPoly, int, int]:
     if f.is_zero():
         raise ValueError("zero polynomial has no canonical form")
     shift = f.low_degree()
-    sign = 1 if f.terms[0][1] > 0 else -1
-    canonical = LaurentPoly(tuple((d - shift, sign * c) for d, c in f.terms))
+    sign = 1 if f._coeffs[0] > 0 else -1
+    canonical = LaurentPoly._from_dense(
+        0, f._coeffs if sign > 0 else [-c for c in f._coeffs])
     return canonical, sign, shift
 
 
@@ -287,12 +301,9 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> Optional[LaurentPoly]:
         return ZERO
     # num = t^nlow * f and den = t^dlow * g with f(0), g(0) nonzero, so den
     # divides num in Z[t, 1/t] exactly when g divides f in Z[t]: long
-    # division on dense coefficient lists, descending degree.
-    nlow, dlow = num.terms[0][0], den.terms[0][0]
-    rem = [0] * (num.degree() - nlow + 1)
-    for d, c in num.terms:
-        rem[d - nlow] = c
-    dterms = [(d - dlow, c) for d, c in den.terms]
+    # division on the coefficient lists, descending degree.
+    rem = list(num._coeffs)
+    dterms = [(d, c) for d, c in enumerate(den._coeffs) if c]
     dlead_deg, dlead_coef = dterms[-1]
     if len(rem) <= dlead_deg:
         return None
@@ -309,7 +320,7 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> Optional[LaurentPoly]:
             rem[qdeg + d] -= q * c
     if any(rem[:dlead_deg]):
         return None
-    return LaurentPoly._from_dense(nlow - dlow, quot)
+    return LaurentPoly._from_dense(num._low - den._low, quot)
 
 
 def supported_on_multiples(f: LaurentPoly, n: int) -> bool:
@@ -325,7 +336,7 @@ def supported_on_multiples(f: LaurentPoly, n: int) -> bool:
 
 def poly_from_coeffs(coeffs: Iterable[int], low: int = 0) -> LaurentPoly:
     """Build a polynomial from dense coefficients starting at degree `low`."""
-    return LaurentPoly((low + i, c) for i, c in enumerate(coeffs))
+    return LaurentPoly._from_dense(low, tuple(coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +362,17 @@ class PolyMatrix:
         )
 
     @staticmethod
-    def from_int_matrix(m: Mat, scale: LaurentPoly = ONE) -> "PolyMatrix":
-        return PolyMatrix([[scale * int(x) for x in row] for row in m])
+    def from_series(series: Mapping[int, Mat], dim: int) -> "PolyMatrix":
+        """The matrix sum of m * t^deg over the items of a `degree -> dim x
+        dim integer matrix` series (the empty series gives zero)."""
+        if not series:
+            return PolyMatrix([[ZERO] * dim for _ in range(dim)])
+        low = min(series)
+        zero = [[0] * dim for _ in range(dim)]
+        mats = [series.get(d, zero) for d in range(low, max(series) + 1)]
+        return PolyMatrix(
+            [[LaurentPoly._from_dense(low, [m[i][j] for m in mats])
+              for j in range(dim)] for i in range(dim)])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PolyMatrix) and self.rows == other.rows
@@ -383,9 +403,6 @@ class PolyMatrix:
                 new_row.append(acc)
             out.append(new_row)
         return PolyMatrix(out)
-
-    def scale(self, f: LaurentPoly) -> "PolyMatrix":
-        return PolyMatrix([[f * e for e in row] for row in self.rows])
 
     def __repr__(self):
         body = "; ".join(", ".join(str(e) for e in row) for row in self.rows)
@@ -462,11 +479,6 @@ class PolyMatrix:
         coeffs = _newton_interpolate(points, values)
         return poly_from_coeffs(coeffs, low=total_shift)
 
-    def charpoly(self) -> LaurentPoly:
-        """det(t*I - M); here the matrix must have constant entries."""
-        shifted = PolyMatrix.identity(self.dim).scale(T) - self
-        return shifted.det()
-
 
 def _det_cofactor(rows) -> LaurentPoly:
     n = len(rows)
@@ -532,22 +544,21 @@ def _newton_interpolate(points: list[int], values: list[int]) -> list[int]:
 
 def int_charpoly(m: Mat) -> LaurentPoly:
     """Characteristic polynomial det(t*I - m) of an integer matrix."""
-    return PolyMatrix.from_int_matrix(m).charpoly()
+    n = len(m)
+    return PolyMatrix.from_series({0: mat_neg(m), 1: identity(n)}, n).det()
 
 
 def _rem_monic(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     """Remainder of f modulo the monic polynomial g (nonnegative degrees)."""
     n = g.degree()
-    rem = [0] * (f.degree() + 1)
-    for d, c in f.terms:
-        rem[d] = c
-    lower = [(d, c) for d, c in g.terms if d < n]
+    rem = [0] * f._low + list(f._coeffs)
+    lower = [(g._low + i, c) for i, c in enumerate(g._coeffs[:-1]) if c]
     for top in range(len(rem) - 1, n - 1, -1):
         q = rem[top]
         if q:
             for d, c in lower:
                 rem[top - n + d] -= q * c
-    return poly_from_coeffs(rem[:n])
+    return LaurentPoly._from_dense(0, rem[:n])
 
 
 def resultant(f: LaurentPoly, g: LaurentPoly) -> int:

@@ -492,16 +492,18 @@ class Representation:
     dim: int
     images: dict[int, Mat]
     inv_images: dict[int, Mat] = field(default_factory=dict)
-    label: str = ""
 
     def __post_init__(self):
-        from .intmat import int_det
-
+        """Check each image against its inverse, supplied or computed:
+        `fox_images` multiplies by `inv_images` for inverse letters."""
         for g, m in self.images.items():
-            if int_det(m) not in (1, -1):
+            try:
+                inv = self.inv_images.get(g) or mat_inverse(m)
+            except ValueError:
+                inv = None
+            if inv is None or mat_mul(m, inv) != identity(self.dim):
                 raise ValueError(f"image of generator {g} is not in GL(dim, Z)")
-            if g not in self.inv_images:
-                self.inv_images[g] = mat_inverse(m)
+            self.inv_images[g] = inv
 
     def word_image(self, word: Word) -> Mat:
         out = identity(self.dim)
@@ -550,10 +552,6 @@ def check_homomorphism(p: Presentation, group: MetaGroup,
                 f"does not map to the identity")
 
 
-def _assignment_label(assignment: dict[str, MetaElem], p: Presentation) -> str:
-    return ", ".join(f"f({g}) = {assignment[g]}" for g in p.generators)
-
-
 def trivial_rep(p: Presentation) -> Representation:
     return Representation(p, 1, {g: ((1,),) for g in range(1, p.num_generators + 1)})
 
@@ -564,8 +562,7 @@ def perm_rep(assignment: dict[str, MetaElem], group: MetaGroup,
     check_homomorphism(p, group, assignment)
     images = {p.gen_index(name): group.perm_matrix(assignment[name])
               for name in p.generators}
-    return Representation(p, group.p**group.k, images,
-                          label=_assignment_label(assignment, p))
+    return Representation(p, group.p**group.k, images)
 
 
 # ---------------------------------------------------------------------------
@@ -639,11 +636,9 @@ def representation_blocks(assignment: dict[str, MetaElem], group: MetaGroup,
     parts = [split_blocks(q, blocks) for q in mats]
     inv_parts = [split_blocks(group.character_matrix(group.inv(e)), blocks)
                  for e in elems]
-    label = _assignment_label(assignment, p)
     return [Representation(p, len(coords),
                            {g: split[b] for g, split in zip(gens, parts)},
-                           {g: split[b] for g, split in zip(gens, inv_parts)},
-                           label=label)
+                           {g: split[b] for g, split in zip(gens, inv_parts)})
             for b, coords in enumerate(blocks)]
 
 
@@ -687,7 +682,7 @@ def a4_irreducible_rep(assignment: dict[str, MetaElem],
     if not generates(group, elems):
         raise ValueError("assigned elements do not generate the full group")
     check_homomorphism(p, group, assignment)
-    return Representation(p, 3, images, label=_assignment_label(assignment, p))
+    return Representation(p, 3, images)
 
 
 # ---------------------------------------------------------------------------

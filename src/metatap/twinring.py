@@ -155,13 +155,7 @@ class APoly:
 
     def to_matrix(self) -> PolyMatrix:
         """The 3x3 matrix of LaurentPoly entries."""
-        rows = []
-        for i in range(3):
-            row = []
-            for j in range(3):
-                row.append(LaurentPoly((d, m[i][j]) for d, m in self.coeffs.items()))
-            rows.append(row)
-        return PolyMatrix(rows)
+        return PolyMatrix.from_series(self.coeffs, 3)
 
     def det(self) -> LaurentPoly:
         return self.to_matrix().det()

@@ -31,7 +31,8 @@ from .exactalg import (
     exact_div,
     supported_on_multiples,
 )
-from .groupcalc import GroupRingElem, Presentation, Word, fox_images
+from .groupcalc import GroupRingElem, Presentation, fox_images
+from .intmat import identity, mat_neg
 from .metabelian import (
     MetaElem,
     MetaGroup,
@@ -56,22 +57,13 @@ def phi_map(e: GroupRingElem, rho: Representation) -> PolyMatrix:
             arow = acc[i]
             for j in range(rho.dim):
                 arow[j] += coef * row[j]
-    return _series_to_matrix(series, rho.dim)
-
-
-def _series_to_matrix(series: dict[int, list[list[int]]], dim: int) -> PolyMatrix:
-    rows = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            row.append(LaurentPoly((deg, m[i][j]) for deg, m in series.items()))
-        rows.append(row)
-    return PolyMatrix(rows)
+    return PolyMatrix.from_series(series, rho.dim)
 
 
 def _phi_generator_minus_one(gen: int, rho: Representation) -> PolyMatrix:
-    e = GroupRingElem([(Word((gen,)), 1), (Word(), -1)])
-    return phi_map(e, rho)
+    """Phi(g - 1) = rho(g) * t - I."""
+    return PolyMatrix.from_series(
+        {0: mat_neg(identity(rho.dim)), 1: rho.images[gen]}, rho.dim)
 
 
 @dataclass(frozen=True)
@@ -162,19 +154,12 @@ def _product(factors) -> LaurentPoly:
 def _numerator_det(p: Presentation, rho: Representation,
                    fox_tables, delete_gen: int) -> LaurentPoly:
     kept = [g for g in range(1, p.num_generators + 1) if g != delete_gen]
-    dim = rho.dim
-    zero_block_row = (ZERO,) * dim
     rows = []
     for table in fox_tables:
-        blocks = []
-        for g in kept:
-            series = table.get(g, {})
-            blocks.append(_series_to_matrix(series, dim) if series else None)
-        for i in range(dim):
-            row = []
-            for blk in blocks:
-                row.extend(blk.rows[i] if blk is not None else zero_block_row)
-            rows.append(row)
+        blocks = [PolyMatrix.from_series(table.get(g, {}), rho.dim)
+                  for g in kept]
+        for i in range(rho.dim):
+            rows.append([e for blk in blocks for e in blk.rows[i]])
     return PolyMatrix(rows).det()
 
 

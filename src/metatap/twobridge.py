@@ -218,7 +218,7 @@ def alexander_poly(p: Presentation) -> LaurentPoly:
     for rel in p.relators:
         table = fox_images(rel, trivial, trivial, 1)
         # delete the last generator's column
-        rows.append([LaurentPoly((d, m[0][0]) for d, m in table.get(g, {}).items())
+        rows.append([PolyMatrix.from_series(table.get(g, {}), 1).rows[0][0]
                      for g in range(1, n)])
     det = PolyMatrix(rows).det() if n > 1 else LaurentPoly.one()
     if det.is_zero():

@@ -133,6 +133,13 @@ def test_compute_non_surjective_assignment_exit_1():
     assert "x=s; y=s is not surjective" in err
 
 
+def test_compute_generator_assigned_twice_exit_1():
+    code, out, err = run_cli("compute", "--r", "5/27", "--group", "A4",
+                             "--assign", "x=s; y=s; y=s b1")
+    assert code == 1 and not out
+    assert err == "input error: generator 'y' is assigned twice\n"
+
+
 def test_compute_non_homomorphic_assign_exit_1_on_both_paths():
     # p = 2 and p = 3: the check runs before any block is built
     for frac, group, assign in (("1/3", "M(5|2,4)", "x=s; y=s b1"),
@@ -482,7 +489,7 @@ _FUZZ_VALUES = {
                 "M(3|2,3)", "x"],
     "--fix": ["x", "y", "q"],
     "--assign": ["x=s; y=s b1", "x=s;y=s", "x=s", "x=q", "y=s b9", "x=s^-1; y=s",
-                 "x=b1; y=b1", "x=1; y=1"],
+                 "x=b1; y=b1", "x=1; y=1", "x=s; x=s b1; y=s"],
     "--alpha-max": ["-1", "0", "3", "15", "x"],
     "--out": ["-"],
     "--jobs": ["-1", "0", "1"],

@@ -122,6 +122,59 @@ def test_dense_arithmetic_matches_dict_oracle(f, g, h):
             assert exact_div(num, g) == _dict_exact_div(num, g)
 
 
+# The dense (low, coeffs) storage against a dict built from the same terms.
+
+raw_terms = st.lists(st.tuples(st.integers(-6, 6), st.integers(-9, 9)), max_size=6)
+
+
+def _dict_of(terms):
+    acc = {}
+    for d, c in terms:
+        acc[d] = acc.get(d, 0) + c
+    return {d: c for d, c in acc.items() if c}
+
+
+def _sorted_terms(pairs):
+    return tuple(sorted((d, c) for d, c in pairs if c))
+
+
+@given(raw_terms, st.integers(-5, 5), st.integers(-4, 4),
+       st.integers(0, 3), st.integers(0, 3), st.integers(-3, 3))
+@settings(max_examples=400, deadline=None)
+def test_dense_storage_matches_dict_oracle(terms, k, c, lead, trail, x):
+    f = LaurentPoly(terms)
+    d = _dict_of(terms)
+    assert f.terms == _sorted_terms(d.items())
+    for e in range(-9, 10):
+        assert f.coeff(e) == d.get(e, 0)
+    assert (-f).terms == _sorted_terms((e, -v) for e, v in d.items())
+    assert f.shifted(k).terms == _sorted_terms((e + k, v) for e, v in d.items())
+    assert (c * f).terms == _sorted_terms((e, c * v) for e, v in d.items())
+    assert f * c == c * f
+    zeros = LaurentPoly._from_dense(k, [0] * (lead + trail))
+    assert zeros == ZERO and (zeros._low, zeros._coeffs) == (0, ())
+    if not d:
+        assert f == ZERO and (f._low, f._coeffs) == (0, ())
+        with pytest.raises(ValueError):
+            f.degree()
+        return
+    low, high = min(d), max(d)
+    assert (f.low_degree(), f.degree()) == (low, high)
+    dense = [d.get(e, 0) for e in range(low, high + 1)]
+    assert (f._low, f._coeffs) == (low, tuple(dense))
+    padded = LaurentPoly._from_dense(low - lead, [0] * lead + dense + [0] * trail)
+    canon, sign, shift = normalize(f)
+    assert (sign, shift) == ((1 if d[low] > 0 else -1), low)
+    assert canon.terms == _sorted_terms((e - low, sign * v) for e, v in d.items())
+    assert f.shifted(-low).evaluate(x) == sum(v * x ** (e - low) for e, v in d.items())
+    # equal values have equal fields and hashes whichever constructor built them
+    for g in (padded, parse_poly(str(f)), poly_from_coeffs(dense, low),
+              LaurentPoly(f.terms), -(-f), f.shifted(k).shifted(-k), f + ZERO,
+              ONE * f, sign * canon.shifted(shift), exact_div(f * f, f)):
+        assert g == f and hash(g) == hash(f)
+        assert (g._low, g._coeffs) == (f._low, f._coeffs)
+
+
 # -- printing / parsing -------------------------------------------------------
 
 def test_canonical_text_form():

@@ -312,6 +312,20 @@ def test_check_homomorphism_matches_matrix_products():
     assert outcomes == {None, "relator 1", "relator 2"}
 
 
+def test_representation_checks_each_image_against_its_inverse():
+    p = wirtinger_presentation(FractionR(1, 3))
+    rho = Representation(p, 3, {1: XI0_X, 2: XI0_Y})
+    assert all(mat_mul(rho.images[g], rho.inv_images[g]) == identity(3)
+               for g in (1, 2))
+    # a supplied inverse that is wrong
+    with pytest.raises(ValueError, match="image of generator 2 is not in GL"):
+        Representation(p, 3, {1: XI0_X, 2: XI0_Y},
+                       {1: mat_pow(XI0_X, 2), 2: XI0_Y})
+    # determinant 2 with no inverse supplied
+    with pytest.raises(ValueError, match="image of generator 1 is not in GL"):
+        Representation(p, 2, {1: ((2, 0), (0, 1)), 2: identity(2)})
+
+
 def test_xi0_matrices():
     assert XI0_X == ((-1, 1, 0), (-1, 0, 0), (-1, 0, 1))
     assert XI0_Y == ((0, 0, -1), (0, 1, -1), (1, 0, -1))

@@ -6,7 +6,8 @@ import random
 import pytest
 
 from metatap.exactalg import (
-    ONE, ZERO, ExactnessError, canonical, equal_up_to_unit, exact_div, parse_poly)
+    ONE, ZERO, ExactnessError, LaurentPoly, PolyMatrix, canonical,
+    equal_up_to_unit, exact_div, parse_poly)
 from metatap.golden import A4_3DIM, PHI, phi_value
 from metatap.groupcalc import (
     GroupRingElem, Word, fox_derivative, fox_images, parse_presentation)
@@ -28,17 +29,18 @@ from metatap.metabelian import (
 from metatap.twisted import (
     _numerator_det,
     _phi_generator_minus_one,
-    _series_to_matrix,
     check_a4_form,
     check_factorization,
     phi_map,
     standard_assignment,
     twisted_alexander,
 )
+from metatap.twinring import normalized_series, recursion_series
 from metatap.twobridge import (
     FractionR,
     alexander_poly,
     enumerate_fractions,
+    h3_expand,
     two_bridge_alexander,
     wirtinger_presentation,
 )
@@ -96,8 +98,57 @@ def test_fused_fox_images_match_phi_of_derivative():
         tables = fox_images(rel, rho.images, rho.inv_images, rho.dim)
         for gen in (1, 2):
             direct = phi_map(fox_derivative(rel, gen), rho)
-            fused = _series_to_matrix(tables.get(gen, {}), rho.dim)
+            fused = PolyMatrix.from_series(tables.get(gen, {}), rho.dim)
             assert direct == fused
+
+
+def _per_entry_matrix(series, dim):
+    """The construction PolyMatrix.from_series replaces: one LaurentPoly per
+    entry, from its (degree, coefficient) terms."""
+    return PolyMatrix([[LaurentPoly((deg, m[i][j]) for deg, m in series.items())
+                        for j in range(dim)] for i in range(dim)])
+
+
+def _series_test_reps():
+    """(presentation, representation) for the trivial, xi0, character block
+    and perm_rep representations of two knot groups."""
+    out = []
+    for frac, group in (("5/27", a4_group()), ("3/5", build_group(4, 3))):
+        p = wirtinger_presentation(FractionR.parse(frac))
+        images = standard_assignment(group, p)
+        out.append((p, trivial_rep(p)))
+        if group == a4_group():
+            out.append((p, a4_irreducible_rep(images, p)))
+        out += [(p, rho) for rho in representation_blocks(images, group, p)]
+        out.append((p, perm_rep(images, group, p)))
+    return out
+
+
+def test_from_series_matches_per_entry_construction():
+    for p, rho in _series_test_reps():
+        dim = rho.dim
+        zero = [[0] * dim for _ in range(dim)]
+        assert PolyMatrix.from_series({}, dim) == _per_entry_matrix({}, dim)
+        assert PolyMatrix.from_series({4: zero}, dim) == _per_entry_matrix({}, dim)
+        gapped = {3: rho.images[1], -2: zero, 0: rho.inv_images[2]}
+        assert PolyMatrix.from_series(gapped, dim) == _per_entry_matrix(gapped, dim)
+        for rel in p.relators:
+            tables = fox_images(rel, rho.images, rho.inv_images, rho.dim)
+            for gen in range(1, p.num_generators + 1):
+                series = tables.get(gen, {})
+                assert PolyMatrix.from_series(series, dim) == \
+                    _per_entry_matrix(series, dim)
+    for frac in ("1/3", "5/27", "29/75"):
+        form = h3_expand(FractionR.parse(frac))
+        for f in (recursion_series(form), normalized_series(form)):
+            assert f.to_matrix() == _per_entry_matrix(f.coeffs, 3)
+
+
+def test_phi_generator_minus_one_matches_phi_map():
+    for p, rho in _series_test_reps():
+        for gen in range(1, p.num_generators + 1):
+            e = GroupRingElem([(Word((gen,)), 1), (Word(), -1)])
+            assert _phi_generator_minus_one(gen, rho) == phi_map(e, rho)
 
 
 def _fox_images_per_letter(rel, images, inv_images, dim):
