@@ -25,6 +25,7 @@ from .groupcalc import (
     Presentation,
     Word,
     fox_derivative,
+    fox_jacobian,
     parse_presentation,
     print_presentation,
 )
@@ -53,7 +54,6 @@ from .twisted import (
     twisted_alexander,
 )
 from .twinring import (
-    APoly,
     TwinDecomp,
     recursion_series,
     twin_check,

@@ -25,6 +25,7 @@ import csv
 import json
 import sys
 import time
+from functools import cache
 from pathlib import Path
 
 from .exactalg import ExactnessError, LaurentPoly
@@ -280,10 +281,9 @@ def cmd_scan(args) -> int:
             chunks = pool.map(_scan_one, jobs)
     else:
         chunks = [_scan_one(j) for j in jobs]
+    # enumerate_fractions yields (alpha, beta) order, Pool.map keeps it, and
+    # each chunk is in assignment order
     rows = [rec for chunk in chunks for rec in chunk]
-    rows.sort(key=lambda rec: (
-        int(rec["input"].split("/")[1]), int(rec["input"].split("/")[0]),
-        rec["assignment"]))
     _write_rows(rows, args.out, jsonl=args.jsonl)
     print(f"scan: {len(rows)} rows for {group.name()} up to alpha = "
           f"{args.alpha_max} -> {args.out}", file=sys.stderr)
@@ -365,7 +365,9 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise InputError(f"{self.prog}: {message}")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = _ArgumentParser(
         prog="metatap",
         description="Exact twisted Alexander polynomials for metabelian "

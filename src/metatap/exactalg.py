@@ -14,9 +14,10 @@ through parse_poly / str.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Optional
 
-from .intmat import Mat, identity, int_det, mat_neg
+from .intmat import (
+    Mat, identity, int_det, mat_add, mat_mul, mat_neg, mat_scale, mat_sub, zeros)
 
 
 class ExactnessError(RuntimeError):
@@ -345,68 +346,123 @@ def poly_from_coeffs(coeffs: Iterable[int], low: int = 0) -> LaurentPoly:
 
 
 class PolyMatrix:
-    """A square matrix of LaurentPoly entries."""
+    """A square matrix over Z[t, 1/t], stored as its series: `series` maps
+    each degree d to the dim x dim integer matrix (tuples) of the t^d
+    coefficients.  Zero matrices are dropped, so equal matrices have equal
+    series.
 
-    __slots__ = ("dim", "rows")
+    PolyMatrix(series, dim) takes a dict or an iterable of (degree,
+    matrix) pairs; matrices at a repeated degree are added up.
+    """
 
-    def __init__(self, rows):
-        self.rows = tuple(tuple(row) for row in rows)
-        self.dim = len(self.rows)
-        if self.dim < 1 or any(len(row) != self.dim for row in self.rows):
-            raise ValueError("PolyMatrix must be square with dim >= 1")
+    __slots__ = ("series", "dim")
+
+    def __init__(self, series, dim: int):
+        acc: dict[int, Mat] = {}
+        for deg, m in series.items() if isinstance(series, dict) else series:
+            acc[deg] = mat_add(acc[deg], m) if deg in acc else m
+        zero = zeros(dim)
+        self.series = {d: m for d, m in acc.items() if m != zero}
+        self.dim = dim
+
+    @staticmethod
+    def _make(series: dict, dim: int) -> "PolyMatrix":
+        """Wrap a series that already holds no zero matrix."""
+        out = object.__new__(PolyMatrix)
+        out.series = series
+        out.dim = dim
+        return out
 
     @staticmethod
     def identity(dim: int) -> "PolyMatrix":
-        return PolyMatrix(
-            [[ONE if i == j else ZERO for j in range(dim)] for i in range(dim)]
-        )
+        return PolyMatrix._make({0: identity(dim)}, dim)
 
     @staticmethod
-    def from_series(series: Mapping[int, Mat], dim: int) -> "PolyMatrix":
-        """The matrix sum of m * t^deg over the items of a `degree -> dim x
-        dim integer matrix` series (the empty series gives zero)."""
-        if not series:
-            return PolyMatrix([[ZERO] * dim for _ in range(dim)])
-        low = min(series)
-        zero = [[0] * dim for _ in range(dim)]
-        mats = [series.get(d, zero) for d in range(low, max(series) + 1)]
-        return PolyMatrix(
-            [[LaurentPoly._from_dense(low, [m[i][j] for m in mats])
-              for j in range(dim)] for i in range(dim)])
+    def monomial(m: Mat, deg: int = 0) -> "PolyMatrix":
+        """m * t^deg."""
+        return PolyMatrix({deg: m}, len(m))
+
+    @staticmethod
+    def blocks(grid) -> "PolyMatrix":
+        """The block matrix of a square grid of equal-size PolyMatrix blocks."""
+        if not grid:
+            raise ValueError("a block matrix needs at least one block")
+        size = grid[0][0].dim
+        zero = zeros(size)
+        degrees = set().union(*(blk.series for brow in grid for blk in brow))
+        series = {}
+        for d in degrees:
+            rows = []
+            for brow in grid:
+                coeffs = [blk.series.get(d, zero) for blk in brow]
+                rows.extend(sum(parts, ()) for parts in zip(*coeffs))
+            series[d] = tuple(rows)
+        return PolyMatrix._make(series, size * len(grid))
+
+    def coeff(self, deg: int) -> Mat:
+        return self.series.get(deg, zeros(self.dim))
+
+    def entries(self) -> tuple[tuple[LaurentPoly, ...], ...]:
+        """The matrix of LaurentPoly entries."""
+        n = self.dim
+        if not self.series:
+            return tuple((ZERO,) * n for _ in range(n))
+        low = min(self.series)
+        zero = zeros(n)
+        mats = [self.series.get(d, zero) for d in range(low, max(self.series) + 1)]
+        return tuple(tuple(LaurentPoly._from_dense(low, [m[i][j] for m in mats])
+                           for j in range(n)) for i in range(n))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, PolyMatrix) and self.rows == other.rows
+        return (isinstance(other, PolyMatrix) and self.dim == other.dim
+                and self.series == other.series)
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash((self.dim, frozenset(self.series.items())))
 
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
-        return PolyMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
+        return self._combine(other, mat_add)
 
     def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
-        return PolyMatrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
+        return self._combine(other, mat_sub)
 
-    def __mul__(self, other: "PolyMatrix") -> "PolyMatrix":
-        cols = list(zip(*other.rows))
-        out = []
-        for row in self.rows:
-            new_row = []
-            for col in cols:
-                acc = ZERO
-                for a, b in zip(row, col):
-                    if a and b:
-                        acc = acc + a * b
-                new_row.append(acc)
-            out.append(new_row)
-        return PolyMatrix(out)
+    def _combine(self, other: "PolyMatrix", op) -> "PolyMatrix":
+        """Coefficientwise op(self, other), for op mat_add or mat_sub."""
+        series = dict(self.series)
+        zero = zeros(self.dim)
+        for d, m in other.series.items():
+            s = op(series.get(d, zero), m)
+            if s != zero:
+                series[d] = s
+            else:
+                del series[d]
+        return PolyMatrix._make(series, self.dim)
+
+    def __neg__(self) -> "PolyMatrix":
+        return PolyMatrix._make(
+            {d: mat_neg(m) for d, m in self.series.items()}, self.dim)
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            if not other:
+                return PolyMatrix._make({}, self.dim)
+            return PolyMatrix._make(
+                {d: mat_scale(other, m) for d, m in self.series.items()}, self.dim)
+        acc: dict[int, Mat] = {}
+        for d1, m1 in self.series.items():
+            for d2, m2 in other.series.items():
+                d = d1 + d2
+                prod = mat_mul(m1, m2)
+                acc[d] = mat_add(acc[d], prod) if d in acc else prod
+        zero = zeros(self.dim)
+        return PolyMatrix._make(
+            {d: m for d, m in acc.items() if m != zero}, self.dim)
+
+    __rmul__ = __mul__
 
     def __repr__(self):
-        body = "; ".join(", ".join(str(e) for e in row) for row in self.rows)
-        return f"PolyMatrix[{body}]"
+        body = ", ".join(f"t^{d}: {self.series[d]}" for d in sorted(self.series))
+        return f"PolyMatrix<{self.dim}>{{{body}}}"
 
     # -- determinants -----------------------------------------------------
 
@@ -417,12 +473,12 @@ class PolyMatrix:
         return self.det_interpolate()
 
     def det_cofactor(self) -> LaurentPoly:
-        return _det_cofactor(self.rows)
+        return _det_cofactor(self.entries())
 
     def det_bareiss(self) -> LaurentPoly:
         """Fraction-free elimination directly over Z[t, 1/t]."""
         n = self.dim
-        m = [list(row) for row in self.rows]
+        m = [list(row) for row in self.entries()]
         sign = 1
         prev = ONE
         for k in range(n - 1):
@@ -452,30 +508,38 @@ class PolyMatrix:
     def det_interpolate(self) -> LaurentPoly:
         """Evaluate at enough integer points and interpolate exactly.
 
-        Row units t^min are cleared first so all entries are ordinary
-        polynomials; the degree bound is derived per-matrix from the entries,
-        never guessed.
+        Row i is read from its lowest nonzero degree low_i, i.e. multiplied
+        by t^-low_i, so every entry is an ordinary polynomial; the degree
+        bound is the sum of the row spans, derived from the series, never
+        guessed.  Each point is evaluated by Horner over the rows of the
+        series.
         """
         n = self.dim
-        total_shift = 0
-        cleared: list[list[LaurentPoly]] = []
-        bound = 0
-        for row in self.rows:
-            nonzero = [e for e in row if not e.is_zero()]
+        degrees = sorted(self.series, reverse=True)
+        # Per row: its coefficient rows from the highest degree down to the
+        # lowest, one per degree (zero rows inside the span included).
+        horner_rows = []
+        total_shift = bound = 0
+        zero_row = (0,) * n
+        for i in range(n):
+            nonzero = [d for d in degrees if any(self.series[d][i])]
             if not nonzero:
                 return ZERO
-            low = min(e.low_degree() for e in nonzero)
+            high, low = nonzero[0], nonzero[-1]
             total_shift += low
-            shifted = [e.shifted(-low) if not e.is_zero() else e for e in row]
-            cleared.append(shifted)
-            bound += max(e.degree() for e in shifted if not e.is_zero())
+            bound += high - low
+            horner_rows.append([self.series[d][i] if d in self.series else zero_row
+                                for d in range(high, low - 1, -1)])
         points = _interpolation_points(bound + 1)
         values = []
         for x in points:
-            evaluated = tuple(
-                tuple(e.evaluate(x) for e in row) for row in cleared
-            )
-            values.append(int_det(evaluated))
+            evaluated = []
+            for coeff_rows in horner_rows:
+                acc = coeff_rows[0]
+                for row in coeff_rows[1:]:
+                    acc = [a * x + c for a, c in zip(acc, row)]
+                evaluated.append(tuple(acc))
+            values.append(int_det(tuple(evaluated)))
         coeffs = _newton_interpolate(points, values)
         return poly_from_coeffs(coeffs, low=total_shift)
 
@@ -545,7 +609,7 @@ def _newton_interpolate(points: list[int], values: list[int]) -> list[int]:
 def int_charpoly(m: Mat) -> LaurentPoly:
     """Characteristic polynomial det(t*I - m) of an integer matrix."""
     n = len(m)
-    return PolyMatrix.from_series({0: mat_neg(m), 1: identity(n)}, n).det()
+    return PolyMatrix({0: mat_neg(m), 1: identity(n)}, n).det()
 
 
 def _rem_monic(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
+from .exactalg import PolyMatrix
 from .intmat import Mat, identity, mat_mul
 
 
@@ -201,19 +202,18 @@ def fox_derivative_recursive(w: Word, gen: int) -> GroupRingElem:
 
 
 def fox_images(rel: Word, images: Mapping[int, Mat], inv_images: Mapping[int, Mat],
-               dim: int) -> dict[int, dict[int, list[list[int]]]]:
+               dim: int) -> dict[int, PolyMatrix]:
     """Phi(dR/dg) for every generator g at once, one pass over the relator.
 
     Phi sends a word w to (its image under `images`) * t^(exponent sum of w).
-    Returns generator -> (degree -> integer matrix) tables; these equal the
-    images of fox_derivative(rel, g) entrywise.
+    Returns generator -> PolyMatrix for every generator the relator uses;
+    these equal the images of fox_derivative(rel, g).
 
     Each distinct prefix matrix gets a small id the first time it appears,
     and the step (id, letter) -> id is memoized, so each product is
     computed once: a finite image has few prefixes.  The pass tallies the
     signed count of each prefix id per (generator, degree) and builds each
-    matrix once at the end.  Every (generator, degree) visited keeps its
-    matrix, even when the counts cancel to zero.
+    matrix once at the end.
     """
     prefixes: list[Mat] = [identity(dim)]
     ids: dict[Mat, int] = {prefixes[0]: 0}
@@ -244,18 +244,27 @@ def fox_images(rel: Word, images: Mapping[int, Mat], inv_images: Mapping[int, Ma
             key = (-letter, deg, cur)
             tally[key] = tally.get(key, 0) - 1
 
-    out: dict[int, dict[int, list[list[int]]]] = {}
+    sums: dict[int, dict[int, list[list[int]]]] = {}
     for (gen, d, pid), count in tally.items():
-        series = out.setdefault(gen, {})
-        acc = series.get(d)
+        acc = sums.setdefault(gen, {}).get(d)
         if acc is None:
-            acc = series[d] = [[0] * dim for _ in range(dim)]
+            acc = sums[gen][d] = [[0] * dim for _ in range(dim)]
         if count:
             for arow, mrow in zip(acc, prefixes[pid]):
                 for j, x in enumerate(mrow):
                     if x:
                         arow[j] += count * x
-    return out
+    return {gen: PolyMatrix(((d, tuple(map(tuple, m))) for d, m in series.items()), dim)
+            for gen, series in sums.items()}
+
+
+def fox_jacobian(tables, num_generators: int, dim: int, delete: int) -> PolyMatrix:
+    """The Fox matrix with generator `delete`'s column removed: one row of
+    blocks per relator's fox_images table, one column of blocks per kept
+    generator, and a zero block where a relator does not use a generator."""
+    zero = PolyMatrix({}, dim)
+    kept = [g for g in range(1, num_generators + 1) if g != delete]
+    return PolyMatrix.blocks([[table.get(g, zero) for g in kept] for table in tables])
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ polynomials; see exactalg for matrices over Z[t, 1/t].
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from operator import mul
 
 Mat = tuple[tuple[int, ...], ...]
@@ -21,11 +22,19 @@ def identity(n: int) -> Mat:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
+@cache
 def zeros(n: int) -> Mat:
+    """The n x n zero matrix (one shared value per n)."""
     return tuple((0,) * n for _ in range(n))
 
 
 def mat_add(a: Mat, b: Mat) -> Mat:
+    """The sum of two square matrices; the 3x3 case is unrolled."""
+    if len(a) == 3:
+        (a0, a1, a2), (a3, a4, a5), (a6, a7, a8) = a
+        (b0, b1, b2), (b3, b4, b5), (b6, b7, b8) = b
+        return ((a0 + b0, a1 + b1, a2 + b2), (a3 + b3, a4 + b4, a5 + b5),
+                (a6 + b6, a7 + b7, a8 + b8))
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
@@ -42,6 +51,17 @@ def mat_scale(c: int, a: Mat) -> Mat:
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
+    """The product of two square matrices; the 3x3 case is unrolled, as
+    the A4 recursion and the 3-dimensional representation multiply many."""
+    if len(a) == 3:
+        (a0, a1, a2), (a3, a4, a5), (a6, a7, a8) = a
+        (b0, b1, b2), (b3, b4, b5), (b6, b7, b8) = b
+        return ((a0 * b0 + a1 * b3 + a2 * b6, a0 * b1 + a1 * b4 + a2 * b7,
+                 a0 * b2 + a1 * b5 + a2 * b8),
+                (a3 * b0 + a4 * b3 + a5 * b6, a3 * b1 + a4 * b4 + a5 * b7,
+                 a3 * b2 + a4 * b5 + a5 * b8),
+                (a6 * b0 + a7 * b3 + a8 * b6, a6 * b1 + a7 * b4 + a8 * b7,
+                 a6 * b2 + a7 * b5 + a8 * b8))
     bt = tuple(zip(*b))
     return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
 

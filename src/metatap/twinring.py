@@ -3,8 +3,9 @@
 Writing X, Y for the two generating matrices of the irreducible
 3-dimensional representation of A4, the group algebra Z[A4] maps onto a ring
 of 3x3 integer matrices; that image is faithful for everything we need, so
-algebra elements are stored simply as their matrices.  On top of it live
-Laurent polynomials with matrix coefficients (APoly).
+algebra elements are stored simply as their matrices.  A Laurent polynomial
+with such coefficients is a 3x3 `PolyMatrix`: its series maps each degree
+to a 3x3 integer matrix, and products keep the coefficients in order.
 
 A matrix Laurent polynomial is *twin* when its coefficient at t^j lies in
 span{I, XYX} for j = 0 mod 3, in span{X+Y} for j = 1 mod 3, and in
@@ -27,7 +28,7 @@ computation path fully independent of Fox calculus.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from .exactalg import LaurentPoly, PolyMatrix, canonical
 from .intmat import (
@@ -36,9 +37,7 @@ from .intmat import (
     mat_add,
     mat_inverse,
     mat_mul,
-    mat_neg,
     mat_scale,
-    zeros,
 )
 from .metabelian import XI0_X as X
 from .metabelian import XI0_Y as Y
@@ -53,33 +52,12 @@ X_PLUS_Y: Mat = mat_add(X, Y)
 XINV_PLUS_YINV: Mat = mat_add(XINV, YINV)
 
 I3: Mat = identity(3)
-Z3: Mat = zeros(3)
-
-
-def mul3(a: Mat, b: Mat) -> Mat:
-    """The product of two 3x3 matrices, unrolled."""
-    (a0, a1, a2), (a3, a4, a5), (a6, a7, a8) = a
-    (b0, b1, b2), (b3, b4, b5), (b6, b7, b8) = b
-    return ((a0 * b0 + a1 * b3 + a2 * b6, a0 * b1 + a1 * b4 + a2 * b7,
-             a0 * b2 + a1 * b5 + a2 * b8),
-            (a3 * b0 + a4 * b3 + a5 * b6, a3 * b1 + a4 * b4 + a5 * b7,
-             a3 * b2 + a4 * b5 + a5 * b8),
-            (a6 * b0 + a7 * b3 + a8 * b6, a6 * b1 + a7 * b4 + a8 * b7,
-             a6 * b2 + a7 * b5 + a8 * b8))
-
-
-def add3(a: Mat, b: Mat) -> Mat:
-    """The sum of two 3x3 matrices, unrolled."""
-    (a0, a1, a2), (a3, a4, a5), (a6, a7, a8) = a
-    (b0, b1, b2), (b3, b4, b5), (b6, b7, b8) = b
-    return ((a0 + b0, a1 + b1, a2 + b2), (a3 + b3, a4 + b4, a5 + b5),
-            (a6 + b6, a7 + b7, a8 + b8))
 
 
 # YX is the image of an element of order 3 of A4 and XINV_YINV its inverse,
 # so their powers repeat with period 3; the tests check (YX)^3 = I.
 POWERS: dict[Mat, tuple[Mat, Mat, Mat]] = {
-    base: (I3, base, mul3(base, base)) for base in (YX, XINV_YINV)}
+    base: (I3, base, mat_mul(base, base)) for base in (YX, XINV_YINV)}
 
 
 def power3(base: Mat, e: int) -> Mat:
@@ -87,122 +65,37 @@ def power3(base: Mat, e: int) -> Mat:
     return POWERS[base][e % 3]
 
 
-class APoly:
-    """Laurent polynomial in t with 3x3 integer-matrix coefficients.
-
-    Multiplication respects the noncommutativity of the coefficients.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[tuple[int, Mat]] = ()):
-        acc: dict[int, Mat] = {}
-        for deg, m in coeffs:
-            acc[deg] = add3(acc[deg], m) if deg in acc else m
-        self.coeffs = {d: m for d, m in acc.items() if m != Z3}
-
-    @staticmethod
-    def zero() -> "APoly":
-        return APoly()
-
-    @staticmethod
-    def one() -> "APoly":
-        return APoly([(0, I3)])
-
-    @staticmethod
-    def monomial(m: Mat, deg: int = 0) -> "APoly":
-        return APoly([(deg, m)])
-
-    def __add__(self, other: "APoly") -> "APoly":
-        return APoly(list(self.coeffs.items()) + list(other.coeffs.items()))
-
-    def __sub__(self, other: "APoly") -> "APoly":
-        return APoly(
-            list(self.coeffs.items())
-            + [(d, mat_neg(m)) for d, m in other.coeffs.items()]
-        )
-
-    def __neg__(self) -> "APoly":
-        return APoly([(d, mat_neg(m)) for d, m in self.coeffs.items()])
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return APoly([(d, mat_scale(other, m)) for d, m in self.coeffs.items()])
-        acc: dict[int, Mat] = {}
-        for d1, m1 in self.coeffs.items():
-            for d2, m2 in other.coeffs.items():
-                d = d1 + d2
-                prod = mul3(m1, m2)
-                acc[d] = add3(acc[d], prod) if d in acc else prod
-        return APoly(acc.items())
-
-    __rmul__ = __mul__
-
-    def shifted(self, k: int) -> "APoly":
-        return APoly([(d + k, m) for d, m in self.coeffs.items()])
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, APoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.coeffs.items())))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coeff(self, deg: int) -> Mat:
-        return self.coeffs.get(deg, Z3)
-
-    def to_matrix(self) -> PolyMatrix:
-        """The 3x3 matrix of LaurentPoly entries."""
-        return PolyMatrix.from_series(self.coeffs, 3)
-
-    def det(self) -> LaurentPoly:
-        return self.to_matrix().det()
-
-    def dump(self) -> str:
-        """Diagnostic form: one line per degree, 't^d: [[...],[...],[...]]'."""
-        lines = []
-        for d in sorted(self.coeffs):
-            m = self.coeffs[d]
-            body = "[" + ",".join("[" + ",".join(str(x) for x in row) + "]" for row in m) + "]"
-            lines.append(f"t^{d}: {body}")
-        return "\n".join(lines)
-
-    def __repr__(self):
-        return f"APoly<{len(self.coeffs)} degrees>"
-
-
-ONE_A = APoly.one()
+ZERO_A = PolyMatrix({}, 3)
+ONE_A = PolyMatrix.identity(3)
 # Graded letters: a group element w contributes its matrix at degree
 # (exponent sum of w), so x sits at t, y at t, and inverses at t^-1.
-XT = APoly.monomial(X, 1)
-YT = APoly.monomial(Y, 1)
-YINV_T = APoly.monomial(YINV, -1)
+XT = PolyMatrix.monomial(X, 1)
+YT = PolyMatrix.monomial(Y, 1)
+YINV_T = PolyMatrix.monomial(YINV, -1)
 
 
-def yx_geometric(m: int) -> APoly:
+def yx_geometric(m: int) -> PolyMatrix:
     """Truncated geometric series in (yx) t^2.
 
     Nonnegative m gives 1 + (yx)t^2 + ... + (yx)^m t^(2m); negative m gives
     (x^-1 y^-1)t^-2 + ... + (x^-1 y^-1)^|m| t^(-2|m|).
     """
     if m >= 0:
-        return APoly((2 * j, power3(YX, j)) for j in range(m + 1))
-    return APoly((-2 * j, power3(XINV_YINV, j)) for j in range(1, -m + 1))
+        return PolyMatrix(((2 * j, power3(YX, j)) for j in range(m + 1)), 3)
+    return PolyMatrix(((-2 * j, power3(XINV_YINV, j)) for j in range(1, -m + 1)), 3)
 
 
 def _power_term(base: Mat, exp: int, deg_per: int, tail: Mat = None,
-                tail_deg: int = 0) -> APoly:
+                tail_deg: int = 0) -> PolyMatrix:
     m = power3(base, exp)
     deg = deg_per * exp
     if tail is not None:
-        m = mul3(m, tail)
+        m = mat_mul(m, tail)
         deg += tail_deg
-    return APoly.monomial(m, deg)
+    return PolyMatrix.monomial(m, deg)
 
 
-def recursion_series(form: H3Form) -> APoly:
+def recursion_series(form: H3Form) -> PolyMatrix:
     """The graded algebra series of a continued-fraction form, built by
     structural recursion over its prefixes.
 
@@ -217,12 +110,12 @@ def recursion_series(form: H3Form) -> APoly:
     the final sum in the odd-negative branch, are locked in by the
     cross-path equality tests against Fox calculus.
     """
-    lam = APoly.zero()          # series of the empty prefix
-    history: list[APoly] = []   # series of r_1 .. r_{j}
+    lam = ZERO_A                     # series of the empty prefix
+    history: list[PolyMatrix] = []   # series of r_1 .. r_{j}
     for q in range(1, form.q + 1):
         k = form.ks[q - 1]
         # weighted sum over shorter prefixes: sum_j -m_j (x t - 1) y^-1 t^-1 lam_j
-        mix = APoly.zero()
+        mix = ZERO_A
         for j in range(q - 1):
             contrib = (XT - ONE_A) * YINV_T * history[j]
             mix = mix + (-form.ms[j]) * contrib
@@ -294,7 +187,7 @@ class TwinDecomp:
     a: dict[int, int]
     b: dict[int, int]
 
-    def to_apoly(self) -> APoly:
+    def to_matrix(self) -> PolyMatrix:
         terms = []
         for j, v in self.c.items():
             terms.append((3 * j, mat_scale(v, I3)))
@@ -304,18 +197,18 @@ class TwinDecomp:
             terms.append((3 * j + 1, mat_scale(v, X_PLUS_Y)))
         for j, v in self.b.items():
             terms.append((3 * j + 2, mat_scale(v, XINV_PLUS_YINV)))
-        return APoly(terms)
+        return PolyMatrix(terms, 3)
 
 
-def twin_decompose(f: APoly) -> TwinDecomp:
+def twin_decompose(f: PolyMatrix) -> TwinDecomp:
     """Solve every coefficient against its prescribed basis; raises
     NotTwinError at the first offending degree."""
     c: dict[int, int] = {}
     cprime: dict[int, int] = {}
     a: dict[int, int] = {}
     b: dict[int, int] = {}
-    for deg in sorted(f.coeffs):
-        m = f.coeffs[deg]
+    for deg in sorted(f.series):
+        m = f.series[deg]
         j, res = divmod(deg, 3)
         if res == 0:
             # m = u*I + v*XYX; XYX has entry -1 at (1,0) and I has 0 there.
@@ -346,7 +239,7 @@ def twin_decompose(f: APoly) -> TwinDecomp:
     return TwinDecomp(c, cprime, a, b)
 
 
-def twin_check(f: APoly) -> Optional[TwinDecomp]:
+def twin_check(f: PolyMatrix) -> Optional[TwinDecomp]:
     try:
         return twin_decompose(f)
     except NotTwinError:
@@ -382,9 +275,9 @@ class NotInH3Error(ValueError):
     """No continued-fraction certificate was found within search bounds."""
 
 
-def normalized_series(form: H3Form) -> APoly:
+def normalized_series(form: H3Form) -> PolyMatrix:
     """y^-1 t^-1 times the recursion series; this is the twin object."""
-    return APoly.monomial(YINV, -1) * recursion_series(form)
+    return YINV_T * recursion_series(form)
 
 
 def twisted_via_recursion(r: FractionR) -> LaurentPoly:

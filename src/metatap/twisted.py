@@ -31,8 +31,8 @@ from .exactalg import (
     exact_div,
     supported_on_multiples,
 )
-from .groupcalc import GroupRingElem, Presentation, fox_images
-from .intmat import identity, mat_neg
+from .groupcalc import GroupRingElem, Presentation, fox_images, fox_jacobian
+from .intmat import identity, mat_neg, mat_scale
 from .metabelian import (
     MetaElem,
     MetaGroup,
@@ -47,23 +47,13 @@ from .twobridge import FractionR, two_bridge_alexander, wirtinger_presentation
 
 def phi_map(e: GroupRingElem, rho: Representation) -> PolyMatrix:
     """Sum of coeff * rho(word) * t^(exponent sum) over the element's terms."""
-    series: dict[int, list[list[int]]] = {}
-    for word, coef in e.terms.items():
-        deg = word.exponent_sum()
-        m = rho.word_image(word)
-        acc = series.setdefault(deg, [[0] * rho.dim for _ in range(rho.dim)])
-        for i in range(rho.dim):
-            row = m[i]
-            arow = acc[i]
-            for j in range(rho.dim):
-                arow[j] += coef * row[j]
-    return PolyMatrix.from_series(series, rho.dim)
+    return PolyMatrix(((word.exponent_sum(), mat_scale(coef, rho.word_image(word)))
+                       for word, coef in e.terms.items()), rho.dim)
 
 
 def _phi_generator_minus_one(gen: int, rho: Representation) -> PolyMatrix:
     """Phi(g - 1) = rho(g) * t - I."""
-    return PolyMatrix.from_series(
-        {0: mat_neg(identity(rho.dim)), 1: rho.images[gen]}, rho.dim)
+    return PolyMatrix({0: mat_neg(identity(rho.dim)), 1: rho.images[gen]}, rho.dim)
 
 
 @dataclass(frozen=True)
@@ -122,7 +112,7 @@ def twisted_alexander(p: Presentation,
         den = _product(_phi_generator_minus_one(gen, r).det() for r in reps)
         if den.is_zero():
             continue
-        num = _product(_numerator_det(p, r, tables, gen)
+        num = _product(fox_jacobian(tables, p.num_generators, r.dim, gen).det()
                        for r, tables in zip(reps, fox_tables))
         invariant = None
         if not num.is_zero():
@@ -149,18 +139,6 @@ def _product(factors) -> LaurentPoly:
             return ZERO
         out = out * f
     return out
-
-
-def _numerator_det(p: Presentation, rho: Representation,
-                   fox_tables, delete_gen: int) -> LaurentPoly:
-    kept = [g for g in range(1, p.num_generators + 1) if g != delete_gen]
-    rows = []
-    for table in fox_tables:
-        blocks = [PolyMatrix.from_series(table.get(g, {}), rho.dim)
-                  for g in kept]
-        for i in range(rho.dim):
-            rows.append([e for blk in blocks for e in blk.rows[i]])
-    return PolyMatrix(rows).det()
 
 
 # ---------------------------------------------------------------------------

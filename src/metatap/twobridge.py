@@ -16,8 +16,8 @@ from fractions import Fraction
 from math import ceil, gcd, log2
 from typing import Optional
 
-from .exactalg import ExactnessError, LaurentPoly, PolyMatrix, canonical
-from .groupcalc import Presentation, Word, fox_images
+from .exactalg import ExactnessError, LaurentPoly, canonical
+from .groupcalc import Presentation, Word, fox_images, fox_jacobian
 from .intmat import identity
 
 
@@ -214,13 +214,8 @@ def alexander_poly(p: Presentation) -> LaurentPoly:
         raise ValueError("presentation must have one fewer relator than generators")
     n = p.num_generators
     trivial = {g: identity(1) for g in range(1, n + 1)}
-    rows = []
-    for rel in p.relators:
-        table = fox_images(rel, trivial, trivial, 1)
-        # delete the last generator's column
-        rows.append([PolyMatrix.from_series(table.get(g, {}), 1).rows[0][0]
-                     for g in range(1, n)])
-    det = PolyMatrix(rows).det() if n > 1 else LaurentPoly.one()
+    tables = [fox_images(rel, trivial, trivial, 1) for rel in p.relators]
+    det = fox_jacobian(tables, n, 1, n).det() if n > 1 else LaurentPoly.one()
     if det.is_zero():
         raise NotAKnotGroupError("Alexander matrix is singular")
     delta = canonical(det)

@@ -17,7 +17,7 @@ from itertools import product
 
 import pytest
 
-from metatap.exactalg import canonical
+from metatap.exactalg import PolyMatrix, canonical
 from metatap.golden import A4_3DIM, PHI, TORUS, torus_prediction
 from metatap.groupcalc import GroupRingElem, Word, fox_derivative
 from metatap.intmat import identity, mat_add, mat_mul, mat_pow, mat_scale, mat_sub, zeros
@@ -31,7 +31,6 @@ from metatap.metabelian import (
 )
 from metatap.twisted import a4_twisted, standard_assignment, twisted_alexander
 from metatap.twinring import (
-    APoly,
     X,
     XINV,
     XINV_PLUS_YINV,
@@ -229,7 +228,7 @@ def test_properties_twin_closure_200():
             {j: rng.randint(-4, 4) for j in range(-2, 3)},
             {j: rng.randint(-4, 4) for j in range(-2, 3)},
             a, dict(a))
-        return d.to_apoly()
+        return d.to_matrix()
 
     for _ in range(200):
         f, g = rand_twin(), rand_twin()
@@ -240,17 +239,17 @@ def test_properties_twin_closure_200():
 
 
 def test_properties_membership_families():
-    one = APoly.one()
-    yinv_tinv = APoly.monomial(YINV, -1)
+    one = PolyMatrix.identity(3)
+    yinv_tinv = PolyMatrix.monomial(YINV, -1)
     for k in (0, 1, 2):
         checks = [
             yinv_tinv * ((one - YT) * yx_geometric(3 * k + 1) * YT
-                         + APoly.monomial(mat_pow(YX, 3 * k + 2), 6 * k + 4))
+                         + PolyMatrix.monomial(mat_pow(YX, 3 * k + 2), 6 * k + 4))
             * (one - XT),
             yinv_tinv * (one - YT) * yx_geometric(3 * k + 2) * YT * (one - XT),
             yinv_tinv * ((one - YT) * yx_geometric(-(3 * k + 1)) * YT
-                         - APoly.monomial(mat_pow(XINV_YINV, 3 * k + 1),
-                                          -(6 * k + 2))) * (one - XT),
+                         - PolyMatrix.monomial(mat_pow(XINV_YINV, 3 * k + 1),
+                                               -(6 * k + 2))) * (one - XT),
             yinv_tinv * (one - YT) * yx_geometric(-(3 * k + 3)) * YT
             * (one - XT),
         ]

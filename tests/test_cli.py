@@ -208,6 +208,19 @@ def test_usage_errors_exit_1():
     assert exc.value.code == 0
 
 
+def test_parser_built_once_and_reusable_after_usage_error():
+    assert cli.build_parser() is cli.build_parser()
+    code, out, err = run_cli("compute", "--r", "1/3", "--group", "A4", "--bogus")
+    assert code == 1 and not out and "input error" in err
+    code, out, err = run_cli("compute", "--r", "1/3", "--group", "A4")
+    assert code == 0 and not err
+    assert json.loads(out.splitlines()[0])["phi"] == "1 - t^3"
+    code, _, err = run_cli("scan", "--group", "A4", "--out", "-")
+    assert code == 1 and "--alpha-max" in err
+    code, out, _ = run_cli("h3", "--r", "1/3")
+    assert code == 0 and out == "[3]\n"
+
+
 def test_compute_non_polynomial_surjective_exit_3(monkeypatch):
     def no_polynomial(p, rho):
         result = twisted_alexander(p, rho)
@@ -387,6 +400,11 @@ def test_scan_deterministic_and_parallel(tmp_path):
     def load(path):
         return strip_millis([json.loads(x) for x in path.read_text().splitlines()])
     assert load(a) == load(b) == load(c)
+    # rows arrive in (alpha, beta, assignment) order with no sort in cmd_scan
+    for path in (a, c):
+        keys = [(Fraction(rec["input"]).denominator, Fraction(rec["input"]).numerator,
+                 rec["assignment"]) for rec in load(path)]
+        assert len(keys) > 1 and keys == sorted(keys)
 
 
 def test_scan_jobs_below_one_exit_1(tmp_path):

@@ -24,8 +24,10 @@ from metatap.exactalg import (
     supported_on_multiples,
     _newton_interpolate,
 )
-from metatap.intmat import int_det
+from metatap.intmat import int_det, mat_neg
 from metatap.metabelian import cyclotomic_coeffs
+
+from matrix_helpers import from_entries
 
 P = parse_poly
 
@@ -263,7 +265,7 @@ def test_equal_up_to_unit():
 # -- determinants -------------------------------------------------------------
 
 def rand_matrix(rng, dim):
-    return PolyMatrix(
+    return from_entries(
         [[rand_poly(rng, max_terms=2, deg_lo=-2, deg_hi=2, coef=3)
           for _ in range(dim)] for _ in range(dim)]
     )
@@ -275,7 +277,7 @@ def test_det_identity():
 
 
 def test_det_2x2():
-    m = PolyMatrix([[P("t"), ONE], [ONE, P("t")]])
+    m = from_entries([[P("t"), ONE], [ONE, P("t")]])
     assert m.det() == P("-1 + t^2")
 
 
@@ -302,9 +304,141 @@ def test_det_interpolate_matches_bareiss_up_to_dim_9():
     rng = random.Random(29)
     for dim in (7, 8, 9):
         for _ in range(2):
-            m = PolyMatrix([[rand_poly(rng, deg_lo=0, deg_hi=6) for _ in range(dim)]
-                            for _ in range(dim)])
+            m = from_entries([[rand_poly(rng, deg_lo=0, deg_hi=6) for _ in range(dim)]
+                              for _ in range(dim)])
             assert m.det_interpolate() == m.det_bareiss()
+
+
+# -- the series format against entrywise arithmetic --------------------------
+# The oracles are the entrywise operations PolyMatrix had when it stored a
+# grid of LaurentPoly entries.
+
+def _entrywise_combine(a, b, sign):
+    return tuple(tuple(x + y if sign > 0 else x - y for x, y in zip(ra, rb))
+                 for ra, rb in zip(a, b))
+
+
+def _entrywise_mul(a, b):
+    cols = list(zip(*b))
+    out = []
+    for row in a:
+        new_row = []
+        for col in cols:
+            acc = ZERO
+            for x, y in zip(row, col):
+                if x and y:
+                    acc = acc + x * y
+            new_row.append(acc)
+        out.append(tuple(new_row))
+    return tuple(out)
+
+
+def rand_sparse_matrix(rng, dim):
+    """Entries with negative degrees, gaps between degrees, and zeros."""
+    def entry():
+        if rng.random() < 0.3:
+            return ZERO
+        return rand_poly(rng, max_terms=3, deg_lo=-6, deg_hi=6, coef=4)
+    return [[entry() for _ in range(dim)] for _ in range(dim)]
+
+
+def test_poly_matrix_arithmetic_matches_entrywise():
+    rng = random.Random(31)
+    for dim in (1, 2, 3, 4, 5):
+        for _ in range(30):
+            ea, eb = rand_sparse_matrix(rng, dim), rand_sparse_matrix(rng, dim)
+            a, b = from_entries(ea), from_entries(eb)
+            assert a.entries() == tuple(map(tuple, ea))
+            assert (a + b).entries() == _entrywise_combine(ea, eb, 1)
+            assert (a - b).entries() == _entrywise_combine(ea, eb, -1)
+            assert (a * b).entries() == _entrywise_mul(ea, eb)
+            assert (-a).entries() == tuple(tuple(-x for x in row) for row in ea)
+            assert (3 * a).entries() == tuple(tuple(3 * x for x in row) for row in ea)
+            assert a * 0 == a - a == PolyMatrix({}, dim)
+            assert a + b == b + a and hash(a + b) == hash(b + a)
+            assert a == from_entries(ea) and hash(a) == hash(from_entries(ea))
+            # the same value from a reversed dict and from pairs that repeat
+            # degrees: a = (a + b) + (-b)
+            rev = PolyMatrix(dict(reversed(list(a.series.items()))), dim)
+            split = PolyMatrix(list((a + b).series.items())
+                               + [(d, mat_neg(m)) for d, m in b.series.items()], dim)
+            assert rev == a == split and hash(rev) == hash(a) == hash(split)
+            for d in range(-14, 15):
+                assert a.coeff(d) == tuple(tuple(x.coeff(d) for x in row) for row in ea)
+    # zero products: a column times a disjoint row, and a nilpotent square
+    e = [[ZERO] * 3 for _ in range(3)]
+    e[0][0] = P("t^-2 + 5*t^3")
+    f = [[ZERO] * 3 for _ in range(3)]
+    f[1][2] = P("-t^4")
+    assert (from_entries(e) * from_entries(f)).series == {}
+    assert _entrywise_mul(e, f) == PolyMatrix({}, 3).entries()
+    n = PolyMatrix({-1: ((0, 1, 0), (0, 0, 1), (0, 0, 0))}, 3)
+    assert (n * n).series == {-2: ((0, 0, 1), (0, 0, 0), (0, 0, 0))}
+    assert (n * n * n).series == {}
+    assert PolyMatrix.identity(4).entries() == tuple(
+        tuple(ONE if i == j else ZERO for j in range(4)) for i in range(4))
+    assert PolyMatrix.monomial(((0, 0), (0, 0)), 5) == PolyMatrix({}, 2)
+
+
+def test_blocks_match_entrywise_assembly():
+    rng = random.Random(37)
+    for size, count in ((1, 3), (2, 2), (3, 2), (2, 3)):
+        grid = [[from_entries(rand_sparse_matrix(rng, size)) for _ in range(count)]
+                for _ in range(count)]
+        grid[0][-1] = PolyMatrix({}, size)
+        big = PolyMatrix.blocks(grid)
+        assert big.dim == size * count
+        expected = tuple(
+            tuple(e for blk in brow for e in blk.entries()[i])
+            for brow in grid for i in range(size))
+        assert big.entries() == expected
+    with pytest.raises(ValueError):
+        PolyMatrix.blocks([])
+
+
+def _entrywise_bound(entries):
+    """The degree bound det_interpolate used on a grid of entries: the sum
+    over rows of the highest degree less the lowest, over nonzero entries."""
+    bound = 0
+    for row in entries:
+        nonzero = [e for e in row if not e.is_zero()]
+        low = min(e.low_degree() for e in nonzero)
+        bound += max(e.degree() for e in nonzero) - low
+    return bound
+
+
+def test_det_interpolate_matches_bareiss_with_row_shifts(monkeypatch):
+    calls = []
+
+    def counting_int_det(a):
+        calls.append(len(a))
+        return int_det(a)
+
+    monkeypatch.setattr(exactalg, "int_det", counting_int_det)
+    rng = random.Random(41)
+    for dim in (5, 6, 7, 8, 9):
+        for gaps in (False, True):
+            rows = []
+            for _ in range(dim):
+                shift = rng.randint(-5, 5)   # a different lowest degree per row
+                row = []
+                for _ in range(dim):
+                    f = rand_poly(rng, max_terms=3, deg_lo=0, deg_hi=4, coef=5)
+                    if gaps:                 # supported on multiples of 3
+                        f = LaurentPoly((3 * d, c) for d, c in f.terms)
+                    row.append(f.shifted(shift))
+                if all(e.is_zero() for e in row):
+                    row[0] = LaurentPoly.term(1, shift)
+                rows.append(row)
+            m = from_entries(rows)
+            calls.clear()
+            assert m.det_interpolate() == m.det_bareiss()
+            assert calls == [dim] * (_entrywise_bound(rows) + 1)
+            rows[rng.randrange(dim)] = [ZERO] * dim
+            m = from_entries(rows)
+            calls.clear()
+            assert m.det_interpolate() == ZERO == m.det_bareiss()
+            assert calls == []
 
 
 def test_newton_interpolate_rejects_non_integer_polynomial():
@@ -315,9 +449,9 @@ def test_newton_interpolate_rejects_non_integer_polynomial():
 
 
 def test_det_zero_row_and_singular():
-    z = PolyMatrix([[ZERO, ZERO], [ONE, P("t")]])
+    z = from_entries([[ZERO, ZERO], [ONE, P("t")]])
     assert z.det() == ZERO
-    sing = PolyMatrix([[ONE, ONE], [ONE, ONE]])
+    sing = from_entries([[ONE, ONE], [ONE, ONE]])
     assert sing.det_bareiss() == ZERO
     assert sing.det_interpolate() == ZERO
 

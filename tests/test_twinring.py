@@ -5,11 +5,10 @@ from itertools import product
 
 import pytest
 
-from metatap.exactalg import LaurentPoly, canonical, parse_poly
+from metatap.exactalg import LaurentPoly, PolyMatrix, canonical, parse_poly
 from metatap.golden import A4_3DIM
 from metatap.intmat import identity, mat_add, mat_mul, mat_pow, mat_scale, mat_sub, zeros
 from metatap.twinring import (
-    APoly,
     NotInH3Error,
     NotTwinError,
     TwinDecomp,
@@ -24,8 +23,6 @@ from metatap.twinring import (
     YINV,
     YT,
     YX,
-    add3,
-    mul3,
     normalized_series,
     power3,
     recursion_series,
@@ -43,6 +40,13 @@ P = parse_poly
 I3 = identity(3)
 Z3 = zeros(3)
 ONE_MINUS_T3 = P("1 - t^3")
+ONE_A = PolyMatrix.identity(3)
+ZERO_A = PolyMatrix({}, 3)
+M = PolyMatrix.monomial
+
+
+def series(pairs):
+    return PolyMatrix(pairs, 3)
 
 
 # -- the nine constant identities ----------------------------------------------
@@ -83,48 +87,62 @@ def test_nine_identities():
         mat_scale(-1, X_PLUS_Y)
 
 
-# -- APoly arithmetic -----------------------------------------------------------
+# -- arithmetic of 3x3 matrix polynomials ----------------------------------------
 
 def test_apoly_squares_vanish():
-    a = APoly.monomial(X_PLUS_Y)
-    assert (a * a).is_zero()
-    b = APoly.monomial(XINV_PLUS_YINV)
-    assert (b * b).is_zero()
+    a = M(X_PLUS_Y)
+    assert (a * a).series == {}
+    b = M(XINV_PLUS_YINV)
+    assert (b * b) == ZERO_A
 
 
 def test_apoly_xyx_absorption():
-    a = APoly.monomial(X_PLUS_Y)
-    w = APoly.monomial(XYX)
+    a = M(X_PLUS_Y)
+    w = M(XYX)
     assert w * a == -1 * a
     assert a * w == -1 * a
+    assert w * a == -a
 
 
 def test_apoly_unit_and_noncommutativity():
-    f = APoly([(0, X), (2, YX)])
-    assert f * APoly.one() == f
-    g = APoly.monomial(Y, 1)
+    f = series([(0, X), (2, YX)])
+    assert f * ONE_A == f
+    g = M(Y, 1)
     assert f * g != g * f
 
 
 # -- geometric blocks -----------------------------------------------------------
 
 def test_yx_geometric():
-    assert yx_geometric(0) == APoly.one()
-    assert yx_geometric(1) == APoly([(0, I3), (2, YX)])
-    assert yx_geometric(-1) == APoly.monomial(XINV_YINV, -2)
+    assert yx_geometric(0) == ONE_A
+    assert yx_geometric(1) == series([(0, I3), (2, YX)])
+    assert yx_geometric(-1) == M(XINV_YINV, -2)
     for m in range(0, 6):
-        assert len(yx_geometric(m).coeffs) == m + 1
+        assert len(yx_geometric(m).series) == m + 1
     for m in range(1, 6):
-        assert len(yx_geometric(-m).coeffs) == m
+        assert len(yx_geometric(-m).series) == m
+
+
+def _generic_mul(a, b):
+    """The textbook product, the oracle for mat_mul's unrolled 3x3 case."""
+    n = len(a)
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
+                 for i in range(n))
+
+
+def _generic_add(a, b):
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def test_unrolled_product_and_power_table_match_generic():
     rng = random.Random(17)
-    for _ in range(200):
-        a, b = (tuple(tuple(rng.randint(-9, 9) for _ in range(3)) for _ in range(3))
-                for _ in range(2))
-        assert mul3(a, b) == mat_mul(a, b)
-        assert add3(a, b) == mat_add(a, b)
+    for size in (1, 2, 3, 4, 5):
+        for bound in (9, 10**30):
+            for _ in range(200 if size == 3 else 20):
+                a, b = (tuple(tuple(rng.randint(-bound, bound) for _ in range(size))
+                              for _ in range(size)) for _ in range(2))
+                assert mat_mul(a, b) == _generic_mul(a, b)
+                assert mat_add(a, b) == _generic_add(a, b)
     assert mat_pow(YX, 3) == I3
     for base in (YX, XINV_YINV):
         for e in range(-7, 12):
@@ -135,10 +153,10 @@ def test_unrolled_product_and_power_table_match_generic():
 
 def test_twin_check_displayed_object():
     # 1 - (x+y)t - (x^-1+y^-1)t^2 - xyx t^3
-    f = (APoly.one()
-         - APoly.monomial(X_PLUS_Y, 1)
-         - APoly.monomial(XINV_PLUS_YINV, 2)
-         - APoly.monomial(XYX, 3))
+    f = (ONE_A
+         - M(X_PLUS_Y, 1)
+         - M(XINV_PLUS_YINV, 2)
+         - M(XYX, 3))
     d = twin_decompose(f)
     assert d.c == {0: 1}
     assert d.cprime == {1: -1}
@@ -147,18 +165,18 @@ def test_twin_check_displayed_object():
 
 
 def test_twin_check_failures():
-    assert twin_check(APoly.monomial(X, 0)) is None
+    assert twin_check(M(X, 0)) is None
     with pytest.raises(NotTwinError) as e:
-        twin_decompose(APoly.monomial(X, 0))
+        twin_decompose(M(X, 0))
     assert e.value.degree == 0
     # pairing violation: a(0) = 1 but b(0) = 0
-    f = APoly.monomial(X_PLUS_Y, 1)
+    f = M(X_PLUS_Y, 1)
     with pytest.raises(NotTwinError):
         twin_decompose(f)
 
 
 def test_twin_zero():
-    d = twin_decompose(APoly.zero())
+    d = twin_decompose(ZERO_A)
     assert d == TwinDecomp({}, {}, {}, {})
     assert twin_determinant(d) == LaurentPoly.zero()
 
@@ -171,7 +189,7 @@ def rand_twin(rng, span=2, coef=3):
                    {k: v for k, v in cp.items() if v},
                    {k: v for k, v in a.items() if v},
                    {k: v for k, v in a.items() if v})
-    return d.to_apoly()
+    return d.to_matrix()
 
 
 def test_twin_subring_closure():
@@ -188,7 +206,7 @@ def test_twin_round_trip():
     for _ in range(40):
         f = rand_twin(rng)
         d = twin_decompose(f)
-        assert d.to_apoly() == f
+        assert d.to_matrix() == f
 
 
 # -- closed-form determinant -----------------------------------------------------
@@ -196,7 +214,7 @@ def test_twin_round_trip():
 def test_twin_determinant_examples():
     # series for the single-entry form [6]: 1 - xyx t^3
     ns = normalized_series(H3Form((2,), ()))
-    assert ns == APoly([(0, I3), (3, mat_scale(-1, XYX))])
+    assert ns == series([(0, I3), (3, mat_scale(-1, XYX))])
     d = twin_decompose(ns)
     assert (d.c, d.cprime) == ({0: 1}, {1: -1})
     assert twin_determinant(d) == ns.det()
@@ -204,7 +222,7 @@ def test_twin_determinant_examples():
     # a bare constant 1 has determinant +1 (exact equality with the matrix det)
     only_c = TwinDecomp({0: 1}, {}, {}, {})
     assert twin_determinant(only_c) == P("1")
-    assert only_c.to_apoly().det() == P("1")
+    assert only_c.to_matrix().det() == P("1")
 
 
 def test_twin_determinant_matches_direct_on_random_corpus():
@@ -221,45 +239,44 @@ def test_twin_determinant_matches_direct_on_random_corpus():
 # -- membership families ----------------------------------------------------------
 
 def one_minus_xt():
-    return APoly.one() - XT
+    return ONE_A - XT
 
 
 def test_membership_families():
     """Four families of twin objects built from the geometric blocks."""
-    yinv_tinv = APoly.monomial(YINV, -1)
+    yinv_tinv = M(YINV, -1)
     for k in (0, 1, 2):
-        f1 = yinv_tinv * ((APoly.one() - YT) * yx_geometric(3 * k + 1) * YT
-                          + APoly.monomial(mat_pow(YX, 3 * k + 2), 6 * k + 4)) \
-            * (APoly.one() - XT)
+        f1 = yinv_tinv * ((ONE_A - YT) * yx_geometric(3 * k + 1) * YT
+                          + M(mat_pow(YX, 3 * k + 2), 6 * k + 4)) \
+            * (ONE_A - XT)
         assert twin_check(f1) is not None, f"family 1, k={k}"
-        f2 = yinv_tinv * (APoly.one() - YT) * yx_geometric(3 * k + 2) * YT \
-            * (APoly.one() - XT)
+        f2 = yinv_tinv * (ONE_A - YT) * yx_geometric(3 * k + 2) * YT \
+            * (ONE_A - XT)
         assert twin_check(f2) is not None, f"family 2, k={k}"
-        f3 = yinv_tinv * ((APoly.one() - YT) * yx_geometric(-(3 * k + 1)) * YT
-                          - APoly.monomial(mat_pow(XINV_YINV, 3 * k + 1),
-                                           -(6 * k + 2))) \
-            * (APoly.one() - XT)
+        f3 = yinv_tinv * ((ONE_A - YT) * yx_geometric(-(3 * k + 1)) * YT
+                          - M(mat_pow(XINV_YINV, 3 * k + 1), -(6 * k + 2))) \
+            * (ONE_A - XT)
         assert twin_check(f3) is not None, f"family 3, k={k}"
-        f4 = yinv_tinv * (APoly.one() - YT) * yx_geometric(-(3 * k + 3)) * YT \
-            * (APoly.one() - XT)
+        f4 = yinv_tinv * (ONE_A - YT) * yx_geometric(-(3 * k + 3)) * YT \
+            * (ONE_A - XT)
         assert twin_check(f4) is not None, f"family 4, k={k}"
 
 
 def test_membership_initial_cases_displayed_values():
     """The k = 0 members equal their displayed twin decompositions."""
-    yinv_tinv = APoly.monomial(YINV, -1)
-    one = APoly.one()
+    yinv_tinv = M(YINV, -1)
+    one = ONE_A
     f1 = yinv_tinv * ((one - YT) * yx_geometric(1) * YT
-                      + APoly.monomial(mat_pow(YX, 2), 4)) * (one - XT)
-    assert f1 == (one - APoly.monomial(X_PLUS_Y, 1)
-                  - APoly.monomial(XINV_PLUS_YINV, 2) - APoly.monomial(XYX, 3))
+                      + M(mat_pow(YX, 2), 4)) * (one - XT)
+    assert f1 == (one - M(X_PLUS_Y, 1)
+                  - M(XINV_PLUS_YINV, 2) - M(XYX, 3))
     # at t^3 the coefficient is -(yxy + xyx) = -2 xyx by the braid identity
     f2 = yinv_tinv * (one - YT) * yx_geometric(2) * YT * (one - XT)
     d2 = twin_decompose(f2)
     assert d2.c == {0: 1, 2: 1} and d2.cprime == {1: -2}
     assert d2.a == {0: -1, 1: -1}
     f3 = yinv_tinv * ((one - YT) * yx_geometric(-1) * YT
-                      - APoly.monomial(XINV_YINV, -2)) * (one - XT)
+                      - M(XINV_YINV, -2)) * (one - XT)
     d3 = twin_decompose(f3)
     assert d3.c == {0: 1} and d3.cprime == {-1: -1}
     assert d3.a == {-1: -1}
@@ -272,9 +289,9 @@ def test_membership_initial_cases_displayed_values():
 # -- the recursion ---------------------------------------------------------------
 
 def test_recursion_base_anchors():
-    assert recursion_series(H3Form((1,), ())) == APoly.monomial(Y, 1)
+    assert recursion_series(H3Form((1,), ())) == M(Y, 1)
     ns = normalized_series(H3Form((2,), ()))
-    assert ns == APoly([(0, I3), (3, mat_scale(-1, XYX))])
+    assert ns == series([(0, I3), (3, mat_scale(-1, XYX))])
 
 
 def test_recursion_twin_q_le_2():
@@ -312,7 +329,3 @@ def test_cross_path_sample():
             checked += 1
     assert checked >= 12
 
-
-def test_apoly_dump_format():
-    f = APoly.monomial(XYX, 3)
-    assert f.dump() == "t^3: [[-1,0,0],[-1,0,1],[-1,1,0]]"

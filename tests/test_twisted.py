@@ -10,7 +10,7 @@ from metatap.exactalg import (
     equal_up_to_unit, exact_div, parse_poly)
 from metatap.golden import A4_3DIM, PHI, phi_value
 from metatap.groupcalc import (
-    GroupRingElem, Word, fox_derivative, fox_images, parse_presentation)
+    GroupRingElem, Word, fox_derivative, fox_images, fox_jacobian, parse_presentation)
 from metatap.intmat import identity, mat_inverse, mat_mul
 from metatap.knotdata import presentation
 from metatap.metabelian import (
@@ -27,7 +27,6 @@ from metatap.metabelian import (
     trivial_rep,
 )
 from metatap.twisted import (
-    _numerator_det,
     _phi_generator_minus_one,
     check_a4_form,
     check_factorization,
@@ -58,26 +57,26 @@ def a4_rho3(r: FractionR):
 
 def test_phi_map_identity():
     p, rho = a4_rho3(FractionR(1, 3))
-    m = phi_map(GroupRingElem.one(), rho)
-    assert m.rows[0][0] == P("1")
-    assert m.rows[0][1] == ZERO
+    m = phi_map(GroupRingElem.one(), rho).entries()
+    assert m[0][0] == P("1")
+    assert m[0][1] == ZERO
 
 
 def test_phi_map_generator_grading():
     p, rho = a4_rho3(FractionR(1, 3))
-    m = phi_map(GroupRingElem.of(Word([1])), rho)
+    m = phi_map(GroupRingElem.of(Word([1])), rho).entries()
     # image of x is the 3x3 matrix of xi0 times t
-    assert m.rows[0][0] == P("-t")
-    assert m.rows[0][1] == P("t")
-    assert m.rows[2][2] == P("t")
+    assert m[0][0] == P("-t")
+    assert m[0][1] == P("t")
+    assert m[2][2] == P("t")
 
 
 def test_phi_map_trivial_rep():
     p = wirtinger_presentation(FractionR(1, 3))
     rho = trivial_rep(p)
     e = GroupRingElem.of(Word([1])) - GroupRingElem.one()
-    m = phi_map(e, rho)
-    assert m.rows[0][0] == P("-1 + t")
+    m = phi_map(e, rho).entries()
+    assert m[0][0] == P("-1 + t")
 
 
 def test_phi_map_multiplicative():
@@ -98,15 +97,15 @@ def test_fused_fox_images_match_phi_of_derivative():
         tables = fox_images(rel, rho.images, rho.inv_images, rho.dim)
         for gen in (1, 2):
             direct = phi_map(fox_derivative(rel, gen), rho)
-            fused = PolyMatrix.from_series(tables.get(gen, {}), rho.dim)
-            assert direct == fused
+            assert direct == tables[gen]
+            assert direct.entries() == tables[gen].entries()
 
 
 def _per_entry_matrix(series, dim):
-    """The construction PolyMatrix.from_series replaces: one LaurentPoly per
-    entry, from its (degree, coefficient) terms."""
-    return PolyMatrix([[LaurentPoly((deg, m[i][j]) for deg, m in series.items())
-                        for j in range(dim)] for i in range(dim)])
+    """The entries the series format replaces: one LaurentPoly per entry,
+    from its (degree, coefficient) terms."""
+    return tuple(tuple(LaurentPoly((deg, m[i][j]) for deg, m in series.items())
+                       for j in range(dim)) for i in range(dim))
 
 
 def _series_test_reps():
@@ -127,21 +126,24 @@ def _series_test_reps():
 def test_from_series_matches_per_entry_construction():
     for p, rho in _series_test_reps():
         dim = rho.dim
-        zero = [[0] * dim for _ in range(dim)]
-        assert PolyMatrix.from_series({}, dim) == _per_entry_matrix({}, dim)
-        assert PolyMatrix.from_series({4: zero}, dim) == _per_entry_matrix({}, dim)
+        zero = tuple((0,) * dim for _ in range(dim))
+        assert PolyMatrix({}, dim).entries() == _per_entry_matrix({}, dim)
+        assert PolyMatrix({4: zero}, dim) == PolyMatrix({}, dim)
+        assert PolyMatrix({4: zero}, dim).entries() == _per_entry_matrix({}, dim)
         gapped = {3: rho.images[1], -2: zero, 0: rho.inv_images[2]}
-        assert PolyMatrix.from_series(gapped, dim) == _per_entry_matrix(gapped, dim)
+        assert PolyMatrix(gapped, dim).entries() == _per_entry_matrix(gapped, dim)
         for rel in p.relators:
             tables = fox_images(rel, rho.images, rho.inv_images, rho.dim)
             for gen in range(1, p.num_generators + 1):
-                series = tables.get(gen, {})
-                assert PolyMatrix.from_series(series, dim) == \
-                    _per_entry_matrix(series, dim)
+                series = tables[gen].series
+                assert tables[gen].entries() == _per_entry_matrix(series, dim)
+                per_letter = _fox_images_per_letter(
+                    rel, rho.images, rho.inv_images, dim)[gen]
+                assert tables[gen].entries() == _per_entry_matrix(per_letter, dim)
     for frac in ("1/3", "5/27", "29/75"):
         form = h3_expand(FractionR.parse(frac))
         for f in (recursion_series(form), normalized_series(form)):
-            assert f.to_matrix() == _per_entry_matrix(f.coeffs, 3)
+            assert f.entries() == _per_entry_matrix(f.series, 3)
 
 
 def test_phi_generator_minus_one_matches_phi_map():
@@ -176,12 +178,21 @@ def _fox_images_per_letter(rel, images, inv_images, dim):
     return out
 
 
+def _as_poly_matrices(tables, dim):
+    """Per-letter tables (generator -> degree -> list matrix) as PolyMatrix."""
+    return {g: PolyMatrix(((d, tuple(map(tuple, m))) for d, m in series.items()), dim)
+            for g, series in tables.items()}
+
+
 def _assert_same_fox_tables(rel, images, inv_images, dim):
     new = fox_images(rel, images, inv_images, dim)
     old = _fox_images_per_letter(rel, images, inv_images, dim)
-    assert new == old
+    assert new == _as_poly_matrices(old, dim)
     assert list(new) == list(old)
-    assert all(list(new[g]) == list(old[g]) for g in old)
+    # the nonzero degrees in the same order; zero matrices are dropped
+    zero = [[0] * dim for _ in range(dim)]
+    assert all(list(new[g].series) == [d for d, m in old[g].items() if m != zero]
+               for g in old)
 
 
 def test_interned_fox_images_match_per_letter_pass():
@@ -216,11 +227,15 @@ def test_interned_fox_images_match_per_letter_pass():
 
 def test_fox_images_keep_keys_that_sum_to_zero():
     # x y X X: x leaves degree 0 with the prefix 1 and X returns to degree 0
-    # with the prefix 1, so the (x, 0) entry cancels but stays in the table
+    # with the prefix 1, so the (x, 0) coefficient cancels to zero
     trivial = {1: ((1,),), 2: ((1,),)}
     tables = fox_images(Word([1, 2, -1, -1]), trivial, trivial, 1)
-    assert tables[1][0] == [[0]]
-    assert tables == _fox_images_per_letter(Word([1, 2, -1, -1]), trivial, trivial, 1)
+    assert tables[1].coeff(0) == ((0,),)
+    assert 0 not in tables[1].series
+    assert tables[1].coeff(1) == ((-1,),)
+    per_letter = _fox_images_per_letter(Word([1, 2, -1, -1]), trivial, trivial, 1)
+    assert per_letter[1][0] == [[0]]
+    assert tables == _as_poly_matrices(per_letter, 1)
 
 
 # -- twisted invariants -------------------------------------------------------
@@ -451,11 +466,11 @@ def test_block_determinants_multiply_to_full_exactly():
                 tables = [fox_images(rel, rho.images, rho.inv_images, rho.dim)
                           for rel in p.relators]
                 den = den * _phi_generator_minus_one(gen, rho).det()
-                num = num * _numerator_det(p, rho, tables, gen)
+                num = num * fox_jacobian(tables, p.num_generators, rho.dim, gen).det()
             tables = [fox_images(rel, full.images, full.inv_images, full.dim)
                       for rel in p.relators]
             assert den == _phi_generator_minus_one(gen, full).det()
-            assert num == _numerator_det(p, full, tables, gen)
+            assert num == fox_jacobian(tables, p.num_generators, full.dim, gen).det()
 
 
 def test_support_split_rejects_entry_outside_blocks():

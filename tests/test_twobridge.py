@@ -7,11 +7,20 @@ from math import ceil, log2
 
 import pytest
 
-from metatap.exactalg import LaurentPoly, PolyMatrix, canonical, equal_up_to_unit, parse_poly
+from metatap.exactalg import LaurentPoly, canonical, equal_up_to_unit, parse_poly
 from metatap.golden import ALEXANDER
-from metatap.groupcalc import fox_derivative, word_from_string
+from metatap.groupcalc import fox_derivative, fox_images, fox_jacobian, word_from_string
 from metatap import twobridge
 from metatap.knotdata import BUNDLED, presentation
+from metatap.metabelian import (
+    a4_group,
+    a4_irreducible_rep,
+    group_from_name,
+    perm_rep,
+    representation_blocks,
+    trivial_rep,
+)
+from metatap.twisted import standard_assignment
 from metatap.twobridge import (
     CFError,
     ContinuedFraction,
@@ -25,6 +34,8 @@ from metatap.twobridge import (
     two_bridge_alexander,
     wirtinger_presentation,
 )
+
+from matrix_helpers import from_entries
 
 P = parse_poly
 
@@ -176,6 +187,22 @@ def test_alexander_nonrational():
         assert alexander_poly(presentation(name)) == canonical(value)
 
 
+def fox_derivative_jacobian(p, rho, delete):
+    """The entries of the Fox matrix under rho with generator `delete`'s
+    column removed, one fox_derivative per block: entry (i, j) of block
+    (relator, g) sums coef * rho(w)[i][j] * t^(exponent sum of w)."""
+    kept = [g for g in range(1, p.num_generators + 1) if g != delete]
+    rows = []
+    for rel in p.relators:
+        derivs = [[(w.exponent_sum(), c, rho.word_image(w))
+                   for w, c in fox_derivative(rel, g).terms.items()] for g in kept]
+        for i in range(rho.dim):
+            rows.append(tuple(
+                LaurentPoly((deg, c * m[i][j]) for deg, c, m in terms)
+                for terms in derivs for j in range(rho.dim)))
+    return tuple(rows)
+
+
 def fox_jacobian_alexander(p):
     """Delta from the abelianized Fox Jacobian, one fox_derivative per entry,
     with the last generator's column deleted."""
@@ -183,7 +210,35 @@ def fox_jacobian_alexander(p):
                          for w, c in fox_derivative(rel, g).terms.items())
              for g in range(1, p.num_generators)]
             for rel in p.relators]
-    return canonical(PolyMatrix(rows).det())
+    return canonical(from_entries(rows).det())
+
+
+def test_fox_jacobian_matches_fox_derivative_jacobian():
+    """fox_jacobian against the per-entry Jacobian under the trivial, perm_rep,
+    character-block and xi0 representations, for every deleted column."""
+    cases = []
+    for source, group_name, assign in (("5/27", "A4", None), ("3/5", "M(4|3,2)", None),
+                                       ("8_5", "A4", {"x": "s", "y": "s b1", "z": "s"})):
+        group = group_from_name(group_name)
+        if assign is None:
+            p = wirtinger_presentation(FractionR.parse(source))
+            images = standard_assignment(group, p)
+        else:
+            p = presentation(source)
+            images = {g: group.parse_elem(e) for g, e in assign.items()}
+        reps = [trivial_rep(p), perm_rep(images, group, p)]
+        reps += representation_blocks(images, group, p)
+        if group == a4_group():
+            reps.append(a4_irreducible_rep(images, p))
+        cases += [(p, rho) for rho in reps]
+    assert len(cases) == 15
+    for p, rho in cases:
+        tables = [fox_images(rel, rho.images, rho.inv_images, rho.dim)
+                  for rel in p.relators]
+        for delete in range(1, p.num_generators + 1):
+            jac = fox_jacobian(tables, p.num_generators, rho.dim, delete)
+            assert jac.dim == rho.dim * len(p.relators)
+            assert jac.entries() == fox_derivative_jacobian(p, rho, delete)
 
 
 def test_alexander_matches_fox_derivative_jacobian():
