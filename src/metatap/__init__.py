@@ -10,6 +10,7 @@ and, for 2-bridge knots whose group maps onto Z/2 * Z/3, cross-validates the
 Fox-calculus computation against an independent continued-fraction recursion.
 """
 
+from .characters import representation_blocks
 from .exactalg import (
     LaurentPoly,
     PolyMatrix,
@@ -42,7 +43,6 @@ from .metabelian import (
     group_from_name,
     obstruction_passes,
     perm_rep,
-    representation_blocks,
     xi0,
 )
 from .twisted import (

@@ -28,6 +28,7 @@ import time
 from functools import cache
 from pathlib import Path
 
+from .characters import representation_blocks
 from .exactalg import ExactnessError, LaurentPoly
 from .groupcalc import Presentation, PresentationError
 from .knotdata import BUNDLED, load_presentation
@@ -39,7 +40,6 @@ from .metabelian import (
     generates,
     group_from_name,
     obstruction_passes,
-    representation_blocks,
     unit_classes,
 )
 from .twisted import NoUsableColumnError, check_factorization, twisted_alexander
@@ -106,7 +106,8 @@ def _compute_records(p: Presentation, group: MetaGroup, delta: LaurentPoly,
     polynomial is an input error, or, with `skip_non_polynomial`, is
     named on stderr and gets no record.
     """
-    verdicts = {}
+    delta_text = str(delta)
+    verdicts = {}  # class representative -> (twisted, phi) texts and verdict
     records = []
     for i, ((images, surjective), (rep, unit)) in enumerate(
             zip(assignments, classes)):
@@ -125,8 +126,10 @@ def _compute_records(p: Presentation, group: MetaGroup, delta: LaurentPoly,
                         f"ratio for {input_name} is not a polynomial")
                 verdicts[i] = None
             else:
-                verdicts[i] = (result.invariant, check_factorization(
-                    result.invariant, delta, group.n))
+                verdict = check_factorization(result.invariant, delta, group.n)
+                verdicts[i] = (str(result.invariant),
+                               None if verdict.phi is None else str(verdict.phi),
+                               verdict)
         else:
             rep_images, rep_surjective = assignments[rep]
             if surjective != rep_surjective or not conjugate_by_relabeling(
@@ -140,7 +143,7 @@ def _compute_records(p: Presentation, group: MetaGroup, delta: LaurentPoly,
                   f"surjective onto {group.name()} and its determinant ratio "
                   f"for {input_name} is not a polynomial", file=sys.stderr)
             continue
-        invariant, verdict = verdicts[rep]
+        twisted_text, phi_text, verdict = verdicts[rep]
         cross = None
         if cross_check and recursion_value is not None and verdict.phi is not None:
             cross = verdict.phi == recursion_value
@@ -151,9 +154,9 @@ def _compute_records(p: Presentation, group: MetaGroup, delta: LaurentPoly,
             "assignment": _assignment_str(images, p),
             "surjective": surjective,
             "n": group.n,
-            "delta": str(delta),
-            "twisted": str(invariant),
-            "phi": str(verdict.phi) if verdict.phi is not None else None,
+            "delta": delta_text,
+            "twisted": twisted_text,
+            "phi": phi_text,
             "holds": verdict.holds,
             "cross_path_match": cross,
             "millis": millis,

@@ -16,10 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from .characters import representation_blocks
 from .exactalg import LaurentPoly, parse_poly as P
 from .knotdata import presentation
-from .metabelian import (
-    MetaGroup, Representation, group_from_name, representation_blocks)
+from .metabelian import MetaGroup, Representation, group_from_name
 from .twisted import Verdict, check_factorization, standard_assignment, twisted_alexander
 from .twobridge import FractionR, alexander_poly, wirtinger_presentation
 

@@ -12,7 +12,7 @@ d(uv)/dg = du/dg + u * dv/dg  with  d(g)/dg = 1  and  d(g^-1)/dg = -g^-1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .exactalg import PolyMatrix
 from .intmat import Mat, identity, mat_mul
@@ -201,35 +201,19 @@ def fox_derivative_recursive(w: Word, gen: int) -> GroupRingElem:
     return d_head + fox_derivative_recursive(rest, gen).left_mul_word(Word((head,)))
 
 
-def fox_images(rel: Word, images: Mapping[int, Mat], inv_images: Mapping[int, Mat],
-               dim: int) -> dict[int, PolyMatrix]:
-    """Phi(dR/dg) for every generator g at once, one pass over the relator.
+def fox_tally(rel: Word, step: Callable[[int, int], int]) -> dict[tuple[int, int, int], int]:
+    """The one relator walk of the Fox calculus, on named prefixes.
 
-    Phi sends a word w to (its image under `images`) * t^(exponent sum of w).
-    Returns generator -> PolyMatrix for every generator the relator uses;
-    these equal the images of fox_derivative(rel, g).
-
-    Each distinct prefix matrix gets a small id the first time it appears,
-    and the step (id, letter) -> id is memoized, so each product is
-    computed once: a finite image has few prefixes.  The pass tallies the
-    signed count of each prefix id per (generator, degree) and builds each
-    matrix once at the end.
+    A prefix of the relator is named by an int, the empty prefix by 0, and
+    step(x, letter) names prefix x followed by the letter; it is called
+    once per distinct (x, letter).  Returns the signed count of each
+    (generator, degree, prefix) term: for a representation rho that the
+    names stand for, Phi(dR/dg) is the sum of count * rho(prefix) *
+    t^degree over the keys of generator g.  Every generator the relator
+    uses has a key, also when its counts cancel.
     """
-    prefixes: list[Mat] = [identity(dim)]
-    ids: dict[Mat, int] = {prefixes[0]: 0}
+    tally: dict[tuple[int, int, int], int] = {}
     steps: dict[tuple[int, int], int] = {}
-    tally: dict[tuple[int, int, int], int] = {}  # (gen, deg, id) -> count
-
-    def advance(cur: int, letter: int) -> int:
-        factor = images[letter] if letter > 0 else inv_images[-letter]
-        m = mat_mul(prefixes[cur], factor)
-        nxt = ids.get(m)
-        if nxt is None:
-            nxt = ids[m] = len(prefixes)
-            prefixes.append(m)
-        steps[cur, letter] = nxt
-        return nxt
-
     cur = deg = 0
     for letter in rel:
         if letter > 0:
@@ -239,13 +223,43 @@ def fox_images(rel: Word, images: Mapping[int, Mat], inv_images: Mapping[int, Ma
         else:
             deg -= 1
         nxt = steps.get((cur, letter))
-        cur = advance(cur, letter) if nxt is None else nxt
+        if nxt is None:
+            nxt = steps[cur, letter] = step(cur, letter)
+        cur = nxt
         if letter < 0:
             key = (-letter, deg, cur)
             tally[key] = tally.get(key, 0) - 1
+    return tally
+
+
+def fox_images(rel: Word, images: Mapping[int, Mat], inv_images: Mapping[int, Mat],
+               dim: int) -> dict[int, PolyMatrix]:
+    """Phi(dR/dg) for every generator g at once, one pass over the relator.
+
+    Phi sends a word w to (its image under `images`) * t^(exponent sum of w).
+    Returns generator -> PolyMatrix for every generator the relator uses;
+    these equal the images of fox_derivative(rel, g).
+
+    The prefixes are named by interned matrices: each distinct prefix
+    matrix gets a small id the first time it appears, and `fox_tally`
+    takes each step (id, letter) -> id once, so each product is computed
+    once: a finite image has few prefixes.  Each matrix of the tally is
+    built once at the end.
+    """
+    prefixes: list[Mat] = [identity(dim)]
+    ids: dict[Mat, int] = {prefixes[0]: 0}
+
+    def step(cur: int, letter: int) -> int:
+        factor = images[letter] if letter > 0 else inv_images[-letter]
+        m = mat_mul(prefixes[cur], factor)
+        nxt = ids.get(m)
+        if nxt is None:
+            nxt = ids[m] = len(prefixes)
+            prefixes.append(m)
+        return nxt
 
     sums: dict[int, dict[int, list[list[int]]]] = {}
-    for (gen, d, pid), count in tally.items():
+    for (gen, d, pid), count in fox_tally(rel, step).items():
         acc = sums.setdefault(gen, {}).get(d)
         if acc is None:
             acc = sums[gen][d] = [[0] * dim for _ in range(dim)]

@@ -9,9 +9,9 @@ element has the normal form s^ell * b1^v1 ... bk^vk.
 Right multiplication on the right cosets of <s> gives a permutation
 representation on p^k points and hence an integral matrix representation of
 dimension p^k; in an integer basis of the rational characters of (Z/p)^k it
-splits into small blocks (`representation_blocks`).  For M(3|2,2), which is
-the alternating group A4, there is additionally the faithful irreducible
-3-dimensional integral representation generated by
+splits into small blocks (`characters.representation_blocks`).  For
+M(3|2,2), which is the alternating group A4, there is additionally the
+faithful irreducible 3-dimensional integral representation generated by
 
     xi0(s) = [[-1,1,0],[-1,0,0],[-1,0,1]]   (the image of the 3-cycle x)
     xi0(s b1) = [[0,0,-1],[0,1,-1],[1,0,-1]]  (the image of y)
@@ -150,6 +150,11 @@ class MetaGroup:
         self._T_pow = [identity(self.k)]
         for _ in range(n - 1):
             self._T_pow.append(self._mat_mod(mat_mul(self._T_pow[-1], self.T)))
+        # filled on first use: element index -> character image, unit ->
+        # coset relabeling, generator indices -> whether they generate
+        self._character_images: dict[int, tuple[tuple[int, int, int], ...]] = {}
+        self._relabelings: dict[Mat, tuple[int, ...]] = {}
+        self._generates: dict[tuple[int, ...], bool] = {}
 
     def _mat_mod(self, m: Mat) -> Mat:
         return tuple(tuple(x % self.p for x in row) for row in m)
@@ -348,6 +353,11 @@ class MetaGroup:
             raise MixedGroupError("element belongs to a different group")
         return g.ell * self.p**self.k + self.coset_index(g.vec)
 
+    def element(self, x: int) -> MetaElem:
+        """The element of index x (the inverse of `index`)."""
+        ell, v = divmod(x, self.p**self.k)
+        return self.elem(ell, self.vec_of_index(v))
+
     def index_mul(self, x: int, y: int) -> int:
         act, add = self.index_law
         size = self.p**self.k
@@ -368,10 +378,14 @@ class MetaGroup:
         """sigma_U: <s> a -> <s> a U as an index table.
 
         phi_U fixes s and U commutes with T, so the coset tables satisfy
-        pi_{phi_U(g)} = sigma_U pi_g sigma_U^-1.
+        pi_{phi_U(g)} = sigma_U pi_g sigma_U^-1.  Built once per unit.
         """
-        return tuple(self.coset_index(self._vec_times(self.vec_of_index(i), unit))
-                     for i in range(self.p**self.k))
+        sigma = self._relabelings.get(unit)
+        if sigma is None:
+            sigma = self._relabelings[unit] = tuple(
+                self.coset_index(self._vec_times(self.vec_of_index(i), unit))
+                for i in range(self.p**self.k))
+        return sigma
 
     def perm_matrix(self, g: MetaElem) -> Mat:
         """Permutation matrix with rows indexed by source coset: P[i][pi(i)] = 1.
@@ -423,6 +437,17 @@ class MetaGroup:
                 raise ExactnessError(
                     f"P(g) C != C Q(g) for the character matrix of {g}")
         return tuple(zip(*cols))
+
+    def character_image(self, x: int) -> tuple[tuple[int, int, int], ...]:
+        """The nonzero entries (row, column, value) of Q(g) for the element
+        g of index x.  `character_matrix` builds and checks Q(g) on the first
+        request for x; the entries are kept for the life of the group."""
+        image = self._character_images.get(x)
+        if image is None:
+            q = self.character_matrix(self.element(x))
+            image = self._character_images[x] = tuple(
+                (w, u, v) for w, row in enumerate(q) for u, v in enumerate(row) if v)
+        return image
 
 
 def cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
@@ -485,13 +510,16 @@ class Representation:
     """Generator images in GL(dim, Z) for a presentation.
 
     The constructors below check the relators on the coset tables
-    (`check_homomorphism`) before they build the images.
+    (`check_homomorphism`) before they build the images.  A character
+    block of `characters.representation_blocks` carries its `summand`:
+    the `CharacterSplit` of its assignment and its block number.
     """
 
     presentation: Presentation
     dim: int
     images: dict[int, Mat]
     inv_images: dict[int, Mat] = field(default_factory=dict)
+    summand: Optional[tuple["CharacterSplit", int]] = None
 
     def __post_init__(self):
         """Check each image against its inverse, supplied or computed:
@@ -565,83 +593,6 @@ def perm_rep(assignment: dict[str, MetaElem], group: MetaGroup,
     return Representation(p, group.p**group.k, images)
 
 
-# ---------------------------------------------------------------------------
-# Character blocks
-# ---------------------------------------------------------------------------
-
-
-def support_blocks(mats: Sequence[Mat]) -> list[list[int]]:
-    """The connected components of the union of the supports of `mats`:
-    coordinate sets, each in increasing order, ordered by their first."""
-    size = len(mats[0])
-    neighbours = [set() for _ in range(size)]
-    for m in mats:
-        for w, row in enumerate(m):
-            for u, x in enumerate(row):
-                if x:
-                    neighbours[w].add(u)
-                    neighbours[u].add(w)
-    seen = [False] * size
-    blocks = []
-    for start in range(size):
-        if seen[start]:
-            continue
-        seen[start] = True
-        block, frontier = [start], [start]
-        while frontier:
-            for u in neighbours[frontier.pop()]:
-                if not seen[u]:
-                    seen[u] = True
-                    block.append(u)
-                    frontier.append(u)
-        blocks.append(sorted(block))
-    return blocks
-
-
-def split_blocks(m: Mat, blocks: list[list[int]]) -> list[Mat]:
-    """The diagonal blocks of m on the coordinate sets `blocks`.  A nonzero
-    entry outside them is an ExactnessError."""
-    owner = {}
-    for b, coords in enumerate(blocks):
-        for c in coords:
-            owner[c] = b
-    for w, row in enumerate(m):
-        for u, x in enumerate(row):
-            if x and owner[w] != owner[u]:
-                raise ExactnessError(
-                    f"character matrix has a nonzero entry at ({w}, {u}), "
-                    f"outside the blocks")
-    return [tuple(tuple(m[w][u] for u in coords) for w in coords)
-            for coords in blocks]
-
-
-def representation_blocks(assignment: dict[str, MetaElem], group: MetaGroup,
-                          p: Presentation) -> list[Representation]:
-    """Representations whose twisted numerator and denominator determinants
-    multiply to exactly those of `perm_rep(assignment, group, p)`.
-
-    These are the diagonal blocks of the character matrices
-    Q(g) = C^-1 P(g) C (`MetaGroup.character_matrix`) of the generators
-    and of their inverse elements, cut along the connected components of
-    the generators' supports: the trivial character first, and, for a
-    surjection, one m(p-1)-dimensional block per orbit of m lines under T.
-    C depends only on the group, so conjugating every image by it leaves
-    the determinants unchanged.
-    """
-    check_homomorphism(p, group, assignment)
-    gens = [p.gen_index(name) for name in p.generators]
-    elems = [assignment[name] for name in p.generators]
-    mats = [group.character_matrix(e) for e in elems]
-    blocks = support_blocks(mats)
-    parts = [split_blocks(q, blocks) for q in mats]
-    inv_parts = [split_blocks(group.character_matrix(group.inv(e)), blocks)
-                 for e in elems]
-    return [Representation(p, len(coords),
-                           {g: split[b] for g, split in zip(gens, parts)},
-                           {g: split[b] for g, split in zip(gens, inv_parts)})
-            for b, coords in enumerate(blocks)]
-
-
 # The two generating matrices of the 3-dimensional irreducible integral
 # representation of A4 = M(3|2,2); X is the image of s, Y the image of s*b1.
 XI0_X: Mat = mat([[-1, 1, 0], [-1, 0, 0], [-1, 0, 1]])
@@ -706,20 +657,28 @@ class HomAssignment:
 def generates(group: MetaGroup, elems) -> bool:
     """Whether the elements generate the whole group.
 
-    Closes the element indices under right multiplication by the elements;
-    in a finite group that closure is the generated subgroup.
+    Closes the element indices under right multiplication by the elements,
+    with the group law of `index_law` inlined; in a finite group that
+    closure is the generated subgroup.  The answer is kept per group for
+    the tuple of element indices.
     """
-    gens = [group.index(e) for e in elems]
-    seen = set(gens)
-    frontier = list(gens)
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            prod = group.index_mul(x, g)
-            if prod not in seen:
-                seen.add(prod)
-                frontier.append(prod)
-    return len(seen) == group.order()
+    gens = tuple(group.index(e) for e in elems)
+    known = group._generates.get(gens)
+    if known is None:
+        act, add = group.index_law
+        n, size = group.n, group.p**group.k
+        parts = [divmod(x, size) for x in gens]
+        seen = set(gens)
+        frontier = list(gens)
+        while frontier:
+            a, u = divmod(frontier.pop(), size)
+            for b, v in parts:
+                prod = (a + b) % n * size + add[act[b][u]][v]
+                if prod not in seen:
+                    seen.add(prod)
+                    frontier.append(prod)
+        known = group._generates[gens] = len(seen) == group.order()
+    return known
 
 
 def _inverse_table(perm: Sequence[int]) -> list[int]:

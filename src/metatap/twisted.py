@@ -98,7 +98,8 @@ def twisted_alexander(p: Presentation,
     `rho` is one representation or a sequence of them standing for their
     direct sum: the invariant is multiplicative over a direct sum, so the
     numerator and the denominator are the products of the summands'
-    determinants, all with the same deleted generator."""
+    determinants, all with the same deleted generator.  The character
+    blocks of one assignment share one relator walk (`_fox_tables`)."""
     if not p.deficiency_one():
         raise ValueError("presentation must have one fewer relator than generators")
     reps = [rho] if isinstance(rho, Representation) else list(rho)
@@ -106,8 +107,7 @@ def twisted_alexander(p: Presentation,
         order = [p.gen_index(delete)]
     else:
         order = list(range(p.num_generators, 0, -1))
-    fox_tables = [[fox_images(rel, r.images, r.inv_images, r.dim)
-                   for rel in p.relators] for r in reps]
+    fox_tables = _fox_tables(p, reps)
     for gen in order:
         den = _product(_phi_generator_minus_one(gen, r).det() for r in reps)
         if den.is_zero():
@@ -129,6 +129,28 @@ def twisted_alexander(p: Presentation,
             deleted_generator=name,
         )
     raise NoUsableColumnError("no generator has nonzero det Phi(g - 1)")
+
+
+def _fox_tables(p: Presentation, reps: Sequence[Representation]):
+    """Each summand's Fox table (generator -> PolyMatrix) per relator.
+
+    The character blocks of one assignment name their prefixes by element
+    index and share one walk per relator (`CharacterSplit.fox_images`);
+    every other representation names them by interned matrices
+    (`groupcalc.fox_images`).
+    """
+    walks = {}
+    out = []
+    for r in reps:
+        if r.summand is None:
+            out.append([fox_images(rel, r.images, r.inv_images, r.dim)
+                        for rel in p.relators])
+            continue
+        split, b = r.summand
+        if split not in walks:
+            walks[split] = [split.fox_images(rel) for rel in p.relators]
+        out.append([tables[b] for tables in walks[split]])
+    return out
 
 
 def _product(factors) -> LaurentPoly:

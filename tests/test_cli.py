@@ -10,13 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metatap import cli, metabelian
+from metatap import characters, cli
 from metatap.cli import main
 from metatap.exactalg import canonical, parse_poly
 from metatap.golden import A4_3DIM, ALEXANDER, PHI, phi_value
 from metatap.groupcalc import print_presentation
 from metatap.knotdata import presentation
-from metatap.metabelian import MetaGroup, find_homs, group_from_name, perm_rep
+from metatap.metabelian import (
+    MetaGroup, build_group, find_homs, group_from_name, perm_rep)
 from metatap.twisted import TwistedResult, check_factorization, twisted_alexander
 from metatap.twobridge import (
     FractionR,
@@ -152,7 +153,16 @@ def test_compute_non_homomorphic_assign_exit_1_on_both_paths():
         assert err.endswith(") does not map to the identity\n")
 
 
-def test_compute_tampered_character_blocks_exit_3(monkeypatch):
+@pytest.fixture
+def fresh_groups():
+    """Fresh MetaGroup objects, with empty element-image caches, for the
+    test and after it: a tampered image never outlives its test."""
+    build_group.cache_clear()
+    yield
+    build_group.cache_clear()
+
+
+def test_compute_tampered_character_blocks_exit_3(monkeypatch, fresh_groups):
     tables = MetaGroup.character_tables.func
 
     def swapped_lines(self):
@@ -163,24 +173,71 @@ def test_compute_tampered_character_blocks_exit_3(monkeypatch):
         return columns, dots, moves
 
     cases = (("1/5", "M(5|2,4)"), ("3/5", "M(4|3,2)"))
-    # build and cache the genuine tables of the same (per-process) groups
-    # first: the tampered tables must still be the ones used
+    # the character images are built once per group object, so the tables
+    # are tampered before fresh groups build any image
+    genuine = []
     for frac, group in cases:
         assert run_cli("compute", "--r", frac, "--group", group)[0] == 0
-        assert "character_tables" in vars(group_from_name(group))
+        genuine.append(group_from_name(group))
+    build_group.cache_clear()
     monkeypatch.setattr(MetaGroup, "character_tables", property(swapped_lines))
-    for frac, group in cases:
+    for (frac, group), old in zip(cases, genuine):
         code, out, err = run_cli("compute", "--r", frac, "--group", group)
         assert code == 3 and not out
         assert err.startswith("internal consistency failure: ")
         assert "P(g) C != C Q(g)" in err
+        assert group_from_name(group) is not old
     monkeypatch.undo()
-    monkeypatch.setattr(metabelian, "support_blocks",
-                        lambda mats: [[i] for i in range(len(mats[0]))])
+    build_group.cache_clear()
+    monkeypatch.setattr(characters, "support_blocks",
+                        lambda size, images: [[i] for i in range(size)])
     for frac, group in cases:
         code, out, err = run_cli("compute", "--r", frac, "--group", group)
         assert code == 3 and not out
         assert "outside the blocks" in err
+
+
+def test_compute_prefix_image_outside_blocks_exit_3(monkeypatch, fresh_groups):
+    # the identity is the first prefix of the relator and the image of no
+    # generator, so only the Fox tables read its image: an entry joining
+    # the trivial block to another one must fail there
+    genuine = MetaGroup.character_matrix
+
+    def tampered(self, g):
+        q = genuine(self, g)
+        if g == self.identity_elem():
+            q = ((1, 1) + q[0][2:],) + q[1:]
+        return q
+
+    monkeypatch.setattr(MetaGroup, "character_matrix", tampered)
+    for frac, group in (("1/5", "M(5|2,4)"), ("3/5", "M(4|3,2)"), ("5/27", "A4")):
+        code, out, err = run_cli("compute", "--r", frac, "--group", group)
+        assert code == 3 and not out
+        assert err.startswith("internal consistency failure: character matrix of 1 ")
+        assert "at (0, 1), outside the blocks" in err
+
+
+def test_character_images_built_once_per_process(monkeypatch, fresh_groups):
+    genuine = MetaGroup.character_matrix
+    built = []
+
+    def counting(self, g):
+        built.append((self.name(), self.index(g)))
+        return genuine(self, g)
+
+    monkeypatch.setattr(MetaGroup, "character_matrix", counting)
+    argv = ("compute", "--r", "3/5", "--group", "M(4|3,2)")
+    _, first, _ = run_cli(*argv)
+    count = len(built)
+    assert count > 4
+    _, second, _ = run_cli(*argv)
+    assert len(built) == count
+    assert strip_millis(map(json.loads, first.splitlines())) == \
+        strip_millis(map(json.loads, second.splitlines()))
+    assert run_cli("compute", "--r", "13/23", "--group", "M(4|3,2)")[0] == 0
+    assert run_cli("compute", "--r", "1/5", "--group", "M(5|2,4)")[0] == 0
+    assert len(built) > count
+    assert len(set(built)) == len(built)
 
 
 def test_compute_all_skips_non_polynomial_non_surjective():

@@ -11,6 +11,7 @@ from metatap.groupcalc import parse_presentation
 from metatap.intmat import identity, int_det, mat_mul, mat_pow
 from metatap.knotdata import presentation
 from metatap.metabelian import (
+    MetaGroup,
     MixedGroupError,
     NotHomomorphismError,
     Representation,
@@ -195,6 +196,7 @@ def test_unit_relabeling_conjugates_perm_matrices():
         size = p**g.k
         for u in g.units:
             sigma = g.coset_relabeling(u)
+            assert g.coset_relabeling(u) is sigma  # built once per unit
             q = tuple(tuple(int(sigma[i] == j) for j in range(size))
                       for i in range(size))
             q_inv = tuple(zip(*q))
@@ -239,6 +241,7 @@ def test_index_law_matches_mul_and_inv():
         g = build_group(n, p)
         elems = list(g.elements())
         assert [g.index(e) for e in elems] == list(range(g.order()))
+        assert [g.element(x) for x in range(g.order())] == elems
         for a in elems:
             x = g.index(a)
             assert g.index_mul(x, g.index(g.inv(a))) == 0
@@ -257,6 +260,20 @@ def test_generates():
     assert generates(g, [g.s(), g.mul(g.s(), g.b(1))])
     assert not generates(g, [g.s(), g.s()])
     assert not generates(g, [g.b(1), g.b(2)])
+
+
+def test_generates_matches_elementwise_closure():
+    # fresh groups, so that every answer is computed before it is reused
+    rng = random.Random(17)
+    for n, p in [(3, 2), (4, 3), (5, 2), (2, 5)]:
+        g = MetaGroup(n, p)
+        elems = list(g.elements())
+        picks = [rng.sample(elems, k) for k in (1, 2, 2, 2, 3) for _ in range(8)]
+        picks += [[g.s(), g.s()], [g.s(), g.b(1)], [g.b(1), g.s()]]
+        want = [elementwise_generates(g, chosen) for chosen in picks]
+        assert any(want) and not all(want)
+        for _ in range(2):
+            assert [generates(g, chosen) for chosen in picks] == want
 
 
 # -- representations ----------------------------------------------------------

@@ -13,7 +13,9 @@ from metatap.groupcalc import (
     GroupRingElem, Word, fox_derivative, fox_images, fox_jacobian, parse_presentation)
 from metatap.intmat import identity, mat_inverse, mat_mul
 from metatap.knotdata import presentation
+from metatap.characters import CharacterSplit, representation_blocks, support_blocks
 from metatap.metabelian import (
+    MetaGroup,
     a4_group,
     a4_irreducible_rep,
     build_group,
@@ -21,9 +23,6 @@ from metatap.metabelian import (
     group_from_name,
     obstruction_passes,
     perm_rep,
-    representation_blocks,
-    split_blocks,
-    support_blocks,
     trivial_rep,
 )
 from metatap.twisted import (
@@ -223,6 +222,42 @@ def test_interned_fox_images_match_per_letter_pass():
     for r in fractions:
         _assert_same_fox_tables(wirtinger_presentation(r).relators[0],
                                 images, inv_images, 2)
+
+
+def _assert_index_walk_matches_interned(p, group, images):
+    # the blocks' tables from one walk on element indices, against the
+    # interned-matrix pass over each block's own images
+    reps = representation_blocks(images, group, p)
+    split = reps[0].summand[0]
+    assert [rho.summand for rho in reps] == [(split, b) for b in range(len(reps))]
+    for rel in p.relators:
+        walked = split.fox_images(rel)
+        assert len(walked) == len(reps)
+        for rho, table in zip(reps, walked):
+            interned = fox_images(rel, rho.images, rho.inv_images, rho.dim)
+            assert table == interned
+            assert list(table) == list(interned)
+            assert all(list(table[g].series) == list(interned[g].series)
+                       for g in table)
+
+
+def test_index_walk_fox_tables_match_interned_matrices():
+    # every homomorphism of every fraction up to 29 onto three groups, the
+    # non-free orbits of M(3|7,2), and the 3-generator 10_145
+    cases = []
+    for group_name in ("A4", "M(5|2,4)", "M(4|3,2)"):
+        group = group_from_name(group_name)
+        for r in enumerate_fractions(29):
+            p = wirtinger_presentation(r)
+            cases += [(p, group, h.images) for h in find_homs(p, group)]
+    for p, group in ((wirtinger_presentation(FractionR(5, 9)), group_from_name("M(3|7,2)")),
+                     (presentation("10_145"), build_group(5, 2))):
+        homs = find_homs(p, group)
+        assert any(h.surjective for h in homs)
+        cases += [(p, group, h.images) for h in homs]
+    assert sum(len(p.relators) > 1 for p, _, _ in cases) >= 2
+    for p, group, images in cases:
+        _assert_index_walk_matches_interned(p, group, images)
 
 
 def test_fox_images_keep_keys_that_sum_to_zero():
@@ -473,14 +508,21 @@ def test_block_determinants_multiply_to_full_exactly():
             assert num == fox_jacobian(tables, p.num_generators, full.dim, gen).det()
 
 
-def test_support_split_rejects_entry_outside_blocks():
-    group = build_group(5, 2)
-    q = group.character_matrix(group.mul(group.s(), group.b(1)))
-    blocks = support_blocks([q])
+def test_support_split_rejects_entry_outside_blocks(monkeypatch):
+    group = MetaGroup(5, 2)  # not the shared group: its images get tampered
+    x = group.index(group.mul(group.s(), group.b(1)))
+    q = group.character_matrix(group.element(x))
+    image = group.character_image(x)
+    assert image == tuple((w, u, v) for w, row in enumerate(q)
+                          for u, v in enumerate(row) if v)
+    blocks = support_blocks(len(q), [image])
     assert [len(b) for b in blocks] == [1, 5, 5, 5]
-    assert len(split_blocks(q, blocks)) == 4
+    assert CharacterSplit(group, {}, blocks).matrices(x) == [
+        tuple(tuple(q[w][u] for u in coords) for w in coords) for coords in blocks]
     w, u = blocks[1][0], blocks[2][0]
-    tampered = tuple(tuple(x + (i == w and j == u) for j, x in enumerate(row))
-                     for i, row in enumerate(q))
-    with pytest.raises(ExactnessError, match="outside the blocks"):
-        split_blocks(tampered, blocks)
+    monkeypatch.setattr(group, "character_image",
+                        lambda y: image + ((w, u, 1),) if y == x else ())
+    split = CharacterSplit(group, {}, blocks)
+    for build in (split.matrices, split.entries):
+        with pytest.raises(ExactnessError, match="outside the blocks"):
+            build(x)

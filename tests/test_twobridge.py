@@ -7,6 +7,7 @@ from math import ceil, log2
 
 import pytest
 
+from metatap.characters import representation_blocks
 from metatap.exactalg import LaurentPoly, canonical, equal_up_to_unit, parse_poly
 from metatap.golden import ALEXANDER
 from metatap.groupcalc import fox_derivative, fox_images, fox_jacobian, word_from_string
@@ -17,7 +18,6 @@ from metatap.metabelian import (
     a4_irreducible_rep,
     group_from_name,
     perm_rep,
-    representation_blocks,
     trivial_rep,
 )
 from metatap.twisted import standard_assignment
