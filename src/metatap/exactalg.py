@@ -467,16 +467,60 @@ class PolyMatrix:
     # -- determinants -----------------------------------------------------
 
     def det(self) -> LaurentPoly:
-        """Exact determinant; picks an algorithm suited to the dimension."""
-        if self.dim <= 4:
-            return self.det_cofactor()
-        return self.det_interpolate()
+        """Exact determinant by Kronecker substitution t = 2^B.
 
-    def det_cofactor(self) -> LaurentPoly:
-        return _det_cofactor(self.entries())
+        Row i is multiplied by t^-low_i, where low_i is its lowest degree, so
+        every entry is an ordinary polynomial.  det = sum over sigma of
+        +-prod a[i][sigma(i)] and |fg|_1 <= |f|_1 |g|_1, so no coefficient
+        of the determinant exceeds bound = prod_i sum_j |a_ij|_1 in absolute
+        value (von zur Gathen-Gerhard, Modern Computer Algebra, 8.4).  With
+        2^B > 4 * bound, one int_det of the matrix at t = 2^B holds every
+        coefficient as a balanced base-2^B digit; a value that does not read
+        back within the bound raises ExactnessError.
+
+        >>> m = PolyMatrix({-2: ((1, 0), (0, 0)), 0: ((0, 2), (3, 0)),
+        ...                 1: ((0, 0), (0, 1))}, 2)   # [[t^-2, 2], [3, t]]
+        >>> str(m.det())
+        't^-1 - 6'
+        """
+        n = self.dim
+        if n == 1:
+            return self.entries()[0][0]
+        degrees = sorted(self.series, reverse=True)
+        rows = []   # per row: its nonzero (degree, coefficient row), highest first
+        bound = 1
+        for i in range(n):
+            terms = [(d, self.series[d][i]) for d in degrees if any(self.series[d][i])]
+            if not terms:
+                return ZERO
+            rows.append(terms)
+            bound *= sum(abs(c) for _, row in terms for c in row)
+        shift = (4 * bound).bit_length()
+        evaluated = []
+        for terms in rows:   # Horner at 2^shift, from the highest degree down
+            acc, prev = (0,) * n, terms[0][0]
+            for d, row in terms:
+                acc = [(a << shift * (prev - d)) + c for a, c in zip(acc, row)]
+                prev = d
+            evaluated.append(tuple(acc))
+        value = int_det(tuple(evaluated))
+        mask, half = (1 << shift) - 1, 1 << (shift - 1)
+        coeffs = []
+        for _ in range(sum(terms[0][0] - terms[-1][0] for terms in rows) + 1):
+            c = value & mask
+            if c >= half:
+                c -= 1 << shift
+            if abs(c) > bound:
+                raise ExactnessError("determinant coefficient exceeds its proven bound")
+            coeffs.append(c)
+            value = (value - c) >> shift
+        if value:
+            raise ExactnessError("determinant exceeds its proven degree bound")
+        return LaurentPoly._from_dense(sum(terms[-1][0] for terms in rows), coeffs)
 
     def det_bareiss(self) -> LaurentPoly:
-        """Fraction-free elimination directly over Z[t, 1/t]."""
+        """Fraction-free elimination directly over Z[t, 1/t]; the tests'
+        oracle for det."""
         n = self.dim
         m = [list(row) for row in self.entries()]
         sign = 1
@@ -504,106 +548,6 @@ class PolyMatrix:
             prev = m[k][k]
         result = m[n - 1][n - 1]
         return -result if sign < 0 else result
-
-    def det_interpolate(self) -> LaurentPoly:
-        """Evaluate at enough integer points and interpolate exactly.
-
-        Row i is read from its lowest nonzero degree low_i, i.e. multiplied
-        by t^-low_i, so every entry is an ordinary polynomial; the degree
-        bound is the sum of the row spans, derived from the series, never
-        guessed.  Each point is evaluated by Horner over the rows of the
-        series.
-        """
-        n = self.dim
-        degrees = sorted(self.series, reverse=True)
-        # Per row: its coefficient rows from the highest degree down to the
-        # lowest, one per degree (zero rows inside the span included).
-        horner_rows = []
-        total_shift = bound = 0
-        zero_row = (0,) * n
-        for i in range(n):
-            nonzero = [d for d in degrees if any(self.series[d][i])]
-            if not nonzero:
-                return ZERO
-            high, low = nonzero[0], nonzero[-1]
-            total_shift += low
-            bound += high - low
-            horner_rows.append([self.series[d][i] if d in self.series else zero_row
-                                for d in range(high, low - 1, -1)])
-        points = _interpolation_points(bound + 1)
-        values = []
-        for x in points:
-            evaluated = []
-            for coeff_rows in horner_rows:
-                acc = coeff_rows[0]
-                for row in coeff_rows[1:]:
-                    acc = [a * x + c for a, c in zip(acc, row)]
-                evaluated.append(tuple(acc))
-            values.append(int_det(tuple(evaluated)))
-        coeffs = _newton_interpolate(points, values)
-        return poly_from_coeffs(coeffs, low=total_shift)
-
-
-def _det_cofactor(rows) -> LaurentPoly:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = ZERO
-    rest = [row[1:] for row in rows]
-    for i in range(n):
-        lead = rows[i][0]
-        if lead.is_zero():
-            continue
-        minor = [rest[r] for r in range(n) if r != i]
-        term = lead * _det_cofactor(minor)
-        total = total + term if i % 2 == 0 else total - term
-    return total
-
-
-def _interpolation_points(count: int) -> list[int]:
-    pts = [0]
-    k = 1
-    while len(pts) < count:
-        pts.append(k)
-        if len(pts) < count:
-            pts.append(-k)
-        k += 1
-    return pts[:count]
-
-
-def _newton_interpolate(points: list[int], values: list[int]) -> list[int]:
-    """Coefficients (constant first) of the integer polynomial through the points.
-
-    For an integer polynomial at integer nodes every divided difference is
-    an integer, so each step divides exactly; a remainder means no integer
-    polynomial takes these values.
-    """
-    n = len(points)
-    divided = list(values)
-    for level in range(1, n):
-        for i in range(n - 1, level - 1, -1):
-            q, r = divmod(divided[i] - divided[i - 1], points[i] - points[i - level])
-            if r:
-                raise ExactnessError("interpolated determinant was not integral")
-            divided[i] = q
-    # Expand the Newton form into monomial coefficients.
-    coeffs = [0] * n
-    basis = [1] + [0] * (n - 1)  # running product poly
-    basis_deg = 0
-    for k in range(n):
-        ck = divided[k]
-        if ck:
-            for i in range(basis_deg + 1):
-                coeffs[i] += ck * basis[i]
-        if k + 1 < n:
-            xk = points[k]
-            for i in range(basis_deg + 1, 0, -1):
-                basis[i] = basis[i - 1] - xk * basis[i]
-            basis[0] = -xk * basis[0]
-            basis_deg += 1
-    return coeffs
 
 
 def int_charpoly(m: Mat) -> LaurentPoly:

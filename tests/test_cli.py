@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -10,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metatap import characters, cli
+from metatap import characters, cli, exactalg
 from metatap.cli import main
-from metatap.exactalg import canonical, parse_poly
+from metatap.exactalg import PolyMatrix, canonical, parse_poly
 from metatap.golden import A4_3DIM, ALEXANDER, PHI, phi_value
 from metatap.groupcalc import print_presentation
 from metatap.knotdata import presentation
@@ -321,6 +322,43 @@ def test_compute_wrong_relabeling_exit_3(monkeypatch):
     code, out, err = run_cli("compute", "--r", "5/27", "--group", "A4")
     assert code == 3 and not out
     assert "internal consistency failure" in err and "not conjugate" in err
+
+
+def test_compute_tampered_determinant_exit_3(monkeypatch):
+    # only the int_det taken by PolyMatrix.det is tampered: the
+    # obstruction's resultants take int_det as well
+    genuine = exactalg.int_det
+    det_code = PolyMatrix.det.__code__
+
+    def tampered(a):
+        value = genuine(a)
+        return value + (1 << 4096) if sys._getframe(1).f_code is det_code else value
+
+    monkeypatch.setattr(exactalg, "int_det", tampered)
+    code, out, err = run_cli("compute", "--r", "3/5", "--group", "M(4|3,2)")
+    assert code == 3 and not out
+    assert err.startswith("internal consistency failure: ") and err.count("\n") == 1
+    assert "bound" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag, source, group", [
+    ("--r", "1/5", "M(5|2,4)"), ("--pres", "10_145", "M(5|2,4)"),
+    ("--r", "3/5", "M(4|3,2)"), ("--r", "5/27", "A4")])
+def test_compute_determinants_match_bareiss_oracle(monkeypatch, flag, source, group):
+    # every numerator and denominator matrix compute builds, against the
+    # elimination over Z[t, 1/t]
+    genuine = PolyMatrix.det
+    matrices = []
+
+    def recording(self):
+        matrices.append(self)
+        return genuine(self)
+
+    monkeypatch.setattr(PolyMatrix, "det", recording)
+    assert run_cli("compute", flag, source, "--group", group)[0] == 0
+    assert max(m.dim for m in matrices) > 1
+    for m in matrices:
+        assert genuine(m) == m.det_bareiss()
 
 
 # Every golden input of the suite.  compute takes one determinant per class;

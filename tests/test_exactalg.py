@@ -1,6 +1,7 @@
 """Exact Laurent arithmetic, normalization, division, and determinants."""
 
 import doctest
+import math
 import random
 
 import pytest
@@ -22,9 +23,8 @@ from metatap.exactalg import (
     poly_from_coeffs,
     resultant,
     supported_on_multiples,
-    _newton_interpolate,
 )
-from metatap.intmat import int_det, mat_neg
+from metatap.intmat import identity, int_det, mat_neg
 from metatap.metabelian import cyclotomic_coeffs
 
 from matrix_helpers import from_entries
@@ -291,22 +291,48 @@ def test_det_multiplicative():
 
 def test_det_algorithms_agree():
     rng = random.Random(11)
-    for dim in (1, 2, 3, 4, 5, 6):
-        for _ in range(8):
+    for dim in range(1, 10):
+        for _ in range(8 if dim <= 6 else 2):
             m = rand_matrix(rng, dim)
-            d_cof = m.det_cofactor()
-            assert m.det_bareiss() == d_cof
-            assert m.det_interpolate() == d_cof
-            assert m.det() == d_cof
+            assert m.det() == m.det_bareiss()
 
 
-def test_det_interpolate_matches_bareiss_up_to_dim_9():
+def test_det_matches_bareiss_up_to_dim_9():
     rng = random.Random(29)
     for dim in (7, 8, 9):
         for _ in range(2):
             m = from_entries([[rand_poly(rng, deg_lo=0, deg_hi=6) for _ in range(dim)]
                               for _ in range(dim)])
-            assert m.det_interpolate() == m.det_bareiss()
+            assert m.det() == m.det_bareiss()
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_det_matches_bareiss_property(data):
+    dim = data.draw(st.integers(1, 6))
+    entry = st.lists(st.tuples(st.integers(-6, 6), st.integers(-10**6, 10**6)),
+                     max_size=3).map(LaurentPoly)
+    m = from_entries([[data.draw(entry) for _ in range(dim)] for _ in range(dim)])
+    assert m.det() == m.det_bareiss()
+
+
+def test_det_reads_coefficients_at_the_bound():
+    # c_i t^(d_i) on the diagonal: the one coefficient of the determinant
+    # is +-prod |c_i|, which is the bound itself
+    rng = random.Random(43)
+    for dim in range(2, 7):
+        for _ in range(10):
+            coeffs = [rng.choice((1, -1)) * rng.randint(10**5, 10**9) for _ in range(dim)]
+            if rng.random() < 0.5:   # the bound one below a power of two
+                coeffs[0] = rng.choice((1, -1)) * (2**rng.randint(20, 70) - 1)
+                coeffs[1:] = [rng.choice((1, -1)) for _ in coeffs[1:]]
+            degrees = [rng.randint(-6, 6) for _ in range(dim)]
+            rows = [[ZERO] * dim for _ in range(dim)]
+            for i, (c, d) in enumerate(zip(coeffs, degrees)):
+                rows[i][i] = LaurentPoly.term(c, d)
+            m = from_entries(rows)
+            expected = LaurentPoly.term(math.prod(coeffs), sum(degrees))
+            assert m.det() == expected == m.det_bareiss()
 
 
 # -- the series format against entrywise arithmetic --------------------------
@@ -396,18 +422,7 @@ def test_blocks_match_entrywise_assembly():
         PolyMatrix.blocks([])
 
 
-def _entrywise_bound(entries):
-    """The degree bound det_interpolate used on a grid of entries: the sum
-    over rows of the highest degree less the lowest, over nonzero entries."""
-    bound = 0
-    for row in entries:
-        nonzero = [e for e in row if not e.is_zero()]
-        low = min(e.low_degree() for e in nonzero)
-        bound += max(e.degree() for e in nonzero) - low
-    return bound
-
-
-def test_det_interpolate_matches_bareiss_with_row_shifts(monkeypatch):
+def test_det_matches_bareiss_with_row_shifts(monkeypatch):
     calls = []
 
     def counting_int_det(a):
@@ -416,7 +431,7 @@ def test_det_interpolate_matches_bareiss_with_row_shifts(monkeypatch):
 
     monkeypatch.setattr(exactalg, "int_det", counting_int_det)
     rng = random.Random(41)
-    for dim in (5, 6, 7, 8, 9):
+    for dim in range(1, 10):
         for gaps in (False, True):
             rows = []
             for _ in range(dim):
@@ -432,20 +447,24 @@ def test_det_interpolate_matches_bareiss_with_row_shifts(monkeypatch):
                 rows.append(row)
             m = from_entries(rows)
             calls.clear()
-            assert m.det_interpolate() == m.det_bareiss()
-            assert calls == [dim] * (_entrywise_bound(rows) + 1)
+            assert m.det() == m.det_bareiss()
+            assert calls == ([dim] if dim > 1 else [])   # a 1x1 is its entry
             rows[rng.randrange(dim)] = [ZERO] * dim
             m = from_entries(rows)
             calls.clear()
-            assert m.det_interpolate() == ZERO == m.det_bareiss()
+            assert m.det() == ZERO == m.det_bareiss()
             assert calls == []
 
 
-def test_newton_interpolate_rejects_non_integer_polynomial():
-    # x(x + 1)/2 takes the values 0, 1, 0 at 0, 1, -1
-    with pytest.raises(ExactnessError):
-        _newton_interpolate([0, 1, -1], [0, 1, 0])
-    assert _newton_interpolate([0, 1, -1], [0, 2, 0]) == [0, 1, 1]
+def test_det_rejects_tampered_int_det(monkeypatch):
+    genuine = exactalg.int_det
+    monkeypatch.setattr(exactalg, "int_det", lambda a: genuine(a) + (1 << 4096))
+    rng = random.Random(47)
+    for dim in (2, 3, 5, 8):
+        # t^7 on the diagonal keeps every row nonzero
+        m = rand_matrix(rng, dim) + PolyMatrix.monomial(identity(dim), 7)
+        with pytest.raises(ExactnessError):
+            m.det()
 
 
 def test_det_zero_row_and_singular():
@@ -453,7 +472,7 @@ def test_det_zero_row_and_singular():
     assert z.det() == ZERO
     sing = from_entries([[ONE, ONE], [ONE, ONE]])
     assert sing.det_bareiss() == ZERO
-    assert sing.det_interpolate() == ZERO
+    assert sing.det() == ZERO
 
 
 def test_charpoly():
