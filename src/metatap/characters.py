@@ -114,7 +114,8 @@ class CharacterSplit:
 def representation_blocks(assignment: dict[str, MetaElem], group: MetaGroup,
                           p: Presentation) -> list[Representation]:
     """Representations whose twisted numerator and denominator determinants
-    multiply to exactly those of `perm_rep(assignment, group, p)`.
+    multiply to exactly those of `oracles.perm_rep(assignment, group, p)`,
+    the full permutation path.
 
     These are the diagonal blocks of the character images
     Q(g) = C^-1 P(g) C (`MetaGroup.character_image`) of the generators

@@ -7,8 +7,8 @@ Subcommands:
   h3         continued-fraction certificate [3k1, 2m1, ...] for a fraction
   selftest   recompute the golden values and report pass/fail lines
 
-Exit codes: 0 computed, 1 input error, 2 no representation (or no
-certificate), 3 internal consistency failure.
+Exit codes: 0 computed, 1 input error (or a closed stdout), 2 no
+representation (or no certificate), 3 internal consistency failure.
 
 Result records are JSON objects with stable field names:
   input, group, assignment, surjective, n, delta, twisted, phi, holds,
@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 from functools import cache
@@ -439,14 +440,20 @@ def main(argv=None) -> int:
             print("exactly one of --r / --pres is required", file=sys.stderr)
             return EXIT_INPUT
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader closed stdout.  Point the descriptor at devnull, so
+        # that the interpreter's flush at exit does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_INPUT
     except (InputError, PresentationError, ValueError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT
-    except NoUsableColumnError as e:
-        print(f"internal consistency failure: {e}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except ExactnessError as e:
+    except (NoUsableColumnError, ExactnessError) as e:
         print(f"internal consistency failure: {e}", file=sys.stderr)
         return EXIT_INTERNAL
 

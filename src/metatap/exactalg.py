@@ -73,14 +73,6 @@ class LaurentPoly:
     def one() -> "LaurentPoly":
         return LaurentPoly([(0, 1)])
 
-    @staticmethod
-    def const(c: int) -> "LaurentPoly":
-        return LaurentPoly([(0, c)])
-
-    @staticmethod
-    def term(coef: int, deg: int) -> "LaurentPoly":
-        return LaurentPoly([(deg, coef)])
-
     # -- inspection -------------------------------------------------------
 
     @property
@@ -162,10 +154,6 @@ class LaurentPoly:
             base = base * base
             e >>= 1
         return result
-
-    def shifted(self, k: int) -> "LaurentPoly":
-        """Multiply by t^k."""
-        return LaurentPoly._from_dense(self._low + k, self._coeffs)
 
     def evaluate(self, x: int) -> int:
         """Evaluate at an integer point (Horner); requires no negative degrees."""
@@ -282,12 +270,6 @@ def canonical(f: LaurentPoly) -> LaurentPoly:
     return normalize(f)[0]
 
 
-def equal_up_to_unit(f: LaurentPoly, g: LaurentPoly) -> bool:
-    if f.is_zero() or g.is_zero():
-        return f.is_zero() and g.is_zero()
-    return canonical(f) == canonical(g)
-
-
 def exact_div(num: LaurentPoly, den: LaurentPoly) -> Optional[LaurentPoly]:
     """Exact quotient num/den in Z[t, 1/t], or None if den does not divide num.
 
@@ -398,9 +380,6 @@ class PolyMatrix:
                 rows.extend(sum(parts, ()) for parts in zip(*coeffs))
             series[d] = tuple(rows)
         return PolyMatrix._make(series, size * len(grid))
-
-    def coeff(self, deg: int) -> Mat:
-        return self.series.get(deg, zeros(self.dim))
 
     def entries(self) -> tuple[tuple[LaurentPoly, ...], ...]:
         """The matrix of LaurentPoly entries."""
@@ -517,43 +496,6 @@ class PolyMatrix:
         if value:
             raise ExactnessError("determinant exceeds its proven degree bound")
         return LaurentPoly._from_dense(sum(terms[-1][0] for terms in rows), coeffs)
-
-    def det_bareiss(self) -> LaurentPoly:
-        """Fraction-free elimination directly over Z[t, 1/t]; the tests'
-        oracle for det."""
-        n = self.dim
-        m = [list(row) for row in self.entries()]
-        sign = 1
-        prev = ONE
-        for k in range(n - 1):
-            if m[k][k].is_zero():
-                pivot = next(
-                    (i for i in range(k + 1, n) if not m[i][k].is_zero()), None
-                )
-                if pivot is None:
-                    return ZERO
-                m[k], m[pivot] = m[pivot], m[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                    if num.is_zero():
-                        m[i][j] = ZERO
-                        continue
-                    q = exact_div(num, prev)
-                    if q is None:
-                        raise ExactnessError("Bareiss division was not exact")
-                    m[i][j] = q
-                m[i][k] = ZERO
-            prev = m[k][k]
-        result = m[n - 1][n - 1]
-        return -result if sign < 0 else result
-
-
-def int_charpoly(m: Mat) -> LaurentPoly:
-    """Characteristic polynomial det(t*I - m) of an integer matrix."""
-    n = len(m)
-    return PolyMatrix({0: mat_neg(m), 1: identity(n)}, n).det()
 
 
 def _rem_monic(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:

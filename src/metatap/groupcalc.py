@@ -1,12 +1,14 @@
-"""Free-group words, integral group-ring elements, and Fox free derivatives.
+"""Free-group words, the Fox calculus on relators, and finite presentations.
 
 A word is a tuple of nonzero signed ints: letter +k is the k-th generator
 (1-based), -k its inverse, following the usual convention that an uppercase
 letter denotes the inverse of the lowercase generator.  Words are stored
 freely reduced, so equality of words is equality in the free group.
 
-The Fox derivative follows the left-to-right product rule
-d(uv)/dg = du/dg + u * dv/dg  with  d(g)/dg = 1  and  d(g^-1)/dg = -g^-1.
+The Fox calculus is one relator walk (`fox_tally`), read as matrices under
+a representation by `fox_images` and assembled into the Fox matrix by
+`fox_jacobian`.  The group-ring elements and Fox derivatives it is checked
+against are in `metatap.oracles`.
 """
 
 from __future__ import annotations
@@ -42,10 +44,6 @@ class Word:
 
     def __init__(self, letters: Iterable[int] = ()):
         self.letters = reduce_letters(letters)
-
-    @staticmethod
-    def identity() -> "Word":
-        return Word()
 
     @staticmethod
     def gen(index: int, power: int = 1) -> "Word":
@@ -95,112 +93,6 @@ class Word:
         return f"Word({self.letters})"
 
 
-IDENTITY = Word()
-
-
-class GroupRingElem:
-    """A finite Z-linear combination of freely reduced words."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Iterable[tuple[Word, int]] = ()):
-        acc: dict[Word, int] = {}
-        for w, c in terms:
-            if c:
-                acc[w] = acc.get(w, 0) + c
-        self.terms = {w: c for w, c in acc.items() if c}
-
-    @staticmethod
-    def zero() -> "GroupRingElem":
-        return GroupRingElem()
-
-    @staticmethod
-    def of(word: Word, coef: int = 1) -> "GroupRingElem":
-        return GroupRingElem([(word, coef)])
-
-    @staticmethod
-    def one() -> "GroupRingElem":
-        return GroupRingElem([(IDENTITY, 1)])
-
-    def __add__(self, other: "GroupRingElem") -> "GroupRingElem":
-        return GroupRingElem(
-            list(self.terms.items()) + list(other.terms.items())
-        )
-
-    def __sub__(self, other: "GroupRingElem") -> "GroupRingElem":
-        return GroupRingElem(
-            list(self.terms.items()) + [(w, -c) for w, c in other.terms.items()]
-        )
-
-    def __neg__(self) -> "GroupRingElem":
-        return GroupRingElem([(w, -c) for w, c in self.terms.items()])
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return GroupRingElem([(w, c * other) for w, c in self.terms.items()])
-        acc: list[tuple[Word, int]] = []
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                acc.append((w1 * w2, c1 * c2))
-        return GroupRingElem(acc)
-
-    __rmul__ = __mul__
-
-    def left_mul_word(self, w: Word) -> "GroupRingElem":
-        return GroupRingElem([(w * v, c) for v, c in self.terms.items()])
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GroupRingElem) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "GroupRingElem(0)"
-        parts = [f"{c}*{w.letters}" for w, c in sorted(
-            self.terms.items(), key=lambda item: item[0].letters)]
-        return "GroupRingElem(" + " + ".join(parts) + ")"
-
-
-def fox_derivative(w: Word, gen: int) -> GroupRingElem:
-    """Fox free derivative of w with respect to generator `gen` (1-based).
-
-    Single left-to-right pass: the letter at position i contributes
-    prefix * d(letter)/dg.
-    """
-    acc: list[tuple[Word, int]] = []
-    prefix: list[int] = []
-    for x in w:
-        if x == gen:
-            acc.append((Word(tuple(prefix)), 1))
-            prefix.append(x)
-        elif x == -gen:
-            prefix.append(x)
-            acc.append((Word(tuple(prefix)), -1))
-        else:
-            prefix.append(x)
-    return GroupRingElem(acc)
-
-
-def fox_derivative_recursive(w: Word, gen: int) -> GroupRingElem:
-    """Brute-force oracle: peel off one letter and apply the product rule."""
-    letters = w.letters
-    if not letters:
-        return GroupRingElem.zero()
-    head, rest = letters[0], Word(letters[1:])
-    if head == gen:
-        d_head = GroupRingElem.one()
-    elif head == -gen:
-        d_head = GroupRingElem.of(Word((head,)), -1)
-    else:
-        d_head = GroupRingElem.zero()
-    return d_head + fox_derivative_recursive(rest, gen).left_mul_word(Word((head,)))
-
-
 def fox_tally(rel: Word, step: Callable[[int, int], int]) -> dict[tuple[int, int, int], int]:
     """The one relator walk of the Fox calculus, on named prefixes.
 
@@ -238,7 +130,7 @@ def fox_images(rel: Word, images: Mapping[int, Mat], inv_images: Mapping[int, Ma
 
     Phi sends a word w to (its image under `images`) * t^(exponent sum of w).
     Returns generator -> PolyMatrix for every generator the relator uses;
-    these equal the images of fox_derivative(rel, g).
+    these equal the images of `oracles.fox_derivative(rel, g)`.
 
     The prefixes are named by interned matrices: each distinct prefix
     matrix gets a small id the first time it appears, and `fox_tally`
@@ -402,24 +294,3 @@ def _parse_letter_token(tok: str, generators: list[str],
     total = sign * exp
     letter = index if total > 0 else -index
     return [letter] * abs(total)
-
-
-def print_presentation(p: Presentation) -> str:
-    """Canonical text form (uppercase-as-inverse style); parses back bit-exactly."""
-    lines = ["gens: " + " ".join(p.generators)]
-    for rel in p.relators:
-        lines.append("rel: " + rel.spell(p.generators))
-    return "\n".join(lines) + "\n"
-
-
-def word_from_string(s: str, generators: tuple[str, ...] | list[str]) -> Word:
-    """Convenience for tests: 'x y X' or 'xyX' with single-letter generators."""
-    tokens = s.split() if " " in s else list(s)
-    letters = []
-    for ch in tokens:
-        lower = ch.lower()
-        if lower not in generators:
-            raise KeyError(f"unknown generator {ch!r}")
-        idx = list(generators).index(lower) + 1
-        letters.append(idx if ch.islower() else -idx)
-    return Word(letters)

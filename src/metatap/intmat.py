@@ -66,31 +66,6 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
 
 
-def mat_pow(a: Mat, e: int) -> Mat:
-    if e < 0:
-        return mat_pow(mat_inverse(a), -e)
-    result = identity(len(a))
-    base = a
-    while e:
-        if e & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base)
-        e >>= 1
-    return result
-
-
-def transpose(a: Mat) -> Mat:
-    return tuple(zip(*a))
-
-
-def is_permutation_matrix(a: Mat) -> bool:
-    n = len(a)
-    for row in a:
-        if sum(row) != 1 or any(x not in (0, 1) for x in row):
-            return False
-    return all(sum(a[i][j] for i in range(n)) == 1 for j in range(n))
-
-
 def int_det(a: Mat) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     n = len(a)
@@ -115,13 +90,8 @@ def int_det(a: Mat) -> int:
 
 
 def mat_inverse(a: Mat) -> Mat:
-    """Inverse of an integer matrix with determinant +-1.
-
-    Permutation matrices take the cheap transpose path; everything else goes
-    through exact Gauss-Jordan over Fraction and is verified integral.
-    """
-    if is_permutation_matrix(a):
-        return transpose(a)
+    """Inverse of an integer matrix with determinant +-1, by exact
+    Gauss-Jordan over Fraction, verified integral."""
     n = len(a)
     aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
            for i, row in enumerate(a)]

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import gcd
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .exactalg import (
     ExactnessError, LaurentPoly, canonical, poly_from_coeffs, exact_div, resultant)
@@ -216,11 +216,6 @@ class MetaGroup:
             raise ValueError(f"b index out of range: {i}")
         return self.elem(0, tuple(1 if j == i - 1 else 0 for j in range(self.k)))
 
-    def elements(self) -> Iterator[MetaElem]:
-        for ell in range(self.n):
-            for idx in range(self.p**self.k):
-                yield self.elem(ell, self.vec_of_index(idx))
-
     # -- group law ----------------------------------------------------------
 
     def _vec_times(self, vec: tuple[int, ...], m: Mat) -> tuple[int, ...]:
@@ -246,16 +241,6 @@ class MetaGroup:
             raise MixedGroupError("element belongs to a different group")
         moved = self._vec_act(g.vec, g.ell)
         return self.elem(-g.ell, tuple(-x % self.p for x in moved))
-
-    def conj_by_s(self, g: MetaElem) -> MetaElem:
-        return self.mul(self.mul(self.s(), g), self.inv(self.s()))
-
-    def word_image(self, word: Word, images: dict[int, MetaElem]) -> MetaElem:
-        out = self.identity_elem()
-        for letter in word:
-            g = images[abs(letter)]
-            out = self.mul(out, g if letter > 0 else self.inv(g))
-        return out
 
     def parse_elem(self, text: str) -> MetaElem:
         """Parse 's b1 b4', 's^2', 'b2^3', '1' into an element."""
@@ -387,17 +372,6 @@ class MetaGroup:
                 for i in range(self.p**self.k))
         return sigma
 
-    def perm_matrix(self, g: MetaElem) -> Mat:
-        """Permutation matrix with rows indexed by source coset: P[i][pi(i)] = 1.
-
-        With this convention g -> P(g) is a homomorphism for the right action.
-        """
-        perm = self.coset_permutation(g)
-        size = len(perm)
-        return tuple(
-            tuple(1 if perm[i] == j else 0 for j in range(size)) for i in range(size)
-        )
-
     def character_matrix(self, g: MetaElem) -> Mat:
         """Q(g) = C^-1 P(g) C for the basis C of `character_tables`.
 
@@ -509,10 +483,11 @@ class NotHomomorphismError(ValueError):
 class Representation:
     """Generator images in GL(dim, Z) for a presentation.
 
-    The constructors below check the relators on the coset tables
-    (`check_homomorphism`) before they build the images.  A character
-    block of `characters.representation_blocks` carries its `summand`:
-    the `CharacterSplit` of its assignment and its block number.
+    Its constructors (`a4_irreducible_rep`,
+    `characters.representation_blocks` and the oracle `oracles.perm_rep`)
+    check the relators on the coset tables (`check_homomorphism`) before
+    they build the images.  A character block carries its `summand`: the
+    `CharacterSplit` of its assignment and its block number.
     """
 
     presentation: Presentation
@@ -532,13 +507,6 @@ class Representation:
             if inv is None or mat_mul(m, inv) != identity(self.dim):
                 raise ValueError(f"image of generator {g} is not in GL(dim, Z)")
             self.inv_images[g] = inv
-
-    def word_image(self, word: Word) -> Mat:
-        out = identity(self.dim)
-        for letter in word:
-            m = self.images[letter] if letter > 0 else self.inv_images[-letter]
-            out = mat_mul(out, m)
-        return out
 
 
 def _coset_walk(word: Word, tables) -> int:
@@ -578,19 +546,6 @@ def check_homomorphism(p: Presentation, group: MetaGroup,
             raise NotHomomorphismError(
                 f"relator {i + 1} ({rel.spell(p.generators)}) "
                 f"does not map to the identity")
-
-
-def trivial_rep(p: Presentation) -> Representation:
-    return Representation(p, 1, {g: ((1,),) for g in range(1, p.num_generators + 1)})
-
-
-def perm_rep(assignment: dict[str, MetaElem], group: MetaGroup,
-             p: Presentation) -> Representation:
-    """The p^k-dimensional permutation-matrix representation of an assignment."""
-    check_homomorphism(p, group, assignment)
-    images = {p.gen_index(name): group.perm_matrix(assignment[name])
-              for name in p.generators}
-    return Representation(p, group.p**group.k, images)
 
 
 # The two generating matrices of the 3-dimensional irreducible integral
@@ -705,8 +660,7 @@ def find_homs(p: Presentation, group: MetaGroup,
     fixed_name = fix if fix is not None else p.generators[0]
     if fixed_name not in p.generators:
         raise ValueError(f"no generator named {fixed_name!r}")
-    if any(sum(1 if letter > 0 else -1 for letter in rel) % group.n
-           for rel in p.relators):
+    if any(rel.exponent_sum() % group.n for rel in p.relators):
         return []
     others = [g for g in p.generators if g != fixed_name]
     size = group.p**group.k

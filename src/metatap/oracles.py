@@ -1,0 +1,206 @@
+"""The deliberate oracles: slow, independent algorithms that the tests
+compare with the production code.  No production module imports this one.
+
+    oracle                      production counterpart
+    GroupRingElem,              groupcalc.fox_tally and fox_images (the one
+      fox_derivative            relator walk and its prefix matrices)
+    fox_derivative_recursive    fox_derivative (the product rule, letter by letter)
+    phi_map, word_image         groupcalc.fox_images, twisted's Phi(g - 1)
+    trivial_rep                 twobridge.alexander_poly's 1-dim images
+    perm_rep, perm_matrix       characters.representation_blocks (the full
+                                p^k-dimensional permutation path)
+    group_word_image            metabelian.find_homs and check_homomorphism
+                                (relators on the coset tables)
+    det_bareiss                 exactalg.PolyMatrix.det (Kronecker substitution)
+
+The Fox derivative follows the left-to-right product rule
+d(uv)/dg = du/dg + u * dv/dg  with  d(g)/dg = 1  and  d(g^-1)/dg = -g^-1.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable
+
+from .exactalg import ONE, ZERO, ExactnessError, LaurentPoly, PolyMatrix, exact_div
+from .groupcalc import Presentation, Word
+from .intmat import Mat, identity, mat_mul, mat_scale
+from .metabelian import MetaElem, MetaGroup, Representation, check_homomorphism
+
+IDENTITY = Word()
+
+
+class GroupRingElem:
+    """A finite Z-linear combination of freely reduced words."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: Iterable[tuple[Word, int]] = ()):
+        acc: dict[Word, int] = {}
+        for w, c in terms:
+            if c:
+                acc[w] = acc.get(w, 0) + c
+        self.terms = {w: c for w, c in acc.items() if c}
+
+    @staticmethod
+    def zero() -> "GroupRingElem":
+        return GroupRingElem()
+
+    @staticmethod
+    def of(word: Word, coef: int = 1) -> "GroupRingElem":
+        return GroupRingElem([(word, coef)])
+
+    @staticmethod
+    def one() -> "GroupRingElem":
+        return GroupRingElem([(IDENTITY, 1)])
+
+    def __add__(self, other: "GroupRingElem") -> "GroupRingElem":
+        return GroupRingElem(
+            list(self.terms.items()) + list(other.terms.items())
+        )
+
+    def __sub__(self, other: "GroupRingElem") -> "GroupRingElem":
+        return GroupRingElem(
+            list(self.terms.items()) + [(w, -c) for w, c in other.terms.items()]
+        )
+
+    def __mul__(self, other: "GroupRingElem") -> "GroupRingElem":
+        acc: list[tuple[Word, int]] = []
+        for w1, c1 in self.terms.items():
+            for w2, c2 in other.terms.items():
+                acc.append((w1 * w2, c1 * c2))
+        return GroupRingElem(acc)
+
+    def left_mul_word(self, w: Word) -> "GroupRingElem":
+        return GroupRingElem([(w * v, c) for v, c in self.terms.items()])
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, GroupRingElem) and self.terms == other.terms
+
+    def __repr__(self) -> str:
+        if not self.terms:
+            return "GroupRingElem(0)"
+        parts = [f"{c}*{w.letters}" for w, c in sorted(
+            self.terms.items(), key=lambda item: item[0].letters)]
+        return "GroupRingElem(" + " + ".join(parts) + ")"
+
+
+def fox_derivative(w: Word, gen: int) -> GroupRingElem:
+    """Fox free derivative of w with respect to generator `gen` (1-based).
+
+    Single left-to-right pass: the letter at position i contributes
+    prefix * d(letter)/dg.
+    """
+    acc: list[tuple[Word, int]] = []
+    prefix: list[int] = []
+    for x in w:
+        if x == gen:
+            acc.append((Word(tuple(prefix)), 1))
+            prefix.append(x)
+        elif x == -gen:
+            prefix.append(x)
+            acc.append((Word(tuple(prefix)), -1))
+        else:
+            prefix.append(x)
+    return GroupRingElem(acc)
+
+
+def fox_derivative_recursive(w: Word, gen: int) -> GroupRingElem:
+    """Brute-force oracle: peel off one letter and apply the product rule."""
+    letters = w.letters
+    if not letters:
+        return GroupRingElem.zero()
+    head, rest = letters[0], Word(letters[1:])
+    if head == gen:
+        d_head = GroupRingElem.one()
+    elif head == -gen:
+        d_head = GroupRingElem.of(Word((head,)), -1)
+    else:
+        d_head = GroupRingElem.zero()
+    return d_head + fox_derivative_recursive(rest, gen).left_mul_word(Word((head,)))
+
+
+def word_image(rho: Representation, word: Word) -> Mat:
+    """rho(word), one matrix product per letter."""
+    out = identity(rho.dim)
+    for letter in word:
+        m = rho.images[letter] if letter > 0 else rho.inv_images[-letter]
+        out = mat_mul(out, m)
+    return out
+
+
+def phi_map(e: GroupRingElem, rho: Representation) -> PolyMatrix:
+    """Sum of coeff * rho(word) * t^(exponent sum) over the element's terms."""
+    return PolyMatrix(((word.exponent_sum(), mat_scale(coef, word_image(rho, word)))
+                       for word, coef in e.terms.items()), rho.dim)
+
+
+def trivial_rep(p: Presentation) -> Representation:
+    """The 1-dimensional representation sending every generator to 1."""
+    return Representation(p, 1, {g: ((1,),) for g in range(1, p.num_generators + 1)})
+
+
+def perm_matrix(group: MetaGroup, g: MetaElem) -> Mat:
+    """Permutation matrix with rows indexed by source coset: P[i][pi(i)] = 1.
+
+    With this convention g -> P(g) is a homomorphism for the right action.
+    """
+    perm = group.coset_permutation(g)
+    size = len(perm)
+    return tuple(
+        tuple(1 if perm[i] == j else 0 for j in range(size)) for i in range(size)
+    )
+
+
+def perm_rep(assignment: dict[str, MetaElem], group: MetaGroup,
+             p: Presentation) -> Representation:
+    """The p^k-dimensional permutation-matrix representation of an
+    assignment; each inverse image is the permutation matrix of the
+    inverse element."""
+    check_homomorphism(p, group, assignment)
+    images, inv_images = {}, {}
+    for name in p.generators:
+        g, e = p.gen_index(name), assignment[name]
+        images[g] = perm_matrix(group, e)
+        inv_images[g] = perm_matrix(group, group.inv(e))
+    return Representation(p, group.p**group.k, images, inv_images)
+
+
+def group_word_image(group: MetaGroup, word: Word,
+                     images: dict[int, MetaElem]) -> MetaElem:
+    """The image of a word under generator images, by the group law."""
+    out = group.identity_elem()
+    for letter in word:
+        g = images[abs(letter)]
+        out = group.mul(out, g if letter > 0 else group.inv(g))
+    return out
+
+
+def det_bareiss(m: PolyMatrix) -> LaurentPoly:
+    """Fraction-free elimination directly over Z[t, 1/t]."""
+    n = m.dim
+    rows = [list(row) for row in m.entries()]
+    sign = 1
+    prev = ONE
+    for k in range(n - 1):
+        if rows[k][k].is_zero():
+            pivot = next(
+                (i for i in range(k + 1, n) if not rows[i][k].is_zero()), None
+            )
+            if pivot is None:
+                return ZERO
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = rows[i][j] * rows[k][k] - rows[i][k] * rows[k][j]
+                if num.is_zero():
+                    rows[i][j] = ZERO
+                    continue
+                q = exact_div(num, prev)
+                if q is None:
+                    raise ExactnessError("Bareiss division was not exact")
+                rows[i][j] = q
+            rows[i][k] = ZERO
+        prev = rows[k][k]
+    result = rows[n - 1][n - 1]
+    return -result if sign < 0 else result

@@ -28,7 +28,6 @@ computation path fully independent of Fox calculus.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .exactalg import LaurentPoly, PolyMatrix, canonical
 from .intmat import (
@@ -161,7 +160,12 @@ def recursion_series(form: H3Form) -> PolyMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Twin decomposition
+# Twin decomposition (paper reproduction; test-only)
+#
+# The proof device of the paper's theorem on 2-bridge knots onto Z/2 * Z/3:
+# the tests show that the normalized recursion series is twin and that its
+# closed-form determinant is the twisted polynomial.  No command calls it;
+# the recursion path takes recursion_series(form).det().
 # ---------------------------------------------------------------------------
 
 
@@ -239,13 +243,6 @@ def twin_decompose(f: PolyMatrix) -> TwinDecomp:
     return TwinDecomp(c, cprime, a, b)
 
 
-def twin_check(f: PolyMatrix) -> Optional[TwinDecomp]:
-    try:
-        return twin_decompose(f)
-    except NotTwinError:
-        return None
-
-
 def twin_determinant(d: TwinDecomp) -> LaurentPoly:
     """Closed-form determinant of the matrix form of a twin polynomial.
 
@@ -259,7 +256,7 @@ def twin_determinant(d: TwinDecomp) -> LaurentPoly:
     cpoly = LaurentPoly((3 * j, v) for j, v in d.c.items())
     cppoly = LaurentPoly((3 * j, v) for j, v in d.cprime.items())
     apoly = LaurentPoly((3 * j, v) for j, v in d.a.items())
-    t3 = LaurentPoly.term(1, 3)
+    t3 = LaurentPoly([(3, 1)])
     diff = cpoly - cppoly
     return (cpoly + cppoly) * (diff * diff - 4 * t3 * apoly * apoly)
 

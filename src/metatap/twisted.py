@@ -27,28 +27,19 @@ from .exactalg import (
     PolyMatrix,
     ZERO,
     canonical,
-    equal_up_to_unit,
     exact_div,
     supported_on_multiples,
 )
-from .groupcalc import GroupRingElem, Presentation, fox_images, fox_jacobian
-from .intmat import identity, mat_neg, mat_scale
+from .groupcalc import Presentation, fox_images, fox_jacobian
+from .intmat import identity, mat_neg
 from .metabelian import (
     MetaElem,
     MetaGroup,
     Representation,
     a4_group,
     a4_irreducible_rep,
-    find_homs,
-    perm_rep,
 )
-from .twobridge import FractionR, two_bridge_alexander, wirtinger_presentation
-
-
-def phi_map(e: GroupRingElem, rho: Representation) -> PolyMatrix:
-    """Sum of coeff * rho(word) * t^(exponent sum) over the element's terms."""
-    return PolyMatrix(((word.exponent_sum(), mat_scale(coef, rho.word_image(word)))
-                       for word, coef in e.terms.items()), rho.dim)
+from .twobridge import FractionR, wirtinger_presentation
 
 
 def _phi_generator_minus_one(gen: int, rho: Representation) -> PolyMatrix:
@@ -70,19 +61,6 @@ class TwistedResult:
     denominator: LaurentPoly
     invariant: Optional[LaurentPoly]
     deleted_generator: str
-
-    def ratio_equals(self, other: "TwistedResult") -> bool:
-        """Equality of the two ratios up to +-t^k (cross-multiplied)."""
-        return equal_up_to_unit(
-            self.numerator * other.denominator, other.numerator * self.denominator
-        )
-
-    def times_poly(self, f: LaurentPoly) -> LaurentPoly:
-        """Canonical value of (ratio * f); requires the product to be exact."""
-        q = exact_div(self.numerator * f, self.denominator)
-        if q is None:
-            raise ExactnessError("ratio times polynomial was not polynomial")
-        return canonical(q)
 
 
 class NoUsableColumnError(RuntimeError):
@@ -220,43 +198,3 @@ def a4_twisted(r: FractionR) -> LaurentPoly:
     if result.invariant is None:
         raise ExactnessError("3-dimensional invariant was not polynomial")
     return result.invariant
-
-
-def check_a4_form(r: FractionR) -> Verdict:
-    """Verify, for a 2-bridge knot with an A4 representation, that the
-    3-dimensional twisted polynomial is +-t^k times a polynomial in t^3,
-    and that the 4-dimensional permutation invariant splits off Delta/(1-t).
-    """
-    p = wirtinger_presentation(r)
-    group = a4_group()
-    std = standard_assignment(group, p)
-    homs = find_homs(p, group)
-    surjective = [h for h in homs if h.surjective]
-    if not surjective:
-        raise ValueError(f"G(K({r})) has no surjection onto A4")
-    images = None
-    for h in surjective:
-        if all(h.images[g] == std[g] for g in p.generators):
-            images = std
-            break
-    if images is None:
-        images = surjective[0].images
-    rho3 = a4_irreducible_rep(images, p)
-    res3 = twisted_alexander(p, rho3)
-    if res3.invariant is None:
-        raise ExactnessError("3-dimensional invariant was not polynomial")
-    value = res3.invariant
-    holds = supported_on_multiples(value, 3)
-
-    # Product identity: 4-dim permutation invariant = [Delta/(1-t)] * value.
-    rho4 = perm_rep(images, group, p)
-    res4 = twisted_alexander(p, rho4)
-    delta = two_bridge_alexander(r)
-    one_minus_t = LaurentPoly([(0, 1), (1, -1)])
-    if res4.invariant is None or not equal_up_to_unit(
-        res4.invariant * one_minus_t, delta * value
-    ):
-        raise ExactnessError(
-            f"permutation invariant of K({r}) does not split off Delta/(1-t)")
-    details = "" if holds else "3-dim invariant not supported on multiples of 3"
-    return Verdict(holds, value if holds else None, 3, details)

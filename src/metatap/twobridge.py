@@ -225,10 +225,6 @@ def alexander_poly(p: Presentation) -> LaurentPoly:
     return delta
 
 
-def two_bridge_alexander(r: FractionR) -> LaurentPoly:
-    return alexander_poly(wirtinger_presentation(r))
-
-
 def enumerate_fractions(alpha_max: int):
     """All valid beta/alpha with alpha <= alpha_max, sorted by (alpha, beta)."""
     for alpha in range(3, alpha_max + 1, 2):

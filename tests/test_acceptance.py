@@ -19,8 +19,8 @@ import pytest
 
 from metatap.exactalg import PolyMatrix, canonical
 from metatap.golden import A4_3DIM, PHI, TORUS, torus_prediction
-from metatap.groupcalc import GroupRingElem, Word, fox_derivative
-from metatap.intmat import identity, mat_add, mat_mul, mat_pow, mat_scale, mat_sub, zeros
+from metatap.groupcalc import Word
+from metatap.intmat import identity, mat_add, mat_mul, mat_scale, mat_sub, zeros
 from metatap.metabelian import (
     NotHomomorphismError,
     a4_group,
@@ -29,6 +29,7 @@ from metatap.metabelian import (
     cycle_type,
     group_from_name,
 )
+from metatap.oracles import GroupRingElem, fox_derivative, perm_matrix
 from metatap.twisted import a4_twisted, standard_assignment, twisted_alexander
 from metatap.twinring import (
     X,
@@ -43,7 +44,7 @@ from metatap.twinring import (
     YT,
     YX,
     normalized_series,
-    twin_check,
+    twin_decompose,
     twin_determinant,
     twisted_via_recursion,
     yx_geometric,
@@ -55,6 +56,8 @@ from metatap.twobridge import (
     h3_expand,
     wirtinger_presentation,
 )
+
+from matrix_helpers import mat_pow
 
 
 def report(label):
@@ -232,9 +235,9 @@ def test_properties_twin_closure_200():
 
     for _ in range(200):
         f, g = rand_twin(), rand_twin()
-        assert twin_check(f * g) is not None
-        assert twin_check(f + g) is not None
-        assert twin_check(f - g) is not None
+        twin_decompose(f * g)
+        twin_decompose(f + g)
+        twin_decompose(f - g)
     report("twin subring closure on 200 random pairs")
 
 
@@ -254,7 +257,7 @@ def test_properties_membership_families():
             * (one - XT),
         ]
         for i, f in enumerate(checks, start=1):
-            assert twin_check(f) is not None, f"family {i}, k={k}"
+            twin_decompose(f)
     report("four membership families for k in {0, 1, 2}")
 
 
@@ -265,8 +268,7 @@ def test_properties_recursion_twin_and_closed_form():
         for ks in product(*([vals] * q)):
             for ms in product(*([vals] * (q - 1))):
                 series = normalized_series(H3Form(ks, ms))
-                decomp = twin_check(series)
-                assert decomp is not None, (ks, ms)
+                decomp = twin_decompose(series)
                 det = twin_determinant(decomp)
                 assert det == series.det(), (ks, ms)
                 assert all(d % 3 == 0 for d, _ in det.terms)
@@ -309,7 +311,8 @@ def test_properties_column_independence_acceptance_inputs():
                    for name in p.generators]
         first = results[0]
         for other in results[1:]:
-            assert first.ratio_equals(other)
+            assert canonical(first.numerator * other.denominator) == \
+                canonical(other.numerator * first.denominator)
             assert first.invariant == other.invariant
     report("deleted-column independence on all acceptance inputs")
 
@@ -318,11 +321,11 @@ def test_properties_perm_rep_homomorphism_200():
     rng = random.Random(7)
     for n, p_char in [(3, 2), (4, 3), (3, 5), (5, 2), (4, 5)]:
         g = build_group(n, p_char)
-        elems = list(g.elements())
+        elems = list(map(g.element, range(g.order())))
         for _ in range(200):
             a, b = rng.choice(elems), rng.choice(elems)
-            assert mat_mul(g.perm_matrix(a), g.perm_matrix(b)) == \
-                g.perm_matrix(g.mul(a, b))
+            assert mat_mul(perm_matrix(g, a), perm_matrix(g, b)) == \
+                perm_matrix(g, g.mul(a, b))
             q = g.character_matrix(a)
             assert mat_mul(q, g.character_matrix(b)) == \
                 g.character_matrix(g.mul(a, b))
@@ -335,7 +338,7 @@ def test_properties_perm_rep_homomorphism_200():
 
 def test_m524_structure_goldens():
     g = build_group(5, 2)
-    conj = g.conj_by_s
+    conj = lambda e: g.mul(g.mul(g.s(), e), g.inv(g.s()))
     b = {i: g.b(i) for i in range(1, 5)}
     assert conj(b[1]) == b[4]
     assert conj(b[2]) == g.mul(b[1], b[4])

@@ -3,9 +3,12 @@
 import csv
 import io
 import json
+import os
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
@@ -15,16 +18,14 @@ from metatap import characters, cli, exactalg
 from metatap.cli import main
 from metatap.exactalg import PolyMatrix, canonical, parse_poly
 from metatap.golden import A4_3DIM, ALEXANDER, PHI, phi_value
-from metatap.groupcalc import print_presentation
 from metatap.knotdata import presentation
-from metatap.metabelian import (
-    MetaGroup, build_group, find_homs, group_from_name, perm_rep)
+from metatap.metabelian import MetaGroup, build_group, find_homs, group_from_name
+from metatap.oracles import det_bareiss, perm_rep
 from metatap.twisted import TwistedResult, check_factorization, twisted_alexander
 from metatap.twobridge import (
     FractionR,
     H3Form,
     alexander_poly,
-    two_bridge_alexander,
     wirtinger_presentation,
 )
 
@@ -76,7 +77,7 @@ def test_compute_with_assignment_and_pres():
 
 def test_compute_pres_file_and_bundled_suffix(tmp_path):
     path = tmp_path / "knot.pres"
-    path.write_text(print_presentation(presentation("10_159")))
+    path.write_text((resources.files("metatap") / "data" / "10_159.pres").read_text())
     _, bundled, _ = run_cli("compute", "--pres", "10_159", "--group", "A4")
     expected = strip_millis([json.loads(line) for line in bundled.splitlines()])
     assert expected
@@ -358,7 +359,7 @@ def test_compute_determinants_match_bareiss_oracle(monkeypatch, flag, source, gr
     assert run_cli("compute", flag, source, "--group", group)[0] == 0
     assert max(m.dim for m in matrices) > 1
     for m in matrices:
-        assert genuine(m) == m.det_bareiss()
+        assert genuine(m) == det_bareiss(m)
 
 
 # Every golden input of the suite.  compute takes one determinant per class;
@@ -382,7 +383,8 @@ def test_compute_matches_per_assignment_path(source, name, group_name):
     group = group_from_name(group_name)
     if source == "--r":
         r = FractionR.parse(name)
-        p, delta = wirtinger_presentation(r), two_bridge_alexander(r)
+        p = wirtinger_presentation(r)
+        delta = alexander_poly(p)
     else:
         p = presentation(name)
         delta = alexander_poly(p)
@@ -548,6 +550,20 @@ def test_scan_unwritable_out():
     code, _, err = run_cli("scan", "--alpha-max", "3", "--group", "A4",
                            "--out", "/nonexistent-dir/x.csv")
     assert code == 1
+
+
+def test_scan_to_closed_stdout_exits_1_quietly():
+    # the reader closes the pipe before the scan writes its first row
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "metatap.cli", "scan", "--group", "A4",
+         "--alpha-max", "40", "--out", "-"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert err == b""
 
 
 # -- selftest -----------------------------------------------------------------

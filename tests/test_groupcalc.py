@@ -4,17 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metatap.groupcalc import (
-    GroupRingElem,
-    Presentation,
-    PresentationError,
-    Word,
-    fox_derivative,
-    fox_derivative_recursive,
-    parse_presentation,
-    print_presentation,
-    word_from_string,
-)
+from metatap.groupcalc import Presentation, PresentationError, Word, parse_presentation
+from metatap.oracles import GroupRingElem, fox_derivative, fox_derivative_recursive
 
 words = st.lists(
     st.integers(-3, 3).filter(lambda x: x != 0), max_size=10
@@ -56,7 +47,7 @@ def test_reduce_idempotent(w):
 
 def test_exponent_sum():
     assert Word([1, 2, -1]).exponent_sum() == 1
-    assert word_from_string("x y x Y X Y", ("x", "y")).exponent_sum() == 0
+    assert Word([1, 2, 1, -2, -1, -2]).exponent_sum() == 0
     assert Word([1, 1, 1]).exponent_sum() == 3
 
 
@@ -76,7 +67,7 @@ def test_fox_axioms():
 
 
 def test_fox_trefoil_relator():
-    r0 = word_from_string("x y x Y X Y", ("x", "y"))
+    r0 = Word([1, 2, 1, -2, -1, -2])
     d = fox_derivative(r0, 1)
     expected = (GroupRingElem.one()
                 + GroupRingElem.of(Word([1, 2]))
@@ -152,13 +143,6 @@ def test_parse_errors_carry_position():
         parse_presentation("rel: x\n")
     with pytest.raises(PresentationError):
         parse_presentation("gens: x xx\nrel: x\n")
-
-
-def test_round_trip():
-    p = parse_presentation(K35_TEXT)
-    text = print_presentation(p)
-    assert parse_presentation(text) == p
-    assert print_presentation(parse_presentation(text)) == text
 
 
 def test_k35_text_matches_generated_presentation():

@@ -5,7 +5,8 @@ import pytest
 
 from metatap.exactalg import canonical
 from metatap.golden import permutation_rep, phi_verdict, torus_exponent, torus_prediction
-from metatap.metabelian import build_group, perm_rep
+from metatap.metabelian import build_group
+from metatap.oracles import perm_rep
 from metatap.twisted import standard_assignment, twisted_alexander
 from metatap.twobridge import FractionR, wirtinger_presentation
 

@@ -8,18 +8,17 @@ from math import ceil, log2
 import pytest
 
 from metatap.characters import representation_blocks
-from metatap.exactalg import LaurentPoly, canonical, equal_up_to_unit, parse_poly
+from metatap.exactalg import LaurentPoly, canonical, parse_poly
 from metatap.golden import ALEXANDER
-from metatap.groupcalc import fox_derivative, fox_images, fox_jacobian, word_from_string
+from metatap.groupcalc import fox_images, fox_jacobian, parse_presentation
 from metatap import twobridge
 from metatap.knotdata import BUNDLED, presentation
 from metatap.metabelian import (
     a4_group,
     a4_irreducible_rep,
     group_from_name,
-    perm_rep,
-    trivial_rep,
 )
+from metatap.oracles import fox_derivative, perm_rep, trivial_rep, word_image
 from metatap.twisted import standard_assignment
 from metatap.twobridge import (
     CFError,
@@ -31,7 +30,6 @@ from metatap.twobridge import (
     cf_evaluate,
     enumerate_fractions,
     h3_expand,
-    two_bridge_alexander,
     wirtinger_presentation,
 )
 
@@ -161,11 +159,12 @@ def test_h3form_validation():
 
 def test_wirtinger_examples():
     p = wirtinger_presentation(FractionR(1, 3))
-    assert p.relators[0] == word_from_string("x y x Y X Y", ("x", "y"))
+    assert p.relators[0] == parse_presentation("gens: x y\nrel: x y x Y X Y").relators[0]
 
     p = wirtinger_presentation(FractionR(3, 5))
     # W = x y^-1 x^-1 y from the floor-sign sequence +,-,-,+
-    assert p.relators[0] == word_from_string("x Y X y x Y x y X Y", ("x", "y"))
+    assert p.relators[0] == \
+        parse_presentation("gens: x y\nrel: x Y X y x Y x y X Y").relators[0]
 
     p = wirtinger_presentation(FractionR(5, 27))
     assert len(p.relators[0]) == 2 * 26 + 2
@@ -173,9 +172,9 @@ def test_wirtinger_examples():
 
 
 def test_alexander_examples():
-    assert two_bridge_alexander(FractionR(1, 3)) == P("1 - t + t^2")
-    assert two_bridge_alexander(FractionR(3, 5)) == P("1 - 3*t + t^2")
-    assert two_bridge_alexander(FractionR(1, 5)) == P("1 - t + t^2 - t^3 + t^4")
+    for r, delta in ((FractionR(1, 3), "1 - t + t^2"), (FractionR(3, 5), "1 - 3*t + t^2"),
+                     (FractionR(1, 5), "1 - t + t^2 - t^3 + t^4")):
+        assert alexander_poly(wirtinger_presentation(r)) == P(delta)
 
 
 def test_alexander_nonrational():
@@ -194,7 +193,7 @@ def fox_derivative_jacobian(p, rho, delete):
     kept = [g for g in range(1, p.num_generators + 1) if g != delete]
     rows = []
     for rel in p.relators:
-        derivs = [[(w.exponent_sum(), c, rho.word_image(w))
+        derivs = [[(w.exponent_sum(), c, word_image(rho, w))
                    for w, c in fox_derivative(rel, g).terms.items()] for g in kept]
         for i in range(rho.dim):
             rows.append(tuple(
@@ -263,7 +262,7 @@ def test_alexander_sweep_palindromic_alpha_99():
         delta = alexander_poly(p)
         assert delta.evaluate(1) in (1, -1)
         reversed_delta = LaurentPoly((-d, c) for d, c in delta.terms)  # t -> 1/t
-        assert equal_up_to_unit(delta, reversed_delta)
+        assert canonical(reversed_delta) == delta
 
 
 def test_enumerate_fractions():
