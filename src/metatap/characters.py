@@ -5,15 +5,16 @@ C of the rational characters of (Z/p)^k, which depends only on the group.
 The images of an assignment's generators split into diagonal blocks along
 the connected components of their supports; the blocks' twisted
 determinants multiply to exactly those of the full permutation
-representation.
+representation.  `Representation`, the direct sum of an assignment's
+blocks, is the one representation type the commands use.
 """
 
 from __future__ import annotations
 
 from .exactalg import ExactnessError, PolyMatrix
 from .groupcalc import Presentation, Word, fox_tally
-from .intmat import Mat
-from .metabelian import MetaElem, MetaGroup, Representation, check_homomorphism
+from .intmat import Mat, identity, mat_mul
+from .metabelian import MetaElem, MetaGroup, check_homomorphism
 
 
 def support_blocks(size: int, images) -> list[list[int]]:
@@ -43,26 +44,42 @@ def support_blocks(size: int, images) -> list[list[int]]:
     return blocks
 
 
-class CharacterSplit:
-    """The character blocks of one assignment.
+class Representation:
+    """The one production representation: the character blocks of one
+    assignment, a direct sum of integer matrix representations.
 
     `letters` maps each signed generator letter to the element index of
-    its image, and `blocks` are the coordinate sets of the summands.  The
-    Fox tables of all blocks come from one relator walk on element indices
-    (`fox_images`), summed from the group's cached character images.
+    its image, `blocks` are the coordinate sets of the blocks and `dims`
+    their sizes, and `block_images[g]` lists the diagonal blocks of Q(g)
+    for each generator g.  Each block image times the block of its
+    inverse element's image must be I; a failure is an ExactnessError.
+    The Fox tables of all blocks come from one relator walk on element
+    indices (`fox_images`), summed from the group's cached character
+    images.
     """
 
-    def __init__(self, group: MetaGroup, letters: dict[int, int],
-                 blocks: list[list[int]]):
+    def __init__(self, presentation: Presentation, group: MetaGroup,
+                 letters: dict[int, int], blocks: list[list[int]]):
+        self.presentation = presentation
         self.group = group
         self.letters = letters
         self.blocks = blocks
+        self.dims = [len(coords) for coords in blocks]
         self._owner = [0] * group.p**group.k
         self._local = [0] * group.p**group.k
         for b, coords in enumerate(blocks):
             for i, c in enumerate(coords):
                 self._owner[c], self._local[c] = b, i
         self._entries: dict[int, list[tuple[int, int, int, int]]] = {}
+        self.block_images: dict[int, list[Mat]] = {}
+        for g in range(1, presentation.num_generators + 1):
+            images = self.matrices(letters[g])
+            for b, (m, inv) in enumerate(zip(images, self.matrices(letters[-g]))):
+                if mat_mul(m, inv) != identity(len(m)):
+                    raise ExactnessError(
+                        f"block {b} of the image of generator {g} times the "
+                        f"block of its inverse is not the identity")
+            self.block_images[g] = images
 
     def entries(self, x: int) -> list[tuple[int, int, int, int]]:
         """The entries (block, row, column, value) of Q(g), g of index x, in
@@ -83,18 +100,17 @@ class CharacterSplit:
 
     def matrices(self, x: int) -> list[Mat]:
         """The diagonal blocks of Q(g), g of index x."""
-        mats = [[[0] * len(coords) for _ in coords] for coords in self.blocks]
+        mats = [[[0] * n for _ in range(n)] for n in self.dims]
         for b, w, u, v in self.entries(x):
             mats[b][w][u] = v
         return [tuple(map(tuple, m)) for m in mats]
 
     def fox_images(self, rel: Word) -> list[dict[int, PolyMatrix]]:
-        """`groupcalc.fox_images` of each block, from one walk of the
-        relator on element indices: each prefix is named by its index, and
-        each (generator, degree) sums count * Q(prefix) restricted to the
-        blocks."""
-        group, letters = self.group, self.letters
-        dims = [len(coords) for coords in self.blocks]
+        """Phi(dR/dg) of each block for every generator g the relator uses,
+        from one walk of the relator on element indices (`fox_tally`): each
+        prefix is named by its index, and each (generator, degree) sums
+        count * Q(prefix) restricted to the blocks."""
+        group, letters, dims = self.group, self.letters, self.dims
         sums: dict[tuple[int, int], list[list[list[int]]]] = {}
         tally = fox_tally(rel, lambda x, letter: group.index_mul(x, letters[letter]))
         for (gen, d, x), count in tally.items():
@@ -112,30 +128,26 @@ class CharacterSplit:
 
 
 def representation_blocks(assignment: dict[str, MetaElem], group: MetaGroup,
-                          p: Presentation) -> list[Representation]:
-    """Representations whose twisted numerator and denominator determinants
-    multiply to exactly those of `oracles.perm_rep(assignment, group, p)`,
-    the full permutation path.
+                          p: Presentation) -> Representation:
+    """The representation whose twisted numerator and denominator
+    determinants are exactly those of `oracles.perm_rep(assignment, group,
+    p)`, the full permutation path.
 
-    These are the diagonal blocks of the character images
+    Its blocks are the diagonal blocks of the character images
     Q(g) = C^-1 P(g) C (`MetaGroup.character_image`) of the generators
     and of their inverse elements, cut along the connected components of
     the generators' supports: the trivial character first, and, for a
     surjection, one m(p-1)-dimensional block per orbit of m lines under T.
     C depends only on the group, so conjugating every image by it leaves
-    the determinants unchanged.  All blocks share one `CharacterSplit`.
+    the determinants unchanged.
     """
     check_homomorphism(p, group, assignment)
-    gens = [p.gen_index(name) for name in p.generators]
     letters = {}
-    for g, name in zip(gens, p.generators):
-        letters[g] = group.index(assignment[name])
-        letters[-g] = group.index(group.inv(assignment[name]))
-    blocks = support_blocks(group.p**group.k,
-                            [group.character_image(letters[g]) for g in gens])
-    split = CharacterSplit(group, letters, blocks)
-    parts = {g: split.matrices(letters[g]) for g in gens}
-    inv_parts = {g: split.matrices(letters[-g]) for g in gens}
-    return [Representation(p, len(coords), {g: parts[g][b] for g in gens},
-                           {g: inv_parts[g][b] for g in gens}, summand=(split, b))
-            for b, coords in enumerate(blocks)]
+    for name in p.generators:
+        g, e = p.gen_index(name), assignment[name]
+        letters[g] = group.index(e)
+        letters[-g] = group.index(group.inv(e))
+    blocks = support_blocks(
+        group.p**group.k,
+        [group.character_image(letters[g]) for g in range(1, p.num_generators + 1)])
+    return Representation(p, group, letters, blocks)

@@ -14,17 +14,19 @@ stays a documented discrepancy (README, "Known discrepancies").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
-from .characters import representation_blocks
+from .characters import Representation, representation_blocks
 from .exactalg import LaurentPoly, parse_poly as P
 from .knotdata import presentation
-from .metabelian import MetaGroup, Representation, group_from_name
+from .metabelian import MetaGroup, group_from_name
 from .twisted import Verdict, check_factorization, standard_assignment, twisted_alexander
 from .twobridge import FractionR, alexander_poly, wirtinger_presentation
 
 # 3-dimensional twisted polynomials of 2-bridge knots K(beta/alpha), for the
-# standard assignment x -> s, y -> s b1 onto A4 through xi0.
+# standard assignment x -> s, y -> s b1 onto A4: the invariant of the
+# irreducible 3-dimensional block, and phi of the 4-dimensional permutation
+# representation (trivial + 3-dimensional).
 A4_3DIM = {
     "1/3": P("1 - t^3"),
     "1/9": P("1 - t^3") * P("1 - t^3 + t^6") * P("1 + t^3 + t^6")**2,
@@ -66,19 +68,19 @@ class PhiGolden:
     quick: bool = True
     budget_s: Optional[float] = None
 
-    def representations(self) -> list[Representation]:
+    def representation(self) -> Representation:
         return permutation_rep(self.source, group_from_name(self.group), self.assignment)
 
     def verdict(self) -> Verdict:
-        return phi_verdict(self.representations(), group_from_name(self.group).n)
+        return phi_verdict(self.representation(), group_from_name(self.group).n)
 
 
 def permutation_rep(source: str, group: MetaGroup,
                     assignment: Optional[dict[str, str]] = None
-                    ) -> list[Representation]:
+                    ) -> Representation:
     """The permutation representation of `source` (a fraction or a bundled
     name) onto `group` under `assignment` (default: the standard one), as
-    the summands `representation_blocks` splits it into."""
+    the blocks `representation_blocks` splits it into."""
     if "/" in source:
         p = wirtinger_presentation(FractionR.parse(source))
     else:
@@ -90,11 +92,11 @@ def permutation_rep(source: str, group: MetaGroup,
     return representation_blocks(images, group, p)
 
 
-def phi_verdict(reps: Sequence[Representation], n: int) -> Verdict:
-    """Factorization verdict of the twisted polynomial of the direct sum of
-    `reps`: phi must be a polynomial in t^n."""
-    p = reps[0].presentation
-    result = twisted_alexander(p, reps)
+def phi_verdict(rho: Representation, n: int) -> Verdict:
+    """Factorization verdict of the twisted polynomial of `rho`: phi must
+    be a polynomial in t^n."""
+    p = rho.presentation
+    result = twisted_alexander(p, rho)
     return check_factorization(result.invariant, alexander_poly(p), n)
 
 

@@ -6,18 +6,18 @@ letter denotes the inverse of the lowercase generator.  Words are stored
 freely reduced, so equality of words is equality in the free group.
 
 The Fox calculus is one relator walk (`fox_tally`), read as matrices under
-a representation by `fox_images` and assembled into the Fox matrix by
-`fox_jacobian`.  The group-ring elements and Fox derivatives it is checked
-against are in `metatap.oracles`.
+a representation by `characters.Representation.fox_images` and assembled
+into the Fox matrix by `fox_jacobian`.  The group-ring elements, Fox
+derivatives and prefix-matrix walk it is checked against are in
+`metatap.oracles`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator
 
 from .exactalg import PolyMatrix
-from .intmat import Mat, identity, mat_mul
 
 
 Letter = int
@@ -124,50 +124,11 @@ def fox_tally(rel: Word, step: Callable[[int, int], int]) -> dict[tuple[int, int
     return tally
 
 
-def fox_images(rel: Word, images: Mapping[int, Mat], inv_images: Mapping[int, Mat],
-               dim: int) -> dict[int, PolyMatrix]:
-    """Phi(dR/dg) for every generator g at once, one pass over the relator.
-
-    Phi sends a word w to (its image under `images`) * t^(exponent sum of w).
-    Returns generator -> PolyMatrix for every generator the relator uses;
-    these equal the images of `oracles.fox_derivative(rel, g)`.
-
-    The prefixes are named by interned matrices: each distinct prefix
-    matrix gets a small id the first time it appears, and `fox_tally`
-    takes each step (id, letter) -> id once, so each product is computed
-    once: a finite image has few prefixes.  Each matrix of the tally is
-    built once at the end.
-    """
-    prefixes: list[Mat] = [identity(dim)]
-    ids: dict[Mat, int] = {prefixes[0]: 0}
-
-    def step(cur: int, letter: int) -> int:
-        factor = images[letter] if letter > 0 else inv_images[-letter]
-        m = mat_mul(prefixes[cur], factor)
-        nxt = ids.get(m)
-        if nxt is None:
-            nxt = ids[m] = len(prefixes)
-            prefixes.append(m)
-        return nxt
-
-    sums: dict[int, dict[int, list[list[int]]]] = {}
-    for (gen, d, pid), count in fox_tally(rel, step).items():
-        acc = sums.setdefault(gen, {}).get(d)
-        if acc is None:
-            acc = sums[gen][d] = [[0] * dim for _ in range(dim)]
-        if count:
-            for arow, mrow in zip(acc, prefixes[pid]):
-                for j, x in enumerate(mrow):
-                    if x:
-                        arow[j] += count * x
-    return {gen: PolyMatrix(((d, tuple(map(tuple, m))) for d, m in series.items()), dim)
-            for gen, series in sums.items()}
-
-
 def fox_jacobian(tables, num_generators: int, dim: int, delete: int) -> PolyMatrix:
     """The Fox matrix with generator `delete`'s column removed: one row of
-    blocks per relator's fox_images table, one column of blocks per kept
-    generator, and a zero block where a relator does not use a generator."""
+    blocks per relator's Fox table (generator -> PolyMatrix of Phi(dR/dg)),
+    one column of blocks per kept generator, and a zero block where a
+    relator does not use a generator."""
     zero = PolyMatrix({}, dim)
     kept = [g for g in range(1, num_generators + 1) if g != delete]
     return PolyMatrix.blocks([[table.get(g, zero) for g in kept] for table in tables])

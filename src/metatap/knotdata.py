@@ -34,7 +34,7 @@ def load_presentation(spec: str) -> Presentation:
     if path.exists():
         try:
             text = path.read_text()
-        except OSError as e:
+        except (OSError, UnicodeDecodeError) as e:
             raise ValueError(f"cannot read presentation file {spec}: {e}") from e
         return parse_presentation(text, name=path.stem)
     clean = spec.removesuffix(".pres")

@@ -10,18 +10,14 @@ Right multiplication on the right cosets of <s> gives a permutation
 representation on p^k points and hence an integral matrix representation of
 dimension p^k; in an integer basis of the rational characters of (Z/p)^k it
 splits into small blocks (`characters.representation_blocks`).  For
-M(3|2,2), which is the alternating group A4, there is additionally the
-faithful irreducible 3-dimensional integral representation generated by
-
-    xi0(s) = [[-1,1,0],[-1,0,0],[-1,0,1]]   (the image of the 3-cycle x)
-    xi0(s b1) = [[0,0,-1],[0,1,-1],[1,0,-1]]  (the image of y)
-
-which drives the whole t^3-support story for 2-bridge knots.
+M(3|2,2), which is the alternating group A4, that is the trivial block and
+the faithful irreducible 3-dimensional one, which drives the whole
+t^3-support story for 2-bridge knots.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd
 from typing import Optional, Sequence
@@ -30,7 +26,7 @@ from .exactalg import (
     ExactnessError, LaurentPoly, canonical, poly_from_coeffs, exact_div, resultant)
 from .groupcalc import Presentation, Word
 from .intmat import (
-    Mat, identity, mat, mat_add, mat_inverse, mat_mul, mat_scale, zeros)
+    Mat, identity, mat_add, mat_mul, mat_scale, zeros)
 
 
 def is_prime(p: int) -> bool:
@@ -248,11 +244,14 @@ class MetaGroup:
         for tok in text.split():
             if tok == "1":
                 continue
-            base, _, exp_text = tok.partition("^")
-            exp = int(exp_text) if exp_text else 1
+            base, caret, exp_text = tok.partition("^")
+            try:
+                exp = int(exp_text) if caret else 1
+            except ValueError:
+                raise ValueError(f"bad exponent in element token {tok!r}") from None
             if base == "s":
                 part = self.elem(exp, (0,) * self.k)
-            elif base.startswith("b"):
+            elif base.startswith("b") and base[1:].isdigit():
                 part = self.b(int(base[1:]))
                 part = self.elem(0, tuple(v * exp % self.p for v in part.vec))
             else:
@@ -452,8 +451,24 @@ def a4_group() -> MetaGroup:
     return build_group(3, 2)
 
 
+def euler_phi(n: int) -> int:
+    """Euler's totient of n, by trial division: deg Phi_n for n >= 1."""
+    out, rest, d = n, n, 2
+    while d * d <= rest:
+        if rest % d == 0:
+            while rest % d == 0:
+                rest //= d
+            out -= out // d
+        d += 1
+    if rest > 1:
+        out -= out // rest
+    return out
+
+
 def group_from_name(text: str) -> MetaGroup:
-    """Parse 'A4' or 'M(n|p,k)' (k is validated against deg Phi_n)."""
+    """Parse 'A4' or 'M(n|p,k)'; k is checked against deg Phi_n before the
+    group is built, since building it (Phi_n and the n powers of T) costs
+    time and memory that grow with n."""
     s = text.strip()
     if s.upper() == "A4":
         return a4_group()
@@ -463,50 +478,20 @@ def group_from_name(text: str) -> MetaGroup:
     if not m:
         raise ValueError(f"bad group name {text!r}; expected A4 or M(n|p,k)")
     n, p, k = int(m.group(1)), int(m.group(2)), int(m.group(3))
-    group = build_group(n, p)
-    if group.k != k:
+    degree = euler_phi(n)
+    if degree != k:
         raise ValueError(
-            f"k = {k} does not match deg Phi_{n} = {group.k} in {text!r}")
-    return group
+            f"k = {k} does not match deg Phi_{n} = {degree} in {text!r}")
+    return build_group(n, p)
 
 
 # ---------------------------------------------------------------------------
-# Integral representations
+# Relators on the coset tables
 # ---------------------------------------------------------------------------
 
 
 class NotHomomorphismError(ValueError):
     """A generator assignment fails to kill some relator."""
-
-
-@dataclass
-class Representation:
-    """Generator images in GL(dim, Z) for a presentation.
-
-    Its constructors (`a4_irreducible_rep`,
-    `characters.representation_blocks` and the oracle `oracles.perm_rep`)
-    check the relators on the coset tables (`check_homomorphism`) before
-    they build the images.  A character block carries its `summand`: the
-    `CharacterSplit` of its assignment and its block number.
-    """
-
-    presentation: Presentation
-    dim: int
-    images: dict[int, Mat]
-    inv_images: dict[int, Mat] = field(default_factory=dict)
-    summand: Optional[tuple["CharacterSplit", int]] = None
-
-    def __post_init__(self):
-        """Check each image against its inverse, supplied or computed:
-        `fox_images` multiplies by `inv_images` for inverse letters."""
-        for g, m in self.images.items():
-            try:
-                inv = self.inv_images.get(g) or mat_inverse(m)
-            except ValueError:
-                inv = None
-            if inv is None or mat_mul(m, inv) != identity(self.dim):
-                raise ValueError(f"image of generator {g} is not in GL(dim, Z)")
-            self.inv_images[g] = inv
 
 
 def _coset_walk(word: Word, tables) -> int:
@@ -546,49 +531,6 @@ def check_homomorphism(p: Presentation, group: MetaGroup,
             raise NotHomomorphismError(
                 f"relator {i + 1} ({rel.spell(p.generators)}) "
                 f"does not map to the identity")
-
-
-# The two generating matrices of the 3-dimensional irreducible integral
-# representation of A4 = M(3|2,2); X is the image of s, Y the image of s*b1.
-XI0_X: Mat = mat([[-1, 1, 0], [-1, 0, 0], [-1, 0, 1]])
-XI0_Y: Mat = mat([[0, 0, -1], [0, 1, -1], [1, 0, -1]])
-
-_XI0_B1 = mat_mul(mat_inverse(XI0_X), XI0_Y)            # image of b1
-_XI0_B2 = mat_mul(mat_mul(XI0_X, _XI0_B1), mat_inverse(XI0_X))  # image of b2 = s b1 s^-1
-
-
-def xi0(e: MetaElem) -> Mat:
-    """The 3-dimensional irreducible image of an element of M(3|2,2)."""
-    if (e.group.n, e.group.p) != (3, 2):
-        raise ValueError("xi0 is defined on M(3|2,2) only")
-    out = identity(3)
-    for _ in range(e.ell):
-        out = mat_mul(out, XI0_X)
-    if e.vec[0]:
-        out = mat_mul(out, _XI0_B1)
-    if e.vec[1]:
-        out = mat_mul(out, _XI0_B2)
-    return out
-
-
-def a4_irreducible_rep(assignment: dict[str, MetaElem],
-                       p: Presentation) -> Representation:
-    """3-dimensional representation through xi0; requires a generating image."""
-    group = a4_group()
-    elems = []
-    images = {}
-    for name in p.generators:
-        if name not in assignment:
-            raise ValueError(f"assignment missing generator {name!r}")
-        e = assignment[name]
-        if e.group != group:
-            raise MixedGroupError("assignment must land in M(3|2,2)")
-        elems.append(e)
-        images[p.gen_index(name)] = xi0(e)
-    if not generates(group, elems):
-        raise ValueError("assigned elements do not generate the full group")
-    check_homomorphism(p, group, assignment)
-    return Representation(p, 3, images)
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,15 @@
 compare with the production code.  No production module imports this one.
 
     oracle                      production counterpart
-    GroupRingElem,              groupcalc.fox_tally and fox_images (the one
-      fox_derivative            relator walk and its prefix matrices)
+    GroupRingElem,              groupcalc.fox_tally and Representation.fox_images
+      fox_derivative            (the one relator walk and its prefix images)
     fox_derivative_recursive    fox_derivative (the product rule, letter by letter)
-    phi_map, word_image         groupcalc.fox_images, twisted's Phi(g - 1)
-    trivial_rep                 twobridge.alexander_poly's 1-dim images
+    fox_images                  characters.Representation.fox_images (prefixes
+                                named by interned matrices, not element indices)
+    MatrixRep                   characters.Representation (one block of
+                                explicit matrices, no character basis)
+    phi_map, word_image         fox_images, twisted's Phi(g - 1)
+    trivial_rep                 twobridge.alexander_poly's 1x1 Fox tables
     perm_rep, perm_matrix       characters.representation_blocks (the full
                                 p^k-dimensional permutation path)
     group_word_image            metabelian.find_homs and check_homomorphism
@@ -19,12 +23,12 @@ d(uv)/dg = du/dg + u * dv/dg  with  d(g)/dg = 1  and  d(g^-1)/dg = -g^-1.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Mapping, Optional
 
 from .exactalg import ONE, ZERO, ExactnessError, LaurentPoly, PolyMatrix, exact_div
-from .groupcalc import Presentation, Word
-from .intmat import Mat, identity, mat_mul, mat_scale
-from .metabelian import MetaElem, MetaGroup, Representation, check_homomorphism
+from .groupcalc import Presentation, Word, fox_tally
+from .intmat import Mat, identity, mat_inverse, mat_mul, mat_scale
+from .metabelian import MetaElem, MetaGroup, check_homomorphism
 
 IDENTITY = Word()
 
@@ -119,7 +123,65 @@ def fox_derivative_recursive(w: Word, gen: int) -> GroupRingElem:
     return d_head + fox_derivative_recursive(rest, gen).left_mul_word(Word((head,)))
 
 
-def word_image(rho: Representation, word: Word) -> Mat:
+def fox_images(rel: Word, images: Mapping[int, Mat], inv_images: Mapping[int, Mat],
+               dim: int) -> dict[int, PolyMatrix]:
+    """Phi(dR/dg) for every generator g at once, one pass over the relator.
+
+    Phi sends a word w to (its image under `images`) * t^(exponent sum of w).
+    Returns generator -> PolyMatrix for every generator the relator uses;
+    these equal the images of `fox_derivative(rel, g)`.
+
+    The prefixes are named by interned matrices: each distinct prefix
+    matrix gets a small id the first time it appears, and `fox_tally`
+    takes each step (id, letter) -> id once, so each product is computed
+    once: a finite image has few prefixes.  Each matrix of the tally is
+    built once at the end.
+    """
+    prefixes: list[Mat] = [identity(dim)]
+    ids: dict[Mat, int] = {prefixes[0]: 0}
+
+    def step(cur: int, letter: int) -> int:
+        factor = images[letter] if letter > 0 else inv_images[-letter]
+        m = mat_mul(prefixes[cur], factor)
+        nxt = ids.get(m)
+        if nxt is None:
+            nxt = ids[m] = len(prefixes)
+            prefixes.append(m)
+        return nxt
+
+    sums: dict[int, dict[int, list[list[int]]]] = {}
+    for (gen, d, pid), count in fox_tally(rel, step).items():
+        acc = sums.setdefault(gen, {}).get(d)
+        if acc is None:
+            acc = sums[gen][d] = [[0] * dim for _ in range(dim)]
+        if count:
+            for arow, mrow in zip(acc, prefixes[pid]):
+                for j, x in enumerate(mrow):
+                    if x:
+                        arow[j] += count * x
+    return {gen: PolyMatrix(((d, tuple(map(tuple, m))) for d, m in series.items()), dim)
+            for gen, series in sums.items()}
+
+
+class MatrixRep:
+    """Generator images in GL(dim, Z) as one block: the oracle counterpart
+    of `characters.Representation`, with the same `dims`, `block_images`
+    and `fox_images`.  Each inverse image is supplied or computed."""
+
+    def __init__(self, presentation: Presentation, dim: int, images: dict[int, Mat],
+                 inv_images: Optional[dict[int, Mat]] = None):
+        self.presentation = presentation
+        self.dim = dim
+        self.images = images
+        self.inv_images = inv_images or {g: mat_inverse(m) for g, m in images.items()}
+        self.dims = [dim]
+        self.block_images = {g: [m] for g, m in images.items()}
+
+    def fox_images(self, rel: Word) -> list[dict[int, PolyMatrix]]:
+        return [fox_images(rel, self.images, self.inv_images, self.dim)]
+
+
+def word_image(rho: MatrixRep, word: Word) -> Mat:
     """rho(word), one matrix product per letter."""
     out = identity(rho.dim)
     for letter in word:
@@ -128,15 +190,16 @@ def word_image(rho: Representation, word: Word) -> Mat:
     return out
 
 
-def phi_map(e: GroupRingElem, rho: Representation) -> PolyMatrix:
+def phi_map(e: GroupRingElem, rho: MatrixRep) -> PolyMatrix:
     """Sum of coeff * rho(word) * t^(exponent sum) over the element's terms."""
     return PolyMatrix(((word.exponent_sum(), mat_scale(coef, word_image(rho, word)))
                        for word, coef in e.terms.items()), rho.dim)
 
 
-def trivial_rep(p: Presentation) -> Representation:
+def trivial_rep(p: Presentation) -> MatrixRep:
     """The 1-dimensional representation sending every generator to 1."""
-    return Representation(p, 1, {g: ((1,),) for g in range(1, p.num_generators + 1)})
+    one = {g: ((1,),) for g in range(1, p.num_generators + 1)}
+    return MatrixRep(p, 1, one, one)
 
 
 def perm_matrix(group: MetaGroup, g: MetaElem) -> Mat:
@@ -152,7 +215,7 @@ def perm_matrix(group: MetaGroup, g: MetaElem) -> Mat:
 
 
 def perm_rep(assignment: dict[str, MetaElem], group: MetaGroup,
-             p: Presentation) -> Representation:
+             p: Presentation) -> MatrixRep:
     """The p^k-dimensional permutation-matrix representation of an
     assignment; each inverse image is the permutation matrix of the
     inverse element."""
@@ -162,7 +225,7 @@ def perm_rep(assignment: dict[str, MetaElem], group: MetaGroup,
         g, e = p.gen_index(name), assignment[name]
         images[g] = perm_matrix(group, e)
         inv_images[g] = perm_matrix(group, group.inv(e))
-    return Representation(p, group.p**group.k, images, inv_images)
+    return MatrixRep(p, group.p**group.k, images, inv_images)
 
 
 def group_word_image(group: MetaGroup, word: Word,

@@ -16,8 +16,7 @@ import time
 from . import golden
 from .exactalg import canonical
 from .knotdata import presentation
-from .metabelian import build_group, cycle_type, group_from_name
-from .twisted import a4_twisted
+from .metabelian import a4_group, build_group, cycle_type, group_from_name
 from .twinring import twisted_via_recursion
 from .twobridge import FractionR, alexander_poly
 
@@ -52,10 +51,13 @@ def run(quick: bool = False, p7: bool = False, out=sys.stdout) -> int:
                   f"computed invariant by {entry.discrepancy}; see README", file=out)
 
     # -- 3-dimensional values for 2-bridge knots, both computation paths ----
+    # phi of the 4-dim permutation representation (trivial + 3-dim) is the
+    # 3-dim invariant
     for frac, value in golden.A4_3DIM.items():
         r = FractionR.parse(frac)
         want = canonical(value)
-        report(f"3-dim twisted K({frac}) via Fox calculus", a4_twisted(r) == want)
+        fox = golden.phi_verdict(golden.permutation_rep(frac, a4_group()), 3)
+        report(f"3-dim twisted K({frac}) via Fox calculus", fox.phi == want)
         report(f"3-dim twisted K({frac}) via cf recursion",
                twisted_via_recursion(r) == want)
 

@@ -33,15 +33,19 @@ from .exactalg import LaurentPoly, PolyMatrix, canonical
 from .intmat import (
     Mat,
     identity,
+    mat,
     mat_add,
     mat_inverse,
     mat_mul,
     mat_scale,
 )
-from .metabelian import XI0_X as X
-from .metabelian import XI0_Y as Y
 from .twobridge import FractionR, H3Form, h3_expand
 
+# The two generating matrices of the irreducible 3-dimensional integral
+# representation of A4 = M(3|2,2): X is the image of s (the 3-cycle x) and
+# Y that of s b1 (the image of y under the standard assignment).
+X: Mat = mat([[-1, 1, 0], [-1, 0, 0], [-1, 0, 1]])
+Y: Mat = mat([[0, 0, -1], [0, 1, -1], [1, 0, -1]])
 XINV: Mat = mat_inverse(X)
 YINV: Mat = mat_inverse(Y)
 XYX: Mat = mat_mul(mat_mul(X, Y), X)

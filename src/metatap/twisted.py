@@ -18,10 +18,10 @@ kept as a numerator/denominator pair and `invariant` is None.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional
 
+from .characters import Representation
 from .exactalg import (
-    ExactnessError,
     LaurentPoly,
     ONE,
     PolyMatrix,
@@ -30,21 +30,14 @@ from .exactalg import (
     exact_div,
     supported_on_multiples,
 )
-from .groupcalc import Presentation, fox_images, fox_jacobian
-from .intmat import identity, mat_neg
-from .metabelian import (
-    MetaElem,
-    MetaGroup,
-    Representation,
-    a4_group,
-    a4_irreducible_rep,
-)
-from .twobridge import FractionR, wirtinger_presentation
+from .groupcalc import Presentation, fox_jacobian
+from .intmat import Mat, identity, mat_neg
+from .metabelian import MetaElem, MetaGroup
 
 
-def _phi_generator_minus_one(gen: int, rho: Representation) -> PolyMatrix:
-    """Phi(g - 1) = rho(g) * t - I."""
-    return PolyMatrix({0: mat_neg(identity(rho.dim)), 1: rho.images[gen]}, rho.dim)
+def _phi_generator_minus_one(m: Mat) -> PolyMatrix:
+    """Phi(g - 1) = M t - I for the image M of g."""
+    return PolyMatrix({0: mat_neg(identity(len(m))), 1: m}, len(m))
 
 
 @dataclass(frozen=True)
@@ -67,37 +60,37 @@ class NoUsableColumnError(RuntimeError):
     """Every candidate denominator det Phi(g - 1) vanished."""
 
 
-def twisted_alexander(p: Presentation,
-                      rho: Union[Representation, Sequence[Representation]],
+def twisted_alexander(p: Presentation, rho: Representation,
                       delete: Optional[str] = None) -> TwistedResult:
     """Wada-style determinant ratio; deletes `delete` (default: the last
     generator, falling back to any generator with nonzero denominator).
 
-    `rho` is one representation or a sequence of them standing for their
-    direct sum: the invariant is multiplicative over a direct sum, so the
-    numerator and the denominator are the products of the summands'
-    determinants, all with the same deleted generator.  The character
-    blocks of one assignment share one relator walk (`_fox_tables`)."""
+    `rho` is a direct sum of blocks (`characters.Representation`, or the
+    tests' one-block `oracles.MatrixRep`): it gives their sizes (`dims`), each
+    generator's block images (`block_images`) and every block's Fox table
+    of a relator (`fox_images`).  The invariant is multiplicative over a
+    direct sum, so the numerator and the denominator are the products of
+    the blocks' determinants, all with the same deleted generator."""
     if not p.deficiency_one():
         raise ValueError("presentation must have one fewer relator than generators")
-    reps = [rho] if isinstance(rho, Representation) else list(rho)
     if delete is not None:
         order = [p.gen_index(delete)]
     else:
         order = list(range(p.num_generators, 0, -1))
-    fox_tables = _fox_tables(p, reps)
+    tables = [rho.fox_images(rel) for rel in p.relators]
     for gen in order:
-        den = _product(_phi_generator_minus_one(gen, r).det() for r in reps)
+        den = _product(_phi_generator_minus_one(m).det() for m in rho.block_images[gen])
         if den.is_zero():
             continue
-        num = _product(fox_jacobian(tables, p.num_generators, r.dim, gen).det()
-                       for r, tables in zip(reps, fox_tables))
+        num = _product(
+            fox_jacobian([table[b] for table in tables], p.num_generators, dim, gen).det()
+            for b, dim in enumerate(rho.dims))
         invariant = None
         if not num.is_zero():
             q = exact_div(num, den)
             if q is not None:
                 invariant = canonical(q)
-        elif sum(r.dim for r in reps) > 1:
+        elif sum(rho.dims) > 1:
             invariant = ZERO
         name = p.generators[gen - 1]
         return TwistedResult(
@@ -107,28 +100,6 @@ def twisted_alexander(p: Presentation,
             deleted_generator=name,
         )
     raise NoUsableColumnError("no generator has nonzero det Phi(g - 1)")
-
-
-def _fox_tables(p: Presentation, reps: Sequence[Representation]):
-    """Each summand's Fox table (generator -> PolyMatrix) per relator.
-
-    The character blocks of one assignment name their prefixes by element
-    index and share one walk per relator (`CharacterSplit.fox_images`);
-    every other representation names them by interned matrices
-    (`groupcalc.fox_images`).
-    """
-    walks = {}
-    out = []
-    for r in reps:
-        if r.summand is None:
-            out.append([fox_images(rel, r.images, r.inv_images, r.dim)
-                        for rel in p.relators])
-            continue
-        split, b = r.summand
-        if split not in walks:
-            walks[split] = [split.fox_images(rel) for rel in p.relators]
-        out.append([tables[b] for tables in walks[split]])
-    return out
 
 
 def _product(factors) -> LaurentPoly:
@@ -180,21 +151,9 @@ def check_factorization(twisted: LaurentPoly, delta: LaurentPoly, n: int) -> Ver
 
 
 def standard_assignment(group: MetaGroup, p: Presentation) -> dict[str, MetaElem]:
-    """f(x) = s, f(y) = s b1 for a 2-generator presentation; over A4 these
-    are the images X and Y of xi0."""
+    """f(x) = s, f(y) = s b1 for a 2-generator presentation; over A4 the
+    3-dimensional block sends them to `twinring.X` and `twinring.Y`."""
     if p.num_generators != 2:
         raise ValueError("standard assignment applies to 2-generator presentations")
     return {p.generators[0]: group.s(),
             p.generators[1]: group.mul(group.s(), group.b(1))}
-
-
-def a4_twisted(r: FractionR) -> LaurentPoly:
-    """Canonical 3-dimensional twisted polynomial of K(r) for the standard
-    assignment x -> s, y -> s b1; raises NotHomomorphismError when that
-    assignment is not a homomorphism for this fraction."""
-    p = wirtinger_presentation(r)
-    rho = a4_irreducible_rep(standard_assignment(a4_group(), p), p)
-    result = twisted_alexander(p, rho)
-    if result.invariant is None:
-        raise ExactnessError("3-dimensional invariant was not polynomial")
-    return result.invariant

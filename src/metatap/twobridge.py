@@ -16,9 +16,8 @@ from fractions import Fraction
 from math import ceil, gcd, log2
 from typing import Optional
 
-from .exactalg import ExactnessError, LaurentPoly, canonical
-from .groupcalc import Presentation, Word, fox_images, fox_jacobian
-from .intmat import identity
+from .exactalg import ExactnessError, LaurentPoly, PolyMatrix, canonical
+from .groupcalc import Presentation, Word, fox_jacobian, fox_tally
 
 
 class CFError(ValueError):
@@ -207,14 +206,20 @@ def alexander_poly(p: Presentation) -> LaurentPoly:
     """Classical Alexander polynomial from the abelianized Fox Jacobian.
 
     Needs a deficiency-one presentation whose generators are all meridians
-    (each abelianizes to t).  The last generator's column is deleted; the
+    (each abelianizes to t).  Under the trivial representation every prefix
+    has the image 1, so the relator walk names them all 0 and the counts
+    are the 1x1 Fox tables.  The last generator's column is deleted; the
     result is unit-normalized and must satisfy Delta(1) = +-1.
     """
     if not p.deficiency_one():
         raise ValueError("presentation must have one fewer relator than generators")
     n = p.num_generators
-    trivial = {g: identity(1) for g in range(1, n + 1)}
-    tables = [fox_images(rel, trivial, trivial, 1) for rel in p.relators]
+    tables = []
+    for rel in p.relators:
+        series: dict[int, list] = {}
+        for (gen, d, _), count in fox_tally(rel, lambda x, letter: 0).items():
+            series.setdefault(gen, []).append((d, ((count,),)))
+        tables.append({gen: PolyMatrix(pairs, 1) for gen, pairs in series.items()})
     det = fox_jacobian(tables, n, 1, n).det() if n > 1 else LaurentPoly.one()
     if det.is_zero():
         raise NotAKnotGroupError("Alexander matrix is singular")

@@ -1,7 +1,10 @@
-"""Test helpers for integer and polynomial matrices."""
+"""Test helpers for integer and polynomial matrices and for the matrix
+representations the tests compare with the character blocks."""
 
 from metatap.exactalg import PolyMatrix
 from metatap.intmat import Mat, identity, mat_inverse, mat_mul
+from metatap.oracles import MatrixRep
+from metatap.twinring import X, Y
 
 
 def from_entries(rows) -> PolyMatrix:
@@ -30,3 +33,38 @@ def mat_pow(a: Mat, e: int) -> Mat:
         base = mat_mul(base, base)
         e >>= 1
     return result
+
+
+# The images of b1 = s^-1 (s b1) and b2 = s b1 s^-1 under s -> X, s b1 -> Y.
+_B1 = mat_mul(mat_inverse(X), Y)
+_B2 = mat_mul(mat_mul(X, _B1), mat_inverse(X))
+
+
+def xi0(e) -> Mat:
+    """The irreducible 3-dimensional image X^ell B1^v1 B2^v2 of the element
+    s^ell b1^v1 b2^v2 of A4 = M(3|2,2), with s -> twinring.X and
+    s b1 -> twinring.Y."""
+    assert (e.group.n, e.group.p) == (3, 2)
+    out = mat_pow(X, e.ell)
+    if e.vec[0]:
+        out = mat_mul(out, _B1)
+    if e.vec[1]:
+        out = mat_mul(out, _B2)
+    return out
+
+
+def xi0_rep(assignment, p) -> MatrixRep:
+    """The 3-dimensional representation of an assignment onto A4 through
+    xi0, as an oracle matrix representation."""
+    return MatrixRep(p, 3, {p.gen_index(g): xi0(e) for g, e in assignment.items()})
+
+
+def block_reps(rho) -> list[MatrixRep]:
+    """Each block of a `characters.Representation` as an oracle matrix
+    representation: its generator images and the blocks of their inverse
+    elements, with Fox tables from the interned-matrix walk."""
+    inverses = {g: rho.matrices(rho.letters[-g]) for g in rho.block_images}
+    return [MatrixRep(rho.presentation, dim,
+                      {g: images[b] for g, images in rho.block_images.items()},
+                      {g: images[b] for g, images in inverses.items()})
+            for b, dim in enumerate(rho.dims)]

@@ -18,19 +18,19 @@ from itertools import product
 import pytest
 
 from metatap.exactalg import PolyMatrix, canonical
-from metatap.golden import A4_3DIM, PHI, TORUS, torus_prediction
+from metatap.golden import (
+    A4_3DIM, PHI, TORUS, permutation_rep, phi_verdict, torus_prediction)
 from metatap.groupcalc import Word
 from metatap.intmat import identity, mat_add, mat_mul, mat_scale, mat_sub, zeros
 from metatap.metabelian import (
     NotHomomorphismError,
     a4_group,
-    a4_irreducible_rep,
     build_group,
     cycle_type,
     group_from_name,
 )
 from metatap.oracles import GroupRingElem, fox_derivative, perm_matrix
-from metatap.twisted import a4_twisted, standard_assignment, twisted_alexander
+from metatap.twisted import twisted_alexander
 from metatap.twinring import (
     X,
     XINV,
@@ -50,14 +50,19 @@ from metatap.twinring import (
     yx_geometric,
 )
 from metatap.twobridge import (
-    FractionR,
     H3Form,
     enumerate_fractions,
     h3_expand,
-    wirtinger_presentation,
 )
 
-from matrix_helpers import mat_pow
+from matrix_helpers import block_reps, mat_pow
+
+
+def a4_phi(frac: str):
+    """phi of the standard assignment's block path onto A4: the 3-dim
+    twisted polynomial, since the 4-dim permutation representation is the
+    trivial one plus the 3-dim one."""
+    return phi_verdict(permutation_rep(frac, a4_group()), 3).phi
 
 
 def report(label):
@@ -98,15 +103,20 @@ def test_every_golden_entry_is_an_acceptance_case():
 # -- 1: the displayed 3-dimensional products -----------------------------------
 
 def test_two_bridge_a4_goldens():
+    # the 3-dim character block on its own, and phi of the 4-dim blocks
     for frac, value in A4_3DIM.items():
-        assert a4_twisted(FractionR.parse(frac)) == canonical(value), frac
+        rho = permutation_rep(frac, a4_group())
+        assert rho.dims == [1, 3]
+        three = block_reps(rho)[1]
+        assert twisted_alexander(rho.presentation, three).invariant == canonical(value), frac
+        assert a4_phi(frac) == canonical(value), frac
     report("displayed 3-dim twisted products")
 
 
 # -- 2: base anchor -------------------------------------------------------------
 
 def test_base_anchor():
-    assert a4_twisted(FractionR(1, 3)) == canonical(A4_3DIM["1/3"])
+    assert a4_phi("1/3") == canonical(A4_3DIM["1/3"])
     report("base anchor: 3-dim twisted of K(1/3) = 1 - t^3")
 
 
@@ -183,13 +193,11 @@ def test_h3_sweep_cross_path_alpha_99():
         form = h3_expand(r)
         if form is None:
             continue
-        p = wirtinger_presentation(r)
         try:
-            rho = a4_irreducible_rep(standard_assignment(a4_group(), p), p)
+            fox_value = a4_phi(str(r))
         except NotHomomorphismError:
             continue
         members += 1
-        fox_value = twisted_alexander(p, rho).invariant
         # t^3 support, and both computation paths agree
         assert all(d % 3 == 0 for d, _ in fox_value.terms), str(r)
         assert twisted_via_recursion(r) == fox_value, str(r)
@@ -300,14 +308,11 @@ def test_properties_fox_500_words():
 
 
 def test_properties_column_independence_acceptance_inputs():
-    inputs = []
-    for frac in A4_3DIM:
-        p = wirtinger_presentation(FractionR.parse(frac))
-        inputs.append([a4_irreducible_rep(standard_assignment(a4_group(), p), p)])
-    inputs.extend(entry.representations() for entry in PHI)
-    for reps in inputs:
-        p = reps[0].presentation
-        results = [twisted_alexander(p, reps, delete=name)
+    inputs = [block_reps(permutation_rep(frac, a4_group()))[1] for frac in A4_3DIM]
+    inputs.extend(entry.representation() for entry in PHI)
+    for rho in inputs:
+        p = rho.presentation
+        results = [twisted_alexander(p, rho, delete=name)
                    for name in p.generators]
         first = results[0]
         for other in results[1:]:

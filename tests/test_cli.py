@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metatap import characters, cli, exactalg
+from metatap import characters, cli, exactalg, metabelian
 from metatap.cli import main
 from metatap.exactalg import PolyMatrix, canonical, parse_poly
 from metatap.golden import A4_3DIM, ALEXANDER, PHI, phi_value
@@ -118,6 +118,9 @@ def test_exit_code_1_on_bad_input():
     assert run_cli("compute", "--r", "1/3", "--pres", "8_5",
                    "--group", "A4")[0] == 1
     assert run_cli("compute", "--group", "A4")[0] == 1
+    # an empty exponent
+    assert run_cli("compute", "--r", "1/3", "--group", "A4",
+                   "--assign", "x=s; y=s b1^")[0] == 1
 
 
 def test_compute_unknown_fixed_generator_exit_1():
@@ -197,6 +200,34 @@ def test_compute_tampered_character_blocks_exit_3(monkeypatch, fresh_groups):
         code, out, err = run_cli("compute", "--r", frac, "--group", group)
         assert code == 3 and not out
         assert "outside the blocks" in err
+
+
+def test_compute_tampered_inverse_block_exit_3(monkeypatch):
+    # doubling the block images of y^-1 breaks image * inverse = I
+    genuine = characters.Representation.matrices
+
+    def doubled(self, x):
+        mats = genuine(self, x)
+        if x == self.letters.get(-2):
+            mats = [tuple(tuple(2 * v for v in row) for row in m) for m in mats]
+        return mats
+
+    monkeypatch.setattr(characters.Representation, "matrices", doubled)
+    code, out, err = run_cli("compute", "--r", "3/5", "--group", "M(4|3,2)")
+    assert code == 3 and not out
+    assert err.startswith("internal consistency failure: block 0 of the image "
+                          "of generator 2 times the block of its inverse")
+
+
+def test_compute_wrong_k_exits_1_before_building_the_group(monkeypatch):
+    def refuse(n, p):
+        raise AssertionError(f"built M({n}|{p},k)")
+
+    monkeypatch.setattr(metabelian, "build_group", refuse)
+    for group in ("M(9|2,3)", "M(100000|3,5)"):
+        code, out, err = run_cli("compute", "--r", "1/3", "--group", group)
+        assert code == 1 and not out
+        assert err.startswith("input error: k = ") and "does not match" in err
 
 
 def test_compute_prefix_image_outside_blocks_exit_3(monkeypatch, fresh_groups):
@@ -601,8 +632,14 @@ def test_selftest_reports_every_golden_entry():
 
 # Every argv names the options its command requires, some optional ones and
 # sometimes a stray token.  The values are small enough that every argv runs
-# in well under a second: --jobs never starts a process pool, and --out
-# writes to stdout only.
+# in well under a second: --jobs never starts a process pool, --out writes
+# to stdout only, and M(100000|3,5) has the wrong k, which is reported before
+# the group would be built.  The --pres files are written once per module.
+_FUZZ_PRES_FILES = {
+    "zero_deficiency.pres": b"gens: x y\nrel: x y X Y\nrel: x x\n",
+    "delta_one_zero.pres": b"gens: x y\nrel: x y X Y\n",
+    "not_utf8.pres": b"gens: x y\nrel: x \xff\xfe y\n",
+}
 _FUZZ_COMMANDS = {
     "compute": (("--group",),
                 ("--r", "--pres", "--fix", "--assign", "--all", "--cross-check")),
@@ -613,12 +650,12 @@ _FUZZ_COMMANDS = {
 }
 _FUZZ_VALUES = {
     "--r": ["1/3", "5/27", "3/5", "1/5", "2/6", "1/0", "-1/3", "3/1", "x"],
-    "--pres": ["8_5", "10_159.pres", "missing.pres", "."],
+    "--pres": ["8_5", "10_159.pres", "missing.pres", "."] + sorted(_FUZZ_PRES_FILES),
     "--group": ["A4", "M(4|3,2)", "M(5|2,4)", "M(2|3,1)", "M(2|5,1)", "M(9|9,9)",
-                "M(3|2,3)", "x"],
+                "M(3|2,3)", "M(100000|3,5)", "x"],
     "--fix": ["x", "y", "q"],
     "--assign": ["x=s; y=s b1", "x=s;y=s", "x=s", "x=q", "y=s b9", "x=s^-1; y=s",
-                 "x=b1; y=b1", "x=1; y=1", "x=s; x=s b1; y=s"],
+                 "x=b1; y=b1", "x=1; y=1", "x=s; x=s b1; y=s", "x=s; y=s b1^"],
     "--alpha-max": ["-1", "0", "3", "15", "x"],
     "--out": ["-"],
     "--jobs": ["-1", "0", "1"],
@@ -626,9 +663,25 @@ _FUZZ_VALUES = {
 _FUZZ_STRAY = [[]] * 5 + [["--nope"], ["--quick"], ["--group"], ["extra"]]
 
 
+@pytest.fixture(scope="module")
+def fuzz_pres_dir(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("pres")
+    for name, text in _FUZZ_PRES_FILES.items():
+        (folder / name).write_bytes(text)
+    return folder
+
+
+def test_fuzz_pres_files_exit_1(fuzz_pres_dir):
+    for name in _FUZZ_PRES_FILES:
+        code, out, err = run_cli("compute", "--pres", str(fuzz_pres_dir / name),
+                                 "--group", "A4")
+        assert code == 1 and not out, name
+        assert err.startswith("input error: ") and "Traceback" not in err, name
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.data())
-def test_fuzz_argv_exit_codes(data):
+def test_fuzz_argv_exit_codes(fuzz_pres_dir, data):
     command = data.draw(st.sampled_from(sorted(_FUZZ_COMMANDS)))
     required, optional = _FUZZ_COMMANDS[command]
     if optional:
@@ -638,7 +691,10 @@ def test_fuzz_argv_exit_codes(data):
     for opt in required + tuple(optional):
         argv.append(opt)
         if opt in _FUZZ_VALUES:
-            argv.append(data.draw(st.sampled_from(_FUZZ_VALUES[opt])))
+            value = data.draw(st.sampled_from(_FUZZ_VALUES[opt]))
+            if value in _FUZZ_PRES_FILES:
+                value = str(fuzz_pres_dir / value)
+            argv.append(value)
     argv += data.draw(st.sampled_from(_FUZZ_STRAY))
     code, _, err = run_cli(*argv)
     assert code in (0, 1, 2, 3), argv

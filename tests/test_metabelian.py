@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from metatap.exactalg import PolyMatrix, parse_poly
+from metatap.characters import Representation, representation_blocks
+from metatap.exactalg import ExactnessError, PolyMatrix, parse_poly
 from metatap.groupcalc import parse_presentation
 from metatap.intmat import identity, int_det, mat_mul, mat_neg
 from metatap.knotdata import presentation
@@ -14,28 +15,26 @@ from metatap.metabelian import (
     MetaGroup,
     MixedGroupError,
     NotHomomorphismError,
-    Representation,
-    XI0_X,
-    XI0_Y,
     a4_group,
-    a4_irreducible_rep,
     build_group,
     check_homomorphism,
     conjugate_by_relabeling,
     cycle_type,
     cyclotomic_coeffs,
+    euler_phi,
     find_homs,
     generates,
     group_from_name,
     obstruction_passes,
     unit_classes,
-    xi0,
 )
 from metatap.oracles import (
-    group_word_image, perm_matrix, perm_rep, trivial_rep, word_image)
+    MatrixRep, group_word_image, perm_matrix, perm_rep, trivial_rep, word_image)
+from metatap.twinring import X, Y
+from metatap.twisted import standard_assignment
 from metatap.twobridge import FractionR, alexander_poly, wirtinger_presentation
 
-from matrix_helpers import mat_pow
+from matrix_helpers import mat_pow, xi0
 
 P = parse_poly
 
@@ -84,6 +83,8 @@ def test_group_from_name():
     assert group_from_name("M(5|2,4)").order() == 80
     with pytest.raises(ValueError):
         group_from_name("M(5|2,3)")   # wrong k
+    # k is checked against Euler's totient, which is deg Phi_n
+    assert all(euler_phi(n) == len(cyclotomic_coeffs(n)) - 1 for n in range(1, 60))
     with pytest.raises(ValueError):
         group_from_name("S4")
 
@@ -138,6 +139,13 @@ def test_parse_elem_and_str():
     assert str(e) == "s b1 b4"
     assert g.parse_elem("1") == g.identity_elem()
     assert g.parse_elem("s^2") == g.mul(g.s(), g.s())
+    assert g.parse_elem("b1^3") == g.b(1)
+    for text in ("s b1^", "s^", "b2^x", "s^1.5"):
+        with pytest.raises(ValueError, match="bad exponent in element token"):
+            g.parse_elem(text)
+    for text in ("b", "s bx", "b-1"):
+        with pytest.raises(ValueError, match="bad element token"):
+            g.parse_elem(text)
 
 
 # -- coset permutations -------------------------------------------------------
@@ -320,7 +328,7 @@ def test_check_homomorphism_matches_matrix_products():
                     got = None
                 except NotHomomorphismError as e:
                     got = str(e)
-                rho = Representation(
+                rho = MatrixRep(
                     p, group.p**group.k,
                     {p.gen_index(g): perm_matrix(group, e) for g, e in images.items()},
                     {p.gen_index(g): perm_matrix(group, group.inv(e))
@@ -335,48 +343,44 @@ def test_check_homomorphism_matches_matrix_products():
 
 
 def test_representation_checks_each_image_against_its_inverse():
+    # the block images of every generator times the blocks of its inverse
+    # element are I; blocks that are not inverse to each other are an
+    # internal failure
     p = wirtinger_presentation(FractionR(1, 3))
-    rho = Representation(p, 3, {1: XI0_X, 2: XI0_Y})
-    assert all(mat_mul(rho.images[g], rho.inv_images[g]) == identity(3)
-               for g in (1, 2))
-    # a supplied inverse that is wrong
-    with pytest.raises(ValueError, match="image of generator 2 is not in GL"):
-        Representation(p, 3, {1: XI0_X, 2: XI0_Y},
-                       {1: mat_pow(XI0_X, 2), 2: XI0_Y})
-    # determinant 2 with no inverse supplied
-    with pytest.raises(ValueError, match="image of generator 1 is not in GL"):
-        Representation(p, 2, {1: ((2, 0), (0, 1)), 2: identity(2)})
+    g = a4_group()
+    rho = representation_blocks(standard_assignment(g, p), g, p)
+    for gen, images in rho.block_images.items():
+        inverses = rho.matrices(rho.letters[-gen])
+        assert all(mat_mul(m, inv) == identity(len(m))
+                   for m, inv in zip(images, inverses))
+    # the image of s^2 is the inverse of s's, but not of s b1's
+    letters = {**rho.letters, -2: rho.letters[-1]}
+    with pytest.raises(ExactnessError, match="generator 2 times the block"):
+        Representation(p, g, letters, rho.blocks)
 
 
 def test_xi0_matrices():
-    assert XI0_X == ((-1, 1, 0), (-1, 0, 0), (-1, 0, 1))
-    assert XI0_Y == ((0, 0, -1), (0, 1, -1), (1, 0, -1))
-    assert mat_pow(XI0_X, 3) == identity(3)
+    assert X == ((-1, 1, 0), (-1, 0, 0), (-1, 0, 1))
+    assert Y == ((0, 0, -1), (0, 1, -1), (1, 0, -1))
+    assert mat_pow(X, 3) == identity(3)
     g = a4_group()
-    assert xi0(g.s()) == XI0_X
-    assert xi0(g.mul(g.s(), g.b(1))) == XI0_Y
+    assert xi0(g.s()) == X
+    assert xi0(g.mul(g.s(), g.b(1))) == Y
 
 
 def test_xi0_is_homomorphism():
+    # twinring's X and Y satisfy the group law of M(3|2,2), and xi0 has the
+    # character of the 3-dimensional block of the character images
     g = a4_group()
+    p = wirtinger_presentation(FractionR(1, 3))
+    rho = representation_blocks(standard_assignment(g, p), g, p)
     elems = list(map(g.element, range(g.order())))
     for a in elems:
         for b in elems:
             assert mat_mul(xi0(a), xi0(b)) == xi0(g.mul(a, b))
-
-
-def test_a4_rep_requires_generation():
-    p = wirtinger_presentation(FractionR(1, 3))
-    g = a4_group()
-    with pytest.raises(ValueError):
-        a4_irreducible_rep({"x": g.s(), "y": g.s()}, p)  # abelian image
-    # generation is checked before the relators, then the relators on the
-    # coset tables (xi0 is faithful)
-    p5 = wirtinger_presentation(FractionR(1, 5))
-    with pytest.raises(ValueError, match="do not generate"):
-        a4_irreducible_rep({"x": g.s(), "y": g.elem(2, (0, 0))}, p5)
-    with pytest.raises(NotHomomorphismError, match=r"^relator 1 \(x y x y x "):
-        a4_irreducible_rep({"x": g.s(), "y": g.mul(g.s(), g.b(1))}, p5)
+        trivial, three = rho.matrices(g.index(a))
+        assert trivial == ((1,),)
+        assert sum(three[i][i] for i in range(3)) == sum(xi0(a)[i][i] for i in range(3))
 
 
 def charpoly(m):
@@ -386,17 +390,19 @@ def charpoly(m):
 
 def test_permutation_rep_splits_off_xi0():
     # 4-dim coset rep = trivial (+) 3-dim irreducible, checked through
-    # characteristic polynomials of the generator images
+    # characteristic polynomials of the generator images, against
+    # twinring's X and Y and against the character blocks
     g = a4_group()
     p = wirtinger_presentation(FractionR(1, 3))
     imgs = {"x": g.s(), "y": g.mul(g.s(), g.b(1))}
     rho4 = perm_rep(imgs, g, p)
-    rho3 = a4_irreducible_rep(imgs, p)
+    blocks = representation_blocks(imgs, g, p)
     tminus1 = P("-1 + t")
-    for gen in (1, 2):
+    for gen, m3 in ((1, X), (2, Y)):
         c4 = charpoly(rho4.images[gen])
-        c3 = charpoly(rho3.images[gen])
-        assert c4 == tminus1 * c3
+        assert c4 == tminus1 * charpoly(m3)
+        trivial, three = blocks.block_images[gen]
+        assert c4 == charpoly(trivial) * charpoly(three)
 
 
 # -- homomorphism search ------------------------------------------------------

@@ -33,7 +33,7 @@ def test_k17_64_dim_blocks_match_full_path():
     64-dimensional permutation representation (about 30 s)."""
     g = build_group(7, 2)
     p = wirtinger_presentation(FractionR(1, 7))
-    reps = permutation_rep("1/7", g)
-    assert [rho.dim for rho in reps] == [1] + [7] * 9
+    rho = permutation_rep("1/7", g)
+    assert rho.dims == [1] + [7] * 9
     full = twisted_alexander(p, perm_rep(standard_assignment(g, p), g, p))
-    assert twisted_alexander(p, reps) == full
+    assert twisted_alexander(p, rho) == full

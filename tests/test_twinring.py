@@ -6,7 +6,8 @@ from itertools import product
 import pytest
 
 from metatap.exactalg import LaurentPoly, PolyMatrix, canonical, parse_poly
-from metatap.golden import A4_3DIM
+from metatap.golden import A4_3DIM, permutation_rep, phi_verdict
+from metatap.metabelian import a4_group
 from metatap.intmat import identity, mat_add, mat_mul, mat_scale, mat_sub, zeros
 from metatap.twinring import (
     NotInH3Error,
@@ -32,7 +33,6 @@ from metatap.twinring import (
     twisted_via_recursion,
     yx_geometric,
 )
-from metatap.twisted import a4_twisted
 from metatap.twobridge import FractionR, H3Form
 
 from matrix_helpers import mat_pow
@@ -324,8 +324,9 @@ def test_cross_path_sample():
             b, a = val.numerator, val.denominator
             if a % 2 == 0 or abs(b) % 2 == 0 or not 0 < b < a:
                 continue
-            r = FractionR(b, a)
-            assert twisted_from_form(form) == a4_twisted(r)
+            # phi of the standard assignment's blocks is the 3-dim invariant
+            phi = phi_verdict(permutation_rep(f"{b}/{a}", a4_group()), 3).phi
+            assert twisted_from_form(form) == phi
             checked += 1
     assert checked >= 12
 

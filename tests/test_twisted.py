@@ -8,20 +8,20 @@ import pytest
 from metatap.exactalg import (
     ONE, ZERO, ExactnessError, LaurentPoly, PolyMatrix, canonical, exact_div, parse_poly)
 from metatap.golden import A4_3DIM, PHI, phi_value
-from metatap.groupcalc import Word, fox_images, fox_jacobian, parse_presentation
+from metatap.groupcalc import Word, fox_jacobian, parse_presentation
 from metatap.intmat import identity, mat_inverse, mat_mul
 from metatap.knotdata import presentation
-from metatap.characters import CharacterSplit, representation_blocks, support_blocks
+from metatap.characters import Representation, representation_blocks, support_blocks
 from metatap.metabelian import (
     MetaGroup,
     a4_group,
-    a4_irreducible_rep,
     build_group,
     find_homs,
     group_from_name,
     obstruction_passes,
 )
-from metatap.oracles import GroupRingElem, fox_derivative, perm_rep, phi_map, trivial_rep
+from metatap.oracles import (
+    GroupRingElem, fox_derivative, fox_images, perm_rep, phi_map, trivial_rep)
 from metatap.twisted import (
     _phi_generator_minus_one,
     check_factorization,
@@ -37,13 +37,15 @@ from metatap.twobridge import (
     wirtinger_presentation,
 )
 
+from matrix_helpers import block_reps, xi0_rep
+
 P = parse_poly
 ONE_MINUS_T = P("1 - t")
 
 
 def a4_rho3(r: FractionR):
     p = wirtinger_presentation(r)
-    return p, a4_irreducible_rep(standard_assignment(a4_group(), p), p)
+    return p, xi0_rep(standard_assignment(a4_group(), p), p)
 
 
 # -- phi_map ------------------------------------------------------------------
@@ -58,7 +60,7 @@ def test_phi_map_identity():
 def test_phi_map_generator_grading():
     p, rho = a4_rho3(FractionR(1, 3))
     m = phi_map(GroupRingElem.of(Word([1])), rho).entries()
-    # image of x is the 3x3 matrix of xi0 times t
+    # image of x is twinring.X times t
     assert m[0][0] == P("-t")
     assert m[0][1] == P("t")
     assert m[2][2] == P("t")
@@ -102,16 +104,16 @@ def _per_entry_matrix(series, dim):
 
 
 def _series_test_reps():
-    """(presentation, representation) for the trivial, xi0, character block
-    and perm_rep representations of two knot groups."""
+    """(presentation, matrix representation) for the trivial, xi0, character
+    block and perm_rep representations of two knot groups."""
     out = []
     for frac, group in (("5/27", a4_group()), ("3/5", build_group(4, 3))):
         p = wirtinger_presentation(FractionR.parse(frac))
         images = standard_assignment(group, p)
         out.append((p, trivial_rep(p)))
         if group == a4_group():
-            out.append((p, a4_irreducible_rep(images, p)))
-        out += [(p, rho) for rho in representation_blocks(images, group, p)]
+            out.append((p, xi0_rep(images, p)))
+        out += [(p, rho) for rho in block_reps(representation_blocks(images, group, p))]
         out.append((p, perm_rep(images, group, p)))
     return out
 
@@ -143,7 +145,7 @@ def test_phi_generator_minus_one_matches_phi_map():
     for p, rho in _series_test_reps():
         for gen in range(1, p.num_generators + 1):
             e = GroupRingElem([(Word((gen,)), 1), (Word(), -1)])
-            assert _phi_generator_minus_one(gen, rho) == phi_map(e, rho)
+            assert _phi_generator_minus_one(rho.images[gen]) == phi_map(e, rho)
 
 
 def _fox_images_per_letter(rel, images, inv_images, dim):
@@ -203,7 +205,7 @@ def test_interned_fox_images_match_per_letter_pass():
                 if h is None:
                     continue
                 surjective += onto
-                reps = representation_blocks(h.images, group, p)
+                reps = block_reps(representation_blocks(h.images, group, p))
                 reps.append(perm_rep(h.images, group, p))
                 for rho in reps:
                     _assert_same_fox_tables(p.relators[0], rho.images,
@@ -220,15 +222,14 @@ def test_interned_fox_images_match_per_letter_pass():
 
 def _assert_index_walk_matches_interned(p, group, images):
     # the blocks' tables from one walk on element indices, against the
-    # interned-matrix pass over each block's own images
-    reps = representation_blocks(images, group, p)
-    split = reps[0].summand[0]
-    assert [rho.summand for rho in reps] == [(split, b) for b in range(len(reps))]
+    # oracle's interned-matrix walk over each block's own images
+    rho = representation_blocks(images, group, p)
+    blocks = block_reps(rho)
     for rel in p.relators:
-        walked = split.fox_images(rel)
-        assert len(walked) == len(reps)
-        for rho, table in zip(reps, walked):
-            interned = fox_images(rel, rho.images, rho.inv_images, rho.dim)
+        walked = rho.fox_images(rel)
+        assert len(walked) == len(blocks) == len(rho.dims)
+        for block, table in zip(blocks, walked):
+            (interned,) = block.fox_images(rel)
             assert table == interned
             assert list(table) == list(interned)
             assert all(list(table[g].series) == list(interned[g].series)
@@ -331,7 +332,8 @@ def test_splitting_identity_two_bridge():
         p = wirtinger_presentation(r)
         images = standard_assignment(g, p)
         inv4 = twisted_alexander(p, perm_rep(images, g, p)).invariant
-        inv3 = twisted_alexander(p, a4_irreducible_rep(images, p)).invariant
+        trivial, three = block_reps(representation_blocks(images, g, p))
+        inv3 = twisted_alexander(p, three).invariant
         delta = alexander_poly(p)
         assert canonical(inv4 * ONE_MINUS_T) == canonical(delta * inv3)
 
@@ -375,11 +377,11 @@ def assert_blocks_match_full_path(p, group, images):
     """The block path gives the full permutation path's numerator,
     denominator, deleted generator and invariant; the block dimensions add
     up to p^k, and the trivial block comes first."""
-    reps = representation_blocks(images, group, p)
-    assert sum(rho.dim for rho in reps) == group.p**group.k
-    assert all(m == ((1,),) for m in reps[0].images.values())
-    assert twisted_alexander(p, reps) == twisted_alexander(p, perm_rep(images, group, p))
-    return reps
+    rho = representation_blocks(images, group, p)
+    assert sum(rho.dims) == group.p**group.k
+    assert all(blocks[0] == ((1,),) for blocks in rho.block_images.values())
+    assert twisted_alexander(p, rho) == twisted_alexander(p, perm_rep(images, group, p))
+    return rho
 
 
 def first_surjections(p, group, fix=None):
@@ -436,8 +438,8 @@ def test_blocks_match_full_path_non_free_orbits():
     group = group_from_name("M(3|7,2)")
     p = wirtinger_presentation(FractionR(5, 9))
     (images,) = first_surjections(p, group)
-    reps = assert_blocks_match_full_path(p, group, images)
-    assert [rho.dim for rho in reps] == [1, 18, 18, 6, 6]
+    rho = assert_blocks_match_full_path(p, group, images)
+    assert rho.dims == [1, 18, 18, 6, 6]
 
 
 def test_blocks_match_full_path_bundled_knots():
@@ -481,35 +483,37 @@ def test_block_determinants_multiply_to_full_exactly():
         p = wirtinger_presentation(FractionR.parse(frac))
         images = standard_assignment(group, p)
         full = perm_rep(images, group, p)
-        reps = representation_blocks(images, group, p)
+        rho = representation_blocks(images, group, p)
+        walked = [rho.fox_images(rel) for rel in p.relators]
         for gen in (1, 2):
             den = num = ONE
-            for rho in reps:
-                tables = [fox_images(rel, rho.images, rho.inv_images, rho.dim)
-                          for rel in p.relators]
-                den = den * _phi_generator_minus_one(gen, rho).det()
-                num = num * fox_jacobian(tables, p.num_generators, rho.dim, gen).det()
+            for b, dim in enumerate(rho.dims):
+                tables = [table[b] for table in walked]
+                den = den * _phi_generator_minus_one(rho.block_images[gen][b]).det()
+                num = num * fox_jacobian(tables, p.num_generators, dim, gen).det()
             tables = [fox_images(rel, full.images, full.inv_images, full.dim)
                       for rel in p.relators]
-            assert den == _phi_generator_minus_one(gen, full).det()
+            assert den == _phi_generator_minus_one(full.images[gen]).det()
             assert num == fox_jacobian(tables, p.num_generators, full.dim, gen).det()
 
 
 def test_support_split_rejects_entry_outside_blocks(monkeypatch):
     group = MetaGroup(5, 2)  # not the shared group: its images get tampered
-    x = group.index(group.mul(group.s(), group.b(1)))
-    q = group.character_matrix(group.element(x))
+    g = group.mul(group.s(), group.b(1))
+    x, x_inv = group.index(g), group.index(group.inv(g))
+    q = group.character_matrix(g)
     image = group.character_image(x)
     assert image == tuple((w, u, v) for w, row in enumerate(q)
                           for u, v in enumerate(row) if v)
     blocks = support_blocks(len(q), [image])
     assert [len(b) for b in blocks] == [1, 5, 5, 5]
-    assert CharacterSplit(group, {}, blocks).matrices(x) == [
+    p = parse_presentation("gens: x\nrel: x x x x x\n")
+    rho = Representation(p, group, {1: x, -1: x_inv}, blocks)
+    assert rho.block_images[1] == rho.matrices(x) == [
         tuple(tuple(q[w][u] for u in coords) for w in coords) for coords in blocks]
     w, u = blocks[1][0], blocks[2][0]
     monkeypatch.setattr(group, "character_image",
                         lambda y: image + ((w, u, 1),) if y == x else ())
-    split = CharacterSplit(group, {}, blocks)
-    for build in (split.matrices, split.entries):
-        with pytest.raises(ExactnessError, match="outside the blocks"):
-            build(x)
+    with pytest.raises(ExactnessError, match="outside the blocks"):
+        Representation(p, group, {1: x, -1: x_inv}, blocks)
+

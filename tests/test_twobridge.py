@@ -10,14 +10,10 @@ import pytest
 from metatap.characters import representation_blocks
 from metatap.exactalg import LaurentPoly, canonical, parse_poly
 from metatap.golden import ALEXANDER
-from metatap.groupcalc import fox_images, fox_jacobian, parse_presentation
+from metatap.groupcalc import fox_jacobian, parse_presentation
 from metatap import twobridge
 from metatap.knotdata import BUNDLED, presentation
-from metatap.metabelian import (
-    a4_group,
-    a4_irreducible_rep,
-    group_from_name,
-)
+from metatap.metabelian import a4_group, group_from_name
 from metatap.oracles import fox_derivative, perm_rep, trivial_rep, word_image
 from metatap.twisted import standard_assignment
 from metatap.twobridge import (
@@ -33,7 +29,7 @@ from metatap.twobridge import (
     wirtinger_presentation,
 )
 
-from matrix_helpers import from_entries
+from matrix_helpers import block_reps, from_entries, xi0_rep
 
 P = parse_poly
 
@@ -214,7 +210,8 @@ def fox_jacobian_alexander(p):
 
 def test_fox_jacobian_matches_fox_derivative_jacobian():
     """fox_jacobian against the per-entry Jacobian under the trivial, perm_rep,
-    character-block and xi0 representations, for every deleted column."""
+    character-block and xi0 representations, for every deleted column; the
+    character blocks' tables come from their element-index walk."""
     cases = []
     for source, group_name, assign in (("5/27", "A4", None), ("3/5", "M(4|3,2)", None),
                                        ("8_5", "A4", {"x": "s", "y": "s b1", "z": "s"})):
@@ -226,14 +223,16 @@ def test_fox_jacobian_matches_fox_derivative_jacobian():
             p = presentation(source)
             images = {g: group.parse_elem(e) for g, e in assign.items()}
         reps = [trivial_rep(p), perm_rep(images, group, p)]
-        reps += representation_blocks(images, group, p)
         if group == a4_group():
-            reps.append(a4_irreducible_rep(images, p))
-        cases += [(p, rho) for rho in reps]
+            reps.append(xi0_rep(images, p))
+        cases += [(p, rho, [rho.fox_images(rel)[0] for rel in p.relators])
+                  for rho in reps]
+        blocks = representation_blocks(images, group, p)
+        walked = [blocks.fox_images(rel) for rel in p.relators]
+        cases += [(p, rho, [table[b] for table in walked])
+                  for b, rho in enumerate(block_reps(blocks))]
     assert len(cases) == 15
-    for p, rho in cases:
-        tables = [fox_images(rel, rho.images, rho.inv_images, rho.dim)
-                  for rel in p.relators]
+    for p, rho, tables in cases:
         for delete in range(1, p.num_generators + 1):
             jac = fox_jacobian(tables, p.num_generators, rho.dim, delete)
             assert jac.dim == rho.dim * len(p.relators)
