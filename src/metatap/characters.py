@@ -11,7 +11,7 @@ blocks, is the one representation type the commands use.
 
 from __future__ import annotations
 
-from .exactalg import ExactnessError, PolyMatrix
+from .exactalg import ExactnessError
 from .groupcalc import Presentation, Word, fox_tally
 from .intmat import Mat, identity, mat_mul
 from .metabelian import MetaElem, MetaGroup, check_homomorphism
@@ -53,9 +53,8 @@ class Representation:
     their sizes, and `block_images[g]` lists the diagonal blocks of Q(g)
     for each generator g.  Each block image times the block of its
     inverse element's image must be I; a failure is an ExactnessError.
-    The Fox tables of all blocks come from one relator walk on element
-    indices (`fox_images`), summed from the group's cached character
-    images.
+    The Fox determinants of all blocks come from one relator walk on
+    element indices (`fox_walk`) and the group's cached character images.
     """
 
     def __init__(self, presentation: Presentation, group: MetaGroup,
@@ -70,7 +69,7 @@ class Representation:
         for b, coords in enumerate(blocks):
             for i, c in enumerate(coords):
                 self._owner[c], self._local[c] = b, i
-        self._entries: dict[int, list[tuple[int, int, int, int]]] = {}
+        self._entries: dict[int, tuple[list[tuple[int, int, int]], ...]] = {}
         self.block_images: dict[int, list[Mat]] = {}
         for g in range(1, presentation.num_generators + 1):
             images = self.matrices(letters[g])
@@ -81,50 +80,38 @@ class Representation:
                         f"block of its inverse is not the identity")
             self.block_images[g] = images
 
-    def entries(self, x: int) -> list[tuple[int, int, int, int]]:
-        """The entries (block, row, column, value) of Q(g), g of index x, in
-        block coordinates.  A nonzero entry outside the blocks is an
-        ExactnessError."""
+    def entries(self, x: int) -> tuple[list[tuple[int, int, int]], ...]:
+        """The nonzero entries (row, column, value) of each diagonal block
+        of Q(g), g of index x, in block coordinates.  A nonzero entry
+        outside the blocks is an ExactnessError."""
         out = self._entries.get(x)
         if out is None:
             owner, local = self._owner, self._local
-            out = []
+            out = tuple([] for _ in self.dims)
             for w, u, v in self.group.character_image(x):
                 if owner[w] != owner[u]:
                     raise ExactnessError(
                         f"character matrix of {self.group.element(x)} has a nonzero "
                         f"entry at ({w}, {u}), outside the blocks")
-                out.append((owner[w], local[w], local[u], v))
+                out[owner[w]].append((local[w], local[u], v))
             self._entries[x] = out
         return out
 
     def matrices(self, x: int) -> list[Mat]:
         """The diagonal blocks of Q(g), g of index x."""
         mats = [[[0] * n for _ in range(n)] for n in self.dims]
-        for b, w, u, v in self.entries(x):
-            mats[b][w][u] = v
+        for m, entries in zip(mats, self.entries(x)):
+            for w, u, v in entries:
+                m[w][u] = v
         return [tuple(map(tuple, m)) for m in mats]
 
-    def fox_images(self, rel: Word) -> list[dict[int, PolyMatrix]]:
-        """Phi(dR/dg) of each block for every generator g the relator uses,
-        from one walk of the relator on element indices (`fox_tally`): each
-        prefix is named by its index, and each (generator, degree) sums
-        count * Q(prefix) restricted to the blocks."""
-        group, letters, dims = self.group, self.letters, self.dims
-        sums: dict[tuple[int, int], list[list[list[int]]]] = {}
+    def fox_walk(self, rel: Word) -> list[tuple[int, dict[int, int], tuple]]:
+        """One walk of the relator on element indices (`fox_tally`): for
+        each key (generator, prefix) of its tally, the generator, the
+        degree -> count and the prefix's entries in each block."""
+        group, letters = self.group, self.letters
         tally = fox_tally(rel, lambda x, letter: group.index_mul(x, letters[letter]))
-        for (gen, d, x), count in tally.items():
-            accs = sums.get((gen, d))
-            if accs is None:
-                accs = sums[gen, d] = [[[0] * n for _ in range(n)] for n in dims]
-            for b, w, u, v in self.entries(x):
-                accs[b][w][u] += count * v
-        series: list[dict[int, list]] = [{} for _ in dims]
-        for (gen, d), accs in sums.items():
-            for table, acc in zip(series, accs):
-                table.setdefault(gen, []).append((d, tuple(map(tuple, acc))))
-        return [{gen: PolyMatrix(pairs, n) for gen, pairs in table.items()}
-                for table, n in zip(series, dims)]
+        return [(g, counts, self.entries(x)) for (g, x), counts in tally.items()]
 
 
 def representation_blocks(assignment: dict[str, MetaElem], group: MetaGroup,

@@ -456,6 +456,11 @@ def main(argv=None) -> int:
     except (NoUsableColumnError, ExactnessError) as e:
         print(f"internal consistency failure: {e}", file=sys.stderr)
         return EXIT_INTERNAL
+    except Exception as e:
+        # Anything else is a fault of the program, not of the input: one
+        # line naming it, no traceback.
+        print(f"internal consistency failure: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -79,7 +79,12 @@ class LaurentPoly:
     def terms(self) -> tuple[tuple[int, int], ...]:
         """The (degree, coefficient) pairs of the nonzero terms, by degree."""
         low = self._low
-        return tuple((low + i, c) for i, c in enumerate(self._coeffs) if c)
+        # From a list, not a generator: CPython builds tuple(generator) in a
+        # 10-slot tuple and resizes it, so every freed result lands on the
+        # free list of its length without one having been taken from it.
+        # Over the texts of an A4 scan those free lists fill up by about
+        # 0.3 MB.
+        return tuple([(low + i, c) for i, c in enumerate(self._coeffs) if c])
 
     def is_zero(self) -> bool:
         return not self._coeffs
@@ -364,23 +369,6 @@ class PolyMatrix:
         """m * t^deg."""
         return PolyMatrix({deg: m}, len(m))
 
-    @staticmethod
-    def blocks(grid) -> "PolyMatrix":
-        """The block matrix of a square grid of equal-size PolyMatrix blocks."""
-        if not grid:
-            raise ValueError("a block matrix needs at least one block")
-        size = grid[0][0].dim
-        zero = zeros(size)
-        degrees = set().union(*(blk.series for brow in grid for blk in brow))
-        series = {}
-        for d in degrees:
-            rows = []
-            for brow in grid:
-                coeffs = [blk.series.get(d, zero) for blk in brow]
-                rows.extend(sum(parts, ()) for parts in zip(*coeffs))
-            series[d] = tuple(rows)
-        return PolyMatrix._make(series, size * len(grid))
-
     def entries(self) -> tuple[tuple[LaurentPoly, ...], ...]:
         """The matrix of LaurentPoly entries."""
         n = self.dim
@@ -482,20 +470,32 @@ class PolyMatrix:
                 acc = [(a << shift * (prev - d)) + c for a, c in zip(acc, row)]
                 prev = d
             evaluated.append(tuple(acc))
-        value = int_det(tuple(evaluated))
-        mask, half = (1 << shift) - 1, 1 << (shift - 1)
-        coeffs = []
-        for _ in range(sum(terms[0][0] - terms[-1][0] for terms in rows) + 1):
-            c = value & mask
-            if c >= half:
-                c -= 1 << shift
-            if abs(c) > bound:
-                raise ExactnessError("determinant coefficient exceeds its proven bound")
-            coeffs.append(c)
-            value = (value - c) >> shift
-        if value:
-            raise ExactnessError("determinant exceeds its proven degree bound")
-        return LaurentPoly._from_dense(sum(terms[-1][0] for terms in rows), coeffs)
+        return kronecker_readback(
+            int_det(tuple(evaluated)), shift, bound,
+            sum(terms[0][0] - terms[-1][0] for terms in rows) + 1,
+            sum(terms[-1][0] for terms in rows))
+
+
+def kronecker_readback(value: int, shift: int, bound: int, digits: int,
+                       low: int) -> LaurentPoly:
+    """The polynomial sum c_i t^(low + i), i < digits, whose value at
+    t = 2^shift is `value`, given that no |c_i| exceeds `bound` and
+    2^shift > 4 * bound: each c_i is a balanced base-2^shift digit.  A
+    digit above the bound, or anything left after the last digit, raises
+    ExactnessError."""
+    mask, half = (1 << shift) - 1, 1 << (shift - 1)
+    coeffs = []
+    for _ in range(digits):
+        c = value & mask
+        if c >= half:
+            c -= 1 << shift
+        if abs(c) > bound:
+            raise ExactnessError("determinant coefficient exceeds its proven bound")
+        coeffs.append(c)
+        value = (value - c) >> shift
+    if value:
+        raise ExactnessError("determinant exceeds its proven degree bound")
+    return LaurentPoly._from_dense(low, coeffs)
 
 
 def _rem_monic(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:

@@ -5,11 +5,11 @@ A word is a tuple of nonzero signed ints: letter +k is the k-th generator
 letter denotes the inverse of the lowercase generator.  Words are stored
 freely reduced, so equality of words is equality in the free group.
 
-The Fox calculus is one relator walk (`fox_tally`), read as matrices under
-a representation by `characters.Representation.fox_images` and assembled
-into the Fox matrix by `fox_jacobian`.  The group-ring elements, Fox
-derivatives and prefix-matrix walk it is checked against are in
-`metatap.oracles`.
+The Fox calculus is one relator walk (`fox_tally`), whose counts and the
+prefixes' images under a representation give each block's Fox
+determinant at t = 2^B (`fox_determinant`).  The group-ring elements, Fox
+derivatives, prefix-matrix walk and Fox matrices it is checked against are
+in `metatap.oracles`.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
-from .exactalg import PolyMatrix
+from .exactalg import ZERO, LaurentPoly, kronecker_readback, poly_from_coeffs
+from .intmat import int_det
 
 
 Letter = int
@@ -93,24 +94,24 @@ class Word:
         return f"Word({self.letters})"
 
 
-def fox_tally(rel: Word, step: Callable[[int, int], int]) -> dict[tuple[int, int, int], int]:
+def fox_tally(rel: Word, step: Callable[[int, int], int]) -> dict[tuple[int, int], dict[int, int]]:
     """The one relator walk of the Fox calculus, on named prefixes.
 
     A prefix of the relator is named by an int, the empty prefix by 0, and
     step(x, letter) names prefix x followed by the letter; it is called
-    once per distinct (x, letter).  Returns the signed count of each
-    (generator, degree, prefix) term: for a representation rho that the
+    once per distinct (x, letter).  Returns, for each (generator, prefix),
+    the signed count of each degree: for a representation rho that the
     names stand for, Phi(dR/dg) is the sum of count * rho(prefix) *
     t^degree over the keys of generator g.  Every generator the relator
     uses has a key, also when its counts cancel.
     """
-    tally: dict[tuple[int, int, int], int] = {}
+    tally: dict[tuple[int, int], dict[int, int]] = {}
     steps: dict[tuple[int, int], int] = {}
     cur = deg = 0
     for letter in rel:
         if letter > 0:
-            key = (letter, deg, cur)
-            tally[key] = tally.get(key, 0) + 1
+            counts = tally.setdefault((letter, cur), {})
+            counts[deg] = counts.get(deg, 0) + 1
             deg += 1
         else:
             deg -= 1
@@ -119,19 +120,67 @@ def fox_tally(rel: Word, step: Callable[[int, int], int]) -> dict[tuple[int, int
             nxt = steps[cur, letter] = step(cur, letter)
         cur = nxt
         if letter < 0:
-            key = (-letter, deg, cur)
-            tally[key] = tally.get(key, 0) - 1
+            counts = tally.setdefault((-letter, cur), {})
+            counts[deg] = counts.get(deg, 0) - 1
     return tally
 
 
-def fox_jacobian(tables, num_generators: int, dim: int, delete: int) -> PolyMatrix:
-    """The Fox matrix with generator `delete`'s column removed: one row of
-    blocks per relator's Fox table (generator -> PolyMatrix of Phi(dR/dg)),
-    one column of blocks per kept generator, and a zero block where a
-    relator does not use a generator."""
-    zero = PolyMatrix({}, dim)
-    kept = [g for g in range(1, num_generators + 1) if g != delete]
-    return PolyMatrix.blocks([[table.get(g, zero) for g in kept] for table in tables])
+def fox_determinant(relators, delete: int, dim: int) -> LaurentPoly:
+    """det of the Fox matrix of one block of dimension `dim`, with
+    generator `delete`'s column removed, evaluated straight from the
+    relator walks: no matrix polynomial is built.
+
+    `relators` has one entry per relator: the (generator, counts, entries)
+    of each key of its tally (`fox_tally`), with counts its degree -> count
+    and entries the nonzero (row, column, value) of the block's image of
+    the prefix.  Row w of relator i's block row is shifted by the relator's
+    lowest degree lo_i, and bounded by the sum over kept keys of
+    (sum of |count|) * (sum over row w of |value|): that is at least
+    sum_j |a_wj|_1, so no coefficient of the determinant exceeds the
+    product of the row bounds (see PolyMatrix.det).  Each entry is
+    sum count * 2^(B (d - lo_i)) times the value, one int_det is taken at
+    t = 2^B, and the digits are read back (`kronecker_readback`).  A 1x1
+    matrix is its entry, and a zero row gives 0.
+    """
+    rows, bound = [], 1
+    for terms in relators:
+        kept = [((g - 1 - (g > delete)) * dim, counts, entries)
+                for g, counts, entries in terms if g != delete]
+        degrees = [d for _, counts, _ in kept for d, c in counts.items() if c]
+        if not degrees:
+            return ZERO
+        sums = [0] * dim
+        for _, counts, entries in kept:
+            weight = sum(map(abs, counts.values()))
+            for w, _, v in entries:
+                sums[w] += weight * abs(v)
+        for s in sums:
+            bound *= s
+        if not bound:
+            return ZERO
+        rows.append((min(degrees), max(degrees), kept))
+    if len(rows) * dim == 1:
+        ((lo, hi, kept),) = rows
+        coeffs = [0] * (hi - lo + 1)
+        for _, counts, entries in kept:
+            for _, _, v in entries:
+                for d, c in counts.items():
+                    if c:
+                        coeffs[d - lo] += c * v
+        return poly_from_coeffs(coeffs, lo)
+    shift = (4 * bound).bit_length()
+    size = len(rows) * dim
+    matrix = []
+    for lo, _, kept in rows:
+        block_rows = [[0] * size for _ in range(dim)]
+        for col, counts, entries in kept:
+            c = sum(count << shift * (d - lo) for d, count in counts.items() if count)
+            for w, u, v in entries:
+                block_rows[w][col + u] += c * v
+        matrix.extend(block_rows)
+    return kronecker_readback(
+        int_det(matrix), shift, bound, dim * sum(hi - lo for lo, hi, _ in rows) + 1,
+        dim * sum(lo for lo, _, _ in rows))
 
 
 # ---------------------------------------------------------------------------

@@ -2,20 +2,27 @@
 compare with the production code.  No production module imports this one.
 
     oracle                      production counterpart
-    GroupRingElem,              groupcalc.fox_tally and Representation.fox_images
-      fox_derivative            (the one relator walk and its prefix images)
+    GroupRingElem,              groupcalc.fox_tally (the one relator walk)
+      fox_derivative
     fox_derivative_recursive    fox_derivative (the product rule, letter by letter)
-    fox_images                  characters.Representation.fox_images (prefixes
+    fox_images                  characters.Representation.fox_walk (prefixes
                                 named by interned matrices, not element indices)
+    fox_tables, block_matrix,   groupcalc.fox_determinant (each block's Fox
+      fox_jacobian              matrix as a matrix polynomial, not evaluated
+                                from the walk)
+    phi_generator_minus_one     twisted's denominators det(M t - I)
+    twisted_alexander_tables    twisted.twisted_alexander (the determinant
+                                ratio from Fox tables, for any representation)
     MatrixRep                   characters.Representation (one block of
                                 explicit matrices, no character basis)
-    phi_map, word_image         fox_images, twisted's Phi(g - 1)
-    trivial_rep                 twobridge.alexander_poly's 1x1 Fox tables
+    phi_map, word_image         fox_images, phi_generator_minus_one
+    trivial_rep                 twobridge.alexander_poly's trivial block
     perm_rep, perm_matrix       characters.representation_blocks (the full
                                 p^k-dimensional permutation path)
     group_word_image            metabelian.find_homs and check_homomorphism
                                 (relators on the coset tables)
-    det_bareiss                 exactalg.PolyMatrix.det (Kronecker substitution)
+    det_bareiss                 exactalg.PolyMatrix.det and the evaluated Fox
+                                determinants (Kronecker substitution)
 
 The Fox derivative follows the left-to-right product rule
 d(uv)/dg = du/dg + u * dv/dg  with  d(g)/dg = 1  and  d(g^-1)/dg = -g^-1.
@@ -25,10 +32,12 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Optional
 
-from .exactalg import ONE, ZERO, ExactnessError, LaurentPoly, PolyMatrix, exact_div
+from .exactalg import (
+    ONE, ZERO, ExactnessError, LaurentPoly, PolyMatrix, canonical, exact_div)
 from .groupcalc import Presentation, Word, fox_tally
-from .intmat import Mat, identity, mat_inverse, mat_mul, mat_scale
+from .intmat import Mat, identity, mat_inverse, mat_mul, mat_neg, mat_scale, zeros
 from .metabelian import MetaElem, MetaGroup, check_homomorphism
+from .twisted import NoUsableColumnError, TwistedResult, _product
 
 IDENTITY = Word()
 
@@ -128,8 +137,9 @@ def fox_images(rel: Word, images: Mapping[int, Mat], inv_images: Mapping[int, Ma
     """Phi(dR/dg) for every generator g at once, one pass over the relator.
 
     Phi sends a word w to (its image under `images`) * t^(exponent sum of w).
-    Returns generator -> PolyMatrix for every generator the relator uses;
-    these equal the images of `fox_derivative(rel, g)`.
+    Returns generator -> PolyMatrix, its degrees in increasing order, for
+    every generator the relator uses; these equal the images of
+    `fox_derivative(rel, g)`.
 
     The prefixes are named by interned matrices: each distinct prefix
     matrix gets a small id the first time it appears, and `fox_tally`
@@ -150,23 +160,25 @@ def fox_images(rel: Word, images: Mapping[int, Mat], inv_images: Mapping[int, Ma
         return nxt
 
     sums: dict[int, dict[int, list[list[int]]]] = {}
-    for (gen, d, pid), count in fox_tally(rel, step).items():
-        acc = sums.setdefault(gen, {}).get(d)
-        if acc is None:
-            acc = sums[gen][d] = [[0] * dim for _ in range(dim)]
-        if count:
-            for arow, mrow in zip(acc, prefixes[pid]):
-                for j, x in enumerate(mrow):
-                    if x:
-                        arow[j] += count * x
-    return {gen: PolyMatrix(((d, tuple(map(tuple, m))) for d, m in series.items()), dim)
+    for (gen, pid), counts in fox_tally(rel, step).items():
+        for d, count in counts.items():
+            acc = sums.setdefault(gen, {}).get(d)
+            if acc is None:
+                acc = sums[gen][d] = [[0] * dim for _ in range(dim)]
+            if count:
+                for arow, mrow in zip(acc, prefixes[pid]):
+                    for j, x in enumerate(mrow):
+                        if x:
+                            arow[j] += count * x
+    return {gen: PolyMatrix(((d, tuple(map(tuple, m))) for d, m in sorted(series.items())),
+                            dim)
             for gen, series in sums.items()}
 
 
 class MatrixRep:
     """Generator images in GL(dim, Z) as one block: the oracle counterpart
-    of `characters.Representation`, with the same `dims`, `block_images`
-    and `fox_images`.  Each inverse image is supplied or computed."""
+    of `characters.Representation`, with the same `dims` and
+    `block_images`.  Each inverse image is supplied or computed."""
 
     def __init__(self, presentation: Presentation, dim: int, images: dict[int, Mat],
                  inv_images: Optional[dict[int, Mat]] = None):
@@ -177,8 +189,96 @@ class MatrixRep:
         self.dims = [dim]
         self.block_images = {g: [m] for g, m in images.items()}
 
-    def fox_images(self, rel: Word) -> list[dict[int, PolyMatrix]]:
-        return [fox_images(rel, self.images, self.inv_images, self.dim)]
+
+def fox_tables(rho, rel: Word) -> list[dict[int, PolyMatrix]]:
+    """Phi(dR/dg) of each block of rho for every generator g the relator
+    uses, its degrees in increasing order: for a MatrixRep from the
+    interned-matrix walk (`fox_images`), for a `characters.Representation`
+    from its walk on element indices, each (generator, degree) summing
+    count * Q(prefix) restricted to the blocks."""
+    if isinstance(rho, MatrixRep):
+        return [fox_images(rel, rho.images, rho.inv_images, rho.dim)]
+    series: list[dict[int, list]] = [{} for _ in rho.dims]
+    for gen, counts, entries in rho.fox_walk(rel):
+        for table, block, n in zip(series, entries, rho.dims):
+            pairs = table.setdefault(gen, [])
+            for d, count in counts.items():
+                acc = [[0] * n for _ in range(n)]
+                for w, u, v in block:
+                    acc[w][u] = count * v
+                pairs.append((d, tuple(map(tuple, acc))))
+    return [{gen: PolyMatrix(sorted(pairs, key=lambda pair: pair[0]), n)
+             for gen, pairs in table.items()}
+            for table, n in zip(series, rho.dims)]
+
+
+def block_matrix(grid) -> PolyMatrix:
+    """The block matrix of a square grid of equal-size PolyMatrix blocks."""
+    if not grid:
+        raise ValueError("a block matrix needs at least one block")
+    size = grid[0][0].dim
+    zero = zeros(size)
+    degrees = set().union(*(blk.series for brow in grid for blk in brow))
+    series = {}
+    for d in degrees:
+        rows = []
+        for brow in grid:
+            coeffs = [blk.series.get(d, zero) for blk in brow]
+            rows.extend(sum(parts, ()) for parts in zip(*coeffs))
+        series[d] = tuple(rows)
+    return PolyMatrix(series, size * len(grid))
+
+
+def fox_jacobian(tables, num_generators: int, dim: int, delete: int) -> PolyMatrix:
+    """The Fox matrix with generator `delete`'s column removed: one row of
+    blocks per relator's Fox table (generator -> PolyMatrix of Phi(dR/dg)),
+    one column of blocks per kept generator, and a zero block where a
+    relator does not use a generator."""
+    zero = PolyMatrix({}, dim)
+    kept = [g for g in range(1, num_generators + 1) if g != delete]
+    return block_matrix([[table.get(g, zero) for g in kept] for table in tables])
+
+
+def phi_generator_minus_one(m: Mat) -> PolyMatrix:
+    """Phi(g - 1) = M t - I for the image M of g."""
+    return PolyMatrix({0: mat_neg(identity(len(m))), 1: m}, len(m))
+
+
+def twisted_alexander_tables(p: Presentation, rho, delete: Optional[str] = None,
+                             det=PolyMatrix.det) -> TwistedResult:
+    """The determinant ratio of `twisted.twisted_alexander` from Fox tables
+    (`fox_tables`) for a MatrixRep or a `characters.Representation`: each
+    block's Fox matrix (`fox_jacobian`) and Phi(g - 1) are built as matrix
+    polynomials, and `det` (PolyMatrix.det or det_bareiss) takes their
+    determinants."""
+    if not p.deficiency_one():
+        raise ValueError("presentation must have one fewer relator than generators")
+    if delete is not None:
+        order = [p.gen_index(delete)]
+    else:
+        order = list(range(p.num_generators, 0, -1))
+    tables = [fox_tables(rho, rel) for rel in p.relators]
+    for gen in order:
+        den = _product(det(phi_generator_minus_one(m)) for m in rho.block_images[gen])
+        if den.is_zero():
+            continue
+        num = _product(
+            det(fox_jacobian([table[b] for table in tables], p.num_generators, dim, gen))
+            for b, dim in enumerate(rho.dims))
+        invariant = None
+        if not num.is_zero():
+            q = exact_div(num, den)
+            if q is not None:
+                invariant = canonical(q)
+        elif sum(rho.dims) > 1:
+            invariant = ZERO
+        return TwistedResult(
+            numerator=canonical(num) if not num.is_zero() else ZERO,
+            denominator=canonical(den),
+            invariant=invariant,
+            deleted_generator=p.generators[gen - 1],
+        )
+    raise NoUsableColumnError("no generator has nonzero det Phi(g - 1)")
 
 
 def word_image(rho: MatrixRep, word: Word) -> Mat:

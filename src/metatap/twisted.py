@@ -8,11 +8,12 @@ nonzero, and divide:
 
     invariant = det(remaining blocks) / det(Phi(g - 1))
 
+Both determinants are taken as integers at t = 2^B with a proven bound on
+their coefficients and read back digit by digit; the Fox matrix is
+evaluated straight from the relator walks (`groupcalc.fox_determinant`).
 The ratio is well defined up to +-t^k and is independent of the deleted
 column; both facts are exercised by the test suite rather than assumed.
-For representations of dimension > 1 the division is exact in Z[t, 1/t];
-for the trivial 1-dimensional representation the ratio Delta(t)/(1 - t) is
-kept as a numerator/denominator pair and `invariant` is None.
+For representations of dimension > 1 the division is exact in Z[t, 1/t].
 """
 
 from __future__ import annotations
@@ -24,20 +25,33 @@ from .characters import Representation
 from .exactalg import (
     LaurentPoly,
     ONE,
-    PolyMatrix,
     ZERO,
     canonical,
     exact_div,
+    kronecker_readback,
+    poly_from_coeffs,
     supported_on_multiples,
 )
-from .groupcalc import Presentation, fox_jacobian
-from .intmat import Mat, identity, mat_neg
+from .groupcalc import Presentation, fox_determinant
+from .intmat import Mat, int_det
 from .metabelian import MetaElem, MetaGroup
 
 
-def _phi_generator_minus_one(m: Mat) -> PolyMatrix:
-    """Phi(g - 1) = M t - I for the image M of g."""
-    return PolyMatrix({0: mat_neg(identity(len(m))), 1: m}, len(m))
+def _denominator(m: Mat) -> LaurentPoly:
+    """det Phi(g - 1) = det(M t - I) for the image M of g.  Row i of
+    M t - I has sum_j |a_ij|_1 = sum_j |m_ij| + 1, so the product of these
+    bounds every coefficient, and one int_det at t = 2^B is read back
+    (`kronecker_readback`)."""
+    n = len(m)
+    if n == 1:
+        return poly_from_coeffs((-1, m[0][0]))
+    bound = 1
+    for row in m:
+        bound *= sum(map(abs, row)) + 1
+    shift = (4 * bound).bit_length()
+    evaluated = [[(v << shift) - (i == j) for j, v in enumerate(row)]
+                 for i, row in enumerate(m)]
+    return kronecker_readback(int_det(evaluated), shift, bound, n + 1, 0)
 
 
 @dataclass(frozen=True)
@@ -65,25 +79,25 @@ def twisted_alexander(p: Presentation, rho: Representation,
     """Wada-style determinant ratio; deletes `delete` (default: the last
     generator, falling back to any generator with nonzero denominator).
 
-    `rho` is a direct sum of blocks (`characters.Representation`, or the
-    tests' one-block `oracles.MatrixRep`): it gives their sizes (`dims`), each
-    generator's block images (`block_images`) and every block's Fox table
-    of a relator (`fox_images`).  The invariant is multiplicative over a
-    direct sum, so the numerator and the denominator are the products of
-    the blocks' determinants, all with the same deleted generator."""
+    `rho` is a direct sum of character blocks.  The invariant is
+    multiplicative over a direct sum, so the numerator and the denominator
+    are the products of the blocks' determinants, all with the same
+    deleted generator.  Each relator is walked once (`fox_walk`), and each
+    block's numerator is evaluated from the walks (`fox_determinant`)."""
     if not p.deficiency_one():
         raise ValueError("presentation must have one fewer relator than generators")
     if delete is not None:
         order = [p.gen_index(delete)]
     else:
         order = list(range(p.num_generators, 0, -1))
-    tables = [rho.fox_images(rel) for rel in p.relators]
+    walks = [rho.fox_walk(rel) for rel in p.relators]
     for gen in order:
-        den = _product(_phi_generator_minus_one(m).det() for m in rho.block_images[gen])
+        den = _product(_denominator(m) for m in rho.block_images[gen])
         if den.is_zero():
             continue
         num = _product(
-            fox_jacobian([table[b] for table in tables], p.num_generators, dim, gen).det()
+            fox_determinant([[(g, counts, entries[b]) for g, counts, entries in walk]
+                             for walk in walks], gen, dim)
             for b, dim in enumerate(rho.dims))
         invariant = None
         if not num.is_zero():

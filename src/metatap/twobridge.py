@@ -16,8 +16,8 @@ from fractions import Fraction
 from math import ceil, gcd, log2
 from typing import Optional
 
-from .exactalg import ExactnessError, LaurentPoly, PolyMatrix, canonical
-from .groupcalc import Presentation, Word, fox_jacobian, fox_tally
+from .exactalg import ExactnessError, LaurentPoly, canonical
+from .groupcalc import Presentation, Word, fox_determinant, fox_tally
 
 
 class CFError(ValueError):
@@ -186,15 +186,14 @@ def _nearest_candidates(num: int, den: int, step: int, count: int = 4) -> list[i
 
 def wirtinger_presentation(r: FractionR) -> Presentation:
     """<x, y | W x W^-1 y^-1> with W = x^e1 y^e2 ... y^e_{alpha-1},
-    e_i = (-1)^floor(i*beta/alpha)."""
+    e_i = (-1)^floor(i*beta/alpha).
+
+    W alternates x and y, starting with x and (alpha being odd) ending
+    with y, so every junction of the relator joins an x-letter to a
+    y-letter and the letters are already freely reduced."""
     a, b = r.alpha, r.beta
-    letters = []
-    for i in range(1, a):
-        gen = 1 if i % 2 == 1 else 2  # alternate x, y starting with x
-        eps = -1 if ((i * b) // a) % 2 else 1
-        letters.append(eps * gen)
-    w = Word(letters)
-    relator = w * Word.gen(1) * w.inverse() * Word.gen(2, -1)
+    w = [(-1 if (i * b // a) % 2 else 1) * (1 if i % 2 else 2) for i in range(1, a)]
+    relator = Word(w + [1] + [-x for x in reversed(w)] + [-2])
     return Presentation(("x", "y"), (relator,), name=str(r))
 
 
@@ -207,20 +206,18 @@ def alexander_poly(p: Presentation) -> LaurentPoly:
 
     Needs a deficiency-one presentation whose generators are all meridians
     (each abelianizes to t).  Under the trivial representation every prefix
-    has the image 1, so the relator walk names them all 0 and the counts
-    are the 1x1 Fox tables.  The last generator's column is deleted; the
-    result is unit-normalized and must satisfy Delta(1) = +-1.
+    has the image 1, so the relator walk names them all 0, and the Fox
+    determinant is that of the trivial block (`fox_determinant`).  The
+    last generator's column is deleted; the result is unit-normalized and
+    must satisfy Delta(1) = +-1.
     """
     if not p.deficiency_one():
         raise ValueError("presentation must have one fewer relator than generators")
     n = p.num_generators
-    tables = []
-    for rel in p.relators:
-        series: dict[int, list] = {}
-        for (gen, d, _), count in fox_tally(rel, lambda x, letter: 0).items():
-            series.setdefault(gen, []).append((d, ((count,),)))
-        tables.append({gen: PolyMatrix(pairs, 1) for gen, pairs in series.items()})
-    det = fox_jacobian(tables, n, 1, n).det() if n > 1 else LaurentPoly.one()
+    one = [(0, 0, 1)]
+    walks = [[(g, counts, one) for (g, _), counts in fox_tally(rel, lambda x, letter: 0).items()]
+             for rel in p.relators]
+    det = fox_determinant(walks, n, 1) if n > 1 else LaurentPoly.one()
     if det.is_zero():
         raise NotAKnotGroupError("Alexander matrix is singular")
     delta = canonical(det)

@@ -29,7 +29,8 @@ from metatap.metabelian import (
     cycle_type,
     group_from_name,
 )
-from metatap.oracles import GroupRingElem, fox_derivative, perm_matrix
+from metatap.oracles import (
+    GroupRingElem, fox_derivative, perm_matrix, twisted_alexander_tables)
 from metatap.twisted import twisted_alexander
 from metatap.twinring import (
     X,
@@ -108,7 +109,8 @@ def test_two_bridge_a4_goldens():
         rho = permutation_rep(frac, a4_group())
         assert rho.dims == [1, 3]
         three = block_reps(rho)[1]
-        assert twisted_alexander(rho.presentation, three).invariant == canonical(value), frac
+        assert twisted_alexander_tables(rho.presentation, three).invariant == \
+            canonical(value), frac
         assert a4_phi(frac) == canonical(value), frac
     report("displayed 3-dim twisted products")
 
@@ -308,12 +310,14 @@ def test_properties_fox_500_words():
 
 
 def test_properties_column_independence_acceptance_inputs():
-    inputs = [block_reps(permutation_rep(frac, a4_group()))[1] for frac in A4_3DIM]
-    inputs.extend(entry.representation() for entry in PHI)
-    for rho in inputs:
+    # the 3-dim A4 blocks through the oracle's Fox tables, every golden
+    # entry's character blocks through the production path
+    inputs = [(twisted_alexander_tables, block_reps(permutation_rep(frac, a4_group()))[1])
+              for frac in A4_3DIM]
+    inputs.extend((twisted_alexander, entry.representation()) for entry in PHI)
+    for twisted, rho in inputs:
         p = rho.presentation
-        results = [twisted_alexander(p, rho, delete=name)
-                   for name in p.generators]
+        results = [twisted(p, rho, delete=name) for name in p.generators]
         first = results[0]
         for other in results[1:]:
             assert canonical(first.numerator * other.denominator) == \

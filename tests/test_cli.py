@@ -14,13 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metatap import characters, cli, exactalg, metabelian
+from metatap import characters, cli, groupcalc, metabelian, twisted
 from metatap.cli import main
 from metatap.exactalg import PolyMatrix, canonical, parse_poly
 from metatap.golden import A4_3DIM, ALEXANDER, PHI, phi_value
 from metatap.knotdata import presentation
 from metatap.metabelian import MetaGroup, build_group, find_homs, group_from_name
-from metatap.oracles import det_bareiss, perm_rep
+from metatap.oracles import (
+    det_bareiss, perm_rep, phi_generator_minus_one, twisted_alexander_tables)
 from metatap.twisted import TwistedResult, check_factorization, twisted_alexander
 from metatap.twobridge import (
     FractionR,
@@ -357,44 +358,75 @@ def test_compute_wrong_relabeling_exit_3(monkeypatch):
 
 
 def test_compute_tampered_determinant_exit_3(monkeypatch):
-    # only the int_det taken by PolyMatrix.det is tampered: the
-    # obstruction's resultants take int_det as well
-    genuine = exactalg.int_det
-    det_code = PolyMatrix.det.__code__
-
-    def tampered(a):
-        value = genuine(a)
-        return value + (1 << 4096) if sys._getframe(1).f_code is det_code else value
-
-    monkeypatch.setattr(exactalg, "int_det", tampered)
+    # only the int_det of the evaluated Fox determinants is tampered: the
+    # denominators and the obstruction's resultants take their own
+    genuine = groupcalc.int_det
+    monkeypatch.setattr(groupcalc, "int_det", lambda a: genuine(a) + (1 << 4096))
     code, out, err = run_cli("compute", "--r", "3/5", "--group", "M(4|3,2)")
     assert code == 3 and not out
     assert err.startswith("internal consistency failure: ") and err.count("\n") == 1
     assert "bound" in err and "Traceback" not in err
 
 
+def test_unexpected_exception_exit_3_without_traceback(monkeypatch):
+    def broken(p, rho):
+        raise KeyError("no such block")
+
+    monkeypatch.setattr(cli, "twisted_alexander", broken)
+    code, out, err = run_cli("compute", "--r", "5/27", "--group", "A4")
+    assert code == 3 and not out
+    assert err == "internal consistency failure: KeyError: 'no such block'\n"
+    assert "Traceback" not in err
+
+
+def fox_matrix(relators, delete, dim):
+    """The Fox matrix whose determinant fox_determinant evaluates, as a
+    PolyMatrix: relator i's keys fill block row i, generator g's block
+    column among the kept generators, with count * value at each degree."""
+    size = len(relators) * dim
+    acc = {}
+    for i, terms in enumerate(relators):
+        for g, counts, entries in terms:
+            if g == delete:
+                continue
+            col = (g - 1 - (g > delete)) * dim
+            for d, c in counts.items():
+                m = acc.setdefault(d, [[0] * size for _ in range(size)])
+                for w, u, v in entries:
+                    m[i * dim + w][col + u] += c * v
+    return PolyMatrix({d: tuple(map(tuple, m)) for d, m in acc.items()}, size)
+
+
 @pytest.mark.parametrize("flag, source, group", [
     ("--r", "1/5", "M(5|2,4)"), ("--pres", "10_145", "M(5|2,4)"),
     ("--r", "3/5", "M(4|3,2)"), ("--r", "5/27", "A4")])
 def test_compute_determinants_match_bareiss_oracle(monkeypatch, flag, source, group):
-    # every numerator and denominator matrix compute builds, against the
-    # elimination over Z[t, 1/t]
-    genuine = PolyMatrix.det
-    matrices = []
+    # every numerator and denominator compute evaluates, against the
+    # elimination over Z[t, 1/t] of the same matrix
+    genuine_num, genuine_den = twisted.fox_determinant, twisted._denominator
+    numerators, denominators = [], []
 
-    def recording(self):
-        matrices.append(self)
-        return genuine(self)
+    def recording_num(relators, delete, dim):
+        value = genuine_num(relators, delete, dim)
+        numerators.append((fox_matrix(relators, delete, dim), value))
+        return value
 
-    monkeypatch.setattr(PolyMatrix, "det", recording)
+    def recording_den(m):
+        value = genuine_den(m)
+        denominators.append((phi_generator_minus_one(m), value))
+        return value
+
+    monkeypatch.setattr(twisted, "fox_determinant", recording_num)
+    monkeypatch.setattr(twisted, "_denominator", recording_den)
     assert run_cli("compute", flag, source, "--group", group)[0] == 0
-    assert max(m.dim for m in matrices) > 1
-    for m in matrices:
-        assert genuine(m) == det_bareiss(m)
+    assert max(m.dim for m, _ in numerators) > 1
+    assert max(m.dim for m, _ in denominators) > 1
+    for m, value in numerators + denominators:
+        assert value == det_bareiss(m)
 
 
 # Every golden input of the suite.  compute takes one determinant per class;
-# the reference runs perm_rep + twisted_alexander on each assignment alone,
+# the reference runs perm_rep + twisted_alexander_tables on each assignment alone,
 # which takes 10-35 s for each of the inputs marked slow (run with -m slow).
 _SLOW = {("7/11", "M(3|5,2)"), ("9/23", "M(3|5,2)"), ("9/31", "M(3|5,2)"),
          ("10_145", "M(5|2,4)"), ("10_159", "M(5|2,4)")}
@@ -423,7 +455,7 @@ def test_compute_matches_per_assignment_path(source, name, group_name):
     for h in find_homs(p, group):
         if not h.surjective:
             continue
-        invariant = twisted_alexander(p, perm_rep(h.images, group, p)).invariant
+        invariant = twisted_alexander_tables(p, perm_rep(h.images, group, p)).invariant
         verdict = check_factorization(invariant, delta, group.n)
         expected.append({
             "input": str(r) if source == "--r" else p.name,

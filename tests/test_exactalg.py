@@ -17,6 +17,7 @@ from metatap.exactalg import (
     ONE,
     canonical,
     exact_div,
+    kronecker_readback,
     normalize,
     parse_poly,
     poly_from_coeffs,
@@ -25,7 +26,7 @@ from metatap.exactalg import (
 )
 from metatap.intmat import identity, int_det, mat_neg, zeros
 from metatap.metabelian import cyclotomic_coeffs
-from metatap.oracles import det_bareiss
+from metatap.oracles import block_matrix, det_bareiss
 
 from matrix_helpers import from_entries
 
@@ -340,6 +341,27 @@ def test_det_reads_coefficients_at_the_bound():
             assert m.det() == expected == det_bareiss(m)
 
 
+def test_readback_at_the_bound():
+    # a coefficient equal to the bound reads back; one above it, or a value
+    # left after the last digit, raises
+    rng = random.Random(47)
+    for _ in range(60):
+        bound = rng.randint(1, 2**rng.randint(1, 80))
+        shift = (4 * bound).bit_length()
+        digits, low = rng.randint(1, 6), rng.randint(-5, 5)
+        coeffs = [rng.randint(-bound, bound) for _ in range(digits)]
+        at = rng.randrange(digits)
+        coeffs[at] = rng.choice((1, -1)) * bound
+        value = sum(c << shift * i for i, c in enumerate(coeffs))
+        assert kronecker_readback(value, shift, bound, digits, low) == \
+            poly_from_coeffs(coeffs, low)
+        beyond = value + (1 << shift * at if coeffs[at] > 0 else -1 << shift * at)
+        with pytest.raises(ExactnessError, match="exceeds its proven bound"):
+            kronecker_readback(beyond, shift, bound, digits, low)
+        with pytest.raises(ExactnessError, match="exceeds its proven degree bound"):
+            kronecker_readback(value + (1 << shift * digits), shift, bound, digits, low)
+
+
 # -- the series format against entrywise arithmetic --------------------------
 # The oracles are the entrywise operations PolyMatrix had when it stored a
 # grid of LaurentPoly entries.
@@ -418,14 +440,14 @@ def test_blocks_match_entrywise_assembly():
         grid = [[from_entries(rand_sparse_matrix(rng, size)) for _ in range(count)]
                 for _ in range(count)]
         grid[0][-1] = PolyMatrix({}, size)
-        big = PolyMatrix.blocks(grid)
+        big = block_matrix(grid)
         assert big.dim == size * count
         expected = tuple(
             tuple(e for blk in brow for e in blk.entries()[i])
             for brow in grid for i in range(size))
         assert big.entries() == expected
     with pytest.raises(ValueError):
-        PolyMatrix.blocks([])
+        block_matrix([])
 
 
 def test_det_matches_bareiss_with_row_shifts(monkeypatch):

@@ -1,10 +1,15 @@
 """Free-group words, Fox derivatives, and the presentation parser."""
 
+import math
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metatap.groupcalc import Presentation, PresentationError, Word, parse_presentation
+from metatap.exactalg import ZERO, LaurentPoly
+from metatap.groupcalc import (
+    Presentation, PresentationError, Word, fox_determinant, parse_presentation)
 from metatap.oracles import GroupRingElem, fox_derivative, fox_derivative_recursive
 
 words = st.lists(
@@ -101,6 +106,26 @@ def test_fox_fundamental_identity(w):
         gminus = GroupRingElem.of(Word([g])) - GroupRingElem.one()
         total = total + dg * gminus
     assert total == GroupRingElem.of(w) - GroupRingElem.one()
+
+
+def test_fox_determinant_reads_coefficients_at_the_bound():
+    # one key per relator, diagonal in the block and in the Fox matrix: the
+    # determinant's one coefficient is +-prod |count * value|, the bound
+    rng = random.Random(53)
+    for n in range(1, 5):
+        for dim in (1, 2, 3):
+            for _ in range(8):
+                relators, coeff, degree = [], 1, 0
+                for g in range(1, n + 1):
+                    c, d = rng.choice((1, -1)) * rng.randint(1, 10**6), rng.randint(-6, 6)
+                    values = [rng.choice((1, -1)) * rng.randint(1, 9) for _ in range(dim)]
+                    relators.append([(g, {d: c}, [(w, w, v) for w, v in enumerate(values)])])
+                    coeff *= c**dim * math.prod(values)
+                    degree += d * dim
+                expected = LaurentPoly([(degree, coeff)])
+                assert fox_determinant(relators, n + 1, dim) == expected
+                # the deleted generator's column held the only nonzero key
+                assert fox_determinant(relators, 1, dim) == ZERO
 
 
 # -- presentations ------------------------------------------------------------

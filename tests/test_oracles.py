@@ -1,5 +1,6 @@
-"""Guards for `metatap.oracles`: no command loads it, and every oracle in
-it is compared with its production counterpart by some test."""
+"""Guards for `metatap.oracles`: no command loads it, every oracle in it is
+compared with its production counterpart by some test, and the oracles'
+Fox-table path appears in no production module."""
 
 import inspect
 import os
@@ -8,7 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-from metatap import oracles
+from metatap import characters, groupcalc, oracles, twisted
+from metatap.exactalg import PolyMatrix
 
 
 def test_cli_does_not_import_oracles():
@@ -37,3 +39,45 @@ def test_every_oracle_is_used_by_a_test():
                      if path != here)
     unused = [name for name in names if not re.search(rf"\b{name}\b", text)]
     assert unused == []
+
+
+# The matrix-polynomial Fox path: prefix-image tables, assembled Fox
+# matrices and Phi(g - 1) as matrix polynomials.  Production evaluates the
+# Fox determinants from the relator walks instead.
+FOX_TABLE_PATH = ("fox_images", "fox_tables", "fox_jacobian", "block_matrix",
+                  "phi_generator_minus_one", "_phi_generator_minus_one",
+                  "twisted_alexander_tables")
+
+
+def test_fox_table_path_only_in_oracles():
+    # no production module defines or calls it, and the production types
+    # and modules no longer carry it
+    call = re.compile(rf"\b({'|'.join(FOX_TABLE_PATH)})\(|[.\s](blocks)\(")
+    package = Path(oracles.__file__).parent
+    modules = sorted(package.glob("*.py"))
+    assert len(modules) > 10
+    for path in modules:
+        if path.name != "oracles.py":
+            found = [m.group(0) for m in call.finditer(path.read_text())]
+            assert found == [], path.name
+    assert not hasattr(PolyMatrix, "blocks")
+    assert not hasattr(characters.Representation, "fox_images")
+    assert not hasattr(groupcalc, "fox_jacobian")
+    assert not hasattr(twisted, "_phi_generator_minus_one")
+    # and a compute run calls none of it
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    script = (
+        "import sys\n"
+        "from metatap import cli\n"
+        "called = set()\n"
+        "def profile(frame, event, arg):\n"
+        "    if event == 'call':\n"
+        "        called.add(frame.f_code.co_name)\n"
+        "sys.setprofile(profile)\n"
+        "status = cli.main(['compute', '--pres', '10_145', '--group', 'M(5|2,4)'])\n"
+        "sys.setprofile(None)\n"
+        f"print(status, sorted(called & set({FOX_TABLE_PATH + ('blocks',)!r})))\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"

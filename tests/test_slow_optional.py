@@ -6,7 +6,7 @@ import pytest
 from metatap.exactalg import canonical
 from metatap.golden import permutation_rep, phi_verdict, torus_exponent, torus_prediction
 from metatap.metabelian import build_group
-from metatap.oracles import perm_rep
+from metatap.oracles import perm_rep, twisted_alexander_tables
 from metatap.twisted import standard_assignment, twisted_alexander
 from metatap.twobridge import FractionR, wirtinger_presentation
 
@@ -35,5 +35,5 @@ def test_k17_64_dim_blocks_match_full_path():
     p = wirtinger_presentation(FractionR(1, 7))
     rho = permutation_rep("1/7", g)
     assert rho.dims == [1] + [7] * 9
-    full = twisted_alexander(p, perm_rep(standard_assignment(g, p), g, p))
+    full = twisted_alexander_tables(p, perm_rep(standard_assignment(g, p), g, p))
     assert twisted_alexander(p, rho) == full

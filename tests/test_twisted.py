@@ -4,11 +4,13 @@ factorization verdicts."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metatap.exactalg import (
     ONE, ZERO, ExactnessError, LaurentPoly, PolyMatrix, canonical, exact_div, parse_poly)
 from metatap.golden import A4_3DIM, PHI, phi_value
-from metatap.groupcalc import Word, fox_jacobian, parse_presentation
+from metatap.groupcalc import Presentation, Word, fox_determinant, parse_presentation
 from metatap.intmat import identity, mat_inverse, mat_mul
 from metatap.knotdata import presentation
 from metatap.characters import Representation, representation_blocks, support_blocks
@@ -21,9 +23,20 @@ from metatap.metabelian import (
     obstruction_passes,
 )
 from metatap.oracles import (
-    GroupRingElem, fox_derivative, fox_images, perm_rep, phi_map, trivial_rep)
+    GroupRingElem,
+    det_bareiss,
+    fox_derivative,
+    fox_images,
+    fox_jacobian,
+    fox_tables,
+    perm_rep,
+    phi_generator_minus_one,
+    phi_map,
+    trivial_rep,
+    twisted_alexander_tables,
+)
 from metatap.twisted import (
-    _phi_generator_minus_one,
+    _denominator,
     check_factorization,
     standard_assignment,
     twisted_alexander,
@@ -145,7 +158,7 @@ def test_phi_generator_minus_one_matches_phi_map():
     for p, rho in _series_test_reps():
         for gen in range(1, p.num_generators + 1):
             e = GroupRingElem([(Word((gen,)), 1), (Word(), -1)])
-            assert _phi_generator_minus_one(rho.images[gen]) == phi_map(e, rho)
+            assert phi_generator_minus_one(rho.images[gen]) == phi_map(e, rho)
 
 
 def _fox_images_per_letter(rel, images, inv_images, dim):
@@ -184,9 +197,9 @@ def _assert_same_fox_tables(rel, images, inv_images, dim):
     old = _fox_images_per_letter(rel, images, inv_images, dim)
     assert new == _as_poly_matrices(old, dim)
     assert list(new) == list(old)
-    # the nonzero degrees in the same order; zero matrices are dropped
+    # the nonzero degrees in increasing order; zero matrices are dropped
     zero = [[0] * dim for _ in range(dim)]
-    assert all(list(new[g].series) == [d for d, m in old[g].items() if m != zero]
+    assert all(list(new[g].series) == sorted(d for d, m in old[g].items() if m != zero)
                for g in old)
 
 
@@ -226,10 +239,10 @@ def _assert_index_walk_matches_interned(p, group, images):
     rho = representation_blocks(images, group, p)
     blocks = block_reps(rho)
     for rel in p.relators:
-        walked = rho.fox_images(rel)
+        walked = fox_tables(rho, rel)
         assert len(walked) == len(blocks) == len(rho.dims)
         for block, table in zip(blocks, walked):
-            (interned,) = block.fox_images(rel)
+            (interned,) = fox_tables(block, rel)
             assert table == interned
             assert list(table) == list(interned)
             assert all(list(table[g].series) == list(interned[g].series)
@@ -271,13 +284,13 @@ def test_fox_images_keep_keys_that_sum_to_zero():
 
 def test_trefoil_three_dim():
     p, rho = a4_rho3(FractionR(1, 3))
-    res = twisted_alexander(p, rho)
+    res = twisted_alexander_tables(p, rho)
     assert res.invariant == P("1 - t^3")
 
 
 def test_trefoil_trivial_rep_is_ratio():
     p = wirtinger_presentation(FractionR(1, 3))
-    res = twisted_alexander(p, trivial_rep(p))
+    res = twisted_alexander_tables(p, trivial_rep(p))
     assert res.invariant is None               # (1 - t + t^2)/(1 - t) is not polynomial
     assert res.numerator == P("1 - t + t^2")
     assert res.denominator == P("1 - t")
@@ -286,7 +299,7 @@ def test_trefoil_trivial_rep_is_ratio():
 def test_trivial_rep_times_one_minus_t_is_alexander():
     for r in enumerate_fractions(99):
         p = wirtinger_presentation(r)
-        res = twisted_alexander(p, trivial_rep(p))
+        res = twisted_alexander_tables(p, trivial_rep(p))
         assert canonical(exact_div(res.numerator * ONE_MINUS_T, res.denominator)) == \
             alexander_poly(p)
 
@@ -296,7 +309,7 @@ def test_k15_sixteen_dim():
     p = wirtinger_presentation(r)
     g = build_group(5, 2)
     rho = perm_rep(standard_assignment(g, p), g, p)
-    res = twisted_alexander(p, rho)
+    res = twisted_alexander_tables(p, rho)
     delta = alexander_poly(p)
     gold = exact_div(delta * phi_value("1/5", "M(5|2,4)"), ONE_MINUS_T)
     assert res.invariant == canonical(gold)
@@ -315,7 +328,7 @@ def test_column_choice_independence():
         else:
             images = {k: group.parse_elem(v) for k, v in assign.items()}
         rho = perm_rep(images, group, p)
-        results = [twisted_alexander(p, rho, delete=g) for g in p.generators]
+        results = [twisted_alexander_tables(p, rho, delete=g) for g in p.generators]
         for a in results:
             for b in results:
                 assert canonical(a.numerator * b.denominator) == \
@@ -331,9 +344,9 @@ def test_splitting_identity_two_bridge():
         r = FractionR.parse(frac)
         p = wirtinger_presentation(r)
         images = standard_assignment(g, p)
-        inv4 = twisted_alexander(p, perm_rep(images, g, p)).invariant
+        inv4 = twisted_alexander_tables(p, perm_rep(images, g, p)).invariant
         trivial, three = block_reps(representation_blocks(images, g, p))
-        inv3 = twisted_alexander(p, three).invariant
+        inv3 = twisted_alexander_tables(p, three).invariant
         delta = alexander_poly(p)
         assert canonical(inv4 * ONE_MINUS_T) == canonical(delta * inv3)
 
@@ -345,7 +358,7 @@ def test_check_factorization_golden():
     p = wirtinger_presentation(r)
     g = a4_group()
     rho = perm_rep(standard_assignment(g, p), g, p)
-    res = twisted_alexander(p, rho)
+    res = twisted_alexander_tables(p, rho)
     v = check_factorization(res.invariant, alexander_poly(p), 3)
     assert v.holds
     assert v.phi == canonical(A4_3DIM["5/27"])
@@ -380,7 +393,7 @@ def assert_blocks_match_full_path(p, group, images):
     rho = representation_blocks(images, group, p)
     assert sum(rho.dims) == group.p**group.k
     assert all(blocks[0] == ((1,),) for blocks in rho.block_images.values())
-    assert twisted_alexander(p, rho) == twisted_alexander(p, perm_rep(images, group, p))
+    assert twisted_alexander(p, rho) == twisted_alexander_tables(p, perm_rep(images, group, p))
     return rho
 
 
@@ -459,7 +472,7 @@ def test_blocks_match_full_path_abelian_assignment():
                         ("3/5", build_group(4, 3)), ("1/5", build_group(2, 5))):
         p = wirtinger_presentation(FractionR.parse(frac))
         images = {g: group.s() for g in p.generators}
-        assert twisted_alexander(p, perm_rep(images, group, p)).invariant is None
+        assert twisted_alexander_tables(p, perm_rep(images, group, p)).invariant is None
         assert_blocks_match_full_path(p, group, images)
         for elem in (group.b(1), group.identity_elem()):
             assert_blocks_match_full_path(p, group, {g: elem for g in p.generators})
@@ -470,13 +483,14 @@ def test_blocks_match_full_path_zero_invariant():
     p = parse_presentation("gens: x y\nrel: x y Y X\n")
     group = build_group(5, 2)
     images = {"x": group.s(), "y": group.mul(group.s(), group.b(1))}
-    assert twisted_alexander(p, perm_rep(images, group, p)).invariant == ZERO
+    assert twisted_alexander_tables(p, perm_rep(images, group, p)).invariant == ZERO
     assert_blocks_match_full_path(p, group, images)
 
 
 def test_block_determinants_multiply_to_full_exactly():
     # not only up to +-t^k: det C * det C^-1 = 1 and the regrouping of rows
-    # and columns into blocks is one permutation applied to both
+    # and columns into blocks is one permutation applied to both; the
+    # blocks' determinants are the evaluated ones of the production path
     for frac, group in (("5/27", a4_group()), ("1/5", build_group(5, 2)),
                         ("3/11", build_group(5, 2)), ("3/5", build_group(4, 3)),
                         ("5/9", build_group(4, 5))):
@@ -484,17 +498,55 @@ def test_block_determinants_multiply_to_full_exactly():
         images = standard_assignment(group, p)
         full = perm_rep(images, group, p)
         rho = representation_blocks(images, group, p)
-        walked = [rho.fox_images(rel) for rel in p.relators]
+        walks = [rho.fox_walk(rel) for rel in p.relators]
         for gen in (1, 2):
             den = num = ONE
             for b, dim in enumerate(rho.dims):
-                tables = [table[b] for table in walked]
-                den = den * _phi_generator_minus_one(rho.block_images[gen][b]).det()
-                num = num * fox_jacobian(tables, p.num_generators, dim, gen).det()
+                den = den * _denominator(rho.block_images[gen][b])
+                num = num * fox_determinant(_block_walks(walks, b), gen, dim)
             tables = [fox_images(rel, full.images, full.inv_images, full.dim)
                       for rel in p.relators]
-            assert den == _phi_generator_minus_one(full.images[gen]).det()
+            assert den == phi_generator_minus_one(full.images[gen]).det()
             assert num == fox_jacobian(tables, p.num_generators, full.dim, gen).det()
+
+
+def _block_walks(walks, b):
+    """Block b's part of the relator walks, as fox_determinant takes it."""
+    return [[(g, counts, entries[b]) for g, counts, entries in walk] for walk in walks]
+
+
+_GROUPS = {"A4": a4_group(), "M(4|3,2)": build_group(4, 3), "M(5|2,4)": build_group(5, 2)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_evaluated_determinants_match_bareiss_tables(data):
+    """Random relator words and generator images: every block's evaluated
+    numerator for every deleted generator, and every denominator, against
+    det_bareiss of the oracle's Fox tables and Phi(g - 1)."""
+    name = data.draw(st.sampled_from(sorted(_GROUPS)))
+    group = _GROUPS[name]
+    ngen = data.draw(st.sampled_from((2, 3) if name != "M(5|2,4)" else (2,)))
+    letter = st.sampled_from([s * g for g in range(1, ngen + 1) for s in (1, -1)])
+    relators = tuple(Word(data.draw(st.lists(letter, max_size=14)))
+                     for _ in range(ngen - 1))
+    p = Presentation(tuple("xyz"[:ngen]), relators)
+    order = group.order()
+    letters = {}
+    for g in range(1, ngen + 1):
+        x = data.draw(st.integers(0, order - 1))
+        letters[g], letters[-g] = x, group.index(group.inv(group.element(x)))
+    blocks = support_blocks(group.p**group.k,
+                            [group.character_image(letters[g]) for g in range(1, ngen + 1)])
+    rho = Representation(p, group, letters, blocks)
+    walks = [rho.fox_walk(rel) for rel in relators]
+    tables = [fox_tables(rho, rel) for rel in relators]
+    for gen in range(1, ngen + 1):
+        for b, dim in enumerate(rho.dims):
+            m = rho.block_images[gen][b]
+            assert _denominator(m) == det_bareiss(phi_generator_minus_one(m))
+            jac = fox_jacobian([table[b] for table in tables], ngen, dim, gen)
+            assert fox_determinant(_block_walks(walks, b), gen, dim) == det_bareiss(jac)
 
 
 def test_support_split_rejects_entry_outside_blocks(monkeypatch):

@@ -10,11 +10,13 @@ import pytest
 from metatap.characters import representation_blocks
 from metatap.exactalg import LaurentPoly, canonical, parse_poly
 from metatap.golden import ALEXANDER
-from metatap.groupcalc import fox_jacobian, parse_presentation
+from metatap.groupcalc import Word, parse_presentation
 from metatap import twobridge
 from metatap.knotdata import BUNDLED, presentation
 from metatap.metabelian import a4_group, group_from_name
-from metatap.oracles import fox_derivative, perm_rep, trivial_rep, word_image
+from metatap.oracles import (
+    det_bareiss, fox_derivative, fox_jacobian, fox_tables, perm_rep, trivial_rep,
+    twisted_alexander_tables, word_image)
 from metatap.twisted import standard_assignment
 from metatap.twobridge import (
     CFError,
@@ -225,10 +227,10 @@ def test_fox_jacobian_matches_fox_derivative_jacobian():
         reps = [trivial_rep(p), perm_rep(images, group, p)]
         if group == a4_group():
             reps.append(xi0_rep(images, p))
-        cases += [(p, rho, [rho.fox_images(rel)[0] for rel in p.relators])
+        cases += [(p, rho, [fox_tables(rho, rel)[0] for rel in p.relators])
                   for rho in reps]
         blocks = representation_blocks(images, group, p)
-        walked = [blocks.fox_images(rel) for rel in p.relators]
+        walked = [fox_tables(blocks, rel) for rel in p.relators]
         cases += [(p, rho, [table[b] for table in walked])
                   for b, rho in enumerate(block_reps(blocks))]
     assert len(cases) == 15
@@ -242,8 +244,24 @@ def test_fox_jacobian_matches_fox_derivative_jacobian():
 def test_alexander_matches_fox_derivative_jacobian():
     knots = [wirtinger_presentation(r) for r in enumerate_fractions(99)]
     knots += [presentation(name) for name in BUNDLED]
+    assert {"8_5", "10_145"} <= {p.name for p in knots}
     for p in knots:
         assert alexander_poly(p) == fox_jacobian_alexander(p), p.name
+        # the trivial representation's Fox tables, eliminated over Z[t, 1/t]
+        tables = twisted_alexander_tables(p, trivial_rep(p), det=det_bareiss)
+        assert alexander_poly(p) == tables.numerator, p.name
+
+
+def test_wirtinger_relator_matches_word_products():
+    # the relator built in one pass, against W x W^-1 y^-1 as word products
+    for r in enumerate_fractions(61):
+        letters = [(-1 if (i * r.beta // r.alpha) % 2 else 1) * (1 if i % 2 else 2)
+                   for i in range(1, r.alpha)]
+        w = Word(letters)
+        old = w * Word.gen(1) * w.inverse() * Word.gen(2, -1)
+        (relator,) = wirtinger_presentation(r).relators
+        assert relator.letters == old.letters, r
+        assert len(relator) == 2 * r.alpha
 
 
 def test_alexander_rejects_non_knot():
