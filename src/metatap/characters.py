@@ -46,7 +46,8 @@ def support_blocks(size: int, images) -> list[list[int]]:
 
 class Representation:
     """The one production representation: the character blocks of one
-    assignment, a direct sum of integer matrix representations.
+    tuple of generator images, a direct sum of integer matrix
+    representations.
 
     `letters` maps each signed generator letter to the element index of
     its image, `blocks` are the coordinate sets of the blocks and `dims`
@@ -55,11 +56,12 @@ class Representation:
     inverse element's image must be I; a failure is an ExactnessError.
     The Fox determinants of all blocks come from one relator walk on
     element indices (`fox_walk`) and the group's cached character images.
+    Nothing in it depends on a presentation, so the group keeps one per
+    tuple of generator images (`representation_blocks`).
     """
 
-    def __init__(self, presentation: Presentation, group: MetaGroup,
-                 letters: dict[int, int], blocks: list[list[int]]):
-        self.presentation = presentation
+    def __init__(self, group: MetaGroup, letters: dict[int, int],
+                 blocks: list[list[int]]):
         self.group = group
         self.letters = letters
         self.blocks = blocks
@@ -71,7 +73,7 @@ class Representation:
                 self._owner[c], self._local[c] = b, i
         self._entries: dict[int, tuple[list[tuple[int, int, int]], ...]] = {}
         self.block_images: dict[int, list[Mat]] = {}
-        for g in range(1, presentation.num_generators + 1):
+        for g in sorted(g for g in letters if g > 0):
             images = self.matrices(letters[g])
             for b, (m, inv) in enumerate(zip(images, self.matrices(letters[-g]))):
                 if mat_mul(m, inv) != identity(len(m)):
@@ -127,14 +129,21 @@ def representation_blocks(assignment: dict[str, MetaElem], group: MetaGroup,
     surjection, one m(p-1)-dimensional block per orbit of m lines under T.
     C depends only on the group, so conjugating every image by it leaves
     the determinants unchanged.
+
+    The assignment is checked against p's relators on every call.  The
+    representation depends only on the generator images, so the group
+    keeps one per tuple of their element indices, with its blocks, checked
+    block images and per-element entries.
     """
     check_homomorphism(p, group, assignment)
-    letters = {}
-    for name in p.generators:
-        g, e = p.gen_index(name), assignment[name]
-        letters[g] = group.index(e)
-        letters[-g] = group.index(group.inv(e))
-    blocks = support_blocks(
-        group.p**group.k,
-        [group.character_image(letters[g]) for g in range(1, p.num_generators + 1)])
-    return Representation(p, group, letters, blocks)
+    key = tuple(group.index(assignment[name]) for name in p.generators)
+    rho = group._representations.get(key)
+    if rho is None:
+        letters = {}
+        for g, (name, x) in enumerate(zip(p.generators, key), start=1):
+            letters[g] = x
+            letters[-g] = group.index(group.inv(assignment[name]))
+        blocks = support_blocks(
+            group.p**group.k, [group.character_image(x) for x in key])
+        rho = group._representations[key] = Representation(group, letters, blocks)
+    return rho

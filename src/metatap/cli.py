@@ -43,8 +43,8 @@ from .metabelian import (
     obstruction_passes,
     unit_classes,
 )
-from .twisted import NoUsableColumnError, check_factorization, twisted_alexander
-from .twinring import NotInH3Error, twisted_via_recursion
+from .twisted import NoUsableColumnError, block_verdict, twisted_alexander
+from .twinring import NotInH3Error, twisted_from_form, twisted_via_recursion
 from .twobridge import (
     FractionR,
     alexander_poly,
@@ -97,7 +97,7 @@ def _compute_records(p: Presentation, group: MetaGroup, delta: LaurentPoly,
 
     `classes` is `unit_classes` of the assignments' images.  The first
     assignment of each class goes through
-    representation_blocks, twisted_alexander and check_factorization.  A
+    representation_blocks, twisted_alexander and block_verdict.  A
     later member reuses its class's result only after
     `conjugate_by_relabeling` has shown, on the coset tables, that its
     permutation representation is conjugate to the representative's by a
@@ -127,7 +127,7 @@ def _compute_records(p: Presentation, group: MetaGroup, delta: LaurentPoly,
                         f"ratio for {input_name} is not a polynomial")
                 verdicts[i] = None
             else:
-                verdict = check_factorization(result.invariant, delta, group.n)
+                verdict = block_verdict(result, delta, group.n)
                 verdicts[i] = (str(result.invariant),
                                None if verdict.phi is None else str(verdict.phi),
                                verdict)
@@ -259,7 +259,7 @@ def _scan_one(packed):
         return []
     recursion_value = None
     if cross_check and group == a4_group() and form is not None:
-        recursion_value = twisted_via_recursion(r)
+        recursion_value = twisted_from_form(form)
     classes = unit_classes(group, surjective)
     records = _compute_records(p, group, delta,
                                [(images, True) for images in surjective],

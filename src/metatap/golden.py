@@ -18,9 +18,10 @@ from typing import Optional
 
 from .characters import Representation, representation_blocks
 from .exactalg import LaurentPoly, parse_poly as P
+from .groupcalc import Presentation
 from .knotdata import presentation
 from .metabelian import MetaGroup, group_from_name
-from .twisted import Verdict, check_factorization, standard_assignment, twisted_alexander
+from .twisted import Verdict, block_verdict, standard_assignment, twisted_alexander
 from .twobridge import FractionR, alexander_poly, wirtinger_presentation
 
 # 3-dimensional twisted polynomials of 2-bridge knots K(beta/alpha), for the
@@ -68,19 +69,20 @@ class PhiGolden:
     quick: bool = True
     budget_s: Optional[float] = None
 
-    def representation(self) -> Representation:
+    def representation(self) -> tuple[Presentation, Representation]:
         return permutation_rep(self.source, group_from_name(self.group), self.assignment)
 
     def verdict(self) -> Verdict:
-        return phi_verdict(self.representation(), group_from_name(self.group).n)
+        return phi_verdict(*self.representation(), group_from_name(self.group).n)
 
 
 def permutation_rep(source: str, group: MetaGroup,
                     assignment: Optional[dict[str, str]] = None
-                    ) -> Representation:
-    """The permutation representation of `source` (a fraction or a bundled
-    name) onto `group` under `assignment` (default: the standard one), as
-    the blocks `representation_blocks` splits it into."""
+                    ) -> tuple[Presentation, Representation]:
+    """The presentation of `source` (a fraction or a bundled name) and its
+    permutation representation onto `group` under `assignment` (default:
+    the standard one), as the blocks `representation_blocks` splits it
+    into."""
     if "/" in source:
         p = wirtinger_presentation(FractionR.parse(source))
     else:
@@ -89,15 +91,14 @@ def permutation_rep(source: str, group: MetaGroup,
         images = standard_assignment(group, p)
     else:
         images = {g: group.parse_elem(e) for g, e in assignment.items()}
-    return representation_blocks(images, group, p)
+    return p, representation_blocks(images, group, p)
 
 
-def phi_verdict(rho: Representation, n: int) -> Verdict:
-    """Factorization verdict of the twisted polynomial of `rho`: phi must
+def phi_verdict(p: Presentation, rho: Representation, n: int) -> Verdict:
+    """Factorization verdict of the twisted polynomial of `rho` on `p`,
+    read off the blocks as `compute` reads it (`block_verdict`): phi must
     be a polynomial in t^n."""
-    p = rho.presentation
-    result = twisted_alexander(p, rho)
-    return check_factorization(result.invariant, alexander_poly(p), n)
+    return block_verdict(twisted_alexander(p, rho), alexander_poly(p), n)
 
 
 def torus_exponent(p: int) -> int:

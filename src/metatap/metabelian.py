@@ -147,10 +147,16 @@ class MetaGroup:
         for _ in range(n - 1):
             self._T_pow.append(self._mat_mod(mat_mul(self._T_pow[-1], self.T)))
         # filled on first use: element index -> character image, unit ->
-        # coset relabeling, generator indices -> whether they generate
+        # coset relabeling, generator indices -> whether they generate and
+        # -> their `characters.Representation`, assignment key -> its orbit
+        # under the units (`unit_classes`), (representative key, member key,
+        # relabeling) -> `conjugate_by_relabeling`'s verdict
         self._character_images: dict[int, tuple[tuple[int, int, int], ...]] = {}
         self._relabelings: dict[Mat, tuple[int, ...]] = {}
         self._generates: dict[tuple[int, ...], bool] = {}
+        self._representations: dict[tuple[int, ...], object] = {}
+        self._unit_orbits: dict[tuple, tuple[tuple[tuple, Mat], ...]] = {}
+        self._conjugates: dict[tuple, bool] = {}
 
     def _mat_mod(self, m: Mat) -> Mat:
         return tuple(tuple(x % self.p for x in row) for row in m)
@@ -353,6 +359,14 @@ class MetaGroup:
         """The coset permutation of s^ell b^vec(v): i -> add[act[ell][i]][v]."""
         act, add = self.index_law
         return [add[i][v] for i in act[ell % self.n]]
+
+    @cached_property
+    def s_coset_tables(self) -> tuple[list[list[int]], list[list[int]]]:
+        """(forward, backward): the coset permutation of s b^vec(v) and its
+        inverse for each coset index v, the candidates of `find_homs`.
+        Built on first use, once per group object."""
+        forward = [self.coset_table(1, v) for v in range(self.p**self.k)]
+        return forward, [_inverse_table(table) for table in forward]
 
     def apply_unit(self, g: MetaElem, unit: Mat) -> MetaElem:
         """phi_U(s^ell b^vec) = s^ell b^(vec U) for a unit U of F_p[T]."""
@@ -606,8 +620,7 @@ def find_homs(p: Presentation, group: MetaGroup,
         return []
     others = [g for g in p.generators if g != fixed_name]
     size = group.p**group.k
-    forward = [group.coset_table(1, v) for v in range(size)]
-    backward = [_inverse_table(table) for table in forward]
+    forward, backward = group.s_coset_tables
     fixed_index = p.gen_index(fixed_name)
     other_index = [p.gen_index(name) for name in others]
     results = []
@@ -641,6 +654,10 @@ def find_homs(p: Presentation, group: MetaGroup,
 # ---------------------------------------------------------------------------
 
 
+def _assignment_key(images: dict[str, MetaElem]) -> tuple:
+    return tuple((g, e.ell, e.vec) for g, e in images.items())
+
+
 def unit_classes(group: MetaGroup,
                  assignments: list[dict[str, MetaElem]]) -> list[tuple[int, Mat]]:
     """Group assignments into classes under the automorphisms phi_U.
@@ -649,19 +666,24 @@ def unit_classes(group: MetaGroup,
     representative, the first assignment of the class in the given order,
     and U is a unit with assignment = phi_U(representative).  The
     permutation representations of one class are conjugate by a permutation
-    matrix, which `conjugate_by_relabeling` checks for each member.
+    matrix, which `conjugate_by_relabeling` checks for each member.  The
+    orbit of each representative's key under the units is kept per group.
     """
-    def key(images):
-        return tuple((g, e.ell, e.vec) for g, e in images.items())
-
     owner: dict[tuple, tuple[int, Mat]] = {}
     out = []
     for i, images in enumerate(assignments):
-        if key(images) not in owner:
-            for unit in group.units:
-                image = {g: group.apply_unit(e, unit) for g, e in images.items()}
-                owner.setdefault(key(image), (i, unit))
-        out.append(owner[key(images)])
+        key = _assignment_key(images)
+        if key not in owner:
+            orbit = group._unit_orbits.get(key)
+            if orbit is None:
+                # phi_U(s^ell b^vec) = s^ell b^(vec U), as `apply_unit`
+                orbit = group._unit_orbits[key] = tuple(
+                    (tuple((g, ell, group._vec_times(vec, unit)) for g, ell, vec in key),
+                     unit)
+                    for unit in group.units)
+            for image_key, unit in orbit:
+                owner.setdefault(image_key, (i, unit))
+        out.append(owner[key])
     return out
 
 
@@ -674,9 +696,19 @@ def conjugate_by_relabeling(group: MetaGroup, rep: dict[str, MetaElem],
     for every generator g and every coset i.  When it holds,
     P(member(g)) = Q P(rep(g)) Q^-1 for the permutation matrix Q of sigma,
     so both representations give the same twisted numerator and
-    denominator determinants exactly.
+    denominator determinants exactly.  The verdict depends only on the two
+    assignments and sigma_U, and is kept per group.
     """
     forward = group.coset_relabeling(unit)
+    key = (_assignment_key(rep), _assignment_key(member), forward)
+    known = group._conjugates.get(key)
+    if known is None:
+        known = group._conjugates[key] = _relabels(group, rep, member, forward)
+    return known
+
+
+def _relabels(group: MetaGroup, rep: dict[str, MetaElem],
+              member: dict[str, MetaElem], forward: tuple[int, ...]) -> bool:
     size = len(forward)
     if rep.keys() != member.keys() or len(set(forward)) != size:
         return False

@@ -23,6 +23,8 @@ compare with the production code.  No production module imports this one.
                                 (relators on the coset tables)
     det_bareiss                 exactalg.PolyMatrix.det and the evaluated Fox
                                 determinants (Kronecker substitution)
+    check_factorization         twisted.block_verdict (phi = twisted (1 - t) /
+                                Delta, not the ratio of the non-trivial blocks)
 
 The Fox derivative follows the left-to-right product rule
 d(uv)/dg = du/dg + u * dv/dg  with  d(g)/dg = 1  and  d(g^-1)/dg = -g^-1.
@@ -33,11 +35,12 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Optional
 
 from .exactalg import (
-    ONE, ZERO, ExactnessError, LaurentPoly, PolyMatrix, canonical, exact_div)
+    ONE, ZERO, ExactnessError, LaurentPoly, PolyMatrix, canonical, exact_div,
+    supported_on_multiples)
 from .groupcalc import Presentation, Word, fox_tally
 from .intmat import Mat, identity, mat_inverse, mat_mul, mat_neg, mat_scale, zeros
 from .metabelian import MetaElem, MetaGroup, check_homomorphism
-from .twisted import NoUsableColumnError, TwistedResult, _product
+from .twisted import NoUsableColumnError, TwistedResult, Verdict, _product
 
 IDENTITY = Word()
 
@@ -180,9 +183,8 @@ class MatrixRep:
     of `characters.Representation`, with the same `dims` and
     `block_images`.  Each inverse image is supplied or computed."""
 
-    def __init__(self, presentation: Presentation, dim: int, images: dict[int, Mat],
+    def __init__(self, dim: int, images: dict[int, Mat],
                  inv_images: Optional[dict[int, Mat]] = None):
-        self.presentation = presentation
         self.dim = dim
         self.images = images
         self.inv_images = inv_images or {g: mat_inverse(m) for g, m in images.items()}
@@ -259,12 +261,14 @@ def twisted_alexander_tables(p: Presentation, rho, delete: Optional[str] = None,
         order = list(range(p.num_generators, 0, -1))
     tables = [fox_tables(rho, rel) for rel in p.relators]
     for gen in order:
-        den = _product(det(phi_generator_minus_one(m)) for m in rho.block_images[gen])
+        dens = tuple(det(phi_generator_minus_one(m)) for m in rho.block_images[gen])
+        den = _product(dens)
         if den.is_zero():
             continue
-        num = _product(
+        nums = tuple(
             det(fox_jacobian([table[b] for table in tables], p.num_generators, dim, gen))
             for b, dim in enumerate(rho.dims))
+        num = _product(nums)
         invariant = None
         if not num.is_zero():
             q = exact_div(num, den)
@@ -272,13 +276,32 @@ def twisted_alexander_tables(p: Presentation, rho, delete: Optional[str] = None,
                 invariant = canonical(q)
         elif sum(rho.dims) > 1:
             invariant = ZERO
-        return TwistedResult(
-            numerator=canonical(num) if not num.is_zero() else ZERO,
-            denominator=canonical(den),
-            invariant=invariant,
-            deleted_generator=p.generators[gen - 1],
-        )
+        return TwistedResult(nums, dens, exact_div(_product(nums[1:]), _product(dens[1:])),
+                             invariant, p.generators[gen - 1])
     raise NoUsableColumnError("no generator has nonzero det Phi(g - 1)")
+
+
+def check_factorization(twisted: LaurentPoly, delta: LaurentPoly, n: int) -> Verdict:
+    """Extract phi = twisted * (1-t) / delta and test its t^n support.
+
+    All equalities are up to +-t^k: phi is unit-normalized before the
+    support test, so a stray unit never causes a false negative.
+    """
+    if delta.is_zero():
+        raise ValueError("delta must be nonzero")
+    if n < 2:
+        raise ValueError("need n >= 2")
+    one_minus_t = LaurentPoly([(0, 1), (1, -1)])
+    quotient = exact_div(twisted * one_minus_t, delta)
+    if quotient is None:
+        return Verdict(False, None, n, "Delta/(1-t) does not divide the invariant")
+    if quotient.is_zero():
+        return Verdict(False, None, n, "invariant is zero")
+    phi = canonical(quotient)
+    if not supported_on_multiples(phi, n):
+        bad = next(d for d, _ in phi.terms if d % n)
+        return Verdict(False, phi, n, f"phi has a term of degree {bad} not divisible by {n}")
+    return Verdict(True, phi, n, "")
 
 
 def word_image(rho: MatrixRep, word: Word) -> Mat:
@@ -299,7 +322,7 @@ def phi_map(e: GroupRingElem, rho: MatrixRep) -> PolyMatrix:
 def trivial_rep(p: Presentation) -> MatrixRep:
     """The 1-dimensional representation sending every generator to 1."""
     one = {g: ((1,),) for g in range(1, p.num_generators + 1)}
-    return MatrixRep(p, 1, one, one)
+    return MatrixRep(1, one, one)
 
 
 def perm_matrix(group: MetaGroup, g: MetaElem) -> Mat:
@@ -325,7 +348,7 @@ def perm_rep(assignment: dict[str, MetaElem], group: MetaGroup,
         g, e = p.gen_index(name), assignment[name]
         images[g] = perm_matrix(group, e)
         inv_images[g] = perm_matrix(group, group.inv(e))
-    return MatrixRep(p, group.p**group.k, images, inv_images)
+    return MatrixRep(group.p**group.k, images, inv_images)
 
 
 def group_word_image(group: MetaGroup, word: Word,

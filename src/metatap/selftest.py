@@ -56,7 +56,7 @@ def run(quick: bool = False, p7: bool = False, out=sys.stdout) -> int:
     for frac, value in golden.A4_3DIM.items():
         r = FractionR.parse(frac)
         want = canonical(value)
-        fox = golden.phi_verdict(golden.permutation_rep(frac, a4_group()), 3)
+        fox = golden.phi_verdict(*golden.permutation_rep(frac, a4_group()), 3)
         report(f"3-dim twisted K({frac}) via Fox calculus", fox.phi == want)
         report(f"3-dim twisted K({frac}) via cf recursion",
                twisted_via_recursion(r) == want)
@@ -92,7 +92,7 @@ def run(quick: bool = False, p7: bool = False, out=sys.stdout) -> int:
     if p7:
         group = build_group(7, 2)
         t0 = time.monotonic()
-        v = golden.phi_verdict(golden.permutation_rep("1/7", group), group.n)
+        v = golden.phi_verdict(*golden.permutation_rep("1/7", group), group.n)
         dt = time.monotonic() - t0
         m7 = golden.torus_exponent(7)
         agrees = v.phi == canonical(golden.torus_prediction(7))

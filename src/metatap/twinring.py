@@ -37,6 +37,7 @@ from .intmat import (
     mat_add,
     mat_inverse,
     mat_mul,
+    mat_neg,
     mat_scale,
 )
 from .twobridge import FractionR, H3Form, h3_expand
@@ -75,6 +76,8 @@ ONE_A = PolyMatrix.identity(3)
 XT = PolyMatrix.monomial(X, 1)
 YT = PolyMatrix.monomial(Y, 1)
 YINV_T = PolyMatrix.monomial(YINV, -1)
+# (x t - 1) y^-1 t^-1, the factor of every prefix in recursion_series' mix
+MIX_FACTOR = (XT - ONE_A) * YINV_T
 
 
 def yx_geometric(m: int) -> PolyMatrix:
@@ -88,6 +91,23 @@ def yx_geometric(m: int) -> PolyMatrix:
     return PolyMatrix(((-2 * j, power3(XINV_YINV, j)) for j in range(1, -m + 1)), 3)
 
 
+# (m y, -y m y) for each power m of YX and XINV_YINV: the terms that a term
+# m t^d of a geometric series G gives in (1 - y t) G y t
+_Y_TERMS: dict[Mat, tuple[Mat, Mat]] = {
+    m: (mat_mul(m, Y), mat_neg(mat_mul(Y, mat_mul(m, Y))))
+    for powers in POWERS.values() for m in powers}
+
+
+def _head(m: int) -> PolyMatrix:
+    """(1 - y t) yx_geometric(m) y t, term by term from `_Y_TERMS`."""
+    pairs = []
+    for d, power in yx_geometric(m).series.items():
+        right, both = _Y_TERMS[power]
+        pairs.append((d + 1, right))
+        pairs.append((d + 2, both))
+    return PolyMatrix(pairs, 3)
+
+
 def _power_term(base: Mat, exp: int, deg_per: int, tail: Mat = None,
                 tail_deg: int = 0) -> PolyMatrix:
     m = power3(base, exp)
@@ -96,6 +116,41 @@ def _power_term(base: Mat, exp: int, deg_per: int, tail: Mat = None,
         m = mat_mul(m, tail)
         deg += tail_deg
     return PolyMatrix.monomial(m, deg)
+
+
+def _part_series(k: int) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix]:
+    """(head, carry, const) of a part 3k of the form: a prefix ending in it
+    has the series head * mix + carry * lam + const, for the series lam of
+    the prefix before it and the weighted sum mix of the shorter prefixes
+    (`recursion_series`).  `const` is summed in one pass."""
+    if k > 0 and k % 2 == 0:          # k = 2s
+        s = k // 2
+        head = _head(3 * s - 1)
+        carry = _power_term(YX, 3 * s, 2)
+        terms = [-_power_term(YX, 3 * s - 3 * j + 2, 2) for j in range(1, s + 1)]
+        terms += [_power_term(YX, 3 * s - 3 * j, 2, Y, 1) for j in range(1, s + 1)]
+    elif k > 0:                        # k = 2s - 1
+        s = (k + 1) // 2
+        head = _head(3 * s - 2) + _power_term(YX, 3 * s - 1, 2)
+        carry = -(_power_term(YX, 3 * s - 1, 2) * YINV_T)
+        terms = [_power_term(YX, 3 * s - 3 * j, 2, Y, 1) for j in range(1, s + 1)]
+        terms += [-_power_term(YX, 3 * s - 3 * j - 1, 2) for j in range(1, s)]
+    elif k % 2 == 0:                   # k = -2s
+        s = -k // 2
+        head = -_head(-3 * s)
+        carry = _power_term(XINV_YINV, 3 * s, -2)
+        terms = [-_power_term(XINV_YINV, 3 * s - 3 * j + 2, -2, XINV, -1)
+                 for j in range(1, s + 1)]
+        terms += [_power_term(XINV_YINV, 3 * s - 3 * j + 1, -2) for j in range(1, s + 1)]
+    else:                              # k = -(2s + 1)
+        s = (-k - 1) // 2
+        head = _power_term(XINV_YINV, 3 * s + 1, -2) - _head(-(3 * s + 1))
+        carry = -(_power_term(XINV_YINV, 3 * s + 1, -2) * YINV_T)
+        terms = [_power_term(XINV_YINV, 3 * s - 3 * j + 1, -2) for j in range(0, s + 1)]
+        terms += [-_power_term(XINV_YINV, 3 * s - 3 * j + 2, -2, XINV, -1)
+                  for j in range(1, s + 1)]
+    const = PolyMatrix([pair for term in terms for pair in term.series.items()], 3)
+    return head, carry, const
 
 
 def recursion_series(form: H3Form) -> PolyMatrix:
@@ -114,52 +169,14 @@ def recursion_series(form: H3Form) -> PolyMatrix:
     cross-path equality tests against Fox calculus.
     """
     lam = ZERO_A                     # series of the empty prefix
-    history: list[PolyMatrix] = []   # series of r_1 .. r_{j}
-    for q in range(1, form.q + 1):
-        k = form.ks[q - 1]
-        # weighted sum over shorter prefixes: sum_j -m_j (x t - 1) y^-1 t^-1 lam_j
-        mix = ZERO_A
-        for j in range(q - 1):
-            contrib = (XT - ONE_A) * YINV_T * history[j]
-            mix = mix + (-form.ms[j]) * contrib
-        if k > 0 and k % 2 == 0:          # k = 2s
-            s = k // 2
-            lam_next = (ONE_A - YT) * yx_geometric(3 * s - 1) * YT * mix
-            lam_next = lam_next + _power_term(YX, 3 * s, 2) * lam
-            for j in range(1, s + 1):
-                lam_next = lam_next - _power_term(YX, 3 * s - 3 * j + 2, 2)
-                lam_next = lam_next + _power_term(YX, 3 * s - 3 * j, 2, Y, 1)
-        elif k > 0:                        # k = 2s - 1
-            s = (k + 1) // 2
-            head = (ONE_A - YT) * yx_geometric(3 * s - 2) * YT \
-                + _power_term(YX, 3 * s - 1, 2)
-            lam_next = head * mix
-            lam_next = lam_next - _power_term(YX, 3 * s - 1, 2) * YINV_T * lam
-            for j in range(1, s + 1):
-                lam_next = lam_next + _power_term(YX, 3 * s - 3 * j, 2, Y, 1)
-            for j in range(1, s):
-                lam_next = lam_next - _power_term(YX, 3 * s - 3 * j - 1, 2)
-        elif k % 2 == 0:                   # k = -2s
-            s = -k // 2
-            lam_next = (YT - ONE_A) * yx_geometric(-3 * s) * YT * mix
-            lam_next = lam_next + _power_term(XINV_YINV, 3 * s, -2) * lam
-            for j in range(1, s + 1):
-                lam_next = lam_next - _power_term(
-                    XINV_YINV, 3 * s - 3 * j + 2, -2, XINV, -1)
-                lam_next = lam_next + _power_term(XINV_YINV, 3 * s - 3 * j + 1, -2)
-        else:                              # k = -(2s + 1)
-            s = (-k - 1) // 2
-            head = (YT - ONE_A) * yx_geometric(-(3 * s + 1)) * YT \
-                + _power_term(XINV_YINV, 3 * s + 1, -2)
-            lam_next = head * mix
-            lam_next = lam_next - _power_term(XINV_YINV, 3 * s + 1, -2) * YINV_T * lam
-            for j in range(0, s + 1):
-                lam_next = lam_next + _power_term(XINV_YINV, 3 * s - 3 * j + 1, -2)
-            for j in range(1, s + 1):
-                lam_next = lam_next - _power_term(
-                    XINV_YINV, 3 * s - 3 * j + 2, -2, XINV, -1)
-        lam = lam_next
-        history.append(lam)
+    # weighted sum over shorter prefixes: sum_j -m_j (x t - 1) y^-1 t^-1 lam_j,
+    # one term added per step
+    mix = ZERO_A
+    for q, k in enumerate(form.ks, start=1):
+        head, carry, const = _part_series(k)
+        lam = head * mix + carry * lam + const
+        if q < form.q:
+            mix = mix + (-form.ms[q - 1]) * (MIX_FACTOR * lam)
     return lam
 
 

@@ -14,6 +14,11 @@ evaluated straight from the relator walks (`groupcalc.fox_determinant`).
 The ratio is well defined up to +-t^k and is independent of the deleted
 column; both facts are exercised by the test suite rather than assumed.
 For representations of dimension > 1 the division is exact in Z[t, 1/t].
+
+Over the character blocks of a knot group's representation, the trivial
+block contributes +-t^k Delta / (1 - t), so the paper's form
+twisted = [Delta/(1-t)] * phi(t^n) is read off the blocks: phi is the ratio
+of the other blocks (`block_verdict`), and Delta is never divided out.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from typing import Optional
 
 from .characters import Representation
 from .exactalg import (
+    ExactnessError,
     LaurentPoly,
     ONE,
     ZERO,
@@ -56,18 +62,33 @@ def _denominator(m: Mat) -> LaurentPoly:
 
 @dataclass(frozen=True)
 class TwistedResult:
-    """Determinant ratio for (presentation, representation).
+    """Determinant ratio for (presentation, representation), block by block.
 
-    numerator and denominator are unit-normalized; `invariant` is the exact
-    quotient when the division lands in Z[t, 1/t] (always the case for the
-    integral representations this package constructs with dim > 1), else
-    None and the value is the fraction numerator/denominator.
+    `nums` and `dens` are the blocks' numerator and denominator
+    determinants, in the order of the representation's blocks.  `rest` is
+    the ratio of every block after the first, prod_{b>=1} nums_b /
+    prod_{b>=1} dens_b, when it lands in Z[t, 1/t], else None.
+    `invariant` is the unit-normalized exact quotient of the whole ratio
+    when it lands in Z[t, 1/t] (always the case for the integral
+    representations this package constructs with dim > 1), else None.
+    `numerator` and `denominator`, the unit-normalized products, are
+    computed when read.
     """
 
-    numerator: LaurentPoly
-    denominator: LaurentPoly
+    nums: tuple[LaurentPoly, ...]
+    dens: tuple[LaurentPoly, ...]
+    rest: Optional[LaurentPoly]
     invariant: Optional[LaurentPoly]
     deleted_generator: str
+
+    @property
+    def numerator(self) -> LaurentPoly:
+        num = _product(self.nums)
+        return canonical(num) if not num.is_zero() else ZERO
+
+    @property
+    def denominator(self) -> LaurentPoly:
+        return canonical(_product(self.dens))
 
 
 class NoUsableColumnError(RuntimeError):
@@ -79,11 +100,14 @@ def twisted_alexander(p: Presentation, rho: Representation,
     """Wada-style determinant ratio; deletes `delete` (default: the last
     generator, falling back to any generator with nonzero denominator).
 
-    `rho` is a direct sum of character blocks.  The invariant is
-    multiplicative over a direct sum, so the numerator and the denominator
-    are the products of the blocks' determinants, all with the same
-    deleted generator.  Each relator is walked once (`fox_walk`), and each
-    block's numerator is evaluated from the walks (`fox_determinant`)."""
+    `rho` is a direct sum of character blocks, the trivial block first.
+    The invariant is multiplicative over a direct sum, so it is the product
+    of the blocks' ratios, all with the same deleted generator.  Each
+    relator is walked once (`fox_walk`), and each block's numerator is
+    evaluated from the walks (`fox_determinant`).  The ratio of the blocks
+    after the first (`rest`) is divided out first, and the invariant is
+    nums_0 * rest / dens_0; only when `rest` is not a polynomial is the
+    whole ratio divided out."""
     if not p.deficiency_one():
         raise ValueError("presentation must have one fewer relator than generators")
     if delete is not None:
@@ -92,38 +116,35 @@ def twisted_alexander(p: Presentation, rho: Representation,
         order = list(range(p.num_generators, 0, -1))
     walks = [rho.fox_walk(rel) for rel in p.relators]
     for gen in order:
-        den = _product(_denominator(m) for m in rho.block_images[gen])
-        if den.is_zero():
+        dens = tuple(_denominator(m) for m in rho.block_images[gen])
+        if any(f.is_zero() for f in dens):
             continue
-        num = _product(
+        nums = tuple(
             fox_determinant([[(g, counts, entries[b]) for g, counts, entries in walk]
                              for walk in walks], gen, dim)
             for b, dim in enumerate(rho.dims))
-        invariant = None
-        if not num.is_zero():
-            q = exact_div(num, den)
-            if q is not None:
-                invariant = canonical(q)
-        elif sum(rho.dims) > 1:
-            invariant = ZERO
-        name = p.generators[gen - 1]
-        return TwistedResult(
-            numerator=canonical(num) if not num.is_zero() else ZERO,
-            denominator=canonical(den),
-            invariant=invariant,
-            deleted_generator=name,
-        )
+        rest = exact_div(_product(nums[1:]), _product(dens[1:]))
+        if any(f.is_zero() for f in nums):
+            invariant = ZERO if sum(rho.dims) > 1 else None
+        else:
+            # rest is mostly zeros when it is phi(t^n): it goes on the right,
+            # where the product skips them
+            q = (exact_div(nums[0] * rest, dens[0]) if rest is not None
+                 else exact_div(_product(nums), _product(dens)))
+            invariant = None if q is None else canonical(q)
+        return TwistedResult(nums, dens, rest, invariant, p.generators[gen - 1])
     raise NoUsableColumnError("no generator has nonzero det Phi(g - 1)")
 
 
 def _product(factors) -> LaurentPoly:
-    """The product of the factors, stopping at the first zero."""
-    out = ONE
+    """The product of the factors (ONE for none), stopping at the first
+    zero."""
+    out = None
     for f in factors:
         if f.is_zero():
             return ZERO
-        out = out * f
-    return out
+        out = f if out is None else out * f
+    return ONE if out is None else out
 
 
 # ---------------------------------------------------------------------------
@@ -141,23 +162,31 @@ class Verdict:
     details: str = ""
 
 
-def check_factorization(twisted: LaurentPoly, delta: LaurentPoly, n: int) -> Verdict:
-    """Extract phi = twisted * (1-t) / delta and test its t^n support.
+_ONE_MINUS_T = poly_from_coeffs((1, -1))
 
-    All equalities are up to +-t^k: phi is unit-normalized before the
-    support test, so a stray unit never causes a false negative.
+
+def block_verdict(result: TwistedResult, delta: LaurentPoly, n: int) -> Verdict:
+    """The factorization verdict read off the blocks: phi = rest, the
+    ratio of the non-trivial blocks, must be a polynomial in t^n.
+
+    The trivial block contributes +-t^k Delta / +-t^j (1 - t) to a knot
+    group's invariant, so twisted = [Delta/(1-t)] * rest up to +-t^k and
+    no division by Delta is needed.  That the first block is this one is
+    checked, not assumed: a failure is an ExactnessError.  All equalities
+    are up to +-t^k, as in `oracles.check_factorization`, the division by
+    Delta that this verdict replaces.
     """
-    if delta.is_zero():
-        raise ValueError("delta must be nonzero")
-    if n < 2:
-        raise ValueError("need n >= 2")
-    one_minus_t = LaurentPoly([(0, 1), (1, -1)])
-    quotient = exact_div(twisted * one_minus_t, delta)
-    if quotient is None:
+    trivial_num, trivial_den = result.nums[0], result.dens[0]
+    if (trivial_num.is_zero() or canonical(trivial_num) != canonical(delta)
+            or canonical(trivial_den) != _ONE_MINUS_T):
+        raise ExactnessError(
+            f"the trivial block gives {trivial_num} / {trivial_den}, "
+            f"not +-t^k ({delta}) / +-t^j (1 - t)")
+    if result.rest is None:
         return Verdict(False, None, n, "Delta/(1-t) does not divide the invariant")
-    if quotient.is_zero():
+    if result.rest.is_zero():
         return Verdict(False, None, n, "invariant is zero")
-    phi = canonical(quotient)
+    phi = canonical(result.rest)
     if not supported_on_multiples(phi, n):
         bad = next(d for d, _ in phi.terms if d % n)
         return Verdict(False, phi, n, f"phi has a term of degree {bad} not divisible by {n}")

@@ -56,7 +56,7 @@ def xi0(e) -> Mat:
 def xi0_rep(assignment, p) -> MatrixRep:
     """The 3-dimensional representation of an assignment onto A4 through
     xi0, as an oracle matrix representation."""
-    return MatrixRep(p, 3, {p.gen_index(g): xi0(e) for g, e in assignment.items()})
+    return MatrixRep(3, {p.gen_index(g): xi0(e) for g, e in assignment.items()})
 
 
 def block_reps(rho) -> list[MatrixRep]:
@@ -64,7 +64,14 @@ def block_reps(rho) -> list[MatrixRep]:
     representation: its generator images and the blocks of their inverse
     elements, with Fox tables from the interned-matrix walk."""
     inverses = {g: rho.matrices(rho.letters[-g]) for g in rho.block_images}
-    return [MatrixRep(rho.presentation, dim,
+    return [MatrixRep(dim,
                       {g: images[b] for g, images in rho.block_images.items()},
                       {g: images[b] for g, images in inverses.items()})
             for b, dim in enumerate(rho.dims)]
+
+
+def same_ratio(a, b) -> bool:
+    """Two TwistedResults have the same numerator, denominator, deleted
+    generator and invariant, whatever their block splits."""
+    return ((a.numerator, a.denominator, a.deleted_generator, a.invariant)
+            == (b.numerator, b.denominator, b.deleted_generator, b.invariant))

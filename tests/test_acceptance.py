@@ -63,7 +63,7 @@ def a4_phi(frac: str):
     """phi of the standard assignment's block path onto A4: the 3-dim
     twisted polynomial, since the 4-dim permutation representation is the
     trivial one plus the 3-dim one."""
-    return phi_verdict(permutation_rep(frac, a4_group()), 3).phi
+    return phi_verdict(*permutation_rep(frac, a4_group()), 3).phi
 
 
 def report(label):
@@ -106,10 +106,10 @@ def test_every_golden_entry_is_an_acceptance_case():
 def test_two_bridge_a4_goldens():
     # the 3-dim character block on its own, and phi of the 4-dim blocks
     for frac, value in A4_3DIM.items():
-        rho = permutation_rep(frac, a4_group())
+        p, rho = permutation_rep(frac, a4_group())
         assert rho.dims == [1, 3]
         three = block_reps(rho)[1]
-        assert twisted_alexander_tables(rho.presentation, three).invariant == \
+        assert twisted_alexander_tables(p, three).invariant == \
             canonical(value), frac
         assert a4_phi(frac) == canonical(value), frac
     report("displayed 3-dim twisted products")
@@ -312,11 +312,12 @@ def test_properties_fox_500_words():
 def test_properties_column_independence_acceptance_inputs():
     # the 3-dim A4 blocks through the oracle's Fox tables, every golden
     # entry's character blocks through the production path
-    inputs = [(twisted_alexander_tables, block_reps(permutation_rep(frac, a4_group()))[1])
-              for frac in A4_3DIM]
-    inputs.extend((twisted_alexander, entry.representation()) for entry in PHI)
-    for twisted, rho in inputs:
-        p = rho.presentation
+    inputs = []
+    for frac in A4_3DIM:
+        p, rho = permutation_rep(frac, a4_group())
+        inputs.append((twisted_alexander_tables, p, block_reps(rho)[1]))
+    inputs.extend((twisted_alexander, *entry.representation()) for entry in PHI)
+    for twisted, p, rho in inputs:
         results = [twisted(p, rho, delete=name) for name in p.generators]
         first = results[0]
         for other in results[1:]:

@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -14,19 +15,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metatap import characters, cli, groupcalc, metabelian, twisted
+from metatap import characters, cli, groupcalc, metabelian, twinring, twisted
 from metatap.cli import main
 from metatap.exactalg import PolyMatrix, canonical, parse_poly
 from metatap.golden import A4_3DIM, ALEXANDER, PHI, phi_value
 from metatap.knotdata import presentation
 from metatap.metabelian import MetaGroup, build_group, find_homs, group_from_name
 from metatap.oracles import (
-    det_bareiss, perm_rep, phi_generator_minus_one, twisted_alexander_tables)
-from metatap.twisted import TwistedResult, check_factorization, twisted_alexander
+    check_factorization, det_bareiss, perm_rep, phi_generator_minus_one,
+    twisted_alexander_tables)
+from metatap.twisted import twisted_alexander
 from metatap.twobridge import (
     FractionR,
     H3Form,
     alexander_poly,
+    enumerate_fractions,
     wirtinger_presentation,
 )
 
@@ -147,6 +150,21 @@ def test_compute_generator_assigned_twice_exit_1():
     assert err == "input error: generator 'y' is assigned twice\n"
 
 
+def test_compute_non_homomorphic_assign_exit_1_after_cache_hit():
+    # the group keeps the representation of x=s, y=s b1 after 5/27; the
+    # relators of 1/5 are still checked against it
+    group = group_from_name("A4")
+    assert run_cli("compute", "--r", "5/27", "--group", "A4",
+                   "--assign", "x=s; y=s b1")[0] == 0
+    key = (group.index(group.s()), group.index(group.parse_elem("s b1")))
+    assert key in group._representations
+    code, out, err = run_cli("compute", "--r", "1/5", "--group", "A4",
+                             "--assign", "x=s; y=s b1")
+    assert code == 1 and not out
+    assert err == ("input error: relator 1 (x y x y x Y X Y X Y) "
+                   "does not map to the identity\n")
+
+
 def test_compute_non_homomorphic_assign_exit_1_on_both_paths():
     # p = 2 and p = 3: the check runs before any block is built
     for frac, group, assign in (("1/3", "M(5|2,4)", "x=s; y=s b1"),
@@ -203,8 +221,10 @@ def test_compute_tampered_character_blocks_exit_3(monkeypatch, fresh_groups):
         assert "outside the blocks" in err
 
 
-def test_compute_tampered_inverse_block_exit_3(monkeypatch):
-    # doubling the block images of y^-1 breaks image * inverse = I
+def test_compute_tampered_inverse_block_exit_3(monkeypatch, fresh_groups):
+    # doubling the block images of y^-1 breaks image * inverse = I; the
+    # check runs when the group builds the representation, so on a fresh
+    # group
     genuine = characters.Representation.matrices
 
     def doubled(self, x):
@@ -314,9 +334,7 @@ def test_parser_built_once_and_reusable_after_usage_error():
 
 def test_compute_non_polynomial_surjective_exit_3(monkeypatch):
     def no_polynomial(p, rho):
-        result = twisted_alexander(p, rho)
-        return TwistedResult(result.numerator, result.denominator, None,
-                             result.deleted_generator)
+        return dataclasses.replace(twisted_alexander(p, rho), invariant=None)
 
     monkeypatch.setattr(cli, "twisted_alexander", no_polynomial)
     code, out, err = run_cli("compute", "--r", "5/27", "--group", "A4",
@@ -366,6 +384,91 @@ def test_compute_tampered_determinant_exit_3(monkeypatch):
     assert code == 3 and not out
     assert err.startswith("internal consistency failure: ") and err.count("\n") == 1
     assert "bound" in err and "Traceback" not in err
+
+
+def test_compute_tampered_trivial_block_exit_3(monkeypatch):
+    # the trivial block's numerator times 1 - t keeps the invariant a
+    # polynomial, so only the block verdict's check of the trivial block
+    # can refuse it
+    genuine = twisted.fox_determinant
+
+    def tampered(relators, delete, dim):
+        value = genuine(relators, delete, dim)
+        return value * P("1 - t") if dim == 1 else value
+
+    monkeypatch.setattr(twisted, "fox_determinant", tampered)
+    code, out, err = run_cli("compute", "--r", "5/27", "--group", "A4")
+    assert code == 3 and not out
+    assert err.startswith("internal consistency failure: the trivial block gives ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+# compute --all inputs with non-surjective assignments whose invariants are
+# polynomials
+_NON_SURJECTIVE = [("5/9", "M(4|5,2)"), ("7/19", "M(4|5,2)"), ("5/9", "M(3|7,2)")]
+# the inputs of the dense_compute benchmark workload
+_DENSE = ([("--r", f, "M(5|2,4)") for f in ("1/5", "3/11", "7/11", "5/13")]
+          + [("--r", f, "M(4|5,2)") for f in ("5/9", "7/9")]
+          + [("--r", f, "M(3|5,2)") for f in ("3/7", "5/7")]
+          + [("--pres", "10_145", "M(5|2,4)")])
+
+
+def test_block_verdict_matches_division_oracle(monkeypatch):
+    # every verdict of the A4 scan to alpha 63, of compute over the inputs
+    # of mid_compute (alpha <= 61 onto M(4|3,2)) and dense_compute, and of
+    # compute --all's non-surjective rows, against the division by Delta
+    genuine = cli.block_verdict
+    seen = []
+
+    def compared(result, delta, n):
+        verdict = genuine(result, delta, n)
+        assert verdict == check_factorization(result.invariant, delta, n)
+        seen.append(verdict)
+        return verdict
+
+    monkeypatch.setattr(cli, "block_verdict", compared)
+    code, _, _ = run_cli("scan", "--alpha-max", "63", "--group", "A4", "--out", os.devnull)
+    assert code == 0 and len(seen) == 135
+    for r in enumerate_fractions(61):
+        assert run_cli("compute", "--r", str(r), "--group", "M(4|3,2)")[0] in (0, 2)
+    assert len(seen) > 135 + 90
+    for flag, source, group in _DENSE:
+        assert run_cli("compute", flag, source, "--group", group)[0] == 0
+    before = len(seen)
+    for frac, group in _NON_SURJECTIVE:
+        code, out, _ = run_cli("compute", "--r", frac, "--group", group, "--all")
+        assert code == 0
+        assert any(not json.loads(line)["surjective"] for line in out.splitlines())
+    assert len(seen) > before + len(_NON_SURJECTIVE)
+
+
+def test_production_never_divides_by_delta(monkeypatch):
+    # no determinant ratio divides by Delta, and no product of the whole
+    # numerator is taken; test_oracles checks that no command loads the
+    # division oracle's module
+    divisors, products = [], []
+    genuine_div, genuine_product = twisted.exact_div, twisted._product
+
+    def recording_div(num, den):
+        divisors.append(den)
+        return genuine_div(num, den)
+
+    def recording_product(factors):
+        factors = list(factors)
+        products.append(len(factors))
+        return genuine_product(factors)
+
+    monkeypatch.setattr(twisted, "exact_div", recording_div)
+    monkeypatch.setattr(twisted, "_product", recording_product)
+    for frac in ("1/3", "5/27", "29/75", "227/777"):
+        code, out, _ = run_cli("compute", "--r", frac, "--group", "A4", "--cross-check")
+        assert code == 0
+        delta = P(json.loads(out.splitlines()[0])["delta"])
+        assert divisors and all(canonical(d) != delta for d in divisors if d)
+        # A4's blocks are the trivial one and one 3-dim block
+        assert products and max(products) == 1
+        divisors.clear()
+        products.clear()
 
 
 def test_unexpected_exception_exit_3_without_traceback(monkeypatch):
@@ -587,7 +690,7 @@ def test_scan_alpha_max_below_3_exit_1(tmp_path):
 
 
 def test_scan_cross_path_disagreement_exit_3(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "twisted_via_recursion", lambda r: P("1"))
+    monkeypatch.setattr(cli, "twisted_from_form", lambda form: P("1"))
     out_path = tmp_path / "scan.jsonl"
     code, _, err = run_cli("scan", "--alpha-max", "27", "--group", "A4",
                            "--h3-only", "--cross-check", "--out", str(out_path))
@@ -598,6 +701,23 @@ def test_scan_cross_path_disagreement_exit_3(tmp_path, monkeypatch):
     summary = err.splitlines()[-1]
     assert summary.startswith("internal consistency failure")
     assert f"disagree on {len(rows)} of {len(rows)} records (first: 1/3)" in summary
+
+
+def test_scan_cross_check_expands_each_fraction_once(tmp_path, monkeypatch):
+    # the recursion path reads the certificate the scan already holds
+    genuine = cli.h3_expand
+    calls = []
+
+    def counting(r):
+        calls.append(r)
+        return genuine(r)
+
+    monkeypatch.setattr(cli, "h3_expand", counting)
+    monkeypatch.setattr(twinring, "h3_expand", counting)
+    code, _, _ = run_cli("scan", "--alpha-max", "45", "--group", "A4", "--h3-only",
+                         "--cross-check", "--out", str(tmp_path / "scan.jsonl"))
+    assert code == 0
+    assert calls == list(enumerate_fractions(45))
 
 
 def test_scan_json_array(tmp_path):

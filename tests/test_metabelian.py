@@ -329,7 +329,7 @@ def test_check_homomorphism_matches_matrix_products():
                 except NotHomomorphismError as e:
                     got = str(e)
                 rho = MatrixRep(
-                    p, group.p**group.k,
+                    group.p**group.k,
                     {p.gen_index(g): perm_matrix(group, e) for g, e in images.items()},
                     {p.gen_index(g): perm_matrix(group, group.inv(e))
                      for g, e in images.items()})
@@ -356,7 +356,7 @@ def test_representation_checks_each_image_against_its_inverse():
     # the image of s^2 is the inverse of s's, but not of s b1's
     letters = {**rho.letters, -2: rho.letters[-1]}
     with pytest.raises(ExactnessError, match="generator 2 times the block"):
-        Representation(p, g, letters, rho.blocks)
+        Representation(g, letters, rho.blocks)
 
 
 def test_xi0_matrices():
@@ -529,3 +529,37 @@ def test_obstruction_examples():
     assert not obstruction_passes(P("1"), 4, 3)
     assert obstruction_passes(alexander_poly(wirtinger_presentation(FractionR(3, 5))), 4, 3)
     assert not obstruction_passes(P("1 - t + t^2"), 4, 3)      # K(1/3) vs M(4|3,2)
+
+
+# -- what a group keeps for every fraction -------------------------------------
+
+def test_representation_kept_per_tuple_of_images():
+    # two knots with the same generator images share one representation
+    g = a4_group()
+    images = {"x": g.s(), "y": g.mul(g.s(), g.b(1))}
+    p1, p2 = (wirtinger_presentation(FractionR.parse(f)) for f in ("5/27", "7/39"))
+    rho = representation_blocks(images, g, p1)
+    assert representation_blocks(images, g, p2) is rho
+    assert g._representations[(g.index(images["x"]), g.index(images["y"]))] is rho
+    other = {"x": g.s(), "y": g.mul(g.s(), g.b(2))}
+    assert representation_blocks(other, g, p1) is not rho
+
+
+def test_cached_unit_classes_match_fresh_computation():
+    # the orbits and verdicts a shared group keeps, against a group object
+    # that has kept nothing
+    for (n, p), fracs in (((3, 2), ("5/27", "1/9", "29/75")),
+                          ((4, 3), ("3/5", "11/17", "13/23"))):
+        shared = build_group(n, p)
+        for frac in fracs:
+            pres = wirtinger_presentation(FractionR.parse(frac))
+            assignments = [h.images for h in find_homs(pres, shared)]
+            first = unit_classes(shared, assignments)
+            assert unit_classes(shared, assignments) == first
+            assert unit_classes(MetaGroup(n, p), assignments) == first
+            for i, (rep, unit) in enumerate(first):
+                verdict = conjugate_by_relabeling(
+                    shared, assignments[rep], assignments[i], unit)
+                assert verdict is True
+                assert conjugate_by_relabeling(
+                    MetaGroup(n, p), assignments[rep], assignments[i], unit)

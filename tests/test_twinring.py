@@ -325,7 +325,7 @@ def test_cross_path_sample():
             if a % 2 == 0 or abs(b) % 2 == 0 or not 0 < b < a:
                 continue
             # phi of the standard assignment's blocks is the 3-dim invariant
-            phi = phi_verdict(permutation_rep(f"{b}/{a}", a4_group()), 3).phi
+            phi = phi_verdict(*permutation_rep(f"{b}/{a}", a4_group()), 3).phi
             assert twisted_from_form(form) == phi
             checked += 1
     assert checked >= 12

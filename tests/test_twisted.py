@@ -31,13 +31,15 @@ from metatap.oracles import (
     fox_tables,
     perm_rep,
     phi_generator_minus_one,
+    check_factorization,
     phi_map,
     trivial_rep,
     twisted_alexander_tables,
 )
 from metatap.twisted import (
+    TwistedResult,
     _denominator,
-    check_factorization,
+    block_verdict,
     standard_assignment,
     twisted_alexander,
 )
@@ -50,7 +52,7 @@ from metatap.twobridge import (
     wirtinger_presentation,
 )
 
-from matrix_helpers import block_reps, xi0_rep
+from matrix_helpers import block_reps, same_ratio, xi0_rep
 
 P = parse_poly
 ONE_MINUS_T = P("1 - t")
@@ -384,6 +386,35 @@ def test_check_factorization_inexact():
     assert not v2.holds and v2.phi == P("1 - t^2")
 
 
+def test_block_verdict_details_match_division_oracle():
+    # hand-made block results: phi = rest, against phi = twisted (1-t)/Delta
+    delta = P("1 - t + t^2")
+    t2 = P("t^2")
+    outcomes = []
+    for rest in (P("1 - t^3"), ONE_MINUS_T * P("1 + t^3"), ZERO):
+        nums = (-t2 * delta, rest * P("1 + t + t^2"))
+        dens = (P("-1 + t"), P("1 + t + t^2"))
+        invariant = ZERO if rest.is_zero() else canonical(
+            exact_div(delta * rest, ONE_MINUS_T))
+        result = TwistedResult(nums, dens, rest, invariant, "y")
+        verdict = block_verdict(result, delta, 3)
+        assert verdict == check_factorization(invariant, delta, 3)
+        outcomes.append(verdict.holds)
+    assert outcomes == [True, False, False]
+    # the non-trivial blocks' ratio is not a polynomial
+    result = TwistedResult((delta, P("1 + t^5") * ONE_MINUS_T), (ONE_MINUS_T, delta),
+                           None, P("1 + t^5"), "y")
+    verdict = block_verdict(result, delta, 3)
+    assert verdict == check_factorization(P("1 + t^5"), delta, 3)
+    assert verdict.details == "Delta/(1-t) does not divide the invariant"
+    # a trivial block that is not +-t^k Delta / +-t^j (1 - t)
+    for nums, dens in (((2 * delta, ONE), (ONE_MINUS_T, ONE)),
+                       ((ZERO, ONE), (ONE_MINUS_T, ONE)),
+                       ((delta, ONE), (P("1 + t"), ONE))):
+        with pytest.raises(ExactnessError, match="trivial block"):
+            block_verdict(TwistedResult(nums, dens, ONE, ONE, "y"), delta, 3)
+
+
 # -- the character block path --------------------------------------------------
 
 def assert_blocks_match_full_path(p, group, images):
@@ -393,7 +424,8 @@ def assert_blocks_match_full_path(p, group, images):
     rho = representation_blocks(images, group, p)
     assert sum(rho.dims) == group.p**group.k
     assert all(blocks[0] == ((1,),) for blocks in rho.block_images.values())
-    assert twisted_alexander(p, rho) == twisted_alexander_tables(p, perm_rep(images, group, p))
+    assert same_ratio(twisted_alexander(p, rho),
+                      twisted_alexander_tables(p, perm_rep(images, group, p)))
     return rho
 
 
@@ -538,7 +570,7 @@ def test_evaluated_determinants_match_bareiss_tables(data):
         letters[g], letters[-g] = x, group.index(group.inv(group.element(x)))
     blocks = support_blocks(group.p**group.k,
                             [group.character_image(letters[g]) for g in range(1, ngen + 1)])
-    rho = Representation(p, group, letters, blocks)
+    rho = Representation(group, letters, blocks)
     walks = [rho.fox_walk(rel) for rel in relators]
     tables = [fox_tables(rho, rel) for rel in relators]
     for gen in range(1, ngen + 1):
@@ -560,12 +592,12 @@ def test_support_split_rejects_entry_outside_blocks(monkeypatch):
     blocks = support_blocks(len(q), [image])
     assert [len(b) for b in blocks] == [1, 5, 5, 5]
     p = parse_presentation("gens: x\nrel: x x x x x\n")
-    rho = Representation(p, group, {1: x, -1: x_inv}, blocks)
+    rho = Representation(group, {1: x, -1: x_inv}, blocks)
     assert rho.block_images[1] == rho.matrices(x) == [
         tuple(tuple(q[w][u] for u in coords) for w in coords) for coords in blocks]
     w, u = blocks[1][0], blocks[2][0]
     monkeypatch.setattr(group, "character_image",
                         lambda y: image + ((w, u, 1),) if y == x else ())
     with pytest.raises(ExactnessError, match="outside the blocks"):
-        Representation(p, group, {1: x, -1: x_inv}, blocks)
+        Representation(group, {1: x, -1: x_inv}, blocks)
 
