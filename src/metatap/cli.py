@@ -8,7 +8,8 @@ Subcommands:
   selftest   recompute the golden values and report pass/fail lines
 
 Exit codes: 0 computed, 1 input error (or a closed stdout), 2 no
-representation (or no certificate), 3 internal consistency failure.
+representation (or, for h3, a fraction not in H(3)), 3 internal
+consistency failure.
 
 Result records are JSON objects with stable field names:
   input, group, assignment, surjective, n, delta, twisted, phi, holds,
@@ -235,19 +236,17 @@ def cmd_compute(args) -> int:
 def _scan_one(packed):
     """Worker for scan: the records for one fraction (picklable).
 
-    The surjections found by the search are grouped into classes under the
-    automorphisms phi_U (`unit_classes`), taking them in label order so that
-    each class is represented by its lexicographically smallest assignment.
-    Every member is checked to be conjugate to its representative, and the
-    scan emits one row per class, labeled with that representative; no
-    class is dropped.
+    The job carries the fraction and its H(3) certificate, decided once by
+    `cmd_scan` (None when the fraction is not in H(3) or nothing reads
+    it).  The surjections found by the search are grouped into classes
+    under the automorphisms phi_U (`unit_classes`), taking them in label
+    order so that each class is represented by its lexicographically
+    smallest assignment.  Every member is checked to be conjugate to its
+    representative, and the scan emits one row per class, labeled with
+    that representative; no class is dropped.
     """
-    beta, alpha, group_key, h3_only, cross_check = packed
+    r, group_key, form, cross_check = packed
     group = group_from_name(group_key)
-    r = FractionR(beta, alpha)
-    form = h3_expand(r)
-    if h3_only and form is None:
-        return []
     p = wirtinger_presentation(r)
     delta = alexander_poly(p)
     if not obstruction_passes(delta, group.n, group.p):
@@ -274,10 +273,15 @@ def cmd_scan(args) -> int:
         raise InputError(f"--jobs must be at least 1, got {args.jobs}")
     if args.alpha_max < 3:
         raise InputError(f"--alpha-max must be at least 3, got {args.alpha_max}")
+    # the certificate is read by --h3-only and by the recursion path,
+    # which runs only over A4
+    decide = args.h3_only or (args.cross_check and group == a4_group())
     jobs = []
     for r in enumerate_fractions(args.alpha_max):
-        jobs.append((r.beta, r.alpha, args.group, args.h3_only,
-                     args.cross_check))
+        form = h3_expand(r) if decide else None
+        if args.h3_only and form is None:
+            continue
+        jobs.append((r, args.group, form, args.cross_check))
     if args.jobs > 1:
         from multiprocessing import Pool
 
@@ -347,8 +351,8 @@ def cmd_h3(args) -> int:
     r = FractionR.parse(args.r)
     form = h3_expand(r)
     if form is None:
-        print(f"{r}: no certificate found within search bounds",
-              file=sys.stderr)
+        print(f"{r} is not in H(3): no certificate [3k1, 2m1, ..., 3kq] "
+              f"exists", file=sys.stderr)
         return EXIT_NO_REP
     print(str(form))
     return EXIT_OK

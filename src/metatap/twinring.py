@@ -290,7 +290,8 @@ _BASE_INVARIANT = LaurentPoly([(0, 1), (3, -1)])  # value for the trefoil 1/3
 
 
 class NotInH3Error(ValueError):
-    """No continued-fraction certificate was found within search bounds."""
+    """The fraction is not in H(3): it has no certificate
+    [3k1, 2m1, ..., 3kq], so the recursion path does not apply."""
 
 
 def normalized_series(form: H3Form) -> PolyMatrix:
@@ -301,12 +302,12 @@ def normalized_series(form: H3Form) -> PolyMatrix:
 def twisted_via_recursion(r: FractionR) -> LaurentPoly:
     """Twisted polynomial of K(r) through the continued-fraction recursion:
     det of the series times (1 - t^3), unit-normalized.  Raises NotInH3Error
-    when no certificate is found; use the Fox-calculus path then."""
+    when r is not in H(3); use the Fox-calculus path then."""
     form = h3_expand(r)
     if form is None:
         raise NotInH3Error(
-            f"{r} not recognized in H(3) within search bounds; "
-            "compute via the direct Fox-calculus path instead")
+            f"{r} is not in H(3): no certificate [3k1, 2m1, ..., 3kq] "
+            "exists; compute via the direct Fox-calculus path instead")
     return twisted_from_form(form)
 
 

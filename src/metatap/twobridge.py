@@ -3,9 +3,10 @@
 A 2-bridge knot is indexed by a fraction r = beta/alpha with alpha, beta odd,
 coprime and 0 < beta < alpha.  This module builds the standard 2-generator
 Wirtinger presentation <x, y | W x W^-1 y^-1>, evaluates continued fractions
-of the form [a1, ..., am] = 1/(a1 + 1/(a2 + ... + 1/am)), searches for the
-special expansion [3k1, 2m1, ..., 2m_{q-1}, 3kq] whose existence puts the
-knot group onto Z/2 * Z/3, and computes untwisted Alexander polynomials by
+of the form [a1, ..., am] = 1/(a1 + 1/(a2 + ... + 1/am)), decides whether
+r has the special expansion [3k1, 2m1, ..., 2m_{q-1}, 3kq] whose existence
+puts the knot group onto Z/2 * Z/3 (the class H(3); the expansion is
+unique when it exists), and computes untwisted Alexander polynomials by
 Fox calculus.
 """
 
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, gcd, log2
+from math import gcd
 from typing import Optional
 
 from .exactalg import ExactnessError, LaurentPoly, canonical
@@ -111,72 +112,45 @@ class H3Form:
         return str(self.continued_fraction())
 
 
-_SEARCH_NODE_BUDGET = 1 << 17
-
-
 def h3_expand(r: FractionR) -> Optional[H3Form]:
-    """Search for an H3Form of r; every hit is certified by re-evaluation.
+    """The H3Form of r, or None when r has none; the form is unique.
 
-    Depth-first search over entry candidates: multiples of 3 at odd
-    positions, even numbers at even positions, the four candidates nearest
-    to the reciprocal of the remaining tail.  Since every allowed entry has
-    magnitude >= 2, any genuine expansion keeps all tails within [-1, 1],
-    so branches leaving that interval are pruned.  Absence means "not found
-    within bounds", never a proof of non-membership.
+    Every tail of an expansion [3k1, 2m1, ..., 2m_{q-1}, 3kq] lies strictly
+    inside (-1, 1): the last tail is 1/(3kq), and 1/(a + t) with |a| >= 2
+    and |t| < 1 is again inside.  With x the reciprocal of the current
+    tail, the next entry a must make x - a a tail, that is lie in the open
+    interval (x - 1, x + 1).  Its integers are floor(x) and floor(x) + 1,
+    or x alone when x is an integer, and none is 0 since |x| > 1.  So each
+    step has at most one admissible entry (a multiple of 3 at odd
+    positions, an even number at even ones), and the loop below takes it.
+    The expansion is thereby unique, and None proves that r is not in
+    H(3).  Tails' denominators strictly decrease, so the loop ends; a zero
+    tail is success only after an odd position.
 
-    The search runs on integer pairs; only the certificate is evaluated in
-    Fraction.
+    The loop runs on integer pairs: with the reciprocal written as rn/rd
+    (rd > 0), each new tail (rn - a*rd)/rd stays reduced without a gcd,
+    since gcd(rn - a*rd, rd) = gcd(rn, rd) = 1.  Only the certificate is
+    evaluated in Fraction.
     """
-    max_depth = 2 * ceil(log2(r.alpha)) + 4
-    budget = [_SEARCH_NODE_BUDGET]
-    entries = _h3_dfs(r.beta, r.alpha, position=1, depth=max_depth, budget=budget)
-    if entries is None:
+    entries = []
+    num, den = r.beta, r.alpha
+    while num:
+        rn, rd = (den, num) if num > 0 else (-den, -num)
+        step = 3 if len(entries) % 2 == 0 else 2
+        a = rn // rd  # floor(x); the interval's integers are a and a + 1
+        if a % step:
+            a += 1
+            if rd == 1 or a % step:
+                return None
+        entries.append(a)
+        num, den = rn - a * rd, rd
+    if len(entries) % 2 == 0:
         return None
-    ks = tuple(a // 3 for a in entries[0::2])
-    ms = tuple(a // 2 for a in entries[1::2])
-    form = H3Form(ks, ms)
+    form = H3Form(tuple(a // 3 for a in entries[0::2]),
+                  tuple(a // 2 for a in entries[1::2]))
     if form.value() != r.as_fraction():
         raise ExactnessError(f"search certificate failed for {r}")
     return form
-
-
-def _h3_dfs(num: int, den: int, position: int, depth: int,
-            budget: list[int]) -> Optional[list[int]]:
-    """The search below the reduced tail num/den (den > 0).
-
-    With the reciprocal written as rn/rd (rd > 0), each new tail
-    (rn - a*rd)/rd stays reduced without a gcd, since
-    gcd(rn - a*rd, rd) = gcd(rn, rd) = 1.
-    """
-    if depth <= 0 or budget[0] <= 0 or num == 0:
-        return None
-    budget[0] -= 1
-    rn, rd = (den, num) if num > 0 else (-den, -num)
-    step = 3 if position % 2 == 1 else 2
-    if position % 2 == 1 and rd == 1 and rn % 3 == 0:
-        return [rn]
-    for a in _nearest_candidates(rn, rd, step):
-        tail = rn - a * rd
-        if tail == 0 or abs(tail) > rd:
-            continue
-        rest = _h3_dfs(tail, rd, position + 1, depth - 1, budget)
-        if rest is not None:
-            return [a] + rest
-    return None
-
-
-def _nearest_candidates(num: int, den: int, step: int, count: int = 4) -> list[int]:
-    """The `count` nonzero multiples of `step` nearest to num/den (den > 0).
-
-    The base is num/(den*step) truncated toward zero, and ties go to the
-    smaller candidate: |num/den - c| orders as |num - c*den| since den > 0.
-    """
-    base = abs(num) // (den * step)
-    if num < 0:
-        base = -base
-    cands = {step * (base + d) for d in range(-3, 4)}
-    cands.discard(0)
-    return sorted(cands, key=lambda c: (abs(num - c * den), c))[:count]
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -618,6 +619,23 @@ def test_h3_not_found():
     assert "no certificate" in err
 
 
+def test_h3_long_certificate():
+    # a 600-part form (alpha has over 600 digits) is decided without recursion
+    rng = random.Random(1)
+    value = Fraction(2)
+    while value.numerator % 2 == 0 or value.denominator % 2 == 0:
+        ks = [rng.choice((-2, -1, 1, 2)) for _ in range(600)]
+        ms = [rng.choice((-2, -1, 1, 2)) for _ in range(599)]
+        form = H3Form(tuple(ks), tuple(ms))
+        if form.value() < 0:
+            form = H3Form(tuple(-k for k in ks), tuple(-m for m in ms))
+        value = form.value()
+    assert len(str(value.denominator)) > 600
+    code, out, err = run_cli("h3", "--r", f"{value.numerator}/{value.denominator}")
+    assert code == 0 and not err
+    assert out == f"{form}\n"
+
+
 # -- scan ---------------------------------------------------------------------
 
 def test_scan_single_row(tmp_path):
@@ -718,6 +736,35 @@ def test_scan_cross_check_expands_each_fraction_once(tmp_path, monkeypatch):
                          "--cross-check", "--out", str(tmp_path / "scan.jsonl"))
     assert code == 0
     assert calls == list(enumerate_fractions(45))
+
+
+def test_scan_decides_h3_only_when_read(tmp_path, monkeypatch):
+    # without --h3-only, and over a group other than A4 (where the recursion
+    # path never runs), nothing reads the certificate
+    calls = []
+    monkeypatch.setattr(cli, "h3_expand", lambda r: calls.append(r))
+    for extra in ((), ("--cross-check",)):
+        code, _, _ = run_cli("scan", "--group", "M(4|3,2)", "--alpha-max", "21",
+                             *extra, "--out", str(tmp_path / "scan.jsonl"))
+        assert code == 0
+    code, _, _ = run_cli("scan", "--group", "A4", "--alpha-max", "21",
+                         "--out", str(tmp_path / "scan.jsonl"))
+    assert code == 0
+    assert calls == []
+
+
+def test_scan_parallel_carries_certificates(tmp_path):
+    # each pool job receives its fraction's certificate pickled
+    def rows(jobs):
+        out_path = tmp_path / f"scan{jobs}.jsonl"
+        code, _, _ = run_cli("scan", "--group", "A4", "--h3-only", "--cross-check",
+                             "--alpha-max", "45", "--jobs", jobs, "--out", str(out_path))
+        assert code == 0
+        return strip_millis([json.loads(line) for line in out_path.read_text().splitlines()])
+
+    serial = rows("1")
+    assert serial == rows("2")
+    assert len(serial) > 10 and all(r["cross_path_match"] is True for r in serial)
 
 
 def test_scan_json_array(tmp_path):

@@ -1,4 +1,4 @@
-"""2-bridge fractions, continued fractions, the H(3) search, and Alexander
+"""2-bridge fractions, continued fractions, the H(3) decision, and Alexander
 polynomials."""
 
 from fractions import Fraction
@@ -6,12 +6,13 @@ from itertools import product
 from math import ceil, log2
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from metatap.characters import representation_blocks
 from metatap.exactalg import LaurentPoly, canonical, parse_poly
 from metatap.golden import ALEXANDER
 from metatap.groupcalc import Word, parse_presentation
-from metatap import twobridge
 from metatap.knotdata import BUNDLED, presentation
 from metatap.metabelian import a4_group, group_from_name
 from metatap.oracles import (
@@ -71,7 +72,7 @@ def test_cf_entry_validation():
         ContinuedFraction((3, 0, 3))
 
 
-# -- H(3) search --------------------------------------------------------------
+# -- H(3) decision ------------------------------------------------------------
 
 def test_h3_examples():
     assert h3_expand(FractionR(1, 9)) == H3Form((3,), ())
@@ -86,8 +87,7 @@ def test_h3_certificate_is_checked():
 
 
 def test_h3_round_trip_small_forms():
-    # any small form that evaluates to a valid fraction is re-found (possibly
-    # by a different expansion evaluating to the same value)
+    # every small form that evaluates to a valid fraction is found again
     for ks in product(*([[-2, -1, 1, 2]] * 2)):
         for ms in product([(m,) for m in (-2, -1, 1, 2)]):
             try:
@@ -98,14 +98,51 @@ def test_h3_round_trip_small_forms():
             b, a = val.numerator, val.denominator
             if a % 2 == 0 or abs(b) % 2 == 0 or not 0 < b < a:
                 continue
-            found = h3_expand(FractionR(b, a))
-            assert found is not None
-            assert found.value() == val
+            assert h3_expand(FractionR(b, a)) == form
 
 
-def test_h3_integer_search_matches_fraction_search():
-    # The search it replaces, on Fraction tails: the same forms (None
-    # included) and the same node-budget use for every fraction.
+def h3_forms_by_value(max_den):
+    """Every entry list [3k1, 2m1, ..., 3kq] whose value has denominator
+    <= max_den, keyed by that value; built bottom up in Fraction.
+
+    Prepending an entry a with |a| >= 2 to a suffix of value p/q
+    (|p| < q) gives q/(a q + p), whose denominator |a q + p| > (|a| - 1) q
+    exceeds q.  So every suffix of a listed form is listed too, and
+    extending the suffixes level by level until none stays within
+    max_den misses nothing.
+    """
+    forms = {}
+    frontier = [((a,), Fraction(1, a)) for a in range(-max_den, max_den + 1, 3) if a]
+    while frontier:
+        longer = []
+        for entries, value in frontier:
+            if len(entries) % 2:
+                forms.setdefault(value, []).append(entries)
+            step = 2 if len(entries) % 2 else 3
+            bound = max_den // value.denominator + 1
+            for a in range(-(bound // step) * step, bound + 1, step):
+                if a and (1 / (a + value)).denominator <= max_den:
+                    longer.append(((a,) + entries, 1 / (a + value)))
+        frontier = longer
+    return forms
+
+
+def test_h3_expand_matches_bottom_up_enumeration():
+    # the fractions with alpha <= 99 that have a form are exactly those on
+    # which h3_expand returns one, each has one form, and it is that one
+    members = {value: entries for value, entries in h3_forms_by_value(99).items()
+               if 0 < value < 1 and value.numerator % 2 and value.denominator % 2}
+    decided = {r.as_fraction(): h3_expand(r) for r in enumerate_fractions(99)}
+    assert {value for value, form in decided.items() if form is not None} == set(members)
+    for value, entries in members.items():
+        assert entries == [decided[value].continued_fraction().entries], value
+    assert len(members) > 50
+
+
+def test_h3_expand_matches_fraction_search():
+    # The bounded search h3_expand replaced, on Fraction tails, as an oracle
+    # of the forms it finds: four candidates per step, a node budget and a
+    # depth cap.
     def nearest(value, step, count=4):
         base = int(value / step)
         cands = {step * (base + d) for d in range(-3, 4)}
@@ -132,16 +169,28 @@ def test_h3_integer_search_matches_fraction_search():
     found = 0
     for r in enumerate_fractions(201):
         depth = 2 * ceil(log2(r.alpha)) + 4
-        old_budget = [twobridge._SEARCH_NODE_BUDGET]
-        new_budget = [twobridge._SEARCH_NODE_BUDGET]
-        entries = dfs(r.as_fraction(), 1, depth, old_budget)
-        assert twobridge._h3_dfs(r.beta, r.alpha, 1, depth, new_budget) == entries
-        assert new_budget == old_budget
+        entries = dfs(r.as_fraction(), 1, depth, [1 << 17])
         form = None if entries is None else H3Form(
             tuple(a // 3 for a in entries[0::2]), tuple(a // 2 for a in entries[1::2]))
         assert h3_expand(r) == form
         found += form is not None
     assert found > 100
+
+
+nonzero = st.integers(-4, 4).filter(bool)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(nonzero, min_size=1, max_size=40), st.data())
+def test_h3_round_trip_random_forms(ks, data):
+    ms = data.draw(st.lists(nonzero, min_size=len(ks) - 1, max_size=len(ks) - 1))
+    form = H3Form(tuple(ks), tuple(ms))
+    if form.value() < 0:
+        # every tail lies in (-1, 1) and is nonzero; negating flips the sign
+        form = H3Form(tuple(-k for k in ks), tuple(-m for m in ms))
+    value = form.value()
+    assume(value.numerator % 2 and value.denominator % 2)
+    assert h3_expand(FractionR(value.numerator, value.denominator)) == form
 
 
 def test_h3form_validation():
