@@ -282,10 +282,11 @@ def cmd_scan(args) -> int:
         if args.h3_only and form is None:
             continue
         jobs.append((r, args.group, form, args.cross_check))
-    if args.jobs > 1:
+    workers = min(args.jobs, len(jobs))
+    if workers > 1:
         from multiprocessing import Pool
 
-        with Pool(args.jobs) as pool:
+        with Pool(workers) as pool:
             chunks = pool.map(_scan_one, jobs)
     else:
         chunks = [_scan_one(j) for j in jobs]

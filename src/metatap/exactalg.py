@@ -434,46 +434,81 @@ class PolyMatrix:
     # -- determinants -----------------------------------------------------
 
     def det(self) -> LaurentPoly:
-        """Exact determinant by Kronecker substitution t = 2^B.
-
-        Row i is multiplied by t^-low_i, where low_i is its lowest degree, so
-        every entry is an ordinary polynomial.  det = sum over sigma of
-        +-prod a[i][sigma(i)] and |fg|_1 <= |f|_1 |g|_1, so no coefficient
-        of the determinant exceeds bound = prod_i sum_j |a_ij|_1 in absolute
-        value (von zur Gathen-Gerhard, Modern Computer Algebra, 8.4).  With
-        2^B > 4 * bound, one int_det of the matrix at t = 2^B holds every
-        coefficient as a balanced base-2^B digit; a value that does not read
-        back within the bound raises ExactnessError.
+        """Exact determinant: one block row with one term per degree
+        (`kronecker_det`).
 
         >>> m = PolyMatrix({-2: ((1, 0), (0, 0)), 0: ((0, 2), (3, 0)),
         ...                 1: ((0, 0), (0, 1))}, 2)   # [[t^-2, 2], [3, t]]
         >>> str(m.det())
         't^-1 - 6'
         """
-        n = self.dim
-        if n == 1:
-            return self.entries()[0][0]
-        degrees = sorted(self.series, reverse=True)
-        rows = []   # per row: its nonzero (degree, coefficient row), highest first
-        bound = 1
-        for i in range(n):
-            terms = [(d, self.series[d][i]) for d in degrees if any(self.series[d][i])]
-            if not terms:
-                return ZERO
-            rows.append(terms)
-            bound *= sum(abs(c) for _, row in terms for c in row)
-        shift = (4 * bound).bit_length()
-        evaluated = []
-        for terms in rows:   # Horner at 2^shift, from the highest degree down
-            acc, prev = (0,) * n, terms[0][0]
-            for d, row in terms:
-                acc = [(a << shift * (prev - d)) + c for a, c in zip(acc, row)]
-                prev = d
-            evaluated.append(tuple(acc))
-        return kronecker_readback(
-            int_det(tuple(evaluated)), shift, bound,
-            sum(terms[0][0] - terms[-1][0] for terms in rows) + 1,
-            sum(terms[-1][0] for terms in rows))
+        return kronecker_det(
+            [[(0, {d: 1}, [(i, j, v) for i, row in enumerate(m)
+                           for j, v in enumerate(row) if v])
+              for d, m in self.series.items()]], self.dim)
+
+
+def kronecker_det(block_rows, dim: int) -> LaurentPoly:
+    """The determinant of a square matrix over Z[t, 1/t], taken as one
+    int_det at t = 2^B with a proven bound on its coefficients.
+
+    The matrix is given by block rows of `dim` rows each.  A block row is
+    a sequence of terms (column, counts, entries): counts maps degree to
+    int, entries are the nonzero (row, column, value) of an integer matrix
+    E, and the term adds sum_d counts[d] t^d E to the block row, with E's
+    column u at column `column + u`.  Terms may share a column and a
+    degree, and their counts may cancel.
+
+    Block row i is multiplied by t^-lo_i, where lo_i is the lowest degree
+    of its nonzero counts, so every entry is an ordinary polynomial.
+    det = sum over sigma of +-prod a[w][sigma(w)] and |fg|_1 <= |f|_1
+    |g|_1, so no coefficient of the determinant exceeds bound = prod_w
+    sum_j |a_wj|_1 in absolute value (von zur Gathen-Gerhard, Modern
+    Computer Algebra, 8.4).  Row w's factor is taken as the sum over terms
+    of (sum of |counts|) * (sum of |value| over E's row w), which is at
+    least sum_j |a_wj|_1.  With 2^B > 4 * bound, one int_det of the matrix
+    at t = 2^B holds every coefficient as a balanced base-2^B digit
+    (`kronecker_readback`); a value that does not read back within the
+    bound raises ExactnessError.  A 1x1 matrix is its entry, and a zero
+    row gives 0.
+    """
+    rows, bound = [], 1
+    for terms in block_rows:
+        degrees = [d for _, counts, _ in terms for d, c in counts.items() if c]
+        if not degrees:
+            return ZERO
+        sums = [0] * dim
+        for _, counts, entries in terms:
+            weight = sum(map(abs, counts.values()))
+            for w, _, v in entries:
+                sums[w] += weight * abs(v)
+        for s in sums:
+            bound *= s
+        if not bound:
+            return ZERO
+        rows.append((min(degrees), max(degrees), terms))
+    if len(rows) * dim == 1:
+        ((lo, hi, terms),) = rows
+        coeffs = [0] * (hi - lo + 1)
+        for _, counts, entries in terms:
+            for _, _, v in entries:
+                for d, c in counts.items():
+                    if c:
+                        coeffs[d - lo] += c * v
+        return LaurentPoly._from_dense(lo, coeffs)
+    shift = (4 * bound).bit_length()
+    size = len(rows) * dim
+    matrix = []
+    for lo, _, terms in rows:
+        block = [[0] * size for _ in range(dim)]
+        for col, counts, entries in terms:
+            c = sum(count << shift * (d - lo) for d, count in counts.items() if count)
+            for w, u, v in entries:
+                block[w][col + u] += c * v
+        matrix.extend(block)
+    return kronecker_readback(
+        int_det(matrix), shift, bound, dim * sum(hi - lo for lo, hi, _ in rows) + 1,
+        dim * sum(lo for lo, _, _ in rows))
 
 
 def kronecker_readback(value: int, shift: int, bound: int, digits: int,

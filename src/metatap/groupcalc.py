@@ -7,9 +7,9 @@ freely reduced, so equality of words is equality in the free group.
 
 The Fox calculus is one relator walk (`fox_tally`), whose counts and the
 prefixes' images under a representation give each block's Fox
-determinant at t = 2^B (`fox_determinant`).  The group-ring elements, Fox
-derivatives, prefix-matrix walk and Fox matrices it is checked against are
-in `metatap.oracles`.
+determinant (`fox_determinant`, through `exactalg.kronecker_det`).  The
+group-ring elements, Fox derivatives, prefix-matrix walk and Fox matrices
+it is checked against are in `metatap.oracles`.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
-from .exactalg import ZERO, LaurentPoly, kronecker_readback, poly_from_coeffs
-from .intmat import int_det
+from .exactalg import LaurentPoly, kronecker_det
 
 
 Letter = int
@@ -133,54 +132,12 @@ def fox_determinant(relators, delete: int, dim: int) -> LaurentPoly:
     `relators` has one entry per relator: the (generator, counts, entries)
     of each key of its tally (`fox_tally`), with counts its degree -> count
     and entries the nonzero (row, column, value) of the block's image of
-    the prefix.  Row w of relator i's block row is shifted by the relator's
-    lowest degree lo_i, and bounded by the sum over kept keys of
-    (sum of |count|) * (sum over row w of |value|): that is at least
-    sum_j |a_wj|_1, so no coefficient of the determinant exceeds the
-    product of the row bounds (see PolyMatrix.det).  Each entry is
-    sum count * 2^(B (d - lo_i)) times the value, one int_det is taken at
-    t = 2^B, and the digits are read back (`kronecker_readback`).  A 1x1
-    matrix is its entry, and a zero row gives 0.
+    the prefix.  Relator i fills block row i and each kept generator its
+    block column; `exactalg.kronecker_det` takes the determinant.
     """
-    rows, bound = [], 1
-    for terms in relators:
-        kept = [((g - 1 - (g > delete)) * dim, counts, entries)
-                for g, counts, entries in terms if g != delete]
-        degrees = [d for _, counts, _ in kept for d, c in counts.items() if c]
-        if not degrees:
-            return ZERO
-        sums = [0] * dim
-        for _, counts, entries in kept:
-            weight = sum(map(abs, counts.values()))
-            for w, _, v in entries:
-                sums[w] += weight * abs(v)
-        for s in sums:
-            bound *= s
-        if not bound:
-            return ZERO
-        rows.append((min(degrees), max(degrees), kept))
-    if len(rows) * dim == 1:
-        ((lo, hi, kept),) = rows
-        coeffs = [0] * (hi - lo + 1)
-        for _, counts, entries in kept:
-            for _, _, v in entries:
-                for d, c in counts.items():
-                    if c:
-                        coeffs[d - lo] += c * v
-        return poly_from_coeffs(coeffs, lo)
-    shift = (4 * bound).bit_length()
-    size = len(rows) * dim
-    matrix = []
-    for lo, _, kept in rows:
-        block_rows = [[0] * size for _ in range(dim)]
-        for col, counts, entries in kept:
-            c = sum(count << shift * (d - lo) for d, count in counts.items() if count)
-            for w, u, v in entries:
-                block_rows[w][col + u] += c * v
-        matrix.extend(block_rows)
-    return kronecker_readback(
-        int_det(matrix), shift, bound, dim * sum(hi - lo for lo, hi, _ in rows) + 1,
-        dim * sum(lo for lo, _, _ in rows))
+    return kronecker_det(
+        [[((g - 1 - (g > delete)) * dim, counts, entries)
+          for g, counts, entries in terms if g != delete] for terms in relators], dim)
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,10 @@ compare with the production code.  No production module imports this one.
                                 p^k-dimensional permutation path)
     group_word_image            metabelian.find_homs and check_homomorphism
                                 (relators on the coset tables)
-    det_bareiss                 exactalg.PolyMatrix.det and the evaluated Fox
-                                determinants (Kronecker substitution)
+    det_bareiss                 exactalg.kronecker_det, the one evaluated
+                                determinant (Kronecker substitution) of the
+                                Fox numerators, the denominators and
+                                PolyMatrix.det
     check_factorization         twisted.block_verdict (phi = twisted (1 - t) /
                                 Delta, not the ratio of the non-trivial blocks)
 

@@ -8,9 +8,10 @@ nonzero, and divide:
 
     invariant = det(remaining blocks) / det(Phi(g - 1))
 
-Both determinants are taken as integers at t = 2^B with a proven bound on
-their coefficients and read back digit by digit; the Fox matrix is
-evaluated straight from the relator walks (`groupcalc.fox_determinant`).
+Each determinant is one call of `exactalg.kronecker_det`: an int_det at
+t = 2^B with a proven bound on the coefficients, read back digit by digit.
+The Fox matrix goes to it straight from the relator walks
+(`groupcalc.fox_determinant`), and M t - I as the two terms M t and -I.
 The ratio is well defined up to +-t^k and is independent of the deleted
 column; both facts are exercised by the test suite rather than assumed.
 For representations of dimension > 1 the division is exact in Z[t, 1/t].
@@ -34,30 +35,22 @@ from .exactalg import (
     ZERO,
     canonical,
     exact_div,
-    kronecker_readback,
+    kronecker_det,
     poly_from_coeffs,
     supported_on_multiples,
 )
 from .groupcalc import Presentation, fox_determinant
-from .intmat import Mat, int_det
+from .intmat import Mat
 from .metabelian import MetaElem, MetaGroup
 
 
 def _denominator(m: Mat) -> LaurentPoly:
-    """det Phi(g - 1) = det(M t - I) for the image M of g.  Row i of
-    M t - I has sum_j |a_ij|_1 = sum_j |m_ij| + 1, so the product of these
-    bounds every coefficient, and one int_det at t = 2^B is read back
-    (`kronecker_readback`)."""
+    """det Phi(g - 1) = det(M t - I) for the image M of g
+    (`kronecker_det`)."""
     n = len(m)
-    if n == 1:
-        return poly_from_coeffs((-1, m[0][0]))
-    bound = 1
-    for row in m:
-        bound *= sum(map(abs, row)) + 1
-    shift = (4 * bound).bit_length()
-    evaluated = [[(v << shift) - (i == j) for j, v in enumerate(row)]
-                 for i, row in enumerate(m)]
-    return kronecker_readback(int_det(evaluated), shift, bound, n + 1, 0)
+    entries = [(i, j, v) for i, row in enumerate(m) for j, v in enumerate(row) if v]
+    return kronecker_det([[(0, {1: 1}, entries),
+                           (0, {0: -1}, [(i, i, 1) for i in range(n)])]], n)
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,22 @@ def from_entries(rows) -> PolyMatrix:
     return PolyMatrix({d: tuple(map(tuple, m)) for d, m in acc.items()}, dim)
 
 
+def block_row_matrix(block_rows, dim: int) -> PolyMatrix:
+    """The matrix whose determinant exactalg.kronecker_det takes, as a
+    PolyMatrix: block row i's term (column, counts, entries) adds
+    count * value at each degree to row i * dim + w, column `column + u`,
+    for each of its entries (w, u, value)."""
+    size = len(block_rows) * dim
+    acc = {}
+    for i, terms in enumerate(block_rows):
+        for col, counts, entries in terms:
+            for d, c in counts.items():
+                m = acc.setdefault(d, [[0] * size for _ in range(size)])
+                for w, u, v in entries:
+                    m[i * dim + w][col + u] += c * v
+    return PolyMatrix({d: tuple(map(tuple, m)) for d, m in acc.items()}, size)
+
+
 def mat_pow(a: Mat, e: int) -> Mat:
     """a^e by repeated squaring; a negative e inverts a first."""
     if e < 0:

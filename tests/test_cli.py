@@ -16,9 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metatap import characters, cli, groupcalc, metabelian, twinring, twisted
+from metatap import characters, cli, exactalg, metabelian, twinring, twisted
 from metatap.cli import main
-from metatap.exactalg import PolyMatrix, canonical, parse_poly
+from metatap.exactalg import canonical, parse_poly
 from metatap.golden import A4_3DIM, ALEXANDER, PHI, phi_value
 from metatap.knotdata import presentation
 from metatap.metabelian import MetaGroup, build_group, find_homs, group_from_name
@@ -33,6 +33,8 @@ from metatap.twobridge import (
     enumerate_fractions,
     wirtinger_presentation,
 )
+
+from matrix_helpers import block_row_matrix
 
 P = parse_poly
 
@@ -377,11 +379,13 @@ def test_compute_wrong_relabeling_exit_3(monkeypatch):
 
 
 def test_compute_tampered_determinant_exit_3(monkeypatch):
-    # only the int_det of the evaluated Fox determinants is tampered: the
-    # denominators and the obstruction's resultants take their own
-    genuine = groupcalc.int_det
-    monkeypatch.setattr(groupcalc, "int_det", lambda a: genuine(a) + (1 << 4096))
-    code, out, err = run_cli("compute", "--r", "3/5", "--group", "M(4|3,2)")
+    # the int_det of every evaluated determinant is tampered; resultant
+    # takes the same one, so the assignment is given and the obstruction,
+    # whose Sylvester resultant would otherwise exit 2, is skipped
+    genuine = exactalg.int_det
+    monkeypatch.setattr(exactalg, "int_det", lambda a: genuine(a) + (1 << 4096))
+    code, out, err = run_cli("compute", "--r", "3/5", "--group", "M(4|3,2)",
+                             "--assign", "x=s; y=s b1")
     assert code == 3 and not out
     assert err.startswith("internal consistency failure: ") and err.count("\n") == 1
     assert "bound" in err and "Traceback" not in err
@@ -486,19 +490,10 @@ def test_unexpected_exception_exit_3_without_traceback(monkeypatch):
 def fox_matrix(relators, delete, dim):
     """The Fox matrix whose determinant fox_determinant evaluates, as a
     PolyMatrix: relator i's keys fill block row i, generator g's block
-    column among the kept generators, with count * value at each degree."""
-    size = len(relators) * dim
-    acc = {}
-    for i, terms in enumerate(relators):
-        for g, counts, entries in terms:
-            if g == delete:
-                continue
-            col = (g - 1 - (g > delete)) * dim
-            for d, c in counts.items():
-                m = acc.setdefault(d, [[0] * size for _ in range(size)])
-                for w, u, v in entries:
-                    m[i * dim + w][col + u] += c * v
-    return PolyMatrix({d: tuple(map(tuple, m)) for d, m in acc.items()}, size)
+    column among the kept generators."""
+    return block_row_matrix(
+        [[((g - 1 - (g > delete)) * dim, counts, entries)
+          for g, counts, entries in terms if g != delete] for terms in relators], dim)
 
 
 @pytest.mark.parametrize("flag, source, group", [
@@ -686,6 +681,41 @@ def test_scan_deterministic_and_parallel(tmp_path):
         keys = [(Fraction(rec["input"]).denominator, Fraction(rec["input"]).numerator,
                  rec["assignment"]) for rec in load(path)]
         assert len(keys) > 1 and keys == sorted(keys)
+
+
+def test_scan_workers_at_most_fractions(monkeypatch, tmp_path):
+    # a pool is started only for two or more fractions, with at most one
+    # worker per fraction
+    import multiprocessing
+
+    started = []
+
+    class FakePool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return [fn(j) for j in jobs]
+
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    out = str(tmp_path / "x.jsonl")
+    for alpha_max, jobs, expected in (("5", "8", [3]), ("3", "8", []), ("9", "2", [2]),
+                                      ("9", "1", [])):
+        started.clear()
+        code, _, _ = run_cli("scan", "--alpha-max", alpha_max, "--group", "A4",
+                             "--out", out, "--jobs", jobs)
+        assert code == 0 and started == expected
+    # fractions are counted after --h3-only drops those outside H(3)
+    started.clear()
+    code, _, _ = run_cli("scan", "--alpha-max", "9", "--group", "A4", "--h3-only",
+                         "--out", out, "--jobs", "4")
+    assert code == 0 and started == [2]
 
 
 def test_scan_jobs_below_one_exit_1(tmp_path):

@@ -1,8 +1,11 @@
 """Exact Laurent arithmetic, normalization, division, and determinants."""
 
 import doctest
+import inspect
 import math
 import random
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +20,7 @@ from metatap.exactalg import (
     ONE,
     canonical,
     exact_div,
+    kronecker_det,
     kronecker_readback,
     normalize,
     parse_poly,
@@ -28,7 +32,7 @@ from metatap.intmat import identity, int_det, mat_neg, zeros
 from metatap.metabelian import cyclotomic_coeffs
 from metatap.oracles import block_matrix, det_bareiss
 
-from matrix_helpers import from_entries
+from matrix_helpers import block_row_matrix, from_entries
 
 P = parse_poly
 
@@ -501,6 +505,70 @@ def test_det_zero_row_and_singular():
     sing = from_entries([[ONE, ONE], [ONE, ONE]])
     assert det_bareiss(sing) == ZERO
     assert sing.det() == ZERO
+
+
+# -- kronecker_det: the one evaluated determinant ------------------------------
+
+@st.composite
+def kronecker_args(draw):
+    """kronecker_det's arguments: 1-3 block rows of 1-4 rows, whose terms sit
+    at any column offset, repeat an earlier term's column and degrees, or
+    cancel it, and may leave rows zero."""
+    dim, count = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    size = count * dim
+    matrices = st.dictionaries(
+        st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1)),
+        st.integers(-5, 4).map(lambda v: v if v < 0 else v + 1), max_size=dim * dim)
+    block_rows = []
+    for i in range(count):
+        terms = []
+        if draw(st.integers(0, 3)):   # a diagonal, so that many matrices are regular
+            degree, count = draw(st.integers(-4, 4)), draw(st.sampled_from((1, -2)))
+            terms.append((i * dim, {degree: count}, [(w, w, 1) for w in range(dim)]))
+        for _ in range(draw(st.integers(0, 4))):
+            if terms and draw(st.booleans()):
+                col, counts, entries = draw(st.sampled_from(terms))
+                if draw(st.booleans()):   # cancels the earlier term
+                    terms.append((col, {d: -c for d, c in counts.items()}, entries))
+                    continue
+                counts = {d: draw(st.integers(-3, 3)) for d in counts}
+            else:
+                col = draw(st.integers(0, size - dim))
+                counts = draw(st.dictionaries(st.integers(-4, 4), st.integers(-3, 3),
+                                              max_size=3))
+            entries = [(w, u, v) for (w, u), v in draw(matrices).items()]
+            terms.append((col, counts, entries))
+        block_rows.append(terms)
+    return block_rows, dim
+
+
+@given(kronecker_args())
+@settings(max_examples=300, deadline=None)
+def test_kronecker_det_matches_bareiss(args):
+    block_rows, dim = args
+    assert kronecker_det(block_rows, dim) == det_bareiss(block_row_matrix(block_rows, dim))
+
+
+def test_determinant_policy_exists_once():
+    # the row bound, B, the evaluation at 2^B and the readback are
+    # kronecker_det's alone; int_det is called only by it and by resultant
+    call = re.compile(r"(?<!def )\b(int_det|kronecker_readback)\(|\.bit_length\(\)")
+    package = Path(exactalg.__file__).parent
+    modules = sorted(package.glob("*.py"))
+    assert len(modules) > 10
+    for path in modules:
+        if path.name not in ("exactalg.py", "oracles.py"):
+            calls = [m.group(0) for m in call.finditer(path.read_text())]
+            assert calls == [], path.name
+
+    def found(obj):
+        return sorted(m.group(0) for m in call.finditer(inspect.getsource(obj)))
+
+    assert found(exactalg.kronecker_det) == sorted(
+        ["int_det(", "kronecker_readback(", ".bit_length()"])
+    assert found(exactalg.resultant) == ["int_det("]
+    assert found(exactalg) == sorted(found(exactalg.kronecker_det)
+                                     + found(exactalg.resultant))
 
 
 # -- resultants ---------------------------------------------------------------
