@@ -9,7 +9,8 @@ Subcommands:
 
 Exit codes: 0 computed, 1 input error (or a closed stdout), 2 no
 representation (or, for h3, a fraction not in H(3)), 3 internal
-consistency failure.
+consistency failure.  Exit 1 is an InputError, which only the code that
+reads user input raises; any other exception exits 3 (README, "Errors").
 
 Result records are JSON objects with stable field names:
   input, group, assignment, surjective, n, delta, twisted, phi, holds,
@@ -32,11 +33,13 @@ from pathlib import Path
 
 from .characters import representation_blocks
 from .exactalg import ExactnessError, LaurentPoly
-from .groupcalc import Presentation, PresentationError
+from .groupcalc import InputError, Presentation
 from .knotdata import BUNDLED, load_presentation
 from .metabelian import (
     MetaGroup,
+    NotHomomorphismError,
     a4_group,
+    check_homomorphism,
     conjugate_by_relabeling,
     find_homs,
     generates,
@@ -44,10 +47,11 @@ from .metabelian import (
     obstruction_passes,
     unit_classes,
 )
-from .twisted import NoUsableColumnError, block_verdict, twisted_alexander
-from .twinring import NotInH3Error, twisted_from_form, twisted_via_recursion
+from .twisted import block_verdict, twisted_alexander
+from .twinring import twisted_from_form
 from .twobridge import (
     FractionR,
+    NotAKnotGroupError,
     alexander_poly,
     enumerate_fractions,
     h3_expand,
@@ -61,10 +65,6 @@ EXIT_INTERNAL = 3
 
 FIELDS = ["input", "group", "assignment", "surjective", "n", "delta",
           "twisted", "phi", "holds", "cross_path_match", "millis"]
-
-
-class InputError(Exception):
-    pass
 
 
 def _parse_assignment(text: str, group: MetaGroup, p: Presentation) -> dict:
@@ -83,6 +83,10 @@ def _parse_assignment(text: str, group: MetaGroup, p: Presentation) -> dict:
     missing = [g for g in p.generators if g not in images]
     if missing:
         raise InputError(f"assignment missing generators {missing}")
+    try:
+        check_homomorphism(p, group, images)
+    except NotHomomorphismError as e:
+        raise InputError(str(e)) from None
     return images
 
 
@@ -189,20 +193,25 @@ def _gather_assignments(p, group, args):
     return chosen
 
 
-def _load_input(args) -> tuple[Presentation, LaurentPoly, str]:
-    """The presentation, its Alexander polynomial and the input's name,
-    from --r or --pres."""
-    if args.r:
+def _load_input(args):
+    """The presentation, its Alexander polynomial, the input's name and the
+    fraction (None for --pres), from --r or --pres.  A --pres that is not
+    a knot group's is an input error."""
+    if args.r is not None:
         r = FractionR.parse(args.r)
         p = wirtinger_presentation(r)
-        return p, alexander_poly(p), str(r)
+        return p, alexander_poly(p), str(r), r
     p = load_presentation(args.pres)
-    return p, alexander_poly(p), p.name or args.pres
+    try:
+        delta = alexander_poly(p)
+    except NotAKnotGroupError as e:
+        raise InputError(str(e)) from None
+    return p, delta, p.name or args.pres, None
 
 
 def cmd_compute(args) -> int:
     group = group_from_name(args.group)
-    p, delta, input_name = _load_input(args)
+    p, delta, input_name, r = _load_input(args)
     if not args.assign and not obstruction_passes(delta, group.n, group.p):
         print(
             f"no representation: the resultant obstruction rules out a "
@@ -215,11 +224,10 @@ def cmd_compute(args) -> int:
               file=sys.stderr)
         return EXIT_NO_REP
     recursion_value = None
-    if args.cross_check and group == a4_group() and args.r:
-        try:
-            recursion_value = twisted_via_recursion(FractionR.parse(args.r))
-        except NotInH3Error:
-            recursion_value = None
+    if args.cross_check and group == a4_group() and r is not None:
+        form = h3_expand(r)
+        if form is not None:
+            recursion_value = twisted_from_form(form)
     classes = unit_classes(group, [images for images, _ in assignments])
     records = _compute_records(p, group, delta, assignments, classes,
                                input_name, args.cross_check, recursion_value,
@@ -332,7 +340,7 @@ def _dump_rows(rows, handle, jsonl: bool, csv_mode: bool) -> None:
 
 def cmd_find_reps(args) -> int:
     group = group_from_name(args.group)
-    p, delta, name = _load_input(args)
+    p, delta, name, _ = _load_input(args)
     possible = obstruction_passes(delta, group.n, group.p)
     if not possible:
         print(f"obstruction: no surjection of G({name}) onto {group.name()} "
@@ -384,9 +392,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_input_opts(sp, with_assign=True):
-        sp.add_argument("--r", help="2-bridge fraction beta/alpha (both odd)")
-        sp.add_argument("--pres", help="presentation file (or bundled name: "
-                                       + ", ".join(BUNDLED) + ")")
+        source = sp.add_mutually_exclusive_group(required=True)
+        source.add_argument("--r", help="2-bridge fraction beta/alpha (both odd)")
+        source.add_argument("--pres", help="presentation file (or bundled name: "
+                                           + ", ".join(BUNDLED) + ")")
         sp.add_argument("--group", required=True,
                         help="target group: A4 or M(n|p,k)")
         sp.add_argument("--fix", default=None,
@@ -437,17 +446,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except InputError as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    if args.command in ("compute", "find-reps"):
-        if bool(args.r) == bool(args.pres):
-            print("exactly one of --r / --pres is required", file=sys.stderr)
-            return EXIT_INPUT
-    try:
         status = args.func(args)
         sys.stdout.flush()
         return status
+    except InputError as e:
+        print(f"input error: {e}", file=sys.stderr)
+        return EXIT_INPUT
     except BrokenPipeError:
         # The reader closed stdout.  Point the descriptor at devnull, so
         # that the interpreter's flush at exit does not raise again.
@@ -455,10 +459,7 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_INPUT
-    except (InputError, PresentationError, ValueError) as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except (NoUsableColumnError, ExactnessError) as e:
+    except ExactnessError as e:
         print(f"internal consistency failure: {e}", file=sys.stderr)
         return EXIT_INTERNAL
     except Exception as e:

@@ -145,7 +145,12 @@ def fox_determinant(relators, delete: int, dim: int) -> LaurentPoly:
 # ---------------------------------------------------------------------------
 
 
-class PresentationError(ValueError):
+class InputError(ValueError):
+    """A user input the program cannot take, raised only where input is
+    read; the command line's exit 1.  Any other exception is a fault."""
+
+
+class PresentationError(InputError):
     """Malformed presentation text; carries 1-based line/column info."""
 
     def __init__(self, message: str, line: int, column: int):

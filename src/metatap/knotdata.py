@@ -11,7 +11,7 @@ from __future__ import annotations
 from importlib import resources
 from pathlib import Path
 
-from .groupcalc import Presentation, parse_presentation
+from .groupcalc import InputError, Presentation, parse_presentation
 
 BUNDLED = ("8_5", "10_145", "10_159")
 
@@ -28,16 +28,16 @@ def presentation(name: str) -> Presentation:
 def load_presentation(spec: str) -> Presentation:
     """A presentation file, or else a bundled name (with or without .pres).
 
-    Raises ValueError when `spec` is neither or the file cannot be read.
+    Raises InputError when `spec` is neither or the file cannot be read.
     """
     path = Path(spec)
-    if path.exists():
-        try:
-            text = path.read_text()
-        except (OSError, UnicodeDecodeError) as e:
-            raise ValueError(f"cannot read presentation file {spec}: {e}") from e
+    try:
+        text = path.read_text() if path.exists() else None
+    except (OSError, ValueError) as e:  # a directory, a name too long, not UTF-8
+        raise InputError(f"cannot read presentation file {spec}: {e}") from e
+    if text is not None:
         return parse_presentation(text, name=path.stem)
     clean = spec.removesuffix(".pres")
     if clean in BUNDLED:
         return presentation(clean)
-    raise ValueError(f"presentation file not found: {spec}")
+    raise InputError(f"presentation file not found: {spec}")

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 from .exactalg import (
     ExactnessError, LaurentPoly, canonical, poly_from_coeffs, exact_div, resultant)
-from .groupcalc import Presentation, Word
+from .groupcalc import InputError, Presentation, Word
 from .intmat import (
     Mat, identity, mat_add, mat_mul, mat_scale, zeros)
 
@@ -38,6 +38,16 @@ def is_prime(p: int) -> bool:
             return False
         d += 1
     return True
+
+
+def check_parameters(n: int, p: int, error=ValueError) -> None:
+    """Raise `error` unless n >= 2, p is prime and gcd(n, p) = 1."""
+    if n < 2:
+        raise error("need n >= 2")
+    if not is_prime(p):
+        raise error(f"{p} is not prime")
+    if n % p == 0:
+        raise error(f"need gcd(n, p) = 1, got n={n}, p={p}")
 
 
 @lru_cache(maxsize=None)
@@ -130,12 +140,7 @@ class MetaGroup:
     """The metabelian group M(n|p,k) with its companion-matrix action."""
 
     def __init__(self, n: int, p: int):
-        if n < 2:
-            raise ValueError("need n >= 2")
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        if n % p == 0:
-            raise ValueError(f"need gcd(n, p) = 1, got n={n}, p={p}")
+        check_parameters(n, p)
         self.n = n
         self.p = p
         coeffs = cyclotomic_coeffs(n)
@@ -245,7 +250,8 @@ class MetaGroup:
         return self.elem(-g.ell, tuple(-x % self.p for x in moved))
 
     def parse_elem(self, text: str) -> MetaElem:
-        """Parse 's b1 b4', 's^2', 'b2^3', '1' into an element."""
+        """Parse 's b1 b4', 's^2', 'b2^3', '1' into an element; InputError
+        if the text is not one."""
         out = self.identity_elem()
         for tok in text.split():
             if tok == "1":
@@ -254,14 +260,16 @@ class MetaGroup:
             try:
                 exp = int(exp_text) if caret else 1
             except ValueError:
-                raise ValueError(f"bad exponent in element token {tok!r}") from None
+                raise InputError(f"bad exponent in element token {tok!r}") from None
             if base == "s":
                 part = self.elem(exp, (0,) * self.k)
-            elif base.startswith("b") and base[1:].isdigit():
-                part = self.b(int(base[1:]))
-                part = self.elem(0, tuple(v * exp % self.p for v in part.vec))
+            elif base.startswith("b") and base[1:].isdecimal():
+                i = int(base[1:])
+                if not 1 <= i <= self.k:
+                    raise InputError(f"b index out of range: {i}")
+                part = self.elem(0, tuple(exp if j == i - 1 else 0 for j in range(self.k)))
             else:
-                raise ValueError(f"bad element token {tok!r}")
+                raise InputError(f"bad element token {tok!r}")
             out = self.mul(out, part)
         return out
 
@@ -480,9 +488,10 @@ def euler_phi(n: int) -> int:
 
 
 def group_from_name(text: str) -> MetaGroup:
-    """Parse 'A4' or 'M(n|p,k)'; k is checked against deg Phi_n before the
-    group is built, since building it (Phi_n and the n powers of T) costs
-    time and memory that grow with n."""
+    """Parse 'A4' or 'M(n|p,k)', raising InputError for any other text.
+    k is checked against deg Phi_n before the group is built, since
+    building it (Phi_n and the n powers of T) costs time and memory that
+    grow with n."""
     s = text.strip()
     if s.upper() == "A4":
         return a4_group()
@@ -490,12 +499,13 @@ def group_from_name(text: str) -> MetaGroup:
 
     m = re.fullmatch(r"M\((\d+)\|(\d+),(\d+)\)", s)
     if not m:
-        raise ValueError(f"bad group name {text!r}; expected A4 or M(n|p,k)")
+        raise InputError(f"bad group name {text!r}; expected A4 or M(n|p,k)")
     n, p, k = int(m.group(1)), int(m.group(2)), int(m.group(3))
     degree = euler_phi(n)
     if degree != k:
-        raise ValueError(
+        raise InputError(
             f"k = {k} does not match deg Phi_{n} = {degree} in {text!r}")
+    check_parameters(n, p, InputError)
     return build_group(n, p)
 
 
@@ -603,6 +613,7 @@ def find_homs(p: Presentation, group: MetaGroup,
               fix: Optional[str] = None) -> list[HomAssignment]:
     """All assignments sending `fix` (default: the first generator) to s and
     every other generator into the coset s * (Z/p)^k, that kill all relators.
+    `fix` is the user's --fix: a name that is no generator is an InputError.
 
     Meridian generators of a knot group are all conjugate, so they must land
     in a single conjugacy class; fixing one of them to s is the standard
@@ -615,7 +626,7 @@ def find_homs(p: Presentation, group: MetaGroup,
     """
     fixed_name = fix if fix is not None else p.generators[0]
     if fixed_name not in p.generators:
-        raise ValueError(f"no generator named {fixed_name!r}")
+        raise InputError(f"no generator named {fixed_name!r}")
     if any(rel.exponent_sum() % group.n for rel in p.relators):
         return []
     others = [g for g in p.generators if g != fixed_name]

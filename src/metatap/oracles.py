@@ -10,7 +10,7 @@ compare with the production code.  No production module imports this one.
     fox_tables, block_matrix,   groupcalc.fox_determinant (each block's Fox
       fox_jacobian              matrix as a matrix polynomial, not evaluated
                                 from the walk)
-    phi_generator_minus_one     twisted's denominators det(M t - I)
+    phi_generator_minus_one     twisted._denominator's det(M t - I)
     twisted_alexander_tables    twisted.twisted_alexander (the determinant
                                 ratio from Fox tables, for any representation)
     MatrixRep                   characters.Representation (one block of
@@ -42,7 +42,7 @@ from .exactalg import (
 from .groupcalc import Presentation, Word, fox_tally
 from .intmat import Mat, identity, mat_inverse, mat_mul, mat_neg, mat_scale, zeros
 from .metabelian import MetaElem, MetaGroup, check_homomorphism
-from .twisted import NoUsableColumnError, TwistedResult, Verdict, _product
+from .twisted import TwistedResult, Verdict, _product
 
 IDENTITY = Word()
 
@@ -254,33 +254,29 @@ def twisted_alexander_tables(p: Presentation, rho, delete: Optional[str] = None,
     (`fox_tables`) for a MatrixRep or a `characters.Representation`: each
     block's Fox matrix (`fox_jacobian`) and Phi(g - 1) are built as matrix
     polynomials, and `det` (PolyMatrix.det or det_bareiss) takes their
-    determinants."""
+    determinants.  As there, `delete` defaults to the last generator, and
+    a zero denominator is an ExactnessError."""
     if not p.deficiency_one():
         raise ValueError("presentation must have one fewer relator than generators")
-    if delete is not None:
-        order = [p.gen_index(delete)]
-    else:
-        order = list(range(p.num_generators, 0, -1))
+    gen = p.num_generators if delete is None else p.gen_index(delete)
     tables = [fox_tables(rho, rel) for rel in p.relators]
-    for gen in order:
-        dens = tuple(det(phi_generator_minus_one(m)) for m in rho.block_images[gen])
-        den = _product(dens)
-        if den.is_zero():
-            continue
-        nums = tuple(
-            det(fox_jacobian([table[b] for table in tables], p.num_generators, dim, gen))
-            for b, dim in enumerate(rho.dims))
-        num = _product(nums)
-        invariant = None
-        if not num.is_zero():
-            q = exact_div(num, den)
-            if q is not None:
-                invariant = canonical(q)
-        elif sum(rho.dims) > 1:
-            invariant = ZERO
-        return TwistedResult(nums, dens, exact_div(_product(nums[1:]), _product(dens[1:])),
-                             invariant, p.generators[gen - 1])
-    raise NoUsableColumnError("no generator has nonzero det Phi(g - 1)")
+    dens = tuple(det(phi_generator_minus_one(m)) for m in rho.block_images[gen])
+    den = _product(dens)
+    if den.is_zero():
+        raise ExactnessError(f"det Phi({p.generators[gen - 1]} - 1) is zero")
+    nums = tuple(
+        det(fox_jacobian([table[b] for table in tables], p.num_generators, dim, gen))
+        for b, dim in enumerate(rho.dims))
+    num = _product(nums)
+    invariant = None
+    if not num.is_zero():
+        q = exact_div(num, den)
+        if q is not None:
+            invariant = canonical(q)
+    elif sum(rho.dims) > 1:
+        invariant = ZERO
+    return TwistedResult(nums, dens, exact_div(_product(nums[1:]), _product(dens[1:])),
+                         invariant, p.generators[gen - 1])
 
 
 def check_factorization(twisted: LaurentPoly, delta: LaurentPoly, n: int) -> Verdict:

@@ -17,8 +17,8 @@ from . import golden
 from .exactalg import canonical
 from .knotdata import presentation
 from .metabelian import a4_group, build_group, cycle_type, group_from_name
-from .twinring import twisted_via_recursion
-from .twobridge import FractionR, alexander_poly
+from .twinring import twisted_from_form
+from .twobridge import FractionR, alexander_poly, h3_expand
 
 
 def run(quick: bool = False, p7: bool = False, out=sys.stdout) -> int:
@@ -58,8 +58,9 @@ def run(quick: bool = False, p7: bool = False, out=sys.stdout) -> int:
         want = canonical(value)
         fox = golden.phi_verdict(*golden.permutation_rep(frac, a4_group()), 3)
         report(f"3-dim twisted K({frac}) via Fox calculus", fox.phi == want)
+        form = h3_expand(r)
         report(f"3-dim twisted K({frac}) via cf recursion",
-               twisted_via_recursion(r) == want)
+               form is not None and twisted_from_form(form) == want)
 
     # -- torus knots onto M(p|2,p-1) ----------------------------------------
     for entry in golden.TORUS:

@@ -40,7 +40,7 @@ from .intmat import (
     mat_neg,
     mat_scale,
 )
-from .twobridge import FractionR, H3Form, h3_expand
+from .twobridge import H3Form
 
 # The two generating matrices of the irreducible 3-dimensional integral
 # representation of A4 = M(3|2,2): X is the image of s (the 3-cycle x) and
@@ -289,28 +289,14 @@ def twin_determinant(d: TwinDecomp) -> LaurentPoly:
 _BASE_INVARIANT = LaurentPoly([(0, 1), (3, -1)])  # value for the trefoil 1/3
 
 
-class NotInH3Error(ValueError):
-    """The fraction is not in H(3): it has no certificate
-    [3k1, 2m1, ..., 3kq], so the recursion path does not apply."""
-
-
 def normalized_series(form: H3Form) -> PolyMatrix:
     """y^-1 t^-1 times the recursion series; this is the twin object."""
     return YINV_T * recursion_series(form)
 
 
-def twisted_via_recursion(r: FractionR) -> LaurentPoly:
-    """Twisted polynomial of K(r) through the continued-fraction recursion:
-    det of the series times (1 - t^3), unit-normalized.  Raises NotInH3Error
-    when r is not in H(3); use the Fox-calculus path then."""
-    form = h3_expand(r)
-    if form is None:
-        raise NotInH3Error(
-            f"{r} is not in H(3): no certificate [3k1, 2m1, ..., 3kq] "
-            "exists; compute via the direct Fox-calculus path instead")
-    return twisted_from_form(form)
-
-
 def twisted_from_form(form: H3Form) -> LaurentPoly:
+    """Twisted polynomial of the 2-bridge knot with the H(3) certificate
+    `form` (`twobridge.h3_expand`) through the continued-fraction
+    recursion: det of the series times (1 - t^3), unit-normalized."""
     det = recursion_series(form).det()
     return canonical(det * _BASE_INVARIANT)

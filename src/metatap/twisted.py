@@ -3,8 +3,8 @@
 The invariant of a deficiency-one presentation P and a representation rho
 is computed as a determinant ratio: map each Fox derivative dR_i/dx_j
 through Phi(w) = rho(w) * t^(exponent sum of w), assemble the block matrix,
-delete the column of one generator g whose denominator det Phi(g - 1) is
-nonzero, and divide:
+delete the column of one generator g, and divide by its denominator
+det Phi(g - 1), which is never zero for an image in GL(dim, Z):
 
     invariant = det(remaining blocks) / det(Phi(g - 1))
 
@@ -40,17 +40,14 @@ from .exactalg import (
     supported_on_multiples,
 )
 from .groupcalc import Presentation, fox_determinant
-from .intmat import Mat
 from .metabelian import MetaElem, MetaGroup
 
 
-def _denominator(m: Mat) -> LaurentPoly:
-    """det Phi(g - 1) = det(M t - I) for the image M of g
-    (`kronecker_det`)."""
-    n = len(m)
-    entries = [(i, j, v) for i, row in enumerate(m) for j, v in enumerate(row) if v]
+def _denominator(entries, dim: int) -> LaurentPoly:
+    """det Phi(g - 1) = det(M t - I) for the image M of g, given by its
+    nonzero entries (row, column, value) (`kronecker_det`)."""
     return kronecker_det([[(0, {1: 1}, entries),
-                           (0, {0: -1}, [(i, i, 1) for i in range(n)])]], n)
+                           (0, {0: -1}, [(i, i, 1) for i in range(dim)])]], dim)
 
 
 @dataclass(frozen=True)
@@ -84,14 +81,10 @@ class TwistedResult:
         return canonical(_product(self.dens))
 
 
-class NoUsableColumnError(RuntimeError):
-    """Every candidate denominator det Phi(g - 1) vanished."""
-
-
 def twisted_alexander(p: Presentation, rho: Representation,
                       delete: Optional[str] = None) -> TwistedResult:
     """Wada-style determinant ratio; deletes `delete` (default: the last
-    generator, falling back to any generator with nonzero denominator).
+    generator).
 
     `rho` is a direct sum of character blocks, the trivial block first.
     The invariant is multiplicative over a direct sum, so it is the product
@@ -100,33 +93,33 @@ def twisted_alexander(p: Presentation, rho: Representation,
     evaluated from the walks (`fox_determinant`).  The ratio of the blocks
     after the first (`rest`) is divided out first, and the invariant is
     nums_0 * rest / dens_0; only when `rest` is not a polynomial is the
-    whole ratio divided out."""
+    whole ratio divided out.
+
+    No denominator det(M t - I) is zero: its leading coefficient is
+    det M = +-1, since `Representation` checks image * inverse = I, and
+    its constant term is (-1)^dim.  A zero one is an ExactnessError."""
     if not p.deficiency_one():
         raise ValueError("presentation must have one fewer relator than generators")
-    if delete is not None:
-        order = [p.gen_index(delete)]
-    else:
-        order = list(range(p.num_generators, 0, -1))
+    gen = p.num_generators if delete is None else p.gen_index(delete)
     walks = [rho.fox_walk(rel) for rel in p.relators]
-    for gen in order:
-        dens = tuple(_denominator(m) for m in rho.block_images[gen])
-        if any(f.is_zero() for f in dens):
-            continue
-        nums = tuple(
-            fox_determinant([[(g, counts, entries[b]) for g, counts, entries in walk]
-                             for walk in walks], gen, dim)
-            for b, dim in enumerate(rho.dims))
-        rest = exact_div(_product(nums[1:]), _product(dens[1:]))
-        if any(f.is_zero() for f in nums):
-            invariant = ZERO if sum(rho.dims) > 1 else None
-        else:
-            # rest is mostly zeros when it is phi(t^n): it goes on the right,
-            # where the product skips them
-            q = (exact_div(nums[0] * rest, dens[0]) if rest is not None
-                 else exact_div(_product(nums), _product(dens)))
-            invariant = None if q is None else canonical(q)
-        return TwistedResult(nums, dens, rest, invariant, p.generators[gen - 1])
-    raise NoUsableColumnError("no generator has nonzero det Phi(g - 1)")
+    dens = tuple(_denominator(entries, dim)
+                 for entries, dim in zip(rho.entries(rho.letters[gen]), rho.dims))
+    if any(f.is_zero() for f in dens):
+        raise ExactnessError(f"det Phi({p.generators[gen - 1]} - 1) is zero")
+    nums = tuple(
+        fox_determinant([[(g, counts, entries[b]) for g, counts, entries in walk]
+                         for walk in walks], gen, dim)
+        for b, dim in enumerate(rho.dims))
+    rest = exact_div(_product(nums[1:]), _product(dens[1:]))
+    if any(f.is_zero() for f in nums):
+        invariant = ZERO if sum(rho.dims) > 1 else None
+    else:
+        # rest is mostly zeros when it is phi(t^n): it goes on the right,
+        # where the product skips them
+        q = (exact_div(nums[0] * rest, dens[0]) if rest is not None
+             else exact_div(_product(nums), _product(dens)))
+        invariant = None if q is None else canonical(q)
+    return TwistedResult(nums, dens, rest, invariant, p.generators[gen - 1])
 
 
 def _product(factors) -> LaurentPoly:

@@ -18,7 +18,7 @@ from math import gcd
 from typing import Optional
 
 from .exactalg import ExactnessError, LaurentPoly, canonical
-from .groupcalc import Presentation, Word, fox_determinant, fox_tally
+from .groupcalc import InputError, Presentation, Word, fox_determinant, fox_tally
 
 
 class CFError(ValueError):
@@ -43,10 +43,14 @@ class FractionR:
 
     @staticmethod
     def parse(text: str) -> "FractionR":
+        """'beta/alpha', or an InputError."""
         parts = text.strip().split("/")
         if len(parts) != 2:
-            raise ValueError(f"expected 'beta/alpha', got {text!r}")
-        return FractionR(int(parts[0]), int(parts[1]))
+            raise InputError(f"expected 'beta/alpha', got {text!r}")
+        try:
+            return FractionR(int(parts[0]), int(parts[1]))
+        except ValueError as e:
+            raise InputError(str(e)) from None
 
     def as_fraction(self) -> Fraction:
         return Fraction(self.beta, self.alpha)
@@ -149,7 +153,7 @@ def h3_expand(r: FractionR) -> Optional[H3Form]:
     form = H3Form(tuple(a // 3 for a in entries[0::2]),
                   tuple(a // 2 for a in entries[1::2]))
     if form.value() != r.as_fraction():
-        raise ExactnessError(f"search certificate failed for {r}")
+        raise ExactnessError(f"the H(3) certificate {form} does not evaluate to {r}")
     return form
 
 
@@ -172,7 +176,7 @@ def wirtinger_presentation(r: FractionR) -> Presentation:
 
 
 class NotAKnotGroupError(ValueError):
-    """The presentation failed the Delta(1) = +-1 sanity check."""
+    """Not a deficiency-one presentation with Delta(1) = +-1."""
 
 
 def alexander_poly(p: Presentation) -> LaurentPoly:
@@ -183,10 +187,11 @@ def alexander_poly(p: Presentation) -> LaurentPoly:
     has the image 1, so the relator walk names them all 0, and the Fox
     determinant is that of the trivial block (`fox_determinant`).  The
     last generator's column is deleted; the result is unit-normalized and
-    must satisfy Delta(1) = +-1.
+    must satisfy Delta(1) = +-1.  A presentation that fails either check
+    raises NotAKnotGroupError.
     """
     if not p.deficiency_one():
-        raise ValueError("presentation must have one fewer relator than generators")
+        raise NotAKnotGroupError("presentation must have one fewer relator than generators")
     n = p.num_generators
     one = [(0, 0, 1)]
     walks = [[(g, counts, one) for (g, _), counts in fox_tally(rel, lambda x, letter: 0).items()]

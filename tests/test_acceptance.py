@@ -47,7 +47,7 @@ from metatap.twinring import (
     normalized_series,
     twin_decompose,
     twin_determinant,
-    twisted_via_recursion,
+    twisted_from_form,
     yx_geometric,
 )
 from metatap.twobridge import (
@@ -202,7 +202,7 @@ def test_h3_sweep_cross_path_alpha_99():
         members += 1
         # t^3 support, and both computation paths agree
         assert all(d % 3 == 0 for d, _ in fox_value.terms), str(r)
-        assert twisted_via_recursion(r) == fox_value, str(r)
+        assert twisted_from_form(form) == fox_value, str(r)
     assert members >= 50
     print(f"ACCEPTANCE H(3) sweep alpha <= 99 ({members} members, "
           f"cross-path equal): PASS")

@@ -2,21 +2,24 @@
 
 import csv
 import dataclasses
+import inspect
 import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metatap import characters, cli, exactalg, metabelian, twinring, twisted
+from metatap import characters, cli, exactalg, metabelian, twisted
 from metatap.cli import main
 from metatap.exactalg import canonical, parse_poly
 from metatap.golden import A4_3DIM, ALEXANDER, PHI, phi_value
@@ -96,11 +99,13 @@ def test_compute_pres_file_and_bundled_suffix(tmp_path):
 
 
 def test_compute_pres_directory_exit_1(tmp_path):
+    # a directory, and a name longer than a file system allows
     for command in ("compute", "find-reps"):
-        code, out, err = run_cli(command, "--pres", str(tmp_path), "--group", "A4")
-        assert code == 1 and not out
-        assert err.startswith("input error: cannot read presentation file")
-        assert "Traceback" not in err
+        for spec in (str(tmp_path), "k" * 300):
+            code, out, err = run_cli(command, "--pres", spec, "--group", "A4")
+            assert code == 1 and not out
+            assert err.startswith("input error: cannot read presentation file")
+            assert "Traceback" not in err
 
 
 def test_compute_cross_check():
@@ -109,6 +114,16 @@ def test_compute_cross_check():
     assert code == 0
     for line in out.splitlines():
         assert json.loads(line)["cross_path_match"] is True
+
+
+def test_compute_cross_check_outside_h3_is_null():
+    # 3/5 maps onto A4 but has no H(3) certificate, so the recursion path
+    # does not apply
+    code, out, err = run_cli("compute", "--r", "3/5", "--group", "A4",
+                             "--cross-check")
+    assert code == 0 and not err
+    records = [json.loads(line) for line in out.splitlines()]
+    assert records and all(rec["cross_path_match"] is None for rec in records)
 
 
 def test_compute_obstruction_exit_2():
@@ -317,6 +332,12 @@ def test_usage_errors_exit_1():
     code, out, err = run_cli("no-such-command")
     assert code == 1 and not out
     assert "input error" in err and "invalid choice" in err
+    for command in ("compute", "find-reps"):
+        for source in ((), ("--r", "1/3", "--pres", "8_5")):
+            code, out, err = run_cli(command, *source, "--group", "A4")
+            assert code == 1 and not out
+            assert err.splitlines()[-1].startswith(f"input error: metatap {command}: ")
+            assert "--r" in err.splitlines()[-1]
     with pytest.raises(SystemExit) as exc:
         run_cli("--help")
     assert exc.value.code == 0
@@ -347,7 +368,7 @@ def test_compute_non_polynomial_surjective_exit_3(monkeypatch):
 
 
 def test_compute_cross_path_disagreement_exit_3(monkeypatch):
-    monkeypatch.setattr(cli, "twisted_via_recursion", lambda r: P("1"))
+    monkeypatch.setattr(cli, "twisted_from_form", lambda form: P("1"))
     code, out, err = run_cli("compute", "--r", "5/27", "--group", "A4",
                              "--cross-check")
     assert code == 3
@@ -476,6 +497,34 @@ def test_production_never_divides_by_delta(monkeypatch):
         products.clear()
 
 
+def test_internal_value_error_exit_3(monkeypatch):
+    # a ValueError from inside the pipeline is a fault of the program, not
+    # of the input
+    def broken(relators, delete, dim):
+        return exactalg.ZERO.degree()
+
+    monkeypatch.setattr(twisted, "fox_determinant", broken)
+    code, out, err = run_cli("compute", "--r", "5/27", "--group", "A4")
+    assert code == 3 and not out
+    assert err == ("internal consistency failure: ValueError: "
+                   "zero polynomial has no degree\n")
+    # so is a relator check that fails on a search result, not on --assign
+    group = group_from_name("A4")
+    wrong = metabelian.HomAssignment({"x": group.s(), "y": group.mul(group.s(), group.s())},
+                                     True)
+    monkeypatch.setattr(cli, "find_homs", lambda p, group, fix: [wrong])
+    code, out, err = run_cli("compute", "--r", "5/27", "--group", "A4")
+    assert code == 3 and not out
+    assert err.startswith("internal consistency failure: NotHomomorphismError: relator 1 ")
+
+
+def test_compute_zero_denominator_exit_3(monkeypatch):
+    monkeypatch.setattr(twisted, "_denominator", lambda entries, dim: exactalg.ZERO)
+    code, out, err = run_cli("compute", "--r", "5/27", "--group", "A4")
+    assert code == 3 and not out
+    assert err == "internal consistency failure: det Phi(y - 1) is zero\n"
+
+
 def test_unexpected_exception_exit_3_without_traceback(monkeypatch):
     def broken(p, rho):
         raise KeyError("no such block")
@@ -510,9 +559,12 @@ def test_compute_determinants_match_bareiss_oracle(monkeypatch, flag, source, gr
         numerators.append((fox_matrix(relators, delete, dim), value))
         return value
 
-    def recording_den(m):
-        value = genuine_den(m)
-        denominators.append((phi_generator_minus_one(m), value))
+    def recording_den(entries, dim):
+        value = genuine_den(entries, dim)
+        m = [[0] * dim for _ in range(dim)]
+        for w, u, v in entries:
+            m[w][u] = v
+        denominators.append((phi_generator_minus_one(tuple(map(tuple, m))), value))
         return value
 
     monkeypatch.setattr(twisted, "fox_determinant", recording_num)
@@ -604,7 +656,8 @@ def test_h3_certificate_failure_exit_3(monkeypatch):
     monkeypatch.setattr(H3Form, "value", lambda self: Fraction(0))
     code, out, err = run_cli("h3", "--r", "5/27")
     assert code == 3 and not out
-    assert err.startswith("internal consistency failure: search certificate")
+    assert err.startswith("internal consistency failure: the H(3) certificate [6, -2, 3] "
+                          "does not evaluate to 5/27")
     assert "Traceback" not in err
 
 
@@ -761,7 +814,6 @@ def test_scan_cross_check_expands_each_fraction_once(tmp_path, monkeypatch):
         return genuine(r)
 
     monkeypatch.setattr(cli, "h3_expand", counting)
-    monkeypatch.setattr(twinring, "h3_expand", counting)
     code, _, _ = run_cli("scan", "--alpha-max", "45", "--group", "A4", "--h3-only",
                          "--cross-check", "--out", str(tmp_path / "scan.jsonl"))
     assert code == 0
@@ -859,6 +911,33 @@ def test_selftest_reports_every_golden_entry():
 
 # -- the exit-code contract under fuzzing --------------------------------------
 
+# Every exception class the package defines, and its module.  README's
+# "Errors" section names each one.
+_EXCEPTIONS = {
+    "ExactnessError": "exactalg", "InputError": "groupcalc",
+    "PresentationError": "groupcalc", "CFError": "twobridge",
+    "NotAKnotGroupError": "twobridge", "MixedGroupError": "metabelian",
+    "NotHomomorphismError": "metabelian", "NotTwinError": "twinring",
+}
+
+
+def test_error_taxonomy_exists_once():
+    # InputError is the only exit 1 the commands raise; cli.main maps no
+    # other exception class, and ValueError least of all, to an input error
+    defining = re.compile(r"^class (\w+)\([\w, ]*(?:Error|Exception)\)", re.M)
+    defined = {}
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for name in defining.findall(path.read_text()):
+            assert name not in defined, name
+            defined[name] = path.stem
+    assert defined == _EXCEPTIONS
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    errors = readme.split("### Errors\n", 1)[1].split("\n#", 1)[0]
+    assert all(f"`{name}`" in errors for name in defined)
+    handlers = re.findall(r"except \(?(\w+(?:, \w+)*)", inspect.getsource(cli.main))
+    assert handlers == ["InputError", "BrokenPipeError", "ExactnessError", "Exception"]
+
+
 # Every argv names the options its command requires, some optional ones and
 # sometimes a stray token.  The values are small enough that every argv runs
 # in well under a second: --jobs never starts a process pool, --out writes
@@ -926,5 +1005,9 @@ def test_fuzz_argv_exit_codes(fuzz_pres_dir, data):
             argv.append(value)
     argv += data.draw(st.sampled_from(_FUZZ_STRAY))
     code, _, err = run_cli(*argv)
-    assert code in (0, 1, 2, 3), argv
+    # no user input is an internal failure, and every input error says so
+    # on its last line (a usage error prints the usage before it)
+    assert code in (0, 1, 2), argv
+    if code == 1:
+        assert err.splitlines()[-1].startswith("input error: "), argv
     assert "Traceback" not in err, argv

@@ -10,7 +10,6 @@ from metatap.golden import A4_3DIM, permutation_rep, phi_verdict
 from metatap.metabelian import a4_group
 from metatap.intmat import identity, mat_add, mat_mul, mat_scale, mat_sub, zeros
 from metatap.twinring import (
-    NotInH3Error,
     NotTwinError,
     TwinDecomp,
     X,
@@ -30,10 +29,9 @@ from metatap.twinring import (
     twin_decompose,
     twin_determinant,
     twisted_from_form,
-    twisted_via_recursion,
     yx_geometric,
 )
-from metatap.twobridge import FractionR, H3Form
+from metatap.twobridge import FractionR, H3Form, h3_expand
 
 from matrix_helpers import mat_pow
 
@@ -307,12 +305,8 @@ def test_recursion_twin_q_le_2():
 
 def test_recursion_golden_values():
     for frac in ("1/3", "1/9", "7/39"):
-        assert twisted_via_recursion(FractionR.parse(frac)) == canonical(A4_3DIM[frac])
-
-
-def test_recursion_rejects_non_h3():
-    with pytest.raises(NotInH3Error):
-        twisted_via_recursion(FractionR(3, 5))
+        form = h3_expand(FractionR.parse(frac))
+        assert twisted_from_form(form) == canonical(A4_3DIM[frac])
 
 
 def test_cross_path_sample():

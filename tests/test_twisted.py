@@ -534,7 +534,7 @@ def test_block_determinants_multiply_to_full_exactly():
         for gen in (1, 2):
             den = num = ONE
             for b, dim in enumerate(rho.dims):
-                den = den * _denominator(rho.block_images[gen][b])
+                den = den * _denominator(rho.entries(rho.letters[gen])[b], dim)
                 num = num * fox_determinant(_block_walks(walks, b), gen, dim)
             tables = [fox_images(rel, full.images, full.inv_images, full.dim)
                       for rel in p.relators]
@@ -576,7 +576,8 @@ def test_evaluated_determinants_match_bareiss_tables(data):
     for gen in range(1, ngen + 1):
         for b, dim in enumerate(rho.dims):
             m = rho.block_images[gen][b]
-            assert _denominator(m) == det_bareiss(phi_generator_minus_one(m))
+            assert (_denominator(rho.entries(letters[gen])[b], dim)
+                    == det_bareiss(phi_generator_minus_one(m)))
             jac = fox_jacobian([table[b] for table in tables], ngen, dim, gen)
             assert fox_determinant(_block_walks(walks, b), gen, dim) == det_bareiss(jac)
 
