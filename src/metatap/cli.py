@@ -96,8 +96,8 @@ def _assignment_str(images: dict, p: Presentation) -> str:
 
 def _compute_records(p: Presentation, group: MetaGroup, delta: LaurentPoly,
                      assignments, classes, input_name: str, cross_check: bool,
-                     recursion_value=None,
-                     skip_non_polynomial: bool = False) -> list[dict]:
+                     recursion_value=None, skip_non_polynomial: bool = False,
+                     user_presentation: bool = False) -> list[dict]:
     """One record per assignment, with one determinant per class.
 
     `classes` is `unit_classes` of the assignments' images.  The first
@@ -110,7 +110,10 @@ def _compute_records(p: Presentation, group: MetaGroup, delta: LaurentPoly,
 
     A non-surjective assignment whose determinant ratio is not a
     polynomial is an input error, or, with `skip_non_polynomial`, is
-    named on stderr and gets no record.
+    named on stderr and gets no record.  A surjective one is a fault for
+    a presentation the program built, and an input error for a user's
+    (`user_presentation`): the ratio of a knot group's surjection onto
+    M(n|p,k) is a polynomial when every generator is a meridian.
     """
     delta_text = str(delta)
     verdicts = {}  # class representative -> (twisted, phi) texts and verdict
@@ -122,6 +125,12 @@ def _compute_records(p: Presentation, group: MetaGroup, delta: LaurentPoly,
             result = twisted_alexander(
                 p, representation_blocks(images, group, p))
             if result.invariant is None:
+                if surjective and user_presentation:
+                    raise InputError(
+                        f"the generators of {input_name} are not meridians: "
+                        f"the determinant ratio of the surjection "
+                        f"{_assignment_str(images, p)} onto {group.name()} "
+                        f"is not a polynomial")
                 if surjective:
                     raise ExactnessError(
                         f"non-polynomial determinant ratio for {input_name}")
@@ -231,7 +240,8 @@ def cmd_compute(args) -> int:
     classes = unit_classes(group, [images for images, _ in assignments])
     records = _compute_records(p, group, delta, assignments, classes,
                                input_name, args.cross_check, recursion_value,
-                               skip_non_polynomial=args.all and not args.assign)
+                               skip_non_polynomial=args.all and not args.assign,
+                               user_presentation=r is None)
     if not records:
         print(f"no representation of {input_name} onto {group.name()} "
               f"has a polynomial invariant", file=sys.stderr)

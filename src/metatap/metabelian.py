@@ -487,11 +487,21 @@ def euler_phi(n: int) -> int:
     return out
 
 
+# The largest p^k of a group name.  A group's tables grow as (p^k)^2
+# (`MetaGroup.index_law`), a million entries at the cap; the largest group
+# of the golden values, M(7|2,6), has p^k = 64.
+MAX_COSETS = 1024
+
+
 def group_from_name(text: str) -> MetaGroup:
     """Parse 'A4' or 'M(n|p,k)', raising InputError for any other text.
-    k is checked against deg Phi_n before the group is built, since
-    building it (Phi_n and the n powers of T) costs time and memory that
-    grow with n."""
+
+    The name is bounded before any trial division (`euler_phi`,
+    `is_prime`): p^k may not exceed MAX_COSETS, with k and p checked
+    first, and n may not exceed 2 k^2, since deg Phi_n = phi(n) >=
+    sqrt(n/2).  k is checked against deg Phi_n before the group is built,
+    since building it (Phi_n and the n powers of T) costs time and memory
+    that grow with n."""
     s = text.strip()
     if s.upper() == "A4":
         return a4_group()
@@ -500,7 +510,16 @@ def group_from_name(text: str) -> MetaGroup:
     m = re.fullmatch(r"M\((\d+)\|(\d+),(\d+)\)", s)
     if not m:
         raise InputError(f"bad group name {text!r}; expected A4 or M(n|p,k)")
-    n, p, k = int(m.group(1)), int(m.group(2)), int(m.group(3))
+    too_large = InputError(f"{text!r} is too large: p^k may be at most {MAX_COSETS}")
+    try:
+        n, p, k = map(int, m.groups())
+    except ValueError:  # more digits than int() converts
+        raise too_large from None
+    if p > MAX_COSETS or k > MAX_COSETS or p**k > MAX_COSETS:
+        raise too_large
+    if n > 2 * k * k:
+        raise InputError(f"k = {k} does not match deg Phi_{n} >= sqrt({n}/2) "
+                         f"in {text!r}")
     degree = euler_phi(n)
     if degree != k:
         raise InputError(

@@ -21,12 +21,20 @@ compare with the production code.  No production module imports this one.
                                 p^k-dimensional permutation path)
     group_word_image            metabelian.find_homs and check_homomorphism
                                 (relators on the coset tables)
+    PolyMatrix                  no production type: a matrix over Z[t, 1/t]
+                                as its degree -> integer matrix series, with
+                                its determinant through kronecker_det
     det_bareiss                 exactalg.kronecker_det, the one evaluated
                                 determinant (Kronecker substitution) of the
-                                Fox numerators, the denominators and
-                                PolyMatrix.det
+                                Fox numerators and the denominators
     check_factorization         twisted.block_verdict (phi = twisted (1 - t) /
                                 Delta, not the ratio of the non-trivial blocks)
+    recursion_series,           twinring.twisted_from_form (the recursion on
+      twisted_from_series       matrix polynomials, one term per degree,
+                                not on integer matrices at t = 2^B)
+    TwinDecomp, twin_decompose, the paper's proof device: the normalized
+      twin_determinant,         series is twin, and its closed-form
+      normalized_series         determinant is the twisted polynomial
 
 The Fox derivative follows the left-to-right product rule
 d(uv)/dg = du/dg + u * dv/dg  with  d(g)/dg = 1  and  d(g^-1)/dg = -g^-1.
@@ -34,17 +42,137 @@ d(uv)/dg = du/dg + u * dv/dg  with  d(g)/dg = 1  and  d(g^-1)/dg = -g^-1.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from .exactalg import (
-    ONE, ZERO, ExactnessError, LaurentPoly, PolyMatrix, canonical, exact_div,
+    ONE, ZERO, ExactnessError, LaurentPoly, canonical, exact_div, kronecker_det,
     supported_on_multiples)
 from .groupcalc import Presentation, Word, fox_tally
-from .intmat import Mat, identity, mat_inverse, mat_mul, mat_neg, mat_scale, zeros
+from .intmat import (
+    Mat, identity, mat_add, mat_inverse, mat_mul, mat_neg, mat_scale, mat_sub, zeros)
 from .metabelian import MetaElem, MetaGroup, check_homomorphism
+from .twinring import I3, POWERS, X, XINV, XINV_YINV, Y, YINV, YX, power3
 from .twisted import TwistedResult, Verdict, _product
+from .twobridge import H3Form
 
 IDENTITY = Word()
+
+
+class PolyMatrix:
+    """A square matrix over Z[t, 1/t], stored as its series: `series` maps
+    each degree d to the dim x dim integer matrix (tuples) of the t^d
+    coefficients.  Zero matrices are dropped, so equal matrices have equal
+    series.
+
+    PolyMatrix(series, dim) takes a dict or an iterable of (degree,
+    matrix) pairs; matrices at a repeated degree are added up.
+    """
+
+    __slots__ = ("series", "dim")
+
+    def __init__(self, series, dim: int):
+        acc: dict[int, Mat] = {}
+        for deg, m in series.items() if isinstance(series, dict) else series:
+            acc[deg] = mat_add(acc[deg], m) if deg in acc else m
+        zero = zeros(dim)
+        self.series = {d: m for d, m in acc.items() if m != zero}
+        self.dim = dim
+
+    @staticmethod
+    def _make(series: dict, dim: int) -> "PolyMatrix":
+        """Wrap a series that already holds no zero matrix."""
+        out = object.__new__(PolyMatrix)
+        out.series = series
+        out.dim = dim
+        return out
+
+    @staticmethod
+    def identity(dim: int) -> "PolyMatrix":
+        return PolyMatrix._make({0: identity(dim)}, dim)
+
+    @staticmethod
+    def monomial(m: Mat, deg: int = 0) -> "PolyMatrix":
+        """m * t^deg."""
+        return PolyMatrix({deg: m}, len(m))
+
+    def entries(self) -> tuple[tuple[LaurentPoly, ...], ...]:
+        """The matrix of LaurentPoly entries."""
+        n = self.dim
+        if not self.series:
+            return tuple((ZERO,) * n for _ in range(n))
+        low = min(self.series)
+        zero = zeros(n)
+        mats = [self.series.get(d, zero) for d in range(low, max(self.series) + 1)]
+        return tuple(tuple(LaurentPoly._from_dense(low, [m[i][j] for m in mats])
+                           for j in range(n)) for i in range(n))
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, PolyMatrix) and self.dim == other.dim
+                and self.series == other.series)
+
+    def __hash__(self):
+        return hash((self.dim, frozenset(self.series.items())))
+
+    def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
+        return self._combine(other, mat_add)
+
+    def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
+        return self._combine(other, mat_sub)
+
+    def _combine(self, other: "PolyMatrix", op) -> "PolyMatrix":
+        """Coefficientwise op(self, other), for op mat_add or mat_sub."""
+        series = dict(self.series)
+        zero = zeros(self.dim)
+        for d, m in other.series.items():
+            s = op(series.get(d, zero), m)
+            if s != zero:
+                series[d] = s
+            else:
+                del series[d]
+        return PolyMatrix._make(series, self.dim)
+
+    def __neg__(self) -> "PolyMatrix":
+        return PolyMatrix._make(
+            {d: mat_neg(m) for d, m in self.series.items()}, self.dim)
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            if not other:
+                return PolyMatrix._make({}, self.dim)
+            return PolyMatrix._make(
+                {d: mat_scale(other, m) for d, m in self.series.items()}, self.dim)
+        acc: dict[int, Mat] = {}
+        for d1, m1 in self.series.items():
+            for d2, m2 in other.series.items():
+                d = d1 + d2
+                prod = mat_mul(m1, m2)
+                acc[d] = mat_add(acc[d], prod) if d in acc else prod
+        zero = zeros(self.dim)
+        return PolyMatrix._make(
+            {d: m for d, m in acc.items() if m != zero}, self.dim)
+
+    __rmul__ = __mul__
+
+    def __repr__(self):
+        body = ", ".join(f"t^{d}: {self.series[d]}" for d in sorted(self.series))
+        return f"PolyMatrix<{self.dim}>{{{body}}}"
+
+    # -- determinants -----------------------------------------------------
+
+    def det(self) -> LaurentPoly:
+        """Exact determinant: one block row with one term per degree
+        (`kronecker_det`).
+
+        >>> m = PolyMatrix({-2: ((1, 0), (0, 0)), 0: ((0, 2), (3, 0)),
+        ...                 1: ((0, 0), (0, 1))}, 2)   # [[t^-2, 2], [3, t]]
+        >>> str(m.det())
+        't^-1 - 6'
+        """
+        return kronecker_det(
+            [[(0, {d: 1}, [(i, j, v) for i, row in enumerate(m)
+                           for j, v in enumerate(row) if v])
+              for d, m in self.series.items()]], self.dim)
 
 
 class GroupRingElem:
@@ -388,3 +516,231 @@ def det_bareiss(m: PolyMatrix) -> LaurentPoly:
         prev = rows[k][k]
     result = rows[n - 1][n - 1]
     return -result if sign < 0 else result
+
+
+# ---------------------------------------------------------------------------
+# The recursion path as matrix polynomials, and the twin decomposition
+#
+# `twinring.twisted_from_form` runs the same recursion on integer matrices
+# at t = 2^B.  The twin decomposition is the proof device of the paper's
+# theorem on 2-bridge knots onto Z/2 * Z/3: the tests show that the
+# normalized recursion series is twin and that its closed-form
+# determinant is the twisted polynomial.
+# ---------------------------------------------------------------------------
+
+XYX: Mat = mat_mul(mat_mul(X, Y), X)
+X_PLUS_Y: Mat = mat_add(X, Y)
+XINV_PLUS_YINV: Mat = mat_add(XINV, YINV)
+
+ZERO_A = PolyMatrix({}, 3)
+ONE_A = PolyMatrix.identity(3)
+# Graded letters: a group element w contributes its matrix at degree
+# (exponent sum of w), so x sits at t, y at t, and inverses at t^-1.
+XT = PolyMatrix.monomial(X, 1)
+YT = PolyMatrix.monomial(Y, 1)
+YINV_T = PolyMatrix.monomial(YINV, -1)
+# (x t - 1) y^-1 t^-1, the factor of every prefix in recursion_series' mix
+MIX_FACTOR = (XT - ONE_A) * YINV_T
+
+
+def yx_geometric(m: int) -> PolyMatrix:
+    """Truncated geometric series in (yx) t^2.
+
+    Nonnegative m gives 1 + (yx)t^2 + ... + (yx)^m t^(2m); negative m gives
+    (x^-1 y^-1)t^-2 + ... + (x^-1 y^-1)^|m| t^(-2|m|).
+    """
+    if m >= 0:
+        return PolyMatrix(((2 * j, power3(YX, j)) for j in range(m + 1)), 3)
+    return PolyMatrix(((-2 * j, power3(XINV_YINV, j)) for j in range(1, -m + 1)), 3)
+
+
+# (m y, -y m y) for each power m of YX and XINV_YINV: the terms that a term
+# m t^d of a geometric series G gives in (1 - y t) G y t
+_Y_TERMS: dict[Mat, tuple[Mat, Mat]] = {
+    m: (mat_mul(m, Y), mat_neg(mat_mul(Y, mat_mul(m, Y))))
+    for powers in POWERS.values() for m in powers}
+
+
+def _head(m: int) -> PolyMatrix:
+    """(1 - y t) yx_geometric(m) y t, term by term from `_Y_TERMS`."""
+    pairs = []
+    for d, power in yx_geometric(m).series.items():
+        right, both = _Y_TERMS[power]
+        pairs.append((d + 1, right))
+        pairs.append((d + 2, both))
+    return PolyMatrix(pairs, 3)
+
+
+def _power_term(base: Mat, exp: int, deg_per: int, tail: Mat = None,
+                tail_deg: int = 0) -> PolyMatrix:
+    m = power3(base, exp)
+    deg = deg_per * exp
+    if tail is not None:
+        m = mat_mul(m, tail)
+        deg += tail_deg
+    return PolyMatrix.monomial(m, deg)
+
+
+def _part_series(k: int) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix]:
+    """(head, carry, const) of a part 3k of the form: a prefix ending in it
+    has the series head * mix + carry * lam + const, for the series lam of
+    the prefix before it and the weighted sum mix of the shorter prefixes
+    (`recursion_series`).  `const` is summed in one pass."""
+    if k > 0 and k % 2 == 0:          # k = 2s
+        s = k // 2
+        head = _head(3 * s - 1)
+        carry = _power_term(YX, 3 * s, 2)
+        terms = [-_power_term(YX, 3 * s - 3 * j + 2, 2) for j in range(1, s + 1)]
+        terms += [_power_term(YX, 3 * s - 3 * j, 2, Y, 1) for j in range(1, s + 1)]
+    elif k > 0:                        # k = 2s - 1
+        s = (k + 1) // 2
+        head = _head(3 * s - 2) + _power_term(YX, 3 * s - 1, 2)
+        carry = -(_power_term(YX, 3 * s - 1, 2) * YINV_T)
+        terms = [_power_term(YX, 3 * s - 3 * j, 2, Y, 1) for j in range(1, s + 1)]
+        terms += [-_power_term(YX, 3 * s - 3 * j - 1, 2) for j in range(1, s)]
+    elif k % 2 == 0:                   # k = -2s
+        s = -k // 2
+        head = -_head(-3 * s)
+        carry = _power_term(XINV_YINV, 3 * s, -2)
+        terms = [-_power_term(XINV_YINV, 3 * s - 3 * j + 2, -2, XINV, -1)
+                 for j in range(1, s + 1)]
+        terms += [_power_term(XINV_YINV, 3 * s - 3 * j + 1, -2) for j in range(1, s + 1)]
+    else:                              # k = -(2s + 1)
+        s = (-k - 1) // 2
+        head = _power_term(XINV_YINV, 3 * s + 1, -2) - _head(-(3 * s + 1))
+        carry = -(_power_term(XINV_YINV, 3 * s + 1, -2) * YINV_T)
+        terms = [_power_term(XINV_YINV, 3 * s - 3 * j + 1, -2) for j in range(0, s + 1)]
+        terms += [-_power_term(XINV_YINV, 3 * s - 3 * j + 2, -2, XINV, -1)
+                  for j in range(1, s + 1)]
+    const = PolyMatrix([pair for term in terms for pair in term.series.items()], 3)
+    return head, carry, const
+
+
+def recursion_series(form: H3Form) -> PolyMatrix:
+    """The graded algebra series of a continued-fraction form, built by
+    structural recursion over its prefixes.
+
+    Each group-element factor carries t to its exponent sum, e.g. (yx)^j
+    sits at degree 2j and (yx)^j y at degree 2j + 1.  The determinant of the
+    result, times (1 - t^3), is the twisted polynomial of the knot.
+
+    Convention note: the recursion weights come from the negative
+    continued-fraction convention 1/(a1 - 1/(a2 - ...)), so the weight of a
+    prefix is the *negated* even-position coefficient -m_j of our
+    plus-convention entry list.  This calibration, and the j = 1..s range of
+    the final sum in the odd-negative branch, are locked in by the
+    cross-path equality tests against Fox calculus.
+    """
+    lam = ZERO_A                     # series of the empty prefix
+    # weighted sum over shorter prefixes: sum_j -m_j (x t - 1) y^-1 t^-1 lam_j,
+    # one term added per step
+    mix = ZERO_A
+    for q, k in enumerate(form.ks, start=1):
+        head, carry, const = _part_series(k)
+        lam = head * mix + carry * lam + const
+        if q < form.q:
+            mix = mix + (-form.ms[q - 1]) * (MIX_FACTOR * lam)
+    return lam
+
+
+def normalized_series(form: H3Form) -> PolyMatrix:
+    """y^-1 t^-1 times the recursion series; this is the twin object."""
+    return YINV_T * recursion_series(form)
+
+
+def twisted_from_series(form: H3Form) -> LaurentPoly:
+    """`twinring.twisted_from_form` from the matrix-polynomial series:
+    det(recursion_series(form)) (1 - t^3), unit-normalized."""
+    return canonical(recursion_series(form).det() * LaurentPoly([(0, 1), (3, -1)]))
+
+
+class NotTwinError(ValueError):
+    """Some coefficient is outside the prescribed span; names the degree."""
+
+    def __init__(self, degree: int, reason: str):
+        super().__init__(f"degree {degree}: {reason}")
+        self.degree = degree
+
+
+@dataclass(frozen=True)
+class TwinDecomp:
+    """Integer coefficient series of a twin polynomial.
+
+    c[j], cprime[j] are the coefficients of I and XYX at t^(3j); a[j] is the
+    coefficient of (X+Y) at t^(3j+1); b[j] of (Xinv+Yinv) at t^(3j+2).
+    The twin pairing requires a[j] == b[j] for all j.
+    """
+
+    c: dict[int, int]
+    cprime: dict[int, int]
+    a: dict[int, int]
+    b: dict[int, int]
+
+    def to_matrix(self) -> PolyMatrix:
+        terms = []
+        for j, v in self.c.items():
+            terms.append((3 * j, mat_scale(v, I3)))
+        for j, v in self.cprime.items():
+            terms.append((3 * j, mat_scale(v, XYX)))
+        for j, v in self.a.items():
+            terms.append((3 * j + 1, mat_scale(v, X_PLUS_Y)))
+        for j, v in self.b.items():
+            terms.append((3 * j + 2, mat_scale(v, XINV_PLUS_YINV)))
+        return PolyMatrix(terms, 3)
+
+
+def twin_decompose(f: PolyMatrix) -> TwinDecomp:
+    """Solve every coefficient against its prescribed basis; raises
+    NotTwinError at the first offending degree."""
+    c: dict[int, int] = {}
+    cprime: dict[int, int] = {}
+    a: dict[int, int] = {}
+    b: dict[int, int] = {}
+    for deg in sorted(f.series):
+        m = f.series[deg]
+        j, res = divmod(deg, 3)
+        if res == 0:
+            # m = u*I + v*XYX; XYX has entry -1 at (1,0) and I has 0 there.
+            v = -m[1][0]
+            u = m[0][0] + v  # (0,0) entry is u - v
+            if mat_add(mat_scale(u, I3), mat_scale(v, XYX)) != m:
+                raise NotTwinError(deg, "coefficient not in span{I, XYX}")
+            if u:
+                c[j] = u
+            if v:
+                cprime[j] = v
+        elif res == 1:
+            u = -m[0][0]
+            if mat_scale(u, X_PLUS_Y) != m:
+                raise NotTwinError(deg, "coefficient not in span{X+Y}")
+            if u:
+                a[j] = u
+        else:
+            u = -m[0][0]
+            if mat_scale(u, XINV_PLUS_YINV) != m:
+                raise NotTwinError(deg, "coefficient not in span{Xinv+Yinv}")
+            if u:
+                b[j] = u
+    for j in set(a) | set(b):
+        if a.get(j, 0) != b.get(j, 0):
+            raise NotTwinError(
+                3 * j + 1, f"pairing a={a.get(j, 0)} vs b={b.get(j, 0)} differs")
+    return TwinDecomp(c, cprime, a, b)
+
+
+def twin_determinant(d: TwinDecomp) -> LaurentPoly:
+    """Closed-form determinant of the matrix form of a twin polynomial.
+
+    With C = sum c_j t^(3j), C' = sum c'_j t^(3j), A = sum a_j t^(3j):
+
+        det = (C + C') * ((C - C')^2 - 4 t^3 A^2)
+
+    This equals the direct 3x3 determinant exactly (not just up to units),
+    and is visibly supported on degrees divisible by 3.
+    """
+    cpoly = LaurentPoly((3 * j, v) for j, v in d.c.items())
+    cppoly = LaurentPoly((3 * j, v) for j, v in d.cprime.items())
+    apoly = LaurentPoly((3 * j, v) for j, v in d.a.items())
+    t3 = LaurentPoly([(3, 1)])
+    diff = cpoly - cppoly
+    return (cpoly + cppoly) * (diff * diff - 4 * t3 * apoly * apoly)

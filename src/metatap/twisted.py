@@ -9,7 +9,8 @@ det Phi(g - 1), which is never zero for an image in GL(dim, Z):
     invariant = det(remaining blocks) / det(Phi(g - 1))
 
 Each determinant is one call of `exactalg.kronecker_det`: an int_det at
-t = 2^B with a proven bound on the coefficients, read back digit by digit.
+t = 2^B with a proven bound on the coefficients, read back
+(`exactalg.kronecker_readback`).
 The Fox matrix goes to it straight from the relator walks
 (`groupcalc.fox_determinant`), and M t - I as the two terms M t and -I.
 The ratio is well defined up to +-t^k and is independent of the deleted
@@ -115,7 +116,7 @@ def twisted_alexander(p: Presentation, rho: Representation,
         invariant = ZERO if sum(rho.dims) > 1 else None
     else:
         # rest is mostly zeros when it is phi(t^n): it goes on the right,
-        # where the product skips them
+        # where the coefficient loop of a small product skips them
         q = (exact_div(nums[0] * rest, dens[0]) if rest is not None
              else exact_div(_product(nums), _product(dens)))
         invariant = None if q is None else canonical(q)

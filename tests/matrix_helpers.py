@@ -1,9 +1,8 @@
 """Test helpers for integer and polynomial matrices and for the matrix
 representations the tests compare with the character blocks."""
 
-from metatap.exactalg import PolyMatrix
 from metatap.intmat import Mat, identity, mat_inverse, mat_mul
-from metatap.oracles import MatrixRep
+from metatap.oracles import MatrixRep, PolyMatrix
 from metatap.twinring import X, Y
 
 

@@ -17,7 +17,7 @@ from itertools import product
 
 import pytest
 
-from metatap.exactalg import PolyMatrix, canonical
+from metatap.exactalg import canonical
 from metatap.golden import (
     A4_3DIM, PHI, TORUS, permutation_rep, phi_verdict, torus_prediction)
 from metatap.groupcalc import Word
@@ -30,26 +30,24 @@ from metatap.metabelian import (
     group_from_name,
 )
 from metatap.oracles import (
-    GroupRingElem, fox_derivative, perm_matrix, twisted_alexander_tables)
-from metatap.twisted import twisted_alexander
-from metatap.twinring import (
-    X,
-    XINV,
     XINV_PLUS_YINV,
-    XINV_YINV,
     XT,
     X_PLUS_Y,
     XYX,
-    Y,
-    YINV,
     YT,
-    YX,
+    GroupRingElem,
+    PolyMatrix,
+    TwinDecomp,
+    fox_derivative,
     normalized_series,
+    perm_matrix,
     twin_decompose,
     twin_determinant,
-    twisted_from_form,
+    twisted_alexander_tables,
     yx_geometric,
 )
+from metatap.twisted import twisted_alexander
+from metatap.twinring import X, XINV, XINV_YINV, Y, YINV, YX, twisted_from_form
 from metatap.twobridge import (
     H3Form,
     enumerate_fractions,
@@ -231,8 +229,6 @@ def test_properties_algebra_identities():
 
 
 def test_properties_twin_closure_200():
-    from metatap.twinring import TwinDecomp
-
     rng = random.Random(2024)
 
     def rand_twin():

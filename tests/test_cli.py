@@ -269,6 +269,29 @@ def test_compute_wrong_k_exits_1_before_building_the_group(monkeypatch):
         assert err.startswith("input error: k = ") and "does not match" in err
 
 
+def test_group_name_bounded_before_trial_division(monkeypatch):
+    # a huge p or n, and a p^k of 2^30 cosets, exit 1 without a trial
+    # division of a large number
+    def refuse(name):
+        def check(x):
+            if x > 10**6:
+                raise AssertionError(f"{name}({x})")
+            return genuine[name](x)
+        return check
+
+    genuine = {"is_prime": metabelian.is_prime, "euler_phi": metabelian.euler_phi}
+    for name in genuine:
+        monkeypatch.setattr(metabelian, name, refuse(name))
+    for group, message in (("M(3|100000000000000000039,2)", "is too large"),
+                           ("M(100000000000000000039|2,1)", "k = 1 does not match"),
+                           ("M(31|2,30)", "is too large"),
+                           (f"M(3|{'7' * 5000},2)", "is too large")):
+        code, out, err = run_cli("compute", "--r", "1/3", "--group", group)
+        assert code == 1 and not out, group
+        assert err.startswith("input error: ") and message in err, group
+    assert metabelian.group_from_name("M(7|2,6)").k == 6
+
+
 def test_compute_prefix_image_outside_blocks_exit_3(monkeypatch, fresh_groups):
     # the identity is the first prefix of the relator and the image of no
     # generator, so only the Fox tables read its image: an entry joining
@@ -365,6 +388,18 @@ def test_compute_non_polynomial_surjective_exit_3(monkeypatch):
                              "--assign", "x=s; y=s b1")
     assert code == 3 and not out
     assert "non-polynomial determinant ratio" in err
+
+
+def test_compute_pres_generators_not_meridians_exit_1(tmp_path):
+    # Delta(1) = 1, but the surjection onto M(2|3,1) has no polynomial
+    # ratio: the user's generators are not meridians, not a fault
+    path = tmp_path / "twisted.pres"
+    path.write_text("gens: x y\nrel: x Y x y X Y\n")
+    code, out, err = run_cli("compute", "--pres", str(path), "--group", "M(2|3,1)")
+    assert code == 1 and not out
+    assert err.startswith("input error: the generators of twisted are not "
+                          "meridians: the determinant ratio of the surjection "
+                          "x=s; y=s b1 onto M(2|3,1) is not a polynomial")
 
 
 def test_compute_cross_path_disagreement_exit_3(monkeypatch):
@@ -917,7 +952,7 @@ _EXCEPTIONS = {
     "ExactnessError": "exactalg", "InputError": "groupcalc",
     "PresentationError": "groupcalc", "CFError": "twobridge",
     "NotAKnotGroupError": "twobridge", "MixedGroupError": "metabelian",
-    "NotHomomorphismError": "metabelian", "NotTwinError": "twinring",
+    "NotHomomorphismError": "metabelian", "NotTwinError": "oracles",
 }
 
 
@@ -960,7 +995,8 @@ _FUZZ_VALUES = {
     "--r": ["1/3", "5/27", "3/5", "1/5", "2/6", "1/0", "-1/3", "3/1", "x"],
     "--pres": ["8_5", "10_159.pres", "missing.pres", "."] + sorted(_FUZZ_PRES_FILES),
     "--group": ["A4", "M(4|3,2)", "M(5|2,4)", "M(2|3,1)", "M(2|5,1)", "M(9|9,9)",
-                "M(3|2,3)", "M(100000|3,5)", "x"],
+                "M(3|2,3)", "M(100000|3,5)", "M(3|100000000000000000039,2)",
+                "M(100000000000000000039|2,1)", "M(31|2,30)", "x"],
     "--fix": ["x", "y", "q"],
     "--assign": ["x=s; y=s b1", "x=s;y=s", "x=s", "x=q", "y=s b9", "x=s^-1; y=s",
                  "x=b1; y=b1", "x=1; y=1", "x=s; x=s b1; y=s", "x=s; y=s b1^"],

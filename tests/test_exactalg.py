@@ -11,11 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metatap import exactalg
+from metatap import exactalg, twinring
 from metatap.exactalg import (
     ExactnessError,
     LaurentPoly,
-    PolyMatrix,
     ZERO,
     ONE,
     canonical,
@@ -30,7 +29,7 @@ from metatap.exactalg import (
 )
 from metatap.intmat import identity, int_det, mat_neg, zeros
 from metatap.metabelian import cyclotomic_coeffs
-from metatap.oracles import block_matrix, det_bareiss
+from metatap.oracles import PolyMatrix, block_matrix, det_bareiss
 
 from matrix_helpers import block_row_matrix, from_entries
 
@@ -347,12 +346,13 @@ def test_det_reads_coefficients_at_the_bound():
 
 def test_readback_at_the_bound():
     # a coefficient equal to the bound reads back; one above it, or a value
-    # left after the last digit, raises
+    # left after the last digit, raises; long values are read in halves
     rng = random.Random(47)
-    for _ in range(60):
+    for i in range(90):
         bound = rng.randint(1, 2**rng.randint(1, 80))
         shift = (4 * bound).bit_length()
-        digits, low = rng.randint(1, 6), rng.randint(-5, 5)
+        digits = rng.randint(1, 6) if i % 3 == 0 else rng.randint(100, 700)
+        low = rng.randint(-5, 5)
         coeffs = [rng.randint(-bound, bound) for _ in range(digits)]
         at = rng.randrange(digits)
         coeffs[at] = rng.choice((1, -1)) * bound
@@ -364,6 +364,94 @@ def test_readback_at_the_bound():
             kronecker_readback(beyond, shift, bound, digits, low)
         with pytest.raises(ExactnessError, match="exceeds its proven degree bound"):
             kronecker_readback(value + (1 << shift * digits), shift, bound, digits, low)
+
+
+def _readback_digit_by_digit(value, shift, bound, digits, low):
+    """The readback one digit at a time, each step shifting the whole rest."""
+    mask, half = (1 << shift) - 1, 1 << (shift - 1)
+    coeffs = []
+    for _ in range(digits):
+        c = value & mask
+        if c >= half:
+            c -= 1 << shift
+        if abs(c) > bound:
+            raise ExactnessError("coefficient exceeds its proven bound")
+        coeffs.append(c)
+        value = (value - c) >> shift
+    if value:
+        raise ExactnessError("value exceeds its proven degree bound")
+    return poly_from_coeffs(coeffs, low)
+
+
+def _outcome(read, *args):
+    try:
+        return read(*args)
+    except ExactnessError as e:
+        return str(e)
+
+
+def test_readback_matches_digit_by_digit_on_tampered_values():
+    rng = random.Random(53)
+    for i in range(400):
+        bound = rng.randint(1, 2**rng.randint(1, 90))
+        shift = (4 * bound).bit_length()
+        digits = rng.randint(1, 400)
+        value = sum(rng.randint(-bound, bound) << shift * j for j in range(digits))
+        kind = i % 4
+        if kind == 1:     # one digit moved, perhaps past the bound or the end
+            value += rng.choice((1, -1)) * rng.randint(1, 4 * bound) \
+                << shift * rng.randrange(digits + 2)
+        elif kind == 2:   # noise in every digit and beyond
+            value += rng.randint(-2**(shift * digits + 9), 2**(shift * digits + 9))
+        elif kind == 3:
+            value = rng.randint(-2**(shift * digits + shift), 2**(shift * digits + shift))
+        args = (value, shift, bound, digits, rng.randint(-5, 5))
+        assert _outcome(kronecker_readback, *args) == \
+            _outcome(_readback_digit_by_digit, *args)
+
+
+# -- products: the schoolbook loop against Kronecker substitution ----------------
+
+_coefficients = st.one_of(st.integers(-9, 9), st.just(0),
+                          st.integers(-2**70, 2**70), st.integers(-3, 3).map(lambda c: c << 64))
+
+
+@st.composite
+def _product_operands(draw):
+    """A polynomial of 0-48 coefficients from a degree in [-40, 40], dense,
+    mostly zero, or supported on multiples of 3."""
+    size = draw(st.integers(0, 48))
+    coeffs = draw(st.lists(_coefficients, min_size=size, max_size=size))
+    if draw(st.booleans()):
+        coeffs = [c if j % 3 == 0 else 0 for j, c in enumerate(coeffs)]
+    return poly_from_coeffs(coeffs, draw(st.integers(-40, 40)))
+
+
+@given(_product_operands(), _product_operands())
+@settings(max_examples=200, deadline=None)
+def test_kronecker_product_matches_schoolbook(f, g):
+    if f and g:
+        expected = exactalg._schoolbook_product(f, g)
+        assert exactalg._kronecker_product(f, g) == expected
+        assert f * g == g * f == expected
+    else:
+        assert f * g == ZERO
+
+
+def test_product_crossover(monkeypatch):
+    # dense 16 x 16 and wider go through Kronecker substitution; small
+    # operands, and a long polynomial times a short one, through the loop
+    calls = []
+    genuine = exactalg._kronecker_product
+    monkeypatch.setattr(exactalg, "_kronecker_product",
+                        lambda f, g: calls.append(1) or genuine(f, g))
+    rng = random.Random(59)
+    for sizes, kronecker in (((16, 16), True), ((40, 120), True), ((5, 5), False),
+                             ((400, 4), False), ((1, 500), False)):
+        f, g = (poly_from_coeffs([rng.randint(1, 9) for _ in range(n)], -3) for n in sizes)
+        calls.clear()
+        assert f * g == exactalg._schoolbook_product(f, g)
+        assert calls == ([1] if kronecker else []), sizes
 
 
 # -- the series format against entrywise arithmetic --------------------------
@@ -550,25 +638,34 @@ def test_kronecker_det_matches_bareiss(args):
 
 
 def test_determinant_policy_exists_once():
-    # the row bound, B, the evaluation at 2^B and the readback are
-    # kronecker_det's alone; int_det is called only by it and by resultant
-    call = re.compile(r"(?<!def )\b(int_det|kronecker_readback)\(|\.bit_length\(\)")
+    # one choice of B (kronecker_shift) and one readback, shared by the
+    # determinant (kronecker_det), the product (_kronecker_product) and
+    # the recursion (twinring.twisted_from_form, through evaluated_det);
+    # int_det is called only by evaluated_det and by resultant
+    call = re.compile(r"(?<!def )\b(int_det|kronecker_readback|kronecker_shift|"
+                      r"evaluated_det)\(|\.bit_length\(\)")
     package = Path(exactalg.__file__).parent
     modules = sorted(package.glob("*.py"))
     assert len(modules) > 10
     for path in modules:
         if path.name not in ("exactalg.py", "oracles.py"):
-            calls = [m.group(0) for m in call.finditer(path.read_text())]
-            assert calls == [], path.name
+            calls = sorted(m.group(0) for m in call.finditer(path.read_text()))
+            assert calls == (["evaluated_det(", "kronecker_shift("]
+                             if path.name == "twinring.py" else []), path.name
 
     def found(obj):
         return sorted(m.group(0) for m in call.finditer(inspect.getsource(obj)))
 
-    assert found(exactalg.kronecker_det) == sorted(
-        ["int_det(", "kronecker_readback(", ".bit_length()"])
+    assert found(twinring.twisted_from_form) == ["evaluated_det(", "kronecker_shift("]
+    assert found(exactalg.kronecker_shift) == [".bit_length()"]
+    assert found(exactalg.evaluated_det) == ["int_det(", "kronecker_readback("]
+    assert found(exactalg.kronecker_det) == ["evaluated_det(", "kronecker_shift("]
+    assert found(exactalg._kronecker_product) == ["kronecker_readback(", "kronecker_shift("]
     assert found(exactalg.resultant) == ["int_det("]
-    assert found(exactalg) == sorted(found(exactalg.kronecker_det)
-                                     + found(exactalg.resultant))
+    assert found(exactalg) == sorted(
+        found(exactalg.kronecker_shift) + found(exactalg.evaluated_det)
+        + found(exactalg.kronecker_det) + found(exactalg._kronecker_product)
+        + found(exactalg.resultant))
 
 
 # -- resultants ---------------------------------------------------------------

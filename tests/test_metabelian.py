@@ -7,7 +7,7 @@ import random
 import pytest
 
 from metatap.characters import Representation, representation_blocks
-from metatap.exactalg import ExactnessError, PolyMatrix, parse_poly
+from metatap.exactalg import ExactnessError, parse_poly
 from metatap.groupcalc import parse_presentation
 from metatap.intmat import identity, int_det, mat_mul, mat_neg
 from metatap.knotdata import presentation
@@ -29,7 +29,8 @@ from metatap.metabelian import (
     unit_classes,
 )
 from metatap.oracles import (
-    MatrixRep, group_word_image, perm_matrix, perm_rep, trivial_rep, word_image)
+    MatrixRep, PolyMatrix, group_word_image, perm_matrix, perm_rep, trivial_rep,
+    word_image)
 from metatap.twinring import X, Y
 from metatap.twisted import standard_assignment
 from metatap.twobridge import FractionR, alexander_poly, wirtinger_presentation

@@ -9,8 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-from metatap import characters, groupcalc, oracles, twisted
-from metatap.exactalg import PolyMatrix
+from metatap import characters, exactalg, groupcalc, oracles, twinring, twisted
+from metatap.oracles import PolyMatrix
 
 
 def test_cli_does_not_import_oracles():
@@ -81,3 +81,24 @@ def test_fox_table_path_only_in_oracles():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 []"
+
+
+# The matrix-polynomial type, the recursion on it and the twin section.
+# Production runs the recursion on integer matrices at t = 2^B instead.
+SERIES_PATH = ("PolyMatrix", "recursion_series", "normalized_series",
+               "yx_geometric", "_head", "_part_series", "TwinDecomp",
+               "twin_decompose", "twin_determinant", "NotTwinError")
+
+
+def test_matrix_polynomials_only_in_oracles():
+    # no production module defines, imports or calls them; a docstring
+    # may point to the oracle by its qualified name
+    name = re.compile(rf"(?<!oracles\.)\b({'|'.join(SERIES_PATH)})\b")
+    package = Path(oracles.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name != "oracles.py":
+            assert name.findall(path.read_text()) == [], path.name
+    for module in (exactalg, twinring):
+        assert not any(hasattr(module, attr) for attr in SERIES_PATH)
+    assert all(hasattr(oracles, attr) for attr in SERIES_PATH)
+

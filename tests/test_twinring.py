@@ -4,36 +4,48 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from metatap.exactalg import LaurentPoly, PolyMatrix, canonical, parse_poly
+from metatap import exactalg
+from metatap.exactalg import ExactnessError, LaurentPoly, canonical, parse_poly
 from metatap.golden import A4_3DIM, permutation_rep, phi_verdict
 from metatap.metabelian import a4_group
-from metatap.intmat import identity, mat_add, mat_mul, mat_scale, mat_sub, zeros
-from metatap.twinring import (
-    NotTwinError,
-    TwinDecomp,
-    X,
-    XINV,
+from metatap.intmat import (
+    identity, mat_add, mat_inverse, mat_mul, mat_scale, mat_sub, zeros)
+from metatap.oracles import (
     XINV_PLUS_YINV,
-    XINV_YINV,
     XT,
     X_PLUS_Y,
     XYX,
-    Y,
-    YINV,
     YT,
-    YX,
+    NotTwinError,
+    PolyMatrix,
+    TwinDecomp,
+    _part_series,
     normalized_series,
-    power3,
     recursion_series,
     twin_decompose,
     twin_determinant,
-    twisted_from_form,
+    twisted_from_series,
     yx_geometric,
 )
-from metatap.twobridge import FractionR, H3Form, h3_expand
+from metatap.twinring import (
+    A4_IMAGES,
+    ROW_NORM,
+    X,
+    XINV,
+    XINV_YINV,
+    Y,
+    YINV,
+    YX,
+    _part,
+    power3,
+    twisted_from_form,
+)
+from metatap.twobridge import FractionR, H3Form, enumerate_fractions, h3_expand
 
-from matrix_helpers import mat_pow
+from matrix_helpers import mat_pow, xi0
 
 P = parse_poly
 I3 = identity(3)
@@ -323,4 +335,83 @@ def test_cross_path_sample():
             assert twisted_from_form(form) == phi
             checked += 1
     assert checked >= 12
+
+
+# -- the recursion on integer matrices at t = 2^B ---------------------------------
+
+def test_row_norm_from_the_closure():
+    # the closure of X, Y is the 12 images xi0 gives the elements of A4,
+    # closed under products and inverses; its largest row l1-norm is 2
+    group = a4_group()
+    assert A4_IMAGES == {xi0(group.element(i)) for i in range(group.order())}
+    assert len(A4_IMAGES) == 12
+    assert all(mat_mul(a, b) in A4_IMAGES for a in A4_IMAGES for b in A4_IMAGES)
+    assert all(mat_inverse(a) in A4_IMAGES for a in A4_IMAGES)
+    assert ROW_NORM == 2 == max(sum(map(abs, row)) for m in A4_IMAGES for row in m)
+
+
+def _families_series(series):
+    """A `twinring._series` as the PolyMatrix it sums."""
+    _, _, _, terms = series
+    pairs = []
+    for low, count, entries in terms:
+        m = [[0] * 3 for _ in range(3)]
+        for at, v in entries:
+            m[at // 3][at % 3] = v
+        pairs += [(low + 6 * i, tuple(map(tuple, m))) for i in range(count)]
+    return PolyMatrix(pairs, 3)
+
+
+def test_part_families_match_the_series():
+    # each family is +- one image of A4 at degrees 6 apart, so its l1-norm
+    # is its count, and the spans and norms are the series' own
+    signed = A4_IMAGES | {mat_scale(-1, m) for m in A4_IMAGES}
+    for k in [k for k in range(-25, 26) if k]:
+        for series, oracle in zip(_part(k), _part_series(k)):
+            assert _families_series(series) == oracle, k
+            lo, hi, norm, terms = series
+            assert lo == min(oracle.series) and hi >= max(oracle.series)
+            assert norm == sum(count for _, count, _ in terms)
+            for _, _, entries in terms:
+                m = [[0] * 3 for _ in range(3)]
+                for at, v in entries:
+                    m[at // 3][at % 3] = v
+                assert tuple(map(tuple, m)) in signed
+
+
+def test_integer_recursion_matches_series_alpha_163():
+    forms = [form for form in map(h3_expand, enumerate_fractions(163)) if form]
+    assert len(forms) == 124
+    for form in forms:
+        assert twisted_from_form(form) == twisted_from_series(form), form
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_integer_recursion_matches_series_property(data):
+    nonzero = st.integers(-9, 9).filter(bool)
+    q = data.draw(st.integers(1, 4))
+    ks = tuple(data.draw(st.lists(nonzero, min_size=q, max_size=q)))
+    ms = tuple(data.draw(st.lists(nonzero, min_size=q - 1, max_size=q - 1)))
+    form = H3Form(ks, ms)
+    assert twisted_from_form(form) == twisted_from_series(form)
+
+
+def test_integer_recursion_rejects_tampered_readback(monkeypatch):
+    genuine = exactalg.kronecker_readback
+    form = h3_expand(FractionR.parse("29/75"))
+    expected = twisted_from_form(form)
+    # a digit pushed past the bound, and a value left after the last digit
+    for tamper, message in (
+            (lambda shift, digits: 1 << shift * (digits // 2) + shift - 2,
+             "exceeds its proven bound"),
+            (lambda shift, digits: -1 << shift * digits, "degree bound")):
+        monkeypatch.setattr(
+            exactalg, "kronecker_readback",
+            lambda value, shift, bound, digits, low, tamper=tamper:
+            genuine(value + tamper(shift, digits), shift, bound, digits, low))
+        with pytest.raises(ExactnessError, match=message):
+            twisted_from_form(form)
+    monkeypatch.setattr(exactalg, "kronecker_readback", genuine)
+    assert twisted_from_form(form) == expected
 

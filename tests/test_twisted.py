@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metatap.exactalg import (
-    ONE, ZERO, ExactnessError, LaurentPoly, PolyMatrix, canonical, exact_div, parse_poly)
+    ONE, ZERO, ExactnessError, LaurentPoly, canonical, exact_div, parse_poly)
 from metatap.golden import A4_3DIM, PHI, phi_value
 from metatap.groupcalc import Presentation, Word, fox_determinant, parse_presentation
 from metatap.intmat import identity, mat_inverse, mat_mul
@@ -24,6 +24,7 @@ from metatap.metabelian import (
 )
 from metatap.oracles import (
     GroupRingElem,
+    PolyMatrix,
     det_bareiss,
     fox_derivative,
     fox_images,
@@ -34,6 +35,8 @@ from metatap.oracles import (
     check_factorization,
     phi_map,
     trivial_rep,
+    normalized_series,
+    recursion_series,
     twisted_alexander_tables,
 )
 from metatap.twisted import (
@@ -43,7 +46,6 @@ from metatap.twisted import (
     standard_assignment,
     twisted_alexander,
 )
-from metatap.twinring import normalized_series, recursion_series
 from metatap.twobridge import (
     FractionR,
     alexander_poly,
