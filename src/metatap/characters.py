@@ -14,7 +14,7 @@ from __future__ import annotations
 from .exactalg import ExactnessError
 from .groupcalc import Presentation, Word, fox_tally
 from .intmat import Mat, identity, mat_mul
-from .metabelian import MetaElem, MetaGroup, check_homomorphism
+from .metabelian import MetaGroup, check_homomorphism
 
 
 def support_blocks(size: int, images) -> list[list[int]]:
@@ -116,11 +116,12 @@ class Representation:
         return [(g, counts, self.entries(x)) for (g, x), counts in tally.items()]
 
 
-def representation_blocks(assignment: dict[str, MetaElem], group: MetaGroup,
+def representation_blocks(images: tuple[int, ...], group: MetaGroup,
                           p: Presentation) -> Representation:
     """The representation whose twisted numerator and denominator
-    determinants are exactly those of `oracles.perm_rep(assignment, group,
-    p)`, the full permutation path.
+    determinants are exactly those of `oracles.perm_rep(images, group, p)`,
+    the full permutation path, for the element indices of the generators'
+    images.
 
     Its blocks are the diagonal blocks of the character images
     Q(g) = C^-1 P(g) C (`MetaGroup.character_image`) of the generators
@@ -130,20 +131,18 @@ def representation_blocks(assignment: dict[str, MetaElem], group: MetaGroup,
     C depends only on the group, so conjugating every image by it leaves
     the determinants unchanged.
 
-    The assignment is checked against p's relators on every call.  The
-    representation depends only on the generator images, so the group
-    keeps one per tuple of their element indices, with its blocks, checked
-    block images and per-element entries.
+    The images are checked against p's relators on every call.  The
+    representation depends only on them, so the group keeps one per tuple
+    of images, with its blocks, checked block images and per-element
+    entries.
     """
-    check_homomorphism(p, group, assignment)
-    key = tuple(group.index(assignment[name]) for name in p.generators)
-    rho = group._representations.get(key)
+    check_homomorphism(p, group, images)
+    rho = group._representations.get(images)
     if rho is None:
         letters = {}
-        for g, (name, x) in enumerate(zip(p.generators, key), start=1):
-            letters[g] = x
-            letters[-g] = group.index(group.inv(assignment[name]))
+        for g, x in enumerate(images, start=1):
+            letters[g], letters[-g] = x, group.index_inv(x)
         blocks = support_blocks(
-            group.p**group.k, [group.character_image(x) for x in key])
-        rho = group._representations[key] = Representation(group, letters, blocks)
+            group.p**group.k, [group.character_image(x) for x in images])
+        rho = group._representations[images] = Representation(group, letters, blocks)
     return rho

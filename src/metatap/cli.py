@@ -18,6 +18,12 @@ Result records are JSON objects with stable field names:
 Polynomials are written in the canonical text form (increasing degrees,
 e.g. "1 - 3*t^3 + t^6"); `millis` is wall-clock time and is excluded from
 any determinism comparison.  CSV output quotes the same fields as strings.
+
+An assignment travels from the search (or --assign) to the record as the
+element indices of the generators' images (`metabelian.HomAssignment`);
+its text "x=s; y=s b1" is written only for records and messages.
+`metabelian.unit_classes` groups the assignments into classes and checks
+each member, so the commands take one determinant per class.
 """
 
 from __future__ import annotations
@@ -36,11 +42,11 @@ from .exactalg import ExactnessError, LaurentPoly
 from .groupcalc import InputError, Presentation
 from .knotdata import BUNDLED, load_presentation
 from .metabelian import (
+    HomAssignment,
     MetaGroup,
     NotHomomorphismError,
     a4_group,
     check_homomorphism,
-    conjugate_by_relabeling,
     find_homs,
     generates,
     group_from_name,
@@ -67,7 +73,7 @@ FIELDS = ["input", "group", "assignment", "surjective", "n", "delta",
           "twisted", "phi", "holds", "cross_path_match", "millis"]
 
 
-def _parse_assignment(text: str, group: MetaGroup, p: Presentation) -> dict:
+def _parse_assignment(text: str, group: MetaGroup, p: Presentation) -> HomAssignment:
     images = {}
     for chunk in text.split(";"):
         chunk = chunk.strip()
@@ -83,30 +89,29 @@ def _parse_assignment(text: str, group: MetaGroup, p: Presentation) -> dict:
     missing = [g for g in p.generators if g not in images]
     if missing:
         raise InputError(f"assignment missing generators {missing}")
+    indices = tuple(group.index(images[g]) for g in p.generators)
     try:
-        check_homomorphism(p, group, images)
+        check_homomorphism(p, group, indices)
     except NotHomomorphismError as e:
         raise InputError(str(e)) from None
-    return images
+    return HomAssignment(indices, generates(group, indices))
 
 
-def _assignment_str(images: dict, p: Presentation) -> str:
-    return "; ".join(f"{g}={images[g]}" for g in p.generators)
+def _assignment_str(images: tuple[int, ...], group: MetaGroup, p: Presentation) -> str:
+    return "; ".join(f"{g}={group.element(x)}" for g, x in zip(p.generators, images))
 
 
 def _compute_records(p: Presentation, group: MetaGroup, delta: LaurentPoly,
-                     assignments, classes, input_name: str, cross_check: bool,
+                     homs: list[HomAssignment], classes: list[int], input_name: str,
                      recursion_value=None, skip_non_polynomial: bool = False,
                      user_presentation: bool = False) -> list[dict]:
     """One record per assignment, with one determinant per class.
 
-    `classes` is `unit_classes` of the assignments' images.  The first
-    assignment of each class goes through
-    representation_blocks, twisted_alexander and block_verdict.  A
-    later member reuses its class's result only after
-    `conjugate_by_relabeling` has shown, on the coset tables, that its
-    permutation representation is conjugate to the representative's by a
-    permutation matrix.
+    `classes` is `unit_classes` of the assignments, which has checked each
+    member against its representative.  The representative of each class
+    goes through representation_blocks, twisted_alexander and
+    block_verdict, and the members reuse its result.  `recursion_value`,
+    given only under --cross-check, is compared with each record's phi.
 
     A non-surjective assignment whose determinant ratio is not a
     polynomial is an input error, or, with `skip_non_polynomial`, is
@@ -118,25 +123,24 @@ def _compute_records(p: Presentation, group: MetaGroup, delta: LaurentPoly,
     delta_text = str(delta)
     verdicts = {}  # class representative -> (twisted, phi) texts and verdict
     records = []
-    for i, ((images, surjective), (rep, unit)) in enumerate(
-            zip(assignments, classes)):
+    for i, (h, rep) in enumerate(zip(homs, classes)):
         t0 = time.monotonic()
+        label = _assignment_str(h.images, group, p)
         if rep == i:
             result = twisted_alexander(
-                p, representation_blocks(images, group, p))
+                p, representation_blocks(h.images, group, p))
             if result.invariant is None:
-                if surjective and user_presentation:
+                if h.surjective and user_presentation:
                     raise InputError(
                         f"the generators of {input_name} are not meridians: "
                         f"the determinant ratio of the surjection "
-                        f"{_assignment_str(images, p)} onto {group.name()} "
-                        f"is not a polynomial")
-                if surjective:
+                        f"{label} onto {group.name()} is not a polynomial")
+                if h.surjective:
                     raise ExactnessError(
                         f"non-polynomial determinant ratio for {input_name}")
                 if not skip_non_polynomial:
                     raise InputError(
-                        f"assignment {_assignment_str(images, p)} is not "
+                        f"assignment {label} is not "
                         f"surjective onto {group.name()}: its determinant "
                         f"ratio for {input_name} is not a polynomial")
                 verdicts[i] = None
@@ -145,29 +149,21 @@ def _compute_records(p: Presentation, group: MetaGroup, delta: LaurentPoly,
                 verdicts[i] = (str(result.invariant),
                                None if verdict.phi is None else str(verdict.phi),
                                verdict)
-        else:
-            rep_images, rep_surjective = assignments[rep]
-            if surjective != rep_surjective or not conjugate_by_relabeling(
-                    group, rep_images, images, unit):
-                raise ExactnessError(
-                    f"assignment {_assignment_str(images, p)} of {input_name} "
-                    f"is not conjugate to its class representative "
-                    f"{_assignment_str(rep_images, p)}")
         if verdicts[rep] is None:
-            print(f"skipped: assignment {_assignment_str(images, p)} is not "
+            print(f"skipped: assignment {label} is not "
                   f"surjective onto {group.name()} and its determinant ratio "
                   f"for {input_name} is not a polynomial", file=sys.stderr)
             continue
         twisted_text, phi_text, verdict = verdicts[rep]
         cross = None
-        if cross_check and recursion_value is not None and verdict.phi is not None:
+        if recursion_value is not None and verdict.phi is not None:
             cross = verdict.phi == recursion_value
         millis = int((time.monotonic() - t0) * 1000)
         records.append({
             "input": input_name,
             "group": group.name(),
-            "assignment": _assignment_str(images, p),
-            "surjective": surjective,
+            "assignment": label,
+            "surjective": h.surjective,
             "n": group.n,
             "delta": delta_text,
             "twisted": twisted_text,
@@ -191,15 +187,11 @@ def _cross_path_status(records: list[dict]) -> int:
     return EXIT_INTERNAL
 
 
-def _gather_assignments(p, group, args):
+def _gather_assignments(p, group, args) -> list[HomAssignment]:
     """Either the explicit --assign, or the find_homs results."""
     if args.assign:
-        images = _parse_assignment(args.assign, group, p)
-        return [(images, generates(group, list(images.values())))]
-    homs = find_homs(p, group, fix=args.fix)
-    chosen = [(h.images, h.surjective) for h in homs
-              if h.surjective or args.all]
-    return chosen
+        return [_parse_assignment(args.assign, group, p)]
+    return [h for h in find_homs(p, group, fix=args.fix) if h.surjective or args.all]
 
 
 def _load_input(args):
@@ -227,8 +219,8 @@ def cmd_compute(args) -> int:
             f"surjection of {input_name} onto {group.name()}",
             file=sys.stderr)
         return EXIT_NO_REP
-    assignments = _gather_assignments(p, group, args)
-    if not assignments:
+    homs = _gather_assignments(p, group, args)
+    if not homs:
         print(f"no representation of {input_name} onto {group.name()} found",
               file=sys.stderr)
         return EXIT_NO_REP
@@ -237,9 +229,8 @@ def cmd_compute(args) -> int:
         form = h3_expand(r)
         if form is not None:
             recursion_value = twisted_from_form(form)
-    classes = unit_classes(group, [images for images, _ in assignments])
-    records = _compute_records(p, group, delta, assignments, classes,
-                               input_name, args.cross_check, recursion_value,
+    records = _compute_records(p, group, delta, homs, unit_classes(group, homs),
+                               input_name, recursion_value,
                                skip_non_polynomial=args.all and not args.assign,
                                user_presentation=r is None)
     if not records:
@@ -257,11 +248,11 @@ def _scan_one(packed):
     The job carries the fraction and its H(3) certificate, decided once by
     `cmd_scan` (None when the fraction is not in H(3) or nothing reads
     it).  The surjections found by the search are grouped into classes
-    under the automorphisms phi_U (`unit_classes`), taking them in label
-    order so that each class is represented by its lexicographically
-    smallest assignment.  Every member is checked to be conjugate to its
-    representative, and the scan emits one row per class, labeled with
-    that representative; no class is dropped.
+    under the automorphisms phi_U (`unit_classes`, which checks every
+    member against its representative), taking them in label order so
+    that each class is represented by its lexicographically smallest
+    assignment.  The scan emits one row per class, labeled with that
+    representative; no class is dropped.
     """
     r, group_key, form, cross_check = packed
     group = group_from_name(group_key)
@@ -269,20 +260,17 @@ def _scan_one(packed):
     delta = alexander_poly(p)
     if not obstruction_passes(delta, group.n, group.p):
         return []
-    homs = find_homs(p, group)
-    surjective = sorted((h.images for h in homs if h.surjective),
-                        key=lambda images: _assignment_str(images, p))
+    surjective = sorted((h for h in find_homs(p, group) if h.surjective),
+                        key=lambda h: _assignment_str(h.images, group, p))
     if not surjective:
         return []
     recursion_value = None
     if cross_check and group == a4_group() and form is not None:
         recursion_value = twisted_from_form(form)
     classes = unit_classes(group, surjective)
-    records = _compute_records(p, group, delta,
-                               [(images, True) for images in surjective],
-                               classes, str(r), cross_check, recursion_value)
-    reps = sorted({rep for rep, _ in classes})
-    return [records[i] for i in reps]
+    records = _compute_records(p, group, delta, surjective, classes, str(r),
+                               recursion_value)
+    return [records[i] for i in sorted(set(classes))]
 
 
 def cmd_scan(args) -> int:
@@ -357,8 +345,13 @@ def cmd_find_reps(args) -> int:
               f"can exist (resultant test)")
     homs = find_homs(p, group, fix=args.fix)
     shown = [h for h in homs if h.surjective or args.all]
+    # the generator pinned to s first, then the others in order
+    order = sorted(range(p.num_generators),
+                   key=lambda g: p.generators[g] != (args.fix or p.generators[0]))
     for h in shown:
-        print(h.describe())
+        print(", ".join(f"f({p.generators[g]}) = {group.element(h.images[g])}"
+                        for g in order)
+              + f"  [{'onto' if h.surjective else 'not onto'}]")
     if not shown:
         print(f"no representation of {name} onto {group.name()} found",
               file=sys.stderr)

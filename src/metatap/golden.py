@@ -90,7 +90,7 @@ def permutation_rep(source: str, group: MetaGroup,
     if assignment is None:
         images = standard_assignment(group, p)
     else:
-        images = {g: group.parse_elem(e) for g, e in assignment.items()}
+        images = tuple(group.index(group.parse_elem(assignment[g])) for g in p.generators)
     return p, representation_blocks(images, group, p)
 
 

@@ -13,13 +13,18 @@ splits into small blocks (`characters.representation_blocks`).  For
 M(3|2,2), which is the alternating group A4, that is the trivial block and
 the faithful irreducible 3-dimensional one, which drives the whole
 t^3-support story for 2-bridge knots.
+
+The element s^ell b^vec has the index ell * p^k + coset_index(vec), and an
+assignment of a presentation's generators is the tuple of their images'
+indices, in generator order (`HomAssignment`).  `MetaElem` is the
+boundary form: `parse_elem` reads one, `element` prints an index, and
+`mul` and `inv` are the reference for the group law on indices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import gcd
 from typing import Optional, Sequence
 
 from .exactalg import (
@@ -62,17 +67,6 @@ def cyclotomic_coeffs(n: int) -> tuple[int, ...]:
             assert q is not None
             f = q
     return tuple(f.coeff(i) for i in range(f.degree() + 1))
-
-
-def multiplicative_order(a: int, n: int) -> int:
-    a %= n
-    if gcd(a, n) != 1:
-        raise ValueError(f"{a} is not a unit mod {n}")
-    power, order = a, 1
-    while power != 1:
-        power = power * a % n
-        order += 1
-    return order
 
 
 def _invertible_mod(m: Mat, p: int) -> bool:
@@ -146,21 +140,20 @@ class MetaGroup:
         coeffs = cyclotomic_coeffs(n)
         self.k = len(coeffs) - 1
         self.T = _companion_mod(coeffs, p)
-        self.irreducible = multiplicative_order(p, n) == self.k
         # T^n = I, so negative powers fold into 0..n-1.
         self._T_pow = [identity(self.k)]
         for _ in range(n - 1):
             self._T_pow.append(self._mat_mod(mat_mul(self._T_pow[-1], self.T)))
         # filled on first use: element index -> character image, unit ->
-        # coset relabeling, generator indices -> whether they generate and
-        # -> their `characters.Representation`, assignment key -> its orbit
-        # under the units (`unit_classes`), (representative key, member key,
-        # relabeling) -> `conjugate_by_relabeling`'s verdict
+        # coset relabeling, assignment (its generators' element indices) ->
+        # whether they generate, -> its `characters.Representation` and ->
+        # its orbit under the units, (representative, member, relabeling)
+        # -> the class step's verdict (`unit_classes`)
         self._character_images: dict[int, tuple[tuple[int, int, int], ...]] = {}
         self._relabelings: dict[Mat, tuple[int, ...]] = {}
         self._generates: dict[tuple[int, ...], bool] = {}
         self._representations: dict[tuple[int, ...], object] = {}
-        self._unit_orbits: dict[tuple, tuple[tuple[tuple, Mat], ...]] = {}
+        self._unit_orbits: dict[tuple[int, ...], tuple[tuple[tuple[int, ...], Mat], ...]] = {}
         self._conjugates: dict[tuple, bool] = {}
 
     def _mat_mod(self, m: Mat) -> Mat:
@@ -176,7 +169,7 @@ class MetaGroup:
         T^0, ..., T^(k-1) is a basis of F_p[T] because T is a companion
         matrix of degree k.  Each U commutes with T, so s^ell b^vec ->
         s^ell b^(vec U) is an automorphism of the group that fixes s
-        (`apply_unit`).
+        (`unit_image`).
         """
         out = []
         for idx in range(1, self.p**self.k):
@@ -356,6 +349,13 @@ class MetaGroup:
         ell, v = divmod(x, self.p**self.k)
         return self.elem(ell, self.vec_of_index(v))
 
+    def index_inv(self, x: int) -> int:
+        """The index of the inverse of the element of index x.  Its coset
+        table undoes x's, and every table of s^ell b^vec sends the coset 0
+        to that of vec."""
+        ell, v = divmod(x, self.p**self.k)
+        return -ell % self.n * self.p**self.k + self.coset_table(ell, v).index(0)
+
     def index_mul(self, x: int, y: int) -> int:
         act, add = self.index_law
         size = self.p**self.k
@@ -376,9 +376,13 @@ class MetaGroup:
         forward = [self.coset_table(1, v) for v in range(self.p**self.k)]
         return forward, [_inverse_table(table) for table in forward]
 
-    def apply_unit(self, g: MetaElem, unit: Mat) -> MetaElem:
-        """phi_U(s^ell b^vec) = s^ell b^(vec U) for a unit U of F_p[T]."""
-        return self.elem(g.ell, self._vec_times(g.vec, unit))
+    def unit_image(self, x: int, unit: Mat) -> int:
+        """phi_U(s^ell b^vec) = s^ell b^(vec U) for a unit U of F_p[T], on
+        element indices.  Built apart from `coset_relabeling`, so that the
+        class step's check of one against the other means something."""
+        ell, v = divmod(x, self.p**self.k)
+        return (ell * self.p**self.k
+                + self.coset_index(self._vec_times(self.vec_of_index(v), unit)))
 
     def coset_relabeling(self, unit: Mat) -> tuple[int, ...]:
         """sigma_U: <s> a -> <s> a U as an index table.
@@ -547,9 +551,10 @@ def _coset_walk(word: Word, tables) -> int:
 
 
 def check_homomorphism(p: Presentation, group: MetaGroup,
-                       assignment: dict[str, MetaElem]) -> None:
+                       images: tuple[int, ...]) -> None:
     """Raise NotHomomorphismError naming the first relator of p that the
-    assignment does not send to the identity.
+    assignment does not send to the identity.  `images` are the element
+    indices of the generators' images, in generator order.
 
     The image of a word is s^a b^v with a the sum of the s-exponents of
     its letters, and right multiplication by it takes the coset 0 to the
@@ -557,18 +562,16 @@ def check_homomorphism(p: Presentation, group: MetaGroup,
     from 0 returns to 0.  The coset action is faithful, so this is the
     same test as the permutation matrices' product being the identity.
     """
+    if len(images) != p.num_generators or not all(0 <= x < group.order() for x in images):
+        raise ValueError(f"{images} are not {p.num_generators} element indices "
+                         f"of {group.name()}")
     tables = {}
     ells = {}
-    for name in p.generators:
-        if name not in assignment:
-            raise ValueError(f"assignment missing generator {name!r}")
-        e = assignment[name]
-        if e.group != group:
-            raise MixedGroupError("element belongs to a different group")
-        g = p.gen_index(name)
-        tables[g] = group.coset_table(e.ell, group.coset_index(e.vec))
+    for g, x in enumerate(images, start=1):
+        ell, v = divmod(x, group.p**group.k)
+        tables[g] = group.coset_table(ell, v)
         tables[-g] = _inverse_table(tables[g])
-        ells[g], ells[-g] = e.ell, -e.ell
+        ells[g], ells[-g] = ell, -ell
     for i, rel in enumerate(p.relators):
         if sum(ells[letter] for letter in rel) % group.n or _coset_walk(rel, tables):
             raise NotHomomorphismError(
@@ -583,26 +586,21 @@ def check_homomorphism(p: Presentation, group: MetaGroup,
 
 @dataclass(frozen=True)
 class HomAssignment:
-    """A homomorphism onto (or into) a MetaGroup, as generator images."""
+    """A homomorphism onto (or into) a MetaGroup: the element indices of
+    the generators' images, in generator order."""
 
-    images: dict[str, MetaElem]
+    images: tuple[int, ...]
     surjective: bool
 
-    def describe(self) -> str:
-        body = ", ".join(f"f({g}) = {e}" for g, e in self.images.items())
-        flag = "onto" if self.surjective else "not onto"
-        return f"{body}  [{flag}]"
 
+def generates(group: MetaGroup, gens: tuple[int, ...]) -> bool:
+    """Whether the elements of indices `gens` generate the whole group.
 
-def generates(group: MetaGroup, elems) -> bool:
-    """Whether the elements generate the whole group.
-
-    Closes the element indices under right multiplication by the elements,
-    with the group law of `index_law` inlined; in a finite group that
-    closure is the generated subgroup.  The answer is kept per group for
-    the tuple of element indices.
+    Closes the indices under right multiplication by the elements, with
+    the group law of `index_law` inlined; in a finite group that closure
+    is the generated subgroup.  The answer is kept per group for the tuple
+    of indices.
     """
-    gens = tuple(group.index(e) for e in elems)
     known = group._generates.get(gens)
     if known is None:
         act, add = group.index_law
@@ -636,7 +634,8 @@ def find_homs(p: Presentation, group: MetaGroup,
 
     Meridian generators of a knot group are all conjugate, so they must land
     in a single conjugacy class; fixing one of them to s is the standard
-    normalization.  Results are tagged with a surjectivity flag.
+    normalization.  Each result holds its generators' element indices,
+    tagged with a surjectivity flag.
 
     Relators are evaluated on element indices.  Every image lies in
     s * (Z/p)^k, so a relator's image has s-exponent equal to its exponent
@@ -655,17 +654,17 @@ def find_homs(p: Presentation, group: MetaGroup,
     other_index = [p.gen_index(name) for name in others]
     results = []
     counters = [0] * len(others)
+    images = [size] * p.num_generators  # s has index p^k, s b^v p^k + v
     while True:
         tables = {fixed_index: forward[0], -fixed_index: backward[0]}
         for g, idx in zip(other_index, counters):
             tables[g] = forward[idx]
             tables[-g] = backward[idx]
         if not any(_coset_walk(rel, tables) for rel in p.relators):
-            images = {fixed_name: group.s()}
-            for name, idx in zip(others, counters):
-                images[name] = group.elem(1, group.vec_of_index(idx))
-            surjective = generates(group, list(images.values()))
-            results.append(HomAssignment(images, surjective))
+            for g, idx in zip(other_index, counters):
+                images[g - 1] = size + idx
+            found = tuple(images)
+            results.append(HomAssignment(found, generates(group, found)))
         # odometer over the vector indices of the non-fixed generators
         pos = len(counters) - 1
         while pos >= 0:
@@ -684,41 +683,44 @@ def find_homs(p: Presentation, group: MetaGroup,
 # ---------------------------------------------------------------------------
 
 
-def _assignment_key(images: dict[str, MetaElem]) -> tuple:
-    return tuple((g, e.ell, e.vec) for g, e in images.items())
+def unit_classes(group: MetaGroup, homs: list[HomAssignment]) -> list[int]:
+    """For each assignment, the index of its class representative under the
+    automorphisms phi_U: the first assignment of its orbit in the given
+    order.
 
-
-def unit_classes(group: MetaGroup,
-                 assignments: list[dict[str, MetaElem]]) -> list[tuple[int, Mat]]:
-    """Group assignments into classes under the automorphisms phi_U.
-
-    Returns, for each assignment, a pair (i, U): i indexes its class
-    representative, the first assignment of the class in the given order,
-    and U is a unit with assignment = phi_U(representative).  The
-    permutation representations of one class are conjugate by a permutation
-    matrix, which `conjugate_by_relabeling` checks for each member.  The
-    orbit of each representative's key under the units is kept per group.
+    Each member is checked against its representative: both must be
+    surjective or neither, and the coset tables must show the member to be
+    phi_U of the representative (`_conjugate_by_relabeling`).  Then the
+    permutation representations of the class are conjugate by a
+    permutation matrix, so one determinant serves the class.  A failed
+    check is an ExactnessError.  The orbit of each representative under
+    the units is kept per group.
     """
-    owner: dict[tuple, tuple[int, Mat]] = {}
+    owner: dict[tuple[int, ...], tuple[int, Mat]] = {}
     out = []
-    for i, images in enumerate(assignments):
-        key = _assignment_key(images)
-        if key not in owner:
-            orbit = group._unit_orbits.get(key)
+    for i, h in enumerate(homs):
+        rep, unit = owner.get(h.images, (i, None))
+        if rep == i:
+            orbit = group._unit_orbits.get(h.images)
             if orbit is None:
-                # phi_U(s^ell b^vec) = s^ell b^(vec U), as `apply_unit`
-                orbit = group._unit_orbits[key] = tuple(
-                    (tuple((g, ell, group._vec_times(vec, unit)) for g, ell, vec in key),
-                     unit)
-                    for unit in group.units)
-            for image_key, unit in orbit:
-                owner.setdefault(image_key, (i, unit))
-        out.append(owner[key])
+                orbit = group._unit_orbits[h.images] = tuple(
+                    (tuple(group.unit_image(x, u) for x in h.images), u)
+                    for u in group.units)
+            for images, u in orbit:
+                owner.setdefault(images, (i, u))
+        elif (h.surjective != homs[rep].surjective
+              or not _conjugate_by_relabeling(group, homs[rep].images, h.images, unit)):
+            member, first = ("; ".join(str(group.element(x)) for x in images)
+                             for images in (h.images, homs[rep].images))
+            raise ExactnessError(
+                f"assignment {member} is not conjugate to its class "
+                f"representative {first} in {group.name()}")
+        out.append(rep)
     return out
 
 
-def conjugate_by_relabeling(group: MetaGroup, rep: dict[str, MetaElem],
-                            member: dict[str, MetaElem], unit: Mat) -> bool:
+def _conjugate_by_relabeling(group: MetaGroup, rep: tuple[int, ...],
+                             member: tuple[int, ...], unit: Mat) -> bool:
     """Check on the coset tables that `member` relabels `rep` through U.
 
     With sigma = sigma_U^-1, which takes the member's cosets to the
@@ -730,22 +732,22 @@ def conjugate_by_relabeling(group: MetaGroup, rep: dict[str, MetaElem],
     assignments and sigma_U, and is kept per group.
     """
     forward = group.coset_relabeling(unit)
-    key = (_assignment_key(rep), _assignment_key(member), forward)
+    key = (rep, member, forward)
     known = group._conjugates.get(key)
     if known is None:
         known = group._conjugates[key] = _relabels(group, rep, member, forward)
     return known
 
 
-def _relabels(group: MetaGroup, rep: dict[str, MetaElem],
-              member: dict[str, MetaElem], forward: tuple[int, ...]) -> bool:
+def _relabels(group: MetaGroup, rep: tuple[int, ...], member: tuple[int, ...],
+              forward: tuple[int, ...]) -> bool:
     size = len(forward)
-    if rep.keys() != member.keys() or len(set(forward)) != size:
+    if len(rep) != len(member) or len(set(forward)) != size:
         return False
     sigma = _inverse_table(forward)
-    for g in rep:
-        pi_rep = group.coset_permutation(rep[g])
-        pi_member = group.coset_permutation(member[g])
+    for x, y in zip(rep, member):
+        pi_rep = group.coset_table(*divmod(x, size))
+        pi_member = group.coset_table(*divmod(y, size))
         if any(pi_rep[sigma[i]] != sigma[pi_member[i]] for i in range(size)):
             return False
     return True

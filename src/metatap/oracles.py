@@ -463,18 +463,17 @@ def perm_matrix(group: MetaGroup, g: MetaElem) -> Mat:
     )
 
 
-def perm_rep(assignment: dict[str, MetaElem], group: MetaGroup,
+def perm_rep(images: tuple[int, ...], group: MetaGroup,
              p: Presentation) -> MatrixRep:
-    """The p^k-dimensional permutation-matrix representation of an
-    assignment; each inverse image is the permutation matrix of the
-    inverse element."""
-    check_homomorphism(p, group, assignment)
-    images, inv_images = {}, {}
-    for name in p.generators:
-        g, e = p.gen_index(name), assignment[name]
-        images[g] = perm_matrix(group, e)
-        inv_images[g] = perm_matrix(group, group.inv(e))
-    return MatrixRep(group.p**group.k, images, inv_images)
+    """The p^k-dimensional permutation-matrix representation of the
+    generators' images, given by their element indices; each inverse
+    image is the permutation matrix of the inverse element (`MetaGroup.inv`)."""
+    check_homomorphism(p, group, images)
+    mats, inv_mats = {}, {}
+    for g, x in enumerate(images, start=1):
+        e = group.element(x)
+        mats[g], inv_mats[g] = perm_matrix(group, e), perm_matrix(group, group.inv(e))
+    return MatrixRep(group.p**group.k, mats, inv_mats)
 
 
 def group_word_image(group: MetaGroup, word: Word,

@@ -41,7 +41,7 @@ from .exactalg import (
     supported_on_multiples,
 )
 from .groupcalc import Presentation, fox_determinant
-from .metabelian import MetaElem, MetaGroup
+from .metabelian import MetaGroup
 
 
 def _denominator(entries, dim: int) -> LaurentPoly:
@@ -180,10 +180,11 @@ def block_verdict(result: TwistedResult, delta: LaurentPoly, n: int) -> Verdict:
     return Verdict(True, phi, n, "")
 
 
-def standard_assignment(group: MetaGroup, p: Presentation) -> dict[str, MetaElem]:
-    """f(x) = s, f(y) = s b1 for a 2-generator presentation; over A4 the
-    3-dimensional block sends them to `twinring.X` and `twinring.Y`."""
+def standard_assignment(group: MetaGroup, p: Presentation) -> tuple[int, int]:
+    """The element indices of f(x) = s, f(y) = s b1 for a 2-generator
+    presentation; over A4 the 3-dimensional block sends them to
+    `twinring.X` and `twinring.Y`."""
     if p.num_generators != 2:
         raise ValueError("standard assignment applies to 2-generator presentations")
-    return {p.generators[0]: group.s(),
-            p.generators[1]: group.mul(group.s(), group.b(1))}
+    size = group.p**group.k
+    return size, size + group.coset_index((1,) + (0,) * (group.k - 1))

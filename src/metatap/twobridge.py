@@ -2,12 +2,11 @@
 
 A 2-bridge knot is indexed by a fraction r = beta/alpha with alpha, beta odd,
 coprime and 0 < beta < alpha.  This module builds the standard 2-generator
-Wirtinger presentation <x, y | W x W^-1 y^-1>, evaluates continued fractions
-of the form [a1, ..., am] = 1/(a1 + 1/(a2 + ... + 1/am)), decides whether
-r has the special expansion [3k1, 2m1, ..., 2m_{q-1}, 3kq] whose existence
-puts the knot group onto Z/2 * Z/3 (the class H(3); the expansion is
-unique when it exists), and computes untwisted Alexander polynomials by
-Fox calculus.
+Wirtinger presentation <x, y | W x W^-1 y^-1>, decides whether r has the
+special continued-fraction expansion [3k1, 2m1, ..., 2m_{q-1}, 3kq] =
+1/(3k1 + 1/(2m1 + ... + 1/(3kq))) whose existence puts the knot group onto
+Z/2 * Z/3 (the class H(3); the expansion is unique when it exists), and
+computes untwisted Alexander polynomials by Fox calculus.
 """
 
 from __future__ import annotations
@@ -19,10 +18,6 @@ from typing import Optional
 
 from .exactalg import ExactnessError, LaurentPoly, canonical
 from .groupcalc import InputError, Presentation, Word, fox_determinant, fox_tally
-
-
-class CFError(ValueError):
-    """Continued-fraction evaluation hit an intermediate zero denominator."""
 
 
 @dataclass(frozen=True)
@@ -60,31 +55,6 @@ class FractionR:
 
 
 @dataclass(frozen=True)
-class ContinuedFraction:
-    """Entry list of a continued fraction; entries must be nonzero."""
-
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.entries or any(a == 0 for a in self.entries):
-            raise ValueError("entries must be a nonempty sequence of nonzero ints")
-
-    def __str__(self) -> str:
-        return "[" + ", ".join(str(a) for a in self.entries) + "]"
-
-
-def cf_evaluate(cf: ContinuedFraction) -> Fraction:
-    """Exact value 1/(a1 + 1/(a2 + ... + 1/am)), bottom up."""
-    value = Fraction(0)
-    for a in reversed(cf.entries):
-        denom = a + value
-        if denom == 0:
-            raise CFError(f"intermediate zero denominator in {cf}")
-        value = Fraction(1, 1) / denom
-    return value
-
-
-@dataclass(frozen=True)
 class H3Form:
     """Certificate that r = [3k1, 2m1, ..., 2m_{q-1}, 3kq]."""
 
@@ -101,19 +71,25 @@ class H3Form:
     def q(self) -> int:
         return len(self.ks)
 
-    def continued_fraction(self) -> ContinuedFraction:
-        entries = []
-        for i, k in enumerate(self.ks):
-            entries.append(3 * k)
-            if i < len(self.ms):
-                entries.append(2 * self.ms[i])
-        return ContinuedFraction(tuple(entries))
+    @property
+    def entries(self) -> tuple[int, ...]:
+        """3k1, 2m1, 3k2, ..., 2m_{q-1}, 3kq."""
+        entries = [3 * self.ks[0]]
+        for m, k in zip(self.ms, self.ks[1:]):
+            entries += [2 * m, 3 * k]
+        return tuple(entries)
 
     def value(self) -> Fraction:
-        return cf_evaluate(self.continued_fraction())
+        """1/(a1 + 1/(a2 + ... + 1/am)) over the entries, bottom up.  Every
+        |a| >= 2, so each partial value v has |v| < 1 and no denominator
+        a + v is zero."""
+        value = Fraction(0)
+        for a in reversed(self.entries):
+            value = 1 / (a + value)
+        return value
 
     def __str__(self) -> str:
-        return str(self.continued_fraction())
+        return "[" + ", ".join(map(str, self.entries)) + "]"
 
 
 def h3_expand(r: FractionR) -> Optional[H3Form]:

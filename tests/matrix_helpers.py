@@ -68,10 +68,10 @@ def xi0(e) -> Mat:
     return out
 
 
-def xi0_rep(assignment, p) -> MatrixRep:
-    """The 3-dimensional representation of an assignment onto A4 through
-    xi0, as an oracle matrix representation."""
-    return MatrixRep(3, {p.gen_index(g): xi0(e) for g, e in assignment.items()})
+def xi0_rep(images, group) -> MatrixRep:
+    """The 3-dimensional representation of generator images onto A4 (their
+    element indices) through xi0, as an oracle matrix representation."""
+    return MatrixRep(3, {g: xi0(group.element(x)) for g, x in enumerate(images, start=1)})
 
 
 def block_reps(rho) -> list[MatrixRep]:

@@ -148,7 +148,8 @@ def test_twenty_five_dim_values():
 # -- 6: reducible companion matrix -----------------------------------------------
 
 def test_reducible_companion_value():
-    assert not build_group(4, 5).irreducible
+    # F_5[T] is not a field: it has fewer than 5^2 - 1 units
+    assert len(build_group(4, 5).units) == 16
     assert_phi(REDUCIBLE)
     report("K(5/9) onto M(4|5,2) despite reducible companion matrix")
 

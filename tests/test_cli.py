@@ -415,12 +415,18 @@ def test_compute_cross_path_disagreement_exit_3(monkeypatch):
 
 
 def test_compute_tampered_class_member_exit_3(monkeypatch):
-    # claim that every assignment is its own representative's image under
-    # the identity unit: the coset-table check must refuse the reuse
-    def one_class(group, assignments):
-        return [(0, group.units[0]) for _ in assignments]
+    # pair each image of the orbit with the next unit instead of its own,
+    # so that every member claims the wrong unit: the class step's
+    # coset-table check must refuse the reuse.  The group's kept orbits
+    # are set aside, so that the orbits are built again.
+    genuine = MetaGroup.unit_image
 
-    monkeypatch.setattr(cli, "unit_classes", one_class)
+    def shifted(self, x, unit):
+        units = self.units
+        return genuine(self, x, units[(units.index(unit) + 1) % len(units)])
+
+    monkeypatch.setattr(MetaGroup, "unit_image", shifted)
+    monkeypatch.setattr(build_group(4, 3), "_unit_orbits", {})
     code, out, err = run_cli("compute", "--r", "3/5", "--group", "M(4|3,2)")
     assert code == 3 and not out
     assert "is not conjugate to its class representative" in err
@@ -545,8 +551,8 @@ def test_internal_value_error_exit_3(monkeypatch):
                    "zero polynomial has no degree\n")
     # so is a relator check that fails on a search result, not on --assign
     group = group_from_name("A4")
-    wrong = metabelian.HomAssignment({"x": group.s(), "y": group.mul(group.s(), group.s())},
-                                     True)
+    wrong = metabelian.HomAssignment(
+        (group.index(group.s()), group.index(group.mul(group.s(), group.s()))), True)
     monkeypatch.setattr(cli, "find_homs", lambda p, group, fix: [wrong])
     code, out, err = run_cli("compute", "--r", "5/27", "--group", "A4")
     assert code == 3 and not out
@@ -646,7 +652,8 @@ def test_compute_matches_per_assignment_path(source, name, group_name):
         expected.append({
             "input": str(r) if source == "--r" else p.name,
             "group": group.name(),
-            "assignment": "; ".join(f"{g}={h.images[g]}" for g in p.generators),
+            "assignment": "; ".join(f"{g}={group.element(x)}"
+                                    for g, x in zip(p.generators, h.images)),
             "surjective": True,
             "n": group.n,
             "delta": str(delta),
@@ -670,6 +677,25 @@ def test_find_reps_8_5():
     code, out, _ = run_cli("find-reps", "--pres", "8_5", "--group", "A4")
     assert code == 0
     assert "f(x) = s, f(y) = s b1, f(z) = s  [onto]" in out
+
+
+@pytest.mark.parametrize("argv, lines", [
+    (("--r", "5/27", "--fix", "y", "--all"),
+     ["f(y) = s, f(x) = s  [not onto]",
+      "f(y) = s, f(x) = s b2  [onto]",
+      "f(y) = s, f(x) = s b1  [onto]",
+      "f(y) = s, f(x) = s b1 b2  [onto]"]),
+    (("--pres", "8_5", "--fix", "z"),
+     ["f(z) = s, f(x) = s, f(y) = s b2  [onto]",
+      "f(z) = s, f(x) = s, f(y) = s b1  [onto]",
+      "f(z) = s, f(x) = s, f(y) = s b1 b2  [onto]"]),
+])
+def test_find_reps_pinned_generator_first(argv, lines):
+    # the generator pinned to s is printed first, the others in generator
+    # order, one line per assignment in search order
+    code, out, err = run_cli("find-reps", *argv, "--group", "A4")
+    assert (code, err) == (0, "")
+    assert out == "".join(line + "\n" for line in lines)
 
 
 def test_find_reps_obstructed_empty():
@@ -950,7 +976,7 @@ def test_selftest_reports_every_golden_entry():
 # "Errors" section names each one.
 _EXCEPTIONS = {
     "ExactnessError": "exactalg", "InputError": "groupcalc",
-    "PresentationError": "groupcalc", "CFError": "twobridge",
+    "PresentationError": "groupcalc",
     "NotAKnotGroupError": "twobridge", "MixedGroupError": "metabelian",
     "NotHomomorphismError": "metabelian", "NotTwinError": "oracles",
 }

@@ -1,6 +1,7 @@
 """Exact Laurent arithmetic, normalization, division, and determinants."""
 
 import doctest
+import importlib
 import inspect
 import math
 import random
@@ -734,6 +735,11 @@ def test_resultant_trefoil_cyclotomic():
 
 
 def test_module_doctests():
-    results = doctest.testmod(exactalg)
-    assert results.failed == 0
-    assert results.attempted >= 9
+    # every module of the package, including the oracles'
+    attempted = {}
+    for path in sorted(Path(exactalg.__file__).parent.glob("*.py")):
+        module = importlib.import_module(f"metatap.{path.stem}")
+        results = doctest.testmod(module)
+        assert results.failed == 0, path.stem
+        attempted[path.stem] = results.attempted
+    assert attempted["exactalg"] >= 9 and attempted["oracles"] >= 2

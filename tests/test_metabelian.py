@@ -12,13 +12,14 @@ from metatap.groupcalc import parse_presentation
 from metatap.intmat import identity, int_det, mat_mul, mat_neg
 from metatap.knotdata import presentation
 from metatap.metabelian import (
+    HomAssignment,
     MetaGroup,
     MixedGroupError,
     NotHomomorphismError,
+    _conjugate_by_relabeling,
     a4_group,
     build_group,
     check_homomorphism,
-    conjugate_by_relabeling,
     cycle_type,
     cyclotomic_coeffs,
     euler_phi,
@@ -53,12 +54,13 @@ def test_cyclotomic_coeffs():
 
 
 def test_build_group_examples():
+    # F_p[T] is a field, with p^k - 1 units, exactly when T is irreducible
     g = build_group(3, 2)
-    assert (g.k, g.order(), g.irreducible) == (2, 12, True)
+    assert (g.k, g.order(), len(g.units)) == (2, 12, 3)
     g43 = build_group(4, 3)
-    assert (g43.k, g43.irreducible) == (2, True)
+    assert (g43.k, len(g43.units)) == (2, 8)
     g45 = build_group(4, 5)
-    assert (g45.k, g45.irreducible) == (2, False)  # reducible but constructed
+    assert (g45.k, len(g45.units)) == (2, 16)  # reducible but constructed
     with pytest.raises(ValueError):
         build_group(4, 2)   # p divides n
     with pytest.raises(ValueError):
@@ -212,7 +214,9 @@ def test_unit_relabeling_conjugates_perm_matrices():
                       for i in range(size))
             q_inv = tuple(zip(*q))
             for e in rng.sample(elems, 2):
-                assert perm_matrix(g, g.apply_unit(e, u)) == \
+                image = g.element(g.unit_image(g.index(e), u))
+                assert image.ell == e.ell and image.vec == g._vec_times(e.vec, u)
+                assert perm_matrix(g, image) == \
                     mat_mul(mat_mul(q_inv, perm_matrix(g, e)), q)
 
 
@@ -221,30 +225,37 @@ def test_unit_classes_two_bridge():
     g = build_group(4, 3)
     p = wirtinger_presentation(FractionR(3, 5))
     homs = find_homs(p, g)
-    assignments = [h.images for h in homs]
-    classes = unit_classes(g, assignments)
+    classes = unit_classes(g, homs)
     surjective = [i for i, h in enumerate(homs) if h.surjective]
     assert len(surjective) == 8
-    reps = {classes[i][0] for i in surjective}
-    assert reps == {surjective[0]}
-    for i in surjective:
-        rep, unit = classes[i]
-        assert conjugate_by_relabeling(g, assignments[rep], assignments[i], unit)
+    assert {classes[i] for i in surjective} == {surjective[0]}
+    rep = homs[surjective[0]].images
+    orbit = {tuple(g.unit_image(x, u) for x in rep) for u in g.units}
+    assert orbit == {homs[i].images for i in surjective}
     # the abelian assignment x, y -> s is a class of its own
     abelian = next(i for i, h in enumerate(homs) if not h.surjective)
-    assert classes[abelian] == (abelian, identity(2))
+    assert classes[abelian] == abelian
+
+
+def test_unit_classes_rejects_member_of_other_surjectivity():
+    g = build_group(4, 3)
+    p = wirtinger_presentation(FractionR(3, 5))
+    first, second = [h for h in find_homs(p, g) if h.surjective][:2]
+    assert unit_classes(g, [first, second]) == [0, 0]
+    with pytest.raises(ExactnessError, match="is not conjugate to its class representative"):
+        unit_classes(g, [first, HomAssignment(second.images, False)])
 
 
 def test_conjugate_by_relabeling_rejects_wrong_unit():
     g = build_group(5, 2)
-    rep = {"x": g.s(), "y": g.parse_elem("s b1")}
+    rep = (g.index(g.s()), g.index(g.parse_elem("s b1")))
     unit = g.units[1]
-    member = {name: g.apply_unit(e, unit) for name, e in rep.items()}
+    member = tuple(g.unit_image(x, unit) for x in rep)
     assert member != rep
-    assert conjugate_by_relabeling(g, rep, member, unit)
-    assert not conjugate_by_relabeling(g, rep, member, g.units[0])
-    assert not conjugate_by_relabeling(g, rep, member, ((0,) * 4,) * 4)
-    assert not conjugate_by_relabeling(g, rep, {"x": g.s()}, g.units[0])
+    assert _conjugate_by_relabeling(g, rep, member, unit)
+    assert not _conjugate_by_relabeling(g, rep, member, g.units[0])
+    assert not _conjugate_by_relabeling(g, rep, member, ((0,) * 4,) * 4)
+    assert not _conjugate_by_relabeling(g, rep, rep[:1], g.units[0])
 
 
 def test_index_law_matches_mul_and_inv():
@@ -256,6 +267,7 @@ def test_index_law_matches_mul_and_inv():
         assert [g.element(x) for x in range(g.order())] == elems
         for a in elems:
             x = g.index(a)
+            assert g.index_inv(x) == g.index(g.inv(a))
             assert g.index_mul(x, g.index(g.inv(a))) == 0
             assert g.index_mul(g.index(g.inv(a)), x) == 0
             for b in elems:
@@ -267,11 +279,15 @@ def test_index_of_foreign_element_rejected():
         build_group(4, 3).index(a4_group().s())
 
 
+def indices(group, elems):
+    return tuple(group.index(e) for e in elems)
+
+
 def test_generates():
     g = a4_group()
-    assert generates(g, [g.s(), g.mul(g.s(), g.b(1))])
-    assert not generates(g, [g.s(), g.s()])
-    assert not generates(g, [g.b(1), g.b(2)])
+    assert generates(g, indices(g, [g.s(), g.mul(g.s(), g.b(1))]))
+    assert not generates(g, indices(g, [g.s(), g.s()]))
+    assert not generates(g, indices(g, [g.b(1), g.b(2)]))
 
 
 def test_generates_matches_elementwise_closure():
@@ -285,7 +301,7 @@ def test_generates_matches_elementwise_closure():
         want = [elementwise_generates(g, chosen) for chosen in picks]
         assert any(want) and not all(want)
         for _ in range(2):
-            assert [generates(g, chosen) for chosen in picks] == want
+            assert [generates(g, indices(g, chosen)) for chosen in picks] == want
 
 
 # -- representations ----------------------------------------------------------
@@ -293,7 +309,7 @@ def test_generates_matches_elementwise_closure():
 def test_perm_rep_valid():
     g43 = build_group(4, 3)
     p = wirtinger_presentation(FractionR(3, 5))
-    rho = perm_rep({"x": g43.s(), "y": g43.mul(g43.s(), g43.b(1))}, g43, p)
+    rho = perm_rep(indices(g43, [g43.s(), g43.mul(g43.s(), g43.b(1))]), g43, p)
     assert rho.dim == 9
     for m in rho.images.values():
         assert int_det(m) in (1, -1)
@@ -303,8 +319,16 @@ def test_perm_rep_rejects_non_homomorphism():
     g43 = build_group(4, 3)
     p = wirtinger_presentation(FractionR(1, 3))
     with pytest.raises(NotHomomorphismError) as e:
-        perm_rep({"x": g43.s(), "y": g43.mul(g43.s(), g43.b(1))}, g43, p)
+        perm_rep(indices(g43, [g43.s(), g43.mul(g43.s(), g43.b(1))]), g43, p)
     assert "relator 1" in str(e.value)
+
+
+def test_check_homomorphism_rejects_wrong_length_or_index():
+    g = a4_group()
+    p = wirtinger_presentation(FractionR(1, 3))
+    for images in ((4,), (4, 5, 6), (4, 12), (-1, 4)):
+        with pytest.raises(ValueError, match="are not 2 element indices of M"):
+            check_homomorphism(p, g, images)
 
 
 def test_check_homomorphism_matches_matrix_products():
@@ -318,22 +342,21 @@ def test_check_homomorphism_matches_matrix_products():
     for group in (a4_group(), build_group(4, 3), build_group(5, 2)):
         elems = list(map(group.element, range(group.order())))
         for p in presentations:
-            candidates = [h.images for h in find_homs(p, group)]
-            candidates += [{g: rng.choice(elems) for g in p.generators}
+            candidates = [tuple(map(group.element, h.images)) for h in find_homs(p, group)]
+            candidates += [tuple(rng.choice(elems) for _ in p.generators)
                            for _ in range(12)]
-            candidates += [dict(images, **{p.generators[-1]: rng.choice(elems)})
-                           for images in candidates[:4]]
+            candidates += [images[:-1] + (rng.choice(elems),) for images in candidates[:4]]
             for images in candidates:
                 try:
-                    check_homomorphism(p, group, images)
+                    check_homomorphism(p, group, indices(group, images))
                     got = None
                 except NotHomomorphismError as e:
                     got = str(e)
                 rho = MatrixRep(
                     group.p**group.k,
-                    {p.gen_index(g): perm_matrix(group, e) for g, e in images.items()},
-                    {p.gen_index(g): perm_matrix(group, group.inv(e))
-                     for g, e in images.items()})
+                    {g: perm_matrix(group, e) for g, e in enumerate(images, start=1)},
+                    {g: perm_matrix(group, group.inv(e))
+                     for g, e in enumerate(images, start=1)})
                 want = next((f"relator {i + 1} ({rel.spell(p.generators)}) "
                              f"does not map to the identity"
                              for i, rel in enumerate(p.relators)
@@ -395,7 +418,8 @@ def test_permutation_rep_splits_off_xi0():
     # twinring's X and Y and against the character blocks
     g = a4_group()
     p = wirtinger_presentation(FractionR(1, 3))
-    imgs = {"x": g.s(), "y": g.mul(g.s(), g.b(1))}
+    imgs = indices(g, [g.s(), g.mul(g.s(), g.b(1))])
+    assert imgs == standard_assignment(g, p)
     rho4 = perm_rep(imgs, g, p)
     blocks = representation_blocks(imgs, g, p)
     tminus1 = P("-1 + t")
@@ -412,7 +436,7 @@ def test_find_homs_k35():
     g43 = build_group(4, 3)
     p = wirtinger_presentation(FractionR(3, 5))
     homs = find_homs(p, g43)
-    target = {"x": g43.s(), "y": g43.mul(g43.s(), g43.b(1))}
+    target = indices(g43, [g43.s(), g43.mul(g43.s(), g43.b(1))])
     assert any(h.images == target and h.surjective for h in homs)
 
 
@@ -420,7 +444,7 @@ def test_find_homs_abelian_flagged():
     g = a4_group()
     p = wirtinger_presentation(FractionR(1, 3))
     homs = find_homs(p, g)
-    abelian = [h for h in homs if h.images["y"] == g.s()]
+    abelian = [h for h in homs if h.images[1] == g.index(g.s())]
     assert abelian and not abelian[0].surjective
 
 
@@ -434,8 +458,7 @@ def test_find_homs_fixed_generator_10_145():
     g = build_group(5, 2)
     p = presentation("10_145")
     homs = find_homs(p, g, fix="z")
-    target = {"x": g.parse_elem("s b1 b2 b3 b4"),
-              "y": g.parse_elem("s b1"), "z": g.s()}
+    target = indices(g, [g.parse_elem("s b1 b2 b3 b4"), g.parse_elem("s b1"), g.s()])
     assert any(h.images == target and h.surjective for h in homs)
 
 
@@ -450,7 +473,7 @@ def test_find_homs_verification_closure():
     g = build_group(5, 2)
     p = wirtinger_presentation(FractionR(1, 5))
     for h in find_homs(p, g):
-        by_index = {p.gen_index(name): e for name, e in h.images.items()}
+        by_index = {gen: g.element(x) for gen, x in enumerate(h.images, start=1)}
         for rel in p.relators:
             assert group_word_image(g, rel, by_index) == g.identity_elem()
 
@@ -511,8 +534,8 @@ def test_find_homs_matches_elementwise_search(source, group_args, fix):
     else:
         p = presentation(source)
     homs = find_homs(p, g, fix=fix)
-    assert [(h.images, h.surjective) for h in homs] == \
-        elementwise_find_homs(p, g, fix)
+    assert [({name: g.element(x) for name, x in zip(p.generators, h.images)}, h.surjective)
+            for h in homs] == elementwise_find_homs(p, g, fix)
     assert homs or source == "gens: x y\nrel: x y"
 
 
@@ -537,12 +560,12 @@ def test_obstruction_examples():
 def test_representation_kept_per_tuple_of_images():
     # two knots with the same generator images share one representation
     g = a4_group()
-    images = {"x": g.s(), "y": g.mul(g.s(), g.b(1))}
+    images = indices(g, [g.s(), g.mul(g.s(), g.b(1))])
     p1, p2 = (wirtinger_presentation(FractionR.parse(f)) for f in ("5/27", "7/39"))
     rho = representation_blocks(images, g, p1)
     assert representation_blocks(images, g, p2) is rho
-    assert g._representations[(g.index(images["x"]), g.index(images["y"]))] is rho
-    other = {"x": g.s(), "y": g.mul(g.s(), g.b(2))}
+    assert g._representations[images] is rho
+    other = indices(g, [g.s(), g.mul(g.s(), g.b(2))])
     assert representation_blocks(other, g, p1) is not rho
 
 
@@ -554,13 +577,14 @@ def test_cached_unit_classes_match_fresh_computation():
         shared = build_group(n, p)
         for frac in fracs:
             pres = wirtinger_presentation(FractionR.parse(frac))
-            assignments = [h.images for h in find_homs(pres, shared)]
-            first = unit_classes(shared, assignments)
-            assert unit_classes(shared, assignments) == first
-            assert unit_classes(MetaGroup(n, p), assignments) == first
-            for i, (rep, unit) in enumerate(first):
-                verdict = conjugate_by_relabeling(
-                    shared, assignments[rep], assignments[i], unit)
-                assert verdict is True
-                assert conjugate_by_relabeling(
-                    MetaGroup(n, p), assignments[rep], assignments[i], unit)
+            homs = find_homs(pres, shared)
+            first = unit_classes(shared, homs)
+            assert unit_classes(shared, homs) == first
+            assert unit_classes(MetaGroup(n, p), homs) == first
+            for i, rep in enumerate(first):
+                unit = next(u for u in shared.units if tuple(
+                    shared.unit_image(x, u) for x in homs[rep].images) == homs[i].images)
+                assert _conjugate_by_relabeling(
+                    shared, homs[rep].images, homs[i].images, unit) is True
+                assert _conjugate_by_relabeling(
+                    MetaGroup(n, p), homs[rep].images, homs[i].images, unit)

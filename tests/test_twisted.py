@@ -62,7 +62,7 @@ ONE_MINUS_T = P("1 - t")
 
 def a4_rho3(r: FractionR):
     p = wirtinger_presentation(r)
-    return p, xi0_rep(standard_assignment(a4_group(), p), p)
+    return p, xi0_rep(standard_assignment(a4_group(), p), a4_group())
 
 
 # -- phi_map ------------------------------------------------------------------
@@ -129,7 +129,7 @@ def _series_test_reps():
         images = standard_assignment(group, p)
         out.append((p, trivial_rep(p)))
         if group == a4_group():
-            out.append((p, xi0_rep(images, p)))
+            out.append((p, xi0_rep(images, group)))
         out += [(p, rho) for rho in block_reps(representation_blocks(images, group, p))]
         out.append((p, perm_rep(images, group, p)))
     return out
@@ -330,7 +330,7 @@ def test_column_choice_independence():
         if assign is None:
             images = standard_assignment(group, p)
         else:
-            images = {k: group.parse_elem(v) for k, v in assign.items()}
+            images = tuple(group.index(group.parse_elem(assign[g])) for g in p.generators)
         rho = perm_rep(images, group, p)
         results = [twisted_alexander_tables(p, rho, delete=g) for g in p.generators]
         for a in results:
@@ -460,7 +460,8 @@ def test_blocks_match_full_path_golden_entries():
         p = (wirtinger_presentation(FractionR.parse(entry.source))
              if "/" in entry.source else presentation(entry.source))
         images = (standard_assignment(group, p) if entry.assignment is None else
-                  {g: group.parse_elem(e) for g, e in entry.assignment.items()})
+                  tuple(group.index(group.parse_elem(entry.assignment[g]))
+                        for g in p.generators))
         cases.append((p, group, images))
     assert len(cases) == 19
     for p, group, images in cases:
@@ -496,7 +497,7 @@ def test_blocks_match_full_path_bundled_knots():
     for name, group_name, fix in cases:
         p, group = presentation(name), group_from_name(group_name)
         (images,) = first_surjections(p, group, fix)
-        assert fix is None or images[fix] == group.s()
+        assert fix is None or group.element(images[p.gen_index(fix) - 1]) == group.s()
         assert_blocks_match_full_path(p, group, images)
 
 
@@ -505,18 +506,18 @@ def test_blocks_match_full_path_abelian_assignment():
     for frac, group in (("5/27", a4_group()), ("1/5", build_group(5, 2)),
                         ("3/5", build_group(4, 3)), ("1/5", build_group(2, 5))):
         p = wirtinger_presentation(FractionR.parse(frac))
-        images = {g: group.s() for g in p.generators}
+        images = (group.index(group.s()),) * p.num_generators
         assert twisted_alexander_tables(p, perm_rep(images, group, p)).invariant is None
         assert_blocks_match_full_path(p, group, images)
         for elem in (group.b(1), group.identity_elem()):
-            assert_blocks_match_full_path(p, group, {g: elem for g in p.generators})
+            assert_blocks_match_full_path(p, group, (group.index(elem),) * p.num_generators)
 
 
 def test_blocks_match_full_path_zero_invariant():
     # a freely trivial relator: every numerator block vanishes
     p = parse_presentation("gens: x y\nrel: x y Y X\n")
     group = build_group(5, 2)
-    images = {"x": group.s(), "y": group.mul(group.s(), group.b(1))}
+    images = (group.index(group.s()), group.index(group.mul(group.s(), group.b(1))))
     assert twisted_alexander_tables(p, perm_rep(images, group, p)).invariant == ZERO
     assert_blocks_match_full_path(p, group, images)
 

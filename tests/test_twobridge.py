@@ -20,13 +20,10 @@ from metatap.oracles import (
     twisted_alexander_tables, word_image)
 from metatap.twisted import standard_assignment
 from metatap.twobridge import (
-    CFError,
-    ContinuedFraction,
     FractionR,
     H3Form,
     NotAKnotGroupError,
     alexander_poly,
-    cf_evaluate,
     enumerate_fractions,
     h3_expand,
     wirtinger_presentation,
@@ -55,21 +52,37 @@ def test_fraction_validation():
 # -- continued fractions ------------------------------------------------------
 
 def test_cf_examples():
-    assert cf_evaluate(ContinuedFraction((3,))) == Fraction(1, 3)
-    assert cf_evaluate(ContinuedFraction((6, -2, 3))) == Fraction(5, 27)
-    assert cf_evaluate(ContinuedFraction((6, -2, -3))) == Fraction(7, 39)
+    assert H3Form((1,), ()).value() == Fraction(1, 3)
+    assert H3Form((2, 1), (-1,)).value() == Fraction(5, 27)
+    assert H3Form((2, -1), (-1,)).value() == Fraction(7, 39)
+    assert H3Form((2, -1), (-1,)).entries == (6, -2, -3)
+    assert str(H3Form((2, -1), (-1,))) == "[6, -2, -3]"
 
 
 def test_cf_zero_denominator():
-    with pytest.raises(CFError):
-        cf_evaluate(ContinuedFraction((1, -1)))
+    # no form meets a zero denominator: every entry has |a| >= 2, so every
+    # partial value stays inside (-1, 1) and |a + v| > 1
+    parts = (-2, -1, 1, 2)
+    for q in (1, 2, 3):
+        for ks in product(parts, repeat=q):
+            for ms in product(parts, repeat=q - 1):
+                form = H3Form(ks, ms)
+                value = Fraction(0)
+                for a in reversed(form.entries):
+                    assert abs(a + value) > 1
+                    value = 1 / (a + value)
+                assert value == form.value()
 
 
 def test_cf_entry_validation():
     with pytest.raises(ValueError):
-        ContinuedFraction(())
+        H3Form((), ())
     with pytest.raises(ValueError):
-        ContinuedFraction((3, 0, 3))
+        H3Form((1, 1), (0,))
+    with pytest.raises(ValueError):
+        H3Form((1, 0), (1,))
+    with pytest.raises(ValueError):
+        H3Form((1, 1), ())
 
 
 # -- H(3) decision ------------------------------------------------------------
@@ -135,7 +148,7 @@ def test_h3_expand_matches_bottom_up_enumeration():
     decided = {r.as_fraction(): h3_expand(r) for r in enumerate_fractions(99)}
     assert {value for value, form in decided.items() if form is not None} == set(members)
     for value, entries in members.items():
-        assert entries == [decided[value].continued_fraction().entries], value
+        assert entries == [decided[value].entries], value
     assert len(members) > 50
 
 
@@ -272,10 +285,10 @@ def test_fox_jacobian_matches_fox_derivative_jacobian():
             images = standard_assignment(group, p)
         else:
             p = presentation(source)
-            images = {g: group.parse_elem(e) for g, e in assign.items()}
+            images = tuple(group.index(group.parse_elem(assign[g])) for g in p.generators)
         reps = [trivial_rep(p), perm_rep(images, group, p)]
         if group == a4_group():
-            reps.append(xi0_rep(images, p))
+            reps.append(xi0_rep(images, group))
         cases += [(p, rho, [fox_tables(rho, rel)[0] for rel in p.relators])
                   for rho in reps]
         blocks = representation_blocks(images, group, p)
