@@ -213,7 +213,7 @@ def _load_input(args):
 def cmd_compute(args) -> int:
     group = group_from_name(args.group)
     p, delta, input_name, r = _load_input(args)
-    if not args.assign and not obstruction_passes(delta, group.n, group.p):
+    if not args.assign and not obstruction_passes(delta, group):
         print(
             f"no representation: the resultant obstruction rules out a "
             f"surjection of {input_name} onto {group.name()}",
@@ -252,13 +252,14 @@ def _scan_one(packed):
     member against its representative), taking them in label order so
     that each class is represented by its lexicographically smallest
     assignment.  The scan emits one row per class, labeled with that
-    representative; no class is dropped.
+    representative; no class is dropped, and only the representatives
+    get a record.
     """
     r, group_key, form, cross_check = packed
     group = group_from_name(group_key)
     p = wirtinger_presentation(r)
     delta = alexander_poly(p)
-    if not obstruction_passes(delta, group.n, group.p):
+    if not obstruction_passes(delta, group):
         return []
     surjective = sorted((h for h in find_homs(p, group) if h.surjective),
                         key=lambda h: _assignment_str(h.images, group, p))
@@ -267,10 +268,9 @@ def _scan_one(packed):
     recursion_value = None
     if cross_check and group == a4_group() and form is not None:
         recursion_value = twisted_from_form(form)
-    classes = unit_classes(group, surjective)
-    records = _compute_records(p, group, delta, surjective, classes, str(r),
-                               recursion_value)
-    return [records[i] for i in sorted(set(classes))]
+    reps = [surjective[i] for i in sorted(set(unit_classes(group, surjective)))]
+    return _compute_records(p, group, delta, reps, list(range(len(reps))), str(r),
+                            recursion_value)
 
 
 def cmd_scan(args) -> int:
@@ -288,7 +288,7 @@ def cmd_scan(args) -> int:
         if args.h3_only and form is None:
             continue
         jobs.append((r, args.group, form, args.cross_check))
-    workers = min(args.jobs, len(jobs))
+    workers = min(args.jobs, len(jobs), os.cpu_count() or 1)
     if workers > 1:
         from multiprocessing import Pool
 
@@ -339,7 +339,7 @@ def _dump_rows(rows, handle, jsonl: bool, csv_mode: bool) -> None:
 def cmd_find_reps(args) -> int:
     group = group_from_name(args.group)
     p, delta, name, _ = _load_input(args)
-    possible = obstruction_passes(delta, group.n, group.p)
+    possible = obstruction_passes(delta, group)
     if not possible:
         print(f"obstruction: no surjection of G({name}) onto {group.name()} "
               f"can exist (resultant test)")

@@ -72,16 +72,6 @@ class LaurentPoly:
         f._coeffs = tuple(coeffs[lo:hi])
         return f
 
-    # -- constructors ----------------------------------------------------
-
-    @staticmethod
-    def zero() -> "LaurentPoly":
-        return LaurentPoly()
-
-    @staticmethod
-    def one() -> "LaurentPoly":
-        return LaurentPoly([(0, 1)])
-
     # -- inspection -------------------------------------------------------
 
     @property
@@ -157,7 +147,7 @@ class LaurentPoly:
     def __pow__(self, e: int) -> "LaurentPoly":
         if e < 0:
             raise ValueError("negative powers of polynomials are not defined")
-        result = LaurentPoly.one()
+        result = ONE
         base = self
         while e:
             if e & 1:
@@ -210,8 +200,8 @@ class LaurentPoly:
         return f"LaurentPoly('{self}')"
 
 
-ZERO = LaurentPoly.zero()
-ONE = LaurentPoly.one()
+ZERO = LaurentPoly()
+ONE = LaurentPoly([(0, 1)])
 
 # Measured on CPython 3.11 (2-vCPU Xeon): a pair of nonzero coefficients
 # in the loop costs about 0.13 us, a coefficient of a product by
@@ -502,48 +492,3 @@ def _read_digits(value: int, shift: int, bound: int, digits: int, out: list) -> 
         value = (value - c) >> shift
     return value
 
-
-def _rem_monic(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    """Remainder of f modulo the monic polynomial g (nonnegative degrees)."""
-    n = g.degree()
-    rem = [0] * f._low + list(f._coeffs)
-    lower = [(g._low + i, c) for i, c in enumerate(g._coeffs[:-1]) if c]
-    for top in range(len(rem) - 1, n - 1, -1):
-        q = rem[top]
-        if q:
-            for d, c in lower:
-                rem[top - n + d] -= q * c
-    return LaurentPoly._from_dense(0, rem[:n])
-
-
-def resultant(f: LaurentPoly, g: LaurentPoly) -> int:
-    """Resultant of two nonzero integer polynomials (nonnegative degrees).
-
-    For monic g with 1 <= deg g < deg f this is
-    (-1)^(deg f * deg g) * Res(g, f mod g), since Res(g, f) is the product
-    of f over the roots of g (von zur Gathen-Gerhard, Modern Computer
-    Algebra, ch. 6).  Otherwise it is the Sylvester-matrix determinant.
-    """
-    if f.is_zero() or g.is_zero():
-        raise ValueError("resultant of the zero polynomial is undefined here")
-    if f.low_degree() < 0 or g.low_degree() < 0:
-        raise ValueError("resultant expects ordinary polynomials")
-    m, n = f.degree(), g.degree()
-    if m == 0:
-        return f.coeff(0) ** n
-    if n == 0:
-        return g.coeff(0) ** m
-    if m > n and g.coeff(n) == 1:
-        rem = _rem_monic(f, g)
-        if rem.is_zero():
-            return 0
-        return (-1) ** (m * n) * resultant(g, rem)
-    size = m + n
-    fc = [f.coeff(d) for d in range(m, -1, -1)]
-    gc = [g.coeff(d) for d in range(n, -1, -1)]
-    rows = []
-    for i in range(n):
-        rows.append(tuple([0] * i + fc + [0] * (size - m - 1 - i)))
-    for i in range(m):
-        rows.append(tuple([0] * i + gc + [0] * (size - n - 1 - i)))
-    return int_det(tuple(rows))

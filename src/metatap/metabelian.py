@@ -27,11 +27,9 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
-from .exactalg import (
-    ExactnessError, LaurentPoly, canonical, poly_from_coeffs, exact_div, resultant)
+from .exactalg import ExactnessError, LaurentPoly, poly_from_coeffs, exact_div
 from .groupcalc import InputError, Presentation, Word
-from .intmat import (
-    Mat, identity, mat_add, mat_mul, mat_scale, zeros)
+from .intmat import Mat, identity, mat_mul
 
 
 def is_prime(p: int) -> bool:
@@ -162,6 +160,17 @@ class MetaGroup:
     def T_power(self, e: int) -> Mat:
         return self._T_pow[e % self.n]
 
+    def T_poly(self, coeffs: Sequence[int]) -> Mat:
+        """sum_i coeffs[i] T^i mod p, for at most n coefficients, constant
+        term first."""
+        acc = [[0] * self.k for _ in range(self.k)]
+        for i, c in enumerate(coeffs):
+            if c % self.p:
+                for row, power_row in zip(acc, self._T_pow[i]):
+                    for j, x in enumerate(power_row):
+                        row[j] += c * x
+        return self._mat_mod(acc)
+
     @cached_property
     def units(self) -> list[Mat]:
         """The invertible elements U = f(T) mod p of F_p[T], identity first.
@@ -173,11 +182,7 @@ class MetaGroup:
         """
         out = []
         for idx in range(1, self.p**self.k):
-            coeffs = reversed(self.vec_of_index(idx))  # constant term first
-            u = zeros(self.k)
-            for c, power in zip(coeffs, self._T_pow):
-                u = mat_add(u, mat_scale(c, power))
-            u = self._mat_mod(u)
+            u = self.T_poly(self.vec_of_index(idx)[::-1])
             if _invertible_mod(u, self.p):
                 out.append(u)
         return out
@@ -753,12 +758,20 @@ def _relabels(group: MetaGroup, rep: tuple[int, ...], member: tuple[int, ...],
     return True
 
 
-def obstruction_passes(delta: LaurentPoly, n: int, p: int) -> bool:
+def obstruction_passes(delta: LaurentPoly, group: MetaGroup) -> bool:
     """Necessary condition for a surjection onto M(n|p,k): p divides the
     resultant of the Alexander polynomial with the n-th cyclotomic polynomial
     (equivalently the product of Delta at the primitive n-th roots of unity).
+
+    That resultant is +-det Delta(C) for the companion matrix C of Phi_n,
+    and T is C mod p, so p divides it exactly when Delta(T) is singular
+    over F_p.  T^n = I folds every degree of Delta, negative ones too, to
+    its residue mod n; a factor +-t^m of Delta multiplies the determinant by
+    a unit, +-det(T)^m, so Delta need not be normalized.
     """
     if delta.is_zero():
         raise ValueError("delta must be nonzero")
-    phi_n = poly_from_coeffs(cyclotomic_coeffs(n))
-    return resultant(canonical(delta), phi_n) % p == 0
+    folded = [0] * group.n
+    for d, c in delta.terms:
+        folded[d % group.n] += c
+    return not _invertible_mod(group.T_poly(folded), group.p)

@@ -27,6 +27,9 @@ compare with the production code.  No production module imports this one.
     det_bareiss                 exactalg.kronecker_det, the one evaluated
                                 determinant (Kronecker substitution) of the
                                 Fox numerators and the denominators
+    resultant, _rem_monic       metabelian.obstruction_passes (Res(Delta, Phi_n)
+                                over Z by a remainder step or a Sylvester
+                                determinant, not Delta(T) singular over F_p)
     check_factorization         twisted.block_verdict (phi = twisted (1 - t) /
                                 Delta, not the ratio of the non-trivial blocks)
     recursion_series,           twinring.twisted_from_form (the recursion on
@@ -47,10 +50,11 @@ from typing import Iterable, Mapping, Optional
 
 from .exactalg import (
     ONE, ZERO, ExactnessError, LaurentPoly, canonical, exact_div, kronecker_det,
-    supported_on_multiples)
+    poly_from_coeffs, supported_on_multiples)
 from .groupcalc import Presentation, Word, fox_tally
 from .intmat import (
-    Mat, identity, mat_add, mat_inverse, mat_mul, mat_neg, mat_scale, mat_sub, zeros)
+    Mat, identity, int_det, mat_add, mat_inverse, mat_mul, mat_neg, mat_scale, mat_sub,
+    zeros)
 from .metabelian import MetaElem, MetaGroup, check_homomorphism
 from .twinring import I3, POWERS, X, XINV, XINV_YINV, Y, YINV, YX, power3
 from .twisted import TwistedResult, Verdict, _product
@@ -515,6 +519,52 @@ def det_bareiss(m: PolyMatrix) -> LaurentPoly:
         prev = rows[k][k]
     result = rows[n - 1][n - 1]
     return -result if sign < 0 else result
+
+
+def _rem_monic(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
+    """Remainder of f modulo the monic polynomial g (nonnegative degrees)."""
+    n = g.degree()
+    rem = [f.coeff(d) for d in range(f.degree() + 1)]
+    lower = [(d, g.coeff(d)) for d in range(n) if g.coeff(d)]
+    for top in range(len(rem) - 1, n - 1, -1):
+        q = rem[top]
+        if q:
+            for d, c in lower:
+                rem[top - n + d] -= q * c
+    return poly_from_coeffs(rem[:n])
+
+
+def resultant(f: LaurentPoly, g: LaurentPoly) -> int:
+    """Resultant of two nonzero integer polynomials (nonnegative degrees).
+
+    For monic g with 1 <= deg g < deg f this is
+    (-1)^(deg f * deg g) * Res(g, f mod g), since Res(g, f) is the product
+    of f over the roots of g (von zur Gathen-Gerhard, Modern Computer
+    Algebra, ch. 6).  Otherwise it is the Sylvester-matrix determinant.
+    """
+    if f.is_zero() or g.is_zero():
+        raise ValueError("resultant of the zero polynomial is undefined here")
+    if f.low_degree() < 0 or g.low_degree() < 0:
+        raise ValueError("resultant expects ordinary polynomials")
+    m, n = f.degree(), g.degree()
+    if m == 0:
+        return f.coeff(0) ** n
+    if n == 0:
+        return g.coeff(0) ** m
+    if m > n and g.coeff(n) == 1:
+        rem = _rem_monic(f, g)
+        if rem.is_zero():
+            return 0
+        return (-1) ** (m * n) * resultant(g, rem)
+    size = m + n
+    fc = [f.coeff(d) for d in range(m, -1, -1)]
+    gc = [g.coeff(d) for d in range(n, -1, -1)]
+    rows = []
+    for i in range(n):
+        rows.append(tuple([0] * i + fc + [0] * (size - m - 1 - i)))
+    for i in range(m):
+        rows.append(tuple([0] * i + gc + [0] * (size - n - 1 - i)))
+    return int_det(tuple(rows))
 
 
 # ---------------------------------------------------------------------------

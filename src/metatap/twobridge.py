@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional
 
-from .exactalg import ExactnessError, LaurentPoly, canonical
+from .exactalg import ONE, ExactnessError, LaurentPoly, canonical
 from .groupcalc import InputError, Presentation, Word, fox_determinant, fox_tally
 
 
@@ -172,7 +172,7 @@ def alexander_poly(p: Presentation) -> LaurentPoly:
     one = [(0, 0, 1)]
     walks = [[(g, counts, one) for (g, _), counts in fox_tally(rel, lambda x, letter: 0).items()]
              for rel in p.relators]
-    det = fox_determinant(walks, n, 1) if n > 1 else LaurentPoly.one()
+    det = fox_determinant(walks, n, 1) if n > 1 else ONE
     if det.is_zero():
         raise NotAKnotGroupError("Alexander matrix is singular")
     delta = canonical(det)

@@ -10,6 +10,7 @@ import random
 import re
 import subprocess
 import sys
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from importlib import resources
@@ -441,9 +442,9 @@ def test_compute_wrong_relabeling_exit_3(monkeypatch):
 
 
 def test_compute_tampered_determinant_exit_3(monkeypatch):
-    # the int_det of every evaluated determinant is tampered; resultant
-    # takes the same one, so the assignment is given and the obstruction,
-    # whose Sylvester resultant would otherwise exit 2, is skipped
+    # the int_det of every evaluated determinant is tampered; the
+    # obstruction takes no int_det (it eliminates over F_p), and --assign
+    # skips it anyway
     genuine = exactalg.int_det
     monkeypatch.setattr(exactalg, "int_det", lambda a: genuine(a) + (1 << 4096))
     code, out, err = run_cli("compute", "--r", "3/5", "--group", "M(4|3,2)",
@@ -799,7 +800,7 @@ def test_scan_deterministic_and_parallel(tmp_path):
 
 def test_scan_workers_at_most_fractions(monkeypatch, tmp_path):
     # a pool is started only for two or more fractions, with at most one
-    # worker per fraction
+    # worker per fraction and one per CPU (os.cpu_count, one if unknown)
     import multiprocessing
 
     started = []
@@ -819,8 +820,11 @@ def test_scan_workers_at_most_fractions(monkeypatch, tmp_path):
 
     monkeypatch.setattr(multiprocessing, "Pool", FakePool)
     out = str(tmp_path / "x.jsonl")
-    for alpha_max, jobs, expected in (("5", "8", [3]), ("3", "8", []), ("9", "2", [2]),
-                                      ("9", "1", [])):
+    for cpus, alpha_max, jobs, expected in (
+            (2, "9", "100000", [2]), (3, "9", "8", [3]), (1, "9", "8", []),
+            (None, "9", "8", []), (64, "5", "8", [3]), (64, "3", "8", []),
+            (64, "9", "2", [2]), (64, "9", "1", [])):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         started.clear()
         code, _, _ = run_cli("scan", "--alpha-max", alpha_max, "--group", "A4",
                              "--out", out, "--jobs", jobs)
@@ -830,6 +834,36 @@ def test_scan_workers_at_most_fractions(monkeypatch, tmp_path):
     code, _, _ = run_cli("scan", "--alpha-max", "9", "--group", "A4", "--h3-only",
                          "--out", out, "--jobs", "4")
     assert code == 0 and started == [2]
+
+
+def test_scan_labels_each_surjection_once_and_each_row_once(tmp_path, monkeypatch):
+    # per fraction: one label per surjection for the sort, and one per row,
+    # since only the class representatives get a record
+    genuine = cli._assignment_str
+    labels = {}
+
+    def counting(images, group, p):
+        labels[p.name] = labels.get(p.name, 0) + 1
+        return genuine(images, group, p)
+
+    monkeypatch.setattr(cli, "_assignment_str", counting)
+    for group_name, alpha_max in (("A4", "27"), ("M(4|3,2)", "21")):
+        labels.clear()
+        out_path = tmp_path / "scan.jsonl"
+        code, _, _ = run_cli("scan", "--alpha-max", alpha_max, "--group", group_name,
+                             "--out", str(out_path))
+        assert code == 0
+        rows = [json.loads(line) for line in out_path.read_text().splitlines()]
+        group = group_from_name(group_name)
+        surjections = {}
+        for r in enumerate_fractions(int(alpha_max)):
+            count = sum(h.surjective for h in find_homs(wirtinger_presentation(r), group))
+            if count:
+                surjections[str(r)] = count
+        rows_of = Counter(row["input"] for row in rows)
+        assert labels == {name: count + rows_of[name] for name, count in surjections.items()}
+        # some class has more than one member, and gets one row
+        assert 0 < len(rows) < sum(surjections.values())
 
 
 def test_scan_jobs_below_one_exit_1(tmp_path):

@@ -1,5 +1,7 @@
 """Metabelian groups M(n|p,k), coset permutation representations, the A4
-matrices, homomorphism search, and the resultant obstruction."""
+matrices, homomorphism search, and the obstruction p | Res(Delta, Phi_n),
+decided over F_p on the group's companion matrix and checked against the
+resultant oracle."""
 
 import itertools
 import random
@@ -7,10 +9,10 @@ import random
 import pytest
 
 from metatap.characters import Representation, representation_blocks
-from metatap.exactalg import ExactnessError, parse_poly
+from metatap.exactalg import ExactnessError, canonical, parse_poly, poly_from_coeffs
 from metatap.groupcalc import parse_presentation
 from metatap.intmat import identity, int_det, mat_mul, mat_neg
-from metatap.knotdata import presentation
+from metatap.knotdata import BUNDLED, presentation
 from metatap.metabelian import (
     HomAssignment,
     MetaGroup,
@@ -30,11 +32,12 @@ from metatap.metabelian import (
     unit_classes,
 )
 from metatap.oracles import (
-    MatrixRep, PolyMatrix, group_word_image, perm_matrix, perm_rep, trivial_rep,
-    word_image)
+    MatrixRep, PolyMatrix, group_word_image, perm_matrix, perm_rep, resultant,
+    trivial_rep, word_image)
 from metatap.twinring import X, Y
 from metatap.twisted import standard_assignment
-from metatap.twobridge import FractionR, alexander_poly, wirtinger_presentation
+from metatap.twobridge import (
+    FractionR, alexander_poly, enumerate_fractions, wirtinger_presentation)
 
 from matrix_helpers import mat_pow, xi0
 
@@ -548,11 +551,31 @@ def test_trivial_rep():
 # -- obstruction --------------------------------------------------------------
 
 def test_obstruction_examples():
-    assert obstruction_passes(P("1 - t + t^2"), 3, 2)          # trefoil / A4
-    assert not obstruction_passes(P("1"), 3, 2)                # unknot
-    assert not obstruction_passes(P("1"), 4, 3)
-    assert obstruction_passes(alexander_poly(wirtinger_presentation(FractionR(3, 5))), 4, 3)
-    assert not obstruction_passes(P("1 - t + t^2"), 4, 3)      # K(1/3) vs M(4|3,2)
+    a4, m432 = a4_group(), build_group(4, 3)
+    assert obstruction_passes(P("1 - t + t^2"), a4)            # trefoil / A4
+    assert obstruction_passes(P("-t^-4 + t^-3 - t^-2"), a4)    # the same, shifted
+    assert not obstruction_passes(P("1"), a4)                  # unknot
+    assert not obstruction_passes(P("1"), m432)
+    assert obstruction_passes(alexander_poly(wirtinger_presentation(FractionR(3, 5))), m432)
+    assert not obstruction_passes(P("1 - t + t^2"), m432)      # K(1/3) vs M(4|3,2)
+    with pytest.raises(ValueError):
+        obstruction_passes(P("0"), a4)
+
+
+def test_obstruction_matches_resultant_oracle():
+    # Delta(T) singular over F_p exactly when p | Res(Delta, Phi_n), on
+    # every fraction up to alpha 99 and the bundled knots; both verdicts
+    # occur for each group
+    deltas = [alexander_poly(wirtinger_presentation(r)) for r in enumerate_fractions(99)]
+    deltas += [alexander_poly(presentation(name)) for name in BUNDLED]
+    for n, p in ((3, 2), (4, 3), (3, 5), (5, 2), (7, 2), (11, 2), (2, 3), (4, 5),
+                 (9, 2), (12, 5)):
+        group = build_group(n, p)
+        phi_n = poly_from_coeffs(cyclotomic_coeffs(n))
+        verdicts = [obstruction_passes(delta, group) for delta in deltas]
+        assert verdicts == [resultant(canonical(delta), phi_n) % p == 0
+                            for delta in deltas], group.name()
+        assert len(set(verdicts)) == 2, group.name()
 
 
 # -- what a group keeps for every fraction -------------------------------------

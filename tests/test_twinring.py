@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metatap import exactalg
-from metatap.exactalg import ExactnessError, LaurentPoly, canonical, parse_poly
+from metatap.exactalg import ZERO, ExactnessError, canonical, parse_poly
 from metatap.golden import A4_3DIM, permutation_rep, phi_verdict
 from metatap.metabelian import a4_group
 from metatap.intmat import (
@@ -188,7 +188,7 @@ def test_twin_check_failures():
 def test_twin_zero():
     d = twin_decompose(ZERO_A)
     assert d == TwinDecomp({}, {}, {}, {})
-    assert twin_determinant(d) == LaurentPoly.zero()
+    assert twin_determinant(d) == ZERO
 
 
 def rand_twin(rng, span=2, coef=3):

@@ -441,7 +441,7 @@ def two_bridge_surjections(group, alpha_max):
     out = []
     for r in enumerate_fractions(alpha_max):
         p = wirtinger_presentation(r)
-        if obstruction_passes(alexander_poly(p), group.n, group.p):
+        if obstruction_passes(alexander_poly(p), group):
             out.extend((p, images) for images in first_surjections(p, group))
     return out
 
