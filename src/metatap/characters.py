@@ -93,7 +93,7 @@ class Representation:
             for w, u, v in self.group.character_image(x):
                 if owner[w] != owner[u]:
                     raise ExactnessError(
-                        f"character matrix of {self.group.element(x)} has a nonzero "
+                        f"character matrix of {self.group.elem_str(x)} has a nonzero "
                         f"entry at ({w}, {u}), outside the blocks")
                 out[owner[w]].append((local[w], local[u], v))
             self._entries[x] = out

@@ -19,9 +19,12 @@ Polynomials are written in the canonical text form (increasing degrees,
 e.g. "1 - 3*t^3 + t^6"); `millis` is wall-clock time and is excluded from
 any determinism comparison.  CSV output quotes the same fields as strings.
 
-An assignment travels from the search (or --assign) to the record as the
-element indices of the generators' images (`metabelian.HomAssignment`);
-its text "x=s; y=s b1" is written only for records and messages.
+An element is its index in the group from the input to the output:
+`MetaGroup.parse_elem` reads the element texts of --assign, and
+`MetaGroup.elem_str` writes them.  An assignment travels from the search
+(or --assign) to the record as the element indices of the generators'
+images (`metabelian.HomAssignment`); its text "x=s; y=s b1" is written
+only for records and messages.
 `metabelian.unit_classes` groups the assignments into classes and checks
 each member, so the commands take one determinant per class.
 """
@@ -89,7 +92,7 @@ def _parse_assignment(text: str, group: MetaGroup, p: Presentation) -> HomAssign
     missing = [g for g in p.generators if g not in images]
     if missing:
         raise InputError(f"assignment missing generators {missing}")
-    indices = tuple(group.index(images[g]) for g in p.generators)
+    indices = tuple(images[g] for g in p.generators)
     try:
         check_homomorphism(p, group, indices)
     except NotHomomorphismError as e:
@@ -98,17 +101,19 @@ def _parse_assignment(text: str, group: MetaGroup, p: Presentation) -> HomAssign
 
 
 def _assignment_str(images: tuple[int, ...], group: MetaGroup, p: Presentation) -> str:
-    return "; ".join(f"{g}={group.element(x)}" for g, x in zip(p.generators, images))
+    return "; ".join(f"{g}={group.elem_str(x)}" for g, x in zip(p.generators, images))
 
 
 def _compute_records(p: Presentation, group: MetaGroup, delta: LaurentPoly,
-                     homs: list[HomAssignment], classes: list[int], input_name: str,
-                     recursion_value=None, skip_non_polynomial: bool = False,
+                     homs: list[HomAssignment], classes: list[int], labels: list[str],
+                     input_name: str, recursion_value=None,
+                     skip_non_polynomial: bool = False,
                      user_presentation: bool = False) -> list[dict]:
     """One record per assignment, with one determinant per class.
 
     `classes` is `unit_classes` of the assignments, which has checked each
-    member against its representative.  The representative of each class
+    member against its representative, and `labels` are their texts
+    (`_assignment_str`).  The representative of each class
     goes through representation_blocks, twisted_alexander and
     block_verdict, and the members reuse its result.  `recursion_value`,
     given only under --cross-check, is compared with each record's phi.
@@ -123,9 +128,8 @@ def _compute_records(p: Presentation, group: MetaGroup, delta: LaurentPoly,
     delta_text = str(delta)
     verdicts = {}  # class representative -> (twisted, phi) texts and verdict
     records = []
-    for i, (h, rep) in enumerate(zip(homs, classes)):
+    for i, (h, rep, label) in enumerate(zip(homs, classes, labels)):
         t0 = time.monotonic()
-        label = _assignment_str(h.images, group, p)
         if rep == i:
             result = twisted_alexander(
                 p, representation_blocks(h.images, group, p))
@@ -230,6 +234,7 @@ def cmd_compute(args) -> int:
         if form is not None:
             recursion_value = twisted_from_form(form)
     records = _compute_records(p, group, delta, homs, unit_classes(group, homs),
+                               [_assignment_str(h.images, group, p) for h in homs],
                                input_name, recursion_value,
                                skip_non_polynomial=args.all and not args.assign,
                                user_presentation=r is None)
@@ -253,7 +258,8 @@ def _scan_one(packed):
     that each class is represented by its lexicographically smallest
     assignment.  The scan emits one row per class, labeled with that
     representative; no class is dropped, and only the representatives
-    get a record.
+    get a record.  Each surjection's label is built once, for the sort,
+    and a row keeps its representative's.
     """
     r, group_key, form, cross_check = packed
     group = group_from_name(group_key)
@@ -261,15 +267,18 @@ def _scan_one(packed):
     delta = alexander_poly(p)
     if not obstruction_passes(delta, group):
         return []
-    surjective = sorted((h for h in find_homs(p, group) if h.surjective),
-                        key=lambda h: _assignment_str(h.images, group, p))
-    if not surjective:
+    labeled = sorted(((_assignment_str(h.images, group, p), h)
+                      for h in find_homs(p, group) if h.surjective),
+                     key=lambda pair: pair[0])
+    if not labeled:
         return []
     recursion_value = None
     if cross_check and group == a4_group() and form is not None:
         recursion_value = twisted_from_form(form)
-    reps = [surjective[i] for i in sorted(set(unit_classes(group, surjective)))]
-    return _compute_records(p, group, delta, reps, list(range(len(reps))), str(r),
+    labels, surjective = zip(*labeled)
+    reps = sorted(set(unit_classes(group, list(surjective))))
+    return _compute_records(p, group, delta, [surjective[i] for i in reps],
+                            list(range(len(reps))), [labels[i] for i in reps], str(r),
                             recursion_value)
 
 
@@ -349,7 +358,7 @@ def cmd_find_reps(args) -> int:
     order = sorted(range(p.num_generators),
                    key=lambda g: p.generators[g] != (args.fix or p.generators[0]))
     for h in shown:
-        print(", ".join(f"f({p.generators[g]}) = {group.element(h.images[g])}"
+        print(", ".join(f"f({p.generators[g]}) = {group.elem_str(h.images[g])}"
                         for g in order)
               + f"  [{'onto' if h.surjective else 'not onto'}]")
     if not shown:

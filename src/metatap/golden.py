@@ -20,7 +20,7 @@ from .characters import Representation, representation_blocks
 from .exactalg import LaurentPoly, parse_poly as P
 from .groupcalc import Presentation
 from .knotdata import presentation
-from .metabelian import MetaGroup, group_from_name
+from .metabelian import MetaGroup, cycle_type, group_from_name
 from .twisted import Verdict, block_verdict, standard_assignment, twisted_alexander
 from .twobridge import FractionR, alexander_poly, wirtinger_presentation
 
@@ -38,6 +38,31 @@ A4_3DIM = {
                 * P("2 - 3*t^3 + 2*t^6")
                 * P("4 - 36*t^3 - 35*t^6 - 71*t^9 - 35*t^12 - 36*t^15 + 4*t^18")),
 }
+
+# Structure facts of two target groups, as element texts: conjugation by s
+# in M(5|2,4), where b4^-1 = b4, and the cycle types of the coset
+# permutations of s and s b1 in M(4|3,2).
+CONJUGATION = ("M(5|2,4)", (("s b1 s^-1", "b4"), ("s b2 s^-1", "b1 b4"),
+                            ("s b3 s^-1", "b2 b4"), ("s b4 s^-1", "b3 b4")))
+COSET_CYCLE_TYPES = ("M(4|3,2)", (("s", (1, 4, 4)), ("s b1", (1, 4, 4))))
+
+
+def structure_checks() -> list[tuple[str, bool]]:
+    """The selftest label of each table of structure facts, and whether
+    the group law on element indices reproduces every fact in it: the two
+    texts of a conjugation name one element (`MetaGroup.parse_elem`), and
+    an element's coset table has the cycle type."""
+    name, pairs = CONJUGATION
+    group = group_from_name(name)
+    checks = [(f"{name} conjugation relations",
+               all(group.parse_elem(a) == group.parse_elem(b) for a, b in pairs))]
+    name, types = COSET_CYCLE_TYPES
+    group = group_from_name(name)
+    checks.append((f"{name} coset cycle types",
+                   all(cycle_type(group.coset_table(group.parse_elem(text))) == want
+                       for text, want in types)))
+    return checks
+
 
 # Alexander polynomials of bundled non-rational knots.
 ALEXANDER = {
@@ -90,7 +115,7 @@ def permutation_rep(source: str, group: MetaGroup,
     if assignment is None:
         images = standard_assignment(group, p)
     else:
-        images = tuple(group.index(group.parse_elem(assignment[g])) for g in p.generators)
+        images = tuple(group.parse_elem(assignment[g]) for g in p.generators)
     return p, representation_blocks(images, group, p)
 
 

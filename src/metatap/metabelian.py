@@ -14,11 +14,11 @@ M(3|2,2), which is the alternating group A4, that is the trivial block and
 the faithful irreducible 3-dimensional one, which drives the whole
 t^3-support story for 2-bridge knots.
 
-The element s^ell b^vec has the index ell * p^k + coset_index(vec), and an
-assignment of a presentation's generators is the tuple of their images'
-indices, in generator order (`HomAssignment`).  `MetaElem` is the
-boundary form: `parse_elem` reads one, `element` prints an index, and
-`mul` and `inv` are the reference for the group law on indices.
+An element is its index: s^ell b^vec has the index ell * p^k +
+coset_index(vec), from `parse_elem`, which reads the text of one, to
+`elem_str`, which prints it.  The group law on indices is `index_mul` and
+`index_inv`.  An assignment of a presentation's generators is the tuple of
+their images' indices, in generator order (`HomAssignment`).
 """
 
 from __future__ import annotations
@@ -99,35 +99,6 @@ def _companion_mod(coeffs: tuple[int, ...], p: int) -> Mat:
     return tuple(rows)
 
 
-@dataclass(frozen=True)
-class MetaElem:
-    """Normal form s^ell * b^vec inside a fixed MetaGroup."""
-
-    group: "MetaGroup"
-    ell: int
-    vec: tuple[int, ...]
-
-    def __str__(self) -> str:
-        parts = []
-        if self.ell == 1:
-            parts.append("s")
-        elif self.ell:
-            parts.append(f"s^{self.ell}")
-        for i, v in enumerate(self.vec, start=1):
-            if v == 1:
-                parts.append(f"b{i}")
-            elif v:
-                parts.append(f"b{i}^{v}")
-        return " ".join(parts) or "1"
-
-    def __repr__(self) -> str:
-        return f"<{self} in {self.group.name()}>"
-
-
-class MixedGroupError(ValueError):
-    pass
-
-
 class MetaGroup:
     """The metabelian group M(n|p,k) with its companion-matrix action."""
 
@@ -187,7 +158,7 @@ class MetaGroup:
                 out.append(u)
         return out
 
-    # -- construction of elements ------------------------------------------
+    # -- the group ----------------------------------------------------------
 
     def name(self) -> str:
         return f"M({self.n}|{self.p},{self.k})"
@@ -204,74 +175,7 @@ class MetaGroup:
     def order(self) -> int:
         return self.n * self.p**self.k
 
-    def elem(self, ell: int, vec) -> MetaElem:
-        v = tuple(int(x) % self.p for x in vec)
-        if len(v) != self.k:
-            raise ValueError(f"vector must have length {self.k}")
-        return MetaElem(self, ell % self.n, v)
-
-    def identity_elem(self) -> MetaElem:
-        return self.elem(0, (0,) * self.k)
-
-    def s(self) -> MetaElem:
-        return self.elem(1, (0,) * self.k)
-
-    def b(self, i: int) -> MetaElem:
-        if not 1 <= i <= self.k:
-            raise ValueError(f"b index out of range: {i}")
-        return self.elem(0, tuple(1 if j == i - 1 else 0 for j in range(self.k)))
-
-    # -- group law ----------------------------------------------------------
-
-    def _vec_times(self, vec: tuple[int, ...], m: Mat) -> tuple[int, ...]:
-        return tuple(
-            sum(vec[i] * m[i][j] for i in range(self.k)) % self.p
-            for j in range(self.k)
-        )
-
-    def _vec_act(self, vec: tuple[int, ...], t_exp: int) -> tuple[int, ...]:
-        return self._vec_times(vec, self.T_power(t_exp))
-
-    def mul(self, g: MetaElem, h: MetaElem) -> MetaElem:
-        if g.group != self or h.group != self:
-            raise MixedGroupError("operands belong to different groups")
-        # s^a u s^b v = s^(a+b) (s^-b u s^b) v, and s^-1 u s has vector
-        # vec(u) * T^-1 by the defining conjugation rule.
-        moved = self._vec_act(g.vec, -h.ell)
-        vec = tuple((x + y) % self.p for x, y in zip(moved, h.vec))
-        return self.elem(g.ell + h.ell, vec)
-
-    def inv(self, g: MetaElem) -> MetaElem:
-        if g.group != self:
-            raise MixedGroupError("element belongs to a different group")
-        moved = self._vec_act(g.vec, g.ell)
-        return self.elem(-g.ell, tuple(-x % self.p for x in moved))
-
-    def parse_elem(self, text: str) -> MetaElem:
-        """Parse 's b1 b4', 's^2', 'b2^3', '1' into an element; InputError
-        if the text is not one."""
-        out = self.identity_elem()
-        for tok in text.split():
-            if tok == "1":
-                continue
-            base, caret, exp_text = tok.partition("^")
-            try:
-                exp = int(exp_text) if caret else 1
-            except ValueError:
-                raise InputError(f"bad exponent in element token {tok!r}") from None
-            if base == "s":
-                part = self.elem(exp, (0,) * self.k)
-            elif base.startswith("b") and base[1:].isdecimal():
-                i = int(base[1:])
-                if not 1 <= i <= self.k:
-                    raise InputError(f"b index out of range: {i}")
-                part = self.elem(0, tuple(exp if j == i - 1 else 0 for j in range(self.k)))
-            else:
-                raise InputError(f"bad element token {tok!r}")
-            out = self.mul(out, part)
-        return out
-
-    # -- coset permutation action -------------------------------------------
+    # -- elements as indices ------------------------------------------------
 
     def coset_index(self, vec: tuple[int, ...]) -> int:
         idx = 0
@@ -286,12 +190,46 @@ class MetaGroup:
             idx //= self.p
         return tuple(reversed(out))
 
-    def coset_permutation(self, g: MetaElem) -> tuple[int, ...]:
-        """Right multiplication on right cosets <s> a, indexed by vectors
-        in lexicographic order: <s> a  ->  <s> (a T^-ell(g) + vec(g))."""
-        if g.group != self:
-            raise MixedGroupError("element belongs to a different group")
-        return tuple(self.coset_table(g.ell, self.coset_index(g.vec)))
+    def _vec_times(self, vec: tuple[int, ...], m: Mat) -> tuple[int, ...]:
+        return tuple(
+            sum(vec[i] * m[i][j] for i in range(self.k)) % self.p
+            for j in range(self.k)
+        )
+
+    def parse_elem(self, text: str) -> int:
+        """The index of the element written 's b1 b4', 's^2', 'b2^3' or '1',
+        its tokens composed by `index_mul`; InputError if the text is not
+        one."""
+        size = self.p**self.k
+        out = 0
+        for tok in text.split():
+            if tok == "1":
+                continue
+            base, caret, exp_text = tok.partition("^")
+            try:
+                exp = int(exp_text) if caret else 1
+            except ValueError:
+                raise InputError(f"bad exponent in element token {tok!r}") from None
+            if base == "s":
+                part = exp % self.n * size
+            elif base.startswith("b") and base[1:].isdecimal():
+                i = int(base[1:])
+                if not 1 <= i <= self.k:
+                    raise InputError(f"b index out of range: {i}")
+                part = exp % self.p * self.p**(self.k - i)  # coset_index of b_i^exp
+            else:
+                raise InputError(f"bad element token {tok!r}")
+            out = self.index_mul(out, part)
+        return out
+
+    def elem_str(self, x: int) -> str:
+        """The text of the element of index x, as `parse_elem` reads it:
+        's^2 b1 b2^2', or '1' for the identity."""
+        ell, v = divmod(x, self.p**self.k)
+        parts = ["s" if ell == 1 else f"s^{ell}"] if ell else []
+        parts += [f"b{i}" if e == 1 else f"b{i}^{e}"
+                  for i, e in enumerate(self.vec_of_index(v), start=1) if e]
+        return " ".join(parts) or "1"
 
     # -- group law on element indices ----------------------------------------
 
@@ -302,11 +240,11 @@ class MetaGroup:
         The element s^ell b^vec has index ell * p^k + coset_index(vec).
         act[t][i] is the coset index of vec(i) * T^-t and add[i][j] that of
         vec(i) + vec(j), so (a, u)(b, v) = (a + b mod n, add[act[b][u]][v]).
-        Built from `_vec_act` and vector addition on first use, once per
+        Built from `T_power` and vector addition on first use, once per
         group object.
         """
         vecs = [self.vec_of_index(i) for i in range(self.p**self.k)]
-        act = [[self.coset_index(self._vec_act(v, -t)) for v in vecs]
+        act = [[self.coset_index(self._vec_times(v, self.T_power(-t))) for v in vecs]
                for t in range(self.n)]
         add = [[self.coset_index(tuple((x + y) % self.p for x, y in zip(v, w)))
                 for w in vecs] for v in vecs]
@@ -344,22 +282,12 @@ class MetaGroup:
                 moves[t].append((line_of[tuple(r * x % p for x in w)], r))
         return columns, dots, moves
 
-    def index(self, g: MetaElem) -> int:
-        if g.group != self:
-            raise MixedGroupError("element belongs to a different group")
-        return g.ell * self.p**self.k + self.coset_index(g.vec)
-
-    def element(self, x: int) -> MetaElem:
-        """The element of index x (the inverse of `index`)."""
-        ell, v = divmod(x, self.p**self.k)
-        return self.elem(ell, self.vec_of_index(v))
-
     def index_inv(self, x: int) -> int:
         """The index of the inverse of the element of index x.  Its coset
         table undoes x's, and every table of s^ell b^vec sends the coset 0
         to that of vec."""
-        ell, v = divmod(x, self.p**self.k)
-        return -ell % self.n * self.p**self.k + self.coset_table(ell, v).index(0)
+        size = self.p**self.k
+        return -(x // size) % self.n * size + self.coset_table(x).index(0)
 
     def index_mul(self, x: int, y: int) -> int:
         act, add = self.index_law
@@ -368,17 +296,21 @@ class MetaGroup:
         b, v = divmod(y, size)
         return (a + b) % self.n * size + add[act[b][u]][v]
 
-    def coset_table(self, ell: int, v: int) -> list[int]:
-        """The coset permutation of s^ell b^vec(v): i -> add[act[ell][i]][v]."""
+    def coset_table(self, x: int) -> list[int]:
+        """Right multiplication by the element s^ell b^vec(v) of index x on
+        the right cosets <s> a, numbered by coset index:
+        i -> add[act[ell][i]][v], that is <s> a -> <s> (a T^-ell + vec(v))."""
         act, add = self.index_law
-        return [add[i][v] for i in act[ell % self.n]]
+        ell, v = divmod(x, self.p**self.k)
+        return [add[i][v] for i in act[ell]]
 
     @cached_property
     def s_coset_tables(self) -> tuple[list[list[int]], list[list[int]]]:
         """(forward, backward): the coset permutation of s b^vec(v) and its
         inverse for each coset index v, the candidates of `find_homs`.
         Built on first use, once per group object."""
-        forward = [self.coset_table(1, v) for v in range(self.p**self.k)]
+        size = self.p**self.k
+        forward = [self.coset_table(size + v) for v in range(size)]
         return forward, [_inverse_table(table) for table in forward]
 
     def unit_image(self, x: int, unit: Mat) -> int:
@@ -402,8 +334,9 @@ class MetaGroup:
                 for i in range(self.p**self.k))
         return sigma
 
-    def character_matrix(self, g: MetaElem) -> Mat:
-        """Q(g) = C^-1 P(g) C for the basis C of `character_tables`.
+    def character_matrix(self, g: int) -> Mat:
+        """Q(g) = C^-1 P(g) C for the element of index g and the basis C of
+        `character_tables`.
 
         Right multiplication by g = s^ell b^v sends x to x T^-ell + v, and
         u_l . (x T^-ell + v) = (u_m . x) / r + d with (m, r) = moves[ell][l]
@@ -414,14 +347,12 @@ class MetaGroup:
         entries, +1 and -1, and no inverse of C is needed.  P(g) C = C Q(g)
         is checked exactly; a failure is an ExactnessError.
         """
-        if g.group != self:
-            raise MixedGroupError("element belongs to a different group")
         columns, dots, moves = self.character_tables
         p, size = self.p, len(columns)
-        v = self.coset_index(g.vec)
+        ell, v = divmod(g, p**self.k)
         cols = [[0] * size for _ in range(size)]
         cols[0][0] = 1
-        for l, (m, r) in enumerate(moves[g.ell]):
+        for l, (m, r) in enumerate(moves[ell]):
             d = dots[l][v]
             for j in range(1, p):
                 col = cols[l * (p - 1) + j]
@@ -431,7 +362,7 @@ class MetaGroup:
                 if b:
                     col[m * (p - 1) + b] -= 1
         # column c of P(g) C is column c of C permuted by the coset table
-        table = self.coset_table(g.ell, v)
+        table = self.coset_table(g)
         for c, col in enumerate(cols):
             combination = [0] * size
             for row, x in enumerate(col):
@@ -439,7 +370,7 @@ class MetaGroup:
                     combination = [y + x * z for y, z in zip(combination, columns[row])]
             if combination != [columns[c][i] for i in table]:
                 raise ExactnessError(
-                    f"P(g) C != C Q(g) for the character matrix of {g}")
+                    f"P(g) C != C Q(g) for the character matrix of {self.elem_str(g)}")
         return tuple(zip(*cols))
 
     def character_image(self, x: int) -> tuple[tuple[int, int, int], ...]:
@@ -448,13 +379,13 @@ class MetaGroup:
         request for x; the entries are kept for the life of the group."""
         image = self._character_images.get(x)
         if image is None:
-            q = self.character_matrix(self.element(x))
+            q = self.character_matrix(x)
             image = self._character_images[x] = tuple(
                 (w, u, v) for w, row in enumerate(q) for u, v in enumerate(row) if v)
         return image
 
 
-def cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
+def cycle_type(perm: Sequence[int]) -> tuple[int, ...]:
     """Sorted cycle lengths of a permutation given as an image table."""
     seen = [False] * len(perm)
     lengths = []
@@ -573,8 +504,8 @@ def check_homomorphism(p: Presentation, group: MetaGroup,
     tables = {}
     ells = {}
     for g, x in enumerate(images, start=1):
-        ell, v = divmod(x, group.p**group.k)
-        tables[g] = group.coset_table(ell, v)
+        ell = x // group.p**group.k
+        tables[g] = group.coset_table(x)
         tables[-g] = _inverse_table(tables[g])
         ells[g], ells[-g] = ell, -ell
     for i, rel in enumerate(p.relators):
@@ -715,7 +646,7 @@ def unit_classes(group: MetaGroup, homs: list[HomAssignment]) -> list[int]:
                 owner.setdefault(images, (i, u))
         elif (h.surjective != homs[rep].surjective
               or not _conjugate_by_relabeling(group, homs[rep].images, h.images, unit)):
-            member, first = ("; ".join(str(group.element(x)) for x in images)
+            member, first = ("; ".join(map(group.elem_str, images))
                              for images in (h.images, homs[rep].images))
             raise ExactnessError(
                 f"assignment {member} is not conjugate to its class "
@@ -751,8 +682,8 @@ def _relabels(group: MetaGroup, rep: tuple[int, ...], member: tuple[int, ...],
         return False
     sigma = _inverse_table(forward)
     for x, y in zip(rep, member):
-        pi_rep = group.coset_table(*divmod(x, size))
-        pi_member = group.coset_table(*divmod(y, size))
+        pi_rep = group.coset_table(x)
+        pi_member = group.coset_table(y)
         if any(pi_rep[sigma[i]] != sigma[pi_member[i]] for i in range(size)):
             return False
     return True

@@ -19,8 +19,12 @@ compare with the production code.  No production module imports this one.
     trivial_rep                 twobridge.alexander_poly's trivial block
     perm_rep, perm_matrix       characters.representation_blocks (the full
                                 p^k-dimensional permutation path)
+    vector_mul, vector_inv      MetaGroup.index_mul and index_inv (the group
+                                law on (ell, vec) pairs from T_power, not the
+                                index_law tables)
     group_word_image            metabelian.find_homs and check_homomorphism
-                                (relators on the coset tables)
+                                (relators by the vector law, not on the coset
+                                tables)
     PolyMatrix                  no production type: a matrix over Z[t, 1/t]
                                 as its degree -> integer matrix series, with
                                 its determinant through kronecker_det
@@ -55,7 +59,7 @@ from .groupcalc import Presentation, Word, fox_tally
 from .intmat import (
     Mat, identity, int_det, mat_add, mat_inverse, mat_mul, mat_neg, mat_scale, mat_sub,
     zeros)
-from .metabelian import MetaElem, MetaGroup, check_homomorphism
+from .metabelian import MetaGroup, check_homomorphism
 from .twinring import I3, POWERS, X, XINV, XINV_YINV, Y, YINV, YX, power3
 from .twisted import TwistedResult, Verdict, _product
 from .twobridge import H3Form
@@ -455,12 +459,13 @@ def trivial_rep(p: Presentation) -> MatrixRep:
     return MatrixRep(1, one, one)
 
 
-def perm_matrix(group: MetaGroup, g: MetaElem) -> Mat:
-    """Permutation matrix with rows indexed by source coset: P[i][pi(i)] = 1.
+def perm_matrix(group: MetaGroup, x: int) -> Mat:
+    """Permutation matrix of the element of index x, with rows indexed by
+    source coset: P[i][pi(i)] = 1 for its coset table pi.
 
     With this convention g -> P(g) is a homomorphism for the right action.
     """
-    perm = group.coset_permutation(g)
+    perm = group.coset_table(x)
     size = len(perm)
     return tuple(
         tuple(1 if perm[i] == j else 0 for j in range(size)) for i in range(size)
@@ -471,22 +476,61 @@ def perm_rep(images: tuple[int, ...], group: MetaGroup,
              p: Presentation) -> MatrixRep:
     """The p^k-dimensional permutation-matrix representation of the
     generators' images, given by their element indices; each inverse
-    image is the permutation matrix of the inverse element (`MetaGroup.inv`)."""
+    image is the transpose of the permutation matrix."""
     check_homomorphism(p, group, images)
     mats, inv_mats = {}, {}
     for g, x in enumerate(images, start=1):
-        e = group.element(x)
-        mats[g], inv_mats[g] = perm_matrix(group, e), perm_matrix(group, group.inv(e))
+        mats[g] = perm_matrix(group, x)
+        inv_mats[g] = tuple(zip(*mats[g]))
     return MatrixRep(group.p**group.k, mats, inv_mats)
 
 
-def group_word_image(group: MetaGroup, word: Word,
-                     images: dict[int, MetaElem]) -> MetaElem:
-    """The image of a word under generator images, by the group law."""
-    out = group.identity_elem()
+# ---------------------------------------------------------------------------
+# The group law on (ell, vec) pairs, from T_power: the reference for the
+# `MetaGroup.index_law` tables that production multiplies indices with
+# ---------------------------------------------------------------------------
+
+
+def _pair(group: MetaGroup, x: int) -> tuple[int, tuple[int, ...]]:
+    """The pair (ell, vec) of the element s^ell b^vec of index x."""
+    ell, v = divmod(x, group.p**group.k)
+    return ell, group.vec_of_index(v)
+
+
+def _index(group: MetaGroup, ell: int, vec) -> int:
+    """The index of s^ell b^vec, its exponents reduced mod n and mod p."""
+    return (ell % group.n * group.p**group.k
+            + group.coset_index(tuple(v % group.p for v in vec)))
+
+
+def _moved(group: MetaGroup, vec: tuple[int, ...], e: int) -> list[int]:
+    """vec * T^e, reduced mod p by `_index`."""
+    m = group.T_power(e)
+    return [sum(vec[i] * m[i][j] for i in range(group.k)) for j in range(group.k)]
+
+
+def vector_mul(group: MetaGroup, x: int, y: int) -> int:
+    """The index of the product of the elements of indices x and y:
+    s^a u s^b v = s^(a+b) (s^-b u s^b) v, and s^-1 u s has vector
+    vec(u) * T^-1 by the defining conjugation rule."""
+    (a, u), (b, v) = _pair(group, x), _pair(group, y)
+    return _index(group, a + b, [c + d for c, d in zip(_moved(group, u, -b), v)])
+
+
+def vector_inv(group: MetaGroup, x: int) -> int:
+    """The index of the inverse of the element of index x:
+    (s^a u)^-1 = s^-a (s^a u^-1 s^-a), with vector -vec(u) * T^a."""
+    a, u = _pair(group, x)
+    return _index(group, -a, [-c for c in _moved(group, u, a)])
+
+
+def group_word_image(group: MetaGroup, word: Word, images: dict[int, int]) -> int:
+    """The index of a word's image under the generators' images (generator
+    -> element index), by the vector law."""
+    out = 0
     for letter in word:
-        g = images[abs(letter)]
-        out = group.mul(out, g if letter > 0 else group.inv(g))
+        x = images[abs(letter)]
+        out = vector_mul(group, out, x if letter > 0 else vector_inv(group, x))
     return out
 
 

@@ -16,7 +16,7 @@ import time
 from . import golden
 from .exactalg import canonical
 from .knotdata import presentation
-from .metabelian import a4_group, build_group, cycle_type, group_from_name
+from .metabelian import a4_group, build_group, group_from_name
 from .twinring import twisted_from_form
 from .twobridge import FractionR, alexander_poly, h3_expand
 
@@ -70,20 +70,8 @@ def run(quick: bool = False, p7: bool = False, out=sys.stdout) -> int:
                == canonical(e.value) for e in golden.TORUS))
 
     # -- conjugation table and coset cycle types ----------------------------
-    M524 = build_group(5, 2)
-    s = M524.s()
-    conj = lambda e: M524.mul(M524.mul(s, e), M524.inv(s))
-    b = {i: M524.b(i) for i in range(1, 5)}
-    ok = (conj(b[1]) == b[4]
-          and conj(b[2]) == M524.mul(b[1], b[4])
-          and conj(b[3]) == M524.mul(b[2], b[4])
-          and conj(b[4]) == M524.mul(b[3], b[4]))
-    report("M(5|2,4) conjugation relations", ok)
-    M432 = build_group(4, 3)
-    sa = M432.mul(M432.s(), M432.b(1))
-    report("M(4|3,2) coset cycle types",
-           cycle_type(M432.coset_permutation(M432.s())) == (1, 4, 4)
-           and cycle_type(M432.coset_permutation(sa)) == (1, 4, 4))
+    for label, ok in golden.structure_checks():
+        report(label, ok)
 
     # -- the 9-, 16- and 25-dimensional values and the non-rational knots ---
     for entry in golden.PHI[len(golden.TORUS):]:

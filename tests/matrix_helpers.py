@@ -55,15 +55,16 @@ _B1 = mat_mul(mat_inverse(X), Y)
 _B2 = mat_mul(mat_mul(X, _B1), mat_inverse(X))
 
 
-def xi0(e) -> Mat:
+def xi0(x: int) -> Mat:
     """The irreducible 3-dimensional image X^ell B1^v1 B2^v2 of the element
-    s^ell b1^v1 b2^v2 of A4 = M(3|2,2), with s -> twinring.X and
-    s b1 -> twinring.Y."""
-    assert (e.group.n, e.group.p) == (3, 2)
-    out = mat_pow(X, e.ell)
-    if e.vec[0]:
+    s^ell b1^v1 b2^v2 of A4 = M(3|2,2), of index x = 4 ell + 2 v1 + v2,
+    with s -> twinring.X and s b1 -> twinring.Y."""
+    assert 0 <= x < 12
+    ell, v = divmod(x, 4)
+    out = mat_pow(X, ell)
+    if v & 2:
         out = mat_mul(out, _B1)
-    if e.vec[1]:
+    if v & 1:
         out = mat_mul(out, _B2)
     return out
 
@@ -71,7 +72,8 @@ def xi0(e) -> Mat:
 def xi0_rep(images, group) -> MatrixRep:
     """The 3-dimensional representation of generator images onto A4 (their
     element indices) through xi0, as an oracle matrix representation."""
-    return MatrixRep(3, {g: xi0(group.element(x)) for g, x in enumerate(images, start=1)})
+    assert (group.n, group.p) == (3, 2)
+    return MatrixRep(3, {g: xi0(x) for g, x in enumerate(images, start=1)})
 
 
 def block_reps(rho) -> list[MatrixRep]:

@@ -19,7 +19,8 @@ import pytest
 
 from metatap.exactalg import canonical
 from metatap.golden import (
-    A4_3DIM, PHI, TORUS, permutation_rep, phi_verdict, torus_prediction)
+    A4_3DIM, CONJUGATION, COSET_CYCLE_TYPES, PHI, TORUS, permutation_rep, phi_verdict,
+    structure_checks, torus_prediction)
 from metatap.groupcalc import Word
 from metatap.intmat import identity, mat_add, mat_mul, mat_scale, mat_sub, zeros
 from metatap.metabelian import (
@@ -44,6 +45,7 @@ from metatap.oracles import (
     twin_decompose,
     twin_determinant,
     twisted_alexander_tables,
+    vector_mul,
     yx_geometric,
 )
 from metatap.twisted import twisted_alexander
@@ -328,14 +330,12 @@ def test_properties_perm_rep_homomorphism_200():
     rng = random.Random(7)
     for n, p_char in [(3, 2), (4, 3), (3, 5), (5, 2), (4, 5)]:
         g = build_group(n, p_char)
-        elems = list(map(g.element, range(g.order())))
         for _ in range(200):
-            a, b = rng.choice(elems), rng.choice(elems)
-            assert mat_mul(perm_matrix(g, a), perm_matrix(g, b)) == \
-                perm_matrix(g, g.mul(a, b))
+            a, b = rng.randrange(g.order()), rng.randrange(g.order())
+            ab = vector_mul(g, a, b)
+            assert mat_mul(perm_matrix(g, a), perm_matrix(g, b)) == perm_matrix(g, ab)
             q = g.character_matrix(a)
-            assert mat_mul(q, g.character_matrix(b)) == \
-                g.character_matrix(g.mul(a, b))
+            assert mat_mul(q, g.character_matrix(b)) == g.character_matrix(ab)
             assert all(sum(1 for x in col if x) <= 2 for col in zip(*q))
     report("permutation and character representations are homomorphisms "
            "(200 random pairs per group)")
@@ -343,17 +343,26 @@ def test_properties_perm_rep_homomorphism_200():
 
 # -- 10: construction goldens for M(5|2,4) and the coset action -------------------
 
-def test_m524_structure_goldens():
-    g = build_group(5, 2)
-    conj = lambda e: g.mul(g.mul(g.s(), e), g.inv(g.s()))
-    b = {i: g.b(i) for i in range(1, 5)}
-    assert conj(b[1]) == b[4]
-    assert conj(b[2]) == g.mul(b[1], b[4])
-    assert conj(b[3]) == g.mul(b[2], b[4])
-    assert conj(b[4]) == g.mul(b[3], b[4])
+def vector_word(group, text):
+    """The element index of a text, its tokens composed by the oracle's
+    vector law instead of `parse_elem`'s index law."""
+    out = 0
+    for token in text.split():
+        out = vector_mul(group, out, group.parse_elem(token))
+    return out
 
-    g43 = build_group(4, 3)
-    assert cycle_type(g43.coset_permutation(g43.s())) == (1, 4, 4)
-    sa = g43.mul(g43.s(), g43.b(1))
-    assert cycle_type(g43.coset_permutation(sa)) == (1, 4, 4)
+
+def test_m524_structure_goldens():
+    # the facts of golden's table as selftest checks them, and again with
+    # the oracle's vector law and the permutation matrices
+    assert all(ok for _, ok in structure_checks())
+    name, pairs = CONJUGATION
+    g = group_from_name(name)
+    for lhs, rhs in pairs:
+        assert vector_word(g, lhs) == vector_word(g, rhs)
+    name, types = COSET_CYCLE_TYPES
+    g = group_from_name(name)
+    for text, want in types:
+        assert cycle_type([row.index(1) for row in perm_matrix(g, vector_word(g, text))]) \
+            == want
     report("M(5|2,4) conjugation relations + M(4|3,2) coset cycle types")

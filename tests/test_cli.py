@@ -10,7 +10,6 @@ import random
 import re
 import subprocess
 import sys
-from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from importlib import resources
@@ -23,7 +22,7 @@ from hypothesis import strategies as st
 from metatap import characters, cli, exactalg, metabelian, twisted
 from metatap.cli import main
 from metatap.exactalg import canonical, parse_poly
-from metatap.golden import A4_3DIM, ALEXANDER, PHI, phi_value
+from metatap.golden import A4_3DIM, ALEXANDER, PHI, phi_value, structure_checks
 from metatap.knotdata import presentation
 from metatap.metabelian import MetaGroup, build_group, find_homs, group_from_name
 from metatap.oracles import (
@@ -175,7 +174,7 @@ def test_compute_non_homomorphic_assign_exit_1_after_cache_hit():
     group = group_from_name("A4")
     assert run_cli("compute", "--r", "5/27", "--group", "A4",
                    "--assign", "x=s; y=s b1")[0] == 0
-    key = (group.index(group.s()), group.index(group.parse_elem("s b1")))
+    key = (group.parse_elem("s"), group.parse_elem("s b1"))
     assert key in group._representations
     code, out, err = run_cli("compute", "--r", "1/5", "--group", "A4",
                              "--assign", "x=s; y=s b1")
@@ -299,9 +298,9 @@ def test_compute_prefix_image_outside_blocks_exit_3(monkeypatch, fresh_groups):
     # the trivial block to another one must fail there
     genuine = MetaGroup.character_matrix
 
-    def tampered(self, g):
-        q = genuine(self, g)
-        if g == self.identity_elem():
+    def tampered(self, x):
+        q = genuine(self, x)
+        if x == 0:
             q = ((1, 1) + q[0][2:],) + q[1:]
         return q
 
@@ -317,9 +316,9 @@ def test_character_images_built_once_per_process(monkeypatch, fresh_groups):
     genuine = MetaGroup.character_matrix
     built = []
 
-    def counting(self, g):
-        built.append((self.name(), self.index(g)))
-        return genuine(self, g)
+    def counting(self, x):
+        built.append((self.name(), x))
+        return genuine(self, x)
 
     monkeypatch.setattr(MetaGroup, "character_matrix", counting)
     argv = ("compute", "--r", "3/5", "--group", "M(4|3,2)")
@@ -553,7 +552,7 @@ def test_internal_value_error_exit_3(monkeypatch):
     # so is a relator check that fails on a search result, not on --assign
     group = group_from_name("A4")
     wrong = metabelian.HomAssignment(
-        (group.index(group.s()), group.index(group.mul(group.s(), group.s()))), True)
+        (group.parse_elem("s"), group.parse_elem("s^2")), True)
     monkeypatch.setattr(cli, "find_homs", lambda p, group, fix: [wrong])
     code, out, err = run_cli("compute", "--r", "5/27", "--group", "A4")
     assert code == 3 and not out
@@ -653,7 +652,7 @@ def test_compute_matches_per_assignment_path(source, name, group_name):
         expected.append({
             "input": str(r) if source == "--r" else p.name,
             "group": group.name(),
-            "assignment": "; ".join(f"{g}={group.element(x)}"
+            "assignment": "; ".join(f"{g}={group.elem_str(x)}"
                                     for g, x in zip(p.generators, h.images)),
             "surjective": True,
             "n": group.n,
@@ -837,8 +836,8 @@ def test_scan_workers_at_most_fractions(monkeypatch, tmp_path):
 
 
 def test_scan_labels_each_surjection_once_and_each_row_once(tmp_path, monkeypatch):
-    # per fraction: one label per surjection for the sort, and one per row,
-    # since only the class representatives get a record
+    # per fraction: one label per surjection, built for the sort; only the
+    # class representatives get a record, and each row keeps its label
     genuine = cli._assignment_str
     labels = {}
 
@@ -860,8 +859,8 @@ def test_scan_labels_each_surjection_once_and_each_row_once(tmp_path, monkeypatc
             count = sum(h.surjective for h in find_homs(wirtinger_presentation(r), group))
             if count:
                 surjections[str(r)] = count
-        rows_of = Counter(row["input"] for row in rows)
-        assert labels == {name: count + rows_of[name] for name, count in surjections.items()}
+        assert labels == surjections
+        assert {row["input"] for row in rows} == set(surjections)
         # some class has more than one member, and gets one row
         assert 0 < len(rows) < sum(surjections.values())
 
@@ -1001,6 +1000,7 @@ def test_selftest_reports_every_golden_entry():
     for name in ALEXANDER:
         assert f"{name} Alexander polynomial" in labels
     assert all(e.label in labels for e in PHI)
+    assert all(label in labels for label, _ in structure_checks())
     assert out.count("\nNOTE  ") == sum(e.recorded is not None for e in PHI)
 
 
@@ -1011,8 +1011,8 @@ def test_selftest_reports_every_golden_entry():
 _EXCEPTIONS = {
     "ExactnessError": "exactalg", "InputError": "groupcalc",
     "PresentationError": "groupcalc",
-    "NotAKnotGroupError": "twobridge", "MixedGroupError": "metabelian",
-    "NotHomomorphismError": "metabelian", "NotTwinError": "oracles",
+    "NotAKnotGroupError": "twobridge", "NotHomomorphismError": "metabelian",
+    "NotTwinError": "oracles",
 }
 
 

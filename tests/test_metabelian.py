@@ -1,6 +1,7 @@
-"""Metabelian groups M(n|p,k), coset permutation representations, the A4
-matrices, homomorphism search, and the obstruction p | Res(Delta, Phi_n),
-decided over F_p on the group's companion matrix and checked against the
+"""Metabelian groups M(n|p,k): elements as indices against the oracle's
+vector law, coset permutation representations, the A4 matrices,
+homomorphism search, and the obstruction p | Res(Delta, Phi_n), decided
+over F_p on the group's companion matrix and checked against the
 resultant oracle."""
 
 import itertools
@@ -16,13 +17,11 @@ from metatap.knotdata import BUNDLED, presentation
 from metatap.metabelian import (
     HomAssignment,
     MetaGroup,
-    MixedGroupError,
     NotHomomorphismError,
     _conjugate_by_relabeling,
     a4_group,
     build_group,
     check_homomorphism,
-    cycle_type,
     cyclotomic_coeffs,
     euler_phi,
     find_homs,
@@ -33,7 +32,7 @@ from metatap.metabelian import (
 )
 from metatap.oracles import (
     MatrixRep, PolyMatrix, group_word_image, perm_matrix, perm_rep, resultant,
-    trivial_rep, word_image)
+    trivial_rep, vector_inv, vector_mul, word_image)
 from metatap.twinring import X, Y
 from metatap.twisted import standard_assignment
 from metatap.twobridge import (
@@ -102,55 +101,63 @@ def test_one_group_per_n_p():
     assert build_group(4, 3) is not build_group(4, 5)
 
 
-# -- group law ----------------------------------------------------------------
+# -- elements as indices and the group law -------------------------------------
+
+def elems(group, *texts):
+    """The element indices of the texts."""
+    return tuple(map(group.parse_elem, texts))
+
 
 def test_identity_and_inverse():
     g = build_group(5, 2)
-    e = g.identity_elem()
-    for elem in map(g.element, range(20)):
-        assert g.mul(elem, e) == elem
-        assert g.mul(e, elem) == elem
-        assert g.mul(elem, g.inv(elem)) == e
-
-
-def test_conjugation_relations_m524():
-    g = build_group(5, 2)
-    conj = lambda e: g.mul(g.mul(g.s(), e), g.inv(g.s()))
-    b = {i: g.b(i) for i in range(1, 5)}
-    assert conj(b[1]) == b[4]                      # over Z/2, b4^-1 = b4
-    assert conj(b[2]) == g.mul(b[1], b[4])
-    assert conj(b[3]) == g.mul(b[2], b[4])
-    assert conj(b[4]) == g.mul(b[3], b[4])
+    for x in range(g.order()):
+        assert g.index_mul(x, 0) == g.index_mul(0, x) == x
+        assert g.index_mul(x, g.index_inv(x)) == g.index_mul(g.index_inv(x), x) == 0
 
 
 def test_associativity_random():
     rng = random.Random(9)
     for n, p in [(3, 2), (4, 3), (5, 2)]:
         g = build_group(n, p)
-        elems = list(map(g.element, range(g.order())))
         for _ in range(60):
-            a, b, c = (rng.choice(elems) for _ in range(3))
-            assert g.mul(g.mul(a, b), c) == g.mul(a, g.mul(b, c))
+            a, b, c = (rng.randrange(g.order()) for _ in range(3))
+            assert g.index_mul(g.index_mul(a, b), c) == g.index_mul(a, g.index_mul(b, c))
 
 
-def test_mixed_group_error():
-    g1, g2 = build_group(3, 2), build_group(4, 3)
-    with pytest.raises(MixedGroupError):
-        g1.mul(g1.s(), g2.s())
+def test_index_law_matches_mul_and_inv():
+    # every element of each group reads back from its text, and the index
+    # law agrees with the oracle's vector law on every pair
+    for n, p in [(3, 2), (4, 3), (5, 2), (3, 5)]:
+        g = build_group(n, p)
+        for x in range(g.order()):
+            assert g.parse_elem(g.elem_str(x)) == x
+            assert g.index_inv(x) == vector_inv(g, x)
+            assert [g.index_mul(x, y) for y in range(g.order())] == \
+                [vector_mul(g, x, y) for y in range(g.order())]
 
 
 def test_parse_elem_and_str():
     g = build_group(5, 2)
     e = g.parse_elem("s b1 b4")
-    assert str(e) == "s b1 b4"
-    assert g.parse_elem("1") == g.identity_elem()
-    assert g.parse_elem("s^2") == g.mul(g.s(), g.s())
-    assert g.parse_elem("b1^3") == g.b(1)
+    assert g.elem_str(e) == "s b1 b4"
+    assert e == 16 + 0b1001
+    assert g.parse_elem("1") == g.parse_elem("") == 0 and g.elem_str(0) == "1"
+    s = g.parse_elem("s")
+    assert g.parse_elem("s^2") == g.index_mul(s, s)
+    assert g.parse_elem("s^-1") == g.parse_elem("s^4") == g.index_inv(s)
+    assert g.parse_elem("b1^3") == g.parse_elem("b1") == 8
+    assert g.parse_elem("b4 s") == g.index_mul(g.parse_elem("b4"), s)
+    assert g.parse_elem("s^100000000000000000001 b2^-7") == g.parse_elem("s b2")
+    m = build_group(3, 5)
+    assert m.elem_str(m.parse_elem("s^2 b1^-1 b2^7")) == "s^2 b1^4 b2^2"
     for text in ("s b1^", "s^", "b2^x", "s^1.5"):
         with pytest.raises(ValueError, match="bad exponent in element token"):
             g.parse_elem(text)
     for text in ("b", "s bx", "b-1"):
         with pytest.raises(ValueError, match="bad element token"):
+            g.parse_elem(text)
+    for text in ("b0", "s b5"):
+        with pytest.raises(ValueError, match="b index out of range"):
             g.parse_elem(text)
 
 
@@ -158,29 +165,21 @@ def test_parse_elem_and_str():
 
 def test_coset_identity():
     g = build_group(4, 3)
-    assert g.coset_permutation(g.identity_elem()) == tuple(range(9))
-
-
-def test_coset_cycle_types_m432():
-    g = build_group(4, 3)
-    assert cycle_type(g.coset_permutation(g.s())) == (1, 4, 4)
-    sa = g.mul(g.s(), g.b(1))
-    assert cycle_type(g.coset_permutation(sa)) == (1, 4, 4)
+    assert g.coset_table(0) == list(range(9))
 
 
 def test_coset_action_is_homomorphism():
     rng = random.Random(21)
     for n, p in [(3, 2), (4, 3), (5, 2), (3, 5)]:
         g = build_group(n, p)
-        elems = list(map(g.element, range(g.order())))
         for _ in range(50):
-            a, b = rng.choice(elems), rng.choice(elems)
-            pa, pb = g.coset_permutation(a), g.coset_permutation(b)
-            composed = tuple(pb[pa[i]] for i in range(len(pa)))
-            assert composed == g.coset_permutation(g.mul(a, b))
+            a, b = rng.randrange(g.order()), rng.randrange(g.order())
+            pa, pb = g.coset_table(a), g.coset_table(b)
+            composed = [pb[pa[i]] for i in range(len(pa))]
+            assert composed == g.coset_table(vector_mul(g, a, b))
             # and the matrix convention matches
             assert mat_mul(perm_matrix(g, a), perm_matrix(g, b)) == \
-                perm_matrix(g, g.mul(a, b))
+                perm_matrix(g, vector_mul(g, a, b))
 
 
 # -- units of F_p[T] and the coset relabeling ---------------------------------
@@ -208,7 +207,6 @@ def test_unit_relabeling_conjugates_perm_matrices():
     rng = random.Random(31)
     for n, p, _ in UNIT_GROUPS:
         g = build_group(n, p)
-        elems = list(map(g.element, range(g.order())))
         size = p**g.k
         for u in g.units:
             sigma = g.coset_relabeling(u)
@@ -216,9 +214,11 @@ def test_unit_relabeling_conjugates_perm_matrices():
             q = tuple(tuple(int(sigma[i] == j) for j in range(size))
                       for i in range(size))
             q_inv = tuple(zip(*q))
-            for e in rng.sample(elems, 2):
-                image = g.element(g.unit_image(g.index(e), u))
-                assert image.ell == e.ell and image.vec == g._vec_times(e.vec, u)
+            for e in rng.sample(range(g.order()), 2):
+                image = g.unit_image(e, u)
+                vec = g.vec_of_index(e % size)
+                assert divmod(image, size) == (e // size, g.coset_index(tuple(
+                    sum(vec[i] * u[i][j] for i in range(g.k)) % p for j in range(g.k))))
                 assert perm_matrix(g, image) == \
                     mat_mul(mat_mul(q_inv, perm_matrix(g, e)), q)
 
@@ -251,7 +251,7 @@ def test_unit_classes_rejects_member_of_other_surjectivity():
 
 def test_conjugate_by_relabeling_rejects_wrong_unit():
     g = build_group(5, 2)
-    rep = (g.index(g.s()), g.index(g.parse_elem("s b1")))
+    rep = elems(g, "s", "s b1")
     unit = g.units[1]
     member = tuple(g.unit_image(x, unit) for x in rep)
     assert member != rep
@@ -261,36 +261,11 @@ def test_conjugate_by_relabeling_rejects_wrong_unit():
     assert not _conjugate_by_relabeling(g, rep, rep[:1], g.units[0])
 
 
-def test_index_law_matches_mul_and_inv():
-    for n, p in [(3, 2), (4, 3), (5, 2)]:
-        g = build_group(n, p)
-        elems = [g.elem(ell, g.vec_of_index(i))
-                 for ell in range(g.n) for i in range(g.p**g.k)]
-        assert [g.index(e) for e in elems] == list(range(g.order()))
-        assert [g.element(x) for x in range(g.order())] == elems
-        for a in elems:
-            x = g.index(a)
-            assert g.index_inv(x) == g.index(g.inv(a))
-            assert g.index_mul(x, g.index(g.inv(a))) == 0
-            assert g.index_mul(g.index(g.inv(a)), x) == 0
-            for b in elems:
-                assert g.index_mul(x, g.index(b)) == g.index(g.mul(a, b))
-
-
-def test_index_of_foreign_element_rejected():
-    with pytest.raises(MixedGroupError):
-        build_group(4, 3).index(a4_group().s())
-
-
-def indices(group, elems):
-    return tuple(group.index(e) for e in elems)
-
-
 def test_generates():
     g = a4_group()
-    assert generates(g, indices(g, [g.s(), g.mul(g.s(), g.b(1))]))
-    assert not generates(g, indices(g, [g.s(), g.s()]))
-    assert not generates(g, indices(g, [g.b(1), g.b(2)]))
+    assert generates(g, elems(g, "s", "s b1"))
+    assert not generates(g, elems(g, "s", "s"))
+    assert not generates(g, elems(g, "b1", "b2"))
 
 
 def test_generates_matches_elementwise_closure():
@@ -298,13 +273,13 @@ def test_generates_matches_elementwise_closure():
     rng = random.Random(17)
     for n, p in [(3, 2), (4, 3), (5, 2), (2, 5)]:
         g = MetaGroup(n, p)
-        elems = list(map(g.element, range(g.order())))
-        picks = [rng.sample(elems, k) for k in (1, 2, 2, 2, 3) for _ in range(8)]
-        picks += [[g.s(), g.s()], [g.s(), g.b(1)], [g.b(1), g.s()]]
+        picks = [tuple(rng.sample(range(g.order()), k))
+                 for k in (1, 2, 2, 2, 3) for _ in range(8)]
+        picks += [elems(g, "s", "s"), elems(g, "s", "b1"), elems(g, "b1", "s")]
         want = [elementwise_generates(g, chosen) for chosen in picks]
         assert any(want) and not all(want)
         for _ in range(2):
-            assert [generates(g, indices(g, chosen)) for chosen in picks] == want
+            assert [generates(g, chosen) for chosen in picks] == want
 
 
 # -- representations ----------------------------------------------------------
@@ -312,7 +287,7 @@ def test_generates_matches_elementwise_closure():
 def test_perm_rep_valid():
     g43 = build_group(4, 3)
     p = wirtinger_presentation(FractionR(3, 5))
-    rho = perm_rep(indices(g43, [g43.s(), g43.mul(g43.s(), g43.b(1))]), g43, p)
+    rho = perm_rep(elems(g43, "s", "s b1"), g43, p)
     assert rho.dim == 9
     for m in rho.images.values():
         assert int_det(m) in (1, -1)
@@ -322,7 +297,7 @@ def test_perm_rep_rejects_non_homomorphism():
     g43 = build_group(4, 3)
     p = wirtinger_presentation(FractionR(1, 3))
     with pytest.raises(NotHomomorphismError) as e:
-        perm_rep(indices(g43, [g43.s(), g43.mul(g43.s(), g43.b(1))]), g43, p)
+        perm_rep(elems(g43, "s", "s b1"), g43, p)
     assert "relator 1" in str(e.value)
 
 
@@ -343,23 +318,24 @@ def test_check_homomorphism_matches_matrix_products():
     presentations += [presentation(name) for name in ("8_5", "10_159")]
     outcomes = set()
     for group in (a4_group(), build_group(4, 3), build_group(5, 2)):
-        elems = list(map(group.element, range(group.order())))
+        order = group.order()
         for p in presentations:
-            candidates = [tuple(map(group.element, h.images)) for h in find_homs(p, group)]
-            candidates += [tuple(rng.choice(elems) for _ in p.generators)
+            candidates = [h.images for h in find_homs(p, group)]
+            candidates += [tuple(rng.randrange(order) for _ in p.generators)
                            for _ in range(12)]
-            candidates += [images[:-1] + (rng.choice(elems),) for images in candidates[:4]]
+            candidates += [images[:-1] + (rng.randrange(order),)
+                           for images in candidates[:4]]
             for images in candidates:
                 try:
-                    check_homomorphism(p, group, indices(group, images))
+                    check_homomorphism(p, group, images)
                     got = None
                 except NotHomomorphismError as e:
                     got = str(e)
                 rho = MatrixRep(
                     group.p**group.k,
-                    {g: perm_matrix(group, e) for g, e in enumerate(images, start=1)},
-                    {g: perm_matrix(group, group.inv(e))
-                     for g, e in enumerate(images, start=1)})
+                    {g: perm_matrix(group, x) for g, x in enumerate(images, start=1)},
+                    {g: perm_matrix(group, vector_inv(group, x))
+                     for g, x in enumerate(images, start=1)})
                 want = next((f"relator {i + 1} ({rel.spell(p.generators)}) "
                              f"does not map to the identity"
                              for i, rel in enumerate(p.relators)
@@ -391,8 +367,8 @@ def test_xi0_matrices():
     assert Y == ((0, 0, -1), (0, 1, -1), (1, 0, -1))
     assert mat_pow(X, 3) == identity(3)
     g = a4_group()
-    assert xi0(g.s()) == X
-    assert xi0(g.mul(g.s(), g.b(1))) == Y
+    assert xi0(g.parse_elem("s")) == X
+    assert xi0(g.parse_elem("s b1")) == Y
 
 
 def test_xi0_is_homomorphism():
@@ -401,11 +377,10 @@ def test_xi0_is_homomorphism():
     g = a4_group()
     p = wirtinger_presentation(FractionR(1, 3))
     rho = representation_blocks(standard_assignment(g, p), g, p)
-    elems = list(map(g.element, range(g.order())))
-    for a in elems:
-        for b in elems:
-            assert mat_mul(xi0(a), xi0(b)) == xi0(g.mul(a, b))
-        trivial, three = rho.matrices(g.index(a))
+    for a in range(g.order()):
+        for b in range(g.order()):
+            assert mat_mul(xi0(a), xi0(b)) == xi0(vector_mul(g, a, b))
+        trivial, three = rho.matrices(a)
         assert trivial == ((1,),)
         assert sum(three[i][i] for i in range(3)) == sum(xi0(a)[i][i] for i in range(3))
 
@@ -421,7 +396,7 @@ def test_permutation_rep_splits_off_xi0():
     # twinring's X and Y and against the character blocks
     g = a4_group()
     p = wirtinger_presentation(FractionR(1, 3))
-    imgs = indices(g, [g.s(), g.mul(g.s(), g.b(1))])
+    imgs = elems(g, "s", "s b1")
     assert imgs == standard_assignment(g, p)
     rho4 = perm_rep(imgs, g, p)
     blocks = representation_blocks(imgs, g, p)
@@ -439,7 +414,7 @@ def test_find_homs_k35():
     g43 = build_group(4, 3)
     p = wirtinger_presentation(FractionR(3, 5))
     homs = find_homs(p, g43)
-    target = indices(g43, [g43.s(), g43.mul(g43.s(), g43.b(1))])
+    target = elems(g43, "s", "s b1")
     assert any(h.images == target and h.surjective for h in homs)
 
 
@@ -447,7 +422,7 @@ def test_find_homs_abelian_flagged():
     g = a4_group()
     p = wirtinger_presentation(FractionR(1, 3))
     homs = find_homs(p, g)
-    abelian = [h for h in homs if h.images[1] == g.index(g.s())]
+    abelian = [h for h in homs if h.images[1] == g.parse_elem("s")]
     assert abelian and not abelian[0].surjective
 
 
@@ -461,7 +436,7 @@ def test_find_homs_fixed_generator_10_145():
     g = build_group(5, 2)
     p = presentation("10_145")
     homs = find_homs(p, g, fix="z")
-    target = indices(g, [g.parse_elem("s b1 b2 b3 b4"), g.parse_elem("s b1"), g.s()])
+    target = elems(g, "s b1 b2 b3 b4", "s b1", "s")
     assert any(h.images == target and h.surjective for h in homs)
 
 
@@ -476,20 +451,22 @@ def test_find_homs_verification_closure():
     g = build_group(5, 2)
     p = wirtinger_presentation(FractionR(1, 5))
     for h in find_homs(p, g):
-        by_index = {gen: g.element(x) for gen, x in enumerate(h.images, start=1)}
+        by_index = dict(enumerate(h.images, start=1))
         for rel in p.relators:
-            assert group_word_image(g, rel, by_index) == g.identity_elem()
+            assert group_word_image(g, rel, by_index) == 0
 
 
-def elementwise_generates(group, elems):
-    seen = {(e.ell, e.vec) for e in elems}
-    frontier = list(elems)
+def elementwise_generates(group, gens):
+    """Whether the element indices `gens` generate the group: their closure
+    under products with them and their inverses by the vector law."""
+    seen = set(gens)
+    frontier = list(gens)
     while frontier:
-        e = frontier.pop()
-        for g in elems:
-            for prod in (group.mul(e, g), group.mul(e, group.inv(g))):
-                if (prod.ell, prod.vec) not in seen:
-                    seen.add((prod.ell, prod.vec))
+        x = frontier.pop()
+        for y in gens:
+            for prod in (vector_mul(group, x, y), vector_mul(group, x, vector_inv(group, y))):
+                if prod not in seen:
+                    seen.add(prod)
                     frontier.append(prod)
     return len(seen) == group.order()
 
@@ -498,14 +475,14 @@ def elementwise_find_homs(p, group, fix=None):
     """Every candidate in odometer order, each relator through group_word_image."""
     fixed = fix or p.generators[0]
     others = [name for name in p.generators if name != fixed]
+    s = group.parse_elem("s")
     out = []
     for combo in itertools.product(range(group.p**group.k), repeat=len(others)):
-        images = {fixed: group.s()}
+        images = {fixed: s}
         for name, idx in zip(others, combo):
-            images[name] = group.elem(1, group.vec_of_index(idx))
-        by_index = {p.gen_index(name): e for name, e in images.items()}
-        if all(group_word_image(group, rel, by_index) == group.identity_elem()
-               for rel in p.relators):
+            images[name] = vector_mul(group, s, idx)  # s b^vec(idx)
+        by_index = {p.gen_index(name): x for name, x in images.items()}
+        if all(group_word_image(group, rel, by_index) == 0 for rel in p.relators):
             out.append((images, elementwise_generates(group, list(images.values()))))
     return out
 
@@ -537,7 +514,7 @@ def test_find_homs_matches_elementwise_search(source, group_args, fix):
     else:
         p = presentation(source)
     homs = find_homs(p, g, fix=fix)
-    assert [({name: g.element(x) for name, x in zip(p.generators, h.images)}, h.surjective)
+    assert [(dict(zip(p.generators, h.images)), h.surjective)
             for h in homs] == elementwise_find_homs(p, g, fix)
     assert homs or source == "gens: x y\nrel: x y"
 
@@ -583,12 +560,12 @@ def test_obstruction_matches_resultant_oracle():
 def test_representation_kept_per_tuple_of_images():
     # two knots with the same generator images share one representation
     g = a4_group()
-    images = indices(g, [g.s(), g.mul(g.s(), g.b(1))])
+    images = elems(g, "s", "s b1")
     p1, p2 = (wirtinger_presentation(FractionR.parse(f)) for f in ("5/27", "7/39"))
     rho = representation_blocks(images, g, p1)
     assert representation_blocks(images, g, p2) is rho
     assert g._representations[images] is rho
-    other = indices(g, [g.s(), g.mul(g.s(), g.b(2))])
+    other = elems(g, "s", "s b2")
     assert representation_blocks(other, g, p1) is not rho
 
 

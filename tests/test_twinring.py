@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metatap import exactalg
+from metatap import exactalg, twinring
 from metatap.exactalg import ZERO, ExactnessError, canonical, parse_poly
 from metatap.golden import A4_3DIM, permutation_rep, phi_verdict
 from metatap.metabelian import a4_group
@@ -343,7 +343,7 @@ def test_row_norm_from_the_closure():
     # the closure of X, Y is the 12 images xi0 gives the elements of A4,
     # closed under products and inverses; its largest row l1-norm is 2
     group = a4_group()
-    assert A4_IMAGES == {xi0(group.element(i)) for i in range(group.order())}
+    assert A4_IMAGES == {xi0(i) for i in range(group.order())}
     assert len(A4_IMAGES) == 12
     assert all(mat_mul(a, b) in A4_IMAGES for a in A4_IMAGES for b in A4_IMAGES)
     assert all(mat_inverse(a) in A4_IMAGES for a in A4_IMAGES)
@@ -379,11 +379,30 @@ def test_part_families_match_the_series():
                 assert tuple(map(tuple, m)) in signed
 
 
+def span_pass(form):
+    """(lo, hi, T) of `twisted_from_form`'s first run: the degree span and
+    the l1-norm in Z[A4] of the form's series."""
+    parts = [_part(k) for k in form.ks]
+    return twinring._recursion(form, parts, twinring._MIX_FACTOR, twinring._span_mul,
+                               twinring._span_add, twinring._span_scale)[:3]
+
+
 def test_integer_recursion_matches_series_alpha_163():
+    # and the premises of the bound that sets B hold for every form: the
+    # span pass covers the series' degrees, every row of the series has
+    # l1-norm at most ROW_NORM * T, and every coefficient of its
+    # determinant is at most (ROW_NORM * T)^3
     forms = [form for form in map(h3_expand, enumerate_fractions(163)) if form]
     assert len(forms) == 124
     for form in forms:
         assert twisted_from_form(form) == twisted_from_series(form), form
+        lo, hi, norm = span_pass(form)
+        lam = recursion_series(form)
+        assert lo <= min(lam.series) and hi >= max(lam.series), form
+        for i in range(3):
+            row_norm = sum(abs(v) for m in lam.series.values() for v in m[i])
+            assert row_norm <= ROW_NORM * norm, form
+        assert all(abs(c) <= (ROW_NORM * norm) ** 3 for _, c in lam.det().terms), form
 
 
 @given(st.data())

@@ -38,6 +38,7 @@ from metatap.oracles import (
     normalized_series,
     recursion_series,
     twisted_alexander_tables,
+    vector_inv,
 )
 from metatap.twisted import (
     TwistedResult,
@@ -330,7 +331,7 @@ def test_column_choice_independence():
         if assign is None:
             images = standard_assignment(group, p)
         else:
-            images = tuple(group.index(group.parse_elem(assign[g])) for g in p.generators)
+            images = tuple(group.parse_elem(assign[g]) for g in p.generators)
         rho = perm_rep(images, group, p)
         results = [twisted_alexander_tables(p, rho, delete=g) for g in p.generators]
         for a in results:
@@ -460,8 +461,7 @@ def test_blocks_match_full_path_golden_entries():
         p = (wirtinger_presentation(FractionR.parse(entry.source))
              if "/" in entry.source else presentation(entry.source))
         images = (standard_assignment(group, p) if entry.assignment is None else
-                  tuple(group.index(group.parse_elem(entry.assignment[g]))
-                        for g in p.generators))
+                  tuple(group.parse_elem(entry.assignment[g]) for g in p.generators))
         cases.append((p, group, images))
     assert len(cases) == 19
     for p, group, images in cases:
@@ -497,7 +497,7 @@ def test_blocks_match_full_path_bundled_knots():
     for name, group_name, fix in cases:
         p, group = presentation(name), group_from_name(group_name)
         (images,) = first_surjections(p, group, fix)
-        assert fix is None or group.element(images[p.gen_index(fix) - 1]) == group.s()
+        assert fix is None or images[p.gen_index(fix) - 1] == group.parse_elem("s")
         assert_blocks_match_full_path(p, group, images)
 
 
@@ -506,18 +506,18 @@ def test_blocks_match_full_path_abelian_assignment():
     for frac, group in (("5/27", a4_group()), ("1/5", build_group(5, 2)),
                         ("3/5", build_group(4, 3)), ("1/5", build_group(2, 5))):
         p = wirtinger_presentation(FractionR.parse(frac))
-        images = (group.index(group.s()),) * p.num_generators
+        images = (group.parse_elem("s"),) * p.num_generators
         assert twisted_alexander_tables(p, perm_rep(images, group, p)).invariant is None
         assert_blocks_match_full_path(p, group, images)
-        for elem in (group.b(1), group.identity_elem()):
-            assert_blocks_match_full_path(p, group, (group.index(elem),) * p.num_generators)
+        for text in ("b1", "1"):
+            assert_blocks_match_full_path(p, group, (group.parse_elem(text),) * p.num_generators)
 
 
 def test_blocks_match_full_path_zero_invariant():
     # a freely trivial relator: every numerator block vanishes
     p = parse_presentation("gens: x y\nrel: x y Y X\n")
     group = build_group(5, 2)
-    images = (group.index(group.s()), group.index(group.mul(group.s(), group.b(1))))
+    images = (group.parse_elem("s"), group.parse_elem("s b1"))
     assert twisted_alexander_tables(p, perm_rep(images, group, p)).invariant == ZERO
     assert_blocks_match_full_path(p, group, images)
 
@@ -570,7 +570,7 @@ def test_evaluated_determinants_match_bareiss_tables(data):
     letters = {}
     for g in range(1, ngen + 1):
         x = data.draw(st.integers(0, order - 1))
-        letters[g], letters[-g] = x, group.index(group.inv(group.element(x)))
+        letters[g], letters[-g] = x, vector_inv(group, x)
     blocks = support_blocks(group.p**group.k,
                             [group.character_image(letters[g]) for g in range(1, ngen + 1)])
     rho = Representation(group, letters, blocks)
@@ -587,9 +587,9 @@ def test_evaluated_determinants_match_bareiss_tables(data):
 
 def test_support_split_rejects_entry_outside_blocks(monkeypatch):
     group = MetaGroup(5, 2)  # not the shared group: its images get tampered
-    g = group.mul(group.s(), group.b(1))
-    x, x_inv = group.index(g), group.index(group.inv(g))
-    q = group.character_matrix(g)
+    x = group.parse_elem("s b1")
+    x_inv = vector_inv(group, x)
+    q = group.character_matrix(x)
     image = group.character_image(x)
     assert image == tuple((w, u, v) for w, row in enumerate(q)
                           for u, v in enumerate(row) if v)

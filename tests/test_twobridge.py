@@ -285,7 +285,7 @@ def test_fox_jacobian_matches_fox_derivative_jacobian():
             images = standard_assignment(group, p)
         else:
             p = presentation(source)
-            images = tuple(group.index(group.parse_elem(assign[g])) for g in p.generators)
+            images = tuple(group.parse_elem(assign[g]) for g in p.generators)
         reps = [trivial_rep(p), perm_rep(images, group, p)]
         if group == a4_group():
             reps.append(xi0_rep(images, group))
