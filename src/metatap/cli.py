@@ -5,7 +5,8 @@ Subcommands:
   scan       batch verification over all 2-bridge fractions up to a bound
   find-reps  list homomorphism assignments onto a metabelian group
   h3         continued-fraction certificate [3k1, 2m1, ...] for a fraction
-  selftest   recompute the golden values and report pass/fail lines
+  selftest   check every golden value through compute's own steps
+             (`compute`), one pass/fail line each
 
 Exit codes: 0 computed, 1 input error (or a closed stdout), 2 no
 representation (or, for h3, a fraction not in H(3)), 3 internal
@@ -39,6 +40,7 @@ import sys
 import time
 from functools import cache
 from pathlib import Path
+from typing import Optional
 
 from .characters import representation_blocks
 from .exactalg import ExactnessError, LaurentPoly
@@ -191,60 +193,75 @@ def _cross_path_status(records: list[dict]) -> int:
     return EXIT_INTERNAL
 
 
-def _gather_assignments(p, group, args) -> list[HomAssignment]:
-    """Either the explicit --assign, or the find_homs results."""
-    if args.assign:
-        return [_parse_assignment(args.assign, group, p)]
-    return [h for h in find_homs(p, group, fix=args.fix) if h.surjective or args.all]
-
-
 def _load_input(args):
     """The presentation, its Alexander polynomial, the input's name and the
-    fraction (None for --pres), from --r or --pres.  A --pres that is not
-    a knot group's is an input error."""
+    fraction (None for --pres), from --r or --pres (`knot_input`)."""
     if args.r is not None:
         r = FractionR.parse(args.r)
-        p = wirtinger_presentation(r)
-        return p, alexander_poly(p), str(r), r
+        return knot_input(wirtinger_presentation(r), str(r), r)
     p = load_presentation(args.pres)
+    return knot_input(p, p.name or args.pres, None)
+
+
+def knot_input(p: Presentation, name: str, r: Optional[FractionR]):
+    """(p, its Alexander polynomial, name, r), where r is the 2-bridge
+    fraction p comes from, or None.  A presentation that is not a knot
+    group's is an input error."""
     try:
         delta = alexander_poly(p)
     except NotAKnotGroupError as e:
         raise InputError(str(e)) from None
-    return p, delta, p.name or args.pres, None
+    return p, delta, name, r
 
 
-def cmd_compute(args) -> int:
-    group = group_from_name(args.group)
-    p, delta, input_name, r = _load_input(args)
-    if not args.assign and not obstruction_passes(delta, group):
+def compute(p: Presentation, delta: LaurentPoly, input_name: str,
+            r: Optional[FractionR], group: MetaGroup, *, assign: Optional[str],
+            fix: Optional[str], include_all: bool,
+            cross_check: bool) -> tuple[int, list[dict]]:
+    """compute's steps after the input is loaded (`knot_input`): the exit
+    status and the records.  The assignments are the --assign text or the
+    find_homs results; `include_all` keeps the non-surjective ones.  The
+    "no representation" messages and the cross-path summary go to stderr.
+    """
+    if not assign and not obstruction_passes(delta, group):
         print(
             f"no representation: the resultant obstruction rules out a "
             f"surjection of {input_name} onto {group.name()}",
             file=sys.stderr)
-        return EXIT_NO_REP
-    homs = _gather_assignments(p, group, args)
+        return EXIT_NO_REP, []
+    if assign:
+        homs = [_parse_assignment(assign, group, p)]
+    else:
+        homs = [h for h in find_homs(p, group, fix=fix) if h.surjective or include_all]
     if not homs:
         print(f"no representation of {input_name} onto {group.name()} found",
               file=sys.stderr)
-        return EXIT_NO_REP
+        return EXIT_NO_REP, []
     recursion_value = None
-    if args.cross_check and group == a4_group() and r is not None:
+    if cross_check and group == a4_group() and r is not None:
         form = h3_expand(r)
         if form is not None:
             recursion_value = twisted_from_form(form)
     records = _compute_records(p, group, delta, homs, unit_classes(group, homs),
                                [_assignment_str(h.images, group, p) for h in homs],
                                input_name, recursion_value,
-                               skip_non_polynomial=args.all and not args.assign,
+                               skip_non_polynomial=include_all and not assign,
                                user_presentation=r is None)
     if not records:
         print(f"no representation of {input_name} onto {group.name()} "
               f"has a polynomial invariant", file=sys.stderr)
-        return EXIT_NO_REP
+        return EXIT_NO_REP, []
+    return _cross_path_status(records), records
+
+
+def cmd_compute(args) -> int:
+    group = group_from_name(args.group)
+    status, records = compute(*_load_input(args), group, assign=args.assign,
+                              fix=args.fix, include_all=args.all,
+                              cross_check=args.cross_check)
     for rec in records:
         print(json.dumps(rec))
-    return _cross_path_status(records)
+    return status
 
 
 def _scan_one(packed):
@@ -382,8 +399,7 @@ def cmd_h3(args) -> int:
 def cmd_selftest(args) -> int:
     from . import selftest
 
-    failures = selftest.run(quick=args.quick, p7=args.p7, out=sys.stdout)
-    return EXIT_OK if failures == 0 else EXIT_INTERNAL
+    return EXIT_OK if selftest.run() == 0 else EXIT_INTERNAL
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -446,11 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_h3)
 
     sp = sub.add_parser("selftest", help="recompute the golden values")
-    sp.add_argument("--quick", action="store_true",
-                    help="skip the slower high-dimensional cases")
-    sp.add_argument("--p7", action="store_true",
-                    help="also run the optional 64-dimensional torus-knot "
-                         "check (reported, not asserted)")
     sp.set_defaults(func=cmd_selftest)
     return parser
 

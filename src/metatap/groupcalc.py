@@ -20,7 +20,6 @@ from typing import Callable, Iterable, Iterator
 from .exactalg import LaurentPoly, kronecker_det
 
 
-Letter = int
 WordTuple = tuple[int, ...]
 
 

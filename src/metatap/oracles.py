@@ -428,14 +428,14 @@ def check_factorization(twisted: LaurentPoly, delta: LaurentPoly, n: int) -> Ver
     one_minus_t = LaurentPoly([(0, 1), (1, -1)])
     quotient = exact_div(twisted * one_minus_t, delta)
     if quotient is None:
-        return Verdict(False, None, n, "Delta/(1-t) does not divide the invariant")
+        return Verdict(False, None, "Delta/(1-t) does not divide the invariant")
     if quotient.is_zero():
-        return Verdict(False, None, n, "invariant is zero")
+        return Verdict(False, None, "invariant is zero")
     phi = canonical(quotient)
     if not supported_on_multiples(phi, n):
         bad = next(d for d, _ in phi.terms if d % n)
-        return Verdict(False, phi, n, f"phi has a term of degree {bad} not divisible by {n}")
-    return Verdict(True, phi, n, "")
+        return Verdict(False, phi, f"phi has a term of degree {bad} not divisible by {n}")
+    return Verdict(True, phi, "")
 
 
 def word_image(rho: MatrixRep, word: Word) -> Mat:

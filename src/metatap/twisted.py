@@ -41,7 +41,6 @@ from .exactalg import (
     supported_on_multiples,
 )
 from .groupcalc import Presentation, fox_determinant
-from .metabelian import MetaGroup
 
 
 def _denominator(entries, dim: int) -> LaurentPoly:
@@ -145,7 +144,6 @@ class Verdict:
 
     holds: bool
     phi: Optional[LaurentPoly]
-    n: int
     details: str = ""
 
 
@@ -170,21 +168,12 @@ def block_verdict(result: TwistedResult, delta: LaurentPoly, n: int) -> Verdict:
             f"the trivial block gives {trivial_num} / {trivial_den}, "
             f"not +-t^k ({delta}) / +-t^j (1 - t)")
     if result.rest is None:
-        return Verdict(False, None, n, "Delta/(1-t) does not divide the invariant")
+        return Verdict(False, None, "Delta/(1-t) does not divide the invariant")
     if result.rest.is_zero():
-        return Verdict(False, None, n, "invariant is zero")
+        return Verdict(False, None, "invariant is zero")
     phi = canonical(result.rest)
     if not supported_on_multiples(phi, n):
         bad = next(d for d, _ in phi.terms if d % n)
-        return Verdict(False, phi, n, f"phi has a term of degree {bad} not divisible by {n}")
-    return Verdict(True, phi, n, "")
+        return Verdict(False, phi, f"phi has a term of degree {bad} not divisible by {n}")
+    return Verdict(True, phi, "")
 
-
-def standard_assignment(group: MetaGroup, p: Presentation) -> tuple[int, int]:
-    """The element indices of f(x) = s, f(y) = s b1 for a 2-generator
-    presentation; over A4 the 3-dimensional block sends them to
-    `twinring.X` and `twinring.Y`."""
-    if p.num_generators != 2:
-        raise ValueError("standard assignment applies to 2-generator presentations")
-    size = group.p**group.k
-    return size, size + group.coset_index((1,) + (0,) * (group.k - 1))

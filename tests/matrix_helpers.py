@@ -1,9 +1,31 @@
-"""Test helpers for integer and polynomial matrices and for the matrix
-representations the tests compare with the character blocks."""
+"""Test helpers for integer and polynomial matrices, for the matrix
+representations the tests compare with the character blocks, and for
+loading a knot and an assignment as `compute` reads them."""
 
+from metatap.characters import Representation, representation_blocks
+from metatap.cli import _parse_assignment
+from metatap.golden import STANDARD
+from metatap.groupcalc import Presentation
 from metatap.intmat import Mat, identity, mat_inverse, mat_mul
+from metatap.metabelian import MetaGroup
 from metatap.oracles import MatrixRep, PolyMatrix
+from metatap.selftest import golden_input
 from metatap.twinring import X, Y
+
+
+def assigned_blocks(source: str, group: MetaGroup,
+                    assign: str = STANDARD) -> tuple[Presentation, Representation]:
+    """The presentation of `source`, a 2-bridge fraction or a bundled knot
+    (`selftest.golden_input`), and the character blocks of the assignment
+    onto `group` given by the --assign text `assign`, read as `compute`
+    reads it (an InputError when it is no homomorphism)."""
+    p = golden_input(source)[0]
+    return p, representation_blocks(_parse_assignment(assign, group, p).images, group, p)
+
+
+def generator_images(rho: Representation) -> tuple[int, ...]:
+    """The element indices of the generators' images under `rho`."""
+    return tuple(rho.letters[g] for g in rho.block_images)
 
 
 def from_entries(rows) -> PolyMatrix:

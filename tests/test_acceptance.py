@@ -11,20 +11,20 @@ same invariant, which differs from those records by a factor (1 - t^5)^4
 test_nonrational_16_dim_structure.
 """
 
+import importlib
 import random
-import time
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
-from metatap.exactalg import canonical
+from metatap.exactalg import canonical, parse_poly
 from metatap.golden import (
-    A4_3DIM, CONJUGATION, COSET_CYCLE_TYPES, PHI, TORUS, permutation_rep, phi_verdict,
-    structure_checks, torus_prediction)
-from metatap.groupcalc import Word
+    A4_3DIM, CONJUGATION, COSET_CYCLE_TYPES, PHI, STANDARD, TORUS, torus_prediction)
+from metatap.groupcalc import InputError, Word
 from metatap.intmat import identity, mat_add, mat_mul, mat_scale, mat_sub, zeros
 from metatap.metabelian import (
-    NotHomomorphismError,
     a4_group,
     build_group,
     cycle_type,
@@ -48,6 +48,7 @@ from metatap.oracles import (
     vector_mul,
     yx_geometric,
 )
+from metatap.selftest import golden_record, structure_checks
 from metatap.twisted import twisted_alexander
 from metatap.twinring import X, XINV, XINV_YINV, Y, YINV, YX, twisted_from_form
 from metatap.twobridge import (
@@ -56,14 +57,14 @@ from metatap.twobridge import (
     h3_expand,
 )
 
-from matrix_helpers import block_reps, mat_pow
+from matrix_helpers import assigned_blocks, block_reps, mat_pow
 
 
 def a4_phi(frac: str):
-    """phi of the standard assignment's block path onto A4: the 3-dim
-    twisted polynomial, since the 4-dim permutation representation is the
-    trivial one plus the 3-dim one."""
-    return phi_verdict(*permutation_rep(frac, a4_group()), 3).phi
+    """phi of compute's record for the standard assignment onto A4: the
+    3-dim twisted polynomial, since the 4-dim permutation representation
+    is the trivial one plus the 3-dim one."""
+    return parse_poly(golden_record(frac, "A4", STANDARD)["phi"])
 
 
 def report(label):
@@ -76,15 +77,11 @@ def golden_cases(group, bundled=False):
 
 
 def assert_phi(entries):
+    # each entry's record, as selftest reads it from compute
     for entry in entries:
-        t0 = time.monotonic()
-        v = entry.verdict()
-        elapsed = time.monotonic() - t0
-        assert v.holds, f"support test failed for {entry.label}"
-        assert v.phi == canonical(entry.value), entry.label
-        if entry.budget_s is not None:
-            assert elapsed < entry.budget_s, \
-                f"{entry.label} took {elapsed:.0f}s (budget {entry.budget_s:.0f}s)"
+        rec = golden_record(entry.source, entry.group, entry.assignment)
+        assert rec["holds"], f"support test failed for {entry.label}"
+        assert rec["phi"] == str(canonical(entry.value)), entry.label
 
 
 NINE_DIM = golden_cases("M(4|3,2)")
@@ -106,7 +103,7 @@ def test_every_golden_entry_is_an_acceptance_case():
 def test_two_bridge_a4_goldens():
     # the 3-dim character block on its own, and phi of the 4-dim blocks
     for frac, value in A4_3DIM.items():
-        p, rho = permutation_rep(frac, a4_group())
+        p, rho = assigned_blocks(frac, a4_group())
         assert rho.dims == [1, 3]
         three = block_reps(rho)[1]
         assert twisted_alexander_tables(p, three).invariant == \
@@ -126,11 +123,11 @@ def test_base_anchor():
 
 def test_torus_knot_binary_targets():
     assert_phi(TORUS)
-    # exponent formula m = 2^(p-2) - floor((2^(p-1) - 1)/p) at p = 3 and 5
+    # exponent formula m = 2^(p-2) - floor((2^(p-1) - 1)/p) at p = 3, 5 and 7
     for entry in TORUS:
         n = group_from_name(entry.group).n
         assert canonical(torus_prediction(n)) == canonical(entry.value), entry.label
-    report("torus knots K(1/3), K(1/5) onto M(p|2,p-1) + exponent formula")
+    report("torus knots K(1/3), K(1/5), K(1/7) onto M(p|2,p-1) + exponent formula")
 
 
 # -- 4: the nine-dimensional values ----------------------------------------------
@@ -144,7 +141,7 @@ def test_nine_dim_values():
 
 def test_twenty_five_dim_values():
     assert_phi(TWENTY_FIVE_DIM)
-    report("25-dimensional phi values for M(3|5,2) within time budget")
+    report("25-dimensional phi values for M(3|5,2)")
 
 
 # -- 6: reducible companion matrix -----------------------------------------------
@@ -172,7 +169,7 @@ def test_nonrational_a4_values():
                f" computed value is asserted by test_nonrational_16_dim_structure"))
     for e in PHI if e.recorded is not None])
 def test_nonrational_m524_recorded_value(entry):
-    phi = entry.verdict().phi
+    phi = parse_poly(golden_record(entry.source, entry.group, entry.assignment)["phi"])
     if phi != canonical(entry.recorded):
         print(f"ACCEPTANCE {entry.source} 16-dim recorded value: FAIL (known "
               f"defect in the recorded value; frozen computed value is verified)")
@@ -198,7 +195,7 @@ def test_h3_sweep_cross_path_alpha_99():
             continue
         try:
             fox_value = a4_phi(str(r))
-        except NotHomomorphismError:
+        except InputError:  # the standard assignment is no homomorphism
             continue
         members += 1
         # t^3 support, and both computation paths agree
@@ -313,9 +310,10 @@ def test_properties_column_independence_acceptance_inputs():
     # entry's character blocks through the production path
     inputs = []
     for frac in A4_3DIM:
-        p, rho = permutation_rep(frac, a4_group())
+        p, rho = assigned_blocks(frac, a4_group())
         inputs.append((twisted_alexander_tables, p, block_reps(rho)[1]))
-    inputs.extend((twisted_alexander, *entry.representation()) for entry in PHI)
+    inputs.extend((twisted_alexander, *assigned_blocks(
+        entry.source, group_from_name(entry.group), entry.assignment)) for entry in PHI)
     for twisted, p, rho in inputs:
         results = [twisted(p, rho, delete=name) for name in p.generators]
         first = results[0]
@@ -366,3 +364,28 @@ def test_m524_structure_goldens():
         assert cycle_type([row.index(1) for row in perm_matrix(g, vector_word(g, text))]) \
             == want
     report("M(5|2,4) conjugation relations + M(4|3,2) coset cycle types")
+
+
+# -- 11: the benchmark's golden anchor restates this table -------------------------
+
+def test_benchmark_anchor_agrees_with_golden_table(monkeypatch):
+    # perfbench/anchor.py keeps its own copy of nine phi values, the
+    # recorded 10_145 value and the golden assignment; each must be the
+    # table's (the module is only imported, never changed)
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))
+    monkeypatch.delitem(sys.modules, "anchor", raising=False)
+    anchor = importlib.import_module("anchor")
+    assert anchor.GOLDEN_ASSIGNMENT == STANDARD
+    entries = anchor.golden(parse_poly)
+    assert len(entries) == 9
+    for _, argv, phi, recorded in entries:
+        # compute --r <fraction> --group <group>, or --pres <name>
+        assert argv[0] == "compute" and argv[1] in ("--r", "--pres") and argv[3] == "--group"
+        source, group = argv[2], argv[4]
+        entry = next(e for e in PHI if (e.source, e.group) == (source, group))
+        assert canonical(phi) == canonical(entry.value), entry.label
+        assert (recorded is None) == (entry.recorded is None), entry.label
+        if recorded is not None:
+            assert canonical(recorded) == canonical(entry.recorded), entry.label
+    report("benchmark anchor restates the golden table")

@@ -22,17 +22,15 @@ from hypothesis import strategies as st
 from metatap import characters, cli, exactalg, metabelian, twisted
 from metatap.cli import main
 from metatap.exactalg import canonical, parse_poly
-from metatap.golden import A4_3DIM, ALEXANDER, PHI, phi_value, structure_checks
-from metatap.knotdata import presentation
+from metatap.golden import A4_3DIM, ALEXANDER, PHI, TORUS, phi_value
 from metatap.metabelian import MetaGroup, build_group, find_homs, group_from_name
 from metatap.oracles import (
     check_factorization, det_bareiss, perm_rep, phi_generator_minus_one,
     twisted_alexander_tables)
+from metatap.selftest import golden_input, structure_checks
 from metatap.twisted import twisted_alexander
 from metatap.twobridge import (
-    FractionR,
     H3Form,
-    alexander_poly,
     enumerate_fractions,
     wirtinger_presentation,
 )
@@ -617,7 +615,9 @@ def test_compute_determinants_match_bareiss_oracle(monkeypatch, flag, source, gr
         assert value == det_bareiss(m)
 
 
-# Every golden input of the suite.  compute takes one determinant per class;
+# Every golden input of the suite but the 64-dimensional K(1/7), whose 49
+# surjections would take about 30 s each on the full path; one of them is
+# checked by test_slow_optional.  compute takes one determinant per class;
 # the reference runs perm_rep + twisted_alexander_tables on each assignment alone,
 # which takes 10-35 s for each of the inputs marked slow (run with -m slow).
 _SLOW = {("7/11", "M(3|5,2)"), ("9/23", "M(3|5,2)"), ("9/31", "M(3|5,2)"),
@@ -626,7 +626,8 @@ ORACLE_INPUTS = [
     pytest.param("--r" if "/" in source else "--pres", source, group,
                  marks=[pytest.mark.slow] if (source, group) in _SLOW else [])
     for source, group in dict.fromkeys(
-        [(frac, "A4") for frac in A4_3DIM] + [(e.source, e.group) for e in PHI])
+        [(frac, "A4") for frac in A4_3DIM]
+        + [(e.source, e.group) for e in PHI if e.group != "M(7|2,6)"])
 ]
 
 
@@ -636,13 +637,7 @@ def test_compute_matches_per_assignment_path(source, name, group_name):
     assert code == 0
     records = strip_millis([json.loads(line) for line in out.splitlines()])
     group = group_from_name(group_name)
-    if source == "--r":
-        r = FractionR.parse(name)
-        p = wirtinger_presentation(r)
-        delta = alexander_poly(p)
-    else:
-        p = presentation(name)
-        delta = alexander_poly(p)
+    p, delta, _, _ = golden_input(name)
     expected = []
     for h in find_homs(p, group):
         if not h.surjective:
@@ -650,7 +645,7 @@ def test_compute_matches_per_assignment_path(source, name, group_name):
         invariant = twisted_alexander_tables(p, perm_rep(h.images, group, p)).invariant
         verdict = check_factorization(invariant, delta, group.n)
         expected.append({
-            "input": str(r) if source == "--r" else p.name,
+            "input": name,
             "group": group.name(),
             "assignment": "; ".join(f"{g}={group.elem_str(x)}"
                                     for g, x in zip(p.generators, h.images)),
@@ -974,34 +969,38 @@ def test_scan_to_closed_stdout_exits_1_quietly():
 
 # -- selftest -----------------------------------------------------------------
 
-def selftest_labels(out):
-    return [line[len("PASS  "):].split(" [")[0] for line in out.splitlines()
-            if line.startswith("PASS  ")]
-
-
-def test_selftest_quick():
-    code, out, _ = run_cli("selftest", "--quick")
-    assert code == 0
-    assert "FAIL" not in out
-    assert "all checks passed" in out
-    labels = selftest_labels(out)
-    assert [e.label for e in PHI if e.label in labels] == \
-        [e.label for e in PHI if e.quick]
-
-
 def test_selftest_reports_every_golden_entry():
+    # one PASS line per check, in the table's order, a NOTE after each
+    # recorded value, and the summary last
+    code, out, _ = run_cli("selftest")
+    assert code == 0
+    lines = out.splitlines()
+    labels = [line[len("PASS  "):] for line in lines if line.startswith("PASS  ")]
+    expected = [f"3-dim twisted K({frac}) via {path}"
+                for frac in A4_3DIM for path in ("Fox calculus", "cf recursion")]
+    expected += [e.label for e in TORUS]
+    expected.append("torus-knot exponent formula (p=3, p=5, p=7)")
+    expected += [label for label, _ in structure_checks()]
+    for e in PHI[len(TORUS):]:
+        if e.source in ALEXANDER:
+            expected.append(f"{e.source} Alexander polynomial")
+        expected.append(e.label)
+    assert labels == expected
+    notes = sum(line.startswith("NOTE  ") for line in lines)
+    assert notes == sum(e.recorded is not None for e in PHI) == 2
+    assert len(lines) == len(labels) + notes + 1
+    assert lines[-1] == "selftest: all checks passed"
+
+
+def test_selftest_reads_bundled_knots_from_the_package(tmp_path, monkeypatch):
+    # files named like the bundled knots, each holding the trefoil, in the
+    # working directory: `compute --pres 8_5` would read them, selftest not
+    for name in ("8_5", "10_145", "10_159"):
+        (tmp_path / name).write_text("gens: x y\nrel: x y x Y X Y\n")
+    monkeypatch.chdir(tmp_path)
     code, out, _ = run_cli("selftest")
     assert code == 0
     assert "FAIL" not in out
-    labels = selftest_labels(out)
-    for frac in A4_3DIM:
-        assert f"3-dim twisted K({frac}) via Fox calculus" in labels
-        assert f"3-dim twisted K({frac}) via cf recursion" in labels
-    for name in ALEXANDER:
-        assert f"{name} Alexander polynomial" in labels
-    assert all(e.label in labels for e in PHI)
-    assert all(label in labels for label, _ in structure_checks())
-    assert out.count("\nNOTE  ") == sum(e.recorded is not None for e in PHI)
 
 
 # -- the exit-code contract under fuzzing --------------------------------------

@@ -34,11 +34,11 @@ from metatap.oracles import (
     MatrixRep, PolyMatrix, group_word_image, perm_matrix, perm_rep, resultant,
     trivial_rep, vector_inv, vector_mul, word_image)
 from metatap.twinring import X, Y
-from metatap.twisted import standard_assignment
+from metatap.selftest import golden_input
 from metatap.twobridge import (
     FractionR, alexander_poly, enumerate_fractions, wirtinger_presentation)
 
-from matrix_helpers import mat_pow, xi0
+from matrix_helpers import assigned_blocks, generator_images, mat_pow, xi0
 
 P = parse_poly
 
@@ -349,9 +349,8 @@ def test_representation_checks_each_image_against_its_inverse():
     # the block images of every generator times the blocks of its inverse
     # element are I; blocks that are not inverse to each other are an
     # internal failure
-    p = wirtinger_presentation(FractionR(1, 3))
     g = a4_group()
-    rho = representation_blocks(standard_assignment(g, p), g, p)
+    _, rho = assigned_blocks("1/3", g)
     for gen, images in rho.block_images.items():
         inverses = rho.matrices(rho.letters[-gen])
         assert all(mat_mul(m, inv) == identity(len(m))
@@ -375,8 +374,7 @@ def test_xi0_is_homomorphism():
     # twinring's X and Y satisfy the group law of M(3|2,2), and xi0 has the
     # character of the 3-dimensional block of the character images
     g = a4_group()
-    p = wirtinger_presentation(FractionR(1, 3))
-    rho = representation_blocks(standard_assignment(g, p), g, p)
+    _, rho = assigned_blocks("1/3", g)
     for a in range(g.order()):
         for b in range(g.order()):
             assert mat_mul(xi0(a), xi0(b)) == xi0(vector_mul(g, a, b))
@@ -395,11 +393,10 @@ def test_permutation_rep_splits_off_xi0():
     # characteristic polynomials of the generator images, against
     # twinring's X and Y and against the character blocks
     g = a4_group()
-    p = wirtinger_presentation(FractionR(1, 3))
-    imgs = elems(g, "s", "s b1")
-    assert imgs == standard_assignment(g, p)
+    p, blocks = assigned_blocks("1/3", g)
+    imgs = generator_images(blocks)
+    assert imgs == elems(g, "s", "s b1")
     rho4 = perm_rep(imgs, g, p)
-    blocks = representation_blocks(imgs, g, p)
     tminus1 = P("-1 + t")
     for gen, m3 in ((1, X), (2, Y)):
         c4 = charpoly(rho4.images[gen])
@@ -507,12 +504,8 @@ def elementwise_find_homs(p, group, fix=None):
 ])
 def test_find_homs_matches_elementwise_search(source, group_args, fix):
     g = build_group(*group_args)
-    if isinstance(source, FractionR):
-        p = wirtinger_presentation(source)
-    elif source.startswith("gens:"):
-        p = parse_presentation(source)
-    else:
-        p = presentation(source)
+    source = str(source)
+    p = parse_presentation(source) if source.startswith("gens:") else golden_input(source)[0]
     homs = find_homs(p, g, fix=fix)
     assert [(dict(zip(p.generators, h.images)), h.surjective)
             for h in homs] == elementwise_find_homs(p, g, fix)

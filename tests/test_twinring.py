@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from metatap import exactalg, twinring
 from metatap.exactalg import ZERO, ExactnessError, canonical, parse_poly
-from metatap.golden import A4_3DIM, permutation_rep, phi_verdict
+from metatap.golden import A4_3DIM, STANDARD
 from metatap.metabelian import a4_group
 from metatap.intmat import (
     identity, mat_add, mat_inverse, mat_mul, mat_scale, mat_sub, zeros)
@@ -30,6 +30,7 @@ from metatap.oracles import (
     twisted_from_series,
     yx_geometric,
 )
+from metatap.selftest import golden_record
 from metatap.twinring import (
     A4_IMAGES,
     ROW_NORM,
@@ -330,9 +331,10 @@ def test_cross_path_sample():
             b, a = val.numerator, val.denominator
             if a % 2 == 0 or abs(b) % 2 == 0 or not 0 < b < a:
                 continue
-            # phi of the standard assignment's blocks is the 3-dim invariant
-            phi = phi_verdict(*permutation_rep(f"{b}/{a}", a4_group()), 3).phi
-            assert twisted_from_form(form) == phi
+            # phi of compute's record for the standard assignment is the
+            # 3-dim invariant
+            phi = golden_record(f"{b}/{a}", "A4", STANDARD)["phi"]
+            assert twisted_from_form(form) == parse_poly(phi)
             checked += 1
     assert checked >= 12
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from metatap.exactalg import (
     ONE, ZERO, ExactnessError, LaurentPoly, canonical, exact_div, parse_poly)
-from metatap.golden import A4_3DIM, PHI, phi_value
+from metatap.golden import A4_3DIM, PHI, STANDARD, phi_value
 from metatap.groupcalc import Presentation, Word, fox_determinant, parse_presentation
 from metatap.intmat import identity, mat_inverse, mat_mul
 from metatap.knotdata import presentation
@@ -44,7 +44,6 @@ from metatap.twisted import (
     TwistedResult,
     _denominator,
     block_verdict,
-    standard_assignment,
     twisted_alexander,
 )
 from metatap.twobridge import (
@@ -55,15 +54,16 @@ from metatap.twobridge import (
     wirtinger_presentation,
 )
 
-from matrix_helpers import block_reps, same_ratio, xi0_rep
+from matrix_helpers import (
+    assigned_blocks, block_reps, generator_images, same_ratio, xi0_rep)
 
 P = parse_poly
 ONE_MINUS_T = P("1 - t")
 
 
 def a4_rho3(r: FractionR):
-    p = wirtinger_presentation(r)
-    return p, xi0_rep(standard_assignment(a4_group(), p), a4_group())
+    p, rho = assigned_blocks(str(r), a4_group())
+    return p, xi0_rep(generator_images(rho), a4_group())
 
 
 # -- phi_map ------------------------------------------------------------------
@@ -126,12 +126,12 @@ def _series_test_reps():
     block and perm_rep representations of two knot groups."""
     out = []
     for frac, group in (("5/27", a4_group()), ("3/5", build_group(4, 3))):
-        p = wirtinger_presentation(FractionR.parse(frac))
-        images = standard_assignment(group, p)
+        p, blocks = assigned_blocks(frac, group)
+        images = generator_images(blocks)
         out.append((p, trivial_rep(p)))
         if group == a4_group():
             out.append((p, xi0_rep(images, group)))
-        out += [(p, rho) for rho in block_reps(representation_blocks(images, group, p))]
+        out += [(p, rho) for rho in block_reps(blocks)]
         out.append((p, perm_rep(images, group, p)))
     return out
 
@@ -310,10 +310,9 @@ def test_trivial_rep_times_one_minus_t_is_alexander():
 
 
 def test_k15_sixteen_dim():
-    r = FractionR(1, 5)
-    p = wirtinger_presentation(r)
     g = build_group(5, 2)
-    rho = perm_rep(standard_assignment(g, p), g, p)
+    p, blocks = assigned_blocks("1/5", g)
+    rho = perm_rep(generator_images(blocks), g, p)
     res = twisted_alexander_tables(p, rho)
     delta = alexander_poly(p)
     gold = exact_div(delta * phi_value("1/5", "M(5|2,4)"), ONE_MINUS_T)
@@ -322,17 +321,13 @@ def test_k15_sixteen_dim():
 
 def test_column_choice_independence():
     inputs = [
-        (wirtinger_presentation(FractionR(5, 27)), None, a4_group()),
-        (presentation("8_5"), {"x": "s", "y": "s b1", "z": "s"}, a4_group()),
-        (presentation("10_159"), {"x": "s", "y": "s b1 b4", "z": "s b1"},
-         build_group(5, 2)),
+        ("5/27", STANDARD, a4_group()),
+        ("8_5", "x=s; y=s b1; z=s", a4_group()),
+        ("10_159", "x=s; y=s b1 b4; z=s b1", build_group(5, 2)),
     ]
-    for p, assign, group in inputs:
-        if assign is None:
-            images = standard_assignment(group, p)
-        else:
-            images = tuple(group.parse_elem(assign[g]) for g in p.generators)
-        rho = perm_rep(images, group, p)
+    for source, assign, group in inputs:
+        p, blocks = assigned_blocks(source, group, assign)
+        rho = perm_rep(generator_images(blocks), group, p)
         results = [twisted_alexander_tables(p, rho, delete=g) for g in p.generators]
         for a in results:
             for b in results:
@@ -346,11 +341,9 @@ def test_splitting_identity_two_bridge():
     # 4-dim permutation invariant = [Delta/(1-t)] * 3-dim invariant
     g = a4_group()
     for frac in ("1/3", "1/9", "5/27", "11/27"):
-        r = FractionR.parse(frac)
-        p = wirtinger_presentation(r)
-        images = standard_assignment(g, p)
-        inv4 = twisted_alexander_tables(p, perm_rep(images, g, p)).invariant
-        trivial, three = block_reps(representation_blocks(images, g, p))
+        p, blocks = assigned_blocks(frac, g)
+        inv4 = twisted_alexander_tables(p, perm_rep(generator_images(blocks), g, p)).invariant
+        trivial, three = block_reps(blocks)
         inv3 = twisted_alexander_tables(p, three).invariant
         delta = alexander_poly(p)
         assert canonical(inv4 * ONE_MINUS_T) == canonical(delta * inv3)
@@ -359,10 +352,9 @@ def test_splitting_identity_two_bridge():
 # -- verdicts -----------------------------------------------------------------
 
 def test_check_factorization_golden():
-    r = FractionR(5, 27)
-    p = wirtinger_presentation(r)
     g = a4_group()
-    rho = perm_rep(standard_assignment(g, p), g, p)
+    p, blocks = assigned_blocks("5/27", g)
+    rho = perm_rep(generator_images(blocks), g, p)
     res = twisted_alexander_tables(p, rho)
     v = check_factorization(res.invariant, alexander_poly(p), 3)
     assert v.holds
@@ -449,20 +441,16 @@ def two_bridge_surjections(group, alpha_max):
 
 def test_blocks_match_full_path_golden_entries():
     # every golden entry except three M(3|5,2) ones, whose full path the
-    # slow oracle in test_cli covers
+    # slow oracle in test_cli covers, and the 64-dimensional K(1/7), which
+    # test_slow_optional covers
     cases = []
-    for frac in A4_3DIM:
-        p = wirtinger_presentation(FractionR.parse(frac))
-        cases.append((p, a4_group(), standard_assignment(a4_group(), p)))
-    for entry in PHI:
-        if entry.group == "M(3|5,2)" and entry.source != "3/7":
-            continue
-        group = group_from_name(entry.group)
-        p = (wirtinger_presentation(FractionR.parse(entry.source))
-             if "/" in entry.source else presentation(entry.source))
-        images = (standard_assignment(group, p) if entry.assignment is None else
-                  tuple(group.parse_elem(entry.assignment[g]) for g in p.generators))
-        cases.append((p, group, images))
+    for source, group_name, assign in (
+            [(frac, "A4", STANDARD) for frac in A4_3DIM]
+            + [(e.source, e.group, e.assignment) for e in PHI
+               if e.group not in ("M(3|5,2)", "M(7|2,6)") or e.source == "3/7"]):
+        group = group_from_name(group_name)
+        p, rho = assigned_blocks(source, group, assign)
+        cases.append((p, group, generator_images(rho)))
     assert len(cases) == 19
     for p, group, images in cases:
         assert_blocks_match_full_path(p, group, images)
@@ -529,10 +517,8 @@ def test_block_determinants_multiply_to_full_exactly():
     for frac, group in (("5/27", a4_group()), ("1/5", build_group(5, 2)),
                         ("3/11", build_group(5, 2)), ("3/5", build_group(4, 3)),
                         ("5/9", build_group(4, 5))):
-        p = wirtinger_presentation(FractionR.parse(frac))
-        images = standard_assignment(group, p)
-        full = perm_rep(images, group, p)
-        rho = representation_blocks(images, group, p)
+        p, rho = assigned_blocks(frac, group)
+        full = perm_rep(generator_images(rho), group, p)
         walks = [rho.fox_walk(rel) for rel in p.relators]
         for gen in (1, 2):
             den = num = ONE

@@ -9,16 +9,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from metatap.characters import representation_blocks
 from metatap.exactalg import LaurentPoly, canonical, parse_poly
-from metatap.golden import ALEXANDER
+from metatap.golden import ALEXANDER, STANDARD
 from metatap.groupcalc import Word, parse_presentation
 from metatap.knotdata import BUNDLED, presentation
 from metatap.metabelian import a4_group, group_from_name
 from metatap.oracles import (
     det_bareiss, fox_derivative, fox_jacobian, fox_tables, perm_rep, trivial_rep,
     twisted_alexander_tables, word_image)
-from metatap.twisted import standard_assignment
 from metatap.twobridge import (
     FractionR,
     H3Form,
@@ -29,7 +27,8 @@ from metatap.twobridge import (
     wirtinger_presentation,
 )
 
-from matrix_helpers import block_reps, from_entries, xi0_rep
+from matrix_helpers import (
+    assigned_blocks, block_reps, from_entries, generator_images, xi0_rep)
 
 P = parse_poly
 
@@ -277,21 +276,16 @@ def test_fox_jacobian_matches_fox_derivative_jacobian():
     character-block and xi0 representations, for every deleted column; the
     character blocks' tables come from their element-index walk."""
     cases = []
-    for source, group_name, assign in (("5/27", "A4", None), ("3/5", "M(4|3,2)", None),
-                                       ("8_5", "A4", {"x": "s", "y": "s b1", "z": "s"})):
+    for source, group_name, assign in (("5/27", "A4", STANDARD), ("3/5", "M(4|3,2)", STANDARD),
+                                       ("8_5", "A4", "x=s; y=s b1; z=s")):
         group = group_from_name(group_name)
-        if assign is None:
-            p = wirtinger_presentation(FractionR.parse(source))
-            images = standard_assignment(group, p)
-        else:
-            p = presentation(source)
-            images = tuple(group.parse_elem(assign[g]) for g in p.generators)
+        p, blocks = assigned_blocks(source, group, assign)
+        images = generator_images(blocks)
         reps = [trivial_rep(p), perm_rep(images, group, p)]
         if group == a4_group():
             reps.append(xi0_rep(images, group))
         cases += [(p, rho, [fox_tables(rho, rel)[0] for rel in p.relators])
                   for rho in reps]
-        blocks = representation_blocks(images, group, p)
         walked = [fox_tables(blocks, rel) for rel in p.relators]
         cases += [(p, rho, [table[b] for table in walked])
                   for b, rho in enumerate(block_reps(blocks))]
