@@ -969,6 +969,17 @@ def test_scan_to_closed_stdout_exits_1_quietly():
 
 # -- selftest -----------------------------------------------------------------
 
+def test_selftest_quick():
+    # selftest takes no options: --quick and --p7 are usage errors, with the
+    # usage line and no traceback, and no check runs
+    for option in ("--quick", "--p7"):
+        code, out, err = run_cli("selftest", option)
+        assert code == 1 and out == "", option
+        assert err.splitlines() == [
+            "usage: metatap [-h] {compute,scan,find-reps,h3,selftest} ...",
+            f"input error: metatap: unrecognized arguments: {option}"], option
+
+
 def test_selftest_reports_every_golden_entry():
     # one PASS line per check, in the table's order, a NOTE after each
     # recorded value, and the summary last
