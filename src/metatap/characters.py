@@ -11,7 +11,7 @@ blocks, is the one representation type the commands use.
 
 from __future__ import annotations
 
-from .exactalg import ExactnessError
+from .exactalg import ExactnessError, LaurentPoly
 from .groupcalc import Presentation, Word, fox_tally
 from .intmat import Mat, identity, mat_mul
 from .metabelian import MetaGroup, check_homomorphism
@@ -56,8 +56,11 @@ class Representation:
     inverse element's image must be I; a failure is an ExactnessError.
     The Fox determinants of all blocks come from one relator walk on
     element indices (`fox_walk`) and the group's cached character images.
-    Nothing in it depends on a presentation, so the group keeps one per
-    tuple of generator images (`representation_blocks`).
+    `denominators` keeps, for each element index x that a deleted
+    generator has been sent to, the blocks' det(Q_b(g) t - I), g of index
+    x (`twisted.twisted_alexander` fills it).  Nothing in it depends on a
+    presentation, so the group keeps one per tuple of generator images
+    (`representation_blocks`).
     """
 
     def __init__(self, group: MetaGroup, letters: dict[int, int],
@@ -72,6 +75,7 @@ class Representation:
             for i, c in enumerate(coords):
                 self._owner[c], self._local[c] = b, i
         self._entries: dict[int, tuple[list[tuple[int, int, int]], ...]] = {}
+        self.denominators: dict[int, tuple[LaurentPoly, ...]] = {}
         self.block_images: dict[int, list[Mat]] = {}
         for g in sorted(g for g in letters if g > 0):
             images = self.matrices(letters[g])

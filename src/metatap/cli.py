@@ -61,8 +61,10 @@ from .metabelian import (
 from .twisted import block_verdict, twisted_alexander
 from .twinring import twisted_from_form
 from .twobridge import (
+    ALPHA_MAX,
     FractionR,
     NotAKnotGroupError,
+    alexander_closed_form,
     alexander_poly,
     enumerate_fractions,
     h3_expand,
@@ -195,9 +197,12 @@ def _cross_path_status(records: list[dict]) -> int:
 
 def _load_input(args):
     """The presentation, its Alexander polynomial, the input's name and the
-    fraction (None for --pres), from --r or --pres (`knot_input`)."""
+    fraction (None for --pres), from --r or --pres (`knot_input`).  An
+    alpha above ALPHA_MAX is an input error before the relator is built."""
     if args.r is not None:
         r = FractionR.parse(args.r)
+        if r.alpha > ALPHA_MAX:
+            raise InputError(f"alpha must be at most {ALPHA_MAX}, got {r.alpha}")
         return knot_input(wirtinger_presentation(r), str(r), r)
     p = load_presentation(args.pres)
     return knot_input(p, p.name or args.pres, None)
@@ -205,8 +210,12 @@ def _load_input(args):
 
 def knot_input(p: Presentation, name: str, r: Optional[FractionR]):
     """(p, its Alexander polynomial, name, r), where r is the 2-bridge
-    fraction p comes from, or None.  A presentation that is not a knot
-    group's is an input error."""
+    fraction p comes from, or None.  This is where Delta is chosen: the
+    closed form for a fraction (`alexander_closed_form`), the Fox
+    determinant for any other presentation (`alexander_poly`).  A
+    presentation that is not a knot group's is an input error."""
+    if r is not None:
+        return p, alexander_closed_form(r), name, r
     try:
         delta = alexander_poly(p)
     except NotAKnotGroupError as e:
@@ -280,8 +289,7 @@ def _scan_one(packed):
     """
     r, group_key, form, cross_check = packed
     group = group_from_name(group_key)
-    p = wirtinger_presentation(r)
-    delta = alexander_poly(p)
+    p, delta, _, _ = knot_input(wirtinger_presentation(r), str(r), r)
     if not obstruction_passes(delta, group):
         return []
     labeled = sorted(((_assignment_str(h.images, group, p), h)
@@ -305,6 +313,8 @@ def cmd_scan(args) -> int:
         raise InputError(f"--jobs must be at least 1, got {args.jobs}")
     if args.alpha_max < 3:
         raise InputError(f"--alpha-max must be at least 3, got {args.alpha_max}")
+    if args.alpha_max > ALPHA_MAX:
+        raise InputError(f"--alpha-max must be at most {ALPHA_MAX}, got {args.alpha_max}")
     # the certificate is read by --h3-only and by the recursion path,
     # which runs only over A4
     decide = args.h3_only or (args.cross_check and group == a4_group())

@@ -236,8 +236,7 @@ def _kronecker_product(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     bound = min(sum(map(abs, a)) * max(map(abs, b)),
                 sum(map(abs, b)) * max(map(abs, a)))
     shift = kronecker_shift(bound)
-    value = (sum(c << shift * i for i, c in enumerate(a) if c)
-             * sum(c << shift * i for i, c in enumerate(b) if c))
+    value = _pack(a, shift) * _pack(b, shift)
     return kronecker_readback(value, shift, bound, len(a) + len(b) - 1, f._low + g._low)
 
 
@@ -445,8 +444,8 @@ def evaluated_det(matrix, shift: int, bound: int, digits: int,
     return kronecker_readback(int_det(matrix), shift, bound, digits, low)
 
 
-# Values of at most this many digits are read one digit at a time.
-_READ_DIRECT = 32
+# Values of at most this many digits are read or packed one digit at a time.
+_DIRECT_DIGITS = 32
 
 
 def kronecker_readback(value: int, shift: int, bound: int, digits: int,
@@ -473,7 +472,7 @@ def kronecker_readback(value: int, shift: int, bound: int, digits: int,
 def _read_digits(value: int, shift: int, bound: int, digits: int, out: list) -> int:
     """Append the `digits` lowest balanced base-2^shift digits of value to
     `out` and return what is left above them (`kronecker_readback`)."""
-    if digits > _READ_DIRECT:
+    if digits > _DIRECT_DIGITS:
         width = digits // 2 * shift
         half = value & ((1 << width) - 1)
         if half >> (width - 1):
@@ -492,3 +491,14 @@ def _read_digits(value: int, shift: int, bound: int, digits: int, out: list) -> 
         value = (value - c) >> shift
     return value
 
+
+def _pack(coeffs, shift: int) -> int:
+    """sum c_i 2^(shift i), the value at t = 2^shift of the polynomial
+    with coefficients `coeffs` from degree 0.  The mirror of
+    `_read_digits`: a long sequence is halved, and the high half's value
+    shifted past the low half's, so no partial sum is copied once per
+    coefficient and packing n coefficients is not quadratic in n."""
+    if len(coeffs) > _DIRECT_DIGITS:
+        h = len(coeffs) // 2
+        return _pack(coeffs[:h], shift) + (_pack(coeffs[h:], shift) << h * shift)
+    return sum(c << shift * i for i, c in enumerate(coeffs) if c)

@@ -80,7 +80,7 @@ class Word:
         return sum(1 if x > 0 else -1 for x in self.letters)
 
     def max_generator(self) -> int:
-        return max((abs(x) for x in self.letters), default=0)
+        return max(map(abs, self.letters), default=0)
 
     def spell(self, names: list[str] | tuple[str, ...]) -> str:
         return " ".join(

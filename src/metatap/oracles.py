@@ -17,6 +17,10 @@ compare with the production code.  No production module imports this one.
                                 explicit matrices, no character basis)
     phi_map, word_image         fox_images, phi_generator_minus_one
     trivial_rep                 twobridge.alexander_poly's trivial block
+    twobridge.alexander_poly    twobridge.alexander_closed_form (a fraction's
+                                Delta as the Fox determinant of its Wirtinger
+                                presentation, not Hartley's closed form; it
+                                stays in twobridge, as production for --pres)
     perm_rep, perm_matrix       characters.representation_blocks (the full
                                 p^k-dimensional permutation path)
     vector_mul, vector_inv      MetaGroup.index_mul and index_inv (the group

@@ -95,15 +95,21 @@ def twisted_alexander(p: Presentation, rho: Representation,
     nums_0 * rest / dens_0; only when `rest` is not a polynomial is the
     whole ratio divided out.
 
-    No denominator det(M t - I) is zero: its leading coefficient is
-    det M = +-1, since `Representation` checks image * inverse = I, and
-    its constant term is (-1)^dim.  A zero one is an ExactnessError."""
+    The denominators depend only on the representation and the deleted
+    generator's image, so they are taken once per image and kept on
+    `rho` (`Representation.denominators`).  No denominator det(M t - I)
+    is zero: its leading coefficient is det M = +-1, since
+    `Representation` checks image * inverse = I, and its constant term is
+    (-1)^dim.  Every call checks it; a zero one is an ExactnessError."""
     if not p.deficiency_one():
         raise ValueError("presentation must have one fewer relator than generators")
     gen = p.num_generators if delete is None else p.gen_index(delete)
     walks = [rho.fox_walk(rel) for rel in p.relators]
-    dens = tuple(_denominator(entries, dim)
-                 for entries, dim in zip(rho.entries(rho.letters[gen]), rho.dims))
+    x = rho.letters[gen]
+    dens = rho.denominators.get(x)
+    if dens is None:
+        dens = rho.denominators[x] = tuple(
+            _denominator(entries, dim) for entries, dim in zip(rho.entries(x), rho.dims))
     if any(f.is_zero() for f in dens):
         raise ExactnessError(f"det Phi({p.generators[gen - 1]} - 1) is zero")
     nums = tuple(

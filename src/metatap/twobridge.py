@@ -6,7 +6,10 @@ Wirtinger presentation <x, y | W x W^-1 y^-1>, decides whether r has the
 special continued-fraction expansion [3k1, 2m1, ..., 2m_{q-1}, 3kq] =
 1/(3k1 + 1/(2m1 + ... + 1/(3kq))) whose existence puts the knot group onto
 Z/2 * Z/3 (the class H(3); the expansion is unique when it exists), and
-computes untwisted Alexander polynomials by Fox calculus.
+computes untwisted Alexander polynomials: a 2-bridge knot's in closed form
+from its fraction (`alexander_closed_form`), any other knot's by Fox
+calculus on its presentation (`alexander_poly`, whose NotAKnotGroupError
+can therefore only come from a presentation the user gave).
 """
 
 from __future__ import annotations
@@ -16,8 +19,13 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional
 
-from .exactalg import ONE, ExactnessError, LaurentPoly, canonical
+from .exactalg import ONE, ExactnessError, LaurentPoly, canonical, poly_from_coeffs
 from .groupcalc import InputError, Presentation, Word, fox_determinant, fox_tally
+
+# The largest alpha of a knot the commands build (`compute`, `find-reps`
+# and `scan`; `h3` builds none).  The relator of beta/alpha has 2 alpha
+# letters, and everything downstream grows with it.
+ALPHA_MAX = 2**15
 
 
 @dataclass(frozen=True)
@@ -138,17 +146,51 @@ def h3_expand(r: FractionR) -> Optional[H3Form]:
 # ---------------------------------------------------------------------------
 
 
+def wirtinger_signs(r: FractionR) -> list[int]:
+    """e_i = (-1)^floor(i*beta/alpha) for i = 1, ..., alpha - 1: the
+    exponents of the Wirtinger word W and the steps of the closed-form
+    Alexander polynomial."""
+    a, b = r.alpha, r.beta
+    return [-1 if (i * b // a) % 2 else 1 for i in range(1, a)]
+
+
 def wirtinger_presentation(r: FractionR) -> Presentation:
-    """<x, y | W x W^-1 y^-1> with W = x^e1 y^e2 ... y^e_{alpha-1},
-    e_i = (-1)^floor(i*beta/alpha).
+    """<x, y | W x W^-1 y^-1> with W = x^e1 y^e2 ... y^e_{alpha-1}
+    (`wirtinger_signs`).
 
     W alternates x and y, starting with x and (alpha being odd) ending
     with y, so every junction of the relator joins an x-letter to a
     y-letter and the letters are already freely reduced."""
-    a, b = r.alpha, r.beta
-    w = [(-1 if (i * b // a) % 2 else 1) * (1 if i % 2 else 2) for i in range(1, a)]
+    w = wirtinger_signs(r)
+    w[1::2] = [e + e for e in w[1::2]]
     relator = Word(w + [1] + [-x for x in reversed(w)] + [-2])
     return Presentation(("x", "y"), (relator,), name=str(r))
+
+
+def alexander_closed_form(r: FractionR) -> LaurentPoly:
+    """The unit-normalized Alexander polynomial of the 2-bridge knot of r,
+    from the fraction alone (R. Hartley, J. Austral. Math. Soc. 27 (1979);
+    Minkus, Mem. AMS 255 (1982)):
+
+        Delta(t) = sum_{i < alpha} (-1)^i t^(sigma_i),
+        sigma_i = e_1 + ... + e_i  (`wirtinger_signs`).
+
+    It equals alexander_poly(wirtinger_presentation(r)), its oracle in the
+    tests, without walking the relator.  Delta(1) = +-1 is checked; a
+    failure is an ExactnessError.
+    """
+    a = r.alpha
+    coeffs = [0] * (2 * a - 1)  # degrees 1 - alpha .. alpha - 1: |sigma_i| <= i
+    at, sign = a - 1, 1  # at = sigma_i + alpha - 1
+    coeffs[at] = 1
+    for e in wirtinger_signs(r):
+        at += e
+        sign = -sign
+        coeffs[at] += sign
+    if sum(coeffs) not in (1, -1):
+        raise ExactnessError(
+            f"the closed form for {r} has Delta(1) = {sum(coeffs)}, not +-1")
+    return canonical(poly_from_coeffs(coeffs, 1 - a))
 
 
 class NotAKnotGroupError(ValueError):
@@ -156,7 +198,9 @@ class NotAKnotGroupError(ValueError):
 
 
 def alexander_poly(p: Presentation) -> LaurentPoly:
-    """Classical Alexander polynomial from the abelianized Fox Jacobian.
+    """Classical Alexander polynomial from the abelianized Fox Jacobian,
+    for a presentation the user gave (a 2-bridge fraction's is
+    `alexander_closed_form`).
 
     Needs a deficiency-one presentation whose generators are all meridians
     (each abelianizes to t).  Under the trivial representation every prefix

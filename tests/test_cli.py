@@ -23,6 +23,7 @@ from metatap import characters, cli, exactalg, metabelian, twisted
 from metatap.cli import main
 from metatap.exactalg import canonical, parse_poly
 from metatap.golden import A4_3DIM, ALEXANDER, PHI, TORUS, phi_value
+from metatap.groupcalc import InputError
 from metatap.metabelian import MetaGroup, build_group, find_homs, group_from_name
 from metatap.oracles import (
     check_factorization, det_bareiss, perm_rep, phi_generator_minus_one,
@@ -30,6 +31,7 @@ from metatap.oracles import (
 from metatap.selftest import golden_input, structure_checks
 from metatap.twisted import twisted_alexander
 from metatap.twobridge import (
+    ALPHA_MAX,
     H3Form,
     enumerate_fractions,
     wirtinger_presentation,
@@ -557,11 +559,60 @@ def test_internal_value_error_exit_3(monkeypatch):
     assert err.startswith("internal consistency failure: NotHomomorphismError: relator 1 ")
 
 
-def test_compute_zero_denominator_exit_3(monkeypatch):
+def test_compute_zero_denominator_exit_3(monkeypatch, fresh_groups):
+    # the denominators are kept on the group's representations, so only
+    # fresh groups take them through the patched function
     monkeypatch.setattr(twisted, "_denominator", lambda entries, dim: exactalg.ZERO)
     code, out, err = run_cli("compute", "--r", "5/27", "--group", "A4")
     assert code == 3 and not out
     assert err == "internal consistency failure: det Phi(y - 1) is zero\n"
+
+
+def test_compute_wrong_closed_form_exit_3(monkeypatch):
+    # a wrong Delta that still passes the obstruction (Delta(T) stays
+    # singular over F_2) is caught by the trivial block of every
+    # representative
+    genuine = cli.alexander_closed_form
+    monkeypatch.setattr(cli, "alexander_closed_form",
+                        lambda r: genuine(r) * P("1 - t + t^2"))
+    code, out, err = run_cli("compute", "--r", "5/27", "--group", "A4")
+    assert code == 3 and not out
+    assert err.startswith("internal consistency failure: the trivial block gives ")
+
+
+def test_fox_alexander_only_for_pres(monkeypatch, tmp_path):
+    # a fraction's Delta is the closed form, in compute and in scan; the
+    # Fox determinant runs for a --pres
+    calls = []
+    genuine = cli.alexander_poly
+    monkeypatch.setattr(cli, "alexander_poly", lambda p: calls.append(p.name) or genuine(p))
+    assert run_cli("compute", "--r", "5/27", "--group", "A4")[0] == 0
+    assert run_cli("scan", "--alpha-max", "27", "--group", "A4",
+                   "--out", str(tmp_path / "scan.jsonl"))[0] == 0
+    assert calls == []
+    assert run_cli("compute", "--pres", "8_5", "--group", "A4")[0] == 0
+    assert calls == ["8_5"]
+
+
+def test_alpha_above_the_bound_exit_1(monkeypatch, tmp_path):
+    # rejected before any relator is built: each would run for minutes
+    def building(r):
+        raise InputError(f"building the relator of {r}")
+
+    monkeypatch.setattr(cli, "wirtinger_presentation", building)
+    for command in ("compute", "find-reps"):
+        for r in (f"1/{ALPHA_MAX + 1}", "99999999999/100000000001"):
+            code, out, err = run_cli(command, "--r", r, "--group", "A4")
+            assert code == 1 and not out
+            assert err == (f"input error: alpha must be at most {ALPHA_MAX}, "
+                           f"got {r.split('/')[1]}\n")
+        code, _, err = run_cli(command, "--r", f"1/{ALPHA_MAX - 1}", "--group", "A4")
+        assert err == f"input error: building the relator of 1/{ALPHA_MAX - 1}\n"
+    code, out, err = run_cli("scan", "--alpha-max", "99999", "--group", "A4",
+                             "--out", str(tmp_path / "x.jsonl"))
+    assert code == 1 and not out
+    assert err.startswith(f"input error: --alpha-max must be at most {ALPHA_MAX}, got ")
+    assert not (tmp_path / "x.jsonl").exists()
 
 
 def test_unexpected_exception_exit_3_without_traceback(monkeypatch):
@@ -587,9 +638,11 @@ def fox_matrix(relators, delete, dim):
 @pytest.mark.parametrize("flag, source, group", [
     ("--r", "1/5", "M(5|2,4)"), ("--pres", "10_145", "M(5|2,4)"),
     ("--r", "3/5", "M(4|3,2)"), ("--r", "5/27", "A4")])
-def test_compute_determinants_match_bareiss_oracle(monkeypatch, flag, source, group):
+def test_compute_determinants_match_bareiss_oracle(monkeypatch, fresh_groups, flag,
+                                                  source, group):
     # every numerator and denominator compute evaluates, against the
-    # elimination over Z[t, 1/t] of the same matrix
+    # elimination over Z[t, 1/t] of the same matrix; fresh groups, so that
+    # no denominator was kept from an earlier test
     genuine_num, genuine_den = twisted.fox_determinant, twisted._denominator
     numerators, denominators = [], []
 
@@ -1046,8 +1099,9 @@ def test_error_taxonomy_exists_once():
 # Every argv names the options its command requires, some optional ones and
 # sometimes a stray token.  The values are small enough that every argv runs
 # in well under a second: --jobs never starts a process pool, --out writes
-# to stdout only, and M(100000|3,5) has the wrong k, which is reported before
-# the group would be built.  The --pres files are written once per module.
+# to stdout only, M(100000|3,5) has the wrong k, which is reported before
+# the group would be built, and an alpha above the bound is reported before
+# its relator would be.  The --pres files are written once per module.
 _FUZZ_PRES_FILES = {
     "zero_deficiency.pres": b"gens: x y\nrel: x y X Y\nrel: x x\n",
     "delta_one_zero.pres": b"gens: x y\nrel: x y X Y\n",
@@ -1062,7 +1116,8 @@ _FUZZ_COMMANDS = {
     "h3": (("--r",), ()),
 }
 _FUZZ_VALUES = {
-    "--r": ["1/3", "5/27", "3/5", "1/5", "2/6", "1/0", "-1/3", "3/1", "x"],
+    "--r": ["1/3", "5/27", "3/5", "1/5", "2/6", "1/0", "-1/3", "3/1", "x",
+            "99999999999/100000000001"],
     "--pres": ["8_5", "10_159.pres", "missing.pres", "."] + sorted(_FUZZ_PRES_FILES),
     "--group": ["A4", "M(4|3,2)", "M(5|2,4)", "M(2|3,1)", "M(2|5,1)", "M(9|9,9)",
                 "M(3|2,3)", "M(100000|3,5)", "M(3|100000000000000000039,2)",
@@ -1070,7 +1125,7 @@ _FUZZ_VALUES = {
     "--fix": ["x", "y", "q"],
     "--assign": ["x=s; y=s b1", "x=s;y=s", "x=s", "x=q", "y=s b9", "x=s^-1; y=s",
                  "x=b1; y=b1", "x=1; y=1", "x=s; x=s b1; y=s", "x=s; y=s b1^"],
-    "--alpha-max": ["-1", "0", "3", "15", "x"],
+    "--alpha-max": ["-1", "0", "3", "15", "x", "99999"],
     "--out": ["-"],
     "--jobs": ["-1", "0", "1"],
 }

@@ -438,6 +438,25 @@ def test_kronecker_product_matches_schoolbook(f, g):
         assert f * g == ZERO
 
 
+def test_kronecker_product_split_pack_matches_schoolbook():
+    # operands longer than the direct pack, so that each is packed by
+    # halves: zero runs (also across a split point), negative coefficients
+    # and coefficients far wider than the shift of a small neighbour
+    rng = random.Random(61)
+    split = exactalg._DIRECT_DIGITS
+    choices = (0, 0, 1, -1, 2**200 + 1, -(2**150), -7)
+    for n, m in ((split + 1, split + 1), (2 * split, 3 * split + 5), (500, 77), (1001, 1000)):
+        for _ in range(3):
+            a = [rng.choice(choices) * rng.randint(1, 9) for _ in range(n)]
+            b = [rng.randint(-(2**64), 2**64) for _ in range(m)]
+            a[0] = a[-1] = b[0] = b[-1] = -3
+            a[n // 4:n // 2 + 3] = [0] * (n // 2 + 3 - n // 4)
+            f, g = poly_from_coeffs(a, -5), poly_from_coeffs(b, 2)
+            expected = exactalg._schoolbook_product(f, g)
+            assert exactalg._kronecker_product(f, g) == expected
+            assert exactalg._kronecker_product(g, f) == expected
+
+
 def test_product_crossover(monkeypatch):
     # dense 16 x 16 and wider go through Kronecker substitution; small
     # operands, and a long polynomial times a short one, through the loop

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metatap import twisted
 from metatap.exactalg import (
     ONE, ZERO, ExactnessError, LaurentPoly, canonical, exact_div, parse_poly)
 from metatap.golden import A4_3DIM, PHI, STANDARD, phi_value
@@ -422,6 +423,30 @@ def assert_blocks_match_full_path(p, group, images):
     assert same_ratio(twisted_alexander(p, rho),
                       twisted_alexander_tables(p, perm_rep(images, group, p)))
     return rho
+
+
+def test_denominators_taken_once_per_representation(monkeypatch):
+    # a new representation with the group's blocks, so that no denominator
+    # is kept from an earlier test
+    p, shared = assigned_blocks("5/27", a4_group())
+    rho = Representation(shared.group, shared.letters, shared.blocks)
+    taken = []
+
+    def counting(entries, dim):
+        taken.append(dim)
+        return _denominator(entries, dim)
+
+    monkeypatch.setattr(twisted, "_denominator", counting)
+    first = twisted_alexander(p, rho)
+    assert taken == rho.dims
+    second = twisted_alexander(p, rho)
+    assert taken == rho.dims
+    assert second.dens == first.dens and second == first
+    # deleting x instead takes the denominators of x's image, once
+    assert rho.letters[1] != rho.letters[2]
+    by_x = twisted_alexander(p, rho, delete="x")
+    assert taken == rho.dims * 2
+    assert twisted_alexander(p, rho, delete="x") == by_x and taken == rho.dims * 2
 
 
 def first_surjections(p, group, fix=None):

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from metatap.exactalg import LaurentPoly, canonical, parse_poly
+from metatap import twobridge
+from metatap.exactalg import ExactnessError, LaurentPoly, canonical, parse_poly
 from metatap.golden import ALEXANDER, STANDARD
 from metatap.groupcalc import Word, parse_presentation
 from metatap.knotdata import BUNDLED, presentation
@@ -21,6 +22,7 @@ from metatap.twobridge import (
     FractionR,
     H3Form,
     NotAKnotGroupError,
+    alexander_closed_form,
     alexander_poly,
     enumerate_fractions,
     h3_expand,
@@ -306,6 +308,24 @@ def test_alexander_matches_fox_derivative_jacobian():
         # the trivial representation's Fox tables, eliminated over Z[t, 1/t]
         tables = twisted_alexander_tables(p, trivial_rep(p), det=det_bareiss)
         assert alexander_poly(p) == tables.numerator, p.name
+
+
+def test_alexander_closed_form_matches_fox_alpha_163():
+    # Hartley's closed form against the Fox determinant of the Wirtinger
+    # presentation, its oracle, on every fraction up to alpha = 163
+    fractions = list(enumerate_fractions(163))
+    assert len(fractions) == 2735
+    for r in fractions:
+        assert alexander_closed_form(r) == alexander_poly(wirtinger_presentation(r)), r
+
+
+def test_alexander_closed_form_checks_delta_at_one(monkeypatch):
+    # a sign sequence one short sums an even number of +-1 terms, so
+    # Delta(1) = 0
+    genuine = twobridge.wirtinger_signs
+    monkeypatch.setattr(twobridge, "wirtinger_signs", lambda r: genuine(r)[:-1])
+    with pytest.raises(ExactnessError, match=r"Delta\(1\) = 0"):
+        alexander_closed_form(FractionR(5, 27))
 
 
 def test_wirtinger_relator_matches_word_products():
