@@ -55,7 +55,8 @@ class Representation:
     for each generator g.  Each block image times the block of its
     inverse element's image must be I; a failure is an ExactnessError.
     The Fox determinants of all blocks come from one relator walk on
-    element indices (`fox_walk`) and the group's cached character images.
+    element indices (`fox_walk`), whose steps it keeps, and the group's
+    cached character images.
     `denominators` keeps, for each element index x that a deleted
     generator has been sent to, the blocks' det(Q_b(g) t - I), g of index
     x (`twisted.twisted_alexander` fills it).  Nothing in it depends on a
@@ -75,6 +76,7 @@ class Representation:
             for i, c in enumerate(coords):
                 self._owner[c], self._local[c] = b, i
         self._entries: dict[int, tuple[list[tuple[int, int, int]], ...]] = {}
+        self._steps: dict[int, dict[int, int]] = {}
         self.denominators: dict[int, tuple[LaurentPoly, ...]] = {}
         self.block_images: dict[int, list[Mat]] = {}
         for g in sorted(g for g in letters if g > 0):
@@ -114,9 +116,13 @@ class Representation:
     def fox_walk(self, rel: Word) -> list[tuple[int, dict[int, int], tuple]]:
         """One walk of the relator on element indices (`fox_tally`): for
         each key (generator, prefix) of its tally, the generator, the
-        degree -> count and the prefix's entries in each block."""
+        degree -> count and the prefix's entries in each block.  A step
+        names the element index of a prefix, which means the same for every
+        relator, so the representation keeps one memo of the steps for its
+        life, and `index_mul` runs once per distinct step."""
         group, letters = self.group, self.letters
-        tally = fox_tally(rel, lambda x, letter: group.index_mul(x, letters[letter]))
+        tally = fox_tally(rel, lambda x, letter: group.index_mul(x, letters[letter]),
+                          self._steps)
         return [(g, counts, self.entries(x)) for (g, x), counts in tally.items()]
 
 

@@ -92,19 +92,22 @@ class Word:
         return f"Word({self.letters})"
 
 
-def fox_tally(rel: Word, step: Callable[[int, int], int]) -> dict[tuple[int, int], dict[int, int]]:
+def fox_tally(rel: Word, step: Callable[[int, int], int],
+              steps: dict[int, dict[int, int]]) -> dict[tuple[int, int], dict[int, int]]:
     """The one relator walk of the Fox calculus, on named prefixes.
 
     A prefix of the relator is named by an int, the empty prefix by 0, and
-    step(x, letter) names prefix x followed by the letter; it is called
-    once per distinct (x, letter).  Returns, for each (generator, prefix),
-    the signed count of each degree: for a representation rho that the
-    names stand for, Phi(dR/dg) is the sum of count * rho(prefix) *
-    t^degree over the keys of generator g.  Every generator the relator
-    uses has a key, also when its counts cancel.
+    step(x, letter) names prefix x followed by the letter.  `steps` is the
+    caller's memo of them, letter -> x -> step(x, letter): step is called
+    only for an (x, letter) it lacks, and the result is stored there, so a
+    caller whose names keep their meaning across walks passes the same
+    memo to each.  Returns, for each (generator, prefix), the signed count
+    of each degree: for a representation rho that the names stand for,
+    Phi(dR/dg) is the sum of count * rho(prefix) * t^degree over the keys
+    of generator g.  Every generator the relator uses has a key, also when
+    its counts cancel.
     """
     tally: dict[tuple[int, int], dict[int, int]] = {}
-    steps: dict[tuple[int, int], int] = {}
     cur = deg = 0
     for letter in rel:
         if letter > 0:
@@ -113,9 +116,12 @@ def fox_tally(rel: Word, step: Callable[[int, int], int]) -> dict[tuple[int, int
             deg += 1
         else:
             deg -= 1
-        nxt = steps.get((cur, letter))
+        row = steps.get(letter)
+        if row is None:
+            row = steps[letter] = {}
+        nxt = row.get(cur)
         if nxt is None:
-            nxt = steps[cur, letter] = step(cur, letter)
+            nxt = row[cur] = step(cur, letter)
         cur = nxt
         if letter < 0:
             counts = tally.setdefault((-letter, cur), {})

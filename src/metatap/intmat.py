@@ -67,8 +67,19 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
 
 
 def int_det(a: Mat) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
+    """Exact determinant: the cofactor form for n <= 3, which takes no
+    division, and fraction-free (Bareiss) elimination above.  Bareiss
+    divides exactly at every step, and CPython divides big integers in
+    quadratic time, so at small n the few extra products cost less."""
     n = len(a)
+    if n == 1:
+        return a[0][0]
+    if n == 2:
+        (a0, a1), (a2, a3) = a
+        return a0 * a3 - a1 * a2
+    if n == 3:
+        (a0, a1, a2), (a3, a4, a5), (a6, a7, a8) = a
+        return a0 * (a4 * a8 - a5 * a7) - a1 * (a3 * a8 - a5 * a6) + a2 * (a3 * a7 - a4 * a6)
     m = [list(row) for row in a]
     sign = 1
     prev = 1

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import product
 from typing import Optional, Sequence
 
 from .exactalg import ExactnessError, LaurentPoly, poly_from_coeffs, exact_div
@@ -113,12 +114,13 @@ class MetaGroup:
         self._T_pow = [identity(self.k)]
         for _ in range(n - 1):
             self._T_pow.append(self._mat_mod(mat_mul(self._T_pow[-1], self.T)))
-        # filled on first use: element index -> character image, unit ->
-        # coset relabeling, assignment (its generators' element indices) ->
-        # whether they generate, -> its `characters.Representation` and ->
-        # its orbit under the units, (representative, member, relabeling)
-        # -> the class step's verdict (`unit_classes`)
+        # filled on first use: element index -> character image and -> text,
+        # unit -> coset relabeling, assignment (its generators' element
+        # indices) -> whether they generate, -> its `characters.Representation`
+        # and -> its orbit under the units, (representative, member,
+        # relabeling) -> the class step's verdict (`unit_classes`)
         self._character_images: dict[int, tuple[tuple[int, int, int], ...]] = {}
+        self._elem_texts: dict[int, str] = {}
         self._relabelings: dict[Mat, tuple[int, ...]] = {}
         self._generates: dict[tuple[int, ...], bool] = {}
         self._representations: dict[tuple[int, ...], object] = {}
@@ -224,12 +226,15 @@ class MetaGroup:
 
     def elem_str(self, x: int) -> str:
         """The text of the element of index x, as `parse_elem` reads it:
-        's^2 b1 b2^2', or '1' for the identity."""
-        ell, v = divmod(x, self.p**self.k)
-        parts = ["s" if ell == 1 else f"s^{ell}"] if ell else []
-        parts += [f"b{i}" if e == 1 else f"b{i}^{e}"
-                  for i, e in enumerate(self.vec_of_index(v), start=1) if e]
-        return " ".join(parts) or "1"
+        's^2 b1 b2^2', or '1' for the identity; kept per group."""
+        text = self._elem_texts.get(x)
+        if text is None:
+            ell, v = divmod(x, self.p**self.k)
+            parts = ["s" if ell == 1 else f"s^{ell}"] if ell else []
+            parts += [f"b{i}" if e == 1 else f"b{i}^{e}"
+                      for i, e in enumerate(self.vec_of_index(v), start=1) if e]
+            text = self._elem_texts[x] = " ".join(parts) or "1"
+        return text
 
     # -- group law on element indices ----------------------------------------
 
@@ -303,15 +308,6 @@ class MetaGroup:
         act, add = self.index_law
         ell, v = divmod(x, self.p**self.k)
         return [add[i][v] for i in act[ell]]
-
-    @cached_property
-    def s_coset_tables(self) -> tuple[list[list[int]], list[list[int]]]:
-        """(forward, backward): the coset permutation of s b^vec(v) and its
-        inverse for each coset index v, the candidates of `find_homs`.
-        Built on first use, once per group object."""
-        size = self.p**self.k
-        forward = [self.coset_table(size + v) for v in range(size)]
-        return forward, [_inverse_table(table) for table in forward]
 
     def unit_image(self, x: int, unit: Mat) -> int:
         """phi_U(s^ell b^vec) = s^ell b^(vec U) for a unit U of F_p[T], on
@@ -469,21 +465,12 @@ def group_from_name(text: str) -> MetaGroup:
 
 
 # ---------------------------------------------------------------------------
-# Relators on the coset tables
+# Relators and the homomorphism search
 # ---------------------------------------------------------------------------
 
 
 class NotHomomorphismError(ValueError):
     """A generator assignment fails to kill some relator."""
-
-
-def _coset_walk(word: Word, tables) -> int:
-    """The coset that coset 0 reaches through the coset tables of the
-    word's letters (tables[-g] is the inverse of tables[g])."""
-    u = 0
-    for letter in word:
-        u = tables[letter][u]
-    return u
 
 
 def check_homomorphism(p: Presentation, group: MetaGroup,
@@ -509,15 +496,13 @@ def check_homomorphism(p: Presentation, group: MetaGroup,
         tables[-g] = _inverse_table(tables[g])
         ells[g], ells[-g] = ell, -ell
     for i, rel in enumerate(p.relators):
-        if sum(ells[letter] for letter in rel) % group.n or _coset_walk(rel, tables):
+        u = 0  # the coset that coset 0 reaches through the letters' tables
+        for letter in rel:
+            u = tables[letter][u]
+        if sum(ells[letter] for letter in rel) % group.n or u:
             raise NotHomomorphismError(
                 f"relator {i + 1} ({rel.spell(p.generators)}) "
                 f"does not map to the identity")
-
-
-# ---------------------------------------------------------------------------
-# Homomorphism search
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -570,47 +555,60 @@ def find_homs(p: Presentation, group: MetaGroup,
 
     Meridian generators of a knot group are all conjugate, so they must land
     in a single conjugacy class; fixing one of them to s is the standard
-    normalization.  Each result holds its generators' element indices,
-    tagged with a surjectivity flag.
+    normalization.  The results hold the generators' element indices and a
+    surjectivity flag, in the odometer order of the other generators.
 
-    Relators are evaluated on element indices.  Every image lies in
-    s * (Z/p)^k, so a relator's image has s-exponent equal to its exponent
-    sum for every candidate, and its coset index is found by following the
-    coset 0 through the coset tables of its letters.
+    Relators are linear over F_p (Fox calculus; R. Hartley, Pacific J.
+    Math. 82 (1979)).  Let g -> s b^(v_g), v = 0 for the fixed generator.
+    As (a, u)(b, v) = (a + b, u T^-b + v) (`index_mul`), a word of exponent
+    sum e maps to s^e b^u, where a letter g or g^-1 after a prefix of
+    degree d adds v_g T^(d + 1 - e) or -v_g T^(d - e): v_g T^(1 - e) times
+    the term t^d or -t^(d - 1) of the abelianized Fox derivative dw/dg.
+    So u = (sum_g v_g A_g(T)) T^(1 - e), A_g(T) = dw/dg at t = T, and
+    given e = 0 mod n (checked first) a relator holds iff that sum is 0.
+    One pass per relator folds each A_g mod n (T^n = I) into the table
+    v -> coset index of vec(v) A_g(T) (`index_law`; T^j is act[-j mod n]).
+    A candidate passes when its tables add up to the coset 0 for every
+    relator.
     """
     fixed_name = fix if fix is not None else p.generators[0]
     if fixed_name not in p.generators:
         raise InputError(f"no generator named {fixed_name!r}")
     if any(rel.exponent_sum() % group.n for rel in p.relators):
         return []
-    others = [g for g in p.generators if g != fixed_name]
-    size = group.p**group.k
-    forward, backward = group.s_coset_tables
-    fixed_index = p.gen_index(fixed_name)
-    other_index = [p.gen_index(name) for name in others]
+    act, add = group.index_law
+    n, size = group.n, group.p**group.k
+    fixed = p.gen_index(fixed_name)
+    tables = []  # per relator and generator: v -> coset index of vec(v) A_g(T)
+    for rel in p.relators:
+        folded, d = [[0] * n for _ in range(p.num_generators + 1)], 0
+        for letter in rel:
+            if letter > 0:
+                folded[letter][d] += 1
+                d = (d + 1) % n
+            else:
+                d = (d - 1) % n
+                folded[-letter][d] -= 1
+        folded[fixed] = []  # the fixed generator has v = 0: its table stays 0
+        tables.append([])
+        for coeffs in folded[1:]:
+            table = [0] * size
+            for j, c in enumerate(coeffs):
+                for _ in range(c % group.p):
+                    table = [add[x][y] for x, y in zip(table, act[-j % n])]
+            tables[-1].append(table)
     results = []
-    counters = [0] * len(others)
-    images = [size] * p.num_generators  # s has index p^k, s b^v p^k + v
-    while True:
-        tables = {fixed_index: forward[0], -fixed_index: backward[0]}
-        for g, idx in zip(other_index, counters):
-            tables[g] = forward[idx]
-            tables[-g] = backward[idx]
-        if not any(_coset_walk(rel, tables) for rel in p.relators):
-            for g, idx in zip(other_index, counters):
-                images[g - 1] = size + idx
-            found = tuple(images)
-            results.append(HomAssignment(found, generates(group, found)))
-        # odometer over the vector indices of the non-fixed generators
-        pos = len(counters) - 1
-        while pos >= 0:
-            counters[pos] += 1
-            if counters[pos] < size:
+    ranges = [[0] if g == fixed else range(size) for g in range(1, p.num_generators + 1)]
+    for vs in product(*ranges):
+        for row in tables:
+            u = 0
+            for table, v in zip(row, vs):
+                u = add[u][table[v]]
+            if u:
                 break
-            counters[pos] = 0
-            pos -= 1
-        if pos < 0:
-            break
+        else:
+            found = tuple(size + v for v in vs)  # s b^v has index p^k + v
+            results.append(HomAssignment(found, generates(group, found)))
     return results
 
 

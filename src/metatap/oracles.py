@@ -6,7 +6,8 @@ compare with the production code.  No production module imports this one.
       fox_derivative
     fox_derivative_recursive    fox_derivative (the product rule, letter by letter)
     fox_images                  characters.Representation.fox_walk (prefixes
-                                named by interned matrices, not element indices)
+                                named by interned matrices, not element indices,
+                                with a fresh memo of the steps per call)
     fox_tables, block_matrix,   groupcalc.fox_determinant (each block's Fox
       fox_jacobian              matrix as a matrix polynomial, not evaluated
                                 from the walk)
@@ -27,8 +28,8 @@ compare with the production code.  No production module imports this one.
                                 law on (ell, vec) pairs from T_power, not the
                                 index_law tables)
     group_word_image            metabelian.find_homs and check_homomorphism
-                                (relators by the vector law, not on the coset
-                                tables)
+                                (relators by the vector law, not by Fox
+                                derivatives over F_p or on the coset tables)
     PolyMatrix                  no production type: a matrix over Z[t, 1/t]
                                 as its degree -> integer matrix series, with
                                 its determinant through kronecker_det
@@ -288,9 +289,9 @@ def fox_images(rel: Word, images: Mapping[int, Mat], inv_images: Mapping[int, Ma
 
     The prefixes are named by interned matrices: each distinct prefix
     matrix gets a small id the first time it appears, and `fox_tally`
-    takes each step (id, letter) -> id once, so each product is computed
-    once: a finite image has few prefixes.  Each matrix of the tally is
-    built once at the end.
+    takes each step (id, letter) -> id once, in a memo of this call, so
+    each product is computed once: a finite image has few prefixes.  Each
+    matrix of the tally is built once at the end.
     """
     prefixes: list[Mat] = [identity(dim)]
     ids: dict[Mat, int] = {prefixes[0]: 0}
@@ -305,7 +306,7 @@ def fox_images(rel: Word, images: Mapping[int, Mat], inv_images: Mapping[int, Ma
         return nxt
 
     sums: dict[int, dict[int, list[list[int]]]] = {}
-    for (gen, pid), counts in fox_tally(rel, step).items():
+    for (gen, pid), counts in fox_tally(rel, step, {}).items():
         for d, count in counts.items():
             acc = sums.setdefault(gen, {}).get(d)
             if acc is None:

@@ -214,7 +214,8 @@ def alexander_poly(p: Presentation) -> LaurentPoly:
         raise NotAKnotGroupError("presentation must have one fewer relator than generators")
     n = p.num_generators
     one = [(0, 0, 1)]
-    walks = [[(g, counts, one) for (g, _), counts in fox_tally(rel, lambda x, letter: 0).items()]
+    walks = [[(g, counts, one)
+              for (g, _), counts in fox_tally(rel, lambda x, letter: 0, {}).items()]
              for rel in p.relators]
     det = fox_determinant(walks, n, 1) if n > 1 else ONE
     if det.is_zero():

@@ -3,6 +3,7 @@
 import doctest
 import importlib
 import inspect
+import itertools
 import math
 import random
 import re
@@ -612,6 +613,37 @@ def test_det_zero_row_and_singular():
     sing = from_entries([[ONE, ONE], [ONE, ONE]])
     assert det_bareiss(sing) == ZERO
     assert sing.det() == ZERO
+
+
+def leibniz_det(a):
+    """The determinant as the signed sum over all permutations."""
+    total = 0
+    for perm in itertools.permutations(range(len(a))):
+        term = (-1) ** sum(x > y for x, y in itertools.combinations(perm, 2))
+        for row, col in zip(a, perm):
+            term *= row[col]
+        total += term
+    return total
+
+
+@st.composite
+def int_matrices(draw):
+    """1x1 to 4x4 integer matrices: the cofactor form's sizes and Bareiss'
+    smallest, with zero entries (and so zero pivots), small entries, entries
+    of about 4000 bits, and repeated rows."""
+    n = draw(st.integers(1, 4))
+    entry = st.one_of(st.just(0), st.integers(-2, 2),
+                      st.integers(-2**4000, 2**4000), st.integers(2**3990, 2**4000))
+    rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        rows[draw(st.integers(1, n - 1))] = rows[0]
+    return tuple(map(tuple, rows))
+
+
+@given(int_matrices())
+@settings(max_examples=300, deadline=None)
+def test_int_det_matches_leibniz(a):
+    assert int_det(a) == leibniz_det(a)
 
 
 # -- kronecker_det: the one evaluated determinant ------------------------------

@@ -512,6 +512,42 @@ def test_find_homs_matches_elementwise_search(source, group_args, fix):
     assert homs or source == "gens: x y\nrel: x y"
 
 
+def pinned_candidates_search(p, group, fix=None):
+    """Every candidate with `fix` pinned to s, in odometer order, each kept
+    when `check_homomorphism` (the relators on the coset tables) passes."""
+    size = group.p**group.k
+    fixed = p.gen_index(fix or p.generators[0])
+    out = []
+    for vs in itertools.product(*[[0] if g == fixed else range(size)
+                                  for g in range(1, p.num_generators + 1)]):
+        images = tuple(size + v for v in vs)  # s b^vec(v)
+        try:
+            check_homomorphism(p, group, images)
+        except NotHomomorphismError:
+            continue
+        out.append(HomAssignment(images, generates(group, images)))
+    return out
+
+
+def test_find_homs_matches_check_homomorphism_on_every_candidate():
+    # the Fox-derivative test over F_p against the coset-table walk: every
+    # fraction to alpha 61 over A4 and to 41 over five larger groups, and
+    # the bundled knots over all six with every generator fixed
+    groups = [a4_group()] + [build_group(n, q) for n, q in
+                             ((4, 3), (5, 2), (4, 5), (3, 5), (3, 7))]
+    cases = [(wirtinger_presentation(r), groups[0], None) for r in enumerate_fractions(61)]
+    cases += [(wirtinger_presentation(r), g, None)
+              for g in groups[1:] for r in enumerate_fractions(41)]
+    cases += [(presentation(name), g, fix) for name in BUNDLED for g in groups
+              for fix in presentation(name).generators]
+    found = 0
+    for p, g, fix in cases:
+        homs = find_homs(p, g, fix=fix)
+        assert homs == pinned_candidates_search(p, g, fix), (p.name, g.name(), fix)
+        found += len(homs)
+    assert found > len(cases)
+
+
 def test_trivial_rep():
     p = wirtinger_presentation(FractionR(1, 3))
     rho = trivial_rep(p)

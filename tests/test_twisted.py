@@ -561,6 +561,22 @@ def _block_walks(walks, b):
     return [[(g, counts, entries[b]) for g, counts, entries in walk] for walk in walks]
 
 
+def test_second_fox_walk_takes_no_step(monkeypatch):
+    # a representation keeps the steps of its walks: walking the relators
+    # again multiplies no element and gives the same tally
+    group = MetaGroup(5, 2)  # not the shared group: its index_mul is counted
+    p = presentation("10_145")
+    rho = representation_blocks(find_homs(p, group)[0].images, group, p)
+    calls = []
+    genuine = group.index_mul
+    monkeypatch.setattr(group, "index_mul", lambda x, y: calls.append((x, y)) or genuine(x, y))
+    first = [rho.fox_walk(rel) for rel in p.relators]
+    assert calls
+    calls.clear()
+    assert [rho.fox_walk(rel) for rel in p.relators] == first
+    assert calls == []
+
+
 _GROUPS = {"A4": a4_group(), "M(4|3,2)": build_group(4, 3), "M(5|2,4)": build_group(5, 2)}
 
 
