@@ -12,9 +12,9 @@ blocks, is the one representation type the commands use.
 from __future__ import annotations
 
 from .exactalg import ExactnessError, LaurentPoly
-from .groupcalc import Presentation, Word, fox_tally
+from .groupcalc import Word, fox_tally
 from .intmat import Mat, identity, mat_mul
-from .metabelian import MetaGroup, check_homomorphism
+from .metabelian import MetaGroup
 
 
 def support_blocks(size: int, images) -> list[list[int]]:
@@ -113,21 +113,22 @@ class Representation:
                 m[w][u] = v
         return [tuple(map(tuple, m)) for m in mats]
 
-    def fox_walk(self, rel: Word) -> list[tuple[int, dict[int, int], tuple]]:
+    def fox_walk(self, rel: Word) -> tuple[list[tuple[int, dict[int, int], tuple]], int]:
         """One walk of the relator on element indices (`fox_tally`): for
         each key (generator, prefix) of its tally, the generator, the
-        degree -> count and the prefix's entries in each block.  A step
-        names the element index of a prefix, which means the same for every
-        relator, so the representation keeps one memo of the steps for its
-        life, and `index_mul` runs once per distinct step."""
+        degree -> count and the prefix's entries in each block; and the
+        element index of the relator's image, its last prefix, which is 0
+        for a relator the images kill.  A step names the element index of
+        a prefix, which means the same for every relator, so the
+        representation keeps one memo of the steps for its life, and
+        `index_mul` runs once per distinct step."""
         group, letters = self.group, self.letters
-        tally = fox_tally(rel, lambda x, letter: group.index_mul(x, letters[letter]),
-                          self._steps)
-        return [(g, counts, self.entries(x)) for (g, x), counts in tally.items()]
+        tally, image = fox_tally(
+            rel, lambda x, letter: group.index_mul(x, letters[letter]), self._steps)
+        return [(g, counts, self.entries(x)) for (g, x), counts in tally.items()], image
 
 
-def representation_blocks(images: tuple[int, ...], group: MetaGroup,
-                          p: Presentation) -> Representation:
+def representation_blocks(images: tuple[int, ...], group: MetaGroup) -> Representation:
     """The representation whose twisted numerator and denominator
     determinants are exactly those of `oracles.perm_rep(images, group, p)`,
     the full permutation path, for the element indices of the generators'
@@ -141,12 +142,12 @@ def representation_blocks(images: tuple[int, ...], group: MetaGroup,
     C depends only on the group, so conjugating every image by it leaves
     the determinants unchanged.
 
-    The images are checked against p's relators on every call.  The
-    representation depends only on them, so the group keeps one per tuple
-    of images, with its blocks, checked block images and per-element
-    entries.
+    The representation depends only on the images, so the group keeps one
+    per tuple of images, with its blocks, checked block images and
+    per-element entries.  Whether the images kill a presentation's
+    relators is checked where the relators are walked
+    (`twisted.twisted_alexander`).
     """
-    check_homomorphism(p, group, images)
     rho = group._representations.get(images)
     if rho is None:
         letters = {}

@@ -68,6 +68,7 @@ from .twobridge import (
     alexander_poly,
     enumerate_fractions,
     h3_expand,
+    h3_forms,
     wirtinger_presentation,
 )
 
@@ -136,7 +137,7 @@ def _compute_records(p: Presentation, group: MetaGroup, delta: LaurentPoly,
         t0 = time.monotonic()
         if rep == i:
             result = twisted_alexander(
-                p, representation_blocks(h.images, group, p))
+                p, representation_blocks(h.images, group))
             if result.invariant is None:
                 if h.surjective and user_presentation:
                     raise InputError(
@@ -276,10 +277,10 @@ def cmd_compute(args) -> int:
 def _scan_one(packed):
     """Worker for scan: the records for one fraction (picklable).
 
-    The job carries the fraction and its H(3) certificate, decided once by
-    `cmd_scan` (None when the fraction is not in H(3) or nothing reads
-    it).  The surjections found by the search are grouped into classes
-    under the automorphisms phi_U (`unit_classes`, which checks every
+    The job carries the fraction and its H(3) certificate, which `cmd_scan`
+    looks up in the generated forms (None when the fraction is not in H(3)
+    or nothing reads it).  The surjections found by the search are grouped
+    into classes under the automorphisms phi_U (`unit_classes`, which checks every
     member against its representative), taking them in label order so
     that each class is represented by its lexicographically smallest
     assignment.  The scan emits one row per class, labeled with that
@@ -308,6 +309,15 @@ def _scan_one(packed):
 
 
 def cmd_scan(args) -> int:
+    """Records for the 2-bridge fractions with alpha <= --alpha-max, one
+    job per fraction (`_scan_one`), written in (alpha, beta) order.
+
+    The H(3) forms are generated once (`twobridge.h3_forms`) when a
+    certificate is read: with --h3-only, and with --cross-check over A4,
+    whose recursion path takes it.  With --h3-only the jobs are the
+    members alone, so no other fraction is built; otherwise every
+    enumerated fraction is looked up in them.  Exit 3 when the two
+    computation paths disagree on any record."""
     group = group_from_name(args.group)  # validate early
     if args.jobs < 1:
         raise InputError(f"--jobs must be at least 1, got {args.jobs}")
@@ -317,13 +327,11 @@ def cmd_scan(args) -> int:
         raise InputError(f"--alpha-max must be at most {ALPHA_MAX}, got {args.alpha_max}")
     # the certificate is read by --h3-only and by the recursion path,
     # which runs only over A4
-    decide = args.h3_only or (args.cross_check and group == a4_group())
-    jobs = []
-    for r in enumerate_fractions(args.alpha_max):
-        form = h3_expand(r) if decide else None
-        if args.h3_only and form is None:
-            continue
-        jobs.append((r, args.group, form, args.cross_check))
+    read = args.h3_only or (args.cross_check and group == a4_group())
+    forms = h3_forms(args.alpha_max) if read else {}
+    fractions = (sorted(forms, key=lambda r: (r.alpha, r.beta)) if args.h3_only
+                 else enumerate_fractions(args.alpha_max))
+    jobs = [(r, args.group, forms.get(r), args.cross_check) for r in fractions]
     workers = min(args.jobs, len(jobs), os.cpu_count() or 1)
     if workers > 1:
         from multiprocessing import Pool
@@ -332,8 +340,8 @@ def cmd_scan(args) -> int:
             chunks = pool.map(_scan_one, jobs)
     else:
         chunks = [_scan_one(j) for j in jobs]
-    # enumerate_fractions yields (alpha, beta) order, Pool.map keeps it, and
-    # each chunk is in assignment order
+    # the fractions are in (alpha, beta) order, Pool.map keeps it, and each
+    # chunk is in assignment order
     rows = [rec for chunk in chunks for rec in chunk]
     _write_rows(rows, args.out, jsonl=args.jsonl)
     print(f"scan: {len(rows)} rows for {group.name()} up to alpha = "

@@ -414,13 +414,27 @@ def kronecker_det(block_rows, dim: int) -> LaurentPoly:
     for lo, _, terms in rows:
         block = [[0] * size for _ in range(dim)]
         for col, counts, entries in terms:
-            c = sum(count << shift * (d - lo) for d, count in counts.items() if count)
+            c = (sum(count << shift * (d - lo) for d, count in counts.items() if count)
+                 if len(counts) <= _DIRECT_DIGITS else _counts_value(counts, lo, shift))
             for w, u, v in entries:
                 block[w][col + u] += c * v
         matrix.extend(block)
     return evaluated_det(
         matrix, shift, bound, dim * sum(hi - lo for lo, hi, _ in rows) + 1,
         dim * sum(lo for lo, _, _ in rows))
+
+
+def _counts_value(counts: dict[int, int], lo: int, shift: int) -> int:
+    """sum count 2^(shift (d - lo)) over the degree -> count map: term by
+    term for at most _DIRECT_DIGITS nonzero counts, else packed by halves
+    from the dense list (`_pack`), which is not quadratic in the span."""
+    nonzero = [d for d, count in counts.items() if count]
+    if len(nonzero) <= _DIRECT_DIGITS:
+        return sum(counts[d] << shift * (d - lo) for d in nonzero)
+    dense = [0] * (max(nonzero) - lo + 1)
+    for d in nonzero:
+        dense[d - lo] = counts[d]
+    return _pack(dense, shift)
 
 
 # ---------------------------------------------------------------------------

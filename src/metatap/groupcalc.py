@@ -15,6 +15,7 @@ it is checked against are in `metatap.oracles`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add
 from typing import Callable, Iterable, Iterator
 
 from .exactalg import LaurentPoly, kronecker_det
@@ -24,7 +25,14 @@ WordTuple = tuple[int, ...]
 
 
 def reduce_letters(letters: Iterable[int]) -> WordTuple:
-    """Freely reduce: cancel adjacent inverse pairs until none remain."""
+    """Freely reduce: cancel adjacent inverse pairs until none remain.
+
+    A word with no 0 letter and no adjacent inverse pair is already
+    reduced, which two C-level scans tell; any other goes through the
+    loop, which raises on a 0 letter."""
+    letters = tuple(letters)
+    if 0 not in letters and 0 not in map(add, letters, letters[1:]):
+        return letters
     stack: list[int] = []
     for x in letters:
         if x == 0:
@@ -93,7 +101,8 @@ class Word:
 
 
 def fox_tally(rel: Word, step: Callable[[int, int], int],
-              steps: dict[int, dict[int, int]]) -> dict[tuple[int, int], dict[int, int]]:
+              steps: dict[int, dict[int, int]]
+              ) -> tuple[dict[tuple[int, int], dict[int, int]], int]:
     """The one relator walk of the Fox calculus, on named prefixes.
 
     A prefix of the relator is named by an int, the empty prefix by 0, and
@@ -101,8 +110,10 @@ def fox_tally(rel: Word, step: Callable[[int, int], int],
     caller's memo of them, letter -> x -> step(x, letter): step is called
     only for an (x, letter) it lacks, and the result is stored there, so a
     caller whose names keep their meaning across walks passes the same
-    memo to each.  Returns, for each (generator, prefix), the signed count
-    of each degree: for a representation rho that the names stand for,
+    memo to each.  Returns the tally and the name of the whole relator,
+    its last prefix: for a representation rho that the names stand for,
+    that is the relator's image, and the tally gives, for each
+    (generator, prefix), the signed count of each degree, so that
     Phi(dR/dg) is the sum of count * rho(prefix) * t^degree over the keys
     of generator g.  Every generator the relator uses has a key, also when
     its counts cancel.
@@ -111,8 +122,11 @@ def fox_tally(rel: Word, step: Callable[[int, int], int],
     cur = deg = 0
     for letter in rel:
         if letter > 0:
-            counts = tally.setdefault((letter, cur), {})
-            counts[deg] = counts.get(deg, 0) + 1
+            counts = tally.get((letter, cur))
+            if counts is None:
+                tally[letter, cur] = {deg: 1}
+            else:
+                counts[deg] = counts.get(deg, 0) + 1
             deg += 1
         else:
             deg -= 1
@@ -124,9 +138,12 @@ def fox_tally(rel: Word, step: Callable[[int, int], int],
             nxt = row[cur] = step(cur, letter)
         cur = nxt
         if letter < 0:
-            counts = tally.setdefault((-letter, cur), {})
-            counts[deg] = counts.get(deg, 0) - 1
-    return tally
+            counts = tally.get((-letter, cur))
+            if counts is None:
+                tally[-letter, cur] = {deg: -1}
+            else:
+                counts[deg] = counts.get(deg, 0) - 1
+    return tally, cur
 
 
 def fox_determinant(relators, delete: int, dim: int) -> LaurentPoly:

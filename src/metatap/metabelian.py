@@ -472,6 +472,13 @@ def group_from_name(text: str) -> MetaGroup:
 class NotHomomorphismError(ValueError):
     """A generator assignment fails to kill some relator."""
 
+    @classmethod
+    def naming(cls, p: Presentation, i: int) -> "NotHomomorphismError":
+        """The error for relator i (from 0) of p, which every relator check
+        raises."""
+        return cls(f"relator {i + 1} ({p.relators[i].spell(p.generators)}) "
+                   f"does not map to the identity")
+
 
 def check_homomorphism(p: Presentation, group: MetaGroup,
                        images: tuple[int, ...]) -> None:
@@ -500,9 +507,7 @@ def check_homomorphism(p: Presentation, group: MetaGroup,
         for letter in rel:
             u = tables[letter][u]
         if sum(ells[letter] for letter in rel) % group.n or u:
-            raise NotHomomorphismError(
-                f"relator {i + 1} ({rel.spell(p.generators)}) "
-                f"does not map to the identity")
+            raise NotHomomorphismError.naming(p, i)
 
 
 @dataclass(frozen=True)
@@ -565,8 +570,9 @@ def find_homs(p: Presentation, group: MetaGroup,
     degree d adds v_g T^(d + 1 - e) or -v_g T^(d - e): v_g T^(1 - e) times
     the term t^d or -t^(d - 1) of the abelianized Fox derivative dw/dg.
     So u = (sum_g v_g A_g(T)) T^(1 - e), A_g(T) = dw/dg at t = T, and
-    given e = 0 mod n (checked first) a relator holds iff that sum is 0.
-    One pass per relator folds each A_g mod n (T^n = I) into the table
+    given e = 0 mod n a relator holds iff that sum is 0.  One pass per
+    relator folds each A_g mod n (T^n = I), ending at e mod n, which must
+    be 0 (else there is no assignment); then each A_g becomes the table
     v -> coset index of vec(v) A_g(T) (`index_law`; T^j is act[-j mod n]).
     A candidate passes when its tables add up to the coset 0 for every
     relator.
@@ -574,8 +580,6 @@ def find_homs(p: Presentation, group: MetaGroup,
     fixed_name = fix if fix is not None else p.generators[0]
     if fixed_name not in p.generators:
         raise InputError(f"no generator named {fixed_name!r}")
-    if any(rel.exponent_sum() % group.n for rel in p.relators):
-        return []
     act, add = group.index_law
     n, size = group.n, group.p**group.k
     fixed = p.gen_index(fixed_name)
@@ -589,6 +593,8 @@ def find_homs(p: Presentation, group: MetaGroup,
             else:
                 d = (d - 1) % n
                 folded[-letter][d] -= 1
+        if d:  # the walk ends at the exponent sum mod n
+            return []
         folded[fixed] = []  # the fixed generator has v = 0: its table stays 0
         tables.append([])
         for coeffs in folded[1:]:

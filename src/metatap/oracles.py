@@ -306,7 +306,7 @@ def fox_images(rel: Word, images: Mapping[int, Mat], inv_images: Mapping[int, Ma
         return nxt
 
     sums: dict[int, dict[int, list[list[int]]]] = {}
-    for (gen, pid), counts in fox_tally(rel, step, {}).items():
+    for (gen, pid), counts in fox_tally(rel, step, {})[0].items():
         for d, count in counts.items():
             acc = sums.setdefault(gen, {}).get(d)
             if acc is None:
@@ -344,7 +344,7 @@ def fox_tables(rho, rel: Word) -> list[dict[int, PolyMatrix]]:
     if isinstance(rho, MatrixRep):
         return [fox_images(rel, rho.images, rho.inv_images, rho.dim)]
     series: list[dict[int, list]] = [{} for _ in rho.dims]
-    for gen, counts, entries in rho.fox_walk(rel):
+    for gen, counts, entries in rho.fox_walk(rel)[0]:
         for table, block, n in zip(series, entries, rho.dims):
             pairs = table.setdefault(gen, [])
             for d, count in counts.items():

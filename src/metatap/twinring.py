@@ -10,8 +10,9 @@ For a 2-bridge fraction with continued-fraction shape
 Laurent polynomial with coefficients in that ring whose determinant, times
 (1 - t^3), is the 3-dimensional twisted polynomial of the knot: a second
 computation path fully independent of Fox calculus.  `twisted_from_form`
-runs the recursion on integer 3x3 matrices at t = 2^B and takes one 3x3
-determinant (`exactalg.evaluated_det`).
+runs the recursion on integer 3x3 matrices at t = 2^B, multiplies one
+row by the value of 1 - t^3, and takes one 3x3 determinant
+(`exactalg.evaluated_det`).
 
 The same recursion on matrix polynomials (`oracles.recursion_series`) and
 the paper's twin decomposition of its result are oracles.
@@ -211,12 +212,18 @@ def twisted_from_form(form: H3Form) -> LaurentPoly:
     B from that bound (`kronecker_shift`), the recursion runs on the
     series' values (lo, t^-lo series at t = 2^B): products multiply the
     3x3 matrices, and sums shift them to the lower lo.  A family is one
-    exact geometric sum, shifted.  One 3x3 int_det is read back
-    (`evaluated_det`) from degree 3 lo."""
+    exact geometric sum, shifted.
+
+    The factor 1 - t^3 goes into the determinant: one row of the
+    evaluated matrix is multiplied by 1 - 2^(3B), so the one 3x3 int_det
+    is the value of det * (1 - t^3), read back (`evaluated_det`) as its
+    3 (hi - lo) + 4 coefficients from degree 3 lo.  Each is c_i - c_(i-3)
+    for coefficients c of det, so 2 (ROW_NORM * T)^3 bounds them, and B
+    is taken from that bound."""
     parts = [_part(k) for k in form.ks]
     lo, hi, norm = _recursion(form, parts, _MIX_FACTOR, _span_mul, _span_add,
                               _span_scale)[:3]
-    bound = (ROW_NORM * norm) ** 3
+    bound = 2 * (ROW_NORM * norm) ** 3
     shift = kronecker_shift(bound)
     step = (1 << 6 * shift) - 1
     geometric = {}
@@ -251,10 +258,7 @@ def twisted_from_form(form: H3Form) -> LaurentPoly:
         return a[0], mat_scale(m, a[1])
 
     # both runs take the same lowest degrees, so the value's lo is lo
-    _, matrix = _recursion(form, [tuple(map(value, part)) for part in parts],
-                           value(_MIX_FACTOR), mul, add, scale)
-    det = evaluated_det(matrix, shift, bound, 3 * (hi - lo) + 1, 3 * lo)
-    return canonical(det * _BASE_INVARIANT)
-
-
-_BASE_INVARIANT = LaurentPoly([(0, 1), (3, -1)])  # value for the trefoil 1/3
+    _, (top, *rest) = _recursion(form, [tuple(map(value, part)) for part in parts],
+                                 value(_MIX_FACTOR), mul, add, scale)
+    top = tuple(x - (x << 3 * shift) for x in top)  # times 1 - t^3
+    return canonical(evaluated_det((top, *rest), shift, bound, 3 * (hi - lo) + 4, 3 * lo))

@@ -41,6 +41,7 @@ from .exactalg import (
     supported_on_multiples,
 )
 from .groupcalc import Presentation, fox_determinant
+from .metabelian import NotHomomorphismError
 
 
 def _denominator(entries, dim: int) -> LaurentPoly:
@@ -90,10 +91,13 @@ def twisted_alexander(p: Presentation, rho: Representation,
     The invariant is multiplicative over a direct sum, so it is the product
     of the blocks' ratios, all with the same deleted generator.  Each
     relator is walked once (`fox_walk`), and each block's numerator is
-    evaluated from the walks (`fox_determinant`).  The ratio of the blocks
-    after the first (`rest`) is divided out first, and the invariant is
-    nums_0 * rest / dens_0; only when `rest` is not a polynomial is the
-    whole ratio divided out.
+    evaluated from the walks (`fox_determinant`).  The same walk checks
+    that rho is a homomorphism: a relator whose image is not the identity
+    (element index 0) raises NotHomomorphismError, named as
+    `metabelian.check_homomorphism` names it (`NotHomomorphismError.naming`).
+    The ratio of the blocks after the first (`rest`) is divided out first,
+    and the invariant is nums_0 * rest / dens_0; only when `rest` is not a
+    polynomial is the whole ratio divided out.
 
     The denominators depend only on the representation and the deleted
     generator's image, so they are taken once per image and kept on
@@ -104,7 +108,12 @@ def twisted_alexander(p: Presentation, rho: Representation,
     if not p.deficiency_one():
         raise ValueError("presentation must have one fewer relator than generators")
     gen = p.num_generators if delete is None else p.gen_index(delete)
-    walks = [rho.fox_walk(rel) for rel in p.relators]
+    walks = []
+    for i, rel in enumerate(p.relators):
+        walk, image = rho.fox_walk(rel)
+        if image:
+            raise NotHomomorphismError.naming(p, i)
+        walks.append(walk)
     x = rho.letters[gen]
     dens = rho.denominators.get(x)
     if dens is None:

@@ -5,8 +5,9 @@ coprime and 0 < beta < alpha.  This module builds the standard 2-generator
 Wirtinger presentation <x, y | W x W^-1 y^-1>, decides whether r has the
 special continued-fraction expansion [3k1, 2m1, ..., 2m_{q-1}, 3kq] =
 1/(3k1 + 1/(2m1 + ... + 1/(3kq))) whose existence puts the knot group onto
-Z/2 * Z/3 (the class H(3); the expansion is unique when it exists), and
-computes untwisted Alexander polynomials: a 2-bridge knot's in closed form
+Z/2 * Z/3 (the class H(3); the expansion is unique when it exists) or
+generates every such fraction up to a bound (`h3_forms`), and computes
+untwisted Alexander polynomials: a 2-bridge knot's in closed form
 from its fraction (`alexander_closed_form`), any other knot's by Fox
 calculus on its presentation (`alexander_poly`, whose NotAKnotGroupError
 can therefore only come from a presentation the user gave).
@@ -134,11 +135,48 @@ def h3_expand(r: FractionR) -> Optional[H3Form]:
         num, den = rn - a * rd, rd
     if len(entries) % 2 == 0:
         return None
-    form = H3Form(tuple(a // 3 for a in entries[0::2]),
-                  tuple(a // 2 for a in entries[1::2]))
+    form = _form_of(entries)
     if form.value() != r.as_fraction():
         raise ExactnessError(f"the H(3) certificate {form} does not evaluate to {r}")
     return form
+
+
+def _form_of(entries) -> H3Form:
+    return H3Form(tuple(a // 3 for a in entries[0::2]),
+                  tuple(a // 2 for a in entries[1::2]))
+
+
+def h3_forms(alpha_max: int) -> dict[FractionR, H3Form]:
+    """Every fraction with alpha <= alpha_max that is in H(3), with its
+    form: the members that `h3_expand`, its oracle in the tests, finds
+    among `enumerate_fractions(alpha_max)`, generated instead of tested.
+
+    The forms are built bottom up, from the last entry, on integer pairs.
+    Prepending an entry a with |a| >= 2 to a tail of value p/q (|p| < q)
+    gives q/(a q + p), still reduced, whose denominator |a q + p| >
+    (|a| - 1) q exceeds q.  So every tail of a member has a denominator
+    of at most alpha_max, and extending the tails depth first, keeping
+    only those within the bound, misses nothing.  Entries at odd positions
+    are nonzero multiples of 3, at even ones nonzero even numbers; a tail
+    of odd length is a whole form, and a member when its value beta/alpha
+    has 0 < beta and both odd.  By `h3_expand`'s uniqueness, no fraction
+    is reached twice.
+    """
+    forms = {}
+    # (p, q, entries): a tail p/q, q > 0, and its entries from the front
+    tails = [(s, a, (s * a,)) for a in range(3, alpha_max + 1, 3) for s in (1, -1)]
+    while tails:
+        p, q, entries = tails.pop()
+        step = 2 if len(entries) % 2 else 3  # of the entry that goes before it
+        if step == 2 and p > 0 and p % 2 and q % 2:
+            forms[FractionR(p, q)] = _form_of(entries)
+        # the nonzero multiples a of step with |a q + p| <= alpha_max
+        first = -((alpha_max + p) // q // step) * step
+        for a in range(first, (alpha_max - p) // q + 1, step):
+            if a:
+                d = a * q + p
+                tails.append((q, d, (a,) + entries) if d > 0 else (-q, -d, (a,) + entries))
+    return forms
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +253,7 @@ def alexander_poly(p: Presentation) -> LaurentPoly:
     n = p.num_generators
     one = [(0, 0, 1)]
     walks = [[(g, counts, one)
-              for (g, _), counts in fox_tally(rel, lambda x, letter: 0, {}).items()]
+              for (g, _), counts in fox_tally(rel, lambda x, letter: 0, {})[0].items()]
              for rel in p.relators]
     det = fox_determinant(walks, n, 1) if n > 1 else ONE
     if det.is_zero():

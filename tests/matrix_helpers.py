@@ -20,7 +20,7 @@ def assigned_blocks(source: str, group: MetaGroup,
     onto `group` given by the --assign text `assign`, read as `compute`
     reads it (an InputError when it is no homomorphism)."""
     p = golden_input(source)[0]
-    return p, representation_blocks(_parse_assignment(assign, group, p).images, group, p)
+    return p, representation_blocks(_parse_assignment(assign, group, p).images, group)
 
 
 def generator_images(rho: Representation) -> tuple[int, ...]:

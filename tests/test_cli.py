@@ -559,6 +559,35 @@ def test_internal_value_error_exit_3(monkeypatch):
     assert err.startswith("internal consistency failure: NotHomomorphismError: relator 1 ")
 
 
+def test_only_assign_runs_check_homomorphism(tmp_path, monkeypatch):
+    # compute and scan check the search results' relators on the Fox walk
+    # they take anyway; the coset-table check runs for --assign alone
+    expected = [run_cli("compute", "--r", "5/27", "--group", "A4", "--cross-check"),
+                run_cli("compute", "--r", "3/5", "--group", "M(4|3,2)")]
+
+    def refuse(*args):
+        raise AssertionError("check_homomorphism called")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("metatap.") and hasattr(module, "check_homomorphism"):
+            monkeypatch.setattr(module, "check_homomorphism", refuse)
+    got = [run_cli("compute", "--r", "5/27", "--group", "A4", "--cross-check"),
+           run_cli("compute", "--r", "3/5", "--group", "M(4|3,2)")]
+    assert [(code, strip_millis(map(json.loads, out.splitlines())), err)
+            for code, out, err in got] == [
+        (code, strip_millis(map(json.loads, out.splitlines())), err)
+        for code, out, err in expected]
+    assert all(code == 0 for code, _, _ in got)
+    for group in ("A4", "M(4|3,2)"):
+        code, _, err = run_cli("scan", "--group", group, "--alpha-max", "27",
+                               "--cross-check", "--out", str(tmp_path / "scan.jsonl"))
+        assert code == 0, err
+    code, out, err = run_cli("compute", "--r", "5/27", "--group", "A4",
+                             "--assign", "x=s; y=s b1")
+    assert code == 3 and not out
+    assert err == "internal consistency failure: AssertionError: check_homomorphism called\n"
+
+
 def test_compute_zero_denominator_exit_3(monkeypatch, fresh_groups):
     # the denominators are kept on the group's representations, so only
     # fresh groups take them through the patched function
@@ -947,34 +976,45 @@ def test_scan_cross_path_disagreement_exit_3(tmp_path, monkeypatch):
 
 
 def test_scan_cross_check_expands_each_fraction_once(tmp_path, monkeypatch):
-    # the recursion path reads the certificate the scan already holds
-    genuine = cli.h3_expand
-    calls = []
-
-    def counting(r):
-        calls.append(r)
-        return genuine(r)
-
-    monkeypatch.setattr(cli, "h3_expand", counting)
+    # the forms are generated once, for the scan's bound; no fraction is
+    # tested one by one, and only the members are built, in (alpha, beta)
+    # order, each with its form for the recursion path
+    genuine_forms, genuine_pres = cli.h3_forms, cli.wirtinger_presentation
+    calls, built = [], []
+    monkeypatch.setattr(cli, "h3_forms",
+                        lambda alpha_max: calls.append(alpha_max) or genuine_forms(alpha_max))
+    monkeypatch.setattr(cli, "h3_expand", lambda r: pytest.fail(f"h3_expand({r})"))
+    monkeypatch.setattr(cli, "wirtinger_presentation",
+                        lambda r: built.append(r) or genuine_pres(r))
     code, _, _ = run_cli("scan", "--alpha-max", "45", "--group", "A4", "--h3-only",
                          "--cross-check", "--out", str(tmp_path / "scan.jsonl"))
     assert code == 0
-    assert calls == list(enumerate_fractions(45))
+    assert calls == [45]
+    members = genuine_forms(45)
+    assert built == sorted(members, key=lambda r: (r.alpha, r.beta))
+    assert len(built) > 10
+    rows = [json.loads(line) for line in (tmp_path / "scan.jsonl").read_text().splitlines()]
+    assert rows and all(row["cross_path_match"] is True for row in rows)
 
 
 def test_scan_decides_h3_only_when_read(tmp_path, monkeypatch):
-    # without --h3-only, and over a group other than A4 (where the recursion
-    # path never runs), nothing reads the certificate
+    # a scan generates the forms once when it reads a certificate: with
+    # --h3-only, or with --cross-check over A4, where the recursion path
+    # runs; any other scan never generates them
+    genuine = cli.h3_forms
     calls = []
-    monkeypatch.setattr(cli, "h3_expand", lambda r: calls.append(r))
-    for extra in ((), ("--cross-check",)):
-        code, _, _ = run_cli("scan", "--group", "M(4|3,2)", "--alpha-max", "21",
+    monkeypatch.setattr(cli, "h3_forms",
+                        lambda alpha_max: calls.append(alpha_max) or genuine(alpha_max))
+    for group, extra, reads in (("M(4|3,2)", (), False),
+                                ("M(4|3,2)", ("--cross-check",), False),
+                                ("A4", (), False),
+                                ("A4", ("--cross-check",), True),
+                                ("M(4|3,2)", ("--h3-only",), True)):
+        calls.clear()
+        code, _, _ = run_cli("scan", "--group", group, "--alpha-max", "21",
                              *extra, "--out", str(tmp_path / "scan.jsonl"))
         assert code == 0
-    code, _, _ = run_cli("scan", "--group", "A4", "--alpha-max", "21",
-                         "--out", str(tmp_path / "scan.jsonl"))
-    assert code == 0
-    assert calls == []
+        assert calls == ([21] if reads else []), (group, extra)
 
 
 def test_scan_parallel_carries_certificates(tmp_path):

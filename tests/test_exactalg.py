@@ -688,6 +688,27 @@ def test_kronecker_det_matches_bareiss(args):
     assert kronecker_det(block_rows, dim) == det_bareiss(block_row_matrix(block_rows, dim))
 
 
+def test_kronecker_det_wide_counts_match_bareiss():
+    # counts with more keys than the direct pack: more nonzero ones (packed
+    # by halves, with zero runs and negative counts), few nonzero ones
+    # among many zeros (term by term), and none nonzero at all
+    rng = random.Random(71)
+    split = exactalg._DIRECT_DIGITS
+    wide = {d: rng.choice((0, 1, -1, 3, -2)) for d in range(-40, 3 * split)}
+    wide.update({-40: 1, 3 * split - 1: -1, **{d: 0 for d in range(10, 30)}})
+    sparse = {d: (d % 17 == 0) - (d % 23 == 0) for d in range(2 * split)}
+    silent = {d: 0 for d in range(-5, 2 * split)}
+    assert sum(map(bool, wide.values())) > split >= sum(map(bool, sparse.values())) > 0
+    for counts in (wide, sparse, silent):
+        value = exactalg._counts_value(counts, -41, 7)
+        assert value == sum(c << 7 * (d + 41) for d, c in counts.items())
+    block_rows = [[(0, wide, [(0, 0, 1), (1, 1, -1)]), (2, {0: 1, 5: -2}, [(0, 1, 2)]),
+                   (2, silent, [(1, 0, 1)])],
+                  [(0, sparse, [(0, 1, 1), (1, 0, 1)]), (2, {1: 1}, [(0, 0, 1), (1, 1, 1)])]]
+    assert kronecker_det(block_rows, 2) == det_bareiss(block_row_matrix(block_rows, 2))
+    assert not kronecker_det(block_rows, 2).is_zero()
+
+
 def test_determinant_policy_exists_once():
     # one choice of B (kronecker_shift) and one readback, shared by the
     # determinant (kronecker_det), the product (_kronecker_product) and

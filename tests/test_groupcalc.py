@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from metatap.exactalg import ZERO, LaurentPoly
 from metatap.groupcalc import (
-    Presentation, PresentationError, Word, fox_determinant, parse_presentation)
+    Presentation, PresentationError, Word, fox_determinant, parse_presentation,
+    reduce_letters)
 from metatap.oracles import GroupRingElem, fox_derivative, fox_derivative_recursive
 
 words = st.lists(
@@ -23,6 +24,29 @@ def test_reduce():
     assert Word([1, -1]) == Word()
     assert Word([1, 2, -2, 1]) == Word([1, 1])
     assert len(Word([1, 2, -2, -1])) == 0
+
+
+def test_reduce_letters_loop_for_pairs_and_zero():
+    # a reduced word is returned as it is; an inverse pair, also one that
+    # meets only after another cancels, goes through the loop, and so
+    # does a 0 letter, which raises wherever it stands
+    assert reduce_letters([1, 2, -1, -2]) == (1, 2, -1, -2)
+    assert reduce_letters((2, 1, -1, -2, 3)) == (3,)
+    for letters in ([0], [1, 0], [2, 0, -1], [0, 0]):
+        with pytest.raises(ValueError, match="^0 is not a valid letter$"):
+            reduce_letters(letters)
+
+
+@given(st.lists(st.integers(-3, 3).filter(bool), max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_reduce_letters_matches_stack_reduction(letters):
+    stack = []
+    for x in letters:
+        if stack and stack[-1] == -x:
+            stack.pop()
+        else:
+            stack.append(x)
+    assert reduce_letters(letters) == tuple(stack)
 
 
 def test_invert():

@@ -587,15 +587,17 @@ def test_obstruction_matches_resultant_oracle():
 # -- what a group keeps for every fraction -------------------------------------
 
 def test_representation_kept_per_tuple_of_images():
-    # two knots with the same generator images share one representation
+    # two knots with the same generator images share one representation,
+    # and each knot's relators are walked on it
     g = a4_group()
     images = elems(g, "s", "s b1")
     p1, p2 = (wirtinger_presentation(FractionR.parse(f)) for f in ("5/27", "7/39"))
-    rho = representation_blocks(images, g, p1)
-    assert representation_blocks(images, g, p2) is rho
+    rho = representation_blocks(images, g)
+    assert representation_blocks(images, g) is rho
     assert g._representations[images] is rho
+    assert [rho.fox_walk(rel)[1] for p in (p1, p2) for rel in p.relators] == [0, 0]
     other = elems(g, "s", "s b2")
-    assert representation_blocks(other, g, p1) is not rho
+    assert representation_blocks(other, g) is not rho
 
 
 def test_cached_unit_classes_match_fresh_computation():

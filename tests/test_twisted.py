@@ -17,6 +17,7 @@ from metatap.knotdata import presentation
 from metatap.characters import Representation, representation_blocks, support_blocks
 from metatap.metabelian import (
     MetaGroup,
+    NotHomomorphismError,
     a4_group,
     build_group,
     find_homs,
@@ -31,6 +32,7 @@ from metatap.oracles import (
     fox_images,
     fox_jacobian,
     fox_tables,
+    group_word_image,
     perm_rep,
     phi_generator_minus_one,
     check_factorization,
@@ -224,7 +226,7 @@ def test_interned_fox_images_match_per_letter_pass():
                 if h is None:
                     continue
                 surjective += onto
-                reps = block_reps(representation_blocks(h.images, group, p))
+                reps = block_reps(representation_blocks(h.images, group))
                 reps.append(perm_rep(h.images, group, p))
                 for rho in reps:
                     _assert_same_fox_tables(p.relators[0], rho.images,
@@ -242,7 +244,7 @@ def test_interned_fox_images_match_per_letter_pass():
 def _assert_index_walk_matches_interned(p, group, images):
     # the blocks' tables from one walk on element indices, against the
     # oracle's interned-matrix walk over each block's own images
-    rho = representation_blocks(images, group, p)
+    rho = representation_blocks(images, group)
     blocks = block_reps(rho)
     for rel in p.relators:
         walked = fox_tables(rho, rel)
@@ -417,7 +419,7 @@ def assert_blocks_match_full_path(p, group, images):
     """The block path gives the full permutation path's numerator,
     denominator, deleted generator and invariant; the block dimensions add
     up to p^k, and the trivial block comes first."""
-    rho = representation_blocks(images, group, p)
+    rho = representation_blocks(images, group)
     assert sum(rho.dims) == group.p**group.k
     assert all(blocks[0] == ((1,),) for blocks in rho.block_images.values())
     assert same_ratio(twisted_alexander(p, rho),
@@ -544,7 +546,7 @@ def test_block_determinants_multiply_to_full_exactly():
                         ("5/9", build_group(4, 5))):
         p, rho = assigned_blocks(frac, group)
         full = perm_rep(generator_images(rho), group, p)
-        walks = [rho.fox_walk(rel) for rel in p.relators]
+        walks = [rho.fox_walk(rel)[0] for rel in p.relators]
         for gen in (1, 2):
             den = num = ONE
             for b, dim in enumerate(rho.dims):
@@ -561,12 +563,24 @@ def _block_walks(walks, b):
     return [[(g, counts, entries[b]) for g, counts, entries in walk] for walk in walks]
 
 
+def test_twisted_alexander_names_the_first_relator_not_killed():
+    # the relator walk checks the images: y = z holds, x = y does not
+    group = a4_group()
+    p = parse_presentation("gens: x y z\nrel: y Z\nrel: x Y\n")
+    rho = representation_blocks(
+        tuple(group.parse_elem(e) for e in ("s", "s b1", "s b1")), group)
+    with pytest.raises(NotHomomorphismError,
+                       match=r"^relator 2 \(x Y\) does not map to the identity$"):
+        twisted_alexander(p, rho)
+    assert [rho.fox_walk(rel)[1] == 0 for rel in p.relators] == [True, False]
+
+
 def test_second_fox_walk_takes_no_step(monkeypatch):
     # a representation keeps the steps of its walks: walking the relators
     # again multiplies no element and gives the same tally
     group = MetaGroup(5, 2)  # not the shared group: its index_mul is counted
     p = presentation("10_145")
-    rho = representation_blocks(find_homs(p, group)[0].images, group, p)
+    rho = representation_blocks(find_homs(p, group)[0].images, group)
     calls = []
     genuine = group.index_mul
     monkeypatch.setattr(group, "index_mul", lambda x, y: calls.append((x, y)) or genuine(x, y))
@@ -585,7 +599,8 @@ _GROUPS = {"A4": a4_group(), "M(4|3,2)": build_group(4, 3), "M(5|2,4)": build_gr
 def test_evaluated_determinants_match_bareiss_tables(data):
     """Random relator words and generator images: every block's evaluated
     numerator for every deleted generator, and every denominator, against
-    det_bareiss of the oracle's Fox tables and Phi(g - 1)."""
+    det_bareiss of the oracle's Fox tables and Phi(g - 1); and the image
+    each walk ends at against the relator's image by the vector law."""
     name = data.draw(st.sampled_from(sorted(_GROUPS)))
     group = _GROUPS[name]
     ngen = data.draw(st.sampled_from((2, 3) if name != "M(5|2,4)" else (2,)))
@@ -601,7 +616,11 @@ def test_evaluated_determinants_match_bareiss_tables(data):
     blocks = support_blocks(group.p**group.k,
                             [group.character_image(letters[g]) for g in range(1, ngen + 1)])
     rho = Representation(group, letters, blocks)
-    walks = [rho.fox_walk(rel) for rel in relators]
+    walked = [rho.fox_walk(rel) for rel in relators]
+    images = {g: letters[g] for g in range(1, ngen + 1)}
+    assert [image for _, image in walked] == [
+        group_word_image(group, rel, images) for rel in relators]
+    walks = [walk for walk, _ in walked]
     tables = [fox_tables(rho, rel) for rel in relators]
     for gen in range(1, ngen + 1):
         for b, dim in enumerate(rho.dims):

@@ -26,6 +26,7 @@ from metatap.twobridge import (
     alexander_poly,
     enumerate_fractions,
     h3_expand,
+    h3_forms,
     wirtinger_presentation,
 )
 
@@ -151,6 +152,18 @@ def test_h3_expand_matches_bottom_up_enumeration():
     for value, entries in members.items():
         assert entries == [decided[value].entries], value
     assert len(members) > 50
+
+
+def test_h3_forms_equals_h3_expand_at_every_bound():
+    # every bound from 3 to 401, odd and even, multiples of 3 and not: a
+    # first entry of 1 or 2 from a range that does not start at a multiple
+    # of its step would show at a bound that is not one
+    decided = {r: h3_expand(r) for r in enumerate_fractions(401)}
+    for alpha_max in range(3, 402):
+        assert h3_forms(alpha_max) == {
+            r: form for r, form in decided.items()
+            if form is not None and r.alpha <= alpha_max}, alpha_max
+    assert len(h3_forms(163)) == 124 and len(h3_forms(401)) == 562
 
 
 def test_h3_expand_matches_fraction_search():
