@@ -51,7 +51,6 @@ from .metabelian import (
     MetaGroup,
     NotHomomorphismError,
     a4_group,
-    check_homomorphism,
     find_homs,
     generates,
     group_from_name,
@@ -63,6 +62,7 @@ from .twinring import twisted_from_form
 from .twobridge import (
     ALPHA_MAX,
     FractionR,
+    H3Form,
     NotAKnotGroupError,
     alexander_closed_form,
     alexander_poly,
@@ -98,10 +98,6 @@ def _parse_assignment(text: str, group: MetaGroup, p: Presentation) -> HomAssign
     if missing:
         raise InputError(f"assignment missing generators {missing}")
     indices = tuple(images[g] for g in p.generators)
-    try:
-        check_homomorphism(p, group, indices)
-    except NotHomomorphismError as e:
-        raise InputError(str(e)) from None
     return HomAssignment(indices, generates(group, indices))
 
 
@@ -111,7 +107,7 @@ def _assignment_str(images: tuple[int, ...], group: MetaGroup, p: Presentation) 
 
 def _compute_records(p: Presentation, group: MetaGroup, delta: LaurentPoly,
                      homs: list[HomAssignment], classes: list[int], labels: list[str],
-                     input_name: str, recursion_value=None,
+                     input_name: str, form: Optional[H3Form] = None,
                      skip_non_polynomial: bool = False,
                      user_presentation: bool = False) -> list[dict]:
     """One record per assignment, with one determinant per class.
@@ -120,8 +116,11 @@ def _compute_records(p: Presentation, group: MetaGroup, delta: LaurentPoly,
     member against its representative, and `labels` are their texts
     (`_assignment_str`).  The representative of each class
     goes through representation_blocks, twisted_alexander and
-    block_verdict, and the members reuse its result.  `recursion_value`,
-    given only under --cross-check, is compared with each record's phi.
+    block_verdict, and the members reuse its result.  `form`, given only
+    under --cross-check over A4, is the input's H(3) certificate: its
+    recursion value (`twisted_from_form`) is taken at the first record with
+    a phi, after the walk has checked the relators, and compared with each
+    record's phi.
 
     A non-surjective assignment whose determinant ratio is not a
     polynomial is an input error, or, with `skip_non_polynomial`, is
@@ -133,6 +132,7 @@ def _compute_records(p: Presentation, group: MetaGroup, delta: LaurentPoly,
     delta_text = str(delta)
     verdicts = {}  # class representative -> (twisted, phi) texts and verdict
     records = []
+    recursion_value = None
     for i, (h, rep, label) in enumerate(zip(homs, classes, labels)):
         t0 = time.monotonic()
         if rep == i:
@@ -165,7 +165,9 @@ def _compute_records(p: Presentation, group: MetaGroup, delta: LaurentPoly,
             continue
         twisted_text, phi_text, verdict = verdicts[rep]
         cross = None
-        if recursion_value is not None and verdict.phi is not None:
+        if form is not None and verdict.phi is not None:
+            if recursion_value is None:
+                recursion_value = twisted_from_form(form)
             cross = verdict.phi == recursion_value
         millis = int((time.monotonic() - t0) * 1000)
         records.append({
@@ -232,6 +234,9 @@ def compute(p: Presentation, delta: LaurentPoly, input_name: str,
     status and the records.  The assignments are the --assign text or the
     find_homs results; `include_all` keeps the non-surjective ones.  The
     "no representation" messages and the cross-path summary go to stderr.
+    The relators are checked on the Fox walk (`twisted_alexander`): a
+    NotHomomorphismError is an input error for --assign and a fault for a
+    search result.
     """
     if not assign and not obstruction_passes(delta, group):
         print(
@@ -247,16 +252,17 @@ def compute(p: Presentation, delta: LaurentPoly, input_name: str,
         print(f"no representation of {input_name} onto {group.name()} found",
               file=sys.stderr)
         return EXIT_NO_REP, []
-    recursion_value = None
-    if cross_check and group == a4_group() and r is not None:
-        form = h3_expand(r)
-        if form is not None:
-            recursion_value = twisted_from_form(form)
-    records = _compute_records(p, group, delta, homs, unit_classes(group, homs),
-                               [_assignment_str(h.images, group, p) for h in homs],
-                               input_name, recursion_value,
-                               skip_non_polynomial=include_all and not assign,
-                               user_presentation=r is None)
+    form = h3_expand(r) if cross_check and group == a4_group() and r is not None else None
+    try:
+        records = _compute_records(p, group, delta, homs, unit_classes(group, homs),
+                                   [_assignment_str(h.images, group, p) for h in homs],
+                                   input_name, form,
+                                   skip_non_polynomial=include_all and not assign,
+                                   user_presentation=r is None)
+    except NotHomomorphismError as e:
+        if not assign:
+            raise
+        raise InputError(str(e)) from None
     if not records:
         print(f"no representation of {input_name} onto {group.name()} "
               f"has a polynomial invariant", file=sys.stderr)
@@ -298,14 +304,11 @@ def _scan_one(packed):
                      key=lambda pair: pair[0])
     if not labeled:
         return []
-    recursion_value = None
-    if cross_check and group == a4_group() and form is not None:
-        recursion_value = twisted_from_form(form)
     labels, surjective = zip(*labeled)
     reps = sorted(set(unit_classes(group, list(surjective))))
     return _compute_records(p, group, delta, [surjective[i] for i in reps],
                             list(range(len(reps))), [labels[i] for i in reps], str(r),
-                            recursion_value)
+                            form if cross_check and group == a4_group() else None)
 
 
 def cmd_scan(args) -> int:

@@ -29,7 +29,7 @@ from itertools import product
 from typing import Optional, Sequence
 
 from .exactalg import ExactnessError, LaurentPoly, poly_from_coeffs, exact_div
-from .groupcalc import InputError, Presentation, Word
+from .groupcalc import InputError, Presentation
 from .intmat import Mat, identity, mat_mul
 
 
@@ -456,6 +456,8 @@ def group_from_name(text: str) -> MetaGroup:
     if n > 2 * k * k:
         raise InputError(f"k = {k} does not match deg Phi_{n} >= sqrt({n}/2) "
                          f"in {text!r}")
+    if n < 2:  # Phi_0 is not defined
+        raise InputError("need n >= 2")
     degree = euler_phi(n)
     if degree != k:
         raise InputError(
@@ -474,40 +476,11 @@ class NotHomomorphismError(ValueError):
 
     @classmethod
     def naming(cls, p: Presentation, i: int) -> "NotHomomorphismError":
-        """The error for relator i (from 0) of p, which every relator check
-        raises."""
+        """The error for relator i (from 0) of p.  The relator check on the
+        Fox walk (`twisted.twisted_alexander`) raises it, and so does its
+        oracle on the coset tables (`oracles.check_homomorphism`)."""
         return cls(f"relator {i + 1} ({p.relators[i].spell(p.generators)}) "
                    f"does not map to the identity")
-
-
-def check_homomorphism(p: Presentation, group: MetaGroup,
-                       images: tuple[int, ...]) -> None:
-    """Raise NotHomomorphismError naming the first relator of p that the
-    assignment does not send to the identity.  `images` are the element
-    indices of the generators' images, in generator order.
-
-    The image of a word is s^a b^v with a the sum of the s-exponents of
-    its letters, and right multiplication by it takes the coset 0 to the
-    coset of v; so a relator holds when a = 0 mod n and the coset walk
-    from 0 returns to 0.  The coset action is faithful, so this is the
-    same test as the permutation matrices' product being the identity.
-    """
-    if len(images) != p.num_generators or not all(0 <= x < group.order() for x in images):
-        raise ValueError(f"{images} are not {p.num_generators} element indices "
-                         f"of {group.name()}")
-    tables = {}
-    ells = {}
-    for g, x in enumerate(images, start=1):
-        ell = x // group.p**group.k
-        tables[g] = group.coset_table(x)
-        tables[-g] = _inverse_table(tables[g])
-        ells[g], ells[-g] = ell, -ell
-    for i, rel in enumerate(p.relators):
-        u = 0  # the coset that coset 0 reaches through the letters' tables
-        for letter in rel:
-            u = tables[letter][u]
-        if sum(ells[letter] for letter in rel) % group.n or u:
-            raise NotHomomorphismError.naming(p, i)
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,9 @@ compare with the production code.  No production module imports this one.
     group_word_image            metabelian.find_homs and check_homomorphism
                                 (relators by the vector law, not by Fox
                                 derivatives over F_p or on the coset tables)
+    check_homomorphism          twisted.twisted_alexander's relator check and
+                                metabelian.find_homs (relators on the coset
+                                tables, not on the Fox walk or over F_p)
     PolyMatrix                  no production type: a matrix over Z[t, 1/t]
                                 as its degree -> integer matrix series, with
                                 its determinant through kronecker_det
@@ -64,7 +67,7 @@ from .groupcalc import Presentation, Word, fox_tally
 from .intmat import (
     Mat, identity, int_det, mat_add, mat_inverse, mat_mul, mat_neg, mat_scale, mat_sub,
     zeros)
-from .metabelian import MetaGroup, check_homomorphism
+from .metabelian import MetaGroup, NotHomomorphismError, _inverse_table
 from .twinring import I3, POWERS, X, XINV, XINV_YINV, Y, YINV, YX, power3
 from .twisted import TwistedResult, Verdict, _product
 from .twobridge import H3Form
@@ -537,6 +540,38 @@ def group_word_image(group: MetaGroup, word: Word, images: dict[int, int]) -> in
         x = images[abs(letter)]
         out = vector_mul(group, out, x if letter > 0 else vector_inv(group, x))
     return out
+
+
+def check_homomorphism(p: Presentation, group: MetaGroup,
+                       images: tuple[int, ...]) -> None:
+    """Raise NotHomomorphismError naming the first relator of p that the
+    assignment does not send to the identity.  `images` are the element
+    indices of the generators' images, in generator order.  Production
+    checks the relators on the Fox walk (`twisted.twisted_alexander`), and
+    `metabelian.find_homs` decides them by linear algebra over F_p.
+
+    The image of a word is s^a b^v with a the sum of the s-exponents of
+    its letters, and right multiplication by it takes the coset 0 to the
+    coset of v; so a relator holds when a = 0 mod n and the coset walk
+    from 0 returns to 0.  The coset action is faithful, so this is the
+    same test as the permutation matrices' product being the identity.
+    """
+    if len(images) != p.num_generators or not all(0 <= x < group.order() for x in images):
+        raise ValueError(f"{images} are not {p.num_generators} element indices "
+                         f"of {group.name()}")
+    tables = {}
+    ells = {}
+    for g, x in enumerate(images, start=1):
+        ell = x // group.p**group.k
+        tables[g] = group.coset_table(x)
+        tables[-g] = _inverse_table(tables[g])
+        ells[g], ells[-g] = ell, -ell
+    for i, rel in enumerate(p.relators):
+        u = 0  # the coset that coset 0 reaches through the letters' tables
+        for letter in rel:
+            u = tables[letter][u]
+        if sum(ells[letter] for letter in rel) % group.n or u:
+            raise NotHomomorphismError.naming(p, i)
 
 
 def det_bareiss(m: PolyMatrix) -> LaurentPoly:

@@ -92,9 +92,10 @@ def twisted_alexander(p: Presentation, rho: Representation,
     of the blocks' ratios, all with the same deleted generator.  Each
     relator is walked once (`fox_walk`), and each block's numerator is
     evaluated from the walks (`fox_determinant`).  The same walk checks
-    that rho is a homomorphism: a relator whose image is not the identity
-    (element index 0) raises NotHomomorphismError, named as
-    `metabelian.check_homomorphism` names it (`NotHomomorphismError.naming`).
+    that rho is a homomorphism, for a search result and an --assign alike:
+    a relator whose image is not the identity (element index 0) raises
+    NotHomomorphismError (`NotHomomorphismError.naming`), and the tests
+    check it against `oracles.check_homomorphism`.
     The ratio of the blocks after the first (`rest`) is divided out first,
     and the invariant is nums_0 * rest / dens_0; only when `rest` is not a
     polynomial is the whole ratio divided out.

@@ -184,7 +184,7 @@ def test_compute_non_homomorphic_assign_exit_1_after_cache_hit():
 
 
 def test_compute_non_homomorphic_assign_exit_1_on_both_paths():
-    # p = 2 and p = 3: the check runs before any block is built
+    # p = 2 and p = 3: the walk checks the relator before any determinant
     for frac, group, assign in (("1/3", "M(5|2,4)", "x=s; y=s b1"),
                                 ("1/5", "M(5|2,4)", "x=s; y=b1"),
                                 ("1/3", "M(4|3,2)", "x=s; y=s b1")):
@@ -559,11 +559,27 @@ def test_internal_value_error_exit_3(monkeypatch):
     assert err.startswith("internal consistency failure: NotHomomorphismError: relator 1 ")
 
 
-def test_only_assign_runs_check_homomorphism(tmp_path, monkeypatch):
-    # compute and scan check the search results' relators on the Fox walk
-    # they take anyway; the coset-table check runs for --assign alone
-    expected = [run_cli("compute", "--r", "5/27", "--group", "A4", "--cross-check"),
-                run_cli("compute", "--r", "3/5", "--group", "M(4|3,2)")]
+def test_no_command_runs_check_homomorphism(monkeypatch):
+    # every command, --assign included, checks the relators on the Fox walk
+    # it takes anyway; the coset-table check is the tests' oracle alone
+    commands = [
+        ("compute", "--r", "5/27", "--group", "A4", "--cross-check"),
+        ("compute", "--r", "3/5", "--group", "M(4|3,2)"),
+        ("compute", "--r", "5/27", "--group", "A4", "--assign", "x=s; y=s b1"),
+        ("compute", "--r", "5/27", "--group", "A4", "--assign", "x=s; y=s^2"),
+        ("compute", "--pres", "8_5", "--group", "A4", "--assign", "x=1; y=1; z=b2"),
+        ("find-reps", "--r", "5/27", "--group", "A4"),
+        ("scan", "--group", "A4", "--alpha-max", "27", "--cross-check", "--out", "-"),
+        ("scan", "--group", "M(4|3,2)", "--alpha-max", "27", "--out", "-"),
+        ("selftest",),
+    ]
+
+    def outcomes():
+        return [(code, re.sub(r'"millis": \d+', '"millis": 0', out), err)
+                for code, out, err in (run_cli(*argv) for argv in commands)]
+
+    expected = outcomes()
+    assert [code for code, _, _ in expected] == [0, 0, 0, 1, 1, 0, 0, 0, 0]
 
     def refuse(*args):
         raise AssertionError("check_homomorphism called")
@@ -571,21 +587,32 @@ def test_only_assign_runs_check_homomorphism(tmp_path, monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("metatap.") and hasattr(module, "check_homomorphism"):
             monkeypatch.setattr(module, "check_homomorphism", refuse)
-    got = [run_cli("compute", "--r", "5/27", "--group", "A4", "--cross-check"),
-           run_cli("compute", "--r", "3/5", "--group", "M(4|3,2)")]
-    assert [(code, strip_millis(map(json.loads, out.splitlines())), err)
-            for code, out, err in got] == [
-        (code, strip_millis(map(json.loads, out.splitlines())), err)
-        for code, out, err in expected]
-    assert all(code == 0 for code, _, _ in got)
-    for group in ("A4", "M(4|3,2)"):
-        code, _, err = run_cli("scan", "--group", group, "--alpha-max", "27",
-                               "--cross-check", "--out", str(tmp_path / "scan.jsonl"))
-        assert code == 0, err
+    assert outcomes() == expected
+
+
+def test_compute_assign_failing_relator_2_exit_1():
+    # three generators: relator 1 holds, and the walk names relator 2
+    for pres, group, assign, relator in (
+            ("8_5", "A4", "x=1; y=1; z=b2", "x z y x Y z y X Y Z X Y"),
+            ("10_145", "M(5|2,4)", "x=1; y=b4; z=b4",
+             "Z Y z X Z y z x Y z y X Z Y z x Z y z X")):
+        code, out, err = run_cli("compute", "--pres", pres, "--group", group,
+                                 "--assign", assign)
+        assert (code, out) == (1, "")
+        assert err == f"input error: relator 2 ({relator}) does not map to the identity\n"
+
+
+def test_failing_assign_runs_no_recursion(monkeypatch):
+    # under --cross-check the walk rejects the relators before the
+    # recursion path is taken, which costs seconds near ALPHA_MAX
+    def refuse(form):
+        raise AssertionError("twisted_from_form called")
+
+    monkeypatch.setattr(cli, "twisted_from_form", refuse)
     code, out, err = run_cli("compute", "--r", "5/27", "--group", "A4",
-                             "--assign", "x=s; y=s b1")
-    assert code == 3 and not out
-    assert err == "internal consistency failure: AssertionError: check_homomorphism called\n"
+                             "--assign", "x=s; y=s^2", "--cross-check")
+    assert (code, out) == (1, "")
+    assert err.startswith("input error: relator 1 (x y x y x Y X Y X Y ")
 
 
 def test_compute_zero_denominator_exit_3(monkeypatch, fresh_groups):

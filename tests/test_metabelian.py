@@ -11,7 +11,7 @@ import pytest
 
 from metatap.characters import Representation, representation_blocks
 from metatap.exactalg import ExactnessError, canonical, parse_poly, poly_from_coeffs
-from metatap.groupcalc import parse_presentation
+from metatap.groupcalc import InputError, parse_presentation
 from metatap.intmat import identity, int_det, mat_mul, mat_neg
 from metatap.knotdata import BUNDLED, presentation
 from metatap.metabelian import (
@@ -21,7 +21,6 @@ from metatap.metabelian import (
     _conjugate_by_relabeling,
     a4_group,
     build_group,
-    check_homomorphism,
     cyclotomic_coeffs,
     euler_phi,
     find_homs,
@@ -31,8 +30,8 @@ from metatap.metabelian import (
     unit_classes,
 )
 from metatap.oracles import (
-    MatrixRep, PolyMatrix, group_word_image, perm_matrix, perm_rep, resultant,
-    trivial_rep, vector_inv, vector_mul, word_image)
+    MatrixRep, PolyMatrix, check_homomorphism, group_word_image, perm_matrix, perm_rep,
+    resultant, trivial_rep, vector_inv, vector_mul, word_image)
 from metatap.twinring import X, Y
 from metatap.selftest import golden_input
 from metatap.twobridge import (
@@ -88,6 +87,10 @@ def test_group_from_name():
     assert group_from_name("M(5|2,4)").order() == 80
     with pytest.raises(ValueError):
         group_from_name("M(5|2,3)")   # wrong k
+    # Phi_0 is not defined, so n is checked before its degree is named
+    for name in ("M(0|2,1)", "M(1|2,1)", "M(0|2,0)"):
+        with pytest.raises(InputError, match=r"^need n >= 2$"):
+            group_from_name(name)
     # k is checked against Euler's totient, which is deg Phi_n
     assert all(euler_phi(n) == len(cyclotomic_coeffs(n)) - 1 for n in range(1, 60))
     with pytest.raises(ValueError):
@@ -310,8 +313,8 @@ def test_check_homomorphism_rejects_wrong_length_or_index():
 
 
 def test_check_homomorphism_matches_matrix_products():
-    # the coset-table check perm_rep and representation_blocks run, against
-    # the products of permutation matrices it replaces, message included
+    # the coset-table oracle, which perm_rep runs, against the products of
+    # permutation matrices, message included
     rng = random.Random(5)
     presentations = [wirtinger_presentation(FractionR.parse(f))
                      for f in ("1/3", "3/5", "5/27")]

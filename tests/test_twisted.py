@@ -13,7 +13,7 @@ from metatap.exactalg import (
 from metatap.golden import A4_3DIM, PHI, STANDARD, phi_value
 from metatap.groupcalc import Presentation, Word, fox_determinant, parse_presentation
 from metatap.intmat import identity, mat_inverse, mat_mul
-from metatap.knotdata import presentation
+from metatap.knotdata import BUNDLED, presentation
 from metatap.characters import Representation, representation_blocks, support_blocks
 from metatap.metabelian import (
     MetaGroup,
@@ -36,6 +36,7 @@ from metatap.oracles import (
     perm_rep,
     phi_generator_minus_one,
     check_factorization,
+    check_homomorphism,
     phi_map,
     trivial_rep,
     normalized_series,
@@ -573,6 +574,36 @@ def test_twisted_alexander_names_the_first_relator_not_killed():
                        match=r"^relator 2 \(x Y\) does not map to the identity$"):
         twisted_alexander(p, rho)
     assert [rho.fox_walk(rel)[1] == 0 for rel in p.relators] == [True, False]
+
+
+def test_walk_check_matches_check_homomorphism():
+    # the one production relator check, which --assign goes through, against
+    # the coset-table oracle, message included: search results, random
+    # images and search results with the last image changed
+    rng = random.Random(11)
+    presentations = [wirtinger_presentation(FractionR.parse(f))
+                     for f in ("1/3", "3/5", "5/27")]
+    presentations += [presentation(name) for name in BUNDLED]
+    checked = set()
+    for group in (a4_group(), build_group(4, 3), build_group(5, 2)):
+        for p in presentations:
+            candidates = [h.images for h in find_homs(p, group)[:2]]
+            candidates += [images[:-1] + (rng.randrange(group.order()),)
+                           for images in candidates]
+            candidates += [tuple(rng.randrange(group.order()) for _ in p.generators)
+                           for _ in range(8)]
+            for images in candidates:
+                outcomes = []
+                for check in (lambda: check_homomorphism(p, group, images),
+                              lambda: twisted_alexander(p, representation_blocks(images, group))):
+                    try:
+                        check()
+                        outcomes.append(None)
+                    except NotHomomorphismError as e:
+                        outcomes.append(str(e))
+                assert outcomes[0] == outcomes[1], (p.name, group.name(), images)
+                checked.add(outcomes[0] is None)
+    assert checked == {True, False}
 
 
 def test_second_fox_walk_takes_no_step(monkeypatch):
