@@ -63,7 +63,8 @@ def cyclotomic_coeffs(n: int) -> tuple[int, ...]:
     for d in range(1, n):
         if n % d == 0:
             q = exact_div(f, poly_from_coeffs(cyclotomic_coeffs(d)))
-            assert q is not None
+            if q is None:
+                raise ExactnessError(f"Phi_{d} does not divide z^{n} - 1 exactly")
             f = q
     return tuple(f.coeff(i) for i in range(f.degree() + 1))
 
@@ -115,16 +116,16 @@ class MetaGroup:
         for _ in range(n - 1):
             self._T_pow.append(self._mat_mod(mat_mul(self._T_pow[-1], self.T)))
         # filled on first use: element index -> character image and -> text,
-        # unit -> coset relabeling, assignment (its generators' element
-        # indices) -> whether they generate, -> its `characters.Representation`
-        # and -> its orbit under the units, (representative, member,
-        # relabeling) -> the class step's verdict (`unit_classes`)
+        # assignment (its generators' element indices) -> whether they
+        # generate, -> its `characters.Representation` and -> its orbit under
+        # the units, (representative, member, unit) -> the class step's
+        # verdict (`unit_classes`)
         self._character_images: dict[int, tuple[tuple[int, int, int], ...]] = {}
         self._elem_texts: dict[int, str] = {}
-        self._relabelings: dict[Mat, tuple[int, ...]] = {}
         self._generates: dict[tuple[int, ...], bool] = {}
         self._representations: dict[tuple[int, ...], object] = {}
-        self._unit_orbits: dict[tuple[int, ...], tuple[tuple[tuple[int, ...], Mat], ...]] = {}
+        self._unit_orbits: dict[tuple[int, ...],
+                                tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]] = {}
         self._conjugates: dict[tuple, bool] = {}
 
     def _mat_mod(self, m: Mat) -> Mat:
@@ -145,20 +146,44 @@ class MetaGroup:
         return self._mat_mod(acc)
 
     @cached_property
-    def units(self) -> list[Mat]:
-        """The invertible elements U = f(T) mod p of F_p[T], identity first.
+    def units(self) -> list[tuple[int, ...]]:
+        """The invertible elements U = f(T) mod p of F_p[T], each as its
+        table sigma_U (`poly_table`): coset index v -> that of vec(v) U.
+        The identity comes first, then the units in the order of f's
+        coefficient index.
 
         T^0, ..., T^(k-1) is a basis of F_p[T] because T is a companion
-        matrix of degree k.  Each U commutes with T, so s^ell b^vec ->
+        matrix of degree k, and `T_poly` with `_invertible_mod` decides
+        which f(T) are units.  Each U commutes with T, so s^ell b^vec ->
         s^ell b^(vec U) is an automorphism of the group that fixes s
-        (`unit_image`).
+        (`unit_image`), and sigma_U relabels the cosets <s> a -> <s> a U.
         """
         out = []
         for idx in range(1, self.p**self.k):
-            u = self.T_poly(self.vec_of_index(idx)[::-1])
-            if _invertible_mod(u, self.p):
-                out.append(u)
+            coeffs = self.vec_of_index(idx)[::-1]
+            if _invertible_mod(self.T_poly(coeffs), self.p):
+                out.append(self.poly_table(coeffs))
         return out
+
+    def poly_table(self, coeffs: Sequence[int]) -> tuple[int, ...]:
+        """The table v -> coset index of vec(v) sum_j coeffs[j] T^j mod p,
+        for at most n coefficients, constant term first.
+
+        Built from `index_law`: vec(v) T^j is act[-j mod n][v], a sum is
+        `add`, and c x is taken by doubling, so a coefficient costs
+        O(log p) passes over the p^k cosets.
+        """
+        act, add = self.index_law
+        table = [0] * self.p**self.k
+        for j, c in enumerate(coeffs):
+            power, c = act[-j % self.n], c % self.p
+            while c:
+                if c & 1:
+                    table = [add[x][y] for x, y in zip(table, power)]
+                c >>= 1
+                if c:
+                    power = [add[x][x] for x in power]
+        return tuple(table)
 
     # -- the group ----------------------------------------------------------
 
@@ -309,26 +334,11 @@ class MetaGroup:
         ell, v = divmod(x, self.p**self.k)
         return [add[i][v] for i in act[ell]]
 
-    def unit_image(self, x: int, unit: Mat) -> int:
-        """phi_U(s^ell b^vec) = s^ell b^(vec U) for a unit U of F_p[T], on
-        element indices.  Built apart from `coset_relabeling`, so that the
-        class step's check of one against the other means something."""
+    def unit_image(self, x: int, unit: Sequence[int]) -> int:
+        """phi_U(s^ell b^vec) = s^ell b^(vec U) on element indices, for a
+        unit U of F_p[T] given as its table (`units`)."""
         ell, v = divmod(x, self.p**self.k)
-        return (ell * self.p**self.k
-                + self.coset_index(self._vec_times(self.vec_of_index(v), unit)))
-
-    def coset_relabeling(self, unit: Mat) -> tuple[int, ...]:
-        """sigma_U: <s> a -> <s> a U as an index table.
-
-        phi_U fixes s and U commutes with T, so the coset tables satisfy
-        pi_{phi_U(g)} = sigma_U pi_g sigma_U^-1.  Built once per unit.
-        """
-        sigma = self._relabelings.get(unit)
-        if sigma is None:
-            sigma = self._relabelings[unit] = tuple(
-                self.coset_index(self._vec_times(self.vec_of_index(i), unit))
-                for i in range(self.p**self.k))
-        return sigma
+        return ell * self.p**self.k + unit[v]
 
     def character_matrix(self, g: int) -> Mat:
         """Q(g) = C^-1 P(g) C for the element of index g and the basis C of
@@ -518,13 +528,6 @@ def generates(group: MetaGroup, gens: tuple[int, ...]) -> bool:
     return known
 
 
-def _inverse_table(perm: Sequence[int]) -> list[int]:
-    inv = [0] * len(perm)
-    for i, j in enumerate(perm):
-        inv[j] = i
-    return inv
-
-
 def find_homs(p: Presentation, group: MetaGroup,
               fix: Optional[str] = None) -> list[HomAssignment]:
     """All assignments sending `fix` (default: the first generator) to s and
@@ -546,14 +549,14 @@ def find_homs(p: Presentation, group: MetaGroup,
     given e = 0 mod n a relator holds iff that sum is 0.  One pass per
     relator folds each A_g mod n (T^n = I), ending at e mod n, which must
     be 0 (else there is no assignment); then each A_g becomes the table
-    v -> coset index of vec(v) A_g(T) (`index_law`; T^j is act[-j mod n]).
-    A candidate passes when its tables add up to the coset 0 for every
+    v -> coset index of vec(v) A_g(T) (`MetaGroup.poly_table`).  A
+    candidate passes when its tables add up to the coset 0 for every
     relator.
     """
     fixed_name = fix if fix is not None else p.generators[0]
     if fixed_name not in p.generators:
         raise InputError(f"no generator named {fixed_name!r}")
-    act, add = group.index_law
+    _, add = group.index_law
     n, size = group.n, group.p**group.k
     fixed = p.gen_index(fixed_name)
     tables = []  # per relator and generator: v -> coset index of vec(v) A_g(T)
@@ -569,13 +572,7 @@ def find_homs(p: Presentation, group: MetaGroup,
         if d:  # the walk ends at the exponent sum mod n
             return []
         folded[fixed] = []  # the fixed generator has v = 0: its table stays 0
-        tables.append([])
-        for coeffs in folded[1:]:
-            table = [0] * size
-            for j, c in enumerate(coeffs):
-                for _ in range(c % group.p):
-                    table = [add[x][y] for x, y in zip(table, act[-j % n])]
-            tables[-1].append(table)
+        tables.append([group.poly_table(coeffs) for coeffs in folded[1:]])
     results = []
     ranges = [[0] if g == fixed else range(size) for g in range(1, p.num_generators + 1)]
     for vs in product(*ranges):
@@ -603,13 +600,14 @@ def unit_classes(group: MetaGroup, homs: list[HomAssignment]) -> list[int]:
 
     Each member is checked against its representative: both must be
     surjective or neither, and the coset tables must show the member to be
-    phi_U of the representative (`_conjugate_by_relabeling`).  Then the
-    permutation representations of the class are conjugate by a
-    permutation matrix, so one determinant serves the class.  A failed
-    check is an ExactnessError.  The orbit of each representative under
-    the units is kept per group.
+    phi_U of the representative, relabeled by the table of the unit whose
+    image it is (`_conjugate_by_relabeling`).  Then the permutation
+    representations of the class are conjugate by a permutation matrix, so
+    one determinant serves the class.  A failed check is an
+    ExactnessError.  The orbit of each representative under the units,
+    each image with its unit's table, is kept per group.
     """
-    owner: dict[tuple[int, ...], tuple[int, Mat]] = {}
+    owner: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}
     out = []
     for i, h in enumerate(homs):
         rep, unit = owner.get(h.images, (i, None))
@@ -633,37 +631,32 @@ def unit_classes(group: MetaGroup, homs: list[HomAssignment]) -> list[int]:
 
 
 def _conjugate_by_relabeling(group: MetaGroup, rep: tuple[int, ...],
-                             member: tuple[int, ...], unit: Mat) -> bool:
-    """Check on the coset tables that `member` relabels `rep` through U.
+                             member: tuple[int, ...], unit: tuple[int, ...]) -> bool:
+    """Check on the coset tables that `member` relabels `rep` through the
+    unit table sigma = sigma_U (`MetaGroup.units`).
 
-    With sigma = sigma_U^-1, which takes the member's cosets to the
-    representative's, this tests pi_rep(g)(sigma(i)) == sigma(pi_member(g)(i))
-    for every generator g and every coset i.  When it holds,
-    P(member(g)) = Q P(rep(g)) Q^-1 for the permutation matrix Q of sigma,
-    so both representations give the same twisted numerator and
-    denominator determinants exactly.  The verdict depends only on the two
-    assignments and sigma_U, and is kept per group.
+    sigma must be a bijection of the p^k cosets, and
+    sigma(pi_rep(g)(i)) == pi_member(g)(sigma(i)) must hold for every
+    generator g and every coset i, the tables pi coming from `coset_table`.
+    When it holds, P(member(g)) = Q^-1 P(rep(g)) Q for the permutation
+    matrix Q of sigma, so both representations give the same twisted
+    numerator and denominator determinants exactly.  On a surjective
+    assignment a bijection that is not F_p[T]-linear fails it.  The
+    verdict depends only on the two assignments and sigma, and is kept per
+    group.
     """
-    forward = group.coset_relabeling(unit)
-    key = (rep, member, forward)
+    key = (rep, member, unit)
     known = group._conjugates.get(key)
     if known is None:
-        known = group._conjugates[key] = _relabels(group, rep, member, forward)
+        size = group.p**group.k
+        known = len(rep) == len(member) and len(unit) == len(set(unit)) == size
+        for x, y in zip(rep, member) if known else ():
+            pi_rep, pi_member = group.coset_table(x), group.coset_table(y)
+            if any(unit[pi_rep[i]] != pi_member[unit[i]] for i in range(size)):
+                known = False
+                break
+        group._conjugates[key] = known
     return known
-
-
-def _relabels(group: MetaGroup, rep: tuple[int, ...], member: tuple[int, ...],
-              forward: tuple[int, ...]) -> bool:
-    size = len(forward)
-    if len(rep) != len(member) or len(set(forward)) != size:
-        return False
-    sigma = _inverse_table(forward)
-    for x, y in zip(rep, member):
-        pi_rep = group.coset_table(x)
-        pi_member = group.coset_table(y)
-        if any(pi_rep[sigma[i]] != sigma[pi_member[i]] for i in range(size)):
-            return False
-    return True
 
 
 def obstruction_passes(delta: LaurentPoly, group: MetaGroup) -> bool:

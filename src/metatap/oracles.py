@@ -33,6 +33,8 @@ compare with the production code.  No production module imports this one.
     check_homomorphism          twisted.twisted_alexander's relator check and
                                 metabelian.find_homs (relators on the coset
                                 tables, not on the Fox walk or over F_p)
+    _inverse_table              none: check_homomorphism's inverse letters
+                                (production inverts no coset table)
     PolyMatrix                  no production type: a matrix over Z[t, 1/t]
                                 as its degree -> integer matrix series, with
                                 its determinant through kronecker_det
@@ -58,7 +60,7 @@ d(uv)/dg = du/dg + u * dv/dg  with  d(g)/dg = 1  and  d(g^-1)/dg = -g^-1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .exactalg import (
     ONE, ZERO, ExactnessError, LaurentPoly, canonical, exact_div, kronecker_det,
@@ -67,7 +69,7 @@ from .groupcalc import Presentation, Word, fox_tally
 from .intmat import (
     Mat, identity, int_det, mat_add, mat_inverse, mat_mul, mat_neg, mat_scale, mat_sub,
     zeros)
-from .metabelian import MetaGroup, NotHomomorphismError, _inverse_table
+from .metabelian import MetaGroup, NotHomomorphismError
 from .twinring import I3, POWERS, X, XINV, XINV_YINV, Y, YINV, YX, power3
 from .twisted import TwistedResult, Verdict, _product
 from .twobridge import H3Form
@@ -540,6 +542,13 @@ def group_word_image(group: MetaGroup, word: Word, images: dict[int, int]) -> in
         x = images[abs(letter)]
         out = vector_mul(group, out, x if letter > 0 else vector_inv(group, x))
     return out
+
+
+def _inverse_table(perm: Sequence[int]) -> list[int]:
+    inv = [0] * len(perm)
+    for i, j in enumerate(perm):
+        inv[j] = i
+    return inv
 
 
 def check_homomorphism(p: Presentation, group: MetaGroup,

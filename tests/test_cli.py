@@ -32,6 +32,7 @@ from metatap.selftest import golden_input, structure_checks
 from metatap.twisted import twisted_alexander
 from metatap.twobridge import (
     ALPHA_MAX,
+    FractionR,
     H3Form,
     enumerate_fractions,
     wirtinger_presentation,
@@ -433,9 +434,21 @@ def test_compute_tampered_class_member_exit_3(monkeypatch):
 
 
 def test_compute_wrong_relabeling_exit_3(monkeypatch):
-    monkeypatch.setattr(MetaGroup, "coset_relabeling",
-                        lambda self, unit: tuple(range(self.p**self.k)))
-    code, out, err = run_cli("compute", "--r", "5/27", "--group", "A4")
+    # the second unit's table keeps the coset 0 and the image of the first
+    # surjection, so its orbit still meets a genuine member, but two other
+    # cosets are swapped: a bijection that is not linear, which the class
+    # step's coset-table check must refuse.  The group's kept orbits are
+    # set aside, so that the orbits are built again.
+    g = build_group(4, 3)
+    size = g.p**g.k
+    homs = find_homs(wirtinger_presentation(FractionR(3, 5)), g)
+    v = next(h for h in homs if h.surjective).images[1] - size
+    a, b = [i for i in range(1, size) if i != v][:2]
+    table = list(g.units[1])
+    table[a], table[b] = table[b], table[a]
+    monkeypatch.setattr(g, "units", [g.units[0], tuple(table)])
+    monkeypatch.setattr(g, "_unit_orbits", {})
+    code, out, err = run_cli("compute", "--r", "3/5", "--group", "M(4|3,2)")
     assert code == 3 and not out
     assert "internal consistency failure" in err and "not conjugate" in err
 

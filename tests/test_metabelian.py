@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from metatap import metabelian
 from metatap.characters import Representation, representation_blocks
 from metatap.exactalg import ExactnessError, canonical, parse_poly, poly_from_coeffs
 from metatap.groupcalc import InputError, parse_presentation
@@ -52,6 +53,19 @@ def test_cyclotomic_coeffs():
     assert cyclotomic_coeffs(5) == (1, 1, 1, 1, 1)
     assert cyclotomic_coeffs(6) == (1, -1, 1)
     assert cyclotomic_coeffs(12) == (1, 0, -1, 0, 1)
+
+
+def test_cyclotomic_coeffs_checks_exact_division(monkeypatch):
+    # a raise, not an assert, so that python -O keeps the check
+    cyclotomic_coeffs.cache_clear()
+    monkeypatch.setattr(metabelian, "exact_div", lambda f, g: None)
+    try:
+        with pytest.raises(ExactnessError, match="does not divide"):
+            cyclotomic_coeffs(6)
+    finally:
+        monkeypatch.undo()
+        cyclotomic_coeffs.cache_clear()
+    assert cyclotomic_coeffs(6) == (1, -1, 1)
 
 
 def test_build_group_examples():
@@ -190,19 +204,59 @@ def test_coset_action_is_homomorphism():
 UNIT_GROUPS = [(3, 2, 3), (4, 3, 8), (5, 2, 15), (3, 5, 24), (4, 5, 16)]
 
 
+def poly_at_T(g, coeffs):
+    """sum_j coeffs[j] T^j mod p, formed from the powers of T."""
+    acc = [[0] * g.k for _ in range(g.k)]
+    for j, c in enumerate(coeffs):
+        for row, power_row in zip(acc, g.T_power(j)):
+            for i, x in enumerate(power_row):
+                row[i] = (row[i] + c * x) % g.p
+    return acc
+
+
+def matrix_table(g, m):
+    """The table v -> coset index of vec(v) m mod p."""
+    return tuple(
+        g.coset_index(tuple(sum(a * row[j] for a, row in zip(g.vec_of_index(v), m)) % g.p
+                            for j in range(g.k)))
+        for v in range(g.p**g.k))
+
+
 def test_units_of_fp_t():
     # F_4, F_9, F_16, F_25 have q - 1 units; Phi_4 = (z - 2)(z + 3) mod 5,
-    # so F_5[T] = F_5 x F_5 for M(4|5,2) has 16
+    # so F_5[T] = F_5 x F_5 for M(4|5,2) has 16.  Each unit is the table
+    # of vec(v) U for U = sum_i c_i T^i, in the order of the coefficient
+    # index c, identity first
     for n, p, count in UNIT_GROUPS:
         g = build_group(n, p)
+        size = p**g.k
+        act, add = g.index_law
+        matrices = (poly_at_T(g, g.vec_of_index(c)[::-1]) for c in range(1, size))
         units = g.units
+        assert units == [matrix_table(g, m) for m in matrices if int_det(m) % p]
         assert len(units) == len(set(units)) == count
-        assert units[0] == identity(g.k)
-        mod = lambda m: tuple(tuple(x % p for x in row) for row in m)
+        assert units[0] == tuple(range(size))
+        unit_set = set(units)
         for u in units:
-            assert mod(mat_mul(u, g.T)) == mod(mat_mul(g.T, u))
-            for v in units:
-                assert mod(mat_mul(u, v)) in units
+            assert all(u[act[1][v]] == act[1][u[v]] for v in range(size))
+            assert all(u[add[v][w]] == add[u[v]][u[w]]
+                       for v in range(size) for w in range(size))
+            for w in units:
+                assert tuple(w[u[v]] for v in range(size)) in unit_set
+
+
+def test_poly_table_matches_matrix_oracle():
+    # vec(v) sum_j c_j T^j mod p from T_power, for coefficient lists with
+    # negative entries, entries >= p and up to n entries; M(2|11,1) takes
+    # its multiples of up to 10 by doubling
+    rng = random.Random(33)
+    for n, p in [(n, p) for n, p, _ in UNIT_GROUPS] + [(7, 2), (2, 11)]:
+        g = build_group(n, p)
+        cases = [[], [-1] * n, [p] + [0] * (n - 1), [2 * p - 1] * n]
+        cases += [[rng.randrange(-2 * p, 2 * p) for _ in range(rng.randint(1, n))]
+                  for _ in range(8)]
+        for coeffs in cases:
+            assert g.poly_table(coeffs) == matrix_table(g, poly_at_T(g, coeffs)), coeffs
 
 
 def test_unit_relabeling_conjugates_perm_matrices():
@@ -211,17 +265,14 @@ def test_unit_relabeling_conjugates_perm_matrices():
     for n, p, _ in UNIT_GROUPS:
         g = build_group(n, p)
         size = p**g.k
-        for u in g.units:
-            sigma = g.coset_relabeling(u)
-            assert g.coset_relabeling(u) is sigma  # built once per unit
+        assert build_group(n, p).units is g.units  # built once per group
+        for sigma in g.units:
             q = tuple(tuple(int(sigma[i] == j) for j in range(size))
                       for i in range(size))
             q_inv = tuple(zip(*q))
             for e in rng.sample(range(g.order()), 2):
-                image = g.unit_image(e, u)
-                vec = g.vec_of_index(e % size)
-                assert divmod(image, size) == (e // size, g.coset_index(tuple(
-                    sum(vec[i] * u[i][j] for i in range(g.k)) % p for j in range(g.k))))
+                image = g.unit_image(e, sigma)
+                assert divmod(image, size) == (e // size, sigma[e % size])
                 assert perm_matrix(g, image) == \
                     mat_mul(mat_mul(q_inv, perm_matrix(g, e)), q)
 
