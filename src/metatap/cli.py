@@ -391,6 +391,9 @@ def cmd_find_reps(args) -> int:
         print(f"obstruction: no surjection of G({name}) onto {group.name()} "
               f"can exist (resultant test)")
     homs = find_homs(p, group, fix=args.fix)
+    if not possible and any(h.surjective for h in homs):  # a fault of one of the two
+        raise ExactnessError(f"the resultant test rules out a surjection of G({name}) "
+                             f"onto {group.name()}, but the search found one")
     shown = [h for h in homs if h.surjective or args.all]
     # the generator pinned to s first, then the others in order
     order = sorted(range(p.num_generators),

@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 
 from .exactalg import ExactnessError, LaurentPoly, poly_from_coeffs, exact_div
 from .groupcalc import InputError, Presentation
-from .intmat import Mat, identity, mat_mul
+from .intmat import Mat
 
 
 def is_prime(p: int) -> bool:
@@ -69,52 +69,16 @@ def cyclotomic_coeffs(n: int) -> tuple[int, ...]:
     return tuple(f.coeff(i) for i in range(f.degree() + 1))
 
 
-def _invertible_mod(m: Mat, p: int) -> bool:
-    """Whether a square matrix is invertible over F_p (Gaussian elimination)."""
-    rows = [list(row) for row in m]
-    for col in range(len(rows)):
-        pivot = next((r for r in range(col, len(rows)) if rows[r][col] % p), None)
-        if pivot is None:
-            return False
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        inv = pow(rows[col][col], -1, p)
-        for r in range(col + 1, len(rows)):
-            factor = rows[r][col] * inv % p
-            rows[r] = [(x - factor * y) % p for x, y in zip(rows[r], rows[col])]
-    return True
-
-
-def _companion_mod(coeffs: tuple[int, ...], p: int) -> Mat:
-    """Companion matrix with subdiagonal ones and last column -coefficients.
-
-    This is the form for which row vectors transform correctly under the
-    conjugation convention vec(s a s^-1) = vec(a) * T.
-    """
-    k = len(coeffs) - 1
-    rows = []
-    for i in range(k):
-        row = [0] * k
-        if i >= 1:
-            row[i - 1] = 1
-        row[k - 1] = (row[k - 1] - coeffs[i]) % p
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
 class MetaGroup:
-    """The metabelian group M(n|p,k) with its companion-matrix action."""
+    """The metabelian group M(n|p,k).  T, the companion matrix of Phi_n
+    mod p, exists only as its index tables (`index_law`): no F_p matrix
+    is kept."""
 
     def __init__(self, n: int, p: int):
         check_parameters(n, p)
         self.n = n
         self.p = p
-        coeffs = cyclotomic_coeffs(n)
-        self.k = len(coeffs) - 1
-        self.T = _companion_mod(coeffs, p)
-        # T^n = I, so negative powers fold into 0..n-1.
-        self._T_pow = [identity(self.k)]
-        for _ in range(n - 1):
-            self._T_pow.append(self._mat_mod(mat_mul(self._T_pow[-1], self.T)))
+        self.k = len(cyclotomic_coeffs(n)) - 1
         # filled on first use: element index -> character image and -> text,
         # assignment (its generators' element indices) -> whether they
         # generate, -> its `characters.Representation` and -> its orbit under
@@ -128,23 +92,6 @@ class MetaGroup:
                                 tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]] = {}
         self._conjugates: dict[tuple, bool] = {}
 
-    def _mat_mod(self, m: Mat) -> Mat:
-        return tuple(tuple(x % self.p for x in row) for row in m)
-
-    def T_power(self, e: int) -> Mat:
-        return self._T_pow[e % self.n]
-
-    def T_poly(self, coeffs: Sequence[int]) -> Mat:
-        """sum_i coeffs[i] T^i mod p, for at most n coefficients, constant
-        term first."""
-        acc = [[0] * self.k for _ in range(self.k)]
-        for i, c in enumerate(coeffs):
-            if c % self.p:
-                for row, power_row in zip(acc, self._T_pow[i]):
-                    for j, x in enumerate(power_row):
-                        row[j] += c * x
-        return self._mat_mod(acc)
-
     @cached_property
     def units(self) -> list[tuple[int, ...]]:
         """The invertible elements U = f(T) mod p of F_p[T], each as its
@@ -153,17 +100,15 @@ class MetaGroup:
         coefficient index.
 
         T^0, ..., T^(k-1) is a basis of F_p[T] because T is a companion
-        matrix of degree k, and `T_poly` with `_invertible_mod` decides
-        which f(T) are units.  Each U commutes with T, so s^ell b^vec ->
+        matrix of degree k.  v -> vec(v) f(T) is linear, so f(T) is a unit
+        exactly when its table is one-to-one, that is when only the coset
+        0 maps to 0.  Each U commutes with T, so s^ell b^vec ->
         s^ell b^(vec U) is an automorphism of the group that fixes s
         (`unit_image`), and sigma_U relabels the cosets <s> a -> <s> a U.
         """
-        out = []
-        for idx in range(1, self.p**self.k):
-            coeffs = self.vec_of_index(idx)[::-1]
-            if _invertible_mod(self.T_poly(coeffs), self.p):
-                out.append(self.poly_table(coeffs))
-        return out
+        tables = (self.poly_table(self.vec_of_index(idx)[::-1])
+                  for idx in range(1, self.p**self.k))
+        return [table for table in tables if 0 not in table[1:]]
 
     def poly_table(self, coeffs: Sequence[int]) -> tuple[int, ...]:
         """The table v -> coset index of vec(v) sum_j coeffs[j] T^j mod p,
@@ -217,12 +162,6 @@ class MetaGroup:
             idx //= self.p
         return tuple(reversed(out))
 
-    def _vec_times(self, vec: tuple[int, ...], m: Mat) -> tuple[int, ...]:
-        return tuple(
-            sum(vec[i] * m[i][j] for i in range(self.k)) % self.p
-            for j in range(self.k)
-        )
-
     def parse_elem(self, text: str) -> int:
         """The index of the element written 's b1 b4', 's^2', 'b2^3' or '1',
         its tokens composed by `index_mul`; InputError if the text is not
@@ -270,13 +209,21 @@ class MetaGroup:
         The element s^ell b^vec has index ell * p^k + coset_index(vec).
         act[t][i] is the coset index of vec(i) * T^-t and add[i][j] that of
         vec(i) + vec(j), so (a, u)(b, v) = (a + b mod n, add[act[b][u]][v]).
-        Built from `T_power` and vector addition on first use, once per
-        group object.
+        T is the companion matrix of Phi_n = sum_i c_i z^i mod p, so
+        vec(x) T = (x_2, ..., x_k, -sum_i c_i x_i) mod p; that table,
+        composed to its n powers, gives act[t] = T^(n - t).  Built on first
+        use, once per group object.
         """
-        vecs = [self.vec_of_index(i) for i in range(self.p**self.k)]
-        act = [[self.coset_index(self._vec_times(v, self.T_power(-t))) for v in vecs]
-               for t in range(self.n)]
-        add = [[self.coset_index(tuple((x + y) % self.p for x, y in zip(v, w)))
+        p, size = self.p, self.p**self.k
+        coeffs = cyclotomic_coeffs(self.n)
+        vecs = [self.vec_of_index(i) for i in range(size)]
+        step = [self.coset_index(v[1:] + (-sum(c * x for c, x in zip(coeffs, v)) % p,))
+                for v in vecs]
+        powers = [list(range(size))]  # powers[j][i]: coset index of vec(i) T^j
+        for _ in range(self.n - 1):
+            powers.append([step[i] for i in powers[-1]])
+        act = [powers[-t % self.n] for t in range(self.n)]
+        add = [[self.coset_index(tuple((x + y) % p for x, y in zip(v, w)))
                 for w in vecs] for v in vecs]
         return act, add
 
@@ -294,22 +241,24 @@ class MetaGroup:
         permutes the lines up to a scalar.  Built on first use, once per
         group object.
         """
-        p = self.p
-        vecs = [self.vec_of_index(i) for i in range(p**self.k)]
+        p, k = self.p, self.k
+        vecs = [self.vec_of_index(i) for i in range(p**k)]
         lines = [u for u in vecs[1:] if next(x for x in u if x) == 1]
         line_of = {u: l for l, u in enumerate(lines)}
         dots = [[sum(a * b for a, b in zip(u, x)) % p for x in vecs] for u in lines]
         columns = [(1,) * len(vecs)] + [tuple(int(d == j) - int(d == 0) for d in row)
                                         for row in dots for j in range(1, p)]
-        moves = []
-        for t in range(self.n):
-            # u . (x M) = x . w with w_i = (row i of M) . u
-            rows = self.T_power(-t)
-            moves.append([])
-            for u in lines:
-                w = [sum(a * b for a, b in zip(row, u)) % p for row in rows]
-                r = pow(next(x for x in w if x), -1, p)
-                moves[t].append((line_of[tuple(r * x % p for x in w)], r))
+
+        def move(w):  # (m, r) with u_m = r w
+            r = pow(next(x for x in w if x), -1, p)
+            return line_of[tuple(r * x % p for x in w)], r
+
+        # u_l . (x T^-t) = x . w with w_i = u_l . (e_i T^-t), and e_i T^-t
+        # is act[t] at the coset index p^(k-i) of e_i
+        act, _ = self.index_law
+        basis = [p**(k - i) for i in range(1, k + 1)]
+        moves = [[move([row[act[t][e]] for e in basis]) for row in dots]
+                 for t in range(self.n)]
         return columns, dots, moves
 
     def index_inv(self, x: int) -> int:
@@ -446,8 +395,8 @@ def group_from_name(text: str) -> MetaGroup:
     `is_prime`): p^k may not exceed MAX_COSETS, with k and p checked
     first, and n may not exceed 2 k^2, since deg Phi_n = phi(n) >=
     sqrt(n/2).  k is checked against deg Phi_n before the group is built,
-    since building it (Phi_n and the n powers of T) costs time and memory
-    that grow with n."""
+    since building it (Phi_n, then the n tables act of `index_law`) costs
+    time and memory that grow with n."""
     s = text.strip()
     if s.upper() == "A4":
         return a4_group()
@@ -661,18 +610,30 @@ def _conjugate_by_relabeling(group: MetaGroup, rep: tuple[int, ...],
 
 def obstruction_passes(delta: LaurentPoly, group: MetaGroup) -> bool:
     """Necessary condition for a surjection onto M(n|p,k): p divides the
-    resultant of the Alexander polynomial with the n-th cyclotomic polynomial
-    (equivalently the product of Delta at the primitive n-th roots of unity).
+    resultant of the Alexander polynomial with the n-th cyclotomic polynomial.
 
-    That resultant is +-det Delta(C) for the companion matrix C of Phi_n,
-    and T is C mod p, so p divides it exactly when Delta(T) is singular
-    over F_p.  T^n = I folds every degree of Delta, negative ones too, to
-    its residue mod n; a factor +-t^m of Delta multiplies the determinant by
-    a unit, +-det(T)^m, so Delta need not be normalized.
+    Phi_n is monic, so Res(Phi_n, Delta) is the product of Delta(alpha)
+    over the roots alpha of Phi_n (von zur Gathen-Gerhard, Modern Computer
+    Algebra, ch. 6): p divides it exactly when Delta and Phi_n have a
+    common factor over F_p.  The roots satisfy z^n = 1 and are not 0, so
+    each degree of Delta, negative ones too, folds to its residue mod n,
+    and Delta need not be normalized.  No group table is built.
     """
     if delta.is_zero():
         raise ValueError("delta must be nonzero")
+    p = group.p
     folded = [0] * group.n
     for d, c in delta.terms:
         folded[d % group.n] += c
-    return not _invertible_mod(group.T_poly(folded), group.p)
+    # Euclid on coefficient lists mod p, constant first: g <- g mod f, swap
+    f, g = [c % p for c in folded], [c % p for c in cyclotomic_coeffs(group.n)]
+    while any(f):
+        while not f[-1]:
+            f.pop()
+        inv = pow(f[-1], -1, p)
+        while len(g) >= len(f):
+            q = g.pop() * inv % p
+            for i, c in enumerate(f[:-1], len(g) + 1 - len(f)):
+                g[i] = (g[i] - q * c) % p
+        f, g = g, f
+    return len(g) > 1  # g is gcd(Delta, Phi_n) mod p, Phi_n when Delta folds to 0

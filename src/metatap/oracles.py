@@ -24,6 +24,9 @@ compare with the production code.  No production module imports this one.
                                 stays in twobridge, as production for --pres)
     perm_rep, perm_matrix       characters.representation_blocks (the full
                                 p^k-dimensional permutation path)
+    companion, T_power          MetaGroup.index_law (T and its powers as
+                                k x k matrices over F_p, not as tables of
+                                coset indices)
     vector_mul, vector_inv      MetaGroup.index_mul and index_inv (the group
                                 law on (ell, vec) pairs from T_power, not the
                                 index_law tables)
@@ -43,7 +46,7 @@ compare with the production code.  No production module imports this one.
                                 Fox numerators and the denominators
     resultant, _rem_monic       metabelian.obstruction_passes (Res(Delta, Phi_n)
                                 over Z by a remainder step or a Sylvester
-                                determinant, not Delta(T) singular over F_p)
+                                determinant, not Euclid over F_p)
     check_factorization         twisted.block_verdict (phi = twisted (1 - t) /
                                 Delta, not the ratio of the non-trivial blocks)
     recursion_series,           twinring.twisted_from_form (the recursion on
@@ -60,6 +63,7 @@ d(uv)/dg = du/dg + u * dv/dg  with  d(g)/dg = 1  and  d(g^-1)/dg = -g^-1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .exactalg import (
@@ -69,7 +73,7 @@ from .groupcalc import Presentation, Word, fox_tally
 from .intmat import (
     Mat, identity, int_det, mat_add, mat_inverse, mat_mul, mat_neg, mat_scale, mat_sub,
     zeros)
-from .metabelian import MetaGroup, NotHomomorphismError
+from .metabelian import MetaGroup, NotHomomorphismError, cyclotomic_coeffs
 from .twinring import I3, POWERS, X, XINV, XINV_YINV, Y, YINV, YX, power3
 from .twisted import TwistedResult, Verdict, _product
 from .twobridge import H3Form
@@ -496,9 +500,30 @@ def perm_rep(images: tuple[int, ...], group: MetaGroup,
 
 
 # ---------------------------------------------------------------------------
-# The group law on (ell, vec) pairs, from T_power: the reference for the
-# `MetaGroup.index_law` tables that production multiplies indices with
+# The group law on (ell, vec) pairs, from the companion matrix T: the
+# reference for the `MetaGroup.index_law` tables that production multiplies
+# indices with
 # ---------------------------------------------------------------------------
+
+
+def companion(group: MetaGroup) -> Mat:
+    """The companion matrix T of Phi_n mod p, with subdiagonal ones and last
+    column -coefficients: the form for which row vectors transform as
+    vec(s a s^-1) = vec(a) * T."""
+    coeffs, k = cyclotomic_coeffs(group.n), group.k
+    return tuple(tuple(-coeffs[i] % group.p if j == k - 1 else int(j == i - 1)
+                       for j in range(k)) for i in range(k))
+
+
+@lru_cache(maxsize=None)
+def T_power(group: MetaGroup, e: int) -> Mat:
+    """T^e mod p for any integer e, as e mod n products with `companion`
+    (T^n = I); kept per group and e."""
+    e %= group.n
+    if e == 0:
+        return identity(group.k)
+    return tuple(tuple(x % group.p for x in row)
+                 for row in mat_mul(T_power(group, e - 1), companion(group)))
 
 
 def _pair(group: MetaGroup, x: int) -> tuple[int, tuple[int, ...]]:
@@ -515,7 +540,7 @@ def _index(group: MetaGroup, ell: int, vec) -> int:
 
 def _moved(group: MetaGroup, vec: tuple[int, ...], e: int) -> list[int]:
     """vec * T^e, reduced mod p by `_index`."""
-    m = group.T_power(e)
+    m = T_power(group, e)
     return [sum(vec[i] * m[i][j] for i in range(group.k)) for j in range(group.k)]
 
 

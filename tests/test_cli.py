@@ -455,7 +455,7 @@ def test_compute_wrong_relabeling_exit_3(monkeypatch):
 
 def test_compute_tampered_determinant_exit_3(monkeypatch):
     # the int_det of every evaluated determinant is tampered; the
-    # obstruction takes no int_det (it eliminates over F_p), and --assign
+    # obstruction takes no int_det (it runs Euclid over F_p), and --assign
     # skips it anyway
     genuine = exactalg.int_det
     monkeypatch.setattr(exactalg, "int_det", lambda a: genuine(a) + (1 << 4096))
@@ -820,6 +820,14 @@ def test_find_reps_obstructed_empty():
     assert code == 2
     assert "obstruction" in out
     assert "no representation" in err
+
+
+def test_find_reps_obstruction_contradicted_exit_3(monkeypatch):
+    # a surjection that the obstruction rules out is a fault, not a result
+    monkeypatch.setattr(cli, "obstruction_passes", lambda delta, group: False)
+    code, out, err = run_cli("find-reps", "--r", "5/27", "--group", "A4")
+    assert code == 3 and "[onto]" not in out and err.count("\n") == 1
+    assert err.startswith("internal consistency failure: the resultant test rules out")
 
 
 # -- h3 -----------------------------------------------------------------------

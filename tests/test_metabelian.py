@@ -1,8 +1,8 @@
 """Metabelian groups M(n|p,k): elements as indices against the oracle's
-vector law, coset permutation representations, the A4 matrices,
-homomorphism search, and the obstruction p | Res(Delta, Phi_n), decided
-over F_p on the group's companion matrix and checked against the
-resultant oracle."""
+vector law (built from the oracle's companion matrix T), coset permutation
+representations, the A4 matrices, homomorphism search, and the
+obstruction p | Res(Delta, Phi_n), decided by Euclid over F_p and checked
+against the resultant oracle."""
 
 import itertools
 import random
@@ -31,8 +31,8 @@ from metatap.metabelian import (
     unit_classes,
 )
 from metatap.oracles import (
-    MatrixRep, PolyMatrix, check_homomorphism, group_word_image, perm_matrix, perm_rep,
-    resultant, trivial_rep, vector_inv, vector_mul, word_image)
+    MatrixRep, PolyMatrix, T_power, check_homomorphism, companion, group_word_image,
+    perm_matrix, perm_rep, resultant, trivial_rep, vector_inv, vector_mul, word_image)
 from metatap.twinring import X, Y
 from metatap.selftest import golden_input
 from metatap.twobridge import (
@@ -85,15 +85,10 @@ def test_build_group_examples():
 def test_companion_matrix_satisfies_cyclotomic():
     for n, p in [(3, 2), (4, 3), (5, 2), (3, 5), (4, 5), (7, 2), (12, 5)]:
         g = build_group(n, p)
-        coeffs = cyclotomic_coeffs(n)
-        acc = [[0] * g.k for _ in range(g.k)]
-        for i, c in enumerate(coeffs):
-            m = mat_pow(g.T, i)
-            for a in range(g.k):
-                for b in range(g.k):
-                    acc[a][b] = (acc[a][b] + c * m[a][b]) % p
-        assert all(x == 0 for row in acc for x in row)
-        assert g.T_power(n) == identity(g.k)
+        powers = [mat_pow(companion(g), i) for i in range(g.k + 1)]
+        assert all(sum(c * m[a][b] for c, m in zip(cyclotomic_coeffs(n), powers)) % p == 0
+                   for a in range(g.k) for b in range(g.k))
+        assert T_power(g, n) == identity(g.k)
 
 
 def test_group_from_name():
@@ -143,8 +138,9 @@ def test_associativity_random():
 
 def test_index_law_matches_mul_and_inv():
     # every element of each group reads back from its text, and the index
-    # law agrees with the oracle's vector law on every pair
-    for n, p in [(3, 2), (4, 3), (5, 2), (3, 5)]:
+    # law agrees with the oracle's vector law on every pair; Phi_6 = 1 - z +
+    # z^2 has a negative coefficient, and M(2|7,1) has k = 1
+    for n, p in [(3, 2), (4, 3), (5, 2), (3, 5), (6, 5), (2, 7)]:
         g = build_group(n, p)
         for x in range(g.order()):
             assert g.parse_elem(g.elem_str(x)) == x
@@ -205,13 +201,9 @@ UNIT_GROUPS = [(3, 2, 3), (4, 3, 8), (5, 2, 15), (3, 5, 24), (4, 5, 16)]
 
 
 def poly_at_T(g, coeffs):
-    """sum_j coeffs[j] T^j mod p, formed from the powers of T."""
-    acc = [[0] * g.k for _ in range(g.k)]
-    for j, c in enumerate(coeffs):
-        for row, power_row in zip(acc, g.T_power(j)):
-            for i, x in enumerate(power_row):
-                row[i] = (row[i] + c * x) % g.p
-    return acc
+    """sum_j coeffs[j] T^j mod p, formed from the oracle's powers of T."""
+    return [[sum(c * T_power(g, j)[a][b] for j, c in enumerate(coeffs)) % g.p
+             for b in range(g.k)] for a in range(g.k)]
 
 
 def matrix_table(g, m):
@@ -623,19 +615,29 @@ def test_obstruction_examples():
 
 
 def test_obstruction_matches_resultant_oracle():
-    # Delta(T) singular over F_p exactly when p | Res(Delta, Phi_n), on
-    # every fraction up to alpha 99 and the bundled knots; both verdicts
-    # occur for each group
-    deltas = [alexander_poly(wirtinger_presentation(r)) for r in enumerate_fractions(99)]
-    deltas += [alexander_poly(presentation(name)) for name in BUNDLED]
+    # Delta and Phi_n share a factor over F_p exactly when p | Res(Delta,
+    # Phi_n), on every fraction up to alpha 99, the bundled knots and seeded
+    # Laurent polynomials: negative degrees, degrees of at least n, end
+    # coefficients divisible by p, and 1 - t^n, which folds to 0.  Both
+    # verdicts occur for each group, and the obstruction builds no table
+    rng = random.Random(36)
+    knots = [alexander_poly(wirtinger_presentation(r)) for r in enumerate_fractions(99)]
+    knots += [alexander_poly(presentation(name)) for name in BUNDLED]
     for n, p in ((3, 2), (4, 3), (3, 5), (5, 2), (7, 2), (11, 2), (2, 3), (4, 5),
-                 (9, 2), (12, 5)):
-        group = build_group(n, p)
+                 (9, 2), (12, 5), (6, 5), (2, 7)):
+        group = MetaGroup(n, p)
         phi_n = poly_from_coeffs(cyclotomic_coeffs(n))
+        deltas = knots + [P(f"1 - t^{n}")]
+        for _ in range(60):
+            coeffs = [rng.randint(-3 * p, 3 * p) for _ in range(rng.randint(1, 3 * n))]
+            coeffs[0] = rng.choice((coeffs[0] or 1, p, -2 * p))
+            coeffs[-1] = rng.choice((coeffs[-1] or 1, p, -2 * p))
+            deltas.append(poly_from_coeffs(coeffs, rng.randint(-2 * n, n)))
         verdicts = [obstruction_passes(delta, group) for delta in deltas]
         assert verdicts == [resultant(canonical(delta), phi_n) % p == 0
                             for delta in deltas], group.name()
-        assert len(set(verdicts)) == 2, group.name()
+        assert verdicts[len(knots)] and len(set(verdicts)) == 2, group.name()
+        assert not {"index_law", "units", "character_tables"} & set(vars(group))
 
 
 # -- what a group keeps for every fraction -------------------------------------
